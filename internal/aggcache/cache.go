@@ -21,10 +21,17 @@
 // therefore never straddle an invalidation, and its stamp is always the
 // version the value was computed at.
 //
-// The cache is value-agnostic: keys are any comparable values (the caller
-// supplies a 64-bit hash for shard routing), values are opaque with a
-// caller-estimated byte size. A nil *Cache is a valid no-op cache, so call
-// sites need no guards.
+// The cache has two tiers behind one version stamp, one byte budget and one
+// set of counters. The result tier (Get/Put) is value-agnostic: keys are any
+// comparable values (the caller supplies a 64-bit hash for shard routing),
+// values are opaque with a caller-estimated byte size. The aggregate tier
+// (GetAgg/PutAgg, see aggtier.go) is typed — AggKey → int64 — and keeps its
+// entries in pointer-free slabs, because a search probes it once per scored
+// entry: it boxes nothing, allocates nothing at steady state and leaves the
+// garbage collector nothing to trace. Each shard evicts the least recently
+// used entry of either tier, so the two share the budget the way one LRU
+// list would. A nil *Cache is a valid no-op cache, so call sites need no
+// guards.
 package aggcache
 
 import (
@@ -37,9 +44,12 @@ import (
 // concurrent queries. Must be a power of two.
 const numShards = 16
 
-// entryOverheadBytes is charged per entry on top of the caller-supplied
-// value size: the map cell, list element and entry struct.
-const entryOverheadBytes = 96
+// entryOverheadBytes is charged per result-tier entry on top of the
+// caller-supplied value size. It is what the allocator actually hands out
+// for one entry: the list element (48), the entry struct (64), the key and
+// the value header boxed into interfaces (64 + 24 for core's result key and
+// []Result) and the entry's share of the map's buckets (≈ 40).
+const entryOverheadBytes = 240
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
@@ -60,21 +70,27 @@ type Stats struct {
 // and the nil pointer are both inert.
 type Cache struct {
 	version atomic.Uint64
-	hits    atomic.Int64
-	misses  atomic.Int64
-	evicted atomic.Int64
-	stale   atomic.Int64
-	bytes   atomic.Int64
-	entries atomic.Int64
 	shards  [numShards]shard
 }
 
+// shard is one independently locked slice of the key space. Its counters are
+// plain fields under mu — an operation holds the lock anyway, and a probe
+// costs no shared atomic beyond the version load; Snapshot sums them.
 type shard struct {
 	mu       sync.Mutex
 	maxBytes int64
-	bytes    int64
-	items    map[any]*list.Element
-	lru      list.List // front = most recent
+	// bytes is what the shard is charged: the result tier's entries plus
+	// the aggregate tier's footprint.
+	bytes int64
+	// clock stamps every touch of either tier, so the older of the two LRU
+	// tails is the shard's least recently used entry.
+	clock uint64
+
+	hits, misses, evicted, stale int64
+
+	items map[any]*list.Element
+	lru   list.List // front = most recent
+	agg   aggTier
 }
 
 type entry struct {
@@ -82,6 +98,7 @@ type entry struct {
 	val   any
 	bytes int64
 	ver   uint64
+	used  uint64 // shard clock at the last touch
 }
 
 // New creates a cache bounded to roughly maxBytes across all shards.
@@ -99,6 +116,7 @@ func New(maxBytes int64) *Cache {
 	for i := range c.shards {
 		c.shards[i].maxBytes = per
 		c.shards[i].items = make(map[any]*list.Element)
+		c.shards[i].agg.head, c.shards[i].agg.tail = -1, -1
 	}
 	return c
 }
@@ -131,25 +149,22 @@ func (c *Cache) Get(h uint64, key any) (any, bool) {
 	ver := c.version.Load()
 	s := &c.shards[h&(numShards-1)]
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	el, ok := s.items[key]
 	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
+		s.misses++
 		return nil, false
 	}
 	e := el.Value.(*entry)
 	if e.ver != ver {
-		s.remove(el, e)
-		s.mu.Unlock()
-		c.stale.Add(1)
-		c.bytes.Add(-e.bytes)
-		c.entries.Add(-1)
-		c.misses.Add(1)
+		s.remove(el)
+		s.stale++
+		s.misses++
 		return nil, false
 	}
 	s.lru.MoveToFront(el)
-	s.mu.Unlock()
-	c.hits.Add(1)
+	e.used = s.tick()
+	s.hits++
 	return e.val, true
 }
 
@@ -167,62 +182,72 @@ func (c *Cache) Put(h uint64, key any, val any, valBytes int64) {
 		return
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
 		e := el.Value.(*entry)
 		if e.ver != ver {
-			c.stale.Add(1)
+			s.stale++
 		}
-		c.bytes.Add(size - e.bytes)
 		s.bytes += size - e.bytes
-		e.val, e.bytes, e.ver = val, size, ver
+		e.val, e.bytes, e.ver, e.used = val, size, ver, s.tick()
 		s.lru.MoveToFront(el)
 	} else {
-		el := s.lru.PushFront(&entry{key: key, val: val, bytes: size, ver: ver})
-		s.items[key] = el
+		s.items[key] = s.lru.PushFront(&entry{key: key, val: val, bytes: size, ver: ver, used: s.tick()})
 		s.bytes += size
-		c.bytes.Add(size)
-		c.entries.Add(1)
 	}
-	var evicted int64
+	// The new entry is the most recent of the shard and fits the budget on
+	// its own, so the loop stops before reaching it.
 	for s.bytes > s.maxBytes {
-		back := s.lru.Back()
-		if back == nil {
-			break
+		if s.aggOldest() {
+			s.removeAgg(s.agg.tail)
+		} else {
+			s.remove(s.lru.Back())
 		}
-		e := back.Value.(*entry)
-		s.remove(back, e)
-		c.bytes.Add(-e.bytes)
-		evicted++
-	}
-	s.mu.Unlock()
-	if evicted > 0 {
-		c.evicted.Add(evicted)
-		c.entries.Add(-evicted)
+		s.evicted++
 	}
 }
 
-// remove unlinks an entry from the shard. Caller holds s.mu and settles the
-// cache-level byte/entry counters.
-func (s *shard) remove(el *list.Element, e *entry) {
-	s.lru.Remove(el)
+// tick advances the shard's LRU clock. Caller holds s.mu.
+func (s *shard) tick() uint64 {
+	s.clock++
+	return s.clock
+}
+
+// aggOldest reports whether the shard's least recently used entry is in the
+// aggregate tier (false when that tier is empty). Caller holds s.mu.
+func (s *shard) aggOldest() bool {
+	if s.agg.n == 0 {
+		return false
+	}
+	back := s.lru.Back()
+	return back == nil || s.agg.at(s.agg.tail).used < back.Value.(*entry).used
+}
+
+// remove unlinks a result-tier entry from the shard. Caller holds s.mu.
+func (s *shard) remove(el *list.Element) {
+	e := s.lru.Remove(el).(*entry)
 	delete(s.items, e.key)
 	s.bytes -= e.bytes
 }
 
-// Snapshot returns the current counters.
+// Snapshot returns the current counters, summed over the shards.
 func (c *Cache) Snapshot() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	return Stats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Evictions:   c.evicted.Load(),
-		Invalidated: c.stale.Load(),
-		Bytes:       c.bytes.Load(),
-		Entries:     c.entries.Load(),
-		Version:     c.version.Load(),
+	st := Stats{Version: c.version.Load()}
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		st.Hits += s.hits
+		st.Misses += s.misses
+		st.Evictions += s.evicted
+		st.Invalidated += s.stale
+		st.Bytes += s.bytes
+		st.Entries += int64(len(s.items)) + int64(s.agg.n)
+		s.mu.Unlock()
 	}
+	return st
 }
 
 // Mix folds v into hash h (FNV-1a style). Callers build shard-routing hashes

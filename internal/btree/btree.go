@@ -215,14 +215,11 @@ func tag(level int) pagestore.IOTag {
 	return pagestore.NewIOTag(pagestore.CompTIABTree, level-1)
 }
 
+// readNode decodes page id into a node. Only the mutating paths (Put,
+// Delete, rebalance, Destroy) and Check use it; lookups and scans read the
+// page bytes in place (see GetAcct, ScanAcct) and never build a node.
 func (t *Tree) readNode(id pagestore.PageID, level int) (*node, error) {
-	return t.readNodeAcct(id, level, nil)
-}
-
-// readNodeAcct is readNode with the access charged to a query-local acct
-// (nil for unattributed traffic, e.g. the mutation paths).
-func (t *Tree) readNodeAcct(id pagestore.PageID, level int, acct *pagestore.IOAcct) (*node, error) {
-	page, err := t.buf.GetTag(id, tag(level).WithAcct(acct))
+	page, err := t.buf.GetTag(id, tag(level))
 	if err != nil {
 		return nil, err
 	}
@@ -309,27 +306,100 @@ func (t *Tree) Get(key int64) (Value, bool, error) {
 	return t.GetAcct(key, nil)
 }
 
-// GetAcct is Get with the page accesses charged to acct (which may be nil).
-func (t *Tree) GetAcct(key int64, acct *pagestore.IOAcct) (Value, bool, error) {
+// The read path works on the page bytes in place. A slice returned by
+// Buffer.GetTag is read-only and stays valid after the call: the buffer
+// never recycles a frame's bytes (an evicted frame is dropped, not reused)
+// and TIAs are not mutated while queries run, so nothing is decoded or
+// copied — the header gives count and next, keys are binary-searched at
+// their fixed offsets, and values are decoded only for the entries visited.
+
+// pageCount validates the header of a page read at the given level and
+// returns its entry count. With the page full-sized and the count within
+// capacity, every fixed-width entry offset below is in range; anything else
+// is a corrupt page, reported before any entry is indexed.
+func (t *Tree) pageCount(page []byte, level int) (int, error) {
+	if len(page) < t.pageSize {
+		return 0, errCorrupt
+	}
+	leaf := page[0]&flagLeaf != 0
+	cnt := int(binary.LittleEndian.Uint16(page[2:4]))
+	if leaf != (level == 1) || leaf && cnt > t.leafCap || !leaf && cnt > t.innerCap {
+		return 0, errCorrupt
+	}
+	return cnt, nil
+}
+
+// leafKey and leafValue decode entry i of a leaf page.
+func leafKey(page []byte, i int) int64 {
+	return int64(binary.LittleEndian.Uint64(page[headerSize+i*leafEntry:]))
+}
+
+func leafValue(page []byte, i int) Value {
+	e := page[headerSize+i*leafEntry+8:]
+	return Value{int64(binary.LittleEndian.Uint64(e)), int64(binary.LittleEndian.Uint64(e[8:]))}
+}
+
+// leafSearch returns the index of the first of the leaf page's cnt keys
+// that is >= k.
+func leafSearch(page []byte, cnt int, k int64) int {
+	lo, hi := 0, cnt
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if leafKey(page, mid) < k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// findLeaf descends from the root to the leaf that may hold key, one
+// GetTag per inner node, and returns the leaf's page id. Child i of an
+// inner page sits at headerSize + i*innerEntry, key i four bytes after it.
+func (t *Tree) findLeaf(key int64, acct *pagestore.IOAcct) (pagestore.PageID, error) {
 	id := t.root
 	for level := t.height; level > 1; level-- {
-		n, err := t.readNodeAcct(id, level, acct)
+		page, err := t.buf.GetTag(id, tag(level).WithAcct(acct))
 		if err != nil {
-			return Value{}, false, err
+			return 0, err
 		}
-		i := search(n.keys, key)
-		if i < len(n.keys) && n.keys[i] == key {
-			i++ // separator keys equal to the key route right
+		cnt, err := t.pageCount(page, level)
+		if err != nil {
+			return 0, err
 		}
-		id = n.children[i]
+		// The number of keys <= key: separator keys equal to the key
+		// route right.
+		lo, hi := 0, cnt
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if int64(binary.LittleEndian.Uint64(page[headerSize+4+mid*innerEntry:])) <= key {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		id = pagestore.PageID(binary.LittleEndian.Uint32(page[headerSize+lo*innerEntry:]))
 	}
-	n, err := t.readNodeAcct(id, 1, acct)
+	return id, nil
+}
+
+// GetAcct is Get with the page accesses charged to acct (which may be nil).
+func (t *Tree) GetAcct(key int64, acct *pagestore.IOAcct) (Value, bool, error) {
+	id, err := t.findLeaf(key, acct)
 	if err != nil {
 		return Value{}, false, err
 	}
-	i := search(n.keys, key)
-	if i < len(n.keys) && n.keys[i] == key {
-		return n.vals[i], true, nil
+	page, err := t.buf.GetTag(id, tag(1).WithAcct(acct))
+	if err != nil {
+		return Value{}, false, err
+	}
+	cnt, err := t.pageCount(page, 1)
+	if err != nil {
+		return Value{}, false, err
+	}
+	if i := leafSearch(page, cnt, key); i < cnt && leafKey(page, i) == key {
+		return leafValue(page, i), true, nil
 	}
 	return Value{}, false, nil
 }
@@ -464,32 +534,33 @@ func (t *Tree) Scan(lo, hi int64, fn func(key int64, v Value) bool) error {
 // nil). The TIA aggregation path threads the owning query's acct here so
 // per-query I/O stays exact under concurrent execution.
 func (t *Tree) ScanAcct(lo, hi int64, acct *pagestore.IOAcct, fn func(key int64, v Value) bool) error {
-	id := t.root
-	for level := t.height; level > 1; level-- {
-		n, err := t.readNodeAcct(id, level, acct)
-		if err != nil {
-			return err
-		}
-		i := search(n.keys, lo)
-		if i < len(n.keys) && n.keys[i] == lo {
-			i++
-		}
-		id = n.children[i]
+	id, err := t.findLeaf(lo, acct)
+	if err != nil {
+		return err
 	}
+	// Every leaf but a lone root holds at least leafCap/2 keys, which bounds
+	// the length of any valid chain; a longer walk means the next pointers
+	// loop.
+	hops := t.count/(t.leafCap/2) + 2
 	for id != pagestore.InvalidPage {
-		n, err := t.readNodeAcct(id, 1, acct)
+		if hops--; hops < 0 {
+			return errCorrupt
+		}
+		page, err := t.buf.GetTag(id, tag(1).WithAcct(acct))
 		if err != nil {
 			return err
 		}
-		for i := search(n.keys, lo); i < len(n.keys); i++ {
-			if n.keys[i] > hi {
-				return nil
-			}
-			if !fn(n.keys[i], n.vals[i]) {
+		cnt, err := t.pageCount(page, 1)
+		if err != nil {
+			return err
+		}
+		for i := leafSearch(page, cnt, lo); i < cnt; i++ {
+			k := leafKey(page, i)
+			if k > hi || !fn(k, leafValue(page, i)) {
 				return nil
 			}
 		}
-		id = n.next
+		id = pagestore.PageID(binary.LittleEndian.Uint32(page[4:8]))
 	}
 	return nil
 }

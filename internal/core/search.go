@@ -85,16 +85,6 @@ type aggKey struct {
 // batch that have the same query time interval.
 type AggCache map[aggKey]int64
 
-// sharedAggKey identifies a memoized TIA aggregate in the shared
-// epoch-versioned cache. It embeds the matching semantics and aggregate
-// function so trees with different options can share one cache.
-type sharedAggKey struct {
-	tia uint64 // process-unique aggData identity
-	iv  tia.Interval
-	sem tia.Semantics
-	fn  tia.Func
-}
-
 // aggCacheProbeTag and resultCacheTag attribute shared-cache lookups in the
 // per-query I/O breakdown: level 0 is an aggregate probe, level 1 a
 // whole-result lookup.
@@ -102,19 +92,6 @@ var (
 	aggCacheProbeTag = pagestore.NewIOTag(pagestore.CompAggCache, 0)
 	resultCacheTag   = pagestore.NewIOTag(pagestore.CompAggCache, 1)
 )
-
-// aggValueBytes is the budget charge for one cached aggregate: the boxed
-// int64 plus the key struct.
-const aggValueBytes = 48
-
-// sharedAggHash routes k to its cache shard.
-func sharedAggHash(k sharedAggKey) uint64 {
-	h := aggcache.Mix(aggcache.Seed, k.tia)
-	h = aggcache.Mix(h, uint64(k.iv.Start))
-	h = aggcache.Mix(h, uint64(k.iv.End))
-	h = aggcache.Mix(h, uint64(k.sem))
-	return aggcache.Mix(h, uint64(k.fn))
-}
 
 // Scorer computes query-dependent ranking scores of tree entries. A Scorer
 // is bound to one query (point, interval, weights) and one stats sink.
@@ -128,10 +105,13 @@ type Scorer struct {
 	// every TIA probe. Its breakdown pointer aims at stats.IO, so the
 	// buffer layer writes the query's attributed traffic directly into
 	// the caller's QueryStats without touching shared counters.
-	acct  pagestore.IOAcct
+	acct pagestore.IOAcct
+	// cache is the caller's memo shared among the searches of a batch
+	// (Section 7.2). Nil for a single query, which scores every entry once
+	// and so could never hit it.
 	cache AggCache
 	// shared is the tree's epoch-versioned cross-query cache, consulted
-	// after the query-local memo and before the TIA backend. Nil when the
+	// after the caller's memo and before the TIA backend. Nil when the
 	// tree has no cache or the search opted out.
 	shared *aggcache.Cache
 	trace  *obs.Trace // nil when tracing is off
@@ -148,8 +128,7 @@ func (sc *Scorer) sharedGet(d *aggData) (int64, bool) {
 	if sc.shared == nil {
 		return 0, false
 	}
-	k := sharedAggKey{tia: d.id, iv: sc.q.Iq, sem: sc.t.opts.Semantics, fn: sc.t.opts.AggFunc}
-	v, ok := sc.shared.Get(sharedAggHash(k), k)
+	v, ok := sc.shared.GetAgg(sc.sharedKey(d))
 	sc.explain.recordCacheProbe(ok)
 	if sc.stats != nil {
 		sc.stats.IO.AddRead(aggCacheProbeTag, ok)
@@ -159,19 +138,46 @@ func (sc *Scorer) sharedGet(d *aggData) (int64, bool) {
 			sc.stats.CacheMisses++
 		}
 	}
-	if !ok {
-		return 0, false
-	}
-	return v.(int64), true
+	return v, ok
 }
 
-// sharedPut stores a freshly computed aggregate in the cross-query cache.
-func (sc *Scorer) sharedPut(d *aggData, a int64) {
-	if sc.shared == nil {
-		return
+// sharedKey identifies d's aggregate over the query interval in the
+// cross-query cache. It embeds the matching semantics and aggregate function
+// so trees with different options can share one cache.
+func (sc *Scorer) sharedKey(d *aggData) aggcache.AggKey {
+	return aggcache.AggKey{
+		TIA:   d.id,
+		Start: sc.q.Iq.Start,
+		End:   sc.q.Iq.End,
+		Sem:   uint8(sc.t.opts.Semantics),
+		Func:  uint8(sc.t.opts.AggFunc),
 	}
-	k := sharedAggKey{tia: d.id, iv: sc.q.Iq, sem: sc.t.opts.Semantics, fn: sc.t.opts.AggFunc}
-	sc.shared.Put(sharedAggHash(k), k, a, aggValueBytes)
+}
+
+// recall answers d's aggregate over the query interval without touching
+// the TIA: from the caller's memo when there is one, else from the
+// cross-query cache.
+func (sc *Scorer) recall(d *aggData) (int64, bool) {
+	if sc.cache == nil {
+		return sc.sharedGet(d)
+	}
+	key := aggKey{idx: d.disk, iv: sc.q.Iq}
+	v, ok := sc.cache[key]
+	if !ok {
+		if v, ok = sc.sharedGet(d); ok {
+			sc.cache[key] = v
+		}
+	}
+	return v, ok
+}
+
+// remember stores a freshly read aggregate in the caller's memo, when there
+// is one, and in the cross-query cache (a nil cache ignores it).
+func (sc *Scorer) remember(d *aggData, a int64) {
+	if sc.cache != nil {
+		sc.cache[aggKey{idx: d.disk, iv: sc.q.Iq}] = a
+	}
+	sc.shared.PutAgg(sc.sharedKey(d), a)
 }
 
 // acctPtr returns the scorer's accounting context, or nil when the scorer
@@ -192,9 +198,6 @@ func (t *Tree) NewScorer(q Query, stats *QueryStats, cache AggCache) (*Scorer, e
 func (t *Tree) newScorer(q Query, stats *QueryStats, cache AggCache, tr *obs.Trace, shared *aggcache.Cache, ex *Explain) (*Scorer, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
-	}
-	if cache == nil {
-		cache = make(AggCache)
 	}
 	sc := &Scorer{
 		t:       t,
@@ -224,12 +227,7 @@ func (t *Tree) newScorer(q Query, stats *QueryStats, cache AggCache, tr *obs.Tra
 // counts toward the query's TIA accesses.
 func (sc *Scorer) maxAggregate() (int64, error) {
 	g := sc.t.global
-	key := aggKey{idx: g.disk, iv: sc.q.Iq}
-	if v, ok := sc.cache[key]; ok {
-		return v, nil
-	}
-	if v, ok := sc.sharedGet(g); ok {
-		sc.cache[key] = v
+	if v, ok := sc.recall(g); ok {
 		return v, nil
 	}
 	if sc.trace != nil {
@@ -246,8 +244,7 @@ func (sc *Scorer) maxAggregate() (int64, error) {
 		sc.stats.TIAPhysical += delta.PhysicalReads
 		sc.explain.recordProbe(delta.LogicalReads, delta.PhysicalReads)
 	}
-	sc.cache[key] = a
-	sc.sharedPut(g, a)
+	sc.remember(g, a)
 	return a, nil
 }
 
@@ -262,12 +259,7 @@ func (sc *Scorer) Gmax() float64 { return sc.gmax }
 // interval, counting physical TIA page reads.
 func (sc *Scorer) aggregate(e rstar.Entry) (int64, error) {
 	d := e.Data.(*aggData)
-	key := aggKey{idx: d.disk, iv: sc.q.Iq}
-	if v, ok := sc.cache[key]; ok {
-		return v, nil
-	}
-	if v, ok := sc.sharedGet(d); ok {
-		sc.cache[key] = v
+	if v, ok := sc.recall(d); ok {
 		return v, nil
 	}
 	var begin time.Time
@@ -289,8 +281,7 @@ func (sc *Scorer) aggregate(e rstar.Entry) (int64, error) {
 		sc.stats.Scored++
 		sc.explain.recordProbe(delta.LogicalReads, delta.PhysicalReads)
 	}
-	sc.cache[key] = a
-	sc.sharedPut(d, a)
+	sc.remember(d, a)
 	return a, nil
 }
 
@@ -492,9 +483,6 @@ func (t *Tree) newScorerWithGmax(q Query, gmax float64, stats *QueryStats, cache
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if cache == nil {
-		cache = make(AggCache)
-	}
 	sc := &Scorer{t: t, q: q, qv: t.scaled(q.X, q.Y), gmax: gmax, stats: stats, cache: cache, shared: shared}
 	if stats != nil {
 		sc.acct.IO = &stats.IO
@@ -506,9 +494,6 @@ func (t *Tree) newScorerWithGmax(q Query, gmax float64, stats *QueryStats, cache
 // per-epoch maxima over the interval), counting its accesses into stats.
 // The collective scheme calls it once per query-interval group.
 func (t *Tree) MaxAggregate(iv tia.Interval, stats *QueryStats, cache AggCache) (int64, error) {
-	if cache == nil {
-		cache = make(AggCache)
-	}
 	sc := &Scorer{
 		t: t,
 		// Only Iq matters for aggregation; other fields are placeholders.

@@ -562,8 +562,13 @@ func (b *Buffer) load(id PageID, readThrough bool, tag IOTag) (*frame, error) {
 	return fr, nil
 }
 
-// Get returns the content of page id. The returned slice is only valid
-// until the next Buffer call; callers must copy anything they retain.
+// Get returns the content of page id. The returned slice is the frame's
+// own bytes: callers must treat it as read-only. It stays valid after the
+// call — an evicted frame is dropped, never recycled, so a reader holding
+// one keeps the bytes it was given — and its content stays the page's as
+// long as no writer runs (PutTag writes into the frame), which the TAR-tree
+// guarantees while queries run. The B+-tree read path reads pages in place
+// on the strength of this.
 func (b *Buffer) Get(id PageID) ([]byte, error) {
 	return b.GetTag(id, IOTag{})
 }

@@ -1,0 +1,114 @@
+package tia
+
+import (
+	"math/rand"
+	"testing"
+
+	"tartree/internal/pagestore"
+)
+
+const day = 86400
+
+// benchTIAs builds n bulk-loaded B+-tree TIAs of 7-day epochs over a
+// two-year span, each with a random subset of the epochs (as a POI's
+// history has), and a set of stream-shaped intervals: length 2^U{0..9}
+// days ending uniformly inside the span (the query shape of the paper's
+// §8 and of the benchmark's request stream).
+func benchTIAs(tb testing.TB, n int) ([]Index, []Interval) {
+	const epochs = 104
+	rng := rand.New(rand.NewSource(1))
+	f := NewBTreeFactory(1024, 10)
+	idx := make([]Index, n)
+	for i := range idx {
+		var recs []Record
+		for e := int64(0); e < epochs; e++ {
+			if rng.Intn(4) > 0 {
+				recs = append(recs, Record{Ts: e * 7 * day, Te: (e + 1) * 7 * day, Agg: 1 + rng.Int63n(50)})
+			}
+		}
+		x, err := f.NewBulk(recs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		idx[i] = x
+	}
+	ivs := make([]Interval, 1024)
+	for i := range ivs {
+		end := 1 + rng.Int63n(epochs*7*day)
+		ivs[i] = Interval{Start: end - day<<uint(rng.Intn(10)), End: end}
+	}
+	return idx, ivs
+}
+
+// BenchmarkAggregateBTree is the per-layer number for one TIA probe on the
+// default backend: 256 TIAs on resident pages, probed round-robin with
+// stream-shaped intervals and a query-local acct, exactly as Scorer.aggregate
+// calls it.
+func BenchmarkAggregateBTree(b *testing.B) {
+	idx, ivs := benchTIAs(b, 256)
+	var io pagestore.IOBreakdown
+	acct := pagestore.IOAcct{IO: &io}
+	for i := range idx { // fault every page in
+		if _, err := idx[i].AggregateAcct(Interval{Start: 0, End: 1 << 40}, Contained, FuncSum, &acct); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink int64
+	for i := 0; i < b.N; i++ {
+		a, err := idx[i%len(idx)].AggregateAcct(ivs[i%len(ivs)], Contained, FuncSum, &acct)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink += a
+	}
+	benchSink = sink
+}
+
+var benchSink int64
+
+// TestAggregateAcctAllocatesNothing pins the probe path from AggregateAcct
+// down to the page bytes: on resident pages one probe allocates nothing,
+// whatever the tree height, semantics or fold.
+func TestAggregateAcctAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	idx, ivs := benchTIAs(t, 8)
+	// One TIA tall enough for an inner level above a leaf chain.
+	recs := make([]Record, 500)
+	for i := range recs {
+		recs[i] = Record{Ts: int64(i) * day, Te: int64(i+1) * day, Agg: int64(i%9) + 1}
+	}
+	tall, err := NewBTreeFactory(1024, 10).NewBulk(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := tall.(*BTree).tree.Height(); h < 2 {
+		t.Fatalf("height %d, want an inner level", h)
+	}
+	idx = append(idx, tall)
+	var io pagestore.IOBreakdown
+	acct := pagestore.IOAcct{IO: &io}
+	whole := Interval{Start: 0, End: 1 << 40}
+	for _, x := range idx { // fault every page in
+		if _, err := x.AggregateAcct(whole, Contained, FuncSum, &acct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		x, iv := idx[i%len(idx)], ivs[i%len(ivs)]
+		if i%7 == 0 {
+			iv = whole
+		}
+		if _, err := x.AggregateAcct(iv, Semantics(i%2), Func(i/2%2), &acct); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("AggregateAcct allocates %.1f objects per probe, want 0", allocs)
+	}
+}
