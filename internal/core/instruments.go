@@ -70,7 +70,9 @@ func (in *instruments) ioCounters(c pagestore.Component, level int) (hits, misse
 
 // record folds one finished query into the metrics: the paper's work
 // counters (QueryStats) plus the wall-clock latency the paper never
-// measured.
+// measured. A failed or canceled query still did the work in its stats —
+// the pagestore and probe series have already counted it — so the work
+// counters take it too and the two families keep agreeing.
 func (in *instruments) record(stats QueryStats, nresults int, d time.Duration, err error) {
 	if in == nil {
 		return
@@ -79,7 +81,6 @@ func (in *instruments) record(stats QueryStats, nresults int, d time.Duration, e
 	in.latency.Observe(d.Seconds())
 	if err != nil {
 		in.queryErrors.Inc()
-		return
 	}
 	in.results.Add(int64(nresults))
 	in.internals.Add(int64(stats.InternalAccesses))
@@ -120,4 +121,4 @@ func registerTIAProbes(r *obs.Registry) {
 
 // sinkAttacher is satisfied by the disk-backed tia factories; the memory
 // factory implements it as a no-op.
-type sinkAttacher interface{ AttachSink(pagestore.Sink) }
+type sinkAttacher interface{ AttachSink(pagestore.BulkSink) }

@@ -31,7 +31,8 @@ type QueryStats struct {
 	// IO attributes the query's page traffic by (component, level): R-tree
 	// node reads (always buffer hits — the R-tree is in memory) and TIA
 	// page traffic per backend. The scorer threads a query-local
-	// pagestore.IOAcct pointing here through every TIA probe, so the TIA
+	// pagestore.IOAcct through every TIA probe and moves what it gathered
+	// here whenever the search hands control back (Scorer.fold), so the TIA
 	// cells reconcile exactly with the traffic this query caused — with no
 	// global counter diffing, the accounting stays exact while any number
 	// of queries run concurrently. The R-tree cells reconcile with
@@ -102,10 +103,11 @@ type Scorer struct {
 	gmax  float64    // aggregate normalizer (per-query constant)
 	stats *QueryStats
 	// acct is the query-local I/O accounting context threaded through
-	// every TIA probe. Its breakdown pointer aims at stats.IO, so the
-	// buffer layer writes the query's attributed traffic directly into
-	// the caller's QueryStats without touching shared counters.
+	// every TIA probe: the probe and its page reads are counted here, in
+	// plain fields only this query touches, and in nothing shared. Its
+	// breakdown pointer aims at pend; fold moves both on.
 	acct pagestore.IOAcct
+	pend pagestore.IOBreakdown
 	// cache is the caller's memo shared among the searches of a batch
 	// (Section 7.2). Nil for a single query, which scores every entry once
 	// and so could never hit it.
@@ -181,12 +183,30 @@ func (sc *Scorer) remember(d *aggData, a int64) {
 }
 
 // acctPtr returns the scorer's accounting context, or nil when the scorer
-// collects no stats (probes then run unattributed).
+// collects no stats (probes then run unowned: the tia and buffer layers
+// count them in the shared sinks on the spot).
 func (sc *Scorer) acctPtr() *pagestore.IOAcct {
 	if sc.stats == nil {
 		return nil
 	}
+	sc.acct.IO = &sc.pend // survives DrainTo; set here for every constructor
 	return &sc.acct
+}
+
+// fold moves what the acct gathered since the last fold — probes, page
+// traffic — into the shared books: the TIA factory's statistics with its
+// attached sinks and the probe totals (tia.Factory.FoldAcct), and the
+// query's own stats.IO. It runs wherever a probing method hands control
+// back to the search's caller — the gmax probe, the root push, Components,
+// Expand and Next, on success and on error — so a query never holds
+// unfolded traffic while it is parked between rounds, canceled or
+// abandoned, and needs no Close.
+func (sc *Scorer) fold() {
+	if sc.acct.Probes == 0 { // page traffic only comes from probes
+		return
+	}
+	sc.t.opts.TIA.FoldAcct(&sc.acct)
+	sc.acct.DrainTo(&sc.stats.IO)
 }
 
 // NewScorer prepares a scorer for q, reading the per-query aggregate
@@ -209,9 +229,6 @@ func (t *Tree) newScorer(q Query, stats *QueryStats, cache AggCache, tr *obs.Tra
 		trace:   tr,
 		explain: ex,
 	}
-	if stats != nil {
-		sc.acct.IO = &stats.IO
-	}
 	gmax, err := sc.maxAggregate()
 	if err != nil {
 		return nil, err
@@ -233,6 +250,7 @@ func (sc *Scorer) maxAggregate() (int64, error) {
 	if sc.trace != nil {
 		defer sc.trace.StartSpan("gmax")()
 	}
+	defer sc.fold()
 	before := sc.acct.Stats
 	a, err := g.disk.AggregateAcct(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc, sc.acctPtr())
 	if err != nil {
@@ -290,6 +308,13 @@ func (sc *Scorer) aggregate(e rstar.Entry) (int64, error) {
 // 1 − g/Gmax. For leaf entries both are exact. Property 1 guarantees
 // α0·s0 + α1·s1 never exceeds the score of anything in the subtree.
 func (sc *Scorer) Components(e rstar.Entry) (s0, s1 float64, err error) {
+	defer sc.fold()
+	return sc.components(e)
+}
+
+// components is Components without the fold, for the search, which folds
+// once for all the entries it scores before handing control back.
+func (sc *Scorer) components(e rstar.Entry) (s0, s1 float64, err error) {
 	s0 = geo.MinDist(sc.qv, e.Rect, 2) / sc.t.maxDistScaled
 	a, err := sc.aggregate(e)
 	if err != nil {
@@ -370,7 +395,11 @@ type Search struct {
 	// of chasing node pointers. Scoring, heap order, stats and explain
 	// accounting are shared with the pointer path, so the two paths produce
 	// identical results and identical counters (pinned by property test).
-	ft            *rstar.FlatTree
+	ft *rstar.FlatTree
+	// slab is the chunk of Elems newElem hands out next. Chunks are never
+	// grown in place, so the *Elem the queue, Peek and Pop give out stay
+	// valid for the life of the search.
+	slab          []Elem
 	trace         *obs.Trace
 	explain       *Explain        // nil when EXPLAIN is off
 	ctx           context.Context // nil = never canceled
@@ -439,26 +468,35 @@ func (t *Tree) NewSearchWith(q Query, o SearchOptions) (*Search, error) {
 	}
 	s := &Search{sc: sc, stats: o.Stats, trace: o.Trace, explain: o.Explain, ctx: o.Ctx, CountAccesses: !o.SkipAccessCounting}
 	if o.AllowFrozen {
-		if f := t.frozen; f != nil {
-			s.ft = f
-			root := f.Root()
-			s.countNodeAccess(int(root.Level))
-			for i := int32(0); i < root.Count; i++ {
-				if err := s.pushFlat(root.Start + i); err != nil {
-					return nil, err
-				}
-			}
-			return s, nil
-		}
+		s.ft = t.frozen
 	}
-	root := t.rt.Root()
+	if err := s.pushRoot(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// pushRoot reads the root node and scores its entries.
+func (s *Search) pushRoot() error {
+	defer s.sc.fold()
+	if s.ft != nil {
+		root := s.ft.Root()
+		s.countNodeAccess(int(root.Level))
+		for i := int32(0); i < root.Count; i++ {
+			if err := s.pushFlat(root.Start + i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	root := s.sc.t.rt.Root()
 	s.countNodeAccess(root.Level)
 	for _, e := range root.Entries {
 		if err := s.push(e); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // countNodeAccess records one R-tree node read at the given level into the
@@ -483,11 +521,7 @@ func (t *Tree) newScorerWithGmax(q Query, gmax float64, stats *QueryStats, cache
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	sc := &Scorer{t: t, q: q, qv: t.scaled(q.X, q.Y), gmax: gmax, stats: stats, cache: cache, shared: shared}
-	if stats != nil {
-		sc.acct.IO = &stats.IO
-	}
-	return sc, nil
+	return &Scorer{t: t, q: q, qv: t.scaled(q.X, q.Y), gmax: gmax, stats: stats, cache: cache, shared: shared}, nil
 }
 
 // MaxAggregate reads the normalization range for iv (the sum of the global
@@ -502,21 +536,33 @@ func (t *Tree) MaxAggregate(iv tia.Interval, stats *QueryStats, cache AggCache) 
 		cache:  cache,
 		shared: t.opts.Cache,
 	}
-	if stats != nil {
-		sc.acct.IO = &stats.IO
-	}
 	return sc.maxAggregate()
 }
 
 // Scorer returns the search's scorer.
 func (s *Search) Scorer() *Scorer { return s.sc }
 
+// elemSlab is how many Elems one slab chunk holds: a search scores a few
+// hundred entries, so it allocates a handful of chunks instead of one
+// object per entry.
+const elemSlab = 64
+
+// newElem returns a zeroed Elem from the search's slab.
+func (s *Search) newElem() *Elem {
+	if len(s.slab) == cap(s.slab) {
+		s.slab = make([]Elem, 0, elemSlab)
+	}
+	s.slab = s.slab[:len(s.slab)+1]
+	return &s.slab[len(s.slab)-1]
+}
+
 func (s *Search) push(e rstar.Entry) error {
-	s0, s1, err := s.sc.Components(e)
+	s0, s1, err := s.sc.components(e)
 	if err != nil {
 		return err
 	}
-	el := &Elem{Entry: e, S0: s0, S1: s1, Score: s.sc.Score(s0, s1), childLevel: -1}
+	el := s.newElem()
+	*el = Elem{Entry: e, S0: s0, S1: s1, Score: s.sc.Score(s0, s1), childLevel: -1}
 	if e.Child != nil {
 		el.childLevel = e.Child.Level
 	}
@@ -531,11 +577,12 @@ func (s *Search) push(e rstar.Entry) error {
 // bit-identical to the pointer path.
 func (s *Search) pushFlat(eid int32) error {
 	e := s.ft.EntryAt(eid)
-	s0, s1, err := s.sc.Components(e)
+	s0, s1, err := s.sc.components(e)
 	if err != nil {
 		return err
 	}
-	el := &Elem{Entry: e, S0: s0, S1: s1, Score: s.sc.Score(s0, s1), childLevel: -1, flat: eid}
+	el := s.newElem()
+	*el = Elem{Entry: e, S0: s0, S1: s1, Score: s.sc.Score(s0, s1), childLevel: -1, flat: eid}
 	if cid := s.ft.Children[eid]; cid >= 0 {
 		el.childLevel = int(s.ft.Nodes[cid].Level)
 	}
@@ -572,6 +619,13 @@ func (s *Search) Pop() *Elem {
 // "tia_probe" time is a subset of it. On a frozen search the element's
 // child node is resolved through the flat slabs instead of a pointer.
 func (s *Search) Expand(el *Elem) error {
+	defer s.sc.fold()
+	return s.expand(el)
+}
+
+// expand is Expand without the fold, for Next, which folds once for all
+// the expansions it makes before it returns.
+func (s *Search) expand(el *Elem) error {
 	if s.ft != nil {
 		return s.expandFlat(el)
 	}
@@ -614,6 +668,7 @@ func (s *Search) expandFlat(el *Elem) error {
 // Next runs the search until the next POI emerges, returning nil when the
 // tree is exhausted.
 func (s *Search) Next() (*Result, error) {
+	defer s.sc.fold()
 	for {
 		if s.ctx != nil {
 			if err := s.ctx.Err(); err != nil {
@@ -628,7 +683,7 @@ func (s *Search) Next() (*Result, error) {
 			r := s.sc.resultOf(el.Entry, el.S0, el.S1)
 			return &r, nil
 		}
-		if err := s.Expand(el); err != nil {
+		if err := s.expand(el); err != nil {
 			return nil, err
 		}
 	}

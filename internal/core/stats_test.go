@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -312,106 +315,268 @@ func TestIOBreakdownConservation(t *testing.T) {
 	}
 }
 
+// tiaTraffic returns the TIA page traffic in a query's breakdown (hits,
+// misses) and whether any of its traffic is unattributed.
+func tiaTraffic(io *pagestore.IOBreakdown) (hits, misses int64, unattributed bool) {
+	io.Each(func(c pagestore.Component, level int, cell pagestore.IOCell) {
+		switch c {
+		case pagestore.CompTIABTree, pagestore.CompTIAMVBT:
+			hits += cell.Hits
+			misses += cell.Misses
+		case pagestore.CompUnknown:
+			unattributed = true
+		}
+	})
+	return hits, misses, unattributed
+}
+
 // TestIOBreakdownConservationConcurrent is the concurrent variant of the
-// conservation check: with 8 goroutines querying the same tree at once, each
-// query's IOBreakdown must still reconcile with its own flat counters (the
-// accounting is query-local, not a racy global diff), and the per-query
-// breakdowns must still sum — across all goroutines — to exactly the
-// factory's global delta: every buffer access lands in precisely one
-// query's breakdown, including evictions and write-backs attributed to the
-// access that triggered them. Run with -race.
+// conservation check, for all three groupings: with 8 goroutines querying
+// the same tree at once — plain queries, and per round one query canceled
+// mid-search and one under EXPLAIN — each query's IOBreakdown must still
+// reconcile with its own flat counters (the accounting is query-local, not
+// a racy global diff), and at quiescence every shared book must hold exactly
+// the sum of what the queries counted privately and folded in: the
+// factory's breakdown and flat Stats() (every buffer access lands in
+// precisely one query's breakdown, including evictions and write-backs
+// attributed to the access that triggered them, and including the work a
+// canceled query did up to its abort), the registry's pagestore series, and
+// the process-wide probe counter. Run with -race.
 func TestIOBreakdownConservationConcurrent(t *testing.T) {
-	backends := map[string]func() tia.Factory{
-		"btree": func() tia.Factory { return tia.NewBTreeFactory(256, 10) },
-		"mvbt":  func() tia.Factory { return tia.NewMVBTFactory(1024, 10) },
+	backends := []struct {
+		name string
+		kind tia.BackendKind
+		fac  func() tia.Factory
+	}{
+		{"btree", tia.KindBTree, func() tia.Factory { return tia.NewBTreeFactory(256, 10) }},
+		{"mvbt", tia.KindMVBT, func() tia.Factory { return tia.NewMVBTFactory(1024, 10) }},
 	}
-	for name, newFac := range backends {
-		name, newFac := name, newFac
-		t.Run(name, func(t *testing.T) {
-			tr := buildAccountingTreeOpts(t, Options{
-				World:       geo.Rect{Min: geo.Vector{0, 0}, Max: geo.Vector{100, 100}},
-				NodeSize:    256,
-				Grouping:    TAR3D,
-				EpochStart:  0,
-				EpochLength: 100,
-				TIA:         newFac(),
-			})
-			fac := tr.TIAFactory()
-			fac.ResetStats()
+	for _, g := range []Grouping{TAR3D, IndSpa, IndAgg} {
+		for _, be := range backends {
+			t.Run(g.String()+"/"+be.name, func(t *testing.T) {
+				reg := obs.NewRegistry()
+				tr := buildAccountingTreeOpts(t, Options{
+					World:       geo.Rect{Min: geo.Vector{0, 0}, Max: geo.Vector{100, 100}},
+					NodeSize:    256,
+					Grouping:    g,
+					EpochStart:  0,
+					EpochLength: 100,
+					TIA:         be.fac(),
+					Metrics:     reg,
+				})
+				fac := tr.TIAFactory()
+				fac.ResetStats()
+				pageReads := func() int64 {
+					return reg.Counter(`tartree_pagestore_reads_total{result="hit"}`).Value() +
+						reg.Counter(`tartree_pagestore_reads_total{result="miss"}`).Value()
+				}
+				readsBefore, probesBefore := pageReads(), tia.ProbeCount(be.kind)
 
-			const workers = 8
-			const perWorker = 12
-			sums := make([]pagestore.IOBreakdown, workers)
-			errs := make(chan error, workers)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					r := rand.New(rand.NewSource(int64(w) * 97))
-					for i := 0; i < perWorker; i++ {
-						start := int64(r.Intn(4)) * 100
-						q := Query{
-							X: r.Float64() * 100, Y: r.Float64() * 100,
-							Iq:     tia.Interval{Start: start, End: start + 100 + int64(r.Intn(5))*100},
-							K:      1 + r.Intn(20),
-							Alpha0: 0.1 + 0.8*r.Float64(),
-						}
-						_, stats, err := tr.Query(q)
-						if err != nil {
-							errs <- err
-							return
-						}
-						// Per-query reconciliation under load.
-						var tiaHits, tiaMisses int64
-						bad := false
-						stats.IO.Each(func(c pagestore.Component, level int, cell pagestore.IOCell) {
-							switch c {
-							case pagestore.CompTIABTree, pagestore.CompTIAMVBT:
-								tiaHits += cell.Hits
-								tiaMisses += cell.Misses
-							case pagestore.CompUnknown:
-								bad = true
+				const workers = 8
+				const rounds = 4
+				type tally struct {
+					io      pagestore.IOBreakdown
+					probes  int64 // entries scored plus one gmax probe per query
+					aborted int
+				}
+				tallies := make([]tally, workers)
+				errs := make(chan error, workers)
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					w := w
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						r := rand.New(rand.NewSource(int64(w) * 97))
+						query := func() Query {
+							start := int64(r.Intn(4)) * 100
+							return Query{
+								X: r.Float64() * 100, Y: r.Float64() * 100,
+								Iq:     tia.Interval{Start: start, End: start + 100 + int64(r.Intn(5))*100},
+								K:      1 + r.Intn(20),
+								Alpha0: 0.1 + 0.8*r.Float64(),
 							}
-						})
-						if bad {
-							errs <- fmt.Errorf("worker %d query %d: unattributed traffic: %v", w, i, stats.IO)
-							return
 						}
-						if tiaHits+tiaMisses != stats.TIAAccesses || tiaMisses != stats.TIAPhysical {
-							errs <- fmt.Errorf("worker %d query %d: cells (%d logical, %d misses) != flat counters (%d, %d)",
-								w, i, tiaHits+tiaMisses, tiaMisses, stats.TIAAccesses, stats.TIAPhysical)
-							return
+						// One round: two plain queries, one canceled after a
+						// few pops, one under EXPLAIN.
+						run := []func() (QueryStats, error){
+							func() (QueryStats, error) { _, st, err := tr.Query(query()); return st, err },
+							func() (QueryStats, error) { _, st, err := tr.Query(query()); return st, err },
+							func() (QueryStats, error) {
+								q := query()
+								q.K = tr.Len()
+								ctx := &stepCtx{Context: context.Background(), limit: int64(2 + r.Intn(6))}
+								_, st, err := tr.QueryCtx(ctx, q, nil)
+								if !errors.Is(err, ErrCanceled) {
+									return st, fmt.Errorf("canceled query: err = %v, want ErrCanceled", err)
+								}
+								tallies[w].aborted++
+								return st, nil
+							},
+							func() (QueryStats, error) {
+								_, st, err := tr.QueryCtx(context.Background(), query(), &QueryOpts{Explain: NewExplain()})
+								return st, err
+							},
 						}
-						sums[w].Add(&stats.IO)
-					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
+						for i := 0; i < rounds*len(run); i++ {
+							stats, err := run[i%len(run)]()
+							if err != nil {
+								errs <- err
+								return
+							}
+							// Per-query reconciliation under load.
+							hits, misses, bad := tiaTraffic(&stats.IO)
+							if bad {
+								errs <- fmt.Errorf("worker %d query %d: unattributed traffic: %v", w, i, stats.IO)
+								return
+							}
+							if hits+misses != stats.TIAAccesses || misses != stats.TIAPhysical {
+								errs <- fmt.Errorf("worker %d query %d: cells (%d logical, %d misses) != flat counters (%d, %d)",
+									w, i, hits+misses, misses, stats.TIAAccesses, stats.TIAPhysical)
+								return
+							}
+							tallies[w].io.Add(&stats.IO)
+							tallies[w].probes += int64(stats.Scored) + 1
+						}
+					}()
+				}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					t.Fatal(err)
+				}
 
-			// Global conservation: the per-query breakdowns, summed across all
-			// goroutines, equal the factory's delta exactly.
-			var sum pagestore.IOBreakdown
-			for w := range sums {
-				sum.Add(&sums[w])
-			}
-			sum[pagestore.CompRTreeInternal] = [pagestore.MaxIOLevels]pagestore.IOCell{}
-			sum[pagestore.CompRTreeLeaf] = [pagestore.MaxIOLevels]pagestore.IOCell{}
-			if got := fac.Breakdown(); got != sum {
-				t.Errorf("factory breakdown != sum of per-query breakdowns across %d concurrent workers:\n got %v\nwant %v",
-					workers, got, sum)
-			}
-			if got, want := sum.Total(), fac.Stats(); got != want {
-				t.Errorf("breakdown total %+v != factory stats %+v", got, want)
-			}
-			if sum.Total().LogicalReads == 0 {
-				t.Error("no TIA traffic observed")
-			}
-		})
+				// Global conservation: what the queries counted, summed across
+				// all goroutines, is what every shared book gained.
+				var sum pagestore.IOBreakdown
+				var probes int64
+				aborted := 0
+				for w := range tallies {
+					sum.Add(&tallies[w].io)
+					probes += tallies[w].probes
+					aborted += tallies[w].aborted
+				}
+				sum[pagestore.CompRTreeInternal] = [pagestore.MaxIOLevels]pagestore.IOCell{}
+				sum[pagestore.CompRTreeLeaf] = [pagestore.MaxIOLevels]pagestore.IOCell{}
+				if got := fac.Breakdown(); got != sum {
+					t.Errorf("factory breakdown != sum of per-query breakdowns across %d concurrent workers:\n got %v\nwant %v",
+						workers, got, sum)
+				}
+				if got, want := sum.Total(), fac.Stats(); got != want {
+					t.Errorf("breakdown total %+v != factory stats %+v", got, want)
+				}
+				if got, want := pageReads()-readsBefore, sum.Total().LogicalReads; got != want {
+					t.Errorf("tartree_pagestore_reads_total gained %d, the queries read %d pages", got, want)
+				}
+				if got := tia.ProbeCount(be.kind) - probesBefore; got != probes {
+					t.Errorf("tia.ProbeCount gained %d, the queries made %d probes", got, probes)
+				}
+				if sum.Total().LogicalReads == 0 {
+					t.Error("no TIA traffic observed")
+				}
+				if aborted != workers*rounds {
+					t.Errorf("%d queries were canceled, want %d", aborted, workers*rounds)
+				}
+			})
+		}
 	}
+}
+
+// TestFailedQueryCountedInBothMetricFamilies pins the agreement between the
+// two metric families that count a query's page reads: the pagestore series
+// (folded from the query's acct while it runs) and the per-query work
+// counters (folded from QueryStats when it ends). A query canceled mid-search
+// has done real work, and both families must advance by it.
+func TestFailedQueryCountedInBothMetricFamilies(t *testing.T) {
+	reg := obs.NewRegistry()
+	tr := buildAccountingTreeOpts(t, Options{
+		World:       geo.Rect{Min: geo.Vector{0, 0}, Max: geo.Vector{100, 100}},
+		NodeSize:    256,
+		EpochStart:  0,
+		EpochLength: 100,
+		TIA:         tia.NewBTreeFactory(256, 10),
+		Metrics:     reg,
+	})
+	families := func() (pagestoreReads, ioReads, tiaLogical, scored int64) {
+		for name, v := range reg.Snapshot() {
+			n, _ := v.(int64)
+			switch {
+			case strings.HasPrefix(name, "tartree_pagestore_reads_total{"):
+				pagestoreReads += n
+			case strings.HasPrefix(name, `tartree_io_page_reads_total{component="tia-btree"`):
+				ioReads += n
+			}
+		}
+		return pagestoreReads, ioReads,
+			reg.Counter(`tartree_tia_page_reads_total{kind="logical"}`).Value(),
+			reg.Counter("tartree_entries_scored_total").Value()
+	}
+	if _, _, err := tr.Query(exhaustiveQuery(tr)); err != nil { // build and warm-up traffic out of the way
+		t.Fatal(err)
+	}
+	ps0, io0, tia0, scored0 := families()
+	probes0 := tia.ProbeCount(tia.KindBTree)
+
+	ctx := &stepCtx{Context: context.Background(), limit: 10}
+	_, stats, err := tr.QueryCtx(ctx, exhaustiveQuery(tr), nil)
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if stats.TIAAccesses == 0 {
+		t.Fatal("the canceled query read no TIA page: nothing to compare")
+	}
+	ps1, io1, tia1, scored1 := families()
+	if ps1-ps0 != stats.TIAAccesses {
+		t.Errorf("tartree_pagestore_reads_total gained %d, the canceled query read %d pages", ps1-ps0, stats.TIAAccesses)
+	}
+	if io1-io0 != ps1-ps0 {
+		t.Errorf("tartree_io_page_reads_total{tia-btree} gained %d, tartree_pagestore_reads_total %d", io1-io0, ps1-ps0)
+	}
+	if tia1-tia0 != ps1-ps0 {
+		t.Errorf("tartree_tia_page_reads_total{logical} gained %d, tartree_pagestore_reads_total %d", tia1-tia0, ps1-ps0)
+	}
+	if got, want := tia.ProbeCount(tia.KindBTree)-probes0, scored1-scored0+1; got != want {
+		t.Errorf("tartree_tia_probes_total gained %d, tartree_entries_scored_total + gmax probe %d", got, want)
+	}
+	if got := reg.Counter("tartree_query_errors_total").Value(); got != 1 {
+		t.Errorf("query_errors_total = %d, want 1", got)
+	}
+}
+
+// TestQueryAllocsPerQuery pins the allocation budget of one uncached query
+// on the frozen layout: the scored entries come out of per-search slabs
+// (Search.newElem), not one object each.
+func TestQueryAllocsPerQuery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	opts := defaultOpts(TAR3D)
+	opts.TIA = tia.NewBTreeFactory(1024, 10)
+	tr, r := buildRandomTreeOpts(t, opts, 3000, 7)
+	tr.Freeze()
+	noCache := &QueryOpts{NoCache: true}
+	queries := make([]Query, 64)
+	var scored int
+	for i := range queries {
+		queries[i] = benchQuery(r)
+		_, st, err := tr.QueryCtx(context.Background(), queries[i], noCache) // faults the pages in
+		if err != nil {
+			t.Fatal(err)
+		}
+		scored += st.Scored
+	}
+	if per := scored / len(queries); per < 2*elemSlab {
+		t.Fatalf("queries score %d entries each: too few to tell slabs from per-entry objects", per)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(queries), func() {
+		if _, _, err := tr.QueryCtx(context.Background(), queries[i%len(queries)], noCache); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 60 {
+		t.Errorf("one query allocates %.0f objects, want at most 60", allocs)
+	}
+	t.Logf("%.0f objects per query, %d entries scored", allocs, scored/len(queries))
 }

@@ -3,9 +3,10 @@ package obs
 // PageSink publishes page-buffer traffic into registry counters. It
 // structurally implements pagestore.Sink (obs deliberately imports nothing
 // but the standard library, so the interface is satisfied by method set
-// rather than by naming the type): attach one to a pagestore.Buffer — or to
-// every buffer of a TIA factory via AttachSink — and the buffer's hits,
-// misses, evictions and physical I/O appear under <prefix>_* metrics.
+// rather than by naming the type) and pagestore.BulkSink: attach one to a
+// pagestore.Buffer — or to every buffer of a TIA factory via AttachSink —
+// and the buffer's hits, misses, evictions and physical I/O appear under
+// <prefix>_* metrics.
 type PageSink struct {
 	hits        *Counter
 	misses      *Counter
@@ -56,4 +57,16 @@ func (s *PageSink) PageEvicted(dirty bool) {
 	} else {
 		s.evictions.Inc()
 	}
+}
+
+// AddPages implements pagestore.BulkSink: a batch of page traffic that its
+// owner (a query) counted privately, folded in with one add per counter
+// instead of one per page.
+func (s *PageSink) AddPages(hits, misses, logicalWrites, physicalWrites, cleanEvictions, dirtyEvictions int64) {
+	s.hits.Add(hits)
+	s.misses.Add(misses)
+	s.logWrites.Add(logicalWrites)
+	s.physWrites.Add(physicalWrites)
+	s.evictions.Add(cleanEvictions)
+	s.dirtyEvicts.Add(dirtyEvictions)
 }

@@ -71,15 +71,16 @@ type IOTag struct {
 	Comp  Component
 	Level uint8
 	// Acct, when non-nil, is the query-local accounting context this
-	// access is additionally charged to (see IOAcct). Buffers carry it
-	// through evictions and write-backs, so side-effect traffic lands in
-	// the acct of the access that forced it — the same attribution rule
-	// TagSink documents.
+	// access is charged to instead of the buffer's sinks (see IOAcct).
+	// Buffers carry it through evictions and write-backs, so side-effect
+	// traffic lands in the acct of the access that forced it — the same
+	// attribution rule TagSink documents.
 	Acct *IOAcct
 }
 
-// WithAcct returns a copy of t that charges its traffic to a as well as to
-// the buffer's sinks. A nil a leaves the tag unattributed to any acct.
+// WithAcct returns a copy of t that charges its traffic to a, whose owner
+// folds it into the sinks later. A nil a leaves the traffic unowned: the
+// buffer emits it to its sinks on the spot.
 func (t IOTag) WithAcct(a *IOAcct) IOTag {
 	t.Acct = a
 	return t
@@ -91,18 +92,46 @@ func (t IOTag) WithAcct(a *IOAcct) IOTag {
 // Stats and IO — no diffing of global shared counters, so per-query numbers
 // stay exact while any number of queries run concurrently.
 //
+// Traffic that carries an acct reaches nothing shared: the buffer counts it
+// in its own stats and in the acct, and skips its sinks. The owner folds
+// what the acct gathered into the shared sinks in bulk (BulkSink.AddPages,
+// AttrCounterSink.AddAcct, and the tia factories' FoldAcct on top of them),
+// so a page read costs the cores no shared cache line and the sinks still
+// reach the same totals once the owner has folded.
+//
 // An IOAcct must not be shared by concurrently running units of work: its
 // fields are plain values and the owning query's goroutine is expected to
-// be the only one whose accesses carry it. (Buffers may record into it
-// while holding only a read lock; that is safe precisely because distinct
-// concurrent queries carry distinct accts.)
+// be the only one whose accesses carry it. (Buffers record into it without
+// holding any lock; that is safe precisely because distinct concurrent
+// queries carry distinct accts.)
 type IOAcct struct {
 	// Stats totals the traffic of the accesses carrying this acct,
 	// including evictions and write-backs those accesses forced.
 	Stats Stats
+	// DirtyEvictions is the part of Stats.Evictions that wrote a dirty
+	// frame back (sinks publish clean and dirty evictions separately).
+	DirtyEvictions int64
+	// Probes counts the TIA aggregate probes charged to this acct; the tia
+	// package bumps it instead of its process-wide probe counters.
+	Probes int64
 	// IO, when non-nil, additionally receives the attributed
 	// (component, level) breakdown of the same traffic.
 	IO *IOBreakdown
+	// rows has bit c set when the acct charged traffic to IO's row of
+	// component c since it was last drained, so that folding — which an
+	// owner does many times per query — walks those rows (one, for a
+	// query) instead of the whole breakdown.
+	rows uint8
+}
+
+var _ [8 - NumComponents]struct{} // rows has a bit per component
+
+// cell returns IO's cell for t, marking its row as touched. Callers have
+// checked that IO is set.
+func (a *IOAcct) cell(t IOTag) *IOCell {
+	c, l := t.clamp()
+	a.rows |= 1 << c
+	return &a.IO[c][l]
 }
 
 func (a *IOAcct) read(t IOTag, hit bool) {
@@ -110,8 +139,13 @@ func (a *IOAcct) read(t IOTag, hit bool) {
 	if !hit {
 		a.Stats.PhysicalReads++
 	}
-	if a.IO != nil {
-		a.IO.AddRead(t, hit)
+	if a.IO == nil {
+		return
+	}
+	if hit {
+		a.cell(t).Hits++
+	} else {
+		a.cell(t).Misses++
 	}
 }
 
@@ -121,17 +155,53 @@ func (a *IOAcct) write(t IOTag, physical bool) {
 	} else {
 		a.Stats.LogicalWrites++
 	}
-	if a.IO != nil {
-		a.IO.AddWrite(t, physical)
+	if a.IO == nil {
+		return
+	}
+	if physical {
+		a.cell(t).PhysicalWrites++
+	} else {
+		a.cell(t).LogicalWrites++
 	}
 }
 
 func (a *IOAcct) evicted(t IOTag, dirty bool) {
-	_ = dirty // the dirty write-back was already counted via write()
 	a.Stats.Evictions++
-	if a.IO != nil {
-		a.IO.AddEviction(t)
+	if dirty { // the write-back itself was already counted via write()
+		a.DirtyEvictions++
 	}
+	if a.IO != nil {
+		a.cell(t).Evictions++
+	}
+}
+
+// touched calls fn for every non-zero cell of the rows the acct charged
+// traffic to since it was last drained.
+func (a *IOAcct) touched(fn func(c Component, level int, cell *IOCell)) {
+	for c := Component(0); c < NumComponents; c++ {
+		if a.rows&(1<<c) == 0 {
+			continue
+		}
+		for l := range a.IO[c] {
+			if cell := &a.IO[c][l]; !cell.IsZero() {
+				fn(c, l, cell)
+			}
+		}
+	}
+}
+
+// DrainTo hands what the acct gathered over to its owner's books: the
+// breakdown is added to dst, and the acct — totals, probes, breakdown — is
+// left empty, ready to be charged again. The owner has folded the acct into
+// the shared sinks first (tia.Factory.FoldAcct).
+func (a *IOAcct) DrainTo(dst *IOBreakdown) {
+	if a.IO != nil {
+		a.touched(func(c Component, level int, cell *IOCell) {
+			dst[c][level] = dst[c][level].add(*cell)
+			*cell = IOCell{}
+		})
+	}
+	*a = IOAcct{IO: a.IO}
 }
 
 // NewIOTag builds a tag, clamping out-of-range levels into the breakdown's
@@ -343,6 +413,39 @@ type TagSink interface {
 	PageEvictedTag(tag IOTag, dirty bool)
 }
 
+// BulkSink is the bulk extension of Sink: AddPages adds a batch of page
+// traffic that an IOAcct owner counted privately, as if the events had been
+// reported one by one. obs.PageSink satisfies it structurally, which is why
+// the batch travels as plain integers.
+type BulkSink interface {
+	Sink
+	AddPages(hits, misses, logicalWrites, physicalWrites, cleanEvictions, dirtyEvictions int64)
+}
+
+// FoldInto adds the acct's flat totals to s.
+func (a *IOAcct) FoldInto(s BulkSink) {
+	st := a.Stats
+	s.AddPages(st.Hits(), st.Misses(), st.LogicalWrites, st.PhysicalWrites,
+		st.Evictions-a.DirtyEvictions, a.DirtyEvictions)
+}
+
+// AddPages implements BulkSink.
+func (s *CounterSink) AddPages(hits, misses, logicalWrites, physicalWrites, cleanEvictions, dirtyEvictions int64) {
+	addNonZero(&s.logicalReads, hits+misses)
+	addNonZero(&s.physicalReads, misses)
+	addNonZero(&s.logicalWrites, logicalWrites)
+	addNonZero(&s.physicalWrites, physicalWrites)
+	addNonZero(&s.evictions, cleanEvictions+dirtyEvictions)
+}
+
+// addNonZero spares a bulk add the locked instruction for the counters a
+// batch leaves alone (a read-only query's batch is hits and nothing else).
+func addNonZero(c *atomic.Int64, d int64) {
+	if d != 0 {
+		c.Add(d)
+	}
+}
+
 // atomicIOCell is the lock-free accumulator behind one breakdown cell.
 type atomicIOCell struct {
 	hits           atomic.Int64
@@ -363,9 +466,8 @@ func (c *atomicIOCell) load() IOCell {
 }
 
 // AttrCounterSink is a CounterSink that additionally attributes traffic by
-// (component, level). The flat totals stay O(5 atomics) to snapshot — the
-// per-probe Stats diff in the scorer's hot loop keeps using Snapshot() —
-// while Breakdown() walks all cells and is meant to be read once per query.
+// (component, level). The flat totals stay O(5 atomics) to snapshot, while
+// Breakdown() walks all cells and is meant to be read once per experiment.
 //
 // Like CounterSink it is cumulative and has no reset; readers that need
 // windows diff breakdowns (see tia factory ResetStats).
@@ -387,6 +489,21 @@ func (s *AttrCounterSink) Breakdown() IOBreakdown {
 		}
 	}
 	return b
+}
+
+// AddAcct adds the attributed traffic an IOAcct owner gathered privately
+// (a.IO must be set) to the cells and the flat totals alike, so
+// Breakdown().Total() == Snapshot() keeps holding.
+func (s *AttrCounterSink) AddAcct(a *IOAcct) {
+	a.touched(func(c Component, level int, cell *IOCell) {
+		ac := &s.cells[c][level]
+		addNonZero(&ac.hits, cell.Hits)
+		addNonZero(&ac.misses, cell.Misses)
+		addNonZero(&ac.logicalWrites, cell.LogicalWrites)
+		addNonZero(&ac.physicalWrites, cell.PhysicalWrites)
+		addNonZero(&ac.evictions, cell.Evictions)
+	})
+	a.FoldInto(&s.flat)
 }
 
 // PageRead implements Sink; untagged reads land in CompUnknown.

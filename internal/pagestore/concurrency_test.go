@@ -130,7 +130,14 @@ func TestBufferConcurrentHammer(t *testing.T) {
 
 	// Conservation: buffer stats, the attached sink, and the sum of the
 	// per-worker accts must all agree on the traffic since the baseline.
+	// Accounted traffic bypasses the sink until its owner folds it in.
 	delta := b.Stats().Sub(base)
+	if got := sink.Snapshot(); got != base {
+		t.Errorf("sink %+v saw accounted traffic before the fold (set-up was %+v)", got, base)
+	}
+	for w := range accts {
+		accts[w].FoldInto(&sink)
+	}
 	if got := sink.Snapshot(); got != b.Stats() {
 		t.Errorf("sink %+v != buffer stats %+v", got, b.Stats())
 	}
@@ -263,8 +270,9 @@ func TestSlowFile(t *testing.T) {
 	}
 }
 
-// BenchmarkBufferGetHit measures the warm-hit path — after the two-tier
-// locking change a hit takes only the shared read lock.
+// BenchmarkBufferGetHit measures the warm-hit path on a single page; a hit
+// takes no lock (BenchmarkGetTagHit is the per-layer number, over a full
+// buffer and with the sink and acct wirings).
 func BenchmarkBufferGetHit(b *testing.B) {
 	f := NewMemFile(1024)
 	buf := NewBuffer(f, 10)

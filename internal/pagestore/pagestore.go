@@ -339,14 +339,44 @@ func (s *CounterSink) PageEvicted(bool) {
 }
 
 type frame struct {
-	id    PageID
-	data  []byte
+	id   PageID
+	data []byte
+	// dirty is guarded by the buffer's exclusive lock: only writers, evict
+	// and Flush look at it.
 	dirty bool
 	// used is the frame's last-access stamp from the buffer's logical
 	// clock; the eviction victim is the frame with the minimum stamp.
 	// Stamps are unique (the clock only counts up), so this is exact LRU.
-	// Atomic because buffer hits stamp it under the shared read lock.
+	// Atomic because buffer hits stamp it without any lock.
 	used atomic.Int64
+}
+
+// inlineSlots is the number of slots a Buffer carries inside itself: the
+// paper's per-TIA budget, which is what every TIA buffer of a serving tree
+// has. Only the buffer-size ablation configures more.
+const inlineSlots = 10
+
+// overflow holds the slots beyond inlineSlots.
+type overflow struct {
+	ids    []atomic.Uint32
+	frames []atomic.Pointer[frame]
+}
+
+// match returns the frame in cell if it is page id's, else nil: a slot that
+// changed under a lock-free reader holds nil or another page's frame.
+func match(cell *atomic.Pointer[frame], id PageID) *frame {
+	if fr := cell.Load(); fr != nil && fr.id == id {
+		return fr
+	}
+	return nil
+}
+
+// sinkList is the immutable list of sinks attached to a buffer.
+type sinkList struct {
+	sinks []Sink
+	// tagSinks caches the TagSink assertion per sink (nil where the sink
+	// is untagged), so the per-access fan-out costs no type switches.
+	tagSinks []TagSink
 }
 
 // Buffer is a write-back LRU buffer pool over a File. Each TIA owns a
@@ -354,49 +384,141 @@ type frame struct {
 // makes the buffer a pass-through so every access is physical, as in the
 // collective-processing experiments).
 //
-// A Buffer is safe for concurrent use, with a two-tier locking scheme
-// sized for read-heavy query traffic: a buffer hit takes only the shared
-// read lock (map lookup, atomic LRU stamp, atomic counters), so concurrent
-// queries over warm buffers do not serialize; misses, writes, eviction,
-// and maintenance take the exclusive lock. Concurrent readers — including
-// of the same page — are safe. Writers must not race readers of the same
-// page: the returned Get slice aliases the frame. The TAR-tree upholds
-// this by never mutating TIAs while queries run.
+// The buffered pages sit in a slot array: ids[i] is the page in slot i
+// (InvalidPage when the slot is free) and frames[i] its frame. A TIA holds
+// one to three pages and the paper's setup caps a buffer at 10 slots, so
+// scanning a cache line of ids beats hashing them — and with the ids, the
+// clock and the first frame pointers at the head of the Buffer itself, a
+// hit reads one cache line of the Buffer and then the frame, with no
+// pointer to chase in between.
+//
+// A Buffer is safe for concurrent use. A buffer hit takes no lock: it scans
+// the ids, ticks the buffer's clock and stamps the frame — every write
+// lands in the Buffer or the frame, none in memory shared with other
+// buffers when the access carries an IOAcct (see IOTag.Acct). Misses,
+// writes, eviction and maintenance take the exclusive lock and change slots
+// one atomic store at a time: a slot is filled frame first, id second, and
+// emptied id first, frame second. A reader that matched an id therefore
+// finds in the slot either that page's frame, or — when the slot changed
+// under it — nil or the frame of another page, which it tells apart by the
+// frame's own immutable id and treats as a miss; the miss path looks again
+// under the lock, so the hit/miss accounting stays exact. Concurrent
+// readers — including of the same page — are safe. Writers must not race
+// readers of the same page: the returned Get slice aliases the frame. The
+// TAR-tree upholds this by never mutating TIAs while queries run.
 type Buffer struct {
-	mu     sync.RWMutex
-	file   File
-	slots  int
-	frames map[PageID]*frame
-	// clock is the logical access clock behind the LRU stamps.
-	clock atomic.Int64
+	// clock counts the logical accesses — every read that succeeded and
+	// every write, hit or miss, buffered or pass-through — and hands each
+	// its LRU stamp. One counter doing both jobs is what keeps a buffer hit
+	// at two atomic writes (the tick and the frame's stamp): the logical
+	// read count is clock − logical writes (see Buffer.snapshot).
+	clock  atomic.Int64
+	ids    [inlineSlots]atomic.Uint32
+	frames [inlineSlots]atomic.Pointer[frame]
+	// more holds slots inlineSlots..slots-1; nil when there are none.
+	more  atomic.Pointer[overflow]
 	stats bufStats
+	sinks atomic.Pointer[sinkList]
+	mu    sync.Mutex
+	file  File
+	// slots is the number of slots in use; the rest stay empty. Guarded by
+	// mu.
+	slots int
 	// base is the cumulative-stats snapshot taken by the last ResetStats;
 	// Stats reports cumulative − base, the same windowing scheme the tia
 	// factories use against their shared sinks. Guarded by mu.
-	base  Stats
-	sinks []Sink
-	// tagSinks caches the TagSink assertion per sink (nil where the sink
-	// is untagged), so the per-access fan-out costs no type switches.
-	tagSinks []TagSink
+	base Stats
 }
 
-// bufStats is Stats with atomic fields: buffer hits bump counters under
-// the shared read lock, where plain increments would race.
+// find returns the frame of page id, or nil when the page is not buffered.
+func (b *Buffer) find(id PageID) *frame {
+	for i := range b.ids {
+		if PageID(b.ids[i].Load()) == id {
+			return match(&b.frames[i], id)
+		}
+	}
+	if m := b.more.Load(); m != nil {
+		for i := range m.ids {
+			if PageID(m.ids[i].Load()) == id {
+				return match(&m.frames[i], id)
+			}
+		}
+	}
+	return nil
+}
+
+// slot returns the cells of slot i < slots. Callers hold mu.
+func (b *Buffer) slot(i int) (*atomic.Uint32, *atomic.Pointer[frame]) {
+	if i < inlineSlots {
+		return &b.ids[i], &b.frames[i]
+	}
+	m := b.more.Load()
+	return &m.ids[i-inlineSlots], &m.frames[i-inlineSlots]
+}
+
+// setSlot puts fr (nil to empty it) into slot i. Callers hold mu.
+func (b *Buffer) setSlot(i int, fr *frame) {
+	id, cell := b.slot(i)
+	// Emptied id first, so a reader never matches the id of a slot whose
+	// frame is already gone; filled frame first, for the same reason.
+	id.Store(uint32(InvalidPage))
+	cell.Store(fr)
+	if fr != nil {
+		id.Store(uint32(fr.id))
+	}
+}
+
+// live returns the buffered frames in slot order. Callers hold mu.
+func (b *Buffer) live() []*frame {
+	var frames []*frame
+	for i := 0; i < b.slots; i++ {
+		if _, cell := b.slot(i); cell.Load() != nil {
+			frames = append(frames, cell.Load())
+		}
+	}
+	return frames
+}
+
+// empty empties every slot. Callers hold mu.
+func (b *Buffer) empty() {
+	for i := 0; i < b.slots; i++ {
+		b.setSlot(i, nil)
+	}
+}
+
+// resize sets the slot count, allocating the overflow slots a count beyond
+// inlineSlots needs. Callers hold mu (or the buffer is not yet shared) and
+// have emptied every slot.
+func (b *Buffer) resize(slots int) {
+	b.slots = slots
+	var m *overflow
+	if n := slots - inlineSlots; n > 0 {
+		m = &overflow{ids: make([]atomic.Uint32, n), frames: make([]atomic.Pointer[frame], n)}
+	}
+	b.more.Store(m)
+}
+
+// bufStats is Stats with atomic fields (Stats readers take no lock) and
+// without the logical reads, which the buffer's clock counts.
 type bufStats struct {
-	logicalReads   atomic.Int64
 	physicalReads  atomic.Int64
 	logicalWrites  atomic.Int64
 	physicalWrites atomic.Int64
 	evictions      atomic.Int64
 }
 
-func (s *bufStats) snapshot() Stats {
+// snapshot returns the cumulative traffic. The logical writes are loaded
+// before the clock and every write ticks the clock before it is counted, so
+// a snapshot racing a writer can overstate the reads by that one access but
+// never understate them.
+func (b *Buffer) snapshot() Stats {
+	writes := b.stats.logicalWrites.Load()
 	return Stats{
-		LogicalReads:   s.logicalReads.Load(),
-		PhysicalReads:  s.physicalReads.Load(),
-		LogicalWrites:  s.logicalWrites.Load(),
-		PhysicalWrites: s.physicalWrites.Load(),
-		Evictions:      s.evictions.Load(),
+		LogicalReads:   b.clock.Load() - writes,
+		PhysicalReads:  b.stats.physicalReads.Load(),
+		LogicalWrites:  writes,
+		PhysicalWrites: b.stats.physicalWrites.Load(),
+		Evictions:      b.stats.evictions.Load(),
 	}
 }
 
@@ -420,23 +542,21 @@ func NewBufferWithSinks(f File, slots int, sinks ...Sink) *Buffer {
 	if slots < 0 {
 		panic("pagestore: negative slot count")
 	}
-	b := &Buffer{
-		file:   f,
-		slots:  slots,
-		frames: make(map[PageID]*frame, slots),
-	}
-	for _, s := range sinks {
-		b.attachSink(s)
-	}
+	b := &Buffer{file: f}
+	b.resize(slots)
+	b.setSinks(sinks)
 	return b
 }
 
-// attachSink appends s, caching whether it accepts attributed events.
-// Callers hold b.mu (or the buffer is not yet shared).
-func (b *Buffer) attachSink(s Sink) {
-	b.sinks = append(b.sinks, s)
-	ts, _ := s.(TagSink)
-	b.tagSinks = append(b.tagSinks, ts)
+// setSinks publishes sinks as the buffer's sink list, caching which of them
+// accept attributed events. Callers hold b.mu (or the buffer is not yet
+// shared).
+func (b *Buffer) setSinks(sinks []Sink) {
+	l := &sinkList{sinks: sinks, tagSinks: make([]TagSink, len(sinks))}
+	for i, s := range sinks {
+		l.tagSinks[i], _ = s.(TagSink)
+	}
+	b.sinks.Store(l)
 }
 
 // AddSink attaches another sink; subsequent traffic is reported to it. The
@@ -448,7 +568,8 @@ func (b *Buffer) AddSink(s Sink) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.attachSink(s)
+	cur := b.sinks.Load().sinks
+	b.setSinks(append(cur[:len(cur):len(cur)], s)) // copies: cur is published
 }
 
 // File returns the underlying page file.
@@ -457,25 +578,31 @@ func (b *Buffer) File() File { return b.file }
 // PageSize returns the page size of the underlying file.
 func (b *Buffer) PageSize() int { return b.file.PageSize() }
 
-// count helpers keep the buffer's own stats, the attached sinks, and the
-// tag's query-local acct (if any) in step. Tag-aware sinks receive the
-// attribution tag; everyone else gets the plain event. They are called with
-// at least the shared read lock held, so everything they touch is atomic,
-// concurrency-safe (sinks), or owned by a single query (the acct).
+// The count helpers apply one accounting rule: the buffer's own stats see
+// every event (the caller has ticked the clock for the logical access
+// itself); beyond that, traffic that carries an IOAcct is counted there —
+// plain fields of a value only the owning query touches — and folded into
+// the shared sinks by the acct's owner (BulkSink.AddPages,
+// AttrCounterSink.AddAcct), while traffic without an owner is emitted
+// to the sinks on the spot. Tag-aware sinks receive the attribution tag;
+// everyone else gets the plain event. They run with or without the lock
+// held, so everything they touch is atomic, concurrency-safe (sinks), or
+// owned by a single query (the acct).
 func (b *Buffer) countRead(tag IOTag, hit bool) {
-	b.stats.logicalReads.Add(1)
 	if !hit {
 		b.stats.physicalReads.Add(1)
 	}
-	for i, s := range b.sinks {
-		if ts := b.tagSinks[i]; ts != nil {
+	if a := tag.Acct; a != nil {
+		a.read(tag, hit)
+		return
+	}
+	l := b.sinks.Load()
+	for i, s := range l.sinks {
+		if ts := l.tagSinks[i]; ts != nil {
 			ts.PageReadTag(tag, hit)
 		} else {
 			s.PageRead(hit)
 		}
-	}
-	if a := tag.Acct; a != nil {
-		a.read(tag, hit)
 	}
 }
 
@@ -485,67 +612,80 @@ func (b *Buffer) countWrite(tag IOTag, physical bool) {
 	} else {
 		b.stats.logicalWrites.Add(1)
 	}
-	for i, s := range b.sinks {
-		if ts := b.tagSinks[i]; ts != nil {
+	if a := tag.Acct; a != nil {
+		a.write(tag, physical)
+		return
+	}
+	l := b.sinks.Load()
+	for i, s := range l.sinks {
+		if ts := l.tagSinks[i]; ts != nil {
 			ts.PageWriteTag(tag, physical)
 		} else {
 			s.PageWrite(physical)
 		}
 	}
-	if a := tag.Acct; a != nil {
-		a.write(tag, physical)
-	}
 }
 
 func (b *Buffer) countEviction(tag IOTag, dirty bool) {
 	b.stats.evictions.Add(1)
-	for i, s := range b.sinks {
-		if ts := b.tagSinks[i]; ts != nil {
+	if a := tag.Acct; a != nil {
+		a.evicted(tag, dirty)
+		return
+	}
+	l := b.sinks.Load()
+	for i, s := range l.sinks {
+		if ts := l.tagSinks[i]; ts != nil {
 			ts.PageEvictedTag(tag, dirty)
 		} else {
 			s.PageEvicted(dirty)
 		}
 	}
-	if a := tag.Acct; a != nil {
-		a.evicted(tag, dirty)
-	}
 }
 
-// evict flushes and removes the least recently used frame. The eviction
-// (and any dirty write-back) is attributed to the tag of the access that
-// forced it, since evicting is a side effect of loading another page.
-// Callers hold the exclusive lock; slot counts are small (10 in the
-// paper's setup), so the linear victim scan beats maintaining a list.
-func (b *Buffer) evict(tag IOTag) error {
-	var fr *frame
-	for _, cand := range b.frames {
-		if fr == nil || cand.used.Load() < fr.used.Load() {
-			fr = cand
+// evict flushes and removes the least recently used frame, returning the
+// slot it freed (-1 when nothing is buffered). The eviction (and any dirty
+// write-back) is attributed to the tag of the access that forced it, since
+// evicting is a side effect of loading another page. Callers hold the
+// exclusive lock; slot counts are small (10 in the paper's setup), so the
+// linear victim scan beats maintaining a list.
+func (b *Buffer) evict(tag IOTag) (int, error) {
+	v, victim := -1, (*frame)(nil)
+	for i := 0; i < b.slots; i++ {
+		_, cell := b.slot(i)
+		if fr := cell.Load(); fr != nil && (victim == nil || fr.used.Load() < victim.used.Load()) {
+			v, victim = i, fr
 		}
 	}
-	if fr == nil {
-		return nil
+	if victim == nil {
+		return -1, nil
 	}
-	if fr.dirty {
-		if err := b.file.WritePage(fr.id, fr.data); err != nil {
-			return err
+	if victim.dirty {
+		if err := b.file.WritePage(victim.id, victim.data); err != nil {
+			return -1, err
 		}
 		b.countWrite(tag, true)
 	}
-	delete(b.frames, fr.id)
-	b.countEviction(tag, fr.dirty)
-	return nil
+	b.setSlot(v, nil)
+	b.countEviction(tag, victim.dirty)
+	return v, nil
 }
 
-// load returns the frame for id, faulting it in (and evicting) as needed.
-// Callers hold the exclusive lock.
+// load returns the frame for id, faulting it in (and evicting) as needed;
+// stamping the frame is left to the caller, who ticks the clock. Callers
+// hold the exclusive lock and have checked slots > 0.
 func (b *Buffer) load(id PageID, readThrough bool, tag IOTag) (*frame, error) {
-	if fr, ok := b.frames[id]; ok {
-		fr.used.Store(b.clock.Add(1))
+	if fr := b.find(id); fr != nil {
 		return fr, nil
 	}
-	for len(b.frames) >= b.slots && len(b.frames) > 0 {
-		if err := b.evict(tag); err != nil {
+	free := -1
+	for i := 0; i < b.slots && free < 0; i++ {
+		if _, cell := b.slot(i); cell.Load() == nil {
+			free = i
+		}
+	}
+	if free < 0 {
+		var err error
+		if free, err = b.evict(tag); err != nil {
 			return nil, err
 		}
 	}
@@ -555,10 +695,7 @@ func (b *Buffer) load(id PageID, readThrough bool, tag IOTag) (*frame, error) {
 			return nil, err
 		}
 	}
-	fr.used.Store(b.clock.Add(1))
-	if b.slots > 0 {
-		b.frames[id] = fr
-	}
+	b.setSlot(free, fr)
 	return fr, nil
 }
 
@@ -575,18 +712,18 @@ func (b *Buffer) Get(id PageID) ([]byte, error) {
 
 // GetTag is Get with an attribution tag reported to tag-aware sinks.
 func (b *Buffer) GetTag(id PageID, tag IOTag) ([]byte, error) {
-	if b.slots > 0 {
-		// Fast path: a buffer hit needs only the shared lock.
-		b.mu.RLock()
-		if fr, ok := b.frames[id]; ok {
-			fr.used.Store(b.clock.Add(1))
-			b.countRead(tag, true)
-			data := fr.data
-			b.mu.RUnlock()
-			return data, nil
-		}
-		b.mu.RUnlock()
+	// Fast path: a buffer hit takes no lock and, with an acct on the tag,
+	// writes nothing but the buffer's clock, the frame's stamp and the acct.
+	if fr := b.find(id); fr != nil {
+		fr.used.Store(b.clock.Add(1))
+		b.countRead(tag, true)
+		return fr.data, nil
 	}
+	return b.getMiss(id, tag)
+}
+
+// getMiss is GetTag for a page the lock-free scan did not find.
+func (b *Buffer) getMiss(id PageID, tag IOTag) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.slots == 0 {
@@ -594,16 +731,18 @@ func (b *Buffer) GetTag(id PageID, tag IOTag) ([]byte, error) {
 		if err := b.file.ReadPage(id, buf); err != nil {
 			return nil, err
 		}
+		b.clock.Add(1)
 		b.countRead(tag, false)
 		return buf, nil
 	}
 	// Re-check under the exclusive lock: a racing miss may have faulted
-	// the page in between our RUnlock and Lock.
-	_, hit := b.frames[id]
+	// the page in between our scan and Lock.
+	hit := b.find(id) != nil
 	fr, err := b.load(id, true, tag)
 	if err != nil {
 		return nil, err
 	}
+	fr.used.Store(b.clock.Add(1))
 	b.countRead(tag, hit)
 	return fr.data, nil
 }
@@ -619,6 +758,7 @@ func (b *Buffer) Put(id PageID, data []byte) error {
 func (b *Buffer) PutTag(id PageID, data []byte, tag IOTag) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	stamp := b.clock.Add(1) // before the write is counted: see snapshot
 	b.countWrite(tag, false)
 	if b.slots == 0 {
 		if err := b.file.WritePage(id, data); err != nil {
@@ -631,6 +771,7 @@ func (b *Buffer) PutTag(id PageID, data []byte, tag IOTag) error {
 	if err != nil {
 		return err
 	}
+	fr.used.Store(stamp)
 	copy(fr.data, data[:b.file.PageSize()])
 	fr.dirty = true
 	return nil
@@ -647,15 +788,19 @@ func (b *Buffer) Alloc() (PageID, error) {
 func (b *Buffer) Free(id PageID) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	delete(b.frames, id)
+	for i := 0; i < b.slots; i++ {
+		if pid, _ := b.slot(i); PageID(pid.Load()) == id {
+			b.setSlot(i, nil)
+		}
+	}
 	return b.file.Free(id)
 }
 
-// Flush writes all dirty frames back to the file.
+// Flush writes all dirty frames back to the file, in slot order.
 func (b *Buffer) Flush() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, fr := range b.frames {
+	for _, fr := range b.live() {
 		if fr.dirty {
 			if err := b.file.WritePage(fr.id, fr.data); err != nil {
 				return err
@@ -672,16 +817,16 @@ func (b *Buffer) Flush() error {
 func (b *Buffer) Drop() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.frames = make(map[PageID]*frame, b.slots)
+	b.empty()
 }
 
 // Stats returns the buffer's traffic since the last ResetStats (or since
 // creation if it was never reset).
 func (b *Buffer) Stats() Stats {
-	b.mu.RLock()
+	b.mu.Lock()
 	base := b.base
-	b.mu.RUnlock()
-	return b.stats.snapshot().Sub(base)
+	b.mu.Unlock()
+	return b.snapshot().Sub(base)
 }
 
 // TotalStats returns the buffer's cumulative traffic since creation,
@@ -690,7 +835,7 @@ func (b *Buffer) Stats() Stats {
 // CounterSink equals that sink's Snapshot at all times — the invariant
 // TestResetStatsLeavesSinkIntact pins.
 func (b *Buffer) TotalStats() Stats {
-	return b.stats.snapshot()
+	return b.snapshot()
 }
 
 // ResetStats starts a new Stats window by remembering the current
@@ -707,21 +852,29 @@ func (b *Buffer) TotalStats() Stats {
 func (b *Buffer) ResetStats() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.base = b.stats.snapshot()
+	b.base = b.snapshot()
 }
 
 // Resize changes the number of buffer slots, evicting frames as needed.
+// While it moves the surviving frames to the front of the slot array,
+// lock-free readers may miss a buffered page; their miss path waits for the
+// lock and finds it.
 func (b *Buffer) Resize(slots int) error {
 	if slots < 0 {
 		panic("pagestore: negative slot count")
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.slots = slots
-	for len(b.frames) > slots {
-		if err := b.evict(IOTag{}); err != nil {
+	for n := len(b.live()); n > slots; n-- {
+		if _, err := b.evict(IOTag{}); err != nil {
 			return err
 		}
+	}
+	kept := b.live()
+	b.empty()
+	b.resize(slots)
+	for i, fr := range kept {
+		b.setSlot(i, fr)
 	}
 	return nil
 }

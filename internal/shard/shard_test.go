@@ -428,3 +428,80 @@ func TestSessionTTL(t *testing.T) {
 		t.Fatalf("expired session: status %d, want 410: %s", rec.Code, rec.Body.String())
 	}
 }
+
+// TestSessionRoundsLeaveNothingUnfolded drives one shard session round by
+// round and, each time the session is parked between rounds, checks that
+// every shared book already holds what the session's search has counted so
+// far: a search that lives across requests folds its page traffic and
+// probes before it hands control back, so an abandoned or expired session
+// loses nothing. The session is then abandoned mid-search.
+func TestSessionRoundsLeaveNothingUnfolded(t *testing.T) {
+	d := testDataset(t)
+	for _, be := range []struct {
+		name string
+		kind tia.BackendKind
+		fac  tia.Factory
+	}{
+		{"btree", tia.KindBTree, tia.NewBTreeFactory(1024, 10)},
+		{"mvbt", tia.KindMVBT, tia.NewMVBTFactory(1024, 10)},
+	} {
+		t.Run(be.name, func(t *testing.T) {
+			tr, err := d.Build(lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: 256, TIA: be.fac})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := &Server{Data: TreeViewer{Tree: tr}, Index: 0, N: 1}
+			q := d.Queries(1, 5, 0.3, 13)[0]
+			be.fac.ResetStats()
+			probes0 := tia.ProbeCount(be.kind)
+
+			post := func(h http.HandlerFunc, path string, req any) roundResponse {
+				t.Helper()
+				body, _ := json.Marshal(req)
+				rec := httptest.NewRecorder()
+				h(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
+				}
+				var rr roundResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
+					t.Fatal(err)
+				}
+				return rr
+			}
+			var reads, scored int64
+			check := func(round int, rr roundResponse) {
+				t.Helper()
+				reads += rr.Stats.TIAReads
+				scored += int64(rr.Stats.Scored)
+				if got := be.fac.Stats().LogicalReads; got != reads {
+					t.Fatalf("round %d: factory saw %d page reads, the session's rounds report %d", round, got, reads)
+				}
+				if b := be.fac.Breakdown(); b.Total() != be.fac.Stats() {
+					t.Fatalf("round %d: breakdown total %+v != factory stats %+v", round, b.Total(), be.fac.Stats())
+				}
+				// The coordinator supplies gmax, so the shard probes only
+				// the entries it scores.
+				if got := tia.ProbeCount(be.kind) - probes0; got != scored {
+					t.Fatalf("round %d: probe counter gained %d, the session's rounds scored %d entries", round, got, scored)
+				}
+			}
+			rr := post(srv.HandleQuery, "/v1/shard/query", queryRequest{
+				X: q.X, Y: q.Y, K: q.K, Alpha: q.Alpha0,
+				Start: q.Iq.Start, End: q.Iq.End, Gmax: 100, Batch: 1,
+			})
+			check(0, rr)
+			rounds := 1
+			for ; rounds < 6 && !rr.Done; rounds++ {
+				rr = post(srv.HandleNext, "/v1/shard/next", nextRequest{Session: rr.Session, Batch: 1})
+				check(rounds, rr)
+			}
+			if rounds < 3 {
+				t.Fatalf("the session ended after %d rounds; the test needs one that spans several", rounds)
+			}
+			if reads == 0 {
+				t.Fatal("the session read no TIA page")
+			}
+		})
+	}
+}

@@ -50,10 +50,20 @@ func (k BackendKind) String() string {
 func BackendKinds() []BackendKind { return []BackendKind{KindMem, KindBTree, KindMVBT} }
 
 // probes counts aggregate probes (AggregateFunc calls) per backend kind,
-// process-wide. One atomic add per probe keeps the accounting cheap enough
-// for the hottest path; cmd/tarserve and cmd/tarbench export the totals as
-// tia_probes_total{backend="..."} metrics.
+// process-wide; cmd/tarserve and cmd/tarbench export the totals as
+// tia_probes_total{backend="..."} metrics. A probe without an acct adds
+// itself here on the spot; a probe charged to a query's acct is counted
+// there and arrives when the query folds the acct (Factory.FoldAcct).
 var probes [numKinds]atomic.Int64
+
+// countProbe applies the accounting rule to one probe of kind k.
+func countProbe(k BackendKind, acct *pagestore.IOAcct) {
+	if acct != nil {
+		acct.Probes++
+		return
+	}
+	probes[k].Add(1)
+}
 
 // ProbeCount returns the number of aggregate probes issued against the
 // given backend kind since process start.
@@ -137,11 +147,13 @@ type Index interface {
 	Aggregate(iv Interval, sem Semantics) (int64, error)
 	// AggregateFunc folds the matching records' values with f.
 	AggregateFunc(iv Interval, sem Semantics, f Func) (int64, error)
-	// AggregateAcct is AggregateFunc with the page accesses charged to a
-	// query-local acct (which may be nil). Queries thread their own acct
-	// here so per-query I/O accounting stays exact when many queries run
-	// concurrently; backends without page traffic ignore it. Read-only
-	// calls (Aggregate*, Visit) are safe from many goroutines at once.
+	// AggregateAcct is AggregateFunc with the probe and its page accesses
+	// charged to a query-local acct (which may be nil). Queries thread
+	// their own acct here so per-query I/O accounting stays exact when many
+	// queries run concurrently, and so a probe writes no shared counter:
+	// what the acct gathers reaches the factory's statistics and the probe
+	// totals when its owner calls Factory.FoldAcct. Read-only calls
+	// (Aggregate*, Visit) are safe from many goroutines at once.
 	AggregateAcct(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error)
 	// Visit iterates all records in ascending Ts order, stopping early when
 	// fn returns false.
@@ -165,6 +177,13 @@ type Factory interface {
 	// per query, not per probe. Breakdown().Total() == Stats() always.
 	Breakdown() pagestore.IOBreakdown
 	ResetStats()
+	// FoldAcct adds what a query counted privately in a — the page traffic
+	// and probes of AggregateAcct calls on this factory's indexes — to the
+	// factory's statistics, its attached sinks and the process-wide probe
+	// totals, as if each event had been reported when it happened. The
+	// factory's statistics are attributed, so a.IO must be set. The owner
+	// folds each access once: it clears or discards a afterwards.
+	FoldAcct(a *pagestore.IOAcct)
 	// SetBufferSlots changes the per-index buffer size for indexes created
 	// afterwards (the collective-processing experiment uses zero slots).
 	SetBufferSlots(slots int)
@@ -251,15 +270,15 @@ func (m *Mem) Aggregate(iv Interval, sem Semantics) (int64, error) {
 	return m.AggregateFunc(iv, sem, FuncSum)
 }
 
-// AggregateAcct implements Index; memory indexes have no page traffic, so
-// the acct is ignored.
-func (m *Mem) AggregateAcct(iv Interval, sem Semantics, f Func, _ *pagestore.IOAcct) (int64, error) {
-	return m.AggregateFunc(iv, sem, f)
-}
-
 // AggregateFunc implements Index.
 func (m *Mem) AggregateFunc(iv Interval, sem Semantics, f Func) (int64, error) {
-	probes[KindMem].Add(1)
+	return m.AggregateAcct(iv, sem, f, nil)
+}
+
+// AggregateAcct implements Index; memory indexes have no page traffic, so
+// only the probe itself is charged to the acct.
+func (m *Mem) AggregateAcct(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
+	countProbe(KindMem, acct)
 	lo := m.scanLow(iv, sem)
 	i := sort.Search(len(m.recs), func(i int) bool { return m.recs[i].Ts >= lo })
 	var acc int64
@@ -363,8 +382,12 @@ func (*MemFactory) ResetStats() {}
 // SetBufferSlots implements Factory.
 func (*MemFactory) SetBufferSlots(int) {}
 
+// FoldAcct implements Factory: memory indexes produce no page traffic, so
+// only the probes are folded.
+func (*MemFactory) FoldAcct(a *pagestore.IOAcct) { probes[KindMem].Add(a.Probes) }
+
 // AttachSink is a no-op: memory indexes produce no page traffic.
-func (*MemFactory) AttachSink(pagestore.Sink) {}
+func (*MemFactory) AttachSink(pagestore.BulkSink) {}
 
 // ---------------------------------------------------------------------------
 // B+-tree backend
@@ -395,7 +418,7 @@ func (b *BTree) AggregateFunc(iv Interval, sem Semantics, f Func) (int64, error)
 // AggregateAcct implements Index, charging the B+-tree page accesses of
 // this probe to acct.
 func (b *BTree) AggregateAcct(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
-	probes[KindBTree].Add(1)
+	countProbe(KindBTree, acct)
 	var acc int64
 	err := b.tree.ScanAcct(b.scanLow(iv, sem), iv.End-1, acct, func(ts int64, v btree.Value) bool {
 		if match(Record{Ts: ts, Te: v[0], Agg: v[1]}, iv, sem) {
@@ -419,68 +442,37 @@ func (b *BTree) Len() int { return b.tree.Len() }
 // Destroy implements Index.
 func (b *BTree) Destroy() error { return b.tree.Destroy() }
 
-// BTreeFactory creates B+-tree indexes sharing one page file; every index
-// gets its own small buffer pool, matching the paper's "each TIA is
-// assigned a maximum of 10 buffer slots".
-type BTreeFactory struct {
+// pagedFactory is what the two disk-backed factories share: the page file,
+// one small buffer pool per index, and the combined page statistics of all
+// of them.
+type pagedFactory struct {
+	kind     BackendKind
 	file     pagestore.File
 	slots    int
 	bufs     []*pagestore.Buffer
 	sink     pagestore.AttrCounterSink // O(1) combined stats across all buffers
 	base     pagestore.Stats           // totals captured at the last ResetStats
 	attrBase pagestore.IOBreakdown     // breakdown captured at the last ResetStats
-	extra    []pagestore.Sink          // attached observers (metrics registries)
+	extra    []pagestore.BulkSink      // attached observers (metrics registries)
 }
 
-// NewBTreeFactory creates a factory over an in-memory simulated disk with
-// the given page size and per-index buffer slots.
-func NewBTreeFactory(pageSize, slots int) *BTreeFactory {
-	return NewBTreeFactoryWithFile(pagestore.NewMemFile(pageSize), slots)
-}
-
-// NewBTreeFactoryWithFile creates a factory over an existing page file.
-func NewBTreeFactoryWithFile(f pagestore.File, slots int) *BTreeFactory {
-	return &BTreeFactory{file: f, slots: slots}
-}
-
-// New implements Factory.
-func (f *BTreeFactory) New() (Index, error) {
-	buf := pagestore.NewBufferWithSinks(f.file, f.slots, append([]pagestore.Sink{&f.sink}, f.extra...)...)
-	t, err := btree.New(buf)
-	if err != nil {
-		return nil, err
+// newBuffer creates the buffer pool of one more index, wired to the
+// factory's sink and every attached observer.
+func (f *pagedFactory) newBuffer() *pagestore.Buffer {
+	sinks := []pagestore.Sink{&f.sink}
+	for _, s := range f.extra {
+		sinks = append(sinks, s)
 	}
+	buf := pagestore.NewBufferWithSinks(f.file, f.slots, sinks...)
 	f.bufs = append(f.bufs, buf)
-	return &BTree{tree: t, buf: buf}, nil
-}
-
-// NewBulk implements BulkFactory: the B+-tree is built bottom-up from the
-// sorted records, one page write per node, instead of descending from the
-// root once per record.
-func (f *BTreeFactory) NewBulk(recs []Record) (Index, error) {
-	buf := pagestore.NewBufferWithSinks(f.file, f.slots, append([]pagestore.Sink{&f.sink}, f.extra...)...)
-	keys := make([]int64, len(recs))
-	vals := make([]btree.Value, len(recs))
-	for i, r := range recs {
-		keys[i] = r.Ts
-		vals[i] = btree.Value{r.Te, r.Agg}
-	}
-	t, err := btree.NewBulk(buf, keys, vals)
-	if err != nil {
-		return nil, err
-	}
-	f.bufs = append(f.bufs, buf)
-	b := &BTree{tree: t, buf: buf}
-	for _, r := range recs {
-		b.note(r)
-	}
-	return b, nil
+	return buf
 }
 
 // AttachSink subscribes s to the page traffic of every buffer the factory
-// has created or will create. core.NewTree uses it to publish buffer
-// hit/miss/eviction rates into an obs registry.
-func (f *BTreeFactory) AttachSink(s pagestore.Sink) {
+// has created or will create: unowned traffic event by event, queries'
+// traffic in bulk when they fold their accts. core.NewTree uses it to
+// publish buffer hit/miss/eviction rates into an obs registry.
+func (f *pagedFactory) AttachSink(s pagestore.BulkSink) {
 	if s == nil {
 		return
 	}
@@ -491,31 +483,92 @@ func (f *BTreeFactory) AttachSink(s pagestore.Sink) {
 }
 
 // Stats implements Factory. It reads the shared counter sink, so it is
-// O(1) no matter how many TIAs exist; the best-first search snapshots it
-// around every entry score.
-func (f *BTreeFactory) Stats() pagestore.Stats {
+// O(1) no matter how many TIAs exist. Traffic a query charged to its acct
+// shows once the query has folded it, which the best-first search does
+// before it hands control back to its caller.
+func (f *pagedFactory) Stats() pagestore.Stats {
 	return f.sink.Snapshot().Sub(f.base)
 }
 
 // Breakdown implements Factory: combined traffic attributed by
 // (component, level) since the last ResetStats.
-func (f *BTreeFactory) Breakdown() pagestore.IOBreakdown {
+func (f *pagedFactory) Breakdown() pagestore.IOBreakdown {
 	return f.sink.Breakdown().Sub(f.attrBase)
 }
 
 // ResetStats implements Factory.
-func (f *BTreeFactory) ResetStats() {
+func (f *pagedFactory) ResetStats() {
 	f.base = f.sink.Snapshot()
 	f.attrBase = f.sink.Breakdown()
 }
 
+// FoldAcct implements Factory.
+func (f *pagedFactory) FoldAcct(a *pagestore.IOAcct) {
+	probes[f.kind].Add(a.Probes)
+	if a.Stats == (pagestore.Stats{}) {
+		return
+	}
+	f.sink.AddAcct(a)
+	for _, s := range f.extra {
+		a.FoldInto(s)
+	}
+}
+
 // SetBufferSlots implements Factory. It also resizes existing buffers so an
 // experiment can switch an entire tree between buffered and unbuffered.
-func (f *BTreeFactory) SetBufferSlots(slots int) {
+func (f *pagedFactory) SetBufferSlots(slots int) {
 	f.slots = slots
 	for _, b := range f.bufs {
 		b.Resize(slots) //nolint:errcheck // resize of mem file cannot fail
 	}
+}
+
+// BTreeFactory creates B+-tree indexes sharing one page file; every index
+// gets its own small buffer pool, matching the paper's "each TIA is
+// assigned a maximum of 10 buffer slots".
+type BTreeFactory struct{ pagedFactory }
+
+// NewBTreeFactory creates a factory over an in-memory simulated disk with
+// the given page size and per-index buffer slots.
+func NewBTreeFactory(pageSize, slots int) *BTreeFactory {
+	return NewBTreeFactoryWithFile(pagestore.NewMemFile(pageSize), slots)
+}
+
+// NewBTreeFactoryWithFile creates a factory over an existing page file.
+func NewBTreeFactoryWithFile(f pagestore.File, slots int) *BTreeFactory {
+	return &BTreeFactory{pagedFactory{kind: KindBTree, file: f, slots: slots}}
+}
+
+// New implements Factory.
+func (f *BTreeFactory) New() (Index, error) {
+	buf := f.newBuffer()
+	t, err := btree.New(buf)
+	if err != nil {
+		return nil, err
+	}
+	return &BTree{tree: t, buf: buf}, nil
+}
+
+// NewBulk implements BulkFactory: the B+-tree is built bottom-up from the
+// sorted records, one page write per node, instead of descending from the
+// root once per record.
+func (f *BTreeFactory) NewBulk(recs []Record) (Index, error) {
+	buf := f.newBuffer()
+	keys := make([]int64, len(recs))
+	vals := make([]btree.Value, len(recs))
+	for i, r := range recs {
+		keys[i] = r.Ts
+		vals[i] = btree.Value{r.Te, r.Agg}
+	}
+	t, err := btree.NewBulk(buf, keys, vals)
+	if err != nil {
+		return nil, err
+	}
+	b := &BTree{tree: t, buf: buf}
+	for _, r := range recs {
+		b.note(r)
+	}
+	return b, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -560,7 +613,7 @@ func (m *MVBT) AggregateFunc(iv Interval, sem Semantics, f Func) (int64, error) 
 // AggregateAcct implements Index, charging the MVBT page accesses of this
 // probe to acct.
 func (m *MVBT) AggregateAcct(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
-	probes[KindMVBT].Add(1)
+	countProbe(KindMVBT, acct)
 	var acc int64
 	err := m.tree.ScanAtAcct(m.tree.Now(), m.scanLow(iv, sem), iv.End-1, acct, func(ts int64, v mvbt.Value) bool {
 		if match(Record{Ts: ts, Te: v[0], Agg: v[1]}, iv, sem) {
@@ -591,66 +644,21 @@ func (m *MVBT) Destroy() error {
 }
 
 // MVBTFactory creates MVBT indexes sharing one page file.
-type MVBTFactory struct {
-	file     pagestore.File
-	slots    int
-	bufs     []*pagestore.Buffer
-	sink     pagestore.AttrCounterSink
-	base     pagestore.Stats
-	attrBase pagestore.IOBreakdown
-	extra    []pagestore.Sink
-}
+type MVBTFactory struct{ pagedFactory }
 
 // NewMVBTFactory creates a factory over an in-memory simulated disk.
 func NewMVBTFactory(pageSize, slots int) *MVBTFactory {
-	return &MVBTFactory{file: pagestore.NewMemFile(pageSize), slots: slots}
+	return &MVBTFactory{pagedFactory{kind: KindMVBT, file: pagestore.NewMemFile(pageSize), slots: slots}}
 }
 
 // New implements Factory.
 func (f *MVBTFactory) New() (Index, error) {
-	buf := pagestore.NewBufferWithSinks(f.file, f.slots, append([]pagestore.Sink{&f.sink}, f.extra...)...)
+	buf := f.newBuffer()
 	t, err := mvbt.New(buf)
 	if err != nil {
 		return nil, err
 	}
-	f.bufs = append(f.bufs, buf)
 	return &MVBT{tree: t, buf: buf}, nil
-}
-
-// AttachSink subscribes s to the page traffic of every buffer the factory
-// has created or will create.
-func (f *MVBTFactory) AttachSink(s pagestore.Sink) {
-	if s == nil {
-		return
-	}
-	f.extra = append(f.extra, s)
-	for _, b := range f.bufs {
-		b.AddSink(s)
-	}
-}
-
-// Stats implements Factory (O(1) via the shared sink).
-func (f *MVBTFactory) Stats() pagestore.Stats {
-	return f.sink.Snapshot().Sub(f.base)
-}
-
-// Breakdown implements Factory.
-func (f *MVBTFactory) Breakdown() pagestore.IOBreakdown {
-	return f.sink.Breakdown().Sub(f.attrBase)
-}
-
-// ResetStats implements Factory.
-func (f *MVBTFactory) ResetStats() {
-	f.base = f.sink.Snapshot()
-	f.attrBase = f.sink.Breakdown()
-}
-
-// SetBufferSlots implements Factory.
-func (f *MVBTFactory) SetBufferSlots(slots int) {
-	f.slots = slots
-	for _, b := range f.bufs {
-		b.Resize(slots) //nolint:errcheck
-	}
 }
 
 // MaxMerge stores into dst the per-epoch maximum of dst and src: for every
