@@ -113,9 +113,9 @@ func BenchmarkAblationDistScale(b *testing.B) { runExperiment(b, "abl-distscale"
 
 // Observability overhead: BenchmarkQuery_Bare vs BenchmarkQuery_Instrumented
 // run the same query stream against an uninstrumented and a fully
-// instrumented (Options.Metrics, nil trace) tree. Compare with benchstat
-// over -count=10: the expected delta is <2%, because the disabled-trace
-// path is nil-receiver no-ops, per-query metrics are a dozen atomic adds,
+// instrumented (Options.Metrics, no span) tree. Compare with benchstat
+// over -count=10: the expected delta is <2%, because the span-less path
+// is nil-receiver no-ops, per-query metrics are a dozen atomic adds,
 // and the page sink costs one interface call per TIA buffer access. Single
 // runs on a shared machine have more noise than the effect being measured.
 

@@ -52,7 +52,6 @@ func main() {
 		showTr   = flag.Bool("trace", false, "print a duration-annotated span tree of the query")
 		replay   = flag.String("replay", "", "build an empty index and feed this check-in stream (written by datagen -checkins) through the live ingest path instead of bulk-loading histories")
 		cacheB   = flag.Int64("cache-bytes", 64<<20, "shared aggregate/result cache size in bytes (0 disables)")
-		doFreeze = flag.Bool("freeze", true, "compile the index into its pointer-free flat layout before querying")
 		server   = flag.String("server", "", "query a running tarserve at this base URL instead of building a local index")
 		minLSN   = flag.Uint64("min-lsn", 0, "with -server: hold the query until the server has applied this LSN (read-your-writes against a replication follower)")
 	)
@@ -125,9 +124,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *doFreeze {
-		tr.Freeze()
-	}
+	tr.Freeze()
 	leaves, internals := tr.NodeCount()
 	fmt.Printf("built %s over %s: %d effective POIs, %d leaf + %d internal nodes, height %d (%v)\n",
 		g, spec.Name, tr.Len(), leaves, internals, tr.Height(), time.Since(buildStart).Round(time.Millisecond))
@@ -152,15 +149,16 @@ func main() {
 			p.Engine, p.IndexCost, p.ScanCost, p.EstimatedFk)
 	}
 
-	// With -trace the query runs under a root span: the stages (cache
-	// probe, best-first search, cache store) land in the span tree printed
-	// after the results.
+	// With -trace the query runs under a root span with aggregates on: the
+	// stages (cache probe, best-first search, cache store) and the search's
+	// per-operation rows land in the span tree printed after the results.
 	opts := &tartree.QueryOpts{}
-	var spans *tartree.TraceBuffer
+	var spans *tartree.TraceRing
 	var root *tartree.Span
 	if *showTr {
-		spans = tartree.NewTraceBuffer(1)
+		spans = tartree.NewTraceRing(1)
 		root = tartree.StartTrace("tarquery", tartree.SpanContext{}, spans)
+		root.EnableAggregates()
 		opts.Span = root
 	}
 	var exp *tartree.Explain
@@ -180,10 +178,7 @@ func main() {
 		fatal(err)
 	}
 	elapsed := time.Since(start)
-	if root != nil {
-		root.SetAttr("results", len(results))
-		root.Finish()
-	}
+	root.Finish()
 
 	fmt.Printf("\nkNNTA query at (%.1f, %.1f), last %d days, k=%d, alpha0=%.2f\n\n",
 		*x, *y, *days, *k, *alpha)

@@ -35,8 +35,8 @@ func newWALTestServer(t *testing.T, dir string, cache *aggcache.Cache) (*server,
 		t.Fatal(err)
 	}
 	store, err := wal.OpenStore(fs, func() (*core.Tree, error) {
-		return d.Build(lbsn.BuildOptions{Metrics: reg, Traces: ring, Cache: cache})
-	}, wal.StoreOptions{Metrics: reg, Traces: ring, Cache: cache})
+		return d.Build(lbsn.BuildOptions{Metrics: reg, Cache: cache})
+	}, wal.StoreOptions{Metrics: reg, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

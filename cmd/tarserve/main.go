@@ -3,15 +3,15 @@
 //
 //	GET  /v1/query?x=50&y=50&k=10&alpha=0.3[&days=128][&trace=1][&timeout_ms=500][&nocache=1]
 //	POST /v1/ingest     durable live check-ins (requires -wal-dir)
-//	GET  /v1/traces     recent and slowest query records with I/O breakdowns
+//	GET  /v1/traces     recent finished traces and the slowest query traces
+//	                    (?id=<trace-id> one trace, ?format=chrome a flamegraph)
 //	GET  /metrics       Prometheus text exposition of the obs registry
 //	GET  /healthz       readiness: 200 "ready" once the index is recovered,
 //	                    503 "recovering" while it is still loading
 //	GET  /debug/pprof/  standard Go profiling endpoints
 //
-// The legacy unversioned routes (/query, /ingest, /debug/traces) answer 308
-// Permanent Redirect to their /v1 successors. timeout_ms maps to a context
-// deadline: a query that exceeds it stops promptly and answers 504.
+// timeout_ms maps to a context deadline: a query that exceeds it — queued
+// for an execution slot or mid-search — stops promptly and answers 504.
 //
 // Queries are served through a shared epoch-versioned cache (-cache-bytes,
 // default 64 MiB, 0 disables) that memoizes TIA aggregates and whole result
@@ -20,7 +20,7 @@
 // exported as tartree_aggcache_* on /metrics, and every query response
 // reports its own cache_hits/cache_misses.
 //
-// With -wal-dir the server ingests live check-ins durably: POST /ingest
+// With -wal-dir the server ingests live check-ins durably: POST /v1/ingest
 // appends to a group-committed write-ahead log and answers 200 only after
 // the batch is fsynced and applied. On startup the index is recovered from
 // the newest checkpoint in the WAL directory plus a log replay; the listener
@@ -28,11 +28,12 @@
 // Background loops fold elapsed epochs (-flush-every) and write checkpoints
 // (-checkpoint-every) that let the log drop obsolete segments.
 //
-//	POST /ingest {"poi": 17, "ts": 1234567890}
-//	POST /ingest {"checkins": [{"poi": 17, "ts": 100}, {"poi": 9, "ts": 105}]}
+//	POST /v1/ingest {"poi": 17, "ts": 1234567890}
+//	POST /v1/ingest {"checkins": [{"poi": 17, "ts": 100}, {"poi": 9, "ts": 105}]}
 //
-// Per-request structured access logs go to stderr (slog). Queries slower
-// than -slow-query are additionally logged at warn level.
+// Per-request structured access logs go to stderr (slog). Every /v1/*
+// request is a span tree in the -traces ring, in every role; queries whose
+// request took -slow-query or longer are additionally logged at warn level.
 //
 // Queries execute concurrently, bounded by the -max-concurrent admission
 // semaphore (default GOMAXPROCS); requests beyond the limit queue and are
@@ -109,8 +110,8 @@ func main() {
 		scale   = flag.Float64("scale", 0.1, "data set scale in (0,1]")
 		group   = flag.String("grouping", "tar", "entry grouping: tar, spa, agg")
 		logJSON = flag.Bool("logjson", false, "emit access logs as JSON instead of text")
-		nTraces = flag.Int("traces", 64, "query records kept for /debug/traces (0 disables capture)")
-		slowQ   = flag.Duration("slow-query", 250*time.Millisecond, "log queries slower than this at warn level")
+		nTraces = flag.Int("traces", 64, "finished traces kept for /v1/traces: this many recent ones and this many slowest queries (0 turns request tracing off)")
+		slowQ   = flag.Duration("slow-query", 250*time.Millisecond, "log queries whose request took this long or longer at warn level")
 		maxConc = flag.Int("max-concurrent", 0, "admission limit: queries executing at once (0 = GOMAXPROCS); excess requests queue")
 		walDir  = flag.String("wal-dir", "", "enable durable ingestion: write-ahead log and checkpoints live here")
 		ckEvery = flag.Duration("checkpoint-every", 5*time.Minute, "background checkpoint interval (requires -wal-dir)")
@@ -120,8 +121,6 @@ func main() {
 		cacheB  = flag.Int64("cache-bytes", 64<<20, "shared aggregate/result cache size in bytes (0 disables)")
 		trcOut  = flag.String("trace-out", "", "append finished span traces to this file as Chrome trace_event JSON")
 		sloSpec = flag.String("slo", "", `latency/error objectives, e.g. "query:p99<50ms,ingest:p99<100ms" (burn rates on /metrics)`)
-		snapV3  = flag.Bool("snapshot-v3", true, "write checkpoints in the flat snapshot-v3 format (section reads at startup, no rebuild); recovery reads either format")
-		freeze  = flag.Bool("freeze", true, "compile the index into its pointer-free flat layout after startup; queries traverse the frozen slabs")
 		follow  = flag.String("follow", "", "run as a replication follower of this leader base URL (requires -wal-dir and -repl-token)")
 		replTok = flag.String("repl-token", "", "shared replication secret: enables the leader's /v1/repl endpoints, authenticates a follower; empty disables replication")
 		shardOf = flag.String("shard-of", "", `serve spatial shard "i/N" of the data set (requires -shard-map); only POIs the map assigns to shard i are indexed`)
@@ -253,7 +252,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		srv.spanSink = obs.MultiTraceSink(srv.spans, obs.NewFileTraceSink(f))
+		srv.traceOut, srv.spanSink = obs.NewFileTraceSink(f), srv
 		log.Info("span traces exported", "file", *trcOut)
 	}
 	ln, err := net.Listen("tcp", *addr)
@@ -309,13 +308,11 @@ func main() {
 
 	buildStart := time.Now()
 	if *walDir == "" {
-		tr, err := d.Build(lbsn.BuildOptions{Grouping: g, Metrics: reg, Traces: ring, Cache: cache, Keep: keep})
+		tr, err := d.Build(lbsn.BuildOptions{Grouping: g, Metrics: reg, Cache: cache, Keep: keep})
 		if err != nil {
 			fatal(err)
 		}
-		if *freeze {
-			tr.Freeze()
-		}
+		tr.Freeze()
 		if shardMap != nil {
 			srv.enableShard(&shard.Server{
 				Data:    shard.TreeViewer{Tree: tr},
@@ -374,17 +371,16 @@ func main() {
 			return nil, errors.New("follower WAL directory holds no snapshot; bootstrap should have installed one")
 		}
 		if *replay != "" {
-			return d.BuildEmpty(lbsn.BuildOptions{Grouping: g, Metrics: reg, Traces: ring, Cache: cache, Keep: keep})
+			return d.BuildEmpty(lbsn.BuildOptions{Grouping: g, Metrics: reg, Cache: cache, Keep: keep})
 		}
-		return d.Build(lbsn.BuildOptions{Grouping: g, Metrics: reg, Traces: ring, Cache: cache, Keep: keep})
+		return d.Build(lbsn.BuildOptions{Grouping: g, Metrics: reg, Cache: cache, Keep: keep})
 	}
 	store, err := wal.OpenStore(fs, base, wal.StoreOptions{
 		Metrics:    reg,
-		Traces:     ring,
 		NoSync:     *noSync,
 		Cache:      cache,
 		TraceSink:  srv.spanSink,
-		SnapshotV3: *snapV3,
+		SnapshotV3: true,
 	})
 	if err != nil {
 		fatal(err)
@@ -408,12 +404,9 @@ func main() {
 	}
 
 	// A v3 checkpoint restores the frozen layout directly; otherwise (gob
-	// checkpoint, fresh build, or replay seeding) compile it now. With
-	// -freeze=false a pre-frozen recovery is dropped so the flag wins.
-	if *freeze && !store.Frozen() {
+	// checkpoint, fresh build, or replay seeding) compile it now.
+	if !store.Frozen() {
 		store.Freeze()
-	} else if !*freeze && store.Frozen() {
-		store.Unfreeze()
 	}
 	switch {
 	case *follow != "":

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,8 +27,9 @@ import (
 )
 
 // server answers kNNTA queries over HTTP and exposes the observability
-// surface: /metrics (Prometheus text), /debug/pprof, /healthz. With a WAL
-// store attached it also accepts durable live check-ins on POST /ingest.
+// surface: /metrics (Prometheus text), /v1/traces, /debug/pprof, /healthz.
+// With a WAL store attached it also accepts durable live check-ins on POST
+// /v1/ingest.
 //
 // The server can start before the index exists: newPendingServer brings the
 // listener up in a "recovering" state where /healthz answers 503 and query
@@ -46,7 +48,6 @@ type server struct {
 	planner *planner.Planner
 	ready   atomic.Bool
 	reg     *obs.Registry
-	traces  *obs.TraceRing // may be nil: /debug/traces then serves empty views
 	log     *slog.Logger
 	start   time.Time
 	// span of the indexed data, the default query interval
@@ -66,12 +67,14 @@ type server struct {
 	errors   *obs.Counter
 	mux      *http.ServeMux
 
-	// Span tracing: every /v1/* request gets a span tree rooted at the
-	// route, joined to the client's W3C traceparent when one is sent.
-	// Finished traces land in spans (served by /v1/traces?format=chrome)
-	// and in spanSink, which main may widen with a -trace-out file sink
-	// and which also receives the WAL's batch/flush/checkpoint traces.
-	spans    *obs.TraceBuffer
+	// Tracing: every /v1/* request gets a span tree rooted at the route,
+	// joined to the client's W3C traceparent when one is sent. Finished
+	// traces — the WAL's batch/flush/checkpoint traces too — go to spanSink,
+	// which is the server itself (TraceFinished) once it has somewhere to
+	// keep them: the traces ring behind /v1/traces (nil with -traces 0) or
+	// the -trace-out file. A nil spanSink turns request tracing off.
+	traces   *obs.TraceRing
+	traceOut *obs.FileTraceSink
 	spanSink obs.TraceSink
 
 	// slo classifies finished query/ingest requests against the -slo
@@ -111,8 +114,8 @@ func newServer(tree *core.Tree, reg *obs.Registry, traces *obs.TraceRing, log *s
 }
 
 // newPendingServer builds a server in the recovering state: /healthz answers
-// 503 and /query and /ingest are refused until finishStartup. /metrics,
-// /debug/traces and /debug/pprof work throughout, so recovery is observable.
+// 503 and /v1/query and /v1/ingest are refused until finishStartup. /metrics,
+// /v1/traces and /debug/pprof work throughout, so recovery is observable.
 func newPendingServer(reg *obs.Registry, traces *obs.TraceRing, log *slog.Logger, maxConcurrent int) *server {
 	if maxConcurrent <= 0 {
 		maxConcurrent = runtime.GOMAXPROCS(0)
@@ -126,9 +129,10 @@ func newPendingServer(reg *obs.Registry, traces *obs.TraceRing, log *slog.Logger
 		requests:  reg.Counter("tarserve_http_requests_total"),
 		errors:    reg.Counter("tarserve_http_errors_total"),
 		mux:       http.NewServeMux(),
-		spans:     obs.NewTraceBuffer(256),
 	}
-	s.spanSink = s.spans
+	if traces != nil {
+		s.spanSink = s
+	}
 	reg.GaugeFunc("tarserve_max_concurrent_queries", func() float64 { return float64(cap(s.admission)) })
 	reg.GaugeFunc("tarserve_inflight_queries", func() float64 { return float64(s.inflight.Load()) })
 	reg.GaugeFunc("tarserve_query_queue_depth", func() float64 { return float64(s.queued.Load()) })
@@ -152,16 +156,9 @@ func newPendingServer(reg *obs.Registry, traces *obs.TraceRing, log *slog.Logger
 		return float64(s.tree.Len())
 	})
 
-	// The versioned API surface. Legacy unversioned routes answer 308
-	// Permanent Redirect (which preserves method and body) so existing
-	// clients keep working while the Location header teaches them the new
-	// path; the query string travels with the redirect.
 	s.mux.HandleFunc("GET /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
-	s.mux.HandleFunc("GET /query", redirectTo("/v1/query"))
-	s.mux.HandleFunc("POST /ingest", redirectTo("/v1/ingest"))
-	s.mux.HandleFunc("GET /debug/traces", redirectTo("/v1/traces"))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	// The replication endpoints are mounted unconditionally and answer 403
@@ -314,19 +311,6 @@ func (s *server) plan(q core.Query) (planner.Plan, error) {
 	return s.planner.Plan(q)
 }
 
-// redirectTo sends a 308 Permanent Redirect to the versioned path,
-// preserving the query string. 308 (unlike 301) forbids the client from
-// changing the method, so redirected POST /ingest bodies arrive intact.
-func redirectTo(target string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		u := target
-		if r.URL.RawQuery != "" {
-			u += "?" + r.URL.RawQuery
-		}
-		http.Redirect(w, r, u, http.StatusPermanentRedirect)
-	}
-}
-
 // statusWriter remembers the status code for the access log.
 type statusWriter struct {
 	http.ResponseWriter
@@ -398,7 +382,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	)
 }
 
-// queryResponse is the JSON shape of a /query answer.
+// queryResponse is the JSON shape of a /v1/query answer.
 type queryResponse struct {
 	Query struct {
 		X      float64 `json:"x"`
@@ -457,11 +441,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	var opts core.QueryOpts
-	if po.traced {
-		opts.Trace = obs.NewTrace()
-	}
-	opts.NoCache = po.nocache
+	opts := core.QueryOpts{NoCache: po.nocache}
 	var (
 		exp     *core.Explain
 		plan    planner.Plan
@@ -513,12 +493,27 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	reqSpan := obs.SpanFromContext(ctx)
 	begin := time.Now()
 	aw := reqSpan.StartChild("admission_wait")
-	s.queued.Add(1)
-	s.admission <- struct{}{} // acquire an execution slot
-	s.queued.Add(-1)
+	if err := s.admit(ctx); err != nil {
+		aw.SetAttr("outcome", "abandoned")
+		aw.End()
+		status := http.StatusServiceUnavailable // the client went away
+		if errors.Is(err, context.DeadlineExceeded) {
+			status = http.StatusGatewayTimeout
+		}
+		httpError(w, status, fmt.Errorf("gave up waiting for an execution slot: %w", err))
+		return
+	}
 	aw.End()
 	s.inflight.Add(1)
 	ex := reqSpan.StartChild("execute")
+	if po.traced {
+		// trace=1 switches the aggregates on; with request tracing off
+		// (-traces 0) a private span carries them.
+		if ex == nil {
+			ex = obs.StartTrace("execute", obs.SpanContext{}, obs.NewTraceRing(1))
+		}
+		ex.EnableAggregates()
+	}
 	opts.Span = ex
 	var (
 		results []core.Result
@@ -575,7 +570,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	tr := opts.Trace
 	var resp queryResponse
 	resp.Query.X, resp.Query.Y = q.X, q.Y
 	resp.Query.K = q.K
@@ -600,15 +594,35 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp.IO = core.IOLines(&stats.IO)
 	resp.ElapsedMicros = time.Since(begin).Microseconds()
 	resp.Explain = exp
-	if tr != nil {
+	if po.traced {
 		resp.Trace = make(map[string]obs.SpanStats)
-		for _, sp := range tr.Spans() {
-			resp.Trace[sp.Name] = sp.SpanStats
+		for _, row := range ex.Aggregates() {
+			resp.Trace[row.Name] = row.SpanStats
 		}
 	}
 	rs := reqSpan.StartChild("respond")
 	writeJSON(w, http.StatusOK, resp)
 	rs.End()
+}
+
+// admit takes an execution slot, queueing when none is free. A request whose
+// context ends while queued leaves the queue with the context's error instead
+// of holding its place and then running for nobody; a free slot is taken
+// regardless, and the search itself notices a dead context.
+func (s *server) admit(ctx context.Context) error {
+	select {
+	case s.admission <- struct{}{}:
+		return nil
+	default:
+	}
+	s.queued.Add(1)
+	defer s.queued.Add(-1)
+	select {
+	case s.admission <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // parseOpts carries the per-request options parsed alongside the query.
@@ -698,7 +712,7 @@ var (
 	errMinLSNUnsupported = fmt.Errorf("min_lsn requires durable mode (-wal-dir)")
 )
 
-// ingestRequest is the JSON body of POST /ingest: either a single check-in
+// ingestRequest is the JSON body of POST /v1/ingest: either a single check-in
 // {"poi":17,"ts":1234567890} or a batch {"checkins":[{"poi":..,"ts":..},...]}.
 type ingestRequest struct {
 	POI      *int64       `json:"poi"`
@@ -855,26 +869,48 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleTraces serves the capture ring: the most recent and the slowest
-// query records, each with spans (if the query ran traced) and the
-// attributed I/O breakdown. With ?format=chrome it instead exports the
-// finished span traces (requests, WAL commit batches, flushes,
-// checkpoints) as a Chrome trace_event JSON array, loadable directly in
-// chrome://tracing or Perfetto.
+// TraceFinished implements obs.TraceSink; both sinks take a nil receiver.
+func (s *server) TraceFinished(t *obs.FinishedTrace) {
+	s.traces.TraceFinished(t)
+	s.traceOut.TraceFinished(t)
+}
+
+// handleTraces serves the ring, in every role: the most recent finished
+// traces (requests, WAL commit batches, flushes, checkpoints) and the
+// slowest query traces. ?id=<trace-id> returns this process's newest trace
+// with that ID — the one a coordinator propagates to its shards;
+// ?format=chrome exports the recent view as a Chrome trace_event JSON array,
+// loadable directly in chrome://tracing or Perfetto.
 func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
+	if raw := r.URL.Query().Get("id"); raw != "" {
+		var id obs.TraceID
+		b, err := hex.DecodeString(raw)
+		if err != nil || len(b) != len(id) {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("parameter id: want %d hex characters", 2*len(id)))
+			return
+		}
+		copy(id[:], b)
+		ft := s.traces.Find(id)
+		if ft == nil {
+			httpError(w, http.StatusNotFound, fmt.Errorf("no finished trace %s in the ring", id))
+			return
+		}
+		writeJSON(w, http.StatusOK, ft)
+		return
+	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		writeJSON(w, http.StatusOK, map[string]any{
 			"capacity":       s.traces.Cap(),
-			"recent":         s.traces.Recent(),
+			"recent":         s.traces.Traces(),
 			"slowest":        s.traces.Slowest(),
-			"span_traces":    s.spans.Len(),
-			"spans_finished": s.spans.Finished(),
+			"span_traces":    s.traces.Len(),
+			"spans_finished": s.traces.Finished(),
 		})
 	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="tarserve-trace.json"`)
-		if err := obs.WriteChromeTrace(w, s.spans.Traces()); err != nil {
+		if err := obs.WriteChromeTrace(w, s.traces.Traces()); err != nil {
 			s.log.Error("chrome trace export failed", "err", err)
 		}
 	default:

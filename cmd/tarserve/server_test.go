@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"tartree/internal/aggcache"
 	"tartree/internal/lbsn"
@@ -29,7 +30,7 @@ func newTestServer(t *testing.T) (*server, *lbsn.Dataset) {
 	}
 	reg := obs.NewRegistry()
 	ring := obs.NewTraceRing(8)
-	tr, err := d.Build(lbsn.BuildOptions{Metrics: reg, Traces: ring})
+	tr, err := d.Build(lbsn.BuildOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +136,20 @@ func TestServeQueryTrace(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &resp); err != nil {
 		t.Fatal(err)
 	}
-	for _, span := range []string{"gmax", "queue_pop", "expand"} {
+	for _, span := range []string{"gmax", "queue_pop", "expand", "tia_probe"} {
 		if resp.Trace[span].Count == 0 {
 			t.Errorf("span %q missing from trace: %v", span, resp.Trace)
 		}
+	}
+	if len(resp.Trace) != 4 {
+		t.Errorf("trace has keys beyond the four phases: %v", resp.Trace)
+	}
+	// The aggregate counts reconcile with the work counters.
+	if got, want := resp.Trace["tia_probe"].Count, int64(resp.Stats.Scored); got != want {
+		t.Errorf("tia_probe count = %d, want stats.scored = %d", got, want)
+	}
+	if got, want := resp.Trace["expand"].Count, int64(resp.Stats.InternalAccesses+resp.Stats.LeafAccesses); got != want-1 {
+		t.Errorf("expand count = %d, want node accesses less the root read = %d", got, want-1)
 	}
 	// Untraced queries must not carry a trace.
 	_, body = get(t, s, "/v1/query?x=30&y=70&k=3")
@@ -147,10 +158,10 @@ func TestServeQueryTrace(t *testing.T) {
 	}
 }
 
-// TestServeDebugTraces checks the capture ring endpoint: every query —
-// traced or not — must appear with its I/O breakdown, and traced queries
-// keep their spans.
-func TestServeDebugTraces(t *testing.T) {
+// TestServeTraces checks the ring endpoint: every query — trace=1 or not —
+// must appear as a finished trace whose execute span carries the query and
+// its I/O breakdown, and a trace=1 query keeps its aggregates.
+func TestServeTraces(t *testing.T) {
 	s, _ := newTestServer(t)
 	for i := 0; i < 3; i++ {
 		if code, body := get(t, s, "/v1/query?x=50&y=50&k=5&days=128"); code != 200 {
@@ -163,46 +174,111 @@ func TestServeDebugTraces(t *testing.T) {
 
 	code, body := get(t, s, "/v1/traces")
 	if code != 200 {
-		t.Fatalf("debug/traces status %d: %s", code, body)
+		t.Fatalf("/v1/traces status %d: %s", code, body)
 	}
 	var dump struct {
-		Capacity int               `json:"capacity"`
-		Recent   []obs.TraceRecord `json:"recent"`
-		Slowest  []obs.TraceRecord `json:"slowest"`
+		Capacity int                 `json:"capacity"`
+		Recent   []obs.FinishedTrace `json:"recent"`
+		Slowest  []obs.FinishedTrace `json:"slowest"`
 	}
 	if err := json.Unmarshal([]byte(body), &dump); err != nil {
-		t.Fatalf("debug/traces not JSON: %v\n%s", err, body)
+		t.Fatalf("/v1/traces not JSON: %v\n%s", err, body)
 	}
 	if dump.Capacity != 8 {
 		t.Errorf("capacity = %d, want 8", dump.Capacity)
 	}
 	if len(dump.Recent) != 4 || len(dump.Slowest) != 4 {
-		t.Fatalf("recent=%d slowest=%d records, want 4 each", len(dump.Recent), len(dump.Slowest))
+		t.Fatalf("recent=%d slowest=%d traces, want 4 each", len(dump.Recent), len(dump.Slowest))
 	}
-	// Newest first: the traced query leads and keeps its spans.
+	// Newest first: the trace=1 query leads and keeps its aggregates.
 	newest := dump.Recent[0]
-	if !strings.Contains(newest.Query, "k=3") {
-		t.Errorf("newest record = %q, want the k=3 query", newest.Query)
+	if q, _ := newest.Find("execute").Attr(obs.AttrQuery); !strings.Contains(fmt.Sprint(q), "k=3") {
+		t.Errorf("newest trace's query = %v, want the k=3 query", q)
 	}
-	if len(newest.Spans) == 0 {
-		t.Error("traced query record has no spans")
+	if len(newest.Aggregates) == 0 {
+		t.Error("trace=1 query has no aggregates")
 	}
-	if dump.Recent[1].Spans != nil {
-		t.Error("untraced query record has spans")
+	if dump.Recent[1].Aggregates != nil {
+		t.Error("ordinary query has aggregates")
 	}
-	for _, rec := range dump.Recent {
-		if rec.ID == 0 || rec.Elapsed <= 0 {
-			t.Errorf("record missing identity/timing: %+v", rec)
+	for _, ft := range dump.Recent {
+		if ft.TraceID.IsZero() || ft.Root().Duration() <= 0 {
+			t.Errorf("trace missing identity/timing: %+v", ft.Root())
 		}
-		var tia int64
-		for _, line := range rec.IO {
-			if line.Component == "tia-btree" {
-				tia += line.Hits + line.Misses
+		io, _ := ft.Find("execute").Attr("io")
+		rows, _ := io.([]any)
+		var tia float64
+		for _, row := range rows {
+			if line := row.(map[string]any); line["component"] == "tia-btree" {
+				tia += line["hits"].(float64) + line["misses"].(float64)
 			}
 		}
 		if tia == 0 {
-			t.Errorf("record %d has no attributed TIA traffic: %+v", rec.ID, rec.IO)
+			t.Errorf("trace %s has no attributed TIA traffic: %v", ft.TraceID, io)
 		}
+	}
+	for i := 1; i < len(dump.Slowest); i++ {
+		if dump.Slowest[i].Root().Duration() > dump.Slowest[i-1].Root().Duration() {
+			t.Errorf("slowest view not descending at %d", i)
+		}
+	}
+
+	// One trace by ID, as a coordinator's caller would ask a shard.
+	code, body = get(t, s, "/v1/traces?id="+newest.TraceID.String())
+	var one obs.FinishedTrace
+	if err := json.Unmarshal([]byte(body), &one); code != 200 || err != nil || one.TraceID != newest.TraceID {
+		t.Errorf("?id= lookup: status %d, err %v, trace %s", code, err, one.TraceID)
+	}
+	if code, _ := get(t, s, "/v1/traces?id=00000000000000000000000000000001"); code != 404 {
+		t.Errorf("unknown trace id: status %d, want 404", code)
+	}
+	if code, _ := get(t, s, "/v1/traces?id=xyz"); code != 400 {
+		t.Errorf("malformed trace id: status %d, want 400", code)
+	}
+}
+
+// TestServeAdmissionAbandoned checks that a request whose deadline passes
+// while it waits for an execution slot leaves the queue: 504 promptly, the
+// queue-depth gauge back to zero, and a trace that never reached execute.
+func TestServeAdmissionAbandoned(t *testing.T) {
+	s, _ := newTestServer(t)
+	for i := 0; i < cap(s.admission); i++ {
+		s.admission <- struct{}{} // every slot taken
+	}
+	begin := time.Now()
+	code, body := get(t, s, "/v1/query?x=50&y=50&k=5&timeout_ms=20")
+	// The slots never free up, so any answer means the wait honoured the
+	// deadline; the bound only has to tell ~20ms from "hung", with room for
+	// a slow -race runner.
+	if took := time.Since(begin); took > 250*time.Millisecond {
+		t.Errorf("abandoned request answered after %v, want ~20ms", took)
+	}
+	if code != 504 || !strings.Contains(body, `"timeout"`) {
+		t.Fatalf("status %d, want the 504 timeout envelope: %s", code, body)
+	}
+	_, metrics := get(t, s, "/metrics")
+	if n := metricValue(t, metrics, "tarserve_query_queue_depth"); n != 0 {
+		t.Errorf("queue depth = %v after the request left, want 0", n)
+	}
+	ft := s.traces.Traces()[0]
+	aw := ft.Find("admission_wait")
+	if aw == nil || ft.Find("execute") != nil {
+		t.Fatalf("abandoned trace spans = %v, want admission_wait and no execute", spanNames(ft))
+	}
+	if v, _ := aw.Attr("outcome"); v != "abandoned" {
+		t.Errorf("admission_wait outcome = %v, want abandoned", v)
+	}
+
+	// A client that goes away while queued is 503, not a timeout.
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/query?x=50&y=50&k=5", nil).WithContext(ctx))
+	if rec.Code != 503 {
+		t.Errorf("canceled while queued: status %d, want 503: %s", rec.Code, rec.Body.String())
+	}
+	if n := s.queued.Load(); n != 0 {
+		t.Errorf("queued = %d after both requests left, want 0", n)
 	}
 }
 
@@ -282,29 +358,6 @@ func TestServeBadRequests(t *testing.T) {
 	}
 	if code, _ := get(t, s, "/nosuch"); code != 404 {
 		t.Errorf("unknown path: status %d, want 404", code)
-	}
-}
-
-// TestServeLegacyRedirects pins the deprecation path: the unversioned
-// routes answer 308 Permanent Redirect to their /v1 successors, preserving
-// the query string (and, because 308 forbids a method change, POST bodies).
-func TestServeLegacyRedirects(t *testing.T) {
-	s, _ := newTestServer(t)
-	for _, tc := range []struct {
-		method, path, want string
-	}{
-		{"GET", "/query?x=50&y=50&k=5", "/v1/query?x=50&y=50&k=5"},
-		{"POST", "/ingest", "/v1/ingest"},
-		{"GET", "/debug/traces", "/v1/traces"},
-	} {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader("{}")))
-		if rec.Code != 308 {
-			t.Errorf("%s %s: status %d, want 308", tc.method, tc.path, rec.Code)
-		}
-		if loc := rec.Header().Get("Location"); loc != tc.want {
-			t.Errorf("%s %s: Location %q, want %q", tc.method, tc.path, loc, tc.want)
-		}
 	}
 }
 

@@ -2,13 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"tartree/internal/core"
 	"tartree/internal/lbsn"
@@ -23,6 +26,7 @@ import (
 type shardedCluster struct {
 	coord  *server
 	single *server
+	shards []*server
 	urls   []string
 	m      *shard.Map
 	d      *lbsn.Dataset
@@ -66,6 +70,7 @@ func newShardedCluster(t *testing.T, n int) *shardedCluster {
 		sh.finishStartup(tr, nil, d.Spec.Start, d.Spec.End)
 		srv := httptest.NewServer(sh)
 		t.Cleanup(srv.Close)
+		c.shards = append(c.shards, sh)
 		c.shardServers[i] = srv
 		c.urls[i] = srv.URL
 	}
@@ -361,5 +366,70 @@ func TestServeErrorEnvelope(t *testing.T) {
 				t.Errorf("message %q does not mention %q", out.Error.Message, c.contains)
 			}
 		})
+	}
+}
+
+// TestServeShardedTraceID checks that one trace ID names a sharded query in
+// every process it touched: the coordinator propagates its request span to
+// the shards, each shard's ring holds /v1/shard/* traces under that ID
+// (served by /v1/traces?id=), and the coordinator's own ring — empty in
+// every view while the ring hung off the tree a coordinator does not have —
+// holds the query among its recent and slowest traces.
+func TestServeShardedTraceID(t *testing.T) {
+	c := newShardedCluster(t, 3)
+	rec := httptest.NewRecorder()
+	c.coord.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/query?x=50&y=50&k=5&alpha=0.3&days=128", nil))
+	if rec.Code != 200 {
+		t.Fatalf("coordinator query: status %d: %s", rec.Code, rec.Body.String())
+	}
+	sc, err := obs.ParseTraceparent(rec.Header().Get("traceparent"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	recent, slowest := c.coord.traces.Traces(), c.coord.traces.Slowest()
+	if len(recent) != 1 || len(slowest) != 1 || recent[0].TraceID != sc.TraceID || slowest[0] != recent[0] {
+		t.Fatalf("coordinator ring: recent %d, slowest %d traces, want the query in both", len(recent), len(slowest))
+	}
+	if q, ok := recent[0].Find("execute").Attr(obs.AttrQuery); !ok {
+		t.Errorf("coordinator's execute span carries no query: %+v", recent[0].Find("execute").Attrs)
+	} else if !strings.Contains(fmt.Sprint(q), "k=5") {
+		t.Errorf("coordinator's query attribute = %v", q)
+	}
+
+	for i, sh := range c.shards {
+		// A shard finishes its request trace after it has written the
+		// response the coordinator was waiting for, so give the last one a
+		// moment to land.
+		var mine []*obs.FinishedTrace
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			mine = mine[:0]
+			for _, ft := range sh.traces.Traces() {
+				if ft.TraceID == sc.TraceID {
+					mine = append(mine, ft)
+				}
+			}
+			if len(mine) >= 2 { // the gmax exchange and at least one round
+				break
+			}
+		}
+		if len(mine) < 2 {
+			t.Fatalf("shard %d holds %d traces under the coordinator's ID %s, want >= 2", i, len(mine), sc.TraceID)
+		}
+		for _, ft := range mine {
+			if !strings.Contains(ft.Root().Name, " /v1/shard/") {
+				t.Errorf("shard %d: trace %q under the coordinator's ID is not a shard route", i, ft.Root().Name)
+			}
+		}
+		resp, err := http.Get(c.urls[i] + "/v1/traces?id=" + sc.TraceID.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var one obs.FinishedTrace
+		err = json.NewDecoder(resp.Body).Decode(&one)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || err != nil || one.TraceID != sc.TraceID {
+			t.Errorf("shard %d ?id= lookup: status %d, err %v, trace %s", i, resp.StatusCode, err, one.TraceID)
+		}
 	}
 }

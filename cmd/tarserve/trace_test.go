@@ -67,7 +67,7 @@ func TestQueryTraceSpansReconcile(t *testing.T) {
 		t.Fatalf("response joined trace %s, want client trace %s", sc.TraceID, want.TraceID)
 	}
 
-	ft := s.spans.Find(sc.TraceID)
+	ft := s.traces.Find(sc.TraceID)
 	if ft == nil {
 		t.Fatal("request trace not in span buffer")
 	}
@@ -194,7 +194,7 @@ func TestIngestTraceEndToEnd(t *testing.T) {
 		members[id] = true
 	}
 	for _, id := range traceIDs {
-		ft := s.spans.Find(id)
+		ft := s.traces.Find(id)
 		if ft == nil {
 			t.Fatalf("ingest trace %s not captured", id)
 		}
@@ -205,7 +205,7 @@ func TestIngestTraceEndToEnd(t *testing.T) {
 		}
 	}
 	best := 0
-	for _, ft := range s.spans.Traces() {
+	for _, ft := range s.traces.Traces() {
 		if ft.Root().Name != "wal_commit_batch" {
 			continue
 		}

@@ -128,13 +128,6 @@ type Options struct {
 	// attaching one factory to two instrumented trees double-counts its
 	// page traffic.
 	Metrics *obs.Registry
-	// Traces, when set, records every finished query (its latency,
-	// result count and attributed I/O breakdown, plus timed spans when the
-	// query ran through QueryTraced with a trace) into the ring, which
-	// keeps the most recent and slowest records. Nil disables capture.
-	// Independent of Metrics; cmd/tarserve serves the ring at
-	// /debug/traces.
-	Traces *obs.TraceRing
 	// Cache, when set, memoizes TIA aggregate probes and whole ranked
 	// result sets across queries. The tree bumps the cache's version stamp
 	// on every mutation that can change a query answer (check-in ingest,
@@ -273,8 +266,7 @@ type Tree struct {
 	// shared aggregate handles observe new flushes, structure is untouched).
 	frozen *rstar.FlatTree
 
-	instr  *instruments   // nil unless Options.Metrics is set
-	traces *obs.TraceRing // nil unless Options.Traces is set
+	instr *instruments // nil unless Options.Metrics is set
 
 	// version counts answer-changing mutations (see Version). Bumped in
 	// invalidateCache, read under whatever lock guards the tree.
@@ -310,7 +302,6 @@ func NewTree(opts Options) (*Tree, error) {
 			registerCacheMetrics(opts.Metrics, opts.Cache)
 		}
 	}
-	t.traces = opts.Traces
 	disk, err := opts.TIA.New()
 	if err != nil {
 		return nil, err

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -23,13 +25,11 @@ var ErrCanceled = errors.New("core: query canceled")
 // QueryOpts tunes one QueryCtx call. The zero value (or a nil pointer) is
 // the default behavior: cache enabled (when the tree has one), no trace.
 type QueryOpts struct {
-	// Trace, when non-nil, records timed spans of the search (gmax read,
-	// queue pops, node expansions, TIA probes) into it.
-	Trace *obs.Trace
 	// Span, when non-nil, is the caller's request span: the query stages
 	// (cache probe, best-first search, cache store) are recorded as its
-	// children in the structured span tree. Orthogonal to Trace, which
-	// aggregates per-operation timings rather than building a tree.
+	// children and AnnotateSpan describes the query on it. With aggregates
+	// on (obs.Span.EnableAggregates) the search also times its gmax read,
+	// queue pops, node expansions and TIA probes into one row each.
 	Span *obs.Span
 	// NoCache bypasses the tree's shared epoch-versioned cache for this
 	// query: no result-cache lookup, no aggregate-cache lookups, no stores.
@@ -41,9 +41,9 @@ type QueryOpts struct {
 	// the best-first pop log, heap high-water mark, per-level node accesses,
 	// probe attribution, f(pk) convergence and the leftover frontier.
 	// QueryCtx finishes the recorder on every path — including errors and
-	// cancellation, where it carries the partial counts — and folds its
-	// compact summary into the trace-ring record. A nil recorder costs one
-	// pointer test per instrumented site and allocates nothing.
+	// cancellation, where it carries the partial counts — and attaches its
+	// compact summary to Span. A nil recorder costs one pointer test per
+	// instrumented site and allocates nothing.
 	Explain *Explain
 }
 
@@ -63,22 +63,21 @@ type resultKey struct {
 const resultBytes = 72
 
 // QueryCtx answers a kNNTA query with best-first search: the one entry
-// point behind Query and QueryTraced. The context is polled on every
+// point behind Query. The context is polled on every
 // best-first pop; once canceled or past its deadline the search stops
 // promptly and the error wraps ErrCanceled, with the stats holding valid
 // partial counts. Validation failures wrap ErrInvalid. On a tree with a
 // cache (Options.Cache) the whole ranked result is served from — and
 // stored into — the cache unless opts.NoCache is set; a result-cache hit
 // sets stats.ResultCacheHit and does no tree traversal at all. On an
-// instrumented tree (Options.Metrics) the query feeds the registry; with a
-// trace ring (Options.Traces) it is recorded there too.
+// instrumented tree (Options.Metrics) the query feeds the registry.
 func (t *Tree) QueryCtx(ctx context.Context, q Query, opts *QueryOpts) ([]Result, QueryStats, error) {
 	var o QueryOpts
 	if opts != nil {
 		o = *opts
 	}
 	var begin time.Time
-	if t.instr != nil || t.traces != nil {
+	if t.instr != nil {
 		begin = time.Now()
 	}
 	res, stats, err := t.runQueryCtx(ctx, q, &o)
@@ -86,22 +85,41 @@ func (t *Tree) QueryCtx(ctx context.Context, q Query, opts *QueryOpts) ([]Result
 	if t.instr != nil {
 		t.instr.record(stats, len(res), time.Since(begin), err)
 	}
-	if t.traces != nil {
-		rec := obs.TraceRecord{
-			Query:   describeQuery(q),
-			Start:   begin,
-			Elapsed: time.Since(begin),
-			Results: len(res),
-			Spans:   o.Trace.Spans(),
-			IO:      IOLines(&stats.IO),
-			Explain: o.Explain.Summary(),
-		}
-		if err != nil {
-			rec.Err = err.Error()
-		}
-		t.traces.Record(rec)
-	}
+	AnnotateSpan(o.Span, q, len(res), &stats, err, o.Explain)
 	return res, stats, err
+}
+
+// queryAttr is a query as a span attribute: kept as the value it is, and
+// rendered as "knnta(x=…, …)" only when somebody reads the trace.
+type queryAttr Query
+
+func (q queryAttr) String() string {
+	return fmt.Sprintf("knnta(x=%g, y=%g, k=%d, a0=%g, iq=[%d,%d))",
+		q.X, q.Y, q.K, q.Alpha0, q.Iq.Start, q.Iq.End)
+}
+
+func (q queryAttr) MarshalJSON() ([]byte, error) { return json.Marshal(q.String()) }
+
+// AnnotateSpan describes a finished query on the span its Querier was given
+// (the tree and the shard coordinator both call it), which also makes the
+// trace a query trace for the ring's slowest view and slow-query log. The
+// attributes are typed values: nothing is formatted on the query path.
+func AnnotateSpan(sp *obs.Span, q Query, results int, stats *QueryStats, err error, ex *Explain) {
+	if sp == nil {
+		return
+	}
+	attrs := append(make([]obs.Attr, 0, 6),
+		obs.Attr{Key: obs.AttrQuery, Value: queryAttr(q)},
+		obs.Attr{Key: obs.AttrResults, Value: results},
+		obs.Attr{Key: "node_accesses", Value: stats.NodeAccesses()},
+		obs.Attr{Key: "io", Value: IOLines(&stats.IO)})
+	if err != nil {
+		attrs = append(attrs, obs.Attr{Key: obs.AttrError, Value: err.Error()})
+	}
+	if ex != nil {
+		attrs = append(attrs, obs.Attr{Key: "explain", Value: ex.Summary()})
+	}
+	sp.SetAttrs(attrs...)
 }
 
 func (t *Tree) runQueryCtx(ctx context.Context, q Query, o *QueryOpts) ([]Result, QueryStats, error) {
@@ -142,12 +160,8 @@ func (t *Tree) runQueryCtx(ctx context.Context, q Query, o *QueryOpts) ([]Result
 		stats.CacheMisses++
 	}
 	ss := o.Span.StartChild("search")
-	res, err := t.searchTopKCtx(ctx, q, o, &stats)
-	if ss != nil {
-		ss.SetAttr("results", len(res))
-		ss.SetAttr("node_accesses", stats.NodeAccesses())
-		ss.End()
-	}
+	res, err := t.searchTopKCtx(ctx, q, ss.Aggregating(), o, &stats)
+	ss.End()
 	if err != nil {
 		return res, stats, err
 	}
@@ -159,10 +173,9 @@ func (t *Tree) runQueryCtx(ctx context.Context, q Query, o *QueryOpts) ([]Result
 	return res, stats, nil
 }
 
-func (t *Tree) searchTopKCtx(ctx context.Context, q Query, o *QueryOpts, stats *QueryStats) ([]Result, error) {
-	s, err := t.NewSearchWith(q, SearchOptions{
+func (t *Tree) searchTopKCtx(ctx context.Context, q Query, agg *obs.Span, o *QueryOpts, stats *QueryStats) ([]Result, error) {
+	s, err := t.newSearch(q, agg, SearchOptions{
 		Stats:              stats,
-		Trace:              o.Trace,
 		NoCache:            o.NoCache,
 		SkipAccessCounting: o.SkipAccessCounting,
 		Explain:            o.Explain,

@@ -328,8 +328,8 @@ func (e *Explain) Finish(results []Result, stats *QueryStats, err error) {
 	}
 }
 
-// Summary condenses the explain into the compact neutral form slow-query
-// TraceRing records carry. Nil on a nil recorder.
+// Summary condenses the explain into the compact neutral form QueryCtx
+// attaches to the query's span. Nil on a nil recorder.
 func (e *Explain) Summary() *obs.ExplainSummary {
 	if e == nil {
 		return nil

@@ -116,7 +116,7 @@ type Scorer struct {
 	// after the caller's memo and before the TIA backend. Nil when the
 	// tree has no cache or the search opted out.
 	shared *aggcache.Cache
-	trace  *obs.Trace // nil when tracing is off
+	agg    *obs.Span // the query's span when its aggregates are on, else nil
 	// explain, when non-nil, receives the scorer's probe attribution (TIA
 	// reads, cache hits/misses) for EXPLAIN/ANALYZE. Nil costs one pointer
 	// test per probe.
@@ -215,7 +215,7 @@ func (t *Tree) NewScorer(q Query, stats *QueryStats, cache AggCache) (*Scorer, e
 	return t.newScorer(q, stats, cache, nil, t.opts.Cache, nil)
 }
 
-func (t *Tree) newScorer(q Query, stats *QueryStats, cache AggCache, tr *obs.Trace, shared *aggcache.Cache, ex *Explain) (*Scorer, error) {
+func (t *Tree) newScorer(q Query, stats *QueryStats, cache AggCache, agg *obs.Span, shared *aggcache.Cache, ex *Explain) (*Scorer, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -226,7 +226,7 @@ func (t *Tree) newScorer(q Query, stats *QueryStats, cache AggCache, tr *obs.Tra
 		stats:   stats,
 		cache:   cache,
 		shared:  shared,
-		trace:   tr,
+		agg:     agg,
 		explain: ex,
 	}
 	gmax, err := sc.maxAggregate()
@@ -247,8 +247,8 @@ func (sc *Scorer) maxAggregate() (int64, error) {
 	if v, ok := sc.recall(g); ok {
 		return v, nil
 	}
-	if sc.trace != nil {
-		defer sc.trace.StartSpan("gmax")()
+	if sc.agg != nil {
+		defer sc.agg.Timed("gmax")()
 	}
 	defer sc.fold()
 	before := sc.acct.Stats
@@ -281,7 +281,7 @@ func (sc *Scorer) aggregate(e rstar.Entry) (int64, error) {
 		return v, nil
 	}
 	var begin time.Time
-	if sc.trace != nil {
+	if sc.agg != nil {
 		begin = time.Now()
 	}
 	before := sc.acct.Stats
@@ -289,8 +289,8 @@ func (sc *Scorer) aggregate(e rstar.Entry) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if sc.trace != nil {
-		sc.trace.Observe("tia_probe", time.Since(begin))
+	if sc.agg != nil {
+		sc.agg.Observe("tia_probe", time.Since(begin))
 	}
 	if sc.stats != nil {
 		delta := sc.acct.Stats.Sub(before)
@@ -400,7 +400,7 @@ type Search struct {
 	// grown in place, so the *Elem the queue, Peek and Pop give out stay
 	// valid for the life of the search.
 	slab          []Elem
-	trace         *obs.Trace
+	agg           *obs.Span       // as Scorer.agg
 	explain       *Explain        // nil when EXPLAIN is off
 	ctx           context.Context // nil = never canceled
 	CountAccesses bool
@@ -418,10 +418,6 @@ type SearchOptions struct {
 	// the root read; batch processors that share node accesses across
 	// queries account for them externally.
 	SkipAccessCounting bool
-	// Trace, when non-nil, records timed spans of the search: the gmax
-	// normalizer read, queue pops, node expansions and TIA probes. A nil
-	// trace costs one pointer test per instrumented site.
-	Trace *obs.Trace
 	// NoCache bypasses the tree's shared epoch-versioned cache
 	// (Options.Cache) for this search: no lookups, no stores.
 	NoCache bool
@@ -448,6 +444,12 @@ func (t *Tree) NewSearch(q Query, stats *QueryStats, cache AggCache) (*Search, e
 
 // NewSearchWith starts a best-first search with explicit options.
 func (t *Tree) NewSearchWith(q Query, o SearchOptions) (*Search, error) {
+	return t.newSearch(q, nil, o)
+}
+
+// newSearch is NewSearchWith under QueryCtx: a non-nil agg is a span with
+// aggregates on, and the search times its hot sites into it.
+func (t *Tree) newSearch(q Query, agg *obs.Span, o SearchOptions) (*Search, error) {
 	shared := t.opts.Cache
 	if o.NoCache {
 		shared = nil
@@ -457,16 +459,16 @@ func (t *Tree) NewSearchWith(q Query, o SearchOptions) (*Search, error) {
 	if o.Gmax != nil {
 		sc, err = t.newScorerWithGmax(q, *o.Gmax, o.Stats, o.Cache, shared)
 		if sc != nil {
-			sc.trace = o.Trace
+			sc.agg = agg
 			sc.explain = o.Explain
 		}
 	} else {
-		sc, err = t.newScorer(q, o.Stats, o.Cache, o.Trace, shared, o.Explain)
+		sc, err = t.newScorer(q, o.Stats, o.Cache, agg, shared, o.Explain)
 	}
 	if err != nil {
 		return nil, err
 	}
-	s := &Search{sc: sc, stats: o.Stats, trace: o.Trace, explain: o.Explain, ctx: o.Ctx, CountAccesses: !o.SkipAccessCounting}
+	s := &Search{sc: sc, stats: o.Stats, agg: agg, explain: o.Explain, ctx: o.Ctx, CountAccesses: !o.SkipAccessCounting}
 	if o.AllowFrozen {
 		s.ft = t.frozen
 	}
@@ -605,8 +607,8 @@ func (s *Search) Pop() *Elem {
 	if len(s.queue) == 0 {
 		return nil
 	}
-	if s.trace != nil {
-		defer s.trace.StartSpan("queue_pop")()
+	if s.agg != nil {
+		defer s.agg.Timed("queue_pop")()
 	}
 	el := heap.Pop(&s.queue).(*Elem)
 	s.explain.recordPop(el, len(s.queue))
@@ -614,7 +616,7 @@ func (s *Search) Pop() *Elem {
 }
 
 // Expand pushes the children of an internal element, counting one node
-// access (when CountAccesses is set). The traced "expand" span covers the
+// access (when CountAccesses is set). The "expand" aggregate covers the
 // R-tree descent including the scoring of the child entries, so the nested
 // "tia_probe" time is a subset of it. On a frozen search the element's
 // child node is resolved through the flat slabs instead of a pointer.
@@ -633,8 +635,8 @@ func (s *Search) expand(el *Elem) error {
 	if n == nil {
 		return nil
 	}
-	if s.trace != nil {
-		defer s.trace.StartSpan("expand")()
+	if s.agg != nil {
+		defer s.agg.Timed("expand")()
 	}
 	s.countNodeAccess(n.Level)
 	for _, e := range n.Entries {
@@ -652,8 +654,8 @@ func (s *Search) expandFlat(el *Elem) error {
 	if el.childLevel < 0 {
 		return nil
 	}
-	if s.trace != nil {
-		defer s.trace.StartSpan("expand")()
+	if s.agg != nil {
+		defer s.agg.Timed("expand")()
 	}
 	n := s.ft.Nodes[s.ft.Children[el.flat]]
 	s.countNodeAccess(int(n.Level))
@@ -703,24 +705,6 @@ func (s *Search) Result(el *Elem) Result {
 // should call QueryCtx.
 func (t *Tree) Query(q Query) ([]Result, QueryStats, error) {
 	return t.QueryCtx(context.Background(), q, nil)
-}
-
-// QueryTraced is Query with an optional per-query trace: when tr is
-// non-nil, the search records timed spans (gmax read, queue pops, node
-// expansions, TIA probes) into it. A nil trace is free. On a tree with a
-// trace ring (Options.Traces) every query — traced or not — is recorded
-// into the ring with its I/O breakdown.
-//
-// Deprecated: QueryTraced is QueryCtx(context.Background(), q,
-// &QueryOpts{Trace: tr}); new code should call QueryCtx.
-func (t *Tree) QueryTraced(q Query, tr *obs.Trace) ([]Result, QueryStats, error) {
-	return t.QueryCtx(context.Background(), q, &QueryOpts{Trace: tr})
-}
-
-// describeQuery renders a query compactly for trace records and logs.
-func describeQuery(q Query) string {
-	return fmt.Sprintf("knnta(x=%g, y=%g, k=%d, a0=%g, iq=[%d,%d))",
-		q.X, q.Y, q.K, q.Alpha0, q.Iq.Start, q.Iq.End)
 }
 
 // IOLines converts a breakdown into the neutral rows obs stores (obs is

@@ -121,22 +121,22 @@ func sortEpochPOIs(se *snapshotEpoch) {
 // for spatial groupings; on the v3 path the frozen layout loads directly
 // from the on-disk sections.
 func LoadSnapshot(r io.Reader, factory tia.Factory) (*Tree, error) {
-	return LoadSnapshotObserved(r, factory, nil, nil, nil)
+	return LoadSnapshotObserved(r, factory, nil, nil)
 }
 
 // LoadSnapshotObserved is LoadSnapshot with instrumentation and caching:
-// the rebuilt tree publishes metrics and trace records as if it had been
-// created with Options.Metrics/Options.Traces set, and attaches the shared
-// epoch-versioned cache (nil disables). The WAL recovery path uses it so a
-// restored server keeps its observability surface and cache.
-func LoadSnapshotObserved(r io.Reader, factory tia.Factory, metrics *obs.Registry, traces *obs.TraceRing, cache *aggcache.Cache) (*Tree, error) {
+// the rebuilt tree publishes metrics as if it had been created with
+// Options.Metrics set, and attaches the shared epoch-versioned cache (nil
+// disables). The WAL recovery path uses it so a restored server keeps its
+// observability surface and cache.
+func LoadSnapshotObserved(r io.Reader, factory tia.Factory, metrics *obs.Registry, cache *aggcache.Cache) (*Tree, error) {
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(len(snapshotV3Magic)); err == nil && bytes.Equal(magic, snapshotV3Magic[:]) {
 		b, err := io.ReadAll(br)
 		if err != nil {
 			return nil, fmt.Errorf("core: reading v3 snapshot: %w", err)
 		}
-		return loadSnapshotV3(b, factory, metrics, traces, cache)
+		return loadSnapshotV3(b, factory, metrics, cache)
 	}
 	var s snapshot
 	if err := gob.NewDecoder(br).Decode(&s); err != nil {
@@ -153,7 +153,6 @@ func LoadSnapshotObserved(r io.Reader, factory tia.Factory, metrics *obs.Registr
 		AggFunc:   s.AggFunc,
 		TIA:       factory,
 		Metrics:   metrics,
-		Traces:    traces,
 		Cache:     cache,
 	}
 	if s.Geometric {

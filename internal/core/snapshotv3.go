@@ -294,7 +294,7 @@ func (c *v3cursor) section(id string) (*v3cursor, error) {
 // NODE/ENTR sections, thaws it into the pointer tree, and installs it as
 // the frozen layout — no per-POI inserts, no bulk rebuild, for every
 // grouping including IND-agg.
-func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, traces *obs.TraceRing, cache *aggcache.Cache) (*Tree, error) {
+func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache *aggcache.Cache) (*Tree, error) {
 	if len(b) < v3HeaderBytes+4 || !bytes.Equal(b[:8], snapshotV3Magic[:]) {
 		return nil, fmt.Errorf("core: not a v3 snapshot")
 	}
@@ -362,7 +362,6 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, traces
 		AggFunc:   tia.Func(aggFunc),
 		TIA:       factory,
 		Metrics:   metrics,
-		Traces:    traces,
 		Cache:     cache,
 	}
 	if flags&v3FlagGeom != 0 {

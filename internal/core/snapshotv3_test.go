@@ -223,7 +223,7 @@ func TestSnapshotV3RestoreExportsIndexGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	got, err := LoadSnapshotObserved(bytes.NewReader(buf.Bytes()), nil, reg, nil, nil)
+	got, err := LoadSnapshotObserved(bytes.NewReader(buf.Bytes()), nil, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

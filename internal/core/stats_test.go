@@ -194,26 +194,31 @@ func TestInstrumentedTreeMetrics(t *testing.T) {
 	}
 }
 
-// TestQueryTracedRecordsSpans checks that a traced query aggregates the
-// expected span names and that a nil trace changes nothing.
-func TestQueryTracedRecordsSpans(t *testing.T) {
+// TestQuerySpanAggregates checks that a query whose span has aggregates on
+// folds the expected names into one row each, and that tracing changes
+// nothing about the query.
+func TestQuerySpanAggregates(t *testing.T) {
 	tr := buildAccountingTree(t, TAR3D)
 	q := Query{X: 20, Y: 20, Iq: tia.Interval{Start: 0, End: 600}, K: 3, Alpha0: 0.5}
-	trace := obs.NewTrace()
-	resTraced, statsTraced, err := tr.QueryTraced(q, trace)
+	root := obs.StartTrace("test", obs.SpanContext{}, obs.NewTraceRing(1))
+	root.EnableAggregates()
+	resTraced, statsTraced, err := tr.QueryCtx(context.Background(), q, &QueryOpts{Span: root})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := make(map[string]obs.SpanStat)
-	for _, s := range trace.Spans() {
-		spans[s.Name] = s
+	rows := make(map[string]obs.SpanStat)
+	for _, s := range root.Aggregates() {
+		rows[s.Name] = s
 	}
 	for _, name := range []string{"gmax", "queue_pop", "expand", "tia_probe"} {
-		if spans[name].Count == 0 {
-			t.Errorf("span %q not recorded (have %v)", name, trace.Spans())
+		if rows[name].Count == 0 {
+			t.Errorf("aggregate %q not recorded (have %v)", name, root.Aggregates())
 		}
 	}
-	if c := spans["tia_probe"].Count; c != int64(statsTraced.Scored) {
+	if len(rows) != 4 {
+		t.Errorf("got %d aggregate rows, want the 4 names: %v", len(rows), root.Aggregates())
+	}
+	if c := rows["tia_probe"].Count; c != int64(statsTraced.Scored) {
 		t.Errorf("tia_probe count = %d, want Scored = %d", c, statsTraced.Scored)
 	}
 

@@ -323,8 +323,6 @@ type BuildOptions struct {
 	Keep func(p core.POI) bool
 	// Metrics instruments the built tree (see core.Options.Metrics).
 	Metrics *obs.Registry
-	// Traces captures finished queries (see core.Options.Traces).
-	Traces *obs.TraceRing
 	// Cache attaches a shared epoch-versioned aggregate/result cache (see
 	// core.Options.Cache). Nil disables caching.
 	Cache *aggcache.Cache
@@ -344,7 +342,6 @@ func (d *Dataset) Build(o BuildOptions) (*core.Tree, error) {
 		EpochStart:  d.Spec.Start,
 		EpochLength: o.EpochLength,
 		Metrics:     o.Metrics,
-		Traces:      o.Traces,
 		Cache:       o.Cache,
 	})
 	if err != nil {

@@ -110,7 +110,6 @@ func (d *Dataset) BuildEmpty(o BuildOptions) (*core.Tree, error) {
 		EpochStart:  d.Spec.Start,
 		EpochLength: o.EpochLength,
 		Metrics:     o.Metrics,
-		Traces:      o.Traces,
 		Cache:       o.Cache,
 	})
 	if err != nil {

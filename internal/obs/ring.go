@@ -1,13 +1,14 @@
 package obs
 
 import (
+	"fmt"
 	"log/slog"
 	"sort"
 	"sync"
 	"time"
 )
 
-// IOLine is one attributed I/O row of a query trace: the page traffic one
+// IOLine is one attributed I/O row of a query: the page traffic one
 // (component, level) pair caused. The component is a neutral string
 // (internal/obs depends on nothing), produced by core from the pagestore
 // breakdown.
@@ -19,8 +20,13 @@ type IOLine struct {
 	Evictions int64  `json:"evictions,omitempty"`
 }
 
+// String renders the row for WriteTree: "tia-btree/0 12h+3m".
+func (l IOLine) String() string {
+	return fmt.Sprintf("%s/%d %dh+%dm", l.Component, l.Level, l.Hits, l.Misses)
+}
+
 // ExplainSummary is the compact form of a query's EXPLAIN/ANALYZE carried
-// by slow-query trace records: the planner's estimates (when a planner
+// as an attribute of its query's span: the planner's estimates (when a planner
 // ran), the search actuals, and the signed relative node-access error.
 // Like IOLine it is a neutral struct — internal/obs depends on nothing, so
 // core condenses its full explain recorder into this shape.
@@ -46,51 +52,28 @@ type ExplainSummary struct {
 	Truncated bool `json:"truncated,omitempty"`
 }
 
-// TraceRecord is one finished query as kept by a TraceRing: identity,
-// timing, the aggregated spans (empty when the query ran untraced) and the
-// per-component I/O breakdown.
-type TraceRecord struct {
-	// ID is assigned by the ring: a process-wide sequence number, so two
-	// records can be correlated across the recent and slowest views.
-	ID      uint64        `json:"id"`
-	Query   string        `json:"query"`
-	Start   time.Time     `json:"start"`
-	Elapsed time.Duration `json:"elapsed_ns"`
-	Results int           `json:"results"`
-	Err     string        `json:"error,omitempty"`
-	Spans   []SpanStat    `json:"spans,omitempty"`
-	IO      []IOLine      `json:"io,omitempty"`
-	// Explain is the compact explain summary when the query ran with an
-	// explain recorder attached; nil otherwise.
-	Explain *ExplainSummary `json:"explain,omitempty"`
-}
-
-// TraceRing keeps the N most recent and the N slowest query records, and
-// optionally logs queries slower than a threshold. Like *Trace, a nil
-// *TraceRing is the disabled state: every method no-ops, so query paths
-// pay one pointer test when capture is off.
-//
-// A TraceRing is safe for concurrent use.
+// TraceRing is the in-memory TraceSink: it keeps the N most recent finished
+// traces of any kind (requests, WAL commit batches, epoch flushes,
+// checkpoints) and the N slowest query traces, answers Find by trace ID, and
+// owns the slow-query log. Only query traces — those with a span carrying
+// AttrQuery — compete for the slowest view and the log, so one long
+// checkpoint cannot evict the slow queries. A nil *TraceRing discards
+// traces; it is safe for concurrent use.
 type TraceRing struct {
-	mu   sync.Mutex
-	buf  []TraceRecord // circular: buf[(pos+i) % cap] oldest → newest
-	pos  int           // next write index
-	n    int           // records stored (≤ cap)
-	next uint64        // next ID
-
-	slowest []TraceRecord // sorted by Elapsed descending, ≤ cap entries
+	mu       sync.Mutex
+	buf      []*FinishedTrace // circular; pos is the next write index
+	pos, n   int              // n traces stored (≤ cap)
+	finished uint64           // traces ever delivered
+	slowest  []*FinishedTrace // by root duration descending, ≤ cap entries
 
 	slowLog       *slog.Logger
 	slowThreshold time.Duration
 }
 
 // NewTraceRing creates a ring keeping the n most recent and n slowest
-// records. n < 1 is treated as 1.
+// traces. n < 1 is treated as 1.
 func NewTraceRing(n int) *TraceRing {
-	if n < 1 {
-		n = 1
-	}
-	return &TraceRing{buf: make([]TraceRecord, n)}
+	return &TraceRing{buf: make([]*FinishedTrace, max(n, 1))}
 }
 
 // Cap returns the ring capacity (0 on a nil ring).
@@ -101,93 +84,108 @@ func (r *TraceRing) Cap() int {
 	return len(r.buf)
 }
 
-// Len returns the number of records currently kept in the recent view.
-func (r *TraceRing) Len() int {
+// Len returns the number of traces in the recent view.
+func (r *TraceRing) Len() int { return len(r.Traces()) }
+
+// Finished returns the number of traces ever delivered.
+func (r *TraceRing) Finished() uint64 {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return r.finished
 }
 
-// SetSlowLog makes the ring log every record with Elapsed >= threshold to
-// l at warn level. A nil logger or on a nil ring disables slow logging.
+// SetSlowLog makes the ring log every query trace whose root span lasted
+// threshold or longer to l at warn level. A nil logger disables the log.
 func (r *TraceRing) SetSlowLog(l *slog.Logger, threshold time.Duration) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.slowLog = l
-	r.slowThreshold = threshold
+	r.slowLog, r.slowThreshold = l, threshold
 	r.mu.Unlock()
 }
 
-// Record stores rec, assigning and returning its ID. The oldest record
-// falls out of the recent view once the ring is full; the slowest view
-// keeps the top records by Elapsed regardless of age.
-func (r *TraceRing) Record(rec TraceRecord) uint64 {
-	if r == nil {
-		return 0
+// TraceFinished implements TraceSink. The oldest trace falls out of the
+// recent view once the ring is full; the slowest view keeps the top query
+// traces by root duration regardless of age.
+func (r *TraceRing) TraceFinished(t *FinishedTrace) {
+	if r == nil || len(t.Spans) == 0 {
+		return
 	}
+	var query *SpanRecord
+	for i := range t.Spans {
+		if _, ok := t.Spans[i].Attr(AttrQuery); ok {
+			query = &t.Spans[i]
+			break
+		}
+	}
+	elapsed := t.Spans[0].Duration()
 	r.mu.Lock()
-	r.next++
-	rec.ID = r.next
-	r.buf[r.pos] = rec
+	r.buf[r.pos] = t
 	r.pos = (r.pos + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	// Insert into the slowest view (descending Elapsed, stable for ties).
-	i := sort.Search(len(r.slowest), func(i int) bool {
-		return r.slowest[i].Elapsed < rec.Elapsed
-	})
-	if i < len(r.buf) {
-		r.slowest = append(r.slowest, TraceRecord{})
-		copy(r.slowest[i+1:], r.slowest[i:])
-		r.slowest[i] = rec
-		if len(r.slowest) > len(r.buf) {
-			r.slowest = r.slowest[:len(r.buf)]
+	r.n = min(r.n+1, len(r.buf))
+	r.finished++
+	if query != nil {
+		// Descending root duration, stable for ties.
+		i := sort.Search(len(r.slowest), func(i int) bool {
+			return r.slowest[i].Spans[0].Duration() < elapsed
+		})
+		if i < len(r.buf) {
+			if len(r.slowest) < len(r.buf) {
+				r.slowest = append(r.slowest, nil)
+			}
+			copy(r.slowest[i+1:], r.slowest[i:])
+			r.slowest[i] = t
 		}
 	}
 	log, threshold := r.slowLog, r.slowThreshold
 	r.mu.Unlock()
 
-	if log != nil && rec.Elapsed >= threshold {
-		attrs := []any{
-			slog.Uint64("id", rec.ID),
-			slog.String("query", rec.Query),
-			slog.Duration("elapsed", rec.Elapsed),
-			slog.Int("results", rec.Results),
-		}
-		if rec.Err != "" {
-			attrs = append(attrs, slog.String("error", rec.Err))
+	if query != nil && log != nil && elapsed >= threshold {
+		attrs := []any{slog.String("trace_id", t.TraceID.String()), slog.Duration("elapsed", elapsed)}
+		for _, key := range []string{AttrQuery, AttrResults, AttrError} {
+			if v, ok := query.Attr(key); ok {
+				attrs = append(attrs, slog.String(key, fmt.Sprint(v)))
+			}
 		}
 		log.Warn("slow query", attrs...)
 	}
-	return rec.ID
 }
 
-// Recent returns the kept records newest first.
-func (r *TraceRing) Recent() []TraceRecord {
+// Traces returns the recent view, newest first.
+func (r *TraceRing) Traces() []*FinishedTrace {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]TraceRecord, 0, r.n)
+	out := make([]*FinishedTrace, 0, r.n)
 	for i := 1; i <= r.n; i++ {
 		out = append(out, r.buf[(r.pos-i+len(r.buf))%len(r.buf)])
 	}
 	return out
 }
 
-// Slowest returns the slowest kept records, slowest first.
-func (r *TraceRing) Slowest() []TraceRecord {
+// Slowest returns the slowest kept query traces, slowest first.
+func (r *TraceRing) Slowest() []*FinishedTrace {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]TraceRecord(nil), r.slowest...)
+	return append([]*FinishedTrace(nil), r.slowest...)
+}
+
+// Find returns the newest kept trace with the given ID, recent view first,
+// or nil.
+func (r *TraceRing) Find(id TraceID) *FinishedTrace {
+	for _, t := range append(r.Traces(), r.Slowest()...) {
+		if t.TraceID == id {
+			return t
+		}
+	}
+	return nil
 }

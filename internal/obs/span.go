@@ -14,21 +14,21 @@ import (
 	"time"
 )
 
-// span.go is the time-domain half of the observability layer: where trace.go
-// aggregates thousands of identical hot-path events per query (tia_probe,
-// queue_pop), this file records the coarse pipeline stages of one request as
-// a proper span tree — start/end timestamps, parent edges, attributes and
-// links to other traces — so "where did this request's latency go?" has an
-// exact answer. The two compose: a request's span tree carries a handful of
-// stage spans, and the per-stage aggregate Trace rides along as attributes.
+// span.go is the one trace model of the repository. The coarse pipeline
+// stages of a request are spans of a tree — start/end timestamps, parent
+// edges, attributes and links to other traces — so "where did this request's
+// latency go?" has an exact answer. The thousands of identical hot-path
+// events inside one stage (tia_probe, queue_pop) are not spans: a caller
+// that wants them switches aggregates on (EnableAggregates) and they fold
+// into one count/total/max row per name on the trace.
 //
 // The design follows W3C Trace Context for propagation (Traceparent /
 // ParseTraceparent) and exports finished traces in the Chrome trace_event
 // format (WriteChromeTrace), so a flamegraph is one chrome://tracing or
 // Perfetto load away. Everything is stdlib-only like the rest of the
-// package, and — like *Trace and *TraceRing — a nil *Span is the disabled
-// state: every method no-ops on a nil receiver, so instrumented paths pay a
-// pointer test when span tracing is off.
+// package, and a nil *Span is the disabled state: every method no-ops on a
+// nil receiver, so instrumented paths pay a pointer test when tracing is
+// off.
 
 // TraceID identifies one trace: a request's whole span tree. The zero value
 // is invalid, as in W3C Trace Context.
@@ -135,11 +135,33 @@ func ParseTraceparent(s string) (SpanContext, error) {
 	return sc, nil
 }
 
-// Attr is one key/value annotation on a span. Values should be simple
-// (string, int, float, bool) so records marshal cleanly to JSON.
+// Attr is one key/value annotation on a span. Values are kept as given and
+// rendered only when a trace is read (JSON, or %v in WriteTree and the slow
+// log), so a typed value costs its request no formatting.
 type Attr struct {
 	Key   string `json:"key"`
 	Value any    `json:"value"`
+}
+
+// Attribute keys a TraceRing reads: a span carrying AttrQuery makes its
+// trace a query trace, and the slow-query log quotes all three.
+const (
+	AttrQuery   = "query"
+	AttrResults = "results"
+	AttrError   = "error"
+)
+
+// SpanStats aggregates the occurrences of one name (Span.Observe).
+type SpanStats struct {
+	Count int64         `json:"count"`
+	Total time.Duration `json:"total_ns"`
+	Max   time.Duration `json:"max_ns"`
+}
+
+// SpanStat is one named aggregate row.
+type SpanStat struct {
+	Name string `json:"name"`
+	SpanStats
 }
 
 // SpanRecord is the immutable snapshot of one finished span.
@@ -161,6 +183,9 @@ func (r *SpanRecord) Duration() time.Duration { return r.End.Sub(r.Start) }
 type FinishedTrace struct {
 	TraceID TraceID      `json:"trace_id"`
 	Spans   []SpanRecord `json:"spans"`
+	// Aggregates are the rows observed while aggregates were on, in
+	// first-observed order.
+	Aggregates []SpanStat `json:"aggregates,omitempty"`
 }
 
 // Root returns the root span record (nil on an empty trace).
@@ -182,6 +207,16 @@ func (t *FinishedTrace) Find(name string) *SpanRecord {
 		}
 	}
 	return nil
+}
+
+// Attr returns the first attribute named key, and whether there is one.
+func (r *SpanRecord) Attr(key string) (any, bool) {
+	for _, a := range r.Attrs {
+		if a.Key == key {
+			return a.Value, true
+		}
+	}
+	return nil, false
 }
 
 // Children returns the spans whose parent is id, in start order.
@@ -232,6 +267,7 @@ type TraceSink interface {
 type spanTrace struct {
 	id   TraceID
 	sink TraceSink
+	agg  *spanAggs // nil: aggregates off
 
 	mu    sync.Mutex
 	spans []*Span
@@ -253,6 +289,13 @@ type Span struct {
 	end   time.Time // zero while the span is open
 	attrs []Attr
 	links []SpanContext
+}
+
+// spanAggs is the aggregate table of a trace: a handful of names observed
+// thousands of times, so rows are found by a linear scan.
+type spanAggs struct {
+	mu   sync.Mutex
+	rows []SpanStat
 }
 
 // ID generation: a process-seeded splitmix64 stream. Not cryptographically
@@ -341,22 +384,19 @@ func (s *Span) Context() SpanContext {
 	return SpanContext{TraceID: s.t.id, SpanID: s.id, Sampled: true}
 }
 
-// Name returns the span's name ("" on nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // SetAttr annotates the span. Later values for the same key are appended,
 // not replaced (attribute lists are short).
 func (s *Span) SetAttr(key string, value any) {
+	s.SetAttrs(Attr{Key: key, Value: value})
+}
+
+// SetAttrs is SetAttr for several annotations under one lock.
+func (s *Span) SetAttrs(attrs ...Attr) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+	s.attrs = append(s.attrs, attrs...)
 	s.mu.Unlock()
 }
 
@@ -372,15 +412,67 @@ func (s *Span) AddLink(sc SpanContext) {
 	s.mu.Unlock()
 }
 
-// AttachTrace folds an aggregate *Trace (the hot-path span statistics of
-// trace.go) into the span as attributes, one per aggregate span name.
-func (s *Span) AttachTrace(tr *Trace) {
-	if s == nil || tr == nil {
+// EnableAggregates switches per-name aggregates on for s's trace: Observe
+// and Timed on any of its spans fold into one count/total/max row per name.
+// Call it before the trace is shared. Off by default, so an ordinary request
+// never reads the clock per hot-path event.
+func (s *Span) EnableAggregates() {
+	if s != nil && s.t.agg == nil {
+		s.t.agg = &spanAggs{}
+	}
+}
+
+// Aggregating returns s when aggregates are on for it and nil otherwise:
+// hot paths keep the result and guard each timed site with one nil test.
+func (s *Span) Aggregating() *Span {
+	if s == nil || s.t.agg == nil {
+		return nil
+	}
+	return s
+}
+
+// Observe adds one occurrence of name lasting d to the aggregates; a no-op
+// while they are off.
+func (s *Span) Observe(name string, d time.Duration) {
+	if s.Aggregating() == nil {
 		return
 	}
-	for _, sp := range tr.Spans() {
-		s.SetAttr(sp.Name, fmt.Sprintf("%d× total %v max %v", sp.Count, sp.Total, sp.Max))
+	a := s.t.agg
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i := range a.rows {
+		if r := &a.rows[i]; r.Name == name {
+			r.Count++
+			r.Total += d
+			r.Max = max(r.Max, d)
+			return
+		}
 	}
+	a.rows = append(a.rows, SpanStat{Name: name, SpanStats: SpanStats{Count: 1, Total: d, Max: d}})
+}
+
+// noopEnd avoids allocating a closure per site while aggregates are off.
+var noopEnd = func() {}
+
+// Timed starts timing one occurrence of name and returns the function that
+// ends it: defer sp.Timed("expand")().
+func (s *Span) Timed(name string) func() {
+	if s.Aggregating() == nil {
+		return noopEnd
+	}
+	begin := time.Now()
+	return func() { s.Observe(name, time.Since(begin)) }
+}
+
+// Aggregates returns the rows observed so far, in first-observed order (nil
+// while aggregates are off).
+func (s *Span) Aggregates() []SpanStat {
+	if s.Aggregating() == nil {
+		return nil
+	}
+	s.t.agg.mu.Lock()
+	defer s.t.agg.mu.Unlock()
+	return append([]SpanStat(nil), s.t.agg.rows...)
 }
 
 // End closes the span. The first call wins; later calls (and End after
@@ -394,20 +486,6 @@ func (s *Span) End() {
 		s.end = time.Now()
 	}
 	s.mu.Unlock()
-}
-
-// Duration returns the span's elapsed time: End−Start once ended, time
-// since start while still open.
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.end.IsZero() {
-		return time.Since(s.start)
-	}
-	return s.end.Sub(s.start)
 }
 
 // Finish ends the span and, when s is the trace's root, snapshots the whole
@@ -429,7 +507,7 @@ func (s *Span) Finish() {
 	t.spans = nil
 	t.mu.Unlock()
 
-	ft := &FinishedTrace{TraceID: t.id, Spans: make([]SpanRecord, 0, len(spans))}
+	ft := &FinishedTrace{TraceID: t.id, Spans: make([]SpanRecord, 0, len(spans)), Aggregates: s.Aggregates()}
 	rootEnd := func() time.Time {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -481,120 +559,6 @@ func SpanFromContext(ctx context.Context) *Span {
 	return sp
 }
 
-// TraceBuffer is a TraceSink keeping the N most recent finished traces in a
-// ring, for the /v1/traces?format=chrome endpoint and tests. A nil
-// *TraceBuffer discards traces.
-type TraceBuffer struct {
-	mu       sync.Mutex
-	buf      []*FinishedTrace
-	pos, n   int
-	finished uint64
-}
-
-// NewTraceBuffer creates a buffer keeping the n most recent traces
-// (n < 1 is treated as 1).
-func NewTraceBuffer(n int) *TraceBuffer {
-	if n < 1 {
-		n = 1
-	}
-	return &TraceBuffer{buf: make([]*FinishedTrace, n)}
-}
-
-// TraceFinished implements TraceSink.
-func (b *TraceBuffer) TraceFinished(t *FinishedTrace) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.buf[b.pos] = t
-	b.pos = (b.pos + 1) % len(b.buf)
-	if b.n < len(b.buf) {
-		b.n++
-	}
-	b.finished++
-	b.mu.Unlock()
-}
-
-// Len returns the number of buffered traces.
-func (b *TraceBuffer) Len() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.n
-}
-
-// Finished returns the total number of traces ever delivered.
-func (b *TraceBuffer) Finished() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.finished
-}
-
-// Traces returns the buffered traces, oldest first.
-func (b *TraceBuffer) Traces() []*FinishedTrace {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]*FinishedTrace, 0, b.n)
-	for i := 0; i < b.n; i++ {
-		out = append(out, b.buf[(b.pos-b.n+i+len(b.buf))%len(b.buf)])
-	}
-	return out
-}
-
-// Find returns the buffered trace with the given ID, or nil.
-func (b *TraceBuffer) Find(id TraceID) *FinishedTrace {
-	for _, t := range b.Traces() {
-		if t.TraceID == id {
-			return t
-		}
-	}
-	return nil
-}
-
-// MultiTraceSink fans finished traces out to every non-nil sink; it returns
-// nil when no sinks remain, preserving "nil sink = tracing off".
-func MultiTraceSink(sinks ...TraceSink) TraceSink {
-	var live []TraceSink
-	for _, s := range sinks {
-		switch v := s.(type) {
-		case nil:
-		case *TraceBuffer:
-			if v != nil {
-				live = append(live, v)
-			}
-		case *FileTraceSink:
-			if v != nil {
-				live = append(live, v)
-			}
-		default:
-			live = append(live, s)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return multiSink(live)
-}
-
-type multiSink []TraceSink
-
-func (m multiSink) TraceFinished(t *FinishedTrace) {
-	for _, s := range m {
-		s.TraceFinished(t)
-	}
-}
-
 // chromeEvent is one Chrome trace_event record. Complete events ("ph":"X")
 // carry their duration inline, which is exactly a span.
 type chromeEvent struct {
@@ -644,6 +608,9 @@ func writeChromeSpans(w io.Writer, t *FinishedTrace, tid int) error {
 				links[j] = l.TraceID.String() + ":" + l.SpanID.String()
 			}
 			args["links"] = links
+		}
+		if i == 0 && len(t.Aggregates) > 0 {
+			args["aggregates"] = t.Aggregates
 		}
 		ev := chromeEvent{
 			Name: s.Name,
@@ -753,6 +720,10 @@ func (t *FinishedTrace) WriteTree(w io.Writer) {
 		})
 	}
 	fmt.Fprintf(w, "trace %s\n", t.TraceID)
+	for _, a := range t.Aggregates {
+		fmt.Fprintf(w, "· %-14s %6d× total %-10v max %v\n",
+			a.Name, a.Count, a.Total.Round(time.Microsecond), a.Max.Round(time.Microsecond))
+	}
 	var walk func(s SpanRecord, prefix string, last bool)
 	walk = func(s SpanRecord, prefix string, last bool) {
 		branch, childPrefix := "├─ ", prefix+"│  "

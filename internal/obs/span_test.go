@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +13,7 @@ import (
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
-	sink := NewTraceBuffer(4)
+	sink := NewTraceRing(4)
 	sp := StartTrace("root", SpanContext{}, sink)
 	sc := sp.Context()
 	if !sc.Valid() {
@@ -60,7 +62,7 @@ func TestParseTraceparentRejects(t *testing.T) {
 }
 
 func TestSpanTreeStructure(t *testing.T) {
-	sink := NewTraceBuffer(4)
+	sink := NewTraceRing(4)
 	root := StartTrace("request", SpanContext{}, sink)
 	a := root.StartChild("validate")
 	a.SetAttr("checkins", 3)
@@ -107,7 +109,7 @@ func TestSpanTreeStructure(t *testing.T) {
 
 func TestSpanJoinsRemoteParent(t *testing.T) {
 	remote := SpanContext{TraceID: newTraceID(), SpanID: newSpanID(), Sampled: true}
-	sink := NewTraceBuffer(1)
+	sink := NewTraceRing(1)
 	root := StartTrace("ingest", remote, sink)
 	if root.Context().TraceID != remote.TraceID {
 		t.Fatalf("trace id %v, want joined %v", root.Context().TraceID, remote.TraceID)
@@ -124,15 +126,18 @@ func TestNilSpanIsNoop(t *testing.T) {
 	sp.AddLink(SpanContext{})
 	sp.End()
 	sp.Finish()
-	sp.AttachTrace(NewTrace())
+	sp.SetAttrs(Attr{Key: "k", Value: 1})
+	sp.EnableAggregates()
+	sp.Observe("x", time.Second)
+	sp.Timed("y")()
+	if sp.Aggregating() != nil || sp.Aggregates() != nil {
+		t.Fatal("nil span aggregates")
+	}
 	if c := sp.StartChild("x"); c != nil {
 		t.Fatalf("nil span child: %v", c)
 	}
 	if sp.Context().Valid() {
 		t.Fatal("nil span context should be invalid")
-	}
-	if sp.Duration() != 0 {
-		t.Fatal("nil span duration should be 0")
 	}
 	// Nil sink disables the whole trace.
 	if st := StartTrace("x", SpanContext{}, nil); st != nil {
@@ -145,7 +150,7 @@ func TestNilSpanIsNoop(t *testing.T) {
 }
 
 func TestContextCarriesSpan(t *testing.T) {
-	sink := NewTraceBuffer(1)
+	sink := NewTraceRing(1)
 	sp := StartTrace("root", SpanContext{}, sink)
 	ctx := ContextWithSpan(context.Background(), sp)
 	if got := SpanFromContext(ctx); got != sp {
@@ -155,7 +160,7 @@ func TestContextCarriesSpan(t *testing.T) {
 }
 
 func TestFinishClosesOpenChildren(t *testing.T) {
-	sink := NewTraceBuffer(1)
+	sink := NewTraceRing(1)
 	root := StartTrace("root", SpanContext{}, sink)
 	root.StartChild("leaked") // never ended
 	root.Finish()
@@ -170,7 +175,7 @@ func TestFinishClosesOpenChildren(t *testing.T) {
 }
 
 func TestSelfTimesTelescope(t *testing.T) {
-	sink := NewTraceBuffer(1)
+	sink := NewTraceRing(1)
 	root := StartTrace("root", SpanContext{}, sink)
 	for i := 0; i < 3; i++ {
 		c := root.StartChild("stage")
@@ -193,8 +198,8 @@ func TestSelfTimesTelescope(t *testing.T) {
 	}
 }
 
-func TestTraceBufferRing(t *testing.T) {
-	sink := NewTraceBuffer(2)
+func TestTraceRingFinishedAndFind(t *testing.T) {
+	sink := NewTraceRing(2)
 	for i := 0; i < 3; i++ {
 		sp := StartTrace("t", SpanContext{}, sink)
 		sp.Finish()
@@ -205,7 +210,7 @@ func TestTraceBufferRing(t *testing.T) {
 	if sink.Finished() != 3 {
 		t.Fatalf("finished %d, want 3", sink.Finished())
 	}
-	// Oldest-first order: the two survivors are the 2nd and 3rd traces.
+	// The two survivors are the 2nd and 3rd traces.
 	traces := sink.Traces()
 	if len(traces) != 2 || traces[0].TraceID == traces[1].TraceID {
 		t.Fatalf("traces: %v", traces)
@@ -216,7 +221,7 @@ func TestTraceBufferRing(t *testing.T) {
 }
 
 func TestChromeExport(t *testing.T) {
-	sink := NewTraceBuffer(2)
+	sink := NewTraceRing(2)
 	root := StartTrace("query", SpanContext{}, sink)
 	c := root.StartChild("search")
 	c.AddLink(SpanContext{TraceID: newTraceID(), SpanID: newSpanID(), Sampled: true})
@@ -296,7 +301,7 @@ func TestSpanIDMarshalJSON(t *testing.T) {
 }
 
 func TestConcurrentSpans(t *testing.T) {
-	sink := NewTraceBuffer(1)
+	sink := NewTraceRing(1)
 	root := StartTrace("root", SpanContext{}, sink)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -316,7 +321,7 @@ func TestConcurrentSpans(t *testing.T) {
 }
 
 func TestWriteTree(t *testing.T) {
-	sink := NewTraceBuffer(1)
+	sink := NewTraceRing(1)
 	root := StartTrace("query", SpanContext{}, sink)
 	c := root.StartChild("search")
 	c.SetAttr("k", 10)
@@ -341,4 +346,333 @@ func TestIDsUnique(t *testing.T) {
 		}
 		seen[id] = true
 	}
+}
+
+// The aggregate half of the model: what the phase timers of the retired
+// obs.Trace pinned, now as cases of a span with aggregates on.
+
+func TestAggregatesOffByDefault(t *testing.T) {
+	root := StartTrace("root", SpanContext{}, NewTraceRing(1))
+	root.Observe("x", time.Second)
+	root.Timed("y")()
+	if root.Aggregating() != nil {
+		t.Fatal("fresh span reports aggregating")
+	}
+	if root.Aggregates() != nil {
+		t.Fatalf("aggregates off, got rows %v", root.Aggregates())
+	}
+	root.EnableAggregates()
+	if root.Aggregating() != root {
+		t.Fatal("Aggregating must return the span once aggregates are on")
+	}
+}
+
+func TestAggregatesFoldByName(t *testing.T) {
+	sink := NewTraceRing(1)
+	root := StartTrace("request", SpanContext{}, sink)
+	ex := root.StartChild("execute")
+	ex.EnableAggregates()
+	search := ex.StartChild("search") // any span of the trace folds into the one table
+	search.Observe("probe", 2*time.Millisecond)
+	search.Observe("probe", 4*time.Millisecond)
+	ex.Observe("expand", time.Millisecond)
+	rows := ex.Aggregates()
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
+	}
+	if rows[0].Name != "probe" || rows[0].Count != 2 ||
+		rows[0].Total != 6*time.Millisecond || rows[0].Max != 4*time.Millisecond {
+		t.Errorf("probe row = %+v", rows[0])
+	}
+	if rows[1].Name != "expand" || rows[1].Count != 1 {
+		t.Errorf("expand row = %+v", rows[1])
+	}
+	search.End()
+	ex.End()
+	root.Finish()
+	// The finished trace reports the rows and renders them in the tree.
+	ft := sink.Traces()[0]
+	if got := ft.Aggregates; len(got) != 2 || got[0].Name != "probe" {
+		t.Fatalf("finished trace aggregates = %+v", got)
+	}
+	var buf bytes.Buffer
+	ft.WriteTree(&buf)
+	if !strings.Contains(buf.String(), "probe") {
+		t.Errorf("WriteTree missing aggregate row:\n%s", buf.String())
+	}
+}
+
+func TestTimedMeasures(t *testing.T) {
+	root := StartTrace("root", SpanContext{}, NewTraceRing(1))
+	root.EnableAggregates()
+	end := root.Timed("s")
+	time.Sleep(2 * time.Millisecond)
+	end()
+	rows := root.Aggregates()
+	if len(rows) != 1 || rows[0].Total <= 0 {
+		t.Fatalf("rows = %+v", rows)
+	}
+}
+
+func TestAggregatesConcurrent(t *testing.T) {
+	root := StartTrace("root", SpanContext{}, NewTraceRing(1))
+	root.EnableAggregates()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				root.Observe("hot", time.Microsecond)
+				if i%10 == 0 {
+					root.Timed("timed")()
+				}
+			}
+		}()
+	}
+	// Readers race with the writers: snapshots must stay consistent under
+	// -race.
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				for _, s := range root.Aggregates() {
+					if s.Count <= 0 || s.Total < 0 || s.Max > s.Total {
+						t.Error("inconsistent aggregate snapshot")
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	rows := root.Aggregates()
+	if len(rows) != 2 || rows[0].Name != "hot" || rows[1].Name != "timed" {
+		t.Fatalf("rows = %+v, want hot then timed", rows)
+	}
+	if rows[0].Count != 4000 || rows[0].Total != 4000*time.Microsecond || rows[0].Max != time.Microsecond {
+		t.Fatalf("hot row = %+v", rows[0])
+	}
+	if rows[1].Count != 400 {
+		t.Fatalf("timed count = %d, want 400", rows[1].Count)
+	}
+}
+
+// The ring half: what the retired TraceRing of query records pinned, now
+// over finished traces.
+
+// finished builds a one-span trace lasting d. With a non-empty query the
+// root carries the attributes that make it a query trace.
+func finished(d time.Duration, query string, attrs ...Attr) *FinishedTrace {
+	start := time.Unix(1700000000, 0)
+	root := SpanRecord{Name: "GET /v1/query", ID: newSpanID(), Start: start, End: start.Add(d)}
+	if query != "" {
+		root.Attrs = append([]Attr{{Key: AttrQuery, Value: query}}, attrs...)
+	}
+	return &FinishedTrace{TraceID: newTraceID(), Spans: []SpanRecord{root}}
+}
+
+func queries(ts []*FinishedTrace) []string {
+	var out []string
+	for _, t := range ts {
+		q, _ := t.Root().Attr(AttrQuery)
+		out = append(out, fmt.Sprint(q))
+	}
+	return out
+}
+
+func TestNilTraceRingIsNoop(t *testing.T) {
+	var r *TraceRing
+	if r.Cap() != 0 || r.Len() != 0 || r.Finished() != 0 {
+		t.Fatal("nil ring reports capacity")
+	}
+	r.SetSlowLog(slog.Default(), time.Second) // must not panic
+	r.TraceFinished(finished(time.Second, "q"))
+	if r.Slowest() != nil || r.Traces() != nil {
+		t.Fatal("nil ring has traces")
+	}
+	if r.Find(newTraceID()) != nil {
+		t.Fatal("nil ring found a trace")
+	}
+}
+
+// TestTraceRingEvictionOrder fills the ring past capacity: the recent view
+// keeps exactly the newest traces, newest first.
+func TestTraceRingEvictionOrder(t *testing.T) {
+	r := NewTraceRing(3)
+	if r.Cap() != 3 {
+		t.Fatalf("cap = %d", r.Cap())
+	}
+	for i := 1; i <= 5; i++ {
+		r.TraceFinished(finished(time.Duration(i)*time.Millisecond, fmt.Sprintf("q%d", i)))
+	}
+	if r.Len() != 3 || r.Finished() != 5 {
+		t.Fatalf("len = %d finished = %d, want 3 and 5", r.Len(), r.Finished())
+	}
+	if got, want := queries(r.Traces()), []string{"q5", "q4", "q3"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("recent = %v, want %v", got, want)
+	}
+}
+
+// TestTraceRingSlowest checks the slowest view ranks by root duration,
+// keeps ties in arrival order, survives eviction from the recent view, and
+// admits query traces only.
+func TestTraceRingSlowest(t *testing.T) {
+	r := NewTraceRing(3)
+	// The slowest query arrives first and is then pushed out of the recent
+	// view by faster ones; a checkpoint longer than all of them never ranks.
+	first := finished(90*time.Millisecond, "q0")
+	r.TraceFinished(first)
+	r.TraceFinished(finished(time.Second, ""))
+	for i, d := range []time.Duration{10, 40, 20, 40, 30} {
+		r.TraceFinished(finished(d*time.Millisecond, fmt.Sprintf("q%d", i+1)))
+	}
+	slow := r.Slowest()
+	if got, want := queries(slow), []string{"q0", "q2", "q4"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("slowest = %v, want %v (descending, first of a tie first)", got, want)
+	}
+	if slow[0] != first {
+		t.Error("slowest[0] is not the trace evicted from recent")
+	}
+	for _, ft := range r.Traces() {
+		if ft == first {
+			t.Error("first trace still in recent: the test no longer shows independence of age")
+		}
+	}
+	if r.Find(first.TraceID) != first {
+		t.Error("Find misses a trace kept only in the slowest view")
+	}
+	// It must be a copy: mutating the result leaves the ring intact.
+	slow[0] = nil
+	if r.Slowest()[0] != first {
+		t.Error("Slowest returned an aliased slice")
+	}
+}
+
+func TestTraceRingSlowLog(t *testing.T) {
+	r := NewTraceRing(4)
+	var buf bytes.Buffer
+	r.SetSlowLog(slog.New(slog.NewTextHandler(&buf, nil)), 50*time.Millisecond)
+	r.TraceFinished(finished(10*time.Millisecond, "fast"))
+	r.TraceFinished(finished(time.Second, "")) // a slow checkpoint is not a slow query
+	if buf.Len() != 0 {
+		t.Errorf("fast query or non-query trace logged: %s", buf.String())
+	}
+	at := finished(50*time.Millisecond, "edge") // the threshold itself counts
+	r.TraceFinished(at)
+	if !strings.Contains(buf.String(), "query=edge") {
+		t.Errorf("query at the threshold not logged: %s", buf.String())
+	}
+	buf.Reset()
+	slow := finished(80*time.Millisecond, "slow", Attr{AttrResults, 3}, Attr{AttrError, "boom"})
+	r.TraceFinished(slow)
+	out := buf.String()
+	for _, want := range []string{"slow query", "query=slow", "results=3", "error=boom", "elapsed=80ms", "trace_id=" + slow.TraceID.String()} {
+		if !strings.Contains(out, want) {
+			t.Errorf("slow log missing %q: %s", want, out)
+		}
+	}
+	// Disabling the log stops emission.
+	r.SetSlowLog(nil, 0)
+	buf.Reset()
+	r.TraceFinished(finished(time.Second, "slow2"))
+	if buf.Len() != 0 {
+		t.Errorf("disabled slow log still wrote: %s", buf.String())
+	}
+}
+
+// TestRingEntryJSON pins the wire shape of a /v1/traces entry.
+func TestRingEntryJSON(t *testing.T) {
+	ft := finished(1500*time.Microsecond, "knnta(x=1, y=2, k=3, a0=0.5, iq=[0,10))",
+		Attr{AttrResults, 3},
+		Attr{"io", []IOLine{{Component: "rtree-leaf", Hits: 4, Misses: 1}}})
+	ft.Aggregates = []SpanStat{{Name: "tia_probe", SpanStats: SpanStats{Count: 2, Total: 30, Max: 20}}}
+	blob, err := json.Marshal(ft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(blob)
+	for _, want := range []string{
+		`"trace_id":"` + ft.TraceID.String() + `"`,
+		`"spans":[{"name":"GET /v1/query","span_id":"` + ft.Spans[0].ID.String() + `"`,
+		`"start":"`, `"end":"`,
+		`{"key":"query","value":"knnta(x=1, y=2, k=3, a0=0.5, iq=[0,10))"}`,
+		`{"key":"results","value":3}`,
+		`"component":"rtree-leaf"`, `"misses":1`,
+		`"aggregates":[{"name":"tia_probe","count":2,"total_ns":30,"max_ns":20}]`,
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("JSON %s missing %s", s, want)
+		}
+	}
+	for _, absent := range []string{"links", "evictions"} {
+		if strings.Contains(s, `"`+absent+`"`) {
+			t.Errorf("JSON %s renders empty optional field %q", s, absent)
+		}
+	}
+	bare, err := json.Marshal(finished(time.Millisecond, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, absent := range []string{"attrs", "aggregates"} {
+		if strings.Contains(string(bare), `"`+absent+`"`) {
+			t.Errorf("bare trace %s renders %q", bare, absent)
+		}
+	}
+	var back FinishedTrace
+	if err := json.Unmarshal(blob, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.TraceID != ft.TraceID || back.Root().Duration() != 1500*time.Microsecond {
+		t.Fatalf("round trip lost identity or timing: %+v", back.Root())
+	}
+}
+
+// TestTraceRingConcurrent hammers one ring from writers and readers — the
+// acceptance check under -race.
+func TestTraceRingConcurrent(t *testing.T) {
+	r := NewTraceRing(8)
+	var buf bytes.Buffer
+	var mu sync.Mutex
+	r.SetSlowLog(slog.New(slog.NewTextHandler(lockedWriter{&mu, &buf}, nil)), time.Millisecond)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				r.TraceFinished(finished(time.Duration(i%5)*time.Millisecond, "q"))
+				if i%50 == 0 {
+					_ = r.Traces()
+					_ = r.Slowest()
+					_ = r.Len()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if r.Len() != 8 || r.Finished() != 800 {
+		t.Fatalf("len = %d finished = %d, want 8 and 800", r.Len(), r.Finished())
+	}
+	slow := r.Slowest()
+	if len(slow) != 8 {
+		t.Fatalf("slowest has %d traces", len(slow))
+	}
+	for _, ft := range slow {
+		if ft.Root().Duration() != 4*time.Millisecond {
+			t.Fatalf("slowest holds a %v trace, want the 4ms ones", ft.Root().Duration())
+		}
+	}
+}
+
+type lockedWriter struct {
+	mu *sync.Mutex
+	b  *bytes.Buffer
+}
+
+func (w lockedWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.Write(p)
 }

@@ -12,6 +12,7 @@ import (
 
 	"tartree/internal/core"
 	"tartree/internal/httpapi"
+	"tartree/internal/obs"
 	"tartree/internal/pagestore"
 	"tartree/internal/tia"
 )
@@ -87,9 +88,12 @@ type shardState struct {
 // QueryCtx implements core.Querier.
 func (c *Coordinator) QueryCtx(ctx context.Context, q core.Query, opts *core.QueryOpts) ([]core.Result, core.QueryStats, error) {
 	res, stats, shards, err := c.Query(ctx, q)
-	if opts != nil && opts.Explain != nil {
-		opts.Explain.Shards = shards
-		opts.Explain.Finish(res, &stats, err)
+	if opts != nil {
+		if opts.Explain != nil {
+			opts.Explain.Shards = shards
+			opts.Explain.Finish(res, &stats, err)
+		}
+		core.AnnotateSpan(opts.Span, q, len(res), &stats, err, opts.Explain)
 	}
 	return res, stats, err
 }
@@ -248,6 +252,13 @@ func (c *Coordinator) maxRestarts() int {
 	return 3
 }
 
+// propagate hands the caller's trace ID to a shard, whose tarserve joins it.
+func propagate(ctx context.Context, req *http.Request) {
+	if sp := obs.SpanFromContext(ctx); sp != nil {
+		req.Header.Set("traceparent", sp.Context().Traceparent())
+	}
+}
+
 func (c *Coordinator) client() *http.Client {
 	if c.Client != nil {
 		return c.Client
@@ -274,6 +285,7 @@ func (c *Coordinator) fetchGmax(ctx context.Context, q core.Query, states []*sha
 				errs[i] = err
 				return
 			}
+			propagate(ctx, req)
 			resp, err := c.client().Do(req)
 			if err != nil {
 				errs[i] = err
@@ -372,6 +384,7 @@ func (c *Coordinator) roundTrip(ctx context.Context, st *shardState, q core.Quer
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	propagate(ctx, req)
 	resp, err := c.client().Do(req)
 	if err != nil {
 		return nil, err

@@ -94,9 +94,8 @@ type StoreOptions struct {
 	// SegmentBytes and NoSync pass through to the log (LogOptions).
 	SegmentBytes int64
 	NoSync       bool
-	// Metrics/Traces instrument both the WAL and the recovered tree.
+	// Metrics instruments both the WAL and the recovered tree.
 	Metrics *obs.Registry
-	Traces  *obs.TraceRing
 	// TraceSink receives span traces from the ingest pipeline: group-commit
 	// batch traces (linking member ingests), epoch-flush and checkpoint
 	// traces. Per-request ingest spans ride the caller's context (IngestCtx).
@@ -189,7 +188,7 @@ func OpenStore(fs FS, base func() (*core.Tree, error), opts StoreOptions) (*Stor
 		if err != nil {
 			return nil, err
 		}
-		tree, err = core.LoadSnapshotObserved(f, opts.Factory, opts.Metrics, opts.Traces, opts.Cache)
+		tree, err = core.LoadSnapshotObserved(f, opts.Factory, opts.Metrics, opts.Cache)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("wal: loading checkpoint %s: %w", ckName, err)
@@ -247,7 +246,7 @@ func (s *Store) Recovery() RecoveryStats { return s.recovery }
 // Tree returns the store's tree for direct reads of facets ingestion never
 // mutates — Len, Grouping, Epochs, node counts. Anything the ingest path
 // touches (pending check-ins, TIA contents, queries) must go through
-// Query/QueryTraced/View, which take the store's read lock.
+// Query/QueryCtx/View, which take the store's read lock.
 func (s *Store) Tree() *core.Tree { return s.tree }
 
 // Log exposes the underlying write-ahead log (benchmarks and tests).
@@ -400,13 +399,6 @@ func (s *Store) Query(q core.Query) ([]core.Result, core.QueryStats, error) {
 	return s.tree.Query(q)
 }
 
-// QueryTraced is Query with per-query tracing.
-func (s *Store) QueryTraced(q core.Query, tr *obs.Trace) ([]core.Result, core.QueryStats, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tree.QueryTraced(q, tr)
-}
-
 // QueryCtx answers a TAR query under the read lock with cancellation,
 // deadline and per-query options — the context-aware entry point servers
 // use. See core.(*Tree).QueryCtx.
@@ -441,15 +433,6 @@ func (s *Store) Frozen() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.tree.Frozen()
-}
-
-// Unfreeze drops the frozen layout; subsequent queries run the pointer
-// path. Used when serving is configured frozen-off but recovery restored a
-// v3 checkpoint, which arrives pre-frozen.
-func (s *Store) Unfreeze() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tree.Unfreeze()
 }
 
 // FlushEpochs folds every buffered epoch ending at or before now into the

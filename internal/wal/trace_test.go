@@ -16,7 +16,7 @@ import (
 // durable wait) → apply under the caller's root span.
 func TestIngestTraceSpans(t *testing.T) {
 	fs := testFS(t)
-	sink := obs.NewTraceBuffer(16)
+	sink := obs.NewTraceRing(16)
 	s, err := OpenStore(fs, newBaseTree, StoreOptions{TraceSink: sink})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestIngestTraceSpans(t *testing.T) {
 // trace links at least two member fsync_batch spans from distinct traces.
 func TestBatchTraceLinksMembers(t *testing.T) {
 	slow := &SlowFS{FS: testFS(t), SyncDelay: 20 * time.Millisecond}
-	sink := obs.NewTraceBuffer(64)
+	sink := obs.NewTraceRing(64)
 	s, err := OpenStore(slow, newBaseTree, StoreOptions{TraceSink: sink})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestBatchTraceLinksMembers(t *testing.T) {
 // the fsync-stall histogram exposure.
 func TestFlushAndCheckpointTraces(t *testing.T) {
 	fs := testFS(t)
-	sink := obs.NewTraceBuffer(16)
+	sink := obs.NewTraceRing(16)
 	reg := obs.NewRegistry()
 	s, err := OpenStore(fs, newBaseTree, StoreOptions{TraceSink: sink, Metrics: reg})
 	if err != nil {

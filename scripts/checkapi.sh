@@ -24,7 +24,6 @@ func NewPlanner(
 func NewPlanEstimator(
 func NewCache(
 func NewMetrics(
-func NewTrace(
 type Explain =
 type ExplainPlan =
 type ExplainPop =

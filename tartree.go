@@ -85,10 +85,7 @@ type (
 	// MetricsRegistry collects the tree's metrics when set in
 	// Options.Metrics; serve it with its WriteTo (Prometheus text format).
 	MetricsRegistry = obs.Registry
-	// Trace aggregates timed spans of a single query; pass one built with
-	// NewTrace to (*Tree).QueryCtx via QueryOpts.Trace.
-	Trace = obs.Trace
-	// QueryOpts tunes one (*Tree).QueryCtx call: per-query trace, cache
+	// QueryOpts tunes one (*Tree).QueryCtx call: request span, cache
 	// bypass, access-counting control. The zero value (or nil) is the
 	// default behavior.
 	QueryOpts = core.QueryOpts
@@ -99,7 +96,9 @@ type (
 	Querier = core.Querier
 	// Span is one node of a structured span tree; pass a request span via
 	// QueryOpts.Span and the query stages (cache probe, best-first search,
-	// cache store) are recorded as its children. A nil *Span is a no-op.
+	// cache store) are recorded as its children; EnableAggregates on it
+	// additionally times the search's gmax read, queue pops, node
+	// expansions and TIA probes into one row each. A nil *Span is a no-op.
 	Span = obs.Span
 	// SpanContext identifies a span for W3C traceparent propagation.
 	SpanContext = obs.SpanContext
@@ -108,9 +107,9 @@ type (
 	FinishedTrace = obs.FinishedTrace
 	// TraceSink receives finished span traces.
 	TraceSink = obs.TraceSink
-	// TraceBuffer is an in-memory ring of the most recent finished span
-	// traces; it implements TraceSink.
-	TraceBuffer = obs.TraceBuffer
+	// TraceRing is the in-memory TraceSink: the most recent finished
+	// traces and the slowest query traces.
+	TraceRing = obs.TraceRing
 	// Cache is the shared epoch-versioned aggregate/result cache attached
 	// via Options.Cache; build one with NewCache.
 	Cache = aggcache.Cache
@@ -187,9 +186,6 @@ func New(opts Options) (*Tree, error) { return core.NewTree(opts) }
 // NewMetrics creates an empty metrics registry for Options.Metrics.
 func NewMetrics() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewTrace creates a per-query trace for QueryOpts.Trace.
-func NewTrace() *Trace { return obs.NewTrace() }
-
 // NewExplain creates an empty EXPLAIN/ANALYZE recorder for
 // QueryOpts.Explain.
 func NewExplain() *Explain { return core.NewExplain() }
@@ -211,9 +207,9 @@ func StartTrace(name string, parent SpanContext, sink TraceSink) *Span {
 	return obs.StartTrace(name, parent, sink)
 }
 
-// NewTraceBuffer creates a ring buffer keeping the last n finished span
-// traces, for use as the sink of StartTrace.
-func NewTraceBuffer(n int) *TraceBuffer { return obs.NewTraceBuffer(n) }
+// NewTraceRing creates a ring keeping the last n finished traces and the n
+// slowest query traces, for use as the sink of StartTrace.
+func NewTraceRing(n int) *TraceRing { return obs.NewTraceRing(n) }
 
 // NewCache creates a shared epoch-versioned cache bounded to roughly
 // maxBytes for Options.Cache. maxBytes <= 0 returns nil, the no-op cache.
