@@ -5,7 +5,8 @@
 // Usage:
 //
 //	tarbench -exp fig9                  # one experiment, default datasets
-//	tarbench -exp all -datasets GW,GS   # the full evaluation
+//	tarbench -exp all -datasets GW,GS   # the paper's evaluation and the infrastructure experiments
+//	tarbench -exp ablations             # the ablations
 //	tarbench -exp fig6 -scale 1 -queries 1000   # paper-scale run
 //	tarbench -exp fig9 -json .          # also write BENCH_fig9.json
 //
@@ -29,13 +30,49 @@ import (
 	"tartree/internal/tia"
 )
 
+// expUsage renders the -exp help from the experiment table: the ids of each
+// group, and what the two selections run.
+func expUsage() string {
+	ids := map[bench.Group][]string{}
+	var groups []bench.Group // in table order
+	for _, e := range bench.Experiments() {
+		if ids[e.Group] == nil {
+			groups = append(groups, e.Group)
+		}
+		ids[e.Group] = append(ids[e.Group], e.ID)
+	}
+	var b strings.Builder
+	b.WriteString("experiment id")
+	for _, g := range groups {
+		fmt.Fprintf(&b, "; %s: %s", g, strings.Join(ids[g], ", "))
+	}
+	fmt.Fprintf(&b, "; 'all' runs the %s and %s groups, 'ablations' the %s group", bench.Paper, bench.Infra, bench.Ablation)
+	return b.String()
+}
+
+// selectIDs resolves -exp against the experiment table.
+func selectIDs(exp string) ([]string, error) {
+	var ids []string
+	for _, e := range bench.Experiments() {
+		switch {
+		case exp == e.ID:
+			return []string{e.ID}, nil
+		case exp == "all" && e.Group != bench.Ablation, exp == "ablations" && e.Group == bench.Ablation:
+			ids = append(ids, e.ID)
+		}
+	}
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q", exp)
+	}
+	return ids, nil
+}
+
 func main() {
 	var (
-		exp = flag.String("exp", "all", "experiment id ("+strings.Join(bench.ExperimentIDs(), ", ")+
-			"; ablations: "+strings.Join(bench.AblationIDs(), ", ")+"), 'all' (paper figures) or 'ablations'")
+		exp      = flag.String("exp", "all", expUsage())
 		datasets = flag.String("datasets", "", "comma-separated data sets (NYC,LA,GW,GS); default GW,GS as in the paper")
-		scale    = flag.Float64("scale", 0, "data set scale in (0,1]; 0 = per-dataset default")
-		queries  = flag.Int("queries", 0, "queries per measurement; 0 = 200 (paper: 1000)")
+		scale    = flag.Float64("scale", 0, "data set scale in (0,1]; 0 = the experiment's default, else a per-dataset default")
+		queries  = flag.Int("queries", 0, "queries per measurement; 0 = the experiment's default, else 200 (paper: 1000)")
 		seed     = flag.Int64("seed", 1, "random seed for query generation")
 		jsonDir  = flag.String("json", "", "also write a BENCH_<exp>.json metrics snapshot into this directory")
 		trcOut   = flag.String("trace-out", "", "append per-batch span traces to this file as Chrome trace_event JSON")
@@ -86,39 +123,27 @@ func main() {
 		cfg.TraceSink = traceSink
 	}
 
-	var ids []string
-	switch *exp {
-	case "all":
-		ids = bench.ExperimentIDs()
-	case "ablations":
-		ids = bench.AblationIDs()
-	default:
-		if _, ok := bench.Experiments[*exp]; !ok {
-			fmt.Fprintf(os.Stderr, "tarbench: unknown experiment %q\n", *exp)
-			os.Exit(2)
-		}
-		ids = []string{*exp}
+	ids, err := selectIDs(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tarbench: %v\n", err)
+		os.Exit(2)
 	}
 	for _, id := range ids {
-		var reg *obs.Registry
 		if *jsonDir != "" {
-			reg = obs.NewRegistry()
-			cfg.Metrics = reg
+			cfg.Metrics = obs.NewRegistry()
 		}
-		start := time.Now()
-		tables, err := bench.Experiments[id](cfg)
+		snap, err := runExperiment(id, cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tarbench: %s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "tarbench: %v\n", err)
 			os.Exit(1)
 		}
-		elapsed := time.Since(start)
-		for i := range tables {
-			tables[i].Print(os.Stdout)
+		for i := range snap.Tables {
+			snap.Tables[i].Print(os.Stdout)
 		}
-		fmt.Printf("\n[%s completed in %v]\n", id, elapsed.Round(time.Millisecond))
-		if reg != nil {
+		fmt.Printf("\n[%s completed in %v]\n", id, time.Duration(snap.ElapsedMS)*time.Millisecond)
+		if *jsonDir != "" {
 			path := filepath.Join(*jsonDir, "BENCH_"+id+".json")
-			if err := writeSnapshot(path, id, cfg, elapsed, tables, reg); err != nil {
+			if err := snap.write(path); err != nil {
 				fmt.Fprintf(os.Stderr, "tarbench: %s: %v\n", id, err)
 				os.Exit(1)
 			}
@@ -148,7 +173,7 @@ type benchSnapshot struct {
 	// Metrics is the obs registry snapshot: the per-method
 	// bench_query_latency_seconds histograms with their quantiles.
 	Metrics map[string]any `json:"metrics"`
-	// TIAProbes is the per-backend probe total over the whole process.
+	// TIAProbes is the per-backend probe total of this experiment alone.
 	TIAProbes map[string]int64 `json:"tia_probes"`
 }
 
@@ -159,14 +184,34 @@ type configMeta struct {
 	Seed     int64    `json:"seed"`
 }
 
-func writeSnapshot(path, id string, cfg bench.Config, elapsed time.Duration, tables []bench.Table, reg *obs.Registry) error {
+// tiaProbes reads the process-wide per-backend probe totals.
+func tiaProbes() map[string]int64 {
 	probes := make(map[string]int64, len(tia.BackendKinds()))
 	for _, k := range tia.BackendKinds() {
 		probes[k.String()] = tia.ProbeCount(k)
 	}
-	snap := benchSnapshot{
+	return probes
+}
+
+// runExperiment runs one experiment and assembles its snapshot. The probe
+// totals are process-wide counters, so the experiment's own share is the
+// difference across the run — under -exp all each snapshot then carries what
+// a solo run of that experiment would.
+func runExperiment(id string, cfg bench.Config) (*benchSnapshot, error) {
+	start := time.Now()
+	before := tiaProbes()
+	tables, err := bench.Run(id, cfg)
+	if err != nil {
+		return nil, err
+	}
+	probes := tiaProbes()
+	for k := range probes {
+		probes[k] -= before[k]
+	}
+	elapsed := time.Since(start)
+	snap := &benchSnapshot{
 		Experiment: id,
-		StartedAt:  time.Now().Add(-elapsed).UTC(),
+		StartedAt:  start.UTC(),
 		ElapsedMS:  elapsed.Milliseconds(),
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
@@ -178,9 +223,15 @@ func writeSnapshot(path, id string, cfg bench.Config, elapsed time.Duration, tab
 			Seed:     cfg.Seed,
 		},
 		Tables:    tables,
-		Metrics:   reg.Snapshot(),
 		TIAProbes: probes,
 	}
+	if cfg.Metrics != nil {
+		snap.Metrics = cfg.Metrics.Snapshot()
+	}
+	return snap, nil
+}
+
+func (snap *benchSnapshot) write(path string) error {
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		return err

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"tartree/internal/aggcache"
 	"tartree/internal/core"
+	"tartree/internal/httpapi"
 	"tartree/internal/lbsn"
 	"tartree/internal/obs"
 	"tartree/internal/wal"
@@ -302,5 +304,30 @@ func TestServeIngest(t *testing.T) {
 	}
 	if hz.WAL.Applied != 4 || hz.WAL.Pending != 4 {
 		t.Errorf("restart healthz wal = %+v, want applied/pending 4/4", hz.WAL)
+	}
+}
+
+// TestServeIngestBodyLimit: a body over maxIngestBody is refused with the
+// 413 envelope and none of it reaches the WAL.
+func TestServeIngestBodyLimit(t *testing.T) {
+	s, d, store := newWALTestServer(t, t.TempDir(), nil)
+	poi := indexedPOI(t, s, d)
+	if code, body := post(t, s, "/v1/ingest", fmt.Sprintf(`{"poi":%d,"ts":%d}`, poi, d.Spec.End+1)); code != 200 {
+		t.Fatalf("ingest: %d %s", code, body)
+	}
+	before := store.DurableLSN()
+
+	item := fmt.Sprintf(`{"poi":%d,"ts":%d},`, poi, d.Spec.End+2)
+	big := `{"checkins":[` + strings.Repeat(item, maxIngestBody/len(item)+1) + item[:len(item)-1] + `]}`
+	code, body := post(t, s, "/v1/ingest", big)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize ingest: %d %.200s", code, body)
+	}
+	var env httpapi.Envelope
+	if err := json.Unmarshal([]byte(body), &env); err != nil || env.Error.Code != httpapi.CodeForStatus(code) || env.Error.Message == "" {
+		t.Errorf("oversize ingest: body %.200q is not the error envelope (%v)", body, err)
+	}
+	if got := store.DurableLSN(); got != before {
+		t.Errorf("durable_lsn moved %d -> %d on a refused body", before, got)
 	}
 }

@@ -103,6 +103,20 @@ import (
 // drainTimeout bounds how long shutdown waits for in-flight requests.
 const drainTimeout = 10 * time.Second
 
+// The listener's connection limits: a client has readHeaderTimeout to send
+// its request headers, and an idle keep-alive connection is closed after
+// idleTimeout. There is deliberately no ReadTimeout or WriteTimeout —
+// /v1/repl/wal is a long-lived stream. Variables only so a test can scale
+// them down.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
@@ -260,7 +274,7 @@ func main() {
 		fatal(err)
 	}
 	log.Info("listening", "addr", ln.Addr().String(), "max_concurrent", cap(srv.admission))
-	httpServer := &http.Server{Handler: srv}
+	httpServer := newHTTPServer(srv)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpServer.Serve(ln) }()
 

@@ -725,10 +725,15 @@ type ingestItem struct {
 	Ts  int64 `json:"ts"`
 }
 
+// maxIngestBody bounds a POST /v1/ingest body; a larger one is refused with
+// 413 before it is all read into memory, and nothing of it reaches the WAL.
+const maxIngestBody = 8 << 20
+
 // handleIngest durably records live check-ins: a 200 means every check-in in
 // the request survived an fsync of the write-ahead log and is visible to
 // subsequent queries. 503 while recovering or when the server runs without a
-// WAL; 400 for malformed bodies, unknown POIs and pre-origin timestamps.
+// WAL; 400 for malformed bodies, unknown POIs and pre-origin timestamps; 413
+// for a body over maxIngestBody.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		httpError(w, http.StatusServiceUnavailable, errRecovering)
@@ -748,10 +753,15 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ingestRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("decoding body: %w", err))
 		return
 	}
 	single := req.POI != nil || req.Ts != nil

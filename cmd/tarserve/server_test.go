@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
@@ -472,4 +474,45 @@ func metricValue(t *testing.T, text, name string) float64 {
 		t.Fatalf("metric %s: bad value %q", name, m[1])
 	}
 	return v
+}
+
+// TestServeHeaderTimeout: a client that connects and never finishes its
+// request line is disconnected once readHeaderTimeout passes, instead of
+// holding the connection (and its goroutine) for ever.
+func TestServeHeaderTimeout(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 50 * time.Millisecond
+	s, _ := newTestServer(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(s)
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /heal")); err != nil {
+		t.Fatal(err)
+	}
+	// The server answers the stalled request with 408 at most and closes:
+	// the read must end in EOF well inside the deadline.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection was not closed by the server: %v", err)
+	}
+
+	// A complete request on a fresh connection is still served.
+	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Errorf("healthz after a timed-out peer: %d", resp.StatusCode)
+	}
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -79,12 +80,12 @@ func main() {
 	// nearby ones (α0 = 0.3, the paper's default)?
 	for _, hour := range []int64{2, 4, 6} {
 		now := hour * 60 * minute
-		results, _, err := tr.Query(tartree.Query{
+		results, _, err := tr.QueryCtx(context.Background(), tartree.Query{
 			X: 5, Y: 5,
 			Iq:     tartree.Interval{Start: now - 60*minute, End: now},
 			K:      3,
 			Alpha0: 0.3,
-		})
+		}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

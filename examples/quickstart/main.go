@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,12 +53,12 @@ func main() {
 
 	// Who is worth visiting near (50, 50), weighing recency of popularity
 	// over the last two hours at 70%?
-	results, stats, err := tr.Query(tartree.Query{
+	results, stats, err := tr.QueryCtx(context.Background(), tartree.Query{
 		X: 50, Y: 50,
 		Iq:     tartree.Interval{Start: 3600, End: 3 * 3600},
 		K:      2,
 		Alpha0: 0.3,
-	})
+	}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

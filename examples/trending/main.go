@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -64,9 +65,9 @@ func main() {
 
 	// The all-time trending board: the concert's single hour beats every
 	// steady venue's best epoch.
-	top, _, err := tr.Query(core.Query{
+	top, _, err := tr.QueryCtx(context.Background(), core.Query{
 		X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: horizon}, K: 3, Alpha0: 0.2,
-	})
+	}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -228,7 +229,7 @@ func TestSingleQueryBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, _, err := tr.Query(q[0])
+	direct, _, err := tr.QueryCtx(context.Background(), q[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,282 +2,150 @@ package bench
 
 import (
 	"fmt"
-	"time"
+	"math"
 
 	"tartree/internal/core"
-	"tartree/internal/costmodel"
 	"tartree/internal/lbsn"
 	"tartree/internal/tia"
 )
 
-// This file holds ablation experiments beyond the paper's figures: each
-// isolates one design choice called out in DESIGN.md and measures its
-// effect under the default workload (k = 10, α0 = 0.3).
+// The ablations go beyond the paper's figures: each isolates one design
+// choice called out in DESIGN.md and measures its effect under the default
+// workload (k = 10, α0 = 0.3).
 
-// AblationTIABackend compares the TIA backends: the in-memory mirror
-// (free), the disk B+-tree (default) and the multi-version B-tree the
-// paper names. The choice does not affect correctness or R-tree node
-// accesses — only TIA page traffic and CPU time.
-func AblationTIABackend(cfg Config) ([]Table, error) {
-	var tables []Table
-	for _, name := range cfg.datasets() {
-		env, err := newEnv(cfg, name)
-		if err != nil {
-			return nil, err
-		}
-		t := Table{
-			Title:  fmt.Sprintf("Ablation: TIA backend (%s)", name),
-			Header: []string{"backend", "CPU time (ms)", "node accesses", "TIA page reads"},
-		}
-		backends := []struct {
-			name string
-			fac  tia.Factory
-		}{
-			{"mem", tia.NewMemFactory()},
-			{"btree", tia.NewBTreeFactory(defaultNodeSize, 10)},
-			{"mvbt", tia.NewMVBTFactory(defaultNodeSize, 10)},
-		}
-		for _, b := range backends {
-			tr, err := env.data.Build(lbsn.BuildOptions{Grouping: core.TAR3D, TIA: b.fac})
-			if err != nil {
-				return nil, err
-			}
-			queries := env.data.Queries(cfg.queries(), defaultK, defaultAlpha, cfg.Seed)
-			m, err := cfg.measure("TAR-tree/"+b.name, tr, queries)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, []string{b.name, ms(m.CPUMicros), f1(m.NodeAccesses), f1(m.TIAAccesses)})
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
+// tiaBackends lists the TIA storage engines in cost order: the in-memory
+// mirror (free), the disk B+-tree (the default) and the multi-version
+// B-tree the paper names.
+var tiaBackends = []struct {
+	name string
+	fac  func() tia.Factory
+}{
+	{"mem", func() tia.Factory { return tia.NewMemFactory() }},
+	{"btree", func() tia.Factory { return tia.NewBTreeFactory(defaultNodeSize, 10) }},
+	{"mvbt", func() tia.Factory { return tia.NewMVBTFactory(defaultNodeSize, 10) }},
 }
 
-// AblationBufferSlots sweeps the per-TIA buffer pool size. The paper fixes
-// it at 10 slots; this shows what that buys in physical page reads.
-func AblationBufferSlots(cfg Config) ([]Table, error) {
-	var tables []Table
-	for _, name := range cfg.datasets() {
-		env, err := newEnv(cfg, name)
+// ablationBackend compares the TIA backends. The choice does not affect
+// correctness or R-tree node accesses — only TIA page traffic and CPU time.
+func ablationBackend(r *run, env *dataEnv) error {
+	t := r.table(fmt.Sprintf("Ablation: TIA backend (%s)", env.name),
+		"backend", "CPU time (ms)", "node accesses", "TIA page reads")
+	queries := env.Queries(r.Queries, defaultK, defaultAlpha, r.Seed)
+	for _, b := range tiaBackends {
+		tr, err := env.Build(lbsn.BuildOptions{Grouping: core.TAR3D, TIA: b.fac()})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		t := Table{
-			Title:  fmt.Sprintf("Ablation: TIA buffer slots (%s)", name),
-			Header: []string{"slots", "CPU time (ms)", "TIA logical reads", "TIA physical reads"},
+		m, err := r.measure("TAR-tree/"+b.name, tr, queries, nil)
+		if err != nil {
+			return err
 		}
-		for _, slots := range []int{0, 1, 10, 100} {
-			fac := tia.NewBTreeFactory(defaultNodeSize, slots)
-			tr, err := env.data.Build(lbsn.BuildOptions{Grouping: core.TAR3D, TIA: fac})
-			if err != nil {
-				return nil, err
-			}
-			queries := env.data.Queries(cfg.queries(), defaultK, defaultAlpha, cfg.Seed)
-			var cpu float64
-			var logical, physical int64
-			for _, q := range queries {
-				start := time.Now()
-				_, stats, err := tr.Query(q)
-				if err != nil {
-					return nil, err
-				}
-				cpu += float64(time.Since(start).Microseconds())
-				logical += stats.TIAAccesses
-				physical += stats.TIAPhysical
-			}
-			n := float64(len(queries))
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", slots), ms(cpu / n),
-				f1(float64(logical) / n), f1(float64(physical) / n),
-			})
-		}
-		tables = append(tables, t)
+		t.add(b.name, m.meanMS(), m.mean(m.nodeAccesses()), m.mean(m.work.TIAAccesses))
 	}
-	return tables, nil
+	return nil
 }
 
-// AblationReinsert isolates the R* forced-reinsertion heuristic: the same
+// ablationBuffer sweeps the per-TIA buffer pool size. The paper fixes it at
+// 10 slots; this shows what that buys in physical page reads.
+func ablationBuffer(r *run, env *dataEnv) error {
+	t := r.table(fmt.Sprintf("Ablation: TIA buffer slots (%s)", env.name),
+		"slots", "CPU time (ms)", "TIA logical reads", "TIA physical reads")
+	queries := env.Queries(r.Queries, defaultK, defaultAlpha, r.Seed)
+	for _, slots := range []int{0, 1, 10, 100} {
+		tr, err := env.Build(lbsn.BuildOptions{Grouping: core.TAR3D, TIA: tia.NewBTreeFactory(defaultNodeSize, slots)})
+		if err != nil {
+			return err
+		}
+		m, err := r.measure(fmt.Sprintf("TAR-tree/%d slots", slots), tr, queries, nil)
+		if err != nil {
+			return err
+		}
+		t.add(slots, m.meanMS(), m.mean(m.work.TIAAccesses), m.mean(m.work.TIAPhysical))
+	}
+	return nil
+}
+
+// ablationReinsert isolates the R* forced-reinsertion heuristic: the same
 // TAR-tree built with and without it, plus an STR bulk-loaded tree as the
 // packing upper bound.
-func AblationReinsert(cfg Config) ([]Table, error) {
-	var tables []Table
-	for _, name := range cfg.datasets() {
-		env, err := newEnv(cfg, name)
+func ablationReinsert(r *run, env *dataEnv) error {
+	t := r.table(fmt.Sprintf("Ablation: construction method (%s)", env.name),
+		"construction", "nodes", "CPU time (ms)", "node accesses")
+	queries := env.Queries(r.Queries, defaultK, defaultAlpha, r.Seed)
+	build := func() (*core.Tree, error) { return env.Build(lbsn.BuildOptions{Grouping: core.TAR3D}) }
+	for _, v := range []struct {
+		name  string
+		build func() (*core.Tree, error)
+	}{
+		{"R* with reinsertion", build},
+		{"R* without reinsertion", env.buildNoReinsert},
+		{"STR bulk rebuild", func() (*core.Tree, error) {
+			tr, err := build()
+			if err != nil {
+				return nil, err
+			}
+			return tr, tr.RebuildBulk()
+		}},
+	} {
+		tr, err := v.build()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		t := Table{
-			Title:  fmt.Sprintf("Ablation: construction method (%s)", name),
-			Header: []string{"construction", "nodes", "CPU time (ms)", "node accesses"},
+		leaves, internals := tr.NodeCount()
+		m, err := r.measure("TAR-tree/"+v.name, tr, queries, nil)
+		if err != nil {
+			return err
 		}
-		queries := env.data.Queries(cfg.queries(), defaultK, defaultAlpha, cfg.Seed)
-		variants := []struct {
-			name  string
-			build func() (*core.Tree, error)
-		}{
-			{"R* with reinsertion", func() (*core.Tree, error) {
-				return env.data.Build(lbsn.BuildOptions{Grouping: core.TAR3D})
-			}},
-			{"R* without reinsertion", func() (*core.Tree, error) {
-				return buildNoReinsert(env.data)
-			}},
-			{"STR bulk rebuild", func() (*core.Tree, error) {
-				tr, err := env.data.Build(lbsn.BuildOptions{Grouping: core.TAR3D})
-				if err != nil {
-					return nil, err
-				}
-				if err := tr.RebuildBulk(); err != nil {
-					return nil, err
-				}
-				return tr, nil
-			}},
-		}
-		for _, v := range variants {
-			tr, err := v.build()
-			if err != nil {
-				return nil, err
-			}
-			leaves, internals := tr.NodeCount()
-			m, err := cfg.measure("TAR-tree/"+v.name, tr, queries)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, []string{v.name,
-				fmt.Sprintf("%d", leaves+internals), ms(m.CPUMicros), f1(m.NodeAccesses)})
-		}
-		tables = append(tables, t)
+		t.add(v.name, leaves+internals, m.meanMS(), m.mean(m.nodeAccesses()))
 	}
-	return tables, nil
+	return nil
 }
 
 // buildNoReinsert mirrors Dataset.Build with forced reinsertion disabled.
-func buildNoReinsert(d *lbsn.Dataset) (*core.Tree, error) {
+func (e *dataEnv) buildNoReinsert() (*core.Tree, error) {
 	tr, err := core.NewTree(core.Options{
-		World:           d.World,
+		World:           e.World,
 		Grouping:        core.TAR3D,
-		EpochStart:      d.Spec.Start,
+		EpochStart:      e.Spec.Start,
 		EpochLength:     defaultEpoch,
 		DisableReinsert: true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range d.POIs {
-		p := &d.POIs[i]
-		hist := lbsn.History(p, d.Spec.Start, defaultEpoch, 0)
-		var total int64
-		for _, r := range hist {
-			total += r.Agg
+	e.indexed(defaultEpoch, 0, func(p core.POI, hist []tia.Record) {
+		if err == nil {
+			err = tr.InsertPOI(p, hist)
 		}
-		if total < d.Spec.MinEffective {
-			continue
-		}
-		if err := tr.InsertPOI(core.POI{ID: p.ID, X: p.X, Y: p.Y}, hist); err != nil {
-			return nil, err
-		}
-	}
-	return tr, nil
+	})
+	return tr, err
 }
 
-// AblationDistScale compares the cost model's estimated f(pk) with and
+// ablationDistScale compares the cost model's estimated f(pk) with and
 // without the √2 distance-scale correction (DESIGN.md documents why the
 // correction is needed when distances are normalized by the diagonal).
-func AblationDistScale(cfg Config) ([]Table, error) {
-	var tables []Table
-	fanout := effectiveFanoutRatio * float64(core.CapacityFor(defaultNodeSize, 3))
-	for _, name := range cfg.datasets() {
-		env, err := newEnv(cfg, name)
+func ablationDistScale(r *run, env *dataEnv) error {
+	tr, err := env.Build(lbsn.BuildOptions{Grouping: core.TAR3D})
+	if err != nil {
+		return err
+	}
+	t := r.table(fmt.Sprintf("Ablation: cost-model distance scale (%s)", env.name),
+		"k", "measured f(pk)", "estimated (scale sqrt2)", "estimated (scale 1)")
+	for _, k := range []int{1, 10, 100} {
+		queries := env.Queries(r.Queries, k, defaultAlpha, r.Seed)
+		m, err := r.measure("TAR-tree", tr, queries, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		tr, err := env.data.Build(lbsn.BuildOptions{Grouping: core.TAR3D})
-		if err != nil {
-			return nil, err
-		}
-		t := Table{
-			Title:  fmt.Sprintf("Ablation: cost-model distance scale (%s)", name),
-			Header: []string{"k", "measured f(pk)", "estimated (scale sqrt2)", "estimated (scale 1)"},
-		}
-		for _, k := range []int{1, 10, 100} {
-			queries := env.data.Queries(cfg.queries(), k, defaultAlpha, cfg.Seed)
-			m, err := cfg.measure("TAR-tree", tr, queries)
+		row := []any{k, m.meanFk()}
+		for _, scale := range []float64{math.Sqrt2, 1} {
+			fk, _, err := estimateForQueries(tr, queries, k, defaultAlpha, scale)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			est := map[float64]float64{}
-			for _, scale := range []float64{1.4142135623730951, 1} {
-				fk, err := estimateWithScale(tr, queries, k, defaultAlpha, fanout, scale)
-				if err != nil {
-					return nil, err
-				}
-				est[scale] = fk
-			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", k), f3(m.MeanFk),
-				f3(est[1.4142135623730951]), f3(est[1]),
-			})
+			row = append(row, f3(fk))
 		}
-		tables = append(tables, t)
+		t.add(row...)
 	}
-	return tables, nil
-}
-
-// estimateWithScale mirrors estimateForQueries with an explicit DistScale.
-func estimateWithScale(tr *core.Tree, queries []core.Query, k int, alpha0, fanout, scale float64) (float64, error) {
-	type class struct {
-		n  int
-		iv tia.Interval
-	}
-	classes := map[int64]*class{}
-	for _, q := range queries {
-		l := q.Iq.End - q.Iq.Start
-		if c, ok := classes[l]; ok {
-			c.n++
-		} else {
-			classes[l] = &class{n: 1, iv: q.Iq}
-		}
-	}
-	var ids []int64
-	tr.POIs(func(p core.POI, total int64) bool { ids = append(ids, p.ID); return true })
-	var fkSum float64
-	total := 0
-	for _, c := range classes {
-		aggs := make([]int64, 0, len(ids))
-		for _, id := range ids {
-			a, err := tr.AggregateMirror(id, c.iv)
-			if err != nil {
-				return 0, err
-			}
-			aggs = append(aggs, a)
-		}
-		layers, maxAgg := classLayers(aggs)
-		p := costmodel.Params{
-			Alpha0:    alpha0,
-			K:         k,
-			Fanout:    fanout,
-			MaxAgg:    maxAgg,
-			Layers:    layers,
-			DistScale: scale,
-		}
-		fk, err := p.EstimateFk()
-		if err != nil {
-			return 0, err
-		}
-		fkSum += fk * float64(c.n)
-		total += c.n
-	}
-	return fkSum / float64(total), nil
-}
-
-func init() {
-	Experiments["abl-backend"] = AblationTIABackend
-	Experiments["abl-buffer"] = AblationBufferSlots
-	Experiments["abl-reinsert"] = AblationReinsert
-	Experiments["abl-distscale"] = AblationDistScale
-}
-
-// AblationIDs lists the ablation experiment ids.
-func AblationIDs() []string {
-	return []string{"abl-backend", "abl-buffer", "abl-reinsert", "abl-distscale"}
+	return nil
 }

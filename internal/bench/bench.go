@@ -1,8 +1,12 @@
 // Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation (Section 8). Each Fig*/Table* function
-// runs one experiment and returns text tables whose rows are the series the
-// paper plots; cmd/tarbench prints them and the root bench_test.go wraps
-// them as Go benchmarks.
+// figure of the paper's evaluation (Section 8), plus the infrastructure
+// experiments CI gates and the ablations DESIGN.md calls out. One ordered
+// table (experiments.go) names every experiment; Run executes one of them in
+// a run context that owns what they all share: resolving the data set, scale
+// and query-count defaults, generating the data, emitting metrics, comparing
+// answers, and the single loop that times a query batch (measure).
+// cmd/tarbench prints the tables and the root bench_test.go wraps each id as
+// BenchmarkExperiment/<id>.
 //
 // Following the paper's setup: the R-tree node size is 1024 bytes (50
 // two-dimensional / 36 three-dimensional entries), the epoch length is 7
@@ -19,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"time"
 
@@ -32,17 +37,21 @@ import (
 // Config parameterizes an experiment run.
 type Config struct {
 	// Datasets to run on; nil selects GW and GS, the two the paper presents.
+	// Experiments that run on one data set (see their table row) take the
+	// first.
 	Datasets []string
-	// Scale shrinks the data sets; 0 selects per-dataset defaults that keep
-	// a full experiment within minutes.
+	// Scale shrinks the data sets; 0 selects the experiment's default, or
+	// else per-dataset defaults that keep a full experiment within minutes.
 	Scale float64
-	// Queries per measurement; 0 selects 200 (the paper uses 1000).
+	// Queries per measurement; 0 selects the experiment's default, or else
+	// 200 (the paper uses 1000).
 	Queries int
 	// Seed for query generation.
 	Seed int64
 	// Metrics, when set, collects per-method query-latency histograms
-	// (bench_query_latency_seconds{method="..."}) across the whole run,
-	// which cmd/tarbench -json exports next to the tables.
+	// (bench_query_latency_seconds{method="..."}) across the whole run and
+	// the experiments' bench_* work counters, which cmd/tarbench -json
+	// exports next to the tables.
 	Metrics *obs.Registry
 	// TraceSink, when set, receives one finished span trace per measured
 	// query batch: a bench_batch root span (method/queries attrs) with one
@@ -95,6 +104,16 @@ type Table struct {
 	Rows   [][]string
 }
 
+// add appends one row; cells are rendered with fmt.Sprint, so counts go in
+// as numbers and anything needing a format as a string.
+func (t *Table) add(cells ...any) {
+	row := make([]string, len(cells))
+	for i, c := range cells {
+		row[i] = fmt.Sprint(c)
+	}
+	t.Rows = append(t.Rows, row)
+}
+
 // Print renders the table with aligned columns.
 func (t *Table) Print(w io.Writer) {
 	fmt.Fprintf(w, "\n%s\n", t.Title)
@@ -127,67 +146,207 @@ func (t *Table) Print(w io.Writer) {
 	}
 }
 
-// dataEnv is a generated data set plus its derived artifacts, shared by the
-// experiments on the same dataset.
+// Group classifies an experiment: a table or figure of the paper, an
+// infrastructure experiment (the CI-gated ones and the WAL throughput
+// table), or an ablation of one design choice.
+type Group string
+
+const (
+	Paper    Group = "paper"
+	Infra    Group = "infra"
+	Ablation Group = "ablation"
+)
+
+// experiment is one row of the experiment table. The defaults are data: the
+// run context resolves Config against them, so no experiment body reads a
+// zero Config field.
+type experiment struct {
+	id    string
+	group Group
+	doc   string // one line: what the experiment shows and what it sweeps
+	// dataset, when set, makes this a one-data-set experiment: it runs on
+	// Config.Datasets[0], or on this one when none is configured.
+	dataset string
+	// scales replaces the per-dataset default scale when Config.Scale is 0;
+	// with several, the body runs once per scale into the same table.
+	scales  []float64
+	queries int  // replaces the 200-query default when Config.Queries is 0
+	noData  bool // the body takes no data set (env is nil)
+	run     func(r *run, env *dataEnv) error
+}
+
+// Info describes one experiment of the table to the front ends.
+type Info struct {
+	ID    string
+	Group Group
+	Doc   string
+}
+
+// Experiments lists the experiment table in its presentation order: the
+// paper's tables and figures, the infrastructure experiments, the ablations.
+func Experiments() []Info {
+	out := make([]Info, len(experiments))
+	for i, e := range experiments {
+		out[i] = Info{ID: e.id, Group: e.group, Doc: e.doc}
+	}
+	return out
+}
+
+// Run executes the experiment with the given id and returns its tables.
+func Run(id string, cfg Config) ([]Table, error) {
+	for i := range experiments {
+		if experiments[i].id == id {
+			tables, err := experiments[i].execute(cfg)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", id, err)
+			}
+			return tables, nil
+		}
+	}
+	return nil, fmt.Errorf("bench: unknown experiment %q", id)
+}
+
+// execute resolves cfg against the experiment's defaults and calls the body
+// once per (data set, scale). It is the one place that iterates the
+// configured data sets and the one place that generates them.
+func (e *experiment) execute(cfg Config) ([]Table, error) {
+	r := &run{Config: cfg}
+	if r.Queries == 0 {
+		r.Queries = e.queries
+	}
+	r.Queries = r.queries()
+	switch {
+	case e.noData:
+		r.Datasets = nil
+		if err := e.run(r, nil); err != nil {
+			return nil, err
+		}
+	case e.dataset == "":
+		r.Datasets = cfg.datasets()
+	case len(cfg.Datasets) == 0:
+		r.Datasets = []string{e.dataset}
+	default:
+		r.Datasets = cfg.Datasets[:1]
+	}
+	for _, name := range r.Datasets {
+		spec, err := lbsn.SpecByName(name)
+		if err != nil {
+			return nil, err
+		}
+		scales := e.scales
+		if cfg.Scale > 0 || len(scales) == 0 {
+			scales = []float64{cfg.scaleFor(name)}
+		}
+		for i, sc := range scales {
+			d, err := lbsn.Generate(spec.Scaled(sc))
+			if err != nil {
+				return nil, err
+			}
+			env := &dataEnv{Dataset: d, name: name, scale: sc, lastScale: i == len(scales)-1}
+			if err := e.run(r, env); err != nil {
+				return nil, err
+			}
+		}
+	}
+	out := make([]Table, len(r.tables))
+	for i, t := range r.tables {
+		out[i] = *t
+	}
+	return out, nil
+}
+
+// run is the context an experiment body executes in: the Config with every
+// default resolved (Datasets, Queries; the scale is the env's), and the
+// tables produced so far.
+type run struct {
+	Config
+	tables []*Table
+}
+
+// table returns the run's table with this title, creating it on first use —
+// a body invoked once per scale keeps adding rows to the same table.
+func (r *run) table(title string, header ...string) *Table {
+	for _, t := range r.tables {
+		if t.Title == title {
+			return t
+		}
+	}
+	t := &Table{Title: title, Header: header}
+	r.tables = append(r.tables, t)
+	return t
+}
+
+// series renders a metric name with its label pairs (key, value, ...).
+func series(name string, labels []string) string {
+	for i := 0; i+1 < len(labels); i += 2 {
+		sep := ","
+		if i == 0 {
+			sep = "{"
+		}
+		name += fmt.Sprintf("%s%s=%q", sep, labels[i], labels[i+1])
+	}
+	if len(labels) > 0 {
+		name += "}"
+	}
+	return name
+}
+
+// count adds v to a work counter of the run's registry, if it has one. The
+// counters depend only on the workload shape — never on timing — which is
+// what lets benchdiff gate on them across machines.
+func (r *run) count(name string, v int64, labels ...string) {
+	if r.Metrics != nil {
+		r.Metrics.Counter(series(name, labels)).Add(v)
+	}
+}
+
+// gauge sets a gauge of the run's registry, if it has one.
+func (r *run) gauge(name string, v float64, labels ...string) {
+	if r.Metrics != nil {
+		r.Metrics.Gauge(series(name, labels)).Set(v)
+	}
+}
+
+// dataEnv is one generated data set at one scale.
 type dataEnv struct {
-	name string
-	data *lbsn.Dataset
+	*lbsn.Dataset
+	name      string
+	scale     float64
+	lastScale bool // the last (largest) of the scales this run sweeps
 }
 
-func newEnv(cfg Config, name string) (*dataEnv, error) {
-	spec, err := lbsn.SpecByName(name)
-	if err != nil {
-		return nil, err
-	}
-	d, err := lbsn.Generate(spec.Scaled(cfg.scaleFor(name)))
-	if err != nil {
-		return nil, err
-	}
-	return &dataEnv{name: name, data: d}, nil
-}
-
-// methods in the paper's presentation order.
-var methodNames = []string{"baseline", "IND-agg", "IND-spa", "TAR-tree"}
-
-// queryable unifies the baseline scanner and the index variants.
-type queryable interface {
-	Query(q core.Query) ([]core.Result, core.QueryStats, error)
-}
-
-// ctxQueryable is the optional richer query entry point (the TAR-tree and
-// its variants implement it): measure uses it to attach per-query spans so
-// batch traces include the cache-probe/search stages.
-type ctxQueryable interface {
-	QueryCtx(ctx context.Context, q core.Query, opts *core.QueryOpts) ([]core.Result, core.QueryStats, error)
-}
-
-type scanAdapter struct{ s *seqscan.Scanner }
-
-func (a scanAdapter) Query(q core.Query) ([]core.Result, core.QueryStats, error) {
-	res, err := a.s.Query(q)
-	return res, core.QueryStats{}, err
-}
-
-// buildAll constructs the baseline and the three index variants for the
-// data set (indexing check-ins before cutoff; 0 = all).
-func (e *dataEnv) buildAll(nodeSize int, epochLength int64, cutoff int64) (map[string]queryable, error) {
-	out := make(map[string]queryable, 4)
-	scan := seqscan.New(e.data.World, tia.Contained)
-	for i := range e.data.POIs {
-		p := &e.data.POIs[i]
-		hist := lbsn.History(p, e.data.Spec.Start, epochLength, cutoff)
+// indexed calls fn for the POIs Build indexes under the same epoch grid and
+// cutoff, each with its epoch history.
+func (e *dataEnv) indexed(epochLength, cutoff int64, fn func(p core.POI, hist []tia.Record)) {
+	for i := range e.POIs {
+		p := &e.POIs[i]
+		hist := lbsn.History(p, e.Spec.Start, epochLength, cutoff)
 		var total int64
 		for _, r := range hist {
 			total += r.Agg
 		}
-		if total < e.data.Spec.MinEffective {
+		if total < e.Spec.MinEffective {
 			continue
 		}
-		scan.Add(core.POI{ID: p.ID, X: p.X, Y: p.Y}, hist)
+		fn(core.POI{ID: p.ID, X: p.X, Y: p.Y}, hist)
 	}
-	out["baseline"] = scanAdapter{scan}
+}
+
+// method is one of the compared query processors.
+type method struct {
+	name string
+	q    core.Querier
+}
+
+// buildAll constructs the four methods in the paper's presentation order —
+// the sequential-scan baseline and the three index variants — over the data
+// set (indexing check-ins before cutoff; 0 = all).
+func (e *dataEnv) buildAll(nodeSize int, epochLength, cutoff int64) ([]method, error) {
+	scan := seqscan.New(e.World, tia.Contained)
+	e.indexed(epochLength, cutoff, scan.Add)
+	out := []method{{"baseline", scan}}
 	for _, g := range []core.Grouping{core.IndAgg, core.IndSpa, core.TAR3D} {
-		tr, err := e.data.Build(lbsn.BuildOptions{
+		tr, err := e.Build(lbsn.BuildOptions{
 			Grouping:    g,
 			NodeSize:    nodeSize,
 			EpochLength: epochLength,
@@ -196,85 +355,145 @@ func (e *dataEnv) buildAll(nodeSize int, epochLength int64, cutoff int64) (map[s
 		if err != nil {
 			return nil, err
 		}
-		out[g.String()] = tr
+		out = append(out, method{g.String(), tr})
 	}
 	return out, nil
 }
 
-// measure runs the queries and returns the mean CPU time and mean node
-// accesses (R-tree node accesses; zero for the baseline, which scans),
-// plus the full latency distribution of the batch.
+// measurement is what one measured batch did: the work totals and answers
+// the experiments read, and the latency distribution of the batch.
 type measurement struct {
-	CPUMicros    float64
-	NodeAccesses float64
-	LeafAccesses float64
-	TIAAccesses  float64
-	MeanFk       float64
-	Latency      obs.HistogramSnapshot
+	queries    int
+	elapsed    time.Duration   // summed per-query wall time
+	work       core.QueryStats // merged over the batch
+	results    int64           // answers returned, summed
+	resultHits int64           // queries served whole from the result cache
+	fkSum      float64         // summed k-th (last) score
+	answers    [][]core.Result
+	latency    obs.HistogramSnapshot
 }
 
-// measure runs the query batch against q. The method label tags the latency
-// series: the local histogram feeds measurement.Latency (p50/p95/p99 of this
-// batch), and when cfg.Metrics is set the same observations accumulate in
-// the run-wide bench_query_latency_seconds{method="..."} histogram.
-func (c Config) measure(method string, q queryable, queries []core.Query) (measurement, error) {
-	var m measurement
+// mean renders a batch total as a per-query mean.
+func (m *measurement) mean(total int64) string { return f1(float64(total) / float64(m.queries)) }
+
+// meanMS is the mean CPU time per query in milliseconds.
+func (m *measurement) meanMS() string { return f3(m.elapsed.Seconds() * 1000 / float64(m.queries)) }
+
+// meanFk is the mean k-th score of the batch.
+func (m *measurement) meanFk() string { return f3(m.fkSum / float64(m.queries)) }
+
+// nodeAccesses is the R-tree node accesses of the batch.
+func (m *measurement) nodeAccesses() int64 { return int64(m.work.RTreeAccesses()) }
+
+// fingerprint is the exact query work compared between two traversals of
+// the same index: node, leaf and TIA accesses, and results.
+func (m *measurement) fingerprint() [4]int64 {
+	return [4]int64{m.nodeAccesses(), int64(m.work.LeafAccesses), m.work.TIAAccesses, m.results}
+}
+
+// measure runs the query batch against q, one query at a time — the only
+// loop in the package that times queries, so every method of every
+// experiment is measured through the same path. opts (nil for the defaults)
+// applies to every query. A non-empty method labels the run-wide latency
+// series: with Config.Metrics set the observations also accumulate in
+// bench_query_latency_seconds{method="..."}; the infrastructure experiments
+// time passes rather than methods and pass "". With Config.TraceSink set the
+// batch is one bench_batch trace with a child span per query.
+func (r *run) measure(method string, q core.Querier, queries []core.Query, opts *core.QueryOpts) (measurement, error) {
+	m := measurement{queries: len(queries), answers: make([][]core.Result, len(queries))}
 	local := obs.NewHistogram(nil)
 	var shared *obs.Histogram
-	if c.Metrics != nil {
-		shared = c.Metrics.Histogram(fmt.Sprintf(`bench_query_latency_seconds{method=%q}`, method), nil)
+	if r.Metrics != nil && method != "" {
+		shared = r.Metrics.Histogram(series("bench_query_latency_seconds", []string{"method", method}), nil)
 	}
-	// A nil TraceSink makes bt nil and every span call below a no-op, so
-	// the untraced path stays allocation-free.
-	bt := obs.StartTrace("bench_batch", obs.SpanContext{}, c.TraceSink)
+	// A nil TraceSink makes bt nil and every span call below a no-op.
+	bt := obs.StartTrace("bench_batch", obs.SpanContext{}, r.TraceSink)
 	bt.SetAttr("method", method)
 	bt.SetAttr("queries", len(queries))
 	defer bt.Finish()
-	ctxTarget, _ := q.(ctxQueryable)
-	for _, qu := range queries {
-		qs := bt.StartChild("query")
+	var o core.QueryOpts
+	if opts != nil {
+		o = *opts
+	}
+	for i, qu := range queries {
+		o.Span = bt.StartChild("query")
 		start := time.Now()
-		var (
-			res   []core.Result
-			stats core.QueryStats
-			err   error
-		)
-		if qs != nil && ctxTarget != nil {
-			res, stats, err = ctxTarget.QueryCtx(context.Background(), qu, &core.QueryOpts{Span: qs})
-		} else {
-			res, stats, err = q.Query(qu)
-		}
+		res, stats, err := q.QueryCtx(context.Background(), qu, &o)
+		elapsed := time.Since(start)
+		o.Span.End()
 		if err != nil {
-			qs.End()
 			return m, err
 		}
-		elapsed := time.Since(start)
-		qs.End()
 		local.Observe(elapsed.Seconds())
 		if shared != nil {
 			shared.Observe(elapsed.Seconds())
 		}
-		m.CPUMicros += float64(elapsed.Microseconds())
-		m.NodeAccesses += float64(stats.RTreeAccesses())
-		m.LeafAccesses += float64(stats.LeafAccesses)
-		m.TIAAccesses += float64(stats.TIAAccesses)
-		if len(res) > 0 {
-			m.MeanFk += res[len(res)-1].Score
+		m.elapsed += elapsed
+		m.work.Merge(&stats)
+		m.results += int64(len(res))
+		if stats.ResultCacheHit {
+			m.resultHits++
 		}
+		if len(res) > 0 {
+			m.fkSum += res[len(res)-1].Score
+		}
+		m.answers[i] = res
 	}
-	n := float64(len(queries))
-	m.CPUMicros /= n
-	m.NodeAccesses /= n
-	m.LeafAccesses /= n
-	m.TIAAccesses /= n
-	m.MeanFk /= n
-	m.Latency = local.Snapshot()
+	m.latency = local.Snapshot()
 	return m, nil
 }
 
+// answerMode selects how strictly sameAnswers compares.
+type answerMode int
+
+const (
+	// exact: the same results bit for bit — POI, scores, aggregate — once
+	// both sides are ordered by (score, id), so a tie between equal-score
+	// POIs cannot order-flake a gate.
+	exact answerMode = iota
+	// asSet: the same (POI, aggregate) multiset — the equivalence that
+	// survives a bulk rebuild or a replica, where tree shapes differ.
+	asSet
+)
+
+// sameAnswers is the answer-identity gate the experiments enforce inline.
+func sameAnswers(mode answerMode, want, got []core.Result) error {
+	if len(want) != len(got) {
+		return fmt.Errorf("result count %d != %d", len(got), len(want))
+	}
+	canon := func(rs []core.Result) []core.Result {
+		out := append([]core.Result(nil), rs...)
+		sort.Slice(out, func(i, j int) bool {
+			a, b := out[i], out[j]
+			if mode == exact && a.Score != b.Score {
+				return a.Score < b.Score
+			}
+			if a.POI.ID != b.POI.ID {
+				return a.POI.ID < b.POI.ID
+			}
+			return a.Agg < b.Agg
+		})
+		return out
+	}
+	a, b := canon(want), canon(got)
+	for i := range a {
+		if a[i].POI.ID != b[i].POI.ID || a[i].Agg != b[i].Agg || (mode == exact && a[i] != b[i]) {
+			return fmt.Errorf("rank %d: %+v != %+v", i, b[i], a[i])
+		}
+	}
+	return nil
+}
+
+// sameBatch applies sameAnswers to every query of two measured batches.
+func sameBatch(mode answerMode, what string, want, got measurement) error {
+	for i := range want.answers {
+		if err := sameAnswers(mode, want.answers[i], got.answers[i]); err != nil {
+			return fmt.Errorf("query %d: %s: %w", i, what, err)
+		}
+	}
+	return nil
+}
+
+func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
-func ms(micros float64) string {
-	return fmt.Sprintf("%.3f", micros/1000)
-}

@@ -2,11 +2,16 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"tartree/internal/core"
 	"tartree/internal/obs"
 )
 
@@ -48,29 +53,170 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestExperimentRegistry(t *testing.T) {
-	ids := append(ExperimentIDs(), AblationIDs()...)
-	if len(ids) != len(Experiments) {
-		t.Fatalf("registry has %d entries, ids list %d", len(Experiments), len(ids))
+// TestExperimentTable checks the one registry: ids are unique, every group
+// has members, every row can run, and the infra group's CI-gated experiments
+// are exactly the ones with a committed bench/baseline/BENCH_<id>.json (the
+// CI bench matrix runs one job per baseline).
+func TestExperimentTable(t *testing.T) {
+	seen := map[string]Group{}
+	groups := map[Group]int{}
+	for _, e := range experiments {
+		if _, dup := seen[e.id]; dup {
+			t.Errorf("experiment id %q appears twice", e.id)
+		}
+		seen[e.id] = e.group
+		groups[e.group]++
+		if e.run == nil || e.doc == "" {
+			t.Errorf("experiment %q lacks a run function or a doc line", e.id)
+		}
 	}
-	for _, id := range ids {
-		if Experiments[id] == nil {
-			t.Errorf("experiment %q missing from registry", id)
+	for _, g := range []Group{Paper, Infra, Ablation} {
+		if groups[g] == 0 {
+			t.Errorf("group %q is empty", g)
+		}
+	}
+	if len(groups) != 3 {
+		t.Errorf("groups = %v, want exactly paper, infra, ablation", groups)
+	}
+	if _, err := Run("no-such-experiment", tinyConfig()); err == nil {
+		t.Error("Run accepted an unknown id")
+	}
+
+	baselines := baselineIDs(t)
+	for id := range baselines {
+		if seen[id] != Infra {
+			t.Errorf("bench/baseline/BENCH_%s.json names no infra experiment of the table", id)
+		}
+	}
+	// ingest is the one ungated infra experiment: its fsync counts depend on
+	// how concurrent writers happen to group, so there is nothing exact to gate.
+	for id, g := range seen {
+		if g == Infra && id != "ingest" && !baselines[id] {
+			t.Errorf("infra experiment %q has no bench/baseline/BENCH_%s.json", id, id)
 		}
 	}
 }
 
-// TestAllExperimentsRun smoke-tests every experiment at a tiny scale: each
-// must produce non-empty tables with consistent row widths.
-func TestAllExperimentsRun(t *testing.T) {
+// baselineIDs lists the experiments with a committed baseline snapshot.
+func baselineIDs(t *testing.T) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob("../../bench/baseline/BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no baselines found: %v", err)
+	}
+	ids := map[string]bool{}
+	for _, p := range paths {
+		ids[strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json")] = true
+	}
+	return ids
+}
+
+// TestDesignIndex keeps DESIGN.md §4 in step with the table: one index row
+// per experiment, naming its id and group, and no row for an id that is gone.
+func TestDesignIndex(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := string(doc)
+	section = section[strings.Index(section, "## 4. Per-experiment index"):]
+	section = section[:strings.Index(section, "## 5.")]
+	rows := map[string]string{} // id -> group
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) > 3 && strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			rows[strings.Trim(strings.TrimSpace(cells[1]), "`")] = strings.TrimSpace(cells[2])
+		}
+	}
+	for _, e := range experiments {
+		if rows[e.id] != string(e.group) {
+			t.Errorf("DESIGN.md §4: experiment %q (group %s) has index row group %q", e.id, e.group, rows[e.id])
+		}
+		delete(rows, e.id)
+	}
+	for id := range rows {
+		t.Errorf("DESIGN.md §4 indexes %q, which is not in the experiment table", id)
+	}
+}
+
+// baselineSnapshot is the part of a BENCH_<id>.json the shape test reads.
+type baselineSnapshot struct {
+	Config struct {
+		Datasets []string
+		Scale    float64
+		Queries  int
+		Seed     int64
+	}
+	Tables  []Table
+	Metrics map[string]any
+}
+
+// TestBaselineShapes runs each CI-gated experiment at its baseline's recorded
+// config and requires the shape benchdiff compares to be the committed one:
+// the same table titles and headers, the same set of bench_* metric names.
+// (The counter values are benchdiff's job, in the CI bench matrix.)
+func TestBaselineShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	for id := range baselineIDs(t) {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			raw, err := os.ReadFile("../../bench/baseline/BENCH_" + id + ".json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want baselineSnapshot
+			if err := json.Unmarshal(raw, &want); err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			c := want.Config
+			got, err := Run(id, Config{Datasets: c.Datasets, Scale: c.Scale, Queries: c.Queries, Seed: c.Seed, Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want.Tables) {
+				t.Fatalf("%d tables, baseline has %d", len(got), len(want.Tables))
+			}
+			for i := range got {
+				if got[i].Title != want.Tables[i].Title {
+					t.Errorf("table %d title %q, baseline %q", i, got[i].Title, want.Tables[i].Title)
+				}
+				if strings.Join(got[i].Header, "|") != strings.Join(want.Tables[i].Header, "|") {
+					t.Errorf("table %d header %v, baseline %v", i, got[i].Header, want.Tables[i].Header)
+				}
+			}
+			names := func(m map[string]any) []string {
+				var out []string
+				for name := range m {
+					if strings.HasPrefix(name, "bench_") {
+						out = append(out, name)
+					}
+				}
+				sort.Strings(out)
+				return out
+			}
+			if g, w := names(reg.Snapshot()), names(want.Metrics); strings.Join(g, "\n") != strings.Join(w, "\n") {
+				t.Errorf("bench_* metric names differ from the baseline:\n got %v\nwant %v", g, w)
+			}
+		})
+	}
+}
+
+// runAll smoke-tests a group's experiments at a tiny scale: each must
+// produce non-empty tables with consistent row widths.
+func runAll(t *testing.T, in func(Group) bool) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped in -short mode")
 	}
-	cfg := tinyConfig()
-	for _, id := range ExperimentIDs() {
-		id := id
+	for _, e := range Experiments() {
+		if !in(e.Group) {
+			continue
+		}
+		id := e.ID
 		t.Run(id, func(t *testing.T) {
-			tables, err := Experiments[id](cfg)
+			tables, err := Run(id, tinyConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,6 +237,54 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
+func TestAllExperimentsRun(t *testing.T) { runAll(t, func(g Group) bool { return g != Ablation }) }
+
+func TestAblationsRun(t *testing.T) { runAll(t, func(g Group) bool { return g == Ablation }) }
+
+// TestSingleDatasetExperimentsHonourDatasets: an experiment that runs on one
+// data set takes Config.Datasets[0] — shard and repl used to run GS whatever
+// was asked — and says so in its table title.
+func TestSingleDatasetExperimentsHonourDatasets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	for _, id := range []string{"shard", "repl"} {
+		tables, err := Run(id, Config{Datasets: []string{"GW"}, Scale: 0.02, Queries: 10, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if !strings.Contains(tables[0].Title, "GW") || strings.Contains(tables[0].Title, "GS") {
+			t.Errorf("%s on GW: table title %q", id, tables[0].Title)
+		}
+	}
+}
+
+// TestSameAnswers pins the two comparison modes.
+func TestSameAnswers(t *testing.T) {
+	a := core.Result{POI: core.POI{ID: 1}, Score: 0.5, Agg: 3}
+	b := core.Result{POI: core.POI{ID: 2}, Score: 0.5, Agg: 4}
+	c := core.Result{POI: core.POI{ID: 3}, Score: 0.7, Agg: 1}
+	if err := sameAnswers(exact, []core.Result{a, b, c}, []core.Result{b, a, c}); err != nil {
+		t.Errorf("exact: tie order must not matter: %v", err)
+	}
+	moved := c
+	moved.Score = 0.6
+	if err := sameAnswers(exact, []core.Result{a, b, c}, []core.Result{a, b, moved}); err == nil {
+		t.Error("exact: a different score passed")
+	}
+	if err := sameAnswers(asSet, []core.Result{a, b, c}, []core.Result{moved, b, a}); err != nil {
+		t.Errorf("asSet: same (POI, aggregate) multiset in another order: %v", err)
+	}
+	other := c
+	other.Agg = 2
+	if err := sameAnswers(asSet, []core.Result{a, b, c}, []core.Result{a, b, other}); err == nil {
+		t.Error("asSet: a different aggregate passed")
+	}
+	if err := sameAnswers(asSet, []core.Result{a, b}, []core.Result{a}); err == nil {
+		t.Error("a shorter answer passed")
+	}
+}
+
 // TestSmokeDeterministic runs the regression probe twice with the same
 // config and requires identical work counters — the property cmd/benchdiff
 // relies on to gate CI on counts instead of wall-clock.
@@ -102,7 +296,7 @@ func TestSmokeDeterministic(t *testing.T) {
 		reg := obs.NewRegistry()
 		cfg := tinyConfig()
 		cfg.Metrics = reg
-		if _, err := Smoke(cfg); err != nil {
+		if _, err := Run("smoke", cfg); err != nil {
 			t.Fatal(err)
 		}
 		out := map[string]int64{}
@@ -138,7 +332,7 @@ func TestFig9TARWins(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Scale = 0.3 // enough POIs that pruning matters
 	cfg.Queries = 60
-	tables, err := Fig9(cfg)
+	tables, err := Run("fig9", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,26 +369,6 @@ func TestFig9TARWins(t *testing.T) {
 	}
 	if totals["TAR-tree"] >= totals["IND-agg"] {
 		t.Errorf("sweep total: TAR-tree %.1f not better than IND-agg %.1f", totals["TAR-tree"], totals["IND-agg"])
-	}
-}
-
-// TestAblationsRun smoke-tests the ablation experiments.
-func TestAblationsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	cfg := tinyConfig()
-	for _, id := range AblationIDs() {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			tables, err := Experiments[id](cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(tables) == 0 || len(tables[0].Rows) == 0 {
-				t.Fatal("empty result")
-			}
-		})
 	}
 }
 

@@ -3,12 +3,10 @@ package bench
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"tartree/internal/aggcache"
 	"tartree/internal/core"
 	"tartree/internal/lbsn"
-	"tartree/internal/tia"
 )
 
 // Cache experiment defaults: a repeated-interval workload — many query
@@ -20,19 +18,18 @@ const (
 	cacheBytes     = 32 << 20 // large enough that the workload never evicts
 )
 
-// cacheBackends lists the TIA storage engines the cache fronts, in cost
-// order: the in-memory mirror, the disk B+-tree (the default), and the
-// multiversion B-tree.
-var cacheBackends = []struct {
+// cachePasses are the three passes over the identical batch; every pass
+// after the cold one must answer exactly as the cold one did.
+var cachePasses = []struct {
 	name string
-	fac  func() tia.Factory
+	opts *core.QueryOpts
 }{
-	{"mem", func() tia.Factory { return tia.NewMemFactory() }},
-	{"btree", func() tia.Factory { return tia.NewBTreeFactory(defaultNodeSize, 10) }},
-	{"mvbt", func() tia.Factory { return tia.NewMVBTFactory(defaultNodeSize, 10) }},
+	{"cold (nocache)", &core.QueryOpts{NoCache: true}},
+	{"first (cached)", nil},
+	{"warm (repeat)", nil},
 }
 
-// CacheExp measures the epoch-versioned cache on a repeated-interval
+// cacheExp measures the epoch-versioned cache on a repeated-interval
 // workload, per TIA backend: a cold pass with the cache bypassed (the
 // uncached baseline), a first cached pass (aggregate reuse across queries
 // that share an interval), and a warm pass over the identical batch
@@ -48,170 +45,80 @@ var cacheBackends = []struct {
 //	bench_cache_first_agg_hits_total{backend="..."}
 //	bench_cache_warm_result_hits_total{backend="..."}
 //	bench_cache_warm_tia_reads_total{backend="..."}
-func CacheExp(cfg Config) ([]Table, error) {
-	name := cfg.datasets()[0]
-	if len(cfg.Datasets) == 0 {
-		name = "GS"
-	}
-	if cfg.Scale == 0 {
-		cfg.Scale = smokeScale
-	}
-	if cfg.Queries == 0 {
-		cfg.Queries = smokeQueries
-	}
-	env, err := newEnv(cfg, name)
-	if err != nil {
-		return nil, err
-	}
-	ivs := env.data.QueryIntervals(cacheIntervals, cfg.Seed+17)
-	queries := env.data.QueriesWithIntervals(cfg.queries(), defaultK, defaultAlpha, cfg.Seed+17, ivs)
-
-	t := Table{
-		Title: fmt.Sprintf("Cache: repeated-interval workload (%s, scale %.2f, %d queries over %d intervals)",
-			name, cfg.Scale, len(queries), cacheIntervals),
-		Header: []string{"backend", "pass", "ms/query", "TIA reads", "agg hits", "agg misses", "result hits", "speedup vs cold"},
-	}
+func cacheExp(r *run, env *dataEnv) error {
+	ivs := env.QueryIntervals(cacheIntervals, r.Seed+17)
+	queries := env.QueriesWithIntervals(r.Queries, defaultK, defaultAlpha, r.Seed+17, ivs)
+	t := r.table(fmt.Sprintf("Cache: repeated-interval workload (%s, scale %.2f, %d queries over %d intervals)",
+		env.name, env.scale, len(queries), cacheIntervals),
+		"backend", "pass", "ms/query", "TIA reads", "agg hits", "agg misses", "result hits", "speedup vs cold")
 	ctx := context.Background()
-	for _, b := range cacheBackends {
-		cache := aggcache.New(cacheBytes)
-		tr, err := env.data.Build(lbsn.BuildOptions{
+	for _, b := range tiaBackends {
+		tr, err := env.Build(lbsn.BuildOptions{
 			Grouping: core.TAR3D,
 			NodeSize: defaultNodeSize,
 			TIA:      b.fac(),
-			Cache:    cache,
+			Cache:    aggcache.New(cacheBytes),
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var want [][]core.Result
-		runPass := func(opts *core.QueryOpts, check bool) (passStats, error) {
-			var ps passStats
-			start := time.Now()
-			for i, qu := range queries {
-				res, stats, err := tr.QueryCtx(ctx, qu, opts)
-				if err != nil {
-					return ps, err
-				}
-				ps.tiaReads += stats.TIAAccesses
-				ps.aggHits += stats.CacheHits
-				ps.aggMisses += stats.CacheMisses
-				if stats.ResultCacheHit {
-					ps.resultHits++
-					ps.aggHits-- // a whole-result hit is not an aggregate probe
-				}
-				if check {
-					if err := sameResults(want[i], res); err != nil {
-						return ps, fmt.Errorf("cache %s query %d: %w", b.name, i, err)
-					}
-				} else {
-					want = append(want, res)
+		ms := make([]measurement, len(cachePasses))
+		for i, p := range cachePasses {
+			if ms[i], err = r.measure("", tr, queries, p.opts); err != nil {
+				return err
+			}
+			if i > 0 {
+				if err := sameBatch(exact, b.name+" "+p.name, ms[0], ms[i]); err != nil {
+					return err
 				}
 			}
-			ps.elapsed = time.Since(start)
-			return ps, nil
 		}
-
-		cold, err := runPass(&core.QueryOpts{NoCache: true}, false)
-		if err != nil {
-			return nil, err
-		}
-		first, err := runPass(nil, true)
-		if err != nil {
-			return nil, err
-		}
-		warm, err := runPass(nil, true)
-		if err != nil {
-			return nil, err
-		}
+		cold, first, warm := ms[0], ms[1], ms[2]
 
 		// Invalidation gate: a live ingest folded into a fresh epoch must
 		// leave cached and uncached answers in agreement again.
-		at := env.data.Spec.End
-		for i := range queries[:4] {
-			res := want[i]
-			if len(res) == 0 {
-				continue
-			}
-			for n := 0; n < 20; n++ {
+		at := env.Spec.End
+		for _, res := range cold.answers[:4] {
+			for n := 0; n < 20 && len(res) > 0; n++ {
 				if err := tr.AddCheckIn(res[0].POI.ID, at); err != nil {
-					return nil, fmt.Errorf("cache %s: ingest: %w", b.name, err)
+					return fmt.Errorf("%s: ingest: %w", b.name, err)
 				}
 			}
 		}
 		if err := tr.FlushEpochs(at + defaultEpoch); err != nil {
-			return nil, err
+			return err
 		}
 		for i, qu := range queries[:4] {
 			plain, _, err := tr.QueryCtx(ctx, qu, &core.QueryOpts{NoCache: true})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cached, stats, err := tr.QueryCtx(ctx, qu, nil)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if stats.ResultCacheHit {
-				return nil, fmt.Errorf("cache %s query %d: stale result served after ingest", b.name, i)
+				return fmt.Errorf("%s query %d: stale result served after ingest", b.name, i)
 			}
-			if err := sameResults(plain, cached); err != nil {
-				return nil, fmt.Errorf("cache %s query %d after ingest: %w", b.name, i, err)
+			if err := sameAnswers(exact, plain, cached); err != nil {
+				return fmt.Errorf("%s query %d after ingest: %w", b.name, i, err)
 			}
 		}
 
-		if cfg.Metrics != nil {
-			l := func(c string) string { return fmt.Sprintf(`%s{backend=%q}`, c, b.name) }
-			cfg.Metrics.Counter(l("bench_cache_queries_total")).Add(int64(len(queries)))
-			cfg.Metrics.Counter(l("bench_cache_cold_tia_reads_total")).Add(cold.tiaReads)
-			cfg.Metrics.Counter(l("bench_cache_first_agg_hits_total")).Add(first.aggHits)
-			cfg.Metrics.Counter(l("bench_cache_warm_result_hits_total")).Add(warm.resultHits)
-			cfg.Metrics.Counter(l("bench_cache_warm_tia_reads_total")).Add(warm.tiaReads)
-		}
-		for _, p := range []struct {
-			name string
-			ps   passStats
-		}{{"cold (nocache)", cold}, {"first (cached)", first}, {"warm (repeat)", warm}} {
+		r.count("bench_cache_queries_total", int64(len(queries)), "backend", b.name)
+		r.count("bench_cache_cold_tia_reads_total", cold.work.TIAAccesses, "backend", b.name)
+		r.count("bench_cache_first_agg_hits_total", first.work.CacheHits-first.resultHits, "backend", b.name)
+		r.count("bench_cache_warm_result_hits_total", warm.resultHits, "backend", b.name)
+		r.count("bench_cache_warm_tia_reads_total", warm.work.TIAAccesses, "backend", b.name)
+		for i, m := range ms {
 			speedup := "-"
-			if p.ps.elapsed > 0 && p.name != "cold (nocache)" {
-				speedup = fmt.Sprintf("%.1f×", float64(cold.elapsed)/float64(p.ps.elapsed))
+			if i > 0 && m.elapsed > 0 {
+				speedup = fmt.Sprintf("%.1f×", float64(cold.elapsed)/float64(m.elapsed))
 			}
-			t.Rows = append(t.Rows, []string{
-				b.name,
-				p.name,
-				fmt.Sprintf("%.3f", p.ps.elapsed.Seconds()*1000/float64(len(queries))),
-				fmt.Sprintf("%d", p.ps.tiaReads),
-				fmt.Sprintf("%d", p.ps.aggHits),
-				fmt.Sprintf("%d", p.ps.aggMisses),
-				fmt.Sprintf("%d", p.ps.resultHits),
-				speedup,
-			})
-		}
-	}
-	return []Table{t}, nil
-}
-
-// passStats accumulates one pass over the query batch.
-type passStats struct {
-	elapsed    time.Duration
-	tiaReads   int64
-	aggHits    int64
-	aggMisses  int64
-	resultHits int64
-}
-
-// sameResults requires two ranked answers to agree exactly — the
-// equivalence contract of the cache, enforced inside the experiment.
-func sameResults(want, got []core.Result) error {
-	if len(want) != len(got) {
-		return fmt.Errorf("result count %d != %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			return fmt.Errorf("rank %d: %+v != %+v", i, got[i], want[i])
+			// A whole-result hit is not an aggregate probe.
+			t.add(b.name, cachePasses[i].name, m.meanMS(), m.work.TIAAccesses,
+				m.work.CacheHits-m.resultHits, m.work.CacheMisses, m.resultHits, speedup)
 		}
 	}
 	return nil
-}
-
-func init() {
-	Experiments["cache"] = CacheExp
 }

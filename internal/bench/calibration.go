@@ -58,58 +58,46 @@ type explainLine struct {
 	Explain *core.Explain `json:"explain"`
 }
 
-// CalibrationExp runs the calibration sweep on the first configured
-// dataset (GS by default) over a TAR3D tree with the paper's defaults.
-func CalibrationExp(cfg Config) ([]Table, error) {
-	name := "GS"
-	if len(cfg.Datasets) > 0 {
-		name = cfg.Datasets[0]
-	}
-	if cfg.Scale == 0 {
-		cfg.Scale = smokeScale
-	}
-	env, err := newEnv(cfg, name)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := env.data.Build(lbsn.BuildOptions{
+// calibrationExp runs the calibration sweep over a TAR3D tree with the
+// paper's defaults. Config.Queries does not apply: every class runs
+// calibrationQueriesPerClass queries, as the table title says.
+func calibrationExp(r *run, env *dataEnv) error {
+	tr, err := env.Build(lbsn.BuildOptions{
 		Grouping:    core.TAR3D,
 		NodeSize:    defaultNodeSize,
 		EpochLength: defaultEpoch,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pl, err := planner.New(tr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if cfg.Metrics != nil {
+	if r.Metrics != nil {
 		// The fleet-level planner series accumulate alongside the bench_*
 		// counters, so the snapshot shows both views of the same sweep.
-		pl.Instrument(cfg.Metrics)
+		pl.Instrument(r.Metrics)
 	}
 
-	t := Table{
-		Title: fmt.Sprintf("Calibration: Section-6 estimate vs actual (%s, scale %.2f, TAR-tree, %d queries/class)",
-			name, cfg.Scale, calibrationQueriesPerClass),
-		Header: []string{"class", "engine", "est NA", "actual NA", "NA err", "est f(pk)", "actual f(pk)", "f(pk) err"},
-	}
+	t := r.table(fmt.Sprintf("Calibration: Section-6 estimate vs actual (%s, scale %.2f, TAR-tree, %d queries/class)",
+		env.name, env.scale, calibrationQueriesPerClass),
+		"class", "engine", "est NA", "actual NA", "NA err", "est f(pk)", "actual f(pk)", "f(pk) err")
 	ctx := context.Background()
 	var enc *json.Encoder
-	if cfg.ExplainOut != nil {
-		enc = json.NewEncoder(cfg.ExplainOut)
+	if r.ExplainOut != nil {
+		enc = json.NewEncoder(r.ExplainOut)
 	}
 	for ci, class := range calibrationClasses {
 		label := fmt.Sprintf("k%d_d%d", class.k, class.days)
-		span := env.data.Spec.End - env.data.Spec.Start
+		span := env.Spec.End - env.Spec.Start
 		length := class.days * lbsn.Day
 		if length > span {
 			length = span
 		}
-		iv := tia.Interval{Start: env.data.Spec.End - length, End: env.data.Spec.End}
-		queries := env.data.QueriesWithIntervals(
-			calibrationQueriesPerClass, class.k, defaultAlpha, cfg.Seed+int64(23+ci), []tia.Interval{iv})
+		iv := tia.Interval{Start: env.Spec.End - length, End: env.Spec.End}
+		queries := env.QueriesWithIntervals(
+			calibrationQueriesPerClass, class.k, defaultAlpha, r.Seed+int64(23+ci), []tia.Interval{iv})
 
 		var (
 			estNA, actNA           float64
@@ -122,7 +110,7 @@ func CalibrationExp(cfg Config) ([]Table, error) {
 			exp := core.NewExplain()
 			_, plan, _, err := pl.QueryCtx(ctx, qu, &core.QueryOpts{Explain: exp})
 			if err != nil {
-				return nil, fmt.Errorf("calibration %s query %d: %w", label, qi, err)
+				return fmt.Errorf("%s query %d: %w", label, qi, err)
 			}
 			engines[plan.Engine]++
 			estNA += plan.EstimatedNodeAccesses
@@ -144,7 +132,7 @@ func CalibrationExp(cfg Config) ([]Table, error) {
 				if err := enc.Encode(explainLine{
 					Class: label, K: class.k, Days: class.days, Query: qi, Explain: exp,
 				}); err != nil {
-					return nil, fmt.Errorf("calibration %s: explain artifact: %w", label, err)
+					return fmt.Errorf("%s: explain artifact: %w", label, err)
 				}
 			}
 		}
@@ -165,33 +153,17 @@ func CalibrationExp(cfg Config) ([]Table, error) {
 				engineCell += fmt.Sprintf("%d×%s", c, e)
 			}
 		}
-		t.Rows = append(t.Rows, []string{
-			label,
-			engineCell,
-			f1(estNA / n),
-			f1(actNA / n),
-			fmt.Sprintf("%.1f%%", naErrPct),
-			f3(estFk / n),
-			f3(actFk / n),
-			fmt.Sprintf("%.1f%%", fkErrPct),
-		})
+		t.add(label, engineCell, f1(estNA/n), f1(actNA/n), fmt.Sprintf("%.1f%%", naErrPct),
+			f3(estFk/n), f3(actFk/n), fmt.Sprintf("%.1f%%", fkErrPct))
 
-		if cfg.Metrics != nil {
-			l := func(c string) string { return fmt.Sprintf(`%s{class=%q}`, c, label) }
-			cfg.Metrics.Counter(l("bench_planner_queries_total")).Add(int64(len(queries)))
-			for e, c := range engines {
-				cfg.Metrics.Counter(fmt.Sprintf(
-					`bench_planner_engine_total{class=%q,engine=%q}`, label, e.String())).Add(int64(c))
-			}
-			cfg.Metrics.Counter(l("bench_planner_est_node_accesses_total")).Add(int64(math.Round(estNA)))
-			cfg.Metrics.Counter(l("bench_planner_actual_node_accesses_total")).Add(int64(math.Round(actNA)))
-			cfg.Metrics.Gauge(l("bench_planner_access_error_abs_pct")).Set(math.Round(naErrPct*10) / 10)
-			cfg.Metrics.Gauge(l("bench_planner_fk_error_abs_pct")).Set(math.Round(fkErrPct*10) / 10)
+		r.count("bench_planner_queries_total", int64(len(queries)), "class", label)
+		for e, c := range engines {
+			r.count("bench_planner_engine_total", int64(c), "class", label, "engine", e.String())
 		}
+		r.count("bench_planner_est_node_accesses_total", int64(math.Round(estNA)), "class", label)
+		r.count("bench_planner_actual_node_accesses_total", int64(math.Round(actNA)), "class", label)
+		r.gauge("bench_planner_access_error_abs_pct", math.Round(naErrPct*10)/10, "class", label)
+		r.gauge("bench_planner_fk_error_abs_pct", math.Round(fkErrPct*10)/10, "class", label)
 	}
-	return []Table{t}, nil
-}
-
-func init() {
-	Experiments["calibration"] = CalibrationExp
+	return nil
 }

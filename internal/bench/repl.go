@@ -26,7 +26,7 @@ const (
 	replBenchToken  = "bench-repl-token"
 )
 
-// ReplExp measures the replication pipeline end to end over loopback HTTP:
+// replExp measures the replication pipeline end to end over loopback HTTP:
 // a leader ingests the first part of a deterministic check-in stream, a
 // follower bootstraps from its snapshot, the leader ingests the rest, and
 // the follower tails it through a single WAL stream. The convergence gate
@@ -43,35 +43,22 @@ const (
 //	bench_repl_stream_requests_total
 //	bench_repl_queries_total
 //	bench_repl_follower_node_accesses_total
-func ReplExp(cfg Config) ([]Table, error) {
-	name := "GS"
-	scale := cfg.Scale
-	if scale == 0 {
-		scale = 0.05
-	}
-	spec, err := lbsn.SpecByName(name)
-	if err != nil {
-		return nil, err
-	}
-	d, err := lbsn.Generate(spec.Scaled(scale))
-	if err != nil {
-		return nil, err
-	}
+func replExp(r *run, env *dataEnv) error {
 	root, err := os.MkdirTemp("", "tartree-repl-*")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer os.RemoveAll(root)
 
 	lfs, err := wal.NewDirFS(mustMkdir(root, "leader"))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lstore, err := wal.OpenStore(lfs, func() (*core.Tree, error) {
-		return d.Build(lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: defaultNodeSize})
+		return env.Build(lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: defaultNodeSize})
 	}, wal.StoreOptions{NoSync: true})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer lstore.Close()
 
@@ -79,24 +66,24 @@ func ReplExp(cfg Config) ([]Table, error) {
 	// the data set's end so the replicated records sit inside the query
 	// window the battery below covers.
 	var pois []int64
-	for _, p := range d.POIs {
+	for _, p := range env.POIs {
 		if _, ok := lstore.Tree().Lookup(p.ID); ok {
 			pois = append(pois, p.ID)
 		}
 	}
 	if len(pois) == 0 {
-		return nil, fmt.Errorf("repl: no indexed POIs at scale %.2f", scale)
+		return fmt.Errorf("no indexed POIs at scale %.2f", env.scale)
 	}
 	total := replBootRecords + replTailRecords
 	mk := func(i int) wal.CheckIn {
-		return wal.CheckIn{POI: pois[i%len(pois)], At: d.Spec.End - int64(total) + int64(i)}
+		return wal.CheckIn{POI: pois[i%len(pois)], At: env.Spec.End - int64(total) + int64(i)}
 	}
 	corpus := make([]wal.CheckIn, total)
 	for i := range corpus {
 		corpus[i] = mk(i)
 	}
 	if _, err := lstore.Ingest(corpus[:replBootRecords]); err != nil {
-		return nil, err
+		return err
 	}
 
 	lreg := obs.NewRegistry()
@@ -117,7 +104,7 @@ func ReplExp(cfg Config) ([]Table, error) {
 	// Phase 1: snapshot bootstrap into an empty follower directory.
 	ffs, err := wal.NewDirFS(mustMkdir(root, "follower"))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	freg := obs.NewRegistry()
 	fm := repl.NewMetrics(freg)
@@ -131,28 +118,28 @@ func ReplExp(cfg Config) ([]Table, error) {
 	bootStart := time.Now()
 	bootLSN, downloaded, err := repl.Bootstrap(context.Background(), ffs, fopts)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	bootElapsed := time.Since(bootStart)
 	if !downloaded || bootLSN != replBootRecords {
-		return nil, fmt.Errorf("repl: bootstrap lsn=%d downloaded=%v, want %d/true", bootLSN, downloaded, replBootRecords)
+		return fmt.Errorf("bootstrap lsn=%d downloaded=%v, want %d/true", bootLSN, downloaded, replBootRecords)
 	}
 	fstore, err := wal.OpenStore(ffs, func() (*core.Tree, error) {
 		return nil, fmt.Errorf("follower base builder must not run")
 	}, wal.StoreOptions{NoSync: true})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer fstore.Close()
 	blob, _, err := lstore.EncodeSnapshot()
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Phase 2: the leader ingests the rest; the follower tails it all over
 	// one stream and is cancelled once the watermark reports convergence.
 	if _, err := lstore.Ingest(corpus[replBootRecords:]); err != nil {
-		return nil, err
+		return err
 	}
 	f := &repl.Follower{Store: fstore, Opts: fopts}
 	runCtx, cancel := context.WithCancel(context.Background())
@@ -165,79 +152,51 @@ func ReplExp(cfg Config) ([]Table, error) {
 	tailElapsed := time.Since(tailStart)
 	cancel()
 	if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
-		return nil, fmt.Errorf("repl: follower run: %w", err)
+		return fmt.Errorf("follower run: %w", err)
 	}
 	if werr != nil {
-		return nil, fmt.Errorf("repl: follower never reached LSN %d (applied %d)", total, fstore.AppliedLSN())
+		return fmt.Errorf("follower never reached LSN %d (applied %d)", total, fstore.AppliedLSN())
 	}
 
 	// Convergence gate: exact LSN identity and answer-identical queries.
 	if got, want := fstore.AppliedLSN(), lstore.DurableLSN(); got != want {
-		return nil, fmt.Errorf("repl: follower applied %d, leader durable %d", got, want)
+		return fmt.Errorf("follower applied %d, leader durable %d", got, want)
 	}
-	horizon := d.Spec.End + 1
+	horizon := env.Spec.End + 1
 	if err := lstore.FlushEpochs(horizon); err != nil {
-		return nil, err
+		return err
 	}
 	if err := fstore.FlushEpochs(horizon); err != nil {
-		return nil, err
+		return err
 	}
-	queries := d.Queries(cfg.queries(), defaultK, defaultAlpha, cfg.Seed+41)
-	_, lres, err := runStartupBatch(lstore.Tree(), queries)
+	queries := env.Queries(r.Queries, defaultK, defaultAlpha, r.Seed+41)
+	leader, err := r.measure("", lstore, queries, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	fwork, fres, err := runStartupBatch(fstore.Tree(), queries)
+	follower, err := r.measure("", fstore, queries, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	for i := range queries {
-		if err := sameAnswerSet(lres[i], fres[i]); err != nil {
-			return nil, fmt.Errorf("repl: query %d: follower vs leader: %w", i, err)
-		}
+	if err := sameBatch(asSet, "follower vs leader", leader, follower); err != nil {
+		return err
 	}
 
-	if cfg.Metrics != nil {
-		cfg.Metrics.Counter("bench_repl_bootstrap_lsn_total").Add(int64(bootLSN))
-		cfg.Metrics.Counter("bench_repl_tail_records_total").Add(replTailRecords)
-		cfg.Metrics.Counter("bench_repl_records_applied_total").Add(int64(fm.AppliedLSN() - bootLSN))
-		cfg.Metrics.Counter("bench_repl_stream_requests_total").Add(lm.StreamRequests.Value())
-		cfg.Metrics.Counter("bench_repl_queries_total").Add(int64(len(queries)))
-		cfg.Metrics.Counter("bench_repl_follower_node_accesses_total").Add(fwork.nodeAccesses)
-	}
+	r.count("bench_repl_bootstrap_lsn_total", int64(bootLSN))
+	r.count("bench_repl_tail_records_total", replTailRecords)
+	r.count("bench_repl_records_applied_total", int64(fm.AppliedLSN()-bootLSN))
+	r.count("bench_repl_stream_requests_total", lm.StreamRequests.Value())
+	r.count("bench_repl_queries_total", int64(len(queries)))
+	r.count("bench_repl_follower_node_accesses_total", follower.nodeAccesses())
 
-	t := Table{
-		Title: fmt.Sprintf("Replication: snapshot bootstrap + WAL tail over loopback HTTP (%s ×%.2f, %d+%d records)",
-			name, scale, replBootRecords, replTailRecords),
-		Header: []string{"phase", "records", "snapshot KB", "streams", "elapsed (ms)", "records/s"},
-		Rows: [][]string{
-			{
-				"bootstrap",
-				fmt.Sprintf("%d", bootLSN),
-				fmt.Sprintf("%.1f", float64(len(blob))/1024),
-				"1",
-				fmt.Sprintf("%.1f", bootElapsed.Seconds()*1000),
-				"-",
-			},
-			{
-				"tail",
-				fmt.Sprintf("%d", replTailRecords),
-				"-",
-				fmt.Sprintf("%d", lm.StreamRequests.Value()),
-				fmt.Sprintf("%.1f", tailElapsed.Seconds()*1000),
-				fmt.Sprintf("%.0f", replTailRecords/tailElapsed.Seconds()),
-			},
-			{
-				"converged",
-				fmt.Sprintf("%d", fstore.AppliedLSN()),
-				"-",
-				"-",
-				"-",
-				fmt.Sprintf("%d queries agree", len(queries)),
-			},
-		},
-	}
-	return []Table{t}, nil
+	t := r.table(fmt.Sprintf("Replication: snapshot bootstrap + WAL tail over loopback HTTP (%s ×%.2f, %d+%d records)",
+		env.name, env.scale, replBootRecords, replTailRecords),
+		"phase", "records", "snapshot KB", "streams", "elapsed (ms)", "records/s")
+	t.add("bootstrap", bootLSN, f1(float64(len(blob))/1024), 1, f1(bootElapsed.Seconds()*1000), "-")
+	t.add("tail", replTailRecords, "-", lm.StreamRequests.Value(), f1(tailElapsed.Seconds()*1000),
+		fmt.Sprintf("%.0f", replTailRecords/tailElapsed.Seconds()))
+	t.add("converged", fstore.AppliedLSN(), "-", "-", "-", fmt.Sprintf("%d queries agree", len(queries)))
+	return nil
 }
 
 // mustMkdir creates a named subdirectory under root; failures surface later
@@ -246,8 +205,4 @@ func mustMkdir(root, name string) string {
 	dir := root + string(os.PathSeparator) + name
 	os.Mkdir(dir, 0o755)
 	return dir
-}
-
-func init() {
-	Experiments["repl"] = ReplExp
 }

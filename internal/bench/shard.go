@@ -1,13 +1,9 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
-	"sort"
-	"time"
 
 	"tartree/internal/core"
 	"tartree/internal/lbsn"
@@ -24,7 +20,7 @@ const shardBenchN = 4
 // in one leaf and there is no frontier left for the global bound to prune.
 const shardBenchNodeSize = 256
 
-// ShardExp measures scatter-gather kNNTA over loopback HTTP: the effective
+// shardExp measures scatter-gather kNNTA over loopback HTTP: the effective
 // POI set is STR-partitioned across four shard servers, and the same query
 // battery runs three ways — single-node, coordinated with the global
 // ranking bound pushed to in-flight shards, and coordinated with the bound
@@ -46,43 +42,29 @@ const shardBenchNodeSize = 256
 //	bench_shard_node_accesses_single_total
 //	bench_shard_node_accesses_bounded_total
 //	bench_shard_node_accesses_unbounded_total
-func ShardExp(cfg Config) ([]Table, error) {
-	name := "GS"
-	scale := cfg.Scale
-	if scale == 0 {
-		scale = 0.2
-	}
-	spec, err := lbsn.SpecByName(name)
+func shardExp(r *run, env *dataEnv) error {
+	single, err := env.Build(lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: shardBenchNodeSize})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	d, err := lbsn.Generate(spec.Scaled(scale))
-	if err != nil {
-		return nil, err
-	}
-	single, err := d.Build(lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: shardBenchNodeSize})
-	if err != nil {
-		return nil, err
-	}
-
-	pois := d.EffectivePOIs(0, 0)
+	pois := env.EffectivePOIs(0, 0)
 	if len(pois) < shardBenchN {
-		return nil, fmt.Errorf("shard: only %d effective POIs at scale %.2f", len(pois), scale)
+		return fmt.Errorf("only %d effective POIs at scale %.2f", len(pois), env.scale)
 	}
-	m, err := shard.Partition(pois, shardBenchN, d.World)
+	m, err := shard.Partition(pois, shardBenchN, env.World)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	urls := make([]string, shardBenchN)
 	for i := 0; i < shardBenchN; i++ {
 		idx := i
-		tr, err := d.Build(lbsn.BuildOptions{
+		tr, err := env.Build(lbsn.BuildOptions{
 			Grouping: core.TAR3D,
 			NodeSize: shardBenchNodeSize,
 			Keep:     func(p core.POI) bool { return m.Locate(p.X, p.Y) == idx },
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mux := http.NewServeMux()
 		(&shard.Server{
@@ -96,146 +78,56 @@ func ShardExp(cfg Config) ([]Table, error) {
 		urls[i] = srv.URL
 	}
 
-	queries := d.Queries(cfg.queries(), defaultK, defaultAlpha, cfg.Seed+43)
+	queries := env.Queries(r.Queries, defaultK, defaultAlpha, r.Seed+43)
 
-	// Arm 1: single-node baseline (also the identity oracle).
-	var singleWork int64
-	oracle := make([][]core.Result, len(queries))
-	for i, q := range queries {
-		r, stats, err := single.QueryCtx(context.Background(), q, &core.QueryOpts{NoCache: true})
-		if err != nil {
-			return nil, err
-		}
-		oracle[i] = r
-		singleWork += int64(stats.RTreeAccesses())
+	// Arm 1: single-node baseline (also the identity oracle). Arm 2:
+	// scatter-gather with the global bound pushed to in-flight shards. Arm 3:
+	// the same fleet with the bound disabled — every shard streams its whole
+	// frontier.
+	bm, um := shard.NewMetrics(obs.NewRegistry()), shard.NewMetrics(obs.NewRegistry())
+	oracle, err := r.measure("", single, queries, &core.QueryOpts{NoCache: true})
+	if err != nil {
+		return err
 	}
-
-	// Arm 2: scatter-gather with the global bound pushed to in-flight
-	// shards. Gate 1: exact answer identity against the oracle.
-	bm := shard.NewMetrics(obs.NewRegistry())
-	bounded := &shard.Coordinator{Shards: urls, Metrics: bm}
-	var boundedWork int64
-	boundedStart := time.Now()
-	for i, q := range queries {
-		r, stats, err := bounded.QueryCtx(context.Background(), q, nil)
-		if err != nil {
-			return nil, err
-		}
-		boundedWork += int64(stats.RTreeAccesses())
-		if err := identicalAnswers(oracle[i], r); err != nil {
-			return nil, fmt.Errorf("shard: query %d: coordinator vs single-node: %w", i, err)
-		}
+	bounded, err := r.measure("", &shard.Coordinator{Shards: urls, Metrics: bm}, queries, nil)
+	if err != nil {
+		return err
 	}
-	boundedElapsed := time.Since(boundedStart)
-
-	// Arm 3: the same fleet with the bound disabled — every shard streams
-	// its whole frontier. Gate 2: the bound must strictly reduce work.
-	um := shard.NewMetrics(obs.NewRegistry())
-	unbounded := &shard.Coordinator{Shards: urls, Metrics: um, NoBound: true, Batch: defaultK}
-	var unboundedWork int64
-	unboundedStart := time.Now()
-	for i, q := range queries {
-		r, stats, err := unbounded.QueryCtx(context.Background(), q, nil)
-		if err != nil {
-			return nil, err
-		}
-		unboundedWork += int64(stats.RTreeAccesses())
-		if err := identicalAnswers(oracle[i], r); err != nil {
-			return nil, fmt.Errorf("shard: query %d: unbounded coordinator vs single-node: %w", i, err)
-		}
+	unbounded, err := r.measure("", &shard.Coordinator{Shards: urls, Metrics: um, NoBound: true, Batch: defaultK}, queries, nil)
+	if err != nil {
+		return err
 	}
-	unboundedElapsed := time.Since(unboundedStart)
-
+	// Gate 1: exact answer identity against the oracle, both arms.
+	if err := sameBatch(exact, "coordinator vs single-node", oracle, bounded); err != nil {
+		return err
+	}
+	if err := sameBatch(exact, "unbounded coordinator vs single-node", oracle, unbounded); err != nil {
+		return err
+	}
+	// Gate 2: the bound must strictly reduce work.
+	singleWork, boundedWork, unboundedWork := oracle.nodeAccesses(), bounded.nodeAccesses(), unbounded.nodeAccesses()
 	if boundedWork >= unboundedWork {
-		return nil, fmt.Errorf("shard: global bound did not reduce work: bounded %d node accesses vs unbounded %d",
-			boundedWork, unboundedWork)
+		return fmt.Errorf("global bound did not reduce work: bounded %d node accesses vs unbounded %d", boundedWork, unboundedWork)
 	}
 
-	var results int64
-	for _, r := range oracle {
-		results += int64(len(r))
-	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.Counter("bench_shard_queries_total").Add(int64(len(queries)))
-		cfg.Metrics.Counter("bench_shard_results_total").Add(results)
-		cfg.Metrics.Counter("bench_shard_fanout_total").Add(bm.Fanout.Value())
-		cfg.Metrics.Counter("bench_shard_rounds_total").Add(bm.Rounds.Value())
-		cfg.Metrics.Counter("bench_shard_bound_pushes_total").Add(bm.BoundPushes.Value())
-		cfg.Metrics.Counter("bench_shard_pruned_total").Add(bm.Pruned.Value())
-		cfg.Metrics.Counter("bench_shard_node_accesses_single_total").Add(singleWork)
-		cfg.Metrics.Counter("bench_shard_node_accesses_bounded_total").Add(boundedWork)
-		cfg.Metrics.Counter("bench_shard_node_accesses_unbounded_total").Add(unboundedWork)
-	}
+	r.count("bench_shard_queries_total", int64(len(queries)))
+	r.count("bench_shard_results_total", oracle.results)
+	r.count("bench_shard_fanout_total", bm.Fanout.Value())
+	r.count("bench_shard_rounds_total", bm.Rounds.Value())
+	r.count("bench_shard_bound_pushes_total", bm.BoundPushes.Value())
+	r.count("bench_shard_pruned_total", bm.Pruned.Value())
+	r.count("bench_shard_node_accesses_single_total", singleWork)
+	r.count("bench_shard_node_accesses_bounded_total", boundedWork)
+	r.count("bench_shard_node_accesses_unbounded_total", unboundedWork)
 
-	t := Table{
-		Title: fmt.Sprintf("Sharding: scatter-gather kNNTA over %d shards, loopback HTTP (%s ×%.2f, %d queries; answers identical to single-node)",
-			shardBenchN, name, scale, len(queries)),
-		Header: []string{"mode", "node accesses", "rounds", "bound pushes", "pruned shards", "elapsed (ms)"},
-		Rows: [][]string{
-			{
-				"single-node",
-				fmt.Sprintf("%d", singleWork),
-				"-", "-", "-", "-",
-			},
-			{
-				"scatter-gather, global bound",
-				fmt.Sprintf("%d", boundedWork),
-				fmt.Sprintf("%d", bm.Rounds.Value()),
-				fmt.Sprintf("%d", bm.BoundPushes.Value()),
-				fmt.Sprintf("%d", bm.Pruned.Value()),
-				fmt.Sprintf("%.1f", boundedElapsed.Seconds()*1000),
-			},
-			{
-				"scatter-gather, no bound",
-				fmt.Sprintf("%d", unboundedWork),
-				fmt.Sprintf("%d", um.Rounds.Value()),
-				"0",
-				fmt.Sprintf("%d", um.Pruned.Value()),
-				fmt.Sprintf("%.1f", unboundedElapsed.Seconds()*1000),
-			},
-			{
-				"bound saving",
-				fmt.Sprintf("-%.1f%%", 100*(1-float64(boundedWork)/float64(unboundedWork))),
-				"-", "-", "-", "-",
-			},
-		},
-	}
-	return []Table{t}, nil
-}
-
-// identicalAnswers requires exact answer identity — the same POI ids with
-// bit-identical scores. Both sides are canonicalized by (score, id) so a
-// tie between equal-score POIs (measure-zero with continuous coordinates,
-// but possible) cannot order-flake the gate.
-func identicalAnswers(want, got []core.Result) error {
-	if len(want) != len(got) {
-		return fmt.Errorf("result count %d != %d", len(got), len(want))
-	}
-	canon := func(rs []core.Result) []core.Result {
-		out := append([]core.Result(nil), rs...)
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Score != out[j].Score {
-				return out[i].Score < out[j].Score
-			}
-			return out[i].POI.ID < out[j].POI.ID
-		})
-		return out
-	}
-	a, b := canon(want), canon(got)
-	for i := range a {
-		if a[i].POI.ID != b[i].POI.ID {
-			return fmt.Errorf("rank %d: POI %d != %d", i, b[i].POI.ID, a[i].POI.ID)
-		}
-		if math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
-			return fmt.Errorf("rank %d (POI %d): score %v != %v", i, a[i].POI.ID, b[i].Score, a[i].Score)
-		}
-		if a[i].Agg != b[i].Agg {
-			return fmt.Errorf("rank %d (POI %d): aggregate %d != %d", i, a[i].POI.ID, b[i].Agg, a[i].Agg)
-		}
-	}
+	t := r.table(fmt.Sprintf("Sharding: scatter-gather kNNTA over %d shards, loopback HTTP (%s ×%.2f, %d queries; answers identical to single-node)",
+		shardBenchN, env.name, env.scale, len(queries)),
+		"mode", "node accesses", "rounds", "bound pushes", "pruned shards", "elapsed (ms)")
+	t.add("single-node", singleWork, "-", "-", "-", "-")
+	t.add("scatter-gather, global bound", boundedWork, bm.Rounds.Value(), bm.BoundPushes.Value(), bm.Pruned.Value(),
+		f1(bounded.elapsed.Seconds()*1000))
+	t.add("scatter-gather, no bound", unboundedWork, um.Rounds.Value(), 0, um.Pruned.Value(),
+		f1(unbounded.elapsed.Seconds()*1000))
+	t.add("bound saving", fmt.Sprintf("-%.1f%%", 100*(1-float64(boundedWork)/float64(unboundedWork))), "-", "-", "-", "-")
 	return nil
-}
-
-func init() {
-	Experiments["shard"] = ShardExp
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -199,7 +200,7 @@ func TestPaperWorkedExample(t *testing.T) {
 				t.Errorf("agg(f) = %d, want 12", rf.Agg)
 			}
 			// The top-1 kNNTA result is f.
-			res, stats, err := tr.Query(q)
+			res, stats, err := tr.QueryCtx(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,7 +309,7 @@ func TestBFSEqualsBruteForce(t *testing.T) {
 					K:      1 + r.Intn(20),
 					Alpha0: 0.05 + 0.9*r.Float64(),
 				}
-				got, _, err := tr.Query(q)
+				got, _, err := tr.QueryCtx(context.Background(), q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -374,11 +375,11 @@ func TestCheckInsThenQuery(t *testing.T) {
 			K:      5,
 			Alpha0: 0.3,
 		}
-		a, _, err := live.Query(q)
+		a, _, err := live.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := hist.Query(q)
+		b, _, err := hist.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +413,7 @@ func TestDeletePOI(t *testing.T) {
 	}
 	// Remaining POIs still queryable.
 	q := Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 200}, K: 10, Alpha0: 0.5}
-	res, _, err := tr.Query(q)
+	res, _, err := tr.QueryCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +431,7 @@ func TestRebuild(t *testing.T) {
 	tr, r := buildRandomTree(t, TAR3D, 400, 31)
 	q := Query{X: r.Float64() * 100, Y: r.Float64() * 100,
 		Iq: tia.Interval{Start: 0, End: 200}, K: 10, Alpha0: 0.3}
-	before, _, err := tr.Query(q)
+	before, _, err := tr.QueryCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +441,7 @@ func TestRebuild(t *testing.T) {
 	if err := tr.Check(); err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := tr.Query(q)
+	after, _, err := tr.QueryCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +465,7 @@ func TestQueryValidation(t *testing.T) {
 		{X: 1, Y: 1, Iq: tia.Interval{Start: 10, End: 10}, K: 5, Alpha0: 0.5},
 	}
 	for i, q := range bad {
-		if _, _, err := tr.Query(q); err == nil {
+		if _, _, err := tr.QueryCtx(context.Background(), q, nil); err == nil {
 			t.Errorf("query %d accepted: %+v", i, q)
 		}
 	}
@@ -472,7 +473,7 @@ func TestQueryValidation(t *testing.T) {
 
 func TestEmptyTreeQuery(t *testing.T) {
 	tr := mustTree(t, defaultOpts(TAR3D))
-	res, _, err := tr.Query(Query{X: 1, Y: 1, Iq: tia.Interval{Start: 0, End: 10}, K: 3, Alpha0: 0.5})
+	res, _, err := tr.QueryCtx(context.Background(), Query{X: 1, Y: 1, Iq: tia.Interval{Start: 0, End: 10}, K: 3, Alpha0: 0.5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +484,7 @@ func TestEmptyTreeQuery(t *testing.T) {
 
 func TestKLargerThanN(t *testing.T) {
 	tr, _ := buildRandomTree(t, TAR3D, 10, 3)
-	res, _, err := tr.Query(Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 200}, K: 50, Alpha0: 0.5})
+	res, _, err := tr.QueryCtx(context.Background(), Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 200}, K: 50, Alpha0: 0.5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +515,7 @@ func TestNodeAccessComparison(t *testing.T) {
 				K:      10,
 				Alpha0: 0.3,
 			}
-			_, stats, err := tr.Query(q)
+			_, stats, err := tr.QueryCtx(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -534,7 +535,7 @@ func TestNodeAccessComparison(t *testing.T) {
 
 func TestQueryStatsCounted(t *testing.T) {
 	tr, _ := buildRandomTree(t, TAR3D, 500, 5)
-	_, stats, err := tr.Query(Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 200}, K: 10, Alpha0: 0.3})
+	_, stats, err := tr.QueryCtx(context.Background(), Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 200}, K: 10, Alpha0: 0.3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +567,7 @@ func TestMVBTBackedTree(t *testing.T) {
 		}
 	}
 	q := Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 100}, K: 5, Alpha0: 0.3}
-	got, stats, err := tr.Query(q)
+	got, stats, err := tr.QueryCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +594,7 @@ func TestIntersectingSemantics(t *testing.T) {
 	if err != nil || got != 5 {
 		t.Fatalf("intersecting aggregate = %d %v", got, err)
 	}
-	res, _, err := tr.Query(Query{X: 50, Y: 50, Iq: tia.Interval{Start: 5, End: 8}, K: 1, Alpha0: 0.3})
+	res, _, err := tr.QueryCtx(context.Background(), Query{X: 50, Y: 50, Iq: tia.Interval{Start: 5, End: 8}, K: 1, Alpha0: 0.3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,7 +610,7 @@ func BenchmarkQueryTAR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q := Query{X: r.Float64() * 100, Y: r.Float64() * 100,
 			Iq: tia.Interval{Start: 0, End: 200}, K: 10, Alpha0: 0.3}
-		if _, _, err := tr.Query(q); err != nil {
+		if _, _, err := tr.QueryCtx(context.Background(), q, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -621,7 +622,7 @@ func TestRebuildBulk(t *testing.T) {
 			tr, r := buildRandomTree(t, g, 400, 61)
 			q := Query{X: r.Float64() * 100, Y: r.Float64() * 100,
 				Iq: tia.Interval{Start: 0, End: 200}, K: 10, Alpha0: 0.3}
-			before, _, err := tr.Query(q)
+			before, _, err := tr.QueryCtx(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -631,7 +632,7 @@ func TestRebuildBulk(t *testing.T) {
 			if err := tr.Check(); err != nil {
 				t.Fatal(err)
 			}
-			after, _, err := tr.Query(q)
+			after, _, err := tr.QueryCtx(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -702,7 +703,7 @@ func TestMaxAggregateFunc(t *testing.T) {
 			K:      1 + r.Intn(10),
 			Alpha0: 0.1 + 0.8*r.Float64(),
 		}
-		res, _, err := tr.Query(q)
+		res, _, err := tr.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,9 +62,9 @@ type resultKey struct {
 // plus its share of the slice).
 const resultBytes = 72
 
-// QueryCtx answers a kNNTA query with best-first search: the one entry
-// point behind Query. The context is polled on every
-// best-first pop; once canceled or past its deadline the search stops
+// QueryCtx answers a kNNTA query with best-first search and returns the
+// top-k results in ascending score order together with the work counters.
+// The context is polled on every best-first pop; once canceled or past its deadline the search stops
 // promptly and the error wraps ErrCanceled, with the stats holding valid
 // partial counts. Validation failures wrap ErrInvalid. On a tree with a
 // cache (Options.Cache) the whole ranked result is served from — and

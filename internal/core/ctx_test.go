@@ -79,7 +79,7 @@ func TestQueryCtxMidSearchCancellation(t *testing.T) {
 		TIA:         tia.NewBTreeFactory(256, 10),
 	})
 	q := exhaustiveQuery(tr)
-	full, fullStats, err := tr.Query(q)
+	full, fullStats, err := tr.QueryCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestQueryCtxMidSearchCancellation(t *testing.T) {
 	// No leaked accounting: the canceled query's breakdown plus a completed
 	// query's breakdown must equal the factory's delta exactly, and the
 	// completed query must reproduce the pre-cancellation answer.
-	after, afterStats, err := tr.Query(q)
+	after, afterStats, err := tr.QueryCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -160,7 +161,7 @@ func TestGeometricEpochTree(t *testing.T) {
 			K:      5,
 			Alpha0: 0.3,
 		}
-		got, _, err := tr.Query(q)
+		got, _, err := tr.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

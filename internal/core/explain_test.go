@@ -78,7 +78,7 @@ func TestExplainConservation(t *testing.T) {
 					exhaustiveQuery(tr),
 				}
 				for _, q := range queries {
-					plain, _, err := tr.Query(q)
+					plain, _, err := tr.QueryCtx(context.Background(), q, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

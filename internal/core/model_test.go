@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -92,7 +93,7 @@ func TestRandomOperationModel(t *testing.T) {
 						K:      1 + r.Intn(5),
 						Alpha0: 0.1 + 0.8*r.Float64(),
 					}
-					got, _, err := tr.Query(q)
+					got, _, err := tr.QueryCtx(context.Background(), q, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -147,7 +148,7 @@ func TestConcurrentQueries(t *testing.T) {
 							K:      1 + r.Intn(10),
 							Alpha0: 0.1 + 0.8*r.Float64(),
 						}
-						res, _, err := tr.Query(q)
+						res, _, err := tr.QueryCtx(context.Background(), q, nil)
 						if err != nil {
 							errs <- err
 							return

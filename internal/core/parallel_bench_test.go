@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -71,7 +72,7 @@ func BenchmarkQueryParallel(b *testing.B) {
 				b.RunParallel(func(pb *testing.PB) {
 					r := rand.New(rand.NewSource(seed.Add(1)))
 					for pb.Next() {
-						if _, _, err := tr.Query(benchQuery(r)); err != nil {
+						if _, _, err := tr.QueryCtx(context.Background(), benchQuery(r), nil); err != nil {
 							b.Error(err)
 							return
 						}
@@ -102,7 +103,7 @@ func BenchmarkQuerySerialized(b *testing.B) {
 					r := rand.New(rand.NewSource(seed.Add(1)))
 					for pb.Next() {
 						mu.Lock()
-						_, _, err := tr.Query(benchQuery(r))
+						_, _, err := tr.QueryCtx(context.Background(), benchQuery(r), nil)
 						mu.Unlock()
 						if err != nil {
 							b.Error(err)

@@ -696,17 +696,6 @@ func (s *Search) Result(el *Elem) Result {
 	return s.sc.resultOf(el.Entry, el.S0, el.S1)
 }
 
-// Query answers a kNNTA query with best-first search and returns the top-k
-// results in ascending score order together with the work counters. On an
-// instrumented tree (Options.Metrics) the query also feeds the latency
-// histogram and work counters of the registry.
-//
-// Deprecated: Query is QueryCtx(context.Background(), q, nil); new code
-// should call QueryCtx.
-func (t *Tree) Query(q Query) ([]Result, QueryStats, error) {
-	return t.QueryCtx(context.Background(), q, nil)
-}
-
 // IOLines converts a breakdown into the neutral rows obs stores (obs is
 // dependency-free, so it cannot see pagestore types). Exported so servers
 // can render a query's attribution without depending on the array layout.

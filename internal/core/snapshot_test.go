@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -34,11 +35,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					K:      5,
 					Alpha0: 0.3,
 				}
-				a, _, err := tr.Query(q)
+				a, _, err := tr.QueryCtx(context.Background(), q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, _, err := got.Query(q)
+				b, _, err := got.QueryCtx(context.Background(), q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -54,11 +54,11 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 					K:      7,
 					Alpha0: 0.3,
 				}
-				a, _, err := tr.Query(q)
+				a, _, err := tr.QueryCtx(context.Background(), q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, _, err := got.Query(q)
+				b, _, err := got.QueryCtx(context.Background(), q, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -96,7 +96,7 @@ func TestQueryStatsAccounting(t *testing.T) {
 			}
 
 			q := Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: tr.Len(), Alpha0: 0.5}
-			res, stats, err := tr.Query(q)
+			res, stats, err := tr.QueryCtx(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestQueryStatsAccounting(t *testing.T) {
 			}
 
 			// A k=1 query can never do more work than the exhaustive one.
-			_, one, err := tr.Query(Query{X: 50, Y: 50, Iq: q.Iq, K: 1, Alpha0: 0.5})
+			_, one, err := tr.QueryCtx(context.Background(), Query{X: 50, Y: 50, Iq: q.Iq, K: 1, Alpha0: 0.5}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestInstrumentedTreeMetrics(t *testing.T) {
 	q := Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: 5, Alpha0: 0.5}
 	var want QueryStats
 	for i := 0; i < 3; i++ {
-		_, stats, err := tr.Query(q)
+		_, stats, err := tr.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestQuerySpanAggregates(t *testing.T) {
 		t.Errorf("tia_probe count = %d, want Scored = %d", c, statsTraced.Scored)
 	}
 
-	resBare, statsBare, err := tr.Query(q)
+	resBare, statsBare, err := tr.QueryCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestIOBreakdownConservation(t *testing.T) {
 				}
 				var sum pagestore.IOBreakdown
 				for i, q := range queries {
-					_, stats, err := tr.Query(q)
+					_, stats, err := tr.QueryCtx(context.Background(), q, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -405,8 +405,14 @@ func TestIOBreakdownConservationConcurrent(t *testing.T) {
 						// One round: two plain queries, one canceled after a
 						// few pops, one under EXPLAIN.
 						run := []func() (QueryStats, error){
-							func() (QueryStats, error) { _, st, err := tr.Query(query()); return st, err },
-							func() (QueryStats, error) { _, st, err := tr.Query(query()); return st, err },
+							func() (QueryStats, error) {
+								_, st, err := tr.QueryCtx(context.Background(), query(), nil)
+								return st, err
+							},
+							func() (QueryStats, error) {
+								_, st, err := tr.QueryCtx(context.Background(), query(), nil)
+								return st, err
+							},
 							func() (QueryStats, error) {
 								q := query()
 								q.K = tr.Len()
@@ -516,7 +522,7 @@ func TestFailedQueryCountedInBothMetricFamilies(t *testing.T) {
 			reg.Counter(`tartree_tia_page_reads_total{kind="logical"}`).Value(),
 			reg.Counter("tartree_entries_scored_total").Value()
 	}
-	if _, _, err := tr.Query(exhaustiveQuery(tr)); err != nil { // build and warm-up traffic out of the way
+	if _, _, err := tr.QueryCtx(context.Background(), exhaustiveQuery(tr), nil); err != nil { // build and warm-up traffic out of the way
 		t.Fatal(err)
 	}
 	ps0, io0, tia0, scored0 := families()

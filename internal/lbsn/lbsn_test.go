@@ -1,6 +1,7 @@
 package lbsn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -200,7 +201,7 @@ func TestBuildTree(t *testing.T) {
 	// Queries run and return k results.
 	qs := d.Queries(20, 10, 0.3, 7)
 	for _, q := range qs {
-		res, _, err := tr.Query(q)
+		res, _, err := tr.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,11 +308,11 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("trees differ: %d vs %d POIs", tr1.Len(), tr2.Len())
 	}
 	for _, q := range d.Queries(10, 5, 0.3, 3) {
-		r1, _, err := tr1.Query(q)
+		r1, _, err := tr1.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, _, err := tr2.Query(q)
+		r2, _, err := tr2.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

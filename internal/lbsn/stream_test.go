@@ -2,6 +2,7 @@ package lbsn
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -110,11 +111,11 @@ func TestStreamReplayMatchesBulkBuild(t *testing.T) {
 	}
 	// Query results agree.
 	for _, q := range d.Queries(10, 5, 0.3, 77) {
-		want, _, err := bulk.Query(q)
+		want, _, err := bulk.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := live.Query(q)
+		got, _, err := live.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

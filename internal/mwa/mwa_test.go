@@ -1,6 +1,7 @@
 package mwa
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -243,7 +244,7 @@ func TestAdjustmentChangesTopK(t *testing.T) {
 			checked++
 			q2 := q
 			q2.Alpha0 = adj.Upper + eps
-			after, _, err := tr.Query(q2)
+			after, _, err := tr.QueryCtx(context.Background(), q2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,7 +254,7 @@ func TestAdjustmentChangesTopK(t *testing.T) {
 			// Just inside the boundary, the set must be unchanged.
 			q3 := q
 			q3.Alpha0 = adj.Upper - eps
-			same, _, err := tr.Query(q3)
+			same, _, err := tr.QueryCtx(context.Background(), q3, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +266,7 @@ func TestAdjustmentChangesTopK(t *testing.T) {
 			checked++
 			q2 := q
 			q2.Alpha0 = adj.Lower - eps
-			after, _, err := tr.Query(q2)
+			after, _, err := tr.QueryCtx(context.Background(), q2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

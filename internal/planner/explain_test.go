@@ -111,7 +111,7 @@ func TestEstimatorExecutesTree(t *testing.T) {
 	if stats.RTreeAccesses() == 0 || ex.Pops == 0 {
 		t.Fatal("estimator did not execute the tree")
 	}
-	want, _, err := tr.Query(q)
+	want, _, err := tr.QueryCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,7 +367,7 @@ func (p *Planner) Calibrate(queries []core.Query) error {
 		estAccesses += leafNA*(1+1/p.fanout) + 2
 
 		start := time.Now()
-		if _, _, err := p.tree.Query(q); err != nil {
+		if _, _, err := p.tree.QueryCtx(context.Background(), q, nil); err != nil {
 			return err
 		}
 		idxMicros += float64(time.Since(start).Microseconds())

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -95,7 +96,7 @@ func TestPlannerResultsMatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := tr.Query(q)
+		want, _, err := tr.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,11 +105,11 @@ func assertStoresAgree(t *testing.T, leader, follower *wal.Store, horizon int64)
 			K:      4,
 			Alpha0: 0.4,
 		}
-		a, _, err := leader.Query(q)
+		a, _, err := leader.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := follower.Query(q)
+		b, _, err := follower.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

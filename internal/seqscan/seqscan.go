@@ -7,6 +7,8 @@ package seqscan
 
 import (
 	"container/heap"
+	"context"
+	"fmt"
 	"sort"
 
 	"tartree/internal/core"
@@ -66,17 +68,35 @@ func (h *maxHeap) Pop() any          { o := *h; n := len(o); x := o[n-1]; *h = o
 // Query scans every POI and returns the top-k results in ascending score
 // order.
 func (s *Scanner) Query(q core.Query) ([]core.Result, error) {
+	res, _, err := s.QueryCtx(context.Background(), q, nil)
+	return res, err
+}
+
+// cancelPollEvery is how many POIs QueryCtx scores between context polls.
+const cancelPollEvery = 1024
+
+// QueryCtx is Query as a core.Querier: the context is polled once per
+// cancelPollEvery POIs and an aborted scan returns an error wrapping
+// core.ErrCanceled. The scan reads no index, so the stats are zero and the
+// options (cache, span, explain) have nothing to act on.
+func (s *Scanner) QueryCtx(ctx context.Context, q core.Query, _ *core.QueryOpts) ([]core.Result, core.QueryStats, error) {
+	var stats core.QueryStats
 	if err := q.Validate(); err != nil {
-		return nil, err
+		return nil, stats, err
 	}
 	gmaxI, err := s.global.Aggregate(q.Iq, s.semantics)
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
 	gmax := float64(gmaxI)
 	qv := geo.Vector{q.X, q.Y}
 	h := &maxHeap{}
 	for i, p := range s.pois {
+		if i%cancelPollEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, stats, fmt.Errorf("%w: %v", core.ErrCanceled, err)
+			}
+		}
 		var agg int64
 		for _, r := range s.recs[i] {
 			if r.Ts >= q.Iq.End {
@@ -113,5 +133,5 @@ func (s *Scanner) Query(q core.Query) ([]core.Result, error) {
 	for i := len(out) - 1; i >= 0; i-- {
 		out[i] = heap.Pop(h).(scored).res
 	}
-	return out, nil
+	return out, stats, nil
 }

@@ -1,6 +1,8 @@
 package seqscan
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -101,7 +103,7 @@ func TestMatchesTARTree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := tr.Query(q)
+			got, _, err := tr.QueryCtx(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,4 +139,58 @@ func TestTopKOrderingAndTies(t *testing.T) {
 	if res[0].POI.ID != 4 {
 		t.Errorf("top-1 = %d, want 4", res[0].POI.ID)
 	}
+}
+
+// TestQueryCtx: the Querier entry point answers exactly as Query does, with
+// zero stats, and an aborted context ends the scan with core.ErrCanceled —
+// also past the first poll, on a scanner larger than one poll interval.
+func TestQueryCtx(t *testing.T) {
+	s := New(world(), tia.Contained)
+	for i := int64(1); i <= 3*cancelPollEvery; i++ {
+		s.Add(core.POI{ID: i, X: float64(i % 100), Y: float64(i % 97)},
+			[]tia.Record{{Ts: 0, Te: 10, Agg: i % 13}})
+	}
+	var _ core.Querier = s
+	q := core.Query{X: 40, Y: 60, Iq: tia.Interval{Start: 0, End: 10}, K: 7, Alpha0: 0.4}
+	want, err := s.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := s.QueryCtx(context.Background(), q, &core.QueryOpts{NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(got) != q.K {
+		t.Fatalf("QueryCtx returned %d results, Query %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("rank %d: QueryCtx %+v != Query %+v", i, got[i], want[i])
+		}
+	}
+	if stats.NodeAccesses() != 0 || stats.Scored != 0 {
+		t.Errorf("scan stats = %+v, want zero", stats)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := s.QueryCtx(ctx, q, nil); !errors.Is(err, core.ErrCanceled) {
+		t.Errorf("canceled context: err = %v, want core.ErrCanceled", err)
+	}
+	if _, _, err := s.QueryCtx(&cancelAfter{Context: context.Background(), polls: 2}, q, nil); !errors.Is(err, core.ErrCanceled) {
+		t.Errorf("context canceled mid-scan: err = %v, want core.ErrCanceled", err)
+	}
+}
+
+// cancelAfter is a context whose Err turns non-nil after a number of polls.
+type cancelAfter struct {
+	context.Context
+	polls int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls--; c.polls < 0 {
+		return context.Canceled
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package skyline
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -162,7 +163,7 @@ func TestBBSMatchesBruteForce(t *testing.T) {
 		exclude := map[int64]bool{}
 		if trial%2 == 1 {
 			// Exclude the top-k POIs, as the MWA does.
-			res, _, err := tr.Query(q)
+			res, _, err := tr.QueryCtx(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

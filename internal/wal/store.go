@@ -392,13 +392,6 @@ func (s *Store) markApplied(first, last uint64) {
 	}
 }
 
-// Query answers a TAR query under the read lock.
-func (s *Store) Query(q core.Query) ([]core.Result, core.QueryStats, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tree.Query(q)
-}
-
 // QueryCtx answers a TAR query under the read lock with cancellation,
 // deadline and per-query options — the context-aware entry point servers
 // use. See core.(*Tree).QueryCtx.

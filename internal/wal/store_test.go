@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -104,11 +105,11 @@ func assertTreesAgree(t *testing.T, s *Store, ref *core.Tree, horizon int64) {
 			K:      4,
 			Alpha0: 0.4,
 		}
-		want, _, err := ref.Query(q)
+		want, _, err := ref.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := s.Query(q)
+		got, _, err := s.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

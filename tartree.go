@@ -24,12 +24,12 @@
 //	tr.InsertPOI(tartree.POI{ID: 1, X: 10, Y: 20}, nil)
 //	tr.AddCheckIn(1, now)
 //	tr.FlushEpochs(now)
-//	results, stats, err := tr.Query(tartree.Query{
+//	results, stats, err := tr.QueryCtx(ctx, tartree.Query{
 //		X: 12, Y: 18,
 //		Iq:     tartree.Interval{Start: now - 3600, End: now},
 //		K:      10,
 //		Alpha0: 0.3,
-//	})
+//	}, nil)
 //
 // Beyond queries, the library provides the paper's two enhancements — the
 // minimum weight adjustment (internal/mwa) and collective batch processing
@@ -215,8 +215,10 @@ func NewTraceRing(n int) *TraceRing { return obs.NewTraceRing(n) }
 // maxBytes for Options.Cache. maxBytes <= 0 returns nil, the no-op cache.
 func NewCache(maxBytes int64) *Cache { return aggcache.New(maxBytes) }
 
-// Load reconstructs a tree saved with (*Tree).SaveSnapshot. A nil factory
-// selects the default disk B+-tree TIAs.
+// Load reconstructs a tree from a snapshot image in either format — the gob
+// image of (*Tree).SaveSnapshot or the flat v3 image of SaveSnapshotV3, told
+// apart by their magic; a v3 load arrives with the frozen layout installed.
+// A nil factory selects the default disk B+-tree TIAs.
 func Load(r io.Reader, factory tia.Factory) (*Tree, error) {
 	return core.LoadSnapshot(r, factory)
 }

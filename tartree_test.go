@@ -2,6 +2,7 @@ package tartree_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -35,12 +36,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err := tr.FlushEpochs(2 * 3600); err != nil {
 		t.Fatal(err)
 	}
-	results, stats, err := tr.Query(tartree.Query{
+	results, stats, err := tr.QueryCtx(context.Background(), tartree.Query{
 		X: 50, Y: 50,
 		Iq:     tartree.Interval{Start: 0, End: 2 * 3600},
 		K:      2,
 		Alpha0: 0.3,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
