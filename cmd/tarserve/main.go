@@ -417,11 +417,9 @@ func main() {
 		}
 	}
 
-	// A v3 checkpoint restores the frozen layout directly; otherwise (gob
-	// checkpoint, fresh build, or replay seeding) compile it now.
-	if !store.Frozen() {
-		store.Freeze()
-	}
+	// Pre-warm the compiled layout so the first query does not pay for it
+	// (a no-op after a v3 checkpoint, which restores it directly).
+	store.Freeze()
 	switch {
 	case *follow != "":
 		srv.setFollower(fopts.LeaderURL, wm, rm)

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"tartree/internal/core"
-	"tartree/internal/rstar"
 	"tartree/internal/tia"
 )
 
@@ -38,8 +37,8 @@ func (st *runState) finished() bool { return st.done || len(st.results) >= st.q.
 // (POIs are free: no node access is needed to consume a leaf entry).
 func (st *runState) drainPOIs() {
 	for !st.finished() {
-		el := st.search.Peek()
-		if el == nil {
+		el, ok := st.search.Peek()
+		if !ok {
 			st.done = true
 			return
 		}
@@ -64,7 +63,9 @@ func Process(t *core.Tree, queries []core.Query) ([]Result, core.QueryStats, err
 		gmax  float64
 	}
 	groups := map[tia.Interval]*group{}
-	rootCounted := false
+	// The layout every search below reads: front entries are compared by
+	// their child node ids in it, and its node table gives their levels.
+	ft := t.Freeze()
 	for i, q := range queries {
 		g, ok := groups[q.Iq]
 		if !ok {
@@ -85,12 +86,11 @@ func Process(t *core.Tree, queries []core.Query) ([]Result, core.QueryStats, err
 		if err != nil {
 			return nil, stats, err
 		}
-		if !rootCounted {
-			// The root is read once for the whole batch.
-			countNode(&stats, t.Root())
-			rootCounted = true
-		}
 		states[i] = &runState{q: q, search: s}
+	}
+	if len(states) > 0 {
+		// The root is read once for the whole batch.
+		countNode(&stats, ft.Root().Level)
 	}
 
 	active := len(states)
@@ -103,27 +103,28 @@ func Process(t *core.Tree, queries []core.Query) ([]Result, core.QueryStats, err
 	for active > 0 {
 		// Greedy step: find the node that is the front entry of the most
 		// queues (Section 7.2), access it once and advance all of them.
-		freq := map[*rstar.Node]int{}
-		var best *rstar.Node
+		freq := map[int32]int{}
+		best := int32(-1)
 		for _, st := range states {
 			if st.finished() {
 				continue
 			}
-			n := st.search.Peek().Node()
+			el, _ := st.search.Peek()
+			n := el.Node()
 			freq[n]++
-			if best == nil || freq[n] > freq[best] {
+			if best < 0 || freq[n] > freq[best] {
 				best = n
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			break
 		}
-		countNode(&stats, best)
+		countNode(&stats, ft.Nodes[best].Level)
 		for _, st := range states {
 			if st.finished() {
 				continue
 			}
-			if el := st.search.Peek(); el.Node() == best {
+			if el, _ := st.search.Peek(); el.Node() == best {
 				st.search.Pop()
 				if err := st.search.Expand(el); err != nil {
 					return nil, stats, err
@@ -210,8 +211,9 @@ func ProcessParallel(t *core.Tree, queries []core.Query, workers int) ([]Result,
 	return out, total, nil
 }
 
-func countNode(stats *core.QueryStats, n *rstar.Node) {
-	if n.Level == 0 {
+// countNode counts one shared access of a node at the given level.
+func countNode(stats *core.QueryStats, level int32) {
+	if level == 0 {
 		stats.LeafAccesses++
 	} else {
 		stats.InternalAccesses++

@@ -92,15 +92,25 @@ func TestCollectiveEqualsIndividual(t *testing.T) {
 
 // TestCollectiveSharesAccesses: the collective scheme needs fewer R-tree
 // node accesses than individual processing, and the advantage grows with
-// the batch size (Figure 15's trend).
+// the batch size (Figure 15's trend). The collective totals are pinned: the
+// scheme detects a shared front entry by comparing child node ids across the
+// searches' queues, and a change there must not silently lose sharing.
 func TestCollectiveSharesAccesses(t *testing.T) {
 	tr, r := buildTree(t, 1500, 7)
 	prevPerQuery := math.Inf(1)
+	pinned := map[int][4]int64{ // internal, leaf, TIA accesses, scored
+		20:  {6, 56, 1704, 1701},
+		100: {6, 138, 3796, 3793},
+		400: {7, 217, 4466, 4463},
+	}
 	for _, n := range []int{20, 100, 400} {
 		queries := randomQueries(r, n, 3)
 		_, cs, err := Process(tr, queries)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got := [4]int64{int64(cs.InternalAccesses), int64(cs.LeafAccesses), cs.TIAAccesses, int64(cs.Scored)}; got != pinned[n] {
+			t.Errorf("n=%d: collective totals %v, pinned %v", n, got, pinned[n])
 		}
 		_, is, err := ProcessIndividually(tr, queries)
 		if err != nil {

@@ -114,7 +114,7 @@ var experiments = []experiment{
 	{id: "calibration", group: Infra, dataset: "GS", scales: []float64{0.06}, run: calibrationExp,
 		doc: "planner calibration: Section-6 estimate vs executed search over (k, interval) classes, 8 queries each"},
 	{id: "startup", group: Infra, dataset: "GS", scales: []float64{0.05, 0.1, 0.2}, queries: 20, run: startupExp,
-		doc: "cold start: gob-v2 rebuild vs flat snapshot-v3 load per data-set size, frozen==pointer and v2==v3 gates"},
+		doc: "cold start: gob-v2 rebuild vs flat snapshot-v3 load per data-set size, restored==recompiled layout and v2==v3 gates"},
 	{id: "repl", group: Infra, dataset: "GS", scales: []float64{0.05}, run: replExp,
 		doc: "replication over loopback HTTP: snapshot bootstrap + WAL tail, LSN-identity and answer-identity gates"},
 	{id: "shard", group: Infra, dataset: "GS", scales: []float64{0.2}, run: shardExp,

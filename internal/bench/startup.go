@@ -20,10 +20,10 @@ const startupMinSpeedup = 5.0
 // as a flat snapshot-v3 image, then times loading each with fresh disk
 // B+-tree TIAs (best of three, so a stray scheduling hiccup cannot fail the
 // gate). Three correctness gates ride along: the v3 load must arrive with
-// the frozen layout installed, the frozen and pointer traversals of the
-// loaded tree must return identical answers with identical work, and the
-// v2- and v3-loaded trees must agree on every query's (POI, aggregate)
-// ranking.
+// the compiled layout installed, dropping that layout and letting the next
+// query recompile it — what the first structural mutation after a restart
+// does — must return identical answers with identical work, and the v2- and
+// v3-loaded trees must agree on every query's (POI, aggregate) ranking.
 //
 // The exported counters depend only on the data set — never on timing — so
 // benchdiff can gate on them:
@@ -75,30 +75,30 @@ func startupExp(r *run, env *dataEnv) error {
 		return fmt.Errorf("scale %s: v3 load: %w", scale, err)
 	}
 	if !fromV3.Frozen() {
-		return fmt.Errorf("scale %s: v3 load did not install the frozen layout", scale)
+		return fmt.Errorf("scale %s: v3 load did not install the compiled layout", scale)
 	}
 
 	// The batches run uncached (these trees have no cache, which would hide
 	// the traversal being compared).
 	queries := env.Queries(r.Queries, defaultK, defaultAlpha, r.Seed+29)
 
-	// Gate: the frozen traversal must be the pointer traversal — same
-	// answers, same work — on the very tree the server restarts into.
-	frozen, err := r.measure("", fromV3, queries, nil)
+	// Gate: the layout recompiled from the thawed pointer tree must be the
+	// layout read from disk — same answers, same work — on the very tree
+	// the server restarts into.
+	restored, err := r.measure("", fromV3, queries, nil)
 	if err != nil {
 		return err
 	}
 	fromV3.Unfreeze()
-	pointer, err := r.measure("", fromV3, queries, nil)
+	recompiled, err := r.measure("", fromV3, queries, nil)
 	if err != nil {
 		return err
 	}
-	fromV3.Freeze()
-	if err := sameBatch(exact, "scale "+scale+": frozen vs pointer", pointer, frozen); err != nil {
+	if err := sameBatch(exact, "scale "+scale+": restored vs recompiled layout", recompiled, restored); err != nil {
 		return err
 	}
-	if fw, pw := frozen.fingerprint(), pointer.fingerprint(); fw != pw {
-		return fmt.Errorf("scale %s: frozen work %v != pointer work %v", scale, fw, pw)
+	if rw, cw := restored.fingerprint(), recompiled.fingerprint(); rw != cw {
+		return fmt.Errorf("scale %s: restored-layout work %v != recompiled-layout work %v", scale, rw, cw)
 	}
 
 	// Gate: both formats restore the same index. The v2 path bulk-rebuilds,
@@ -107,7 +107,7 @@ func startupExp(r *run, env *dataEnv) error {
 	if err != nil {
 		return err
 	}
-	if err := sameBatch(asSet, "scale "+scale+": v2 vs v3", fromGob, frozen); err != nil {
+	if err := sameBatch(asSet, "scale "+scale+": v2 vs v3", fromGob, restored); err != nil {
 		return err
 	}
 
@@ -119,9 +119,9 @@ func startupExp(r *run, env *dataEnv) error {
 	r.count("bench_startup_pois_total", int64(fromV3.Len()), "scale", scale)
 	r.count("bench_startup_v2_bytes_total", int64(v2.Len()), "scale", scale)
 	r.count("bench_startup_v3_bytes_total", int64(v3.Len()), "scale", scale)
-	r.count("bench_startup_node_accesses_total", frozen.nodeAccesses(), "scale", scale)
+	r.count("bench_startup_node_accesses_total", restored.nodeAccesses(), "scale", scale)
 	r.count("bench_startup_queries_total", int64(len(queries)))
 	t.add(scale, fromV3.Len(), f1(float64(v2.Len())/1024), f1(float64(v3.Len())/1024),
-		f3(timeV2.Seconds()*1000), f3(timeV3.Seconds()*1000), fmt.Sprintf("%.1f×", speedup), frozen.nodeAccesses())
+		f3(timeV2.Seconds()*1000), f3(timeV3.Seconds()*1000), fmt.Sprintf("%.1f×", speedup), restored.nodeAccesses())
 	return nil
 }

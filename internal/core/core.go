@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"tartree/internal/aggcache"
@@ -260,11 +261,11 @@ type Tree struct {
 	clock   int64                            // latest time observed
 	pending map[tia.Interval]map[int64]int64 // epoch → poi → count
 
-	// frozen is the flat compilation of rt installed by Freeze; queries that
-	// opt in (SearchOptions.AllowFrozen) traverse it instead of the pointer
-	// tree. Structural mutations drop it; check-in ingest does not (the
-	// shared aggregate handles observe new flushes, structure is untouched).
-	frozen *rstar.FlatTree
+	// flat is the compilation of rt every search reads (see Freeze); nil
+	// after a structural mutation until the next search compiles it again,
+	// under compileMu.
+	flat      atomic.Pointer[rstar.FlatTree]
+	compileMu sync.Mutex
 
 	instr *instruments // nil unless Options.Metrics is set
 
@@ -443,7 +444,7 @@ func (t *Tree) InsertPOI(p POI, history []tia.Record) error {
 	t.pois[p.ID] = st
 	st.inTree = true
 	t.invalidateCache()
-	t.frozen = nil
+	t.Unfreeze()
 	return t.rt.Insert(rstar.Entry{
 		Rect: t.leafRect(st),
 		Item: rstar.Item(p.ID),
@@ -474,6 +475,7 @@ func (t *Tree) DeletePOI(id int64) (bool, error) {
 	if !ok {
 		return false, nil
 	}
+	t.Unfreeze()
 	removed, err := t.rt.Delete(t.leafRect(st), rstar.Item(id))
 	if err != nil {
 		return false, err
@@ -481,7 +483,6 @@ func (t *Tree) DeletePOI(id int64) (bool, error) {
 	if removed {
 		delete(t.pois, id)
 		t.invalidateCache()
-		t.frozen = nil
 		if err := st.data.disk.Destroy(); err != nil {
 			return true, err
 		}
@@ -628,7 +629,7 @@ func currentAgg(m *tia.Mem, ts int64) (int64, bool) {
 // this as the remedy for drift as the LBSN grows (Section 8.2).
 func (t *Tree) Rebuild() error {
 	t.invalidateCache()
-	t.frozen = nil
+	t.Unfreeze()
 	if err := t.refreshGlobals(); err != nil {
 		return err
 	}
@@ -658,7 +659,7 @@ func (t *Tree) RebuildBulk() error {
 		return t.Rebuild()
 	}
 	t.invalidateCache()
-	t.frozen = nil
+	t.Unfreeze()
 	if err := t.refreshGlobals(); err != nil {
 		return err
 	}

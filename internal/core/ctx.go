@@ -34,9 +34,6 @@ type QueryOpts struct {
 	// NoCache bypasses the tree's shared epoch-versioned cache for this
 	// query: no result-cache lookup, no aggregate-cache lookups, no stores.
 	NoCache bool
-	// SkipAccessCounting suppresses R-tree node-access counting; callers
-	// that account for shared node accesses externally set it.
-	SkipAccessCounting bool
 	// Explain, when non-nil, records the query's EXPLAIN/ANALYZE forensics:
 	// the best-first pop log, heap high-water mark, per-level node accesses,
 	// probe attribution, f(pk) convergence and the leftover frontier.
@@ -175,12 +172,10 @@ func (t *Tree) runQueryCtx(ctx context.Context, q Query, o *QueryOpts) ([]Result
 
 func (t *Tree) searchTopKCtx(ctx context.Context, q Query, agg *obs.Span, o *QueryOpts, stats *QueryStats) ([]Result, error) {
 	s, err := t.newSearch(q, agg, SearchOptions{
-		Stats:              stats,
-		NoCache:            o.NoCache,
-		SkipAccessCounting: o.SkipAccessCounting,
-		Explain:            o.Explain,
-		Ctx:                ctx,
-		AllowFrozen:        true,
+		Stats:   stats,
+		NoCache: o.NoCache,
+		Explain: o.Explain,
+		Ctx:     ctx,
 	})
 	if err != nil {
 		return nil, err

@@ -209,9 +209,8 @@ func (e *Explain) recordPush(heapLen int) {
 	}
 }
 
-// recordPop logs one priority-queue pop. heapLen is the queue depth after
-// the pop.
-func (e *Explain) recordPop(el *Elem, heapLen int) {
+// recordPop logs one priority-queue pop of search s.
+func (e *Explain) recordPop(s *Search, el Elem) {
 	if e == nil {
 		return
 	}
@@ -222,14 +221,14 @@ func (e *Explain) recordPop(el *Elem, heapLen int) {
 	}
 	p := ExplainPop{
 		Seq:     e.Pops,
-		Level:   el.childLevel,
+		Level:   s.level(el),
 		Bound:   el.Score,
 		S0:      el.S0,
 		S1:      el.S1,
-		HeapLen: heapLen,
+		HeapLen: len(s.queue),
 	}
 	if el.IsPOI() {
-		p.POI = int64(el.Entry.Item)
+		p.POI = s.ft.Items[el.entry]
 	}
 	e.PopLog = append(e.PopLog, p)
 }
@@ -293,13 +292,13 @@ func (e *Explain) captureFrontier(s *Search) {
 	}
 	// The heap slice is only partially ordered; sort a copy by bound so
 	// the rendered frontier reads best-first.
-	elems := append([]*Elem(nil), s.queue...)
+	elems := append([]Elem(nil), s.queue...)
 	sort.Slice(elems, func(i, j int) bool { return elems[i].Score < elems[j].Score })
 	e.Frontier = make([]ExplainNode, 0, n)
 	for _, el := range elems[:n] {
-		fn := ExplainNode{Level: el.childLevel, Bound: el.Score}
+		fn := ExplainNode{Level: s.level(el), Bound: el.Score}
 		if el.IsPOI() {
-			fn.POI = int64(el.Entry.Item)
+			fn.POI = s.ft.Items[el.entry]
 		}
 		e.Frontier = append(e.Frontier, fn)
 	}

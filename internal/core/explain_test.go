@@ -246,12 +246,11 @@ func TestExplainCanceledQuery(t *testing.T) {
 // query path pays only the pointer tests.
 func TestExplainNilRecorderNoAllocs(t *testing.T) {
 	var e *Explain
-	el := &Elem{}
 	s := &Search{}
 	allocs := testing.AllocsPerRun(100, func() {
 		e.recordNodeAccess(3)
 		e.recordPush(7)
-		e.recordPop(el, 6)
+		e.recordPop(s, Elem{})
 		e.recordProbe(2, 1)
 		e.recordCacheProbe(true)
 		e.recordResultCacheProbe(false)

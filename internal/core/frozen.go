@@ -7,20 +7,29 @@ import (
 	"tartree/internal/rstar"
 )
 
-// Freeze compiles the R-tree into its flat frozen form (rstar.FlatTree) and
-// installs it on the tree: queries that opt in (the standard QueryCtx path
-// does) traverse int32 offsets into contiguous slabs instead of chasing
-// node pointers. The pointer tree stays authoritative — structural
-// mutations (InsertPOI, DeletePOI, Rebuild, RebuildBulk) drop the frozen
-// form, and the caller re-Freezes when ingest settles. Check-in ingest
-// (AddCheckIn, FlushEpochs) does not invalidate it: the frozen entries
+// Freeze returns the flat layout every search reads (rstar.FlatTree): the
+// R-tree compiled into contiguous slabs addressed by int32 ids. The pointer
+// tree is the mutable build structure; a structural mutation (InsertPOI,
+// DeletePOI, Rebuild, RebuildBulk) drops the layout through Unfreeze and
+// the next Freeze — the next search, or a server pre-warming at start-up —
+// compiles it once. Compiling only reads the pointer tree, so concurrent
+// readers may race to it: one compiles, the rest wait and share the result.
+// Check-in ingest (AddCheckIn, FlushEpochs) keeps the layout: its entries
 // share the pointer tree's aggregate handles, so flushed epochs are
 // observed without recompiling.
 //
-// On an instrumented tree Freeze exports tartree_index_bytes by layout,
+// On an instrumented tree a compile exports tartree_index_bytes by layout,
 // the freeze duration histogram, and the allocation/heap-object deltas of
 // the compilation (the GC-pressure price of the flat copy).
 func (t *Tree) Freeze() *rstar.FlatTree {
+	if f := t.flat.Load(); f != nil {
+		return f
+	}
+	t.compileMu.Lock()
+	defer t.compileMu.Unlock()
+	if f := t.flat.Load(); f != nil {
+		return f
+	}
 	var before runtime.MemStats
 	if t.instr != nil {
 		runtime.ReadMemStats(&before)
@@ -28,43 +37,33 @@ func (t *Tree) Freeze() *rstar.FlatTree {
 	start := time.Now()
 	f := t.rt.Freeze()
 	d := time.Since(start)
-	t.frozen = f
 	if t.instr != nil {
 		var after runtime.MemStats
 		runtime.ReadMemStats(&after)
 		t.instr.recordFreeze(t.rt.MemoryBytes(), f.Bytes(), d,
 			int64(after.Mallocs-before.Mallocs), int64(after.HeapObjects)-int64(before.HeapObjects))
 	}
+	t.flat.Store(f)
 	return f
 }
 
-// Unfreeze drops the frozen form; subsequent queries run the pointer path.
+// Unfreeze drops the compiled layout; the next search recompiles it. Every
+// structural mutation goes through here, under the tree's write lock.
 func (t *Tree) Unfreeze() {
-	t.frozen = nil
-	if t.instr != nil {
+	if t.flat.Swap(nil) != nil && t.instr != nil {
 		t.instr.recordIndexBytes(t.rt.MemoryBytes(), 0)
 	}
 }
 
-// Frozen reports whether a frozen flat layout is installed.
-func (t *Tree) Frozen() bool { return t.frozen != nil }
-
-// setFrozen installs an externally built flat compilation (the snapshot-v3
-// loader constructs one straight from the on-disk sections). The layout
-// gauges are exported here too, so a tree restored frozen from disk reports
-// tartree_index_bytes without ever calling Freeze.
-func (t *Tree) setFrozen(f *rstar.FlatTree) {
-	t.frozen = f
-	if t.instr != nil && f != nil {
-		t.instr.recordIndexBytes(t.rt.MemoryBytes(), f.Bytes())
-	}
-}
+// Frozen reports whether a compiled layout is installed, i.e. whether the
+// next search starts without compiling.
+func (t *Tree) Frozen() bool { return t.flat.Load() != nil }
 
 // IndexBytes returns the heap footprint of the pointer tree and of the
-// frozen layout (0 when not frozen). Aggregate data is excluded from both —
-// it is shared, so it cancels out of the comparison.
+// compiled layout (0 while none is installed). Aggregate data is excluded
+// from both — it is shared, so it cancels out of the comparison.
 func (t *Tree) IndexBytes() (pointer, flat int64) {
-	return t.rt.MemoryBytes(), t.frozen.Bytes()
+	return t.rt.MemoryBytes(), t.flat.Load().Bytes()
 }
 
 // recordIndexBytes exports the by-layout footprint gauges.

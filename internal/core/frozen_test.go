@@ -2,15 +2,19 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
+	"sync"
 	"testing"
 
+	"tartree/internal/obs"
 	"tartree/internal/tia"
 )
 
-// frozenTestQueries covers a selective top-k, an exhaustive drain and two
+// flatTestQueries covers a selective top-k, an exhaustive drain and two
 // weight extremes (near-pure-distance and near-pure-aggregate ranking).
-func frozenTestQueries(tr *Tree) []Query {
+func flatTestQueries(tr *Tree) []Query {
 	return []Query{
 		{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: 25, Alpha0: 0.5},
 		{X: 12, Y: 88, Iq: tia.Interval{Start: 100, End: 400}, K: 10, Alpha0: 0.9},
@@ -19,72 +23,168 @@ func frozenTestQueries(tr *Tree) []Query {
 	}
 }
 
-// TestFrozenSearchEquivalence pins the frozen flat traversal to the pointer
-// traversal exactly: for every grouping × TIA backend, the same query on
-// two identically built trees — one frozen, one not — returns identical
-// results, identical QueryStats (node accesses, TIA logical and physical
-// reads, scored entries, the full I/O breakdown) and identical EXPLAIN
-// forensics (pop-by-pop log, per-level accesses, heap high-water mark,
-// frontier). Two twin trees are used, rather than one tree queried twice,
-// because the TIA buffers retain state across queries — the twins guarantee
-// both paths see the same cold/warm buffer sequence.
-func TestFrozenSearchEquivalence(t *testing.T) {
-	for _, g := range []Grouping{TAR3D, IndSpa, IndAgg} {
-		for name, newFac := range explainBackends() {
-			t.Run(g.String()+"/"+name, func(t *testing.T) {
-				pointer := buildAccountingTreeOpts(t, explainTreeOpts(g, newFac()))
-				frozen := buildAccountingTreeOpts(t, explainTreeOpts(g, newFac()))
-				frozen.Freeze()
-				if !frozen.Frozen() {
-					t.Fatal("Freeze did not install the flat layout")
-				}
-				for qi, q := range frozenTestQueries(pointer) {
-					exP, exF := NewExplain(), NewExplain()
-					resP, statsP, err := pointer.QueryCtx(context.Background(), q, &QueryOpts{Explain: exP})
-					if err != nil {
-						t.Fatal(err)
-					}
-					resF, statsF, err := frozen.QueryCtx(context.Background(), q, &QueryOpts{Explain: exF})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(resP, resF) {
-						t.Fatalf("query %d: frozen results differ from pointer results", qi)
-					}
-					if !reflect.DeepEqual(statsP, statsF) {
-						t.Fatalf("query %d: stats differ\npointer: %+v\nfrozen:  %+v", qi, statsP, statsF)
-					}
-					if exP.Pops != exF.Pops || exP.HeapMax != exF.HeapMax {
-						t.Fatalf("query %d: pops %d/%d heapMax %d/%d", qi, exP.Pops, exF.Pops, exP.HeapMax, exF.HeapMax)
-					}
-					if !reflect.DeepEqual(exP.NodeAccessesByLevel, exF.NodeAccessesByLevel) {
-						t.Fatalf("query %d: per-level accesses differ: %v vs %v", qi, exP.NodeAccessesByLevel, exF.NodeAccessesByLevel)
-					}
-					if !reflect.DeepEqual(exP.PopLog, exF.PopLog) {
-						t.Fatalf("query %d: pop logs diverge", qi)
-					}
-					if exP.FrontierSize != exF.FrontierSize || !reflect.DeepEqual(exP.Frontier, exF.Frontier) {
-						t.Fatalf("query %d: frontiers diverge (%d vs %d)", qi, exP.FrontierSize, exF.FrontierSize)
-					}
-					if exP.TIAReads != exF.TIAReads || exP.TIAPhysical != exF.TIAPhysical {
-						t.Fatalf("query %d: TIA reads %d/%d physical %d/%d",
-							qi, exP.TIAReads, exF.TIAReads, exP.TIAPhysical, exF.TIAPhysical)
-					}
-				}
-			})
+// checkAgainstScan compares a search answer with the Section 3.2 sequential
+// scan over the POI registry (bruteForceQuery): the score at every rank, and
+// every returned POI carrying the score and aggregate the scan computes for
+// it — which accepts either order of POIs whose scores tie, and nothing else.
+func checkAgainstScan(t *testing.T, tr *Tree, q Query, got []Result) {
+	t.Helper()
+	all := q
+	all.K = tr.Len() + 1
+	scan := bruteForceQuery(t, tr, all)
+	if want := min(q.K, len(scan)); len(got) != want {
+		t.Fatalf("%d results, scan has %d (q=%+v)", len(got), want, q)
+	}
+	byID := make(map[int64]Result, len(scan))
+	for _, r := range scan {
+		byID[r.POI.ID] = r
+	}
+	seen := make(map[int64]bool, len(got))
+	for i, r := range got {
+		if math.Abs(r.Score-scan[i].Score) > 1e-9 {
+			t.Fatalf("rank %d: score %.12f, scan has %.12f (q=%+v)", i, r.Score, scan[i].Score, q)
+		}
+		w, ok := byID[r.POI.ID]
+		if !ok || seen[r.POI.ID] {
+			t.Fatalf("rank %d: POI %d unknown to the scan or returned twice", i, r.POI.ID)
+		}
+		seen[r.POI.ID] = true
+		if math.Abs(r.Score-w.Score) > 1e-9 || r.Agg != w.Agg {
+			t.Fatalf("rank %d: POI %d has score %.12f agg %d, scan computes %.12f and %d",
+				i, r.POI.ID, r.Score, r.Agg, w.Score, w.Agg)
 		}
 	}
 }
 
-// TestFreezeLifecycle: structural mutations drop the frozen form; check-in
-// ingest does not (the frozen entries share the aggregate handles), and the
-// frozen answer tracks flushed epochs exactly.
-func TestFreezeLifecycle(t *testing.T) {
-	tr := buildAccountingTreeOpts(t, explainTreeOpts(TAR3D, tia.NewMemFactory()))
-	tr.Freeze()
+// TestFlatSearchMatchesScan is the search's answer identity: for both
+// matching semantics, both aggregate folds and all three groupings, the
+// best-first search over the flat layout returns what the sequential scan
+// returns, while check-in ingest and structural mutations interleave with
+// the queries. The structural mutations are chosen to change the answer of
+// the very next query — the inserted POI sits on the query point with the
+// largest aggregate, the deleted one is the previous answer's best — so a
+// search that read a stale layout could not pass.
+func TestFlatSearchMatchesScan(t *testing.T) {
+	for _, g := range []Grouping{TAR3D, IndSpa, IndAgg} {
+		for _, sem := range []tia.Semantics{tia.Contained, tia.Intersecting} {
+			for _, fn := range []tia.Func{tia.FuncSum, tia.FuncMax} {
+				t.Run(fmt.Sprintf("%v/sem%d/fold%d", g, sem, fn), func(t *testing.T) {
+					opts := defaultOpts(g)
+					opts.Semantics, opts.AggFunc = sem, fn
+					tr, r := buildRandomTreeOpts(t, opts, 300, 77+int64(g))
+					nextID, clock := int64(1000), int64(200)
+					q := Query{X: 40, Y: 60, Iq: tia.Interval{Start: 5, End: 195}, K: 8, Alpha0: 0.5}
+					query := func() []Result {
+						t.Helper()
+						got, _, err := tr.QueryCtx(context.Background(), q, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkAgainstScan(t, tr, q, got)
+						return got
+					}
+					best := query()[0]
+					for step := 0; step < 24; step++ {
+						switch step % 4 {
+						case 0: // check-in ingest: the layout stays, the aggregates move
+							for i := 0; i < 40; i++ {
+								id := int64(1 + r.Intn(300))
+								if _, ok := tr.Lookup(id); !ok {
+									continue // deleted in an earlier step
+								}
+								if err := tr.AddCheckIn(id, clock+int64(r.Intn(10))); err != nil {
+									t.Fatal(err)
+								}
+							}
+							clock += 10
+							if err := tr.FlushEpochs(clock); err != nil {
+								t.Fatal(err)
+							}
+							q.Iq.End = clock + 5
+						case 1: // a POI that must enter the answer at rank 1
+							hist := []tia.Record{{Ts: 100, Te: 110, Agg: 100000 + int64(step)}}
+							if err := tr.InsertPOI(POI{ID: nextID, X: q.X, Y: q.Y}, hist); err != nil {
+								t.Fatal(err)
+							}
+							nextID++
+						case 2: // the previous best must leave it
+							if ok, err := tr.DeletePOI(best.POI.ID); err != nil || !ok {
+								t.Fatalf("delete %d: %v %v", best.POI.ID, ok, err)
+							}
+						case 3:
+							if err := tr.RebuildBulk(); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if step%4 != 0 && tr.Frozen() {
+							t.Fatalf("step %d: structural mutation kept the compiled layout", step)
+						}
+						got := query()
+						switch step % 4 {
+						case 1:
+							if got[0].POI.ID != nextID-1 {
+								t.Fatalf("step %d: inserted POI %d not at rank 1 of the next query", step, nextID-1)
+							}
+						case 2:
+							for _, res := range got {
+								if res.POI.ID == best.POI.ID {
+									t.Fatalf("step %d: deleted POI %d still answered", step, best.POI.ID)
+								}
+							}
+						}
+						best = got[0]
+						// A second, random query on the now compiled layout.
+						q2 := Query{
+							X: r.Float64() * 100, Y: r.Float64() * 100,
+							Iq:     tia.Interval{Start: int64(r.Intn(100)), End: 101 + int64(r.Intn(int(clock)))},
+							K:      1 + r.Intn(20),
+							Alpha0: 0.05 + 0.9*r.Float64(),
+						}
+						got2, _, err := tr.QueryCtx(context.Background(), q2, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkAgainstScan(t, tr, q2, got2)
+					}
+				})
+			}
+		}
+	}
+}
 
-	// Ingest through the frozen form: flushes must be visible to frozen
-	// queries because structure did not change.
+// TestFreezeLifecycle: the first search compiles the layout, Freeze on a
+// compiled tree is a no-op, check-in ingest keeps the layout (its entries
+// share the aggregate handles, so the flushed epochs are observed), and
+// every structural mutation drops it until the next search — with the
+// tartree_index_bytes{layout="flat"} gauge reading 0 in between and the new
+// layout's size afterwards.
+func TestFreezeLifecycle(t *testing.T) {
+	reg := obs.NewRegistry()
+	opts := explainTreeOpts(TAR3D, tia.NewMemFactory())
+	opts.Metrics = reg
+	tr := buildAccountingTreeOpts(t, opts)
+	gauge := reg.Gauge(`tartree_index_bytes{layout="flat"}`)
+	if tr.Frozen() {
+		t.Fatal("a tree nobody searched holds a compiled layout")
+	}
+	q := Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 700}, K: 15, Alpha0: 0.5}
+	query := func() {
+		t.Helper()
+		got, _, err := tr.QueryCtx(context.Background(), q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstScan(t, tr, q, got)
+	}
+	query()
+	if !tr.Frozen() {
+		t.Fatal("the first search did not install the layout it compiled")
+	}
+	f := tr.Freeze()
+	if tr.Freeze() != f {
+		t.Fatal("Freeze recompiled a compiled tree")
+	}
+
 	for i := 0; i < 50; i++ {
 		if err := tr.AddCheckIn(int64(1+i%7), 610); err != nil {
 			t.Fatal(err)
@@ -93,44 +193,34 @@ func TestFreezeLifecycle(t *testing.T) {
 	if err := tr.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Frozen() {
-		t.Fatal("check-in ingest dropped the frozen form")
+	if tr.Freeze() != f {
+		t.Fatal("check-in ingest dropped the compiled layout")
 	}
-	q := Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 700}, K: 15, Alpha0: 0.5}
-	resFrozen, _, err := tr.QueryCtx(context.Background(), q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Unfreeze()
-	resPointer, _, err := tr.QueryCtx(context.Background(), q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resFrozen, resPointer) {
-		t.Fatal("frozen query does not observe flushed epochs like the pointer query")
-	}
+	query() // sees the flushed epoch through the shared aggregate handles
 
-	// Structural mutations invalidate.
-	tr.Freeze()
-	if err := tr.InsertPOI(POI{ID: 9001, X: 1, Y: 1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Frozen() {
-		t.Fatal("InsertPOI left a stale frozen form")
-	}
-	tr.Freeze()
-	if _, err := tr.DeletePOI(9001); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Frozen() {
-		t.Fatal("DeletePOI left a stale frozen form")
-	}
-	tr.Freeze()
-	if err := tr.RebuildBulk(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Frozen() {
-		t.Fatal("RebuildBulk left a stale frozen form")
+	for _, m := range []struct {
+		name   string
+		mutate func() error
+	}{
+		{"InsertPOI", func() error { return tr.InsertPOI(POI{ID: 9001, X: 1, Y: 1}, nil) }},
+		{"DeletePOI", func() error { _, err := tr.DeletePOI(9001); return err }},
+		{"Rebuild", tr.Rebuild},
+		{"RebuildBulk", tr.RebuildBulk},
+		{"Unfreeze", func() error { tr.Unfreeze(); return nil }},
+	} {
+		if err := m.mutate(); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Frozen() || gauge.Value() != 0 {
+			t.Fatalf("%s left a stale compiled layout (gauge reads %v bytes)", m.name, gauge.Value())
+		}
+		query()
+		if !tr.Frozen() || tr.Freeze() == f {
+			t.Fatalf("the search after %s did not compile a fresh layout", m.name)
+		}
+		if _, flat := tr.IndexBytes(); flat == 0 || int64(gauge.Value()) != flat {
+			t.Fatalf("after %s the gauge reads %v, the new layout holds %d bytes", m.name, gauge.Value(), flat)
+		}
 	}
 }
 
@@ -139,36 +229,56 @@ func TestIndexBytes(t *testing.T) {
 	tr := buildAccountingTreeOpts(t, explainTreeOpts(TAR3D, tia.NewMemFactory()))
 	ptr, flat := tr.IndexBytes()
 	if ptr <= 0 || flat != 0 {
-		t.Fatalf("before freeze: pointer=%d flat=%d", ptr, flat)
+		t.Fatalf("before the first compile: pointer=%d flat=%d", ptr, flat)
 	}
 	tr.Freeze()
 	ptr, flat = tr.IndexBytes()
 	if flat <= 0 || flat >= ptr {
-		t.Fatalf("after freeze: flat=%d not in (0, pointer=%d)", flat, ptr)
+		t.Fatalf("compiled: flat=%d not in (0, pointer=%d)", flat, ptr)
 	}
 }
 
-// BenchmarkQueryPath compares pointer and frozen traversal on the same
-// deterministic tree and query mix; the acceptance bar is that the frozen
-// path is no slower per node access.
-func BenchmarkQueryPath(b *testing.B) {
-	for _, frozen := range []bool{false, true} {
-		name := "pointer"
-		if frozen {
-			name = "frozen"
+// TestLazyCompileConcurrent: when many readers issue the first query after a
+// structural mutation at once, exactly one of them compiles the layout and
+// all of them read it — same answers, same work. Run under -race.
+func TestLazyCompileConcurrent(t *testing.T) {
+	reg := obs.NewRegistry()
+	opts := explainTreeOpts(TAR3D, tia.NewMemFactory())
+	opts.Metrics = reg
+	tr := buildAccountingTreeOpts(t, opts)
+	compiles := reg.Counter("tartree_freezes_total")
+	for round := int64(1); round <= 3; round++ {
+		if err := tr.InsertPOI(POI{ID: 9000 + round, X: 50, Y: 50}, nil); err != nil {
+			t.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			tr := buildAccountingTreeOpts(b, explainTreeOpts(TAR3D, tia.NewMemFactory()))
-			if frozen {
-				tr.Freeze()
+		q := exhaustiveQuery(tr)
+		const readers = 8
+		results := make([][]Result, readers)
+		stats := make([]QueryStats, readers)
+		errs := make([]error, readers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				results[i], stats[i], errs[i] = tr.QueryCtx(context.Background(), q, nil)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := compiles.Value(); got != round {
+			t.Fatalf("round %d: %d compiles so far, want one per mutation", round, got)
+		}
+		for i := 0; i < readers; i++ {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
 			}
-			q := Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: 25, Alpha0: 0.5}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := tr.QueryCtx(context.Background(), q, nil); err != nil {
-					b.Fatal(err)
-				}
+			if !reflect.DeepEqual(results[i], results[0]) || !reflect.DeepEqual(stats[i], stats[0]) {
+				t.Fatalf("round %d: reader %d disagrees with reader 0", round, i)
 			}
-		})
+		}
+		checkAgainstScan(t, tr, q, results[0])
 	}
 }

@@ -44,7 +44,7 @@ func TestProperty1Consistency(t *testing.T) {
 						K:      5,
 						Alpha0: 0.1 + 0.8*r.Float64(),
 					}
-					sc, err := tr.NewScorer(q, nil, nil)
+					sc, err := tr.newScorer(q, nil, SearchOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -54,13 +54,13 @@ func TestProperty1Consistency(t *testing.T) {
 							if e.Child == nil {
 								continue
 							}
-							s0, s1, err := sc.Components(e)
+							s0, s1, err := sc.components(e.Rect, e.Data.(*aggData))
 							if err != nil {
 								return err
 							}
 							parent := sc.Score(s0, s1)
 							for _, c := range e.Child.Entries {
-								cs0, cs1, err := sc.Components(c)
+								cs0, cs1, err := sc.components(c.Rect, c.Data.(*aggData))
 								if err != nil {
 									return err
 								}

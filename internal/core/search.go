@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"time"
@@ -197,8 +196,8 @@ func (sc *Scorer) acctPtr() *pagestore.IOAcct {
 // traffic — into the shared books: the TIA factory's statistics with its
 // attached sinks and the probe totals (tia.Factory.FoldAcct), and the
 // query's own stats.IO. It runs wherever a probing method hands control
-// back to the search's caller — the gmax probe, the root push, Components,
-// Expand and Next, on success and on error — so a query never holds
+// back to the search's caller — the gmax probe, the root push, Expand and
+// Next, on success and on error — so a query never holds
 // unfolded traffic while it is parked between rounds, canceled or
 // abandoned, and needs no Close.
 func (sc *Scorer) fold() {
@@ -209,13 +208,10 @@ func (sc *Scorer) fold() {
 	sc.acct.DrainTo(&sc.stats.IO)
 }
 
-// NewScorer prepares a scorer for q, reading the per-query aggregate
-// normalizer from the tree's global per-epoch-maximum TIA.
-func (t *Tree) NewScorer(q Query, stats *QueryStats, cache AggCache) (*Scorer, error) {
-	return t.newScorer(q, stats, cache, nil, t.opts.Cache, nil)
-}
-
-func (t *Tree) newScorer(q Query, stats *QueryStats, cache AggCache, agg *obs.Span, shared *aggcache.Cache, ex *Explain) (*Scorer, error) {
+// newScorer binds a scorer to q. The aggregate normalizer is o.Gmax when
+// the caller supplies one, else it is read from the tree's global
+// per-epoch-maximum TIA (one counted probe).
+func (t *Tree) newScorer(q Query, agg *obs.Span, o SearchOptions) (*Scorer, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -223,11 +219,18 @@ func (t *Tree) newScorer(q Query, stats *QueryStats, cache AggCache, agg *obs.Sp
 		t:       t,
 		q:       q,
 		qv:      t.scaled(q.X, q.Y),
-		stats:   stats,
-		cache:   cache,
-		shared:  shared,
+		stats:   o.Stats,
+		cache:   o.Cache,
+		shared:  t.opts.Cache,
 		agg:     agg,
-		explain: ex,
+		explain: o.Explain,
+	}
+	if o.NoCache {
+		sc.shared = nil
+	}
+	if o.Gmax != nil {
+		sc.gmax = *o.Gmax
+		return sc, nil
 	}
 	gmax, err := sc.maxAggregate()
 	if err != nil {
@@ -273,10 +276,9 @@ func (sc *Scorer) Query() Query { return sc.q }
 // inside the interval anywhere).
 func (sc *Scorer) Gmax() float64 { return sc.gmax }
 
-// aggregate reads (and caches) the entry's TIA aggregate over the query
+// aggregate reads (and caches) an entry's TIA aggregate over the query
 // interval, counting physical TIA page reads.
-func (sc *Scorer) aggregate(e rstar.Entry) (int64, error) {
-	d := e.Data.(*aggData)
+func (sc *Scorer) aggregate(d *aggData) (int64, error) {
 	if v, ok := sc.recall(d); ok {
 		return v, nil
 	}
@@ -303,20 +305,15 @@ func (sc *Scorer) aggregate(e rstar.Entry) (int64, error) {
 	return a, nil
 }
 
-// Components returns the two score components of an entry: the normalized
-// spatial distance lower bound s0 and the aggregate term lower bound s1 =
-// 1 − g/Gmax. For leaf entries both are exact. Property 1 guarantees
-// α0·s0 + α1·s1 never exceeds the score of anything in the subtree.
-func (sc *Scorer) Components(e rstar.Entry) (s0, s1 float64, err error) {
-	defer sc.fold()
-	return sc.components(e)
-}
-
-// components is Components without the fold, for the search, which folds
+// components returns the two score components of an entry with bounding
+// rectangle rect and aggregate d: the normalized spatial distance lower
+// bound s0 and the aggregate term lower bound s1 = 1 − g/Gmax. For leaf
+// entries both are exact. Property 1 guarantees α0·s0 + α1·s1 never exceeds
+// the score of anything in the subtree. It does not fold: the search folds
 // once for all the entries it scores before handing control back.
-func (sc *Scorer) components(e rstar.Entry) (s0, s1 float64, err error) {
-	s0 = geo.MinDist(sc.qv, e.Rect, 2) / sc.t.maxDistScaled
-	a, err := sc.aggregate(e)
+func (sc *Scorer) components(rect geo.Rect, d *aggData) (s0, s1 float64, err error) {
+	s0 = geo.MinDist(sc.qv, rect, 2) / sc.t.maxDistScaled
+	a, err := sc.aggregate(d)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -333,9 +330,9 @@ func (sc *Scorer) Score(s0, s1 float64) float64 {
 	return sc.q.Alpha0*s0 + (1-sc.q.Alpha0)*s1
 }
 
-// resultOf builds a Result for a popped leaf entry.
-func (sc *Scorer) resultOf(e rstar.Entry, s0, s1 float64) Result {
-	st := sc.t.pois[int64(e.Item)]
+// resultOf builds the Result of POI id from its exact components.
+func (sc *Scorer) resultOf(id int64, s0, s1 float64) Result {
+	st := sc.t.pois[id]
 	var agg int64
 	if sc.gmax > 0 {
 		agg = int64((1-s1)*sc.gmax + 0.5)
@@ -349,70 +346,51 @@ func (sc *Scorer) resultOf(e rstar.Entry, s0, s1 float64) Result {
 	}
 }
 
-// Elem is one element of the best-first priority queue: an entry with its
-// (lower-bound) score and components.
+// Elem is one element of the best-first priority queue: an entry of the
+// flat layout with its (lower-bound) score and components. It is a plain
+// 32-byte value; the queue holds Elems, not pointers to them.
 type Elem struct {
-	Entry      rstar.Entry
-	Score      float64
-	S0, S1     float64
-	childLevel int // level of the child node; -1 for leaf entries
-	// flat is the entry's id in the frozen slabs; meaningful only on the
-	// frozen path (Entry.Child stays nil there — the child is addressed
-	// through FlatTree.Children[flat] instead of a pointer).
-	flat int32
+	Score  float64
+	S0, S1 float64
+	entry  int32 // entry id in the flat slabs
+	child  int32 // child node id; -1 for a leaf entry
 }
 
-// IsPOI reports whether the element is a leaf entry (an actual POI). It
-// keys off the recorded child level, which both the pointer and the frozen
-// path set, rather than the Child pointer only the former has.
-func (el *Elem) IsPOI() bool { return el.childLevel < 0 }
+// IsPOI reports whether the element is a leaf entry (an actual POI).
+func (el Elem) IsPOI() bool { return el.child < 0 }
 
-// Node returns the child node of an internal element (nil for POIs). The
-// collective scheme uses pointer identity to detect shared front entries.
-func (el *Elem) Node() *rstar.Node { return el.Entry.Child }
-
-type elemHeap []*Elem
-
-func (h elemHeap) Len() int           { return len(h) }
-func (h elemHeap) Less(i, j int) bool { return h[i].Score < h[j].Score }
-func (h elemHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *elemHeap) Push(x any)        { *h = append(*h, x.(*Elem)) }
-func (h *elemHeap) Pop() any          { o := *h; n := len(o); x := o[n-1]; *h = o[:n-1]; return x }
+// Node returns the id of the element's child node in the flat layout (-1
+// for POIs). The collective scheme compares ids to detect front entries
+// shared among searches over the same layout.
+func (el Elem) Node() int32 { return el.child }
 
 // Search is an incremental best-first search over the TAR-tree (Section
-// 4.3, after Hjaltason & Samet). Pop returns queue elements in ascending
-// score order; the caller decides whether to Expand internal elements,
-// which lets the weight-adjustment and skyline algorithms prune subtrees.
-//
-// CountAccesses can be disabled by batch processors that account for
-// shared node accesses themselves.
+// 4.3, after Hjaltason & Samet). It reads the tree's compiled flat layout:
+// nodes are (level, start, count) triples, an entry is an int32 id into
+// contiguous slabs. Pop returns queue elements in ascending score order;
+// the caller decides whether to Expand internal elements, which lets the
+// weight-adjustment and skyline algorithms prune subtrees.
 type Search struct {
-	sc    *Scorer
-	queue elemHeap
-	stats *QueryStats
-	// ft, when non-nil, switches the traversal to the tree's frozen flat
-	// layout: expansion walks int32 offsets into contiguous slabs instead
-	// of chasing node pointers. Scoring, heap order, stats and explain
-	// accounting are shared with the pointer path, so the two paths produce
-	// identical results and identical counters (pinned by property test).
+	sc *Scorer
 	ft *rstar.FlatTree
-	// slab is the chunk of Elems newElem hands out next. Chunks are never
-	// grown in place, so the *Elem the queue, Peek and Pop give out stay
-	// valid for the life of the search.
-	slab          []Elem
+	// queue is a binary min-heap on Score, kept by siftUp and siftDown.
+	queue         []Elem
+	stats         *QueryStats
 	agg           *obs.Span       // as Scorer.agg
 	explain       *Explain        // nil when EXPLAIN is off
 	ctx           context.Context // nil = never canceled
-	CountAccesses bool
+	countAccesses bool
 }
 
 // SearchOptions tunes NewSearchWith.
 type SearchOptions struct {
 	Stats *QueryStats
+	// Cache is the caller's aggregate memo, shared among the searches of a
+	// batch with the same query interval. Nil for a single search.
 	Cache AggCache
-	// Gmax supplies a precomputed aggregate normalizer; nil computes it
-	// with a branch-and-bound descent. The collective scheme computes it
-	// once per query-interval group.
+	// Gmax supplies a precomputed aggregate normalizer; nil reads it from
+	// the global TIA. The collective scheme computes it once per
+	// query-interval group.
 	Gmax *float64
 	// SkipAccessCounting suppresses node-access counting in Expand and on
 	// the root read; batch processors that share node accesses across
@@ -429,11 +407,6 @@ type SearchOptions struct {
 	// or past its deadline, Next returns an error wrapping ErrCanceled and
 	// the stats collected so far remain valid partial counts.
 	Ctx context.Context
-	// AllowFrozen lets the search traverse the tree's frozen flat layout
-	// when one is installed (Tree.Freeze); without one it silently runs the
-	// pointer path. Callers that rely on child-node pointer identity (the
-	// collective scheme compares Elem.Node across searches) leave it unset.
-	AllowFrozen bool
 }
 
 // NewSearch starts a best-first search for q. Reading the root node counts
@@ -450,51 +423,30 @@ func (t *Tree) NewSearchWith(q Query, o SearchOptions) (*Search, error) {
 // newSearch is NewSearchWith under QueryCtx: a non-nil agg is a span with
 // aggregates on, and the search times its hot sites into it.
 func (t *Tree) newSearch(q Query, agg *obs.Span, o SearchOptions) (*Search, error) {
-	shared := t.opts.Cache
-	if o.NoCache {
-		shared = nil
-	}
-	var sc *Scorer
-	var err error
-	if o.Gmax != nil {
-		sc, err = t.newScorerWithGmax(q, *o.Gmax, o.Stats, o.Cache, shared)
-		if sc != nil {
-			sc.agg = agg
-			sc.explain = o.Explain
-		}
-	} else {
-		sc, err = t.newScorer(q, o.Stats, o.Cache, agg, shared, o.Explain)
-	}
+	sc, err := t.newScorer(q, agg, o)
 	if err != nil {
 		return nil, err
 	}
-	s := &Search{sc: sc, stats: o.Stats, agg: agg, explain: o.Explain, ctx: o.Ctx, CountAccesses: !o.SkipAccessCounting}
-	if o.AllowFrozen {
-		s.ft = t.frozen
-	}
+	s := &Search{sc: sc, ft: t.Freeze(), stats: o.Stats, agg: agg, explain: o.Explain, ctx: o.Ctx, countAccesses: !o.SkipAccessCounting}
 	if err := s.pushRoot(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// pushRoot reads the root node and scores its entries.
+// pushRoot reads the root node (node 0) and scores its entries.
 func (s *Search) pushRoot() error {
 	defer s.sc.fold()
-	if s.ft != nil {
-		root := s.ft.Root()
-		s.countNodeAccess(int(root.Level))
-		for i := int32(0); i < root.Count; i++ {
-			if err := s.pushFlat(root.Start + i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	root := s.sc.t.rt.Root()
-	s.countNodeAccess(root.Level)
-	for _, e := range root.Entries {
-		if err := s.push(e); err != nil {
+	return s.pushNode(0)
+}
+
+// pushNode reads node id — one counted access — and scores and enqueues
+// its entries, a contiguous run of the slabs.
+func (s *Search) pushNode(id int32) error {
+	n := s.ft.Nodes[id]
+	s.countNodeAccess(int(n.Level))
+	for eid := n.Start; eid < n.Start+n.Count; eid++ {
+		if err := s.push(eid); err != nil {
 			return err
 		}
 	}
@@ -502,11 +454,9 @@ func (s *Search) pushRoot() error {
 }
 
 // countNodeAccess records one R-tree node read at the given level into the
-// query stats (unless access counting is off) and the explain recorder. The
-// root read and every Expand — pointer or frozen — go through here, so both
-// traversal paths account identically.
+// query stats (unless access counting is off) and the explain recorder.
 func (s *Search) countNodeAccess(level int) {
-	if s.CountAccesses && s.stats != nil {
+	if s.countAccesses && s.stats != nil {
 		if level == 0 {
 			s.stats.LeafAccesses++
 			s.stats.IO.AddRead(pagestore.NewIOTag(pagestore.CompRTreeLeaf, 0), true)
@@ -518,153 +468,122 @@ func (s *Search) countNodeAccess(level int) {
 	s.explain.recordNodeAccess(level)
 }
 
-// newScorerWithGmax builds a scorer using a precomputed normalizer.
-func (t *Tree) newScorerWithGmax(q Query, gmax float64, stats *QueryStats, cache AggCache, shared *aggcache.Cache) (*Scorer, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	return &Scorer{t: t, q: q, qv: t.scaled(q.X, q.Y), gmax: gmax, stats: stats, cache: cache, shared: shared}, nil
-}
-
 // MaxAggregate reads the normalization range for iv (the sum of the global
 // per-epoch maxima over the interval), counting its accesses into stats.
 // The collective scheme calls it once per query-interval group.
 func (t *Tree) MaxAggregate(iv tia.Interval, stats *QueryStats, cache AggCache) (int64, error) {
-	sc := &Scorer{
-		t: t,
-		// Only Iq matters for aggregation; other fields are placeholders.
-		q:      Query{Iq: iv, K: 1, Alpha0: 0.5},
-		stats:  stats,
-		cache:  cache,
-		shared: t.opts.Cache,
+	// Only Iq matters for aggregation; the other fields are placeholders.
+	sc, err := t.newScorer(Query{Iq: iv, K: 1, Alpha0: 0.5}, nil, SearchOptions{Stats: stats, Cache: cache})
+	if err != nil {
+		return 0, err
 	}
-	return sc.maxAggregate()
+	return int64(sc.gmax), nil
 }
 
 // Scorer returns the search's scorer.
 func (s *Search) Scorer() *Scorer { return s.sc }
 
-// elemSlab is how many Elems one slab chunk holds: a search scores a few
-// hundred entries, so it allocates a handful of chunks instead of one
-// object per entry.
-const elemSlab = 64
-
-// newElem returns a zeroed Elem from the search's slab.
-func (s *Search) newElem() *Elem {
-	if len(s.slab) == cap(s.slab) {
-		s.slab = make([]Elem, 0, elemSlab)
-	}
-	s.slab = s.slab[:len(s.slab)+1]
-	return &s.slab[len(s.slab)-1]
-}
-
-func (s *Search) push(e rstar.Entry) error {
-	s0, s1, err := s.sc.components(e)
+// push scores entry eid of the flat slabs — rectangle and aggregate handle
+// read in place — and inserts it into the queue.
+func (s *Search) push(eid int32) error {
+	s0, s1, err := s.sc.components(s.ft.Rects[eid], s.ft.Data[eid].(*aggData))
 	if err != nil {
 		return err
 	}
-	el := s.newElem()
-	*el = Elem{Entry: e, S0: s0, S1: s1, Score: s.sc.Score(s0, s1), childLevel: -1}
-	if e.Child != nil {
-		el.childLevel = e.Child.Level
-	}
-	heap.Push(&s.queue, el)
+	s.queue = append(s.queue, Elem{Score: s.sc.Score(s0, s1), S0: s0, S1: s1, entry: eid, child: s.ft.Children[eid]})
+	s.siftUp(len(s.queue) - 1)
 	s.explain.recordPush(len(s.queue))
 	return nil
 }
 
-// pushFlat scores and enqueues entry eid of the frozen slabs. The
-// materialized Entry carries the exact same rectangle and aggregate handle
-// the pointer tree holds, so components, score and heap order are
-// bit-identical to the pointer path.
-func (s *Search) pushFlat(eid int32) error {
-	e := s.ft.EntryAt(eid)
-	s0, s1, err := s.sc.components(e)
-	if err != nil {
-		return err
+// siftUp and siftDown keep the queue a binary min-heap on Score. They make
+// exactly the comparisons and moves of the standard library's heap.Push and
+// heap.Pop — a strict less-than against the parent, the right child
+// preferred only when strictly smaller — which fixes the order in which
+// equal scores pop (pinned by TestSearchGolden).
+func (s *Search) siftUp(j int) {
+	q := s.queue
+	el := q[j]
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !(el.Score < q[i].Score) {
+			break
+		}
+		q[j] = q[i]
+		j = i
 	}
-	el := s.newElem()
-	*el = Elem{Entry: e, S0: s0, S1: s1, Score: s.sc.Score(s0, s1), childLevel: -1, flat: eid}
-	if cid := s.ft.Children[eid]; cid >= 0 {
-		el.childLevel = int(s.ft.Nodes[cid].Level)
-	}
-	heap.Push(&s.queue, el)
-	s.explain.recordPush(len(s.queue))
-	return nil
+	q[j] = el
 }
 
-// Peek returns the least-score element without removing it, or nil when
-// the queue is empty.
-func (s *Search) Peek() *Elem {
-	if len(s.queue) == 0 {
-		return nil
+// siftDown places el, starting from the root, in the heap q[:n].
+func (s *Search) siftDown(el Elem, n int) {
+	q := s.queue
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r].Score < q[j].Score {
+			j = r
+		}
+		if !(q[j].Score < el.Score) {
+			break
+		}
+		q[i] = q[j]
+		i = j
 	}
-	return s.queue[0]
+	q[i] = el
 }
 
-// Pop removes and returns the least-score element, or nil when exhausted.
-func (s *Search) Pop() *Elem {
+// Peek returns the least-score element without removing it; ok is false
+// when the queue is empty.
+func (s *Search) Peek() (el Elem, ok bool) {
 	if len(s.queue) == 0 {
-		return nil
+		return Elem{}, false
+	}
+	return s.queue[0], true
+}
+
+// Pop removes and returns the least-score element; ok is false when the
+// search is exhausted.
+func (s *Search) Pop() (el Elem, ok bool) {
+	n := len(s.queue) - 1
+	if n < 0 {
+		return Elem{}, false
 	}
 	if s.agg != nil {
 		defer s.agg.Timed("queue_pop")()
 	}
-	el := heap.Pop(&s.queue).(*Elem)
-	s.explain.recordPop(el, len(s.queue))
-	return el
+	el = s.queue[0]
+	last := s.queue[n]
+	s.queue = s.queue[:n]
+	if n > 0 {
+		s.siftDown(last, n)
+	}
+	s.explain.recordPop(s, el)
+	return el, true
 }
 
 // Expand pushes the children of an internal element, counting one node
-// access (when CountAccesses is set). The "expand" aggregate covers the
+// access (unless access counting is off). The "expand" aggregate covers the
 // R-tree descent including the scoring of the child entries, so the nested
-// "tia_probe" time is a subset of it. On a frozen search the element's
-// child node is resolved through the flat slabs instead of a pointer.
-func (s *Search) Expand(el *Elem) error {
+// "tia_probe" time is a subset of it.
+func (s *Search) Expand(el Elem) error {
 	defer s.sc.fold()
 	return s.expand(el)
 }
 
 // expand is Expand without the fold, for Next, which folds once for all
 // the expansions it makes before it returns.
-func (s *Search) expand(el *Elem) error {
-	if s.ft != nil {
-		return s.expandFlat(el)
-	}
-	n := el.Entry.Child
-	if n == nil {
+func (s *Search) expand(el Elem) error {
+	if el.child < 0 {
 		return nil
 	}
 	if s.agg != nil {
 		defer s.agg.Timed("expand")()
 	}
-	s.countNodeAccess(n.Level)
-	for _, e := range n.Entries {
-		if err := s.push(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// expandFlat is Expand on the frozen layout: the child node is a (level,
-// start, count) triple and its entries are a contiguous run of the slabs —
-// no pointer chase, no per-node slice header.
-func (s *Search) expandFlat(el *Elem) error {
-	if el.childLevel < 0 {
-		return nil
-	}
-	if s.agg != nil {
-		defer s.agg.Timed("expand")()
-	}
-	n := s.ft.Nodes[s.ft.Children[el.flat]]
-	s.countNodeAccess(int(n.Level))
-	for i := int32(0); i < n.Count; i++ {
-		if err := s.pushFlat(n.Start + i); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.pushNode(el.child)
 }
 
 // Next runs the search until the next POI emerges, returning nil when the
@@ -677,12 +596,12 @@ func (s *Search) Next() (*Result, error) {
 				return nil, fmt.Errorf("%w: %v", ErrCanceled, err)
 			}
 		}
-		el := s.Pop()
-		if el == nil {
+		el, ok := s.Pop()
+		if !ok {
 			return nil, nil
 		}
 		if el.IsPOI() {
-			r := s.sc.resultOf(el.Entry, el.S0, el.S1)
+			r := s.Result(el)
 			return &r, nil
 		}
 		if err := s.expand(el); err != nil {
@@ -692,8 +611,16 @@ func (s *Search) Next() (*Result, error) {
 }
 
 // Result converts a POI element into a Result.
-func (s *Search) Result(el *Elem) Result {
-	return s.sc.resultOf(el.Entry, el.S0, el.S1)
+func (s *Search) Result(el Elem) Result {
+	return s.sc.resultOf(s.ft.Items[el.entry], el.S0, el.S1)
+}
+
+// level returns the level of el's child node, -1 for a POI.
+func (s *Search) level(el Elem) int {
+	if el.child < 0 {
+		return -1
+	}
+	return int(s.ft.Nodes[el.child].Level)
 }
 
 // IOLines converts a breakdown into the neutral rows obs stores (obs is

@@ -73,9 +73,9 @@ const (
 var v3Castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // SaveSnapshotV3 writes the snapshot-v3 image. It only reads the tree (the
-// WAL checkpointer calls it under a read lock): the installed frozen layout
-// is used when present, otherwise a temporary flat compilation is built and
-// discarded without being installed.
+// WAL checkpointer calls it under a read lock) and writes its compiled flat
+// layout, compiling it first — as a search would — when a structural
+// mutation dropped it.
 func (t *Tree) SaveSnapshotV3(w io.Writer) error {
 	var flags uint32
 	var epochStart, epochLength int64
@@ -88,10 +88,7 @@ func (t *Tree) SaveSnapshotV3(w io.Writer) error {
 	default:
 		return fmt.Errorf("core: cannot snapshot custom epoch scheme %T", e)
 	}
-	f := t.frozen
-	if f == nil {
-		f = t.rt.Freeze()
-	}
+	f := t.Freeze()
 
 	// Assign TIA references: 0 = global, 1..P the POIs by ascending id,
 	// then internal entries in entry order. Leaf entries share their POI's
@@ -634,6 +631,9 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 		return nil, err
 	}
 	t.rt = rt
-	t.setFrozen(f)
+	t.flat.Store(f)
+	if t.instr != nil {
+		t.instr.recordIndexBytes(rt.MemoryBytes(), f.Bytes())
+	}
 	return t, nil
 }

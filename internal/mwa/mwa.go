@@ -118,8 +118,8 @@ func Enumerating(t *core.Tree, q core.Query) ([]core.Result, Adjustment, core.Qu
 			return nil, Adjustment{}, stats, err
 		}
 		for {
-			el := pass.Pop()
-			if el == nil {
+			el, ok := pass.Pop()
+			if !ok {
 				break
 			}
 			if p.S0 <= el.S0 && p.S1 <= el.S1 {

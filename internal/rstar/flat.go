@@ -90,13 +90,6 @@ func (t *Tree) Freeze() *FlatTree {
 // Root returns the root node (node 0).
 func (f *FlatTree) Root() FlatNode { return f.Nodes[0] }
 
-// EntryAt materializes entry i as a pointer-form Entry (Child stays nil;
-// use Children[i] for the child node id). The scorer and search operate on
-// this value exactly as on a pointer-tree entry.
-func (f *FlatTree) EntryAt(i int32) Entry {
-	return Entry{Rect: f.Rects[i], Item: Item(f.Items[i]), Data: f.Data[i]}
-}
-
 // Bytes returns the heap footprint of the slabs (headers included) — the
 // number exported as tartree_index_bytes{layout="flat"}.
 func (f *FlatTree) Bytes() int64 {

@@ -1,7 +1,6 @@
 package rstar
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 	"sort"
@@ -115,34 +114,36 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// nnEntry/nnQueue implement a reference best-first kNN for tests.
+// nnEntry is one queue element of knn, the reference best-first kNN.
 type nnEntry struct {
 	dist float64
 	e    Entry
 }
-type nnQueue []nnEntry
-
-func (q nnQueue) Len() int           { return len(q) }
-func (q nnQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q nnQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *nnQueue) Push(x any)        { *q = append(*q, x.(nnEntry)) }
-func (q *nnQueue) Pop() any          { old := *q; n := len(old); x := old[n-1]; *q = old[:n-1]; return x }
 
 func knn(t *Tree, q geo.Vector, k int) []Item {
-	pq := &nnQueue{}
-	for _, e := range t.Root().Entries {
-		heap.Push(pq, nnEntry{geo.MinDist(q, e.Rect, t.Dims()), e})
+	var pq []nnEntry // unordered; the nearest element is found by scanning
+	push := func(entries []Entry) {
+		for _, e := range entries {
+			pq = append(pq, nnEntry{geo.MinDist(q, e.Rect, t.Dims()), e})
+		}
 	}
+	push(t.Root().Entries)
 	var out []Item
-	for pq.Len() > 0 && len(out) < k {
-		ne := heap.Pop(pq).(nnEntry)
+	for len(pq) > 0 && len(out) < k {
+		best := 0
+		for i := range pq {
+			if pq[i].dist < pq[best].dist {
+				best = i
+			}
+		}
+		ne := pq[best]
+		pq[best] = pq[len(pq)-1]
+		pq = pq[:len(pq)-1]
 		if ne.e.Child == nil {
 			out = append(out, ne.e.Item)
 			continue
 		}
-		for _, c := range ne.e.Child.Entries {
-			heap.Push(pq, nnEntry{geo.MinDist(q, c.Rect, t.Dims()), c})
-		}
+		push(ne.e.Child.Entries)
 	}
 	return out
 }

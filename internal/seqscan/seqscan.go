@@ -6,7 +6,6 @@
 package seqscan
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"sort"
@@ -52,19 +51,6 @@ func (s *Scanner) Add(p core.POI, history []tia.Record) {
 // Len returns the number of POIs.
 func (s *Scanner) Len() int { return len(s.pois) }
 
-type scored struct {
-	res core.Result
-}
-
-// maxHeap keeps the k smallest scores by evicting the largest.
-type maxHeap []scored
-
-func (h maxHeap) Len() int           { return len(h) }
-func (h maxHeap) Less(i, j int) bool { return h[i].res.Score > h[j].res.Score }
-func (h maxHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x any)        { *h = append(*h, x.(scored)) }
-func (h *maxHeap) Pop() any          { o := *h; n := len(o); x := o[n-1]; *h = o[:n-1]; return x }
-
 // Query scans every POI and returns the top-k results in ascending score
 // order.
 func (s *Scanner) Query(q core.Query) ([]core.Result, error) {
@@ -90,7 +76,9 @@ func (s *Scanner) QueryCtx(ctx context.Context, q core.Query, _ *core.QueryOpts)
 	}
 	gmax := float64(gmaxI)
 	qv := geo.Vector{q.X, q.Y}
-	h := &maxHeap{}
+	// top holds the k best so far; once full it is a max-heap on Score, so
+	// the worst of them is top[0].
+	top := make([]core.Result, 0, min(q.K, len(s.pois)))
 	for i, p := range s.pois {
 		if i%cancelPollEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -122,16 +110,37 @@ func (s *Scanner) QueryCtx(ctx context.Context, q core.Query, _ *core.QueryOpts)
 			S1:    s1,
 			Agg:   agg,
 		}
-		if h.Len() < q.K {
-			heap.Push(h, scored{res})
-		} else if res.Score < (*h)[0].res.Score {
-			(*h)[0] = scored{res}
-			heap.Fix(h, 0)
+		switch {
+		case len(top) < q.K:
+			top = append(top, res)
+			if len(top) == q.K {
+				for i := q.K/2 - 1; i >= 0; i-- {
+					siftDown(top, i)
+				}
+			}
+		case res.Score < top[0].Score:
+			top[0] = res
+			siftDown(top, 0)
 		}
 	}
-	out := make([]core.Result, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(scored).res
+	sort.Slice(top, func(i, j int) bool { return top[i].Score < top[j].Score })
+	return top, stats, nil
+}
+
+// siftDown restores the max-heap order of h below index i.
+func siftDown(h []core.Result, i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h[r].Score > h[j].Score {
+			j = r
+		}
+		if !(h[j].Score > h[i].Score) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
 	}
-	return out, stats, nil
 }

@@ -216,9 +216,8 @@ func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 		// The search must not carry the request context: it lives across
 		// requests, and this one's context dies when the handler returns.
 		sess.search, searchErr = t.NewSearchWith(q, core.SearchOptions{
-			Gmax:        &gmax,
-			Stats:       &sess.stats,
-			AllowFrozen: true,
+			Gmax:  &gmax,
+			Stats: &sess.stats,
 		})
 		if searchErr != nil {
 			return
@@ -355,7 +354,7 @@ func runRound(sess *session, bound *float64, batch int) (*roundResponse, error) 
 	resp := &roundResponse{Session: sess.id}
 	for len(resp.Candidates) < batch {
 		if bound != nil {
-			if el := sess.search.Peek(); el != nil && el.Score > *bound {
+			if el, ok := sess.search.Peek(); ok && el.Score > *bound {
 				resp.Pruned, resp.Done = true, true
 				break
 			}
@@ -374,7 +373,7 @@ func runRound(sess *session, bound *float64, batch int) (*roundResponse, error) 
 		})
 	}
 	if !resp.Done {
-		if el := sess.search.Peek(); el != nil {
+		if el, ok := sess.search.Peek(); ok {
 			f := el.Score
 			resp.Frontier = &f
 		} else {

@@ -85,8 +85,8 @@ func skylineBy(points []Point, dom func(a, b Point) bool, key func(Point) (float
 func BBS(s *core.Search, exclude map[int64]bool) ([]Point, error) {
 	var sky []Point
 	for {
-		el := s.Pop()
-		if el == nil {
+		el, ok := s.Pop()
+		if !ok {
 			return sky, nil
 		}
 		dominated := false

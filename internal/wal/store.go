@@ -409,23 +409,15 @@ func (s *Store) View(f func(t *core.Tree)) {
 	f(s.tree)
 }
 
-// Freeze compiles and installs the tree's frozen flat layout under the
-// write lock; subsequent queries traverse offsets instead of pointers. The
-// WAL ingest path never mutates tree structure (check-ins only change TIA
-// contents, which the frozen entries share), so the layout stays valid
-// until an explicit rebuild. A tree recovered from a v3 checkpoint arrives
-// already frozen.
+// Freeze pre-warms the tree's compiled flat layout so the first query does
+// not pay for the compile. The WAL ingest path never mutates tree structure
+// (check-ins only change TIA contents, which the layout's entries share),
+// so the layout stays valid until an explicit rebuild; on a tree recovered
+// from a v3 checkpoint, which arrives compiled, this is a no-op.
 func (s *Store) Freeze() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tree.Freeze()
-}
-
-// Frozen reports whether the tree currently has a frozen flat layout.
-func (s *Store) Frozen() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.tree.Frozen()
+	s.tree.Freeze()
 }
 
 // FlushEpochs folds every buffered epoch ending at or before now into the
