@@ -122,12 +122,11 @@ type Options struct {
 	// ablation experiments use it to isolate that heuristic's effect.
 	DisableReinsert bool
 	// Metrics, when set, instruments the tree: queries publish latency
-	// histograms and work counters into the registry, and the TIA factory's
-	// page buffers publish hit/miss/eviction rates through an attached
-	// obs.PageSink. Nil (the default) disables instrumentation entirely.
-	// Trees may share one registry, but each should own its TIA factory —
-	// attaching one factory to two instrumented trees double-counts its
-	// page traffic.
+	// histograms and work counters into the registry, and the registry's
+	// tartree_pagestore_* series read the TIA factory's page-traffic
+	// ledger at scrape time. Nil (the default) disables instrumentation
+	// entirely. Trees may share one registry; the pagestore series then
+	// show the factory of the tree created last.
 	Metrics *obs.Registry
 	// Cache, when set, memoizes TIA aggregate probes and whole ranked
 	// result sets across queries. The tree bumps the cache's version stamp
@@ -296,9 +295,7 @@ func NewTree(opts Options) (*Tree, error) {
 	t.maxDistScaled = opts.World.Diagonal(2) * t.scale
 	if opts.Metrics != nil {
 		t.instr = newInstruments(opts.Metrics)
-		if at, ok := opts.TIA.(sinkAttacher); ok {
-			at.AttachSink(obs.NewPageSink(opts.Metrics, "tartree_pagestore"))
-		}
+		registerPageMetrics(opts.Metrics, opts.TIA.Ledger())
 		if opts.Cache != nil {
 			registerCacheMetrics(opts.Metrics, opts.Cache)
 		}

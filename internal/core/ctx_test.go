@@ -83,8 +83,8 @@ func TestQueryCtxMidSearchCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fac := tr.TIAFactory()
-	fac.ResetStats()
+	ledger := tr.TIAFactory().Ledger()
+	base := ledger.Breakdown()
 
 	ctx := &stepCtx{Context: context.Background(), limit: 10}
 	res, stats, err := tr.QueryCtx(ctx, q, nil)
@@ -120,7 +120,7 @@ func TestQueryCtxMidSearchCancellation(t *testing.T) {
 	sum.Add(&afterStats.IO)
 	sum[pagestore.CompRTreeInternal] = [pagestore.MaxIOLevels]pagestore.IOCell{}
 	sum[pagestore.CompRTreeLeaf] = [pagestore.MaxIOLevels]pagestore.IOCell{}
-	if got := fac.Breakdown(); got != sum {
+	if got := ledger.Breakdown().Sub(base); got != sum {
 		t.Errorf("factory delta != canceled + completed breakdowns:\n got %v\nwant %v", got, sum)
 	}
 }
@@ -303,8 +303,8 @@ func TestCacheConservation(t *testing.T) {
 		TIA:         tia.NewBTreeFactory(256, 10),
 		Cache:       cache,
 	})
-	fac := tr.TIAFactory()
-	fac.ResetStats()
+	ledger := tr.TIAFactory().Ledger()
+	base := ledger.Breakdown()
 	queries := []Query{
 		{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: 10, Alpha0: 0.5},
 		{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: 10, Alpha0: 0.5}, // warm repeat
@@ -343,7 +343,7 @@ func TestCacheConservation(t *testing.T) {
 	sum[pagestore.CompRTreeInternal] = [pagestore.MaxIOLevels]pagestore.IOCell{}
 	sum[pagestore.CompRTreeLeaf] = [pagestore.MaxIOLevels]pagestore.IOCell{}
 	sum[pagestore.CompAggCache] = [pagestore.MaxIOLevels]pagestore.IOCell{}
-	if got := fac.Breakdown(); got != sum {
+	if got := ledger.Breakdown().Sub(base); got != sum {
 		t.Errorf("factory delta != sum of per-query breakdowns with the cache on:\n got %v\nwant %v", got, sum)
 	}
 	snap := cache.Snapshot()

@@ -160,7 +160,7 @@ func (t *Tree) Aggregate(id int64, iv tia.Interval) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: unknown POI %d", id)
 	}
-	return st.data.disk.AggregateFunc(iv, t.opts.Semantics, t.opts.AggFunc)
+	return st.data.disk.Aggregate(iv, t.opts.Semantics, t.opts.AggFunc, nil)
 }
 
 // AggregateMirror is Aggregate from the in-memory mirror (no disk access);
@@ -170,7 +170,7 @@ func (t *Tree) AggregateMirror(id int64, iv tia.Interval) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: unknown POI %d", id)
 	}
-	return st.data.mirror.AggregateFunc(iv, t.opts.Semantics, t.opts.AggFunc)
+	return st.data.mirror.Aggregate(iv, t.opts.Semantics, t.opts.AggFunc, nil)
 }
 
 // History returns a copy of the POI's per-epoch aggregate records.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tartree/internal/aggcache"
@@ -26,15 +27,17 @@ type instruments struct {
 	tiaPhysical *obs.Counter
 	scored      *obs.Counter
 
-	// Attributed I/O counters, one per (component, level, event) actually
+	// Attributed I/O counters, one triple per (component, level) actually
 	// observed. Created lazily so the exposition shows only series with
-	// traffic; the cache avoids re-formatting the labeled name per query.
-	reg    *obs.Registry
-	ioMu   sync.Mutex
-	ioHits [pagestore.NumComponents][pagestore.MaxIOLevels]*obs.Counter
-	ioMiss [pagestore.NumComponents][pagestore.MaxIOLevels]*obs.Counter
-	ioEvic [pagestore.NumComponents][pagestore.MaxIOLevels]*obs.Counter
+	// traffic; a query reads its cells' triples without a lock, ioMu only
+	// serializes creating one.
+	reg  *obs.Registry
+	ioMu sync.Mutex
+	io   [pagestore.NumComponents][pagestore.MaxIOLevels]atomic.Pointer[ioCounters]
 }
+
+// ioCounters are the registry series of one breakdown cell.
+type ioCounters struct{ hits, misses, evictions *obs.Counter }
 
 func newInstruments(r *obs.Registry) *instruments {
 	registerTIAProbes(r)
@@ -52,27 +55,34 @@ func newInstruments(r *obs.Registry) *instruments {
 	}
 }
 
-// ioCounters returns (creating on first use) the hit/miss/eviction
-// counters of one breakdown cell.
-func (in *instruments) ioCounters(c pagestore.Component, level int) (hits, misses, evic *obs.Counter) {
+// ioCell returns (creating on first use) the counters of one breakdown cell.
+func (in *instruments) ioCell(c pagestore.Component, level int) *ioCounters {
+	slot := &in.io[c][level]
+	if ctrs := slot.Load(); ctrs != nil {
+		return ctrs
+	}
 	in.ioMu.Lock()
 	defer in.ioMu.Unlock()
-	if in.ioHits[c][level] == nil {
-		in.ioHits[c][level] = in.reg.Counter(fmt.Sprintf(
-			`tartree_io_page_reads_total{component=%q,level="%d",result="hit"}`, c.String(), level))
-		in.ioMiss[c][level] = in.reg.Counter(fmt.Sprintf(
-			`tartree_io_page_reads_total{component=%q,level="%d",result="miss"}`, c.String(), level))
-		in.ioEvic[c][level] = in.reg.Counter(fmt.Sprintf(
-			`tartree_io_evictions_total{component=%q,level="%d"}`, c.String(), level))
+	if ctrs := slot.Load(); ctrs != nil {
+		return ctrs
 	}
-	return in.ioHits[c][level], in.ioMiss[c][level], in.ioEvic[c][level]
+	ctrs := &ioCounters{
+		hits: in.reg.Counter(fmt.Sprintf(
+			`tartree_io_page_reads_total{component=%q,level="%d",result="hit"}`, c.String(), level)),
+		misses: in.reg.Counter(fmt.Sprintf(
+			`tartree_io_page_reads_total{component=%q,level="%d",result="miss"}`, c.String(), level)),
+		evictions: in.reg.Counter(fmt.Sprintf(
+			`tartree_io_evictions_total{component=%q,level="%d"}`, c.String(), level)),
+	}
+	slot.Store(ctrs)
+	return ctrs
 }
 
 // record folds one finished query into the metrics: the paper's work
 // counters (QueryStats) plus the wall-clock latency the paper never
 // measured. A failed or canceled query still did the work in its stats —
-// the pagestore and probe series have already counted it — so the work
-// counters take it too and the two families keep agreeing.
+// the factory's ledger and the probe totals have already counted it — so
+// the work counters take it too and the two families keep agreeing.
 func (in *instruments) record(stats QueryStats, nresults int, d time.Duration, err error) {
 	if in == nil {
 		return
@@ -89,10 +99,10 @@ func (in *instruments) record(stats QueryStats, nresults int, d time.Duration, e
 	in.tiaPhysical.Add(stats.TIAPhysical)
 	in.scored.Add(int64(stats.Scored))
 	stats.IO.Each(func(c pagestore.Component, level int, cell pagestore.IOCell) {
-		hits, misses, evic := in.ioCounters(c, level)
-		hits.Add(cell.Hits)
-		misses.Add(cell.Misses)
-		evic.Add(cell.Evictions)
+		ctrs := in.ioCell(c, level)
+		ctrs.hits.Add(cell.Hits)
+		ctrs.misses.Add(cell.Misses)
+		ctrs.evictions.Add(cell.Evictions)
 	})
 }
 
@@ -119,6 +129,25 @@ func registerTIAProbes(r *obs.Registry) {
 	}
 }
 
-// sinkAttacher is satisfied by the disk-backed tia factories; the memory
-// factory implements it as a no-op.
-type sinkAttacher interface{ AttachSink(pagestore.BulkSink) }
+// registerPageMetrics exports a TIA factory's page-traffic ledger as the
+// tartree_pagestore_* series, read at scrape time: build and ingest traffic
+// as it happened, queries' traffic once they folded it. Re-registration
+// replaces the callbacks, so of several trees sharing one registry the last
+// tree's factory wins.
+func registerPageMetrics(r *obs.Registry, l *pagestore.Ledger) {
+	total := func(pick func(pagestore.Stats) int64) func() int64 {
+		return func() int64 { return pick(l.Stats()) }
+	}
+	const p = "tartree_pagestore"
+	r.CounterFunc(p+`_reads_total{result="hit"}`, total(pagestore.Stats.Hits))
+	r.CounterFunc(p+`_reads_total{result="miss"}`, total(pagestore.Stats.Misses))
+	r.CounterFunc(p+`_writes_total{kind="logical"}`, total(func(s pagestore.Stats) int64 { return s.LogicalWrites }))
+	r.CounterFunc(p+`_writes_total{kind="physical"}`, total(func(s pagestore.Stats) int64 { return s.PhysicalWrites }))
+	// The dirty count is read first: evictions only grow, so a scrape racing
+	// an eviction cannot report a negative clean count.
+	r.CounterFunc(p+`_evictions_total{kind="clean"}`, func() int64 {
+		dirty := l.DirtyEvictions()
+		return l.Stats().Evictions - dirty
+	})
+	r.CounterFunc(p+`_evictions_total{kind="dirty"}`, l.DirtyEvictions)
+}

@@ -39,7 +39,7 @@ func (t *Tree) Version() uint64 { return t.version }
 // per-shard gmax cannot be combined into the global normalizer under
 // FuncSum (the per-epoch maxima may live on different shards in different
 // epochs), but MaxMerge-ing the shards' mirror records rebuilds exactly
-// the single-node global mirror, so the coordinator's AggregateFunc over
+// the single-node global mirror, so the coordinator's Aggregate over
 // the merge equals the single-node Gmax bit for bit.
 func (t *Tree) GlobalMirrorRecords(iv tia.Interval) []tia.Record {
 	var out []tia.Record

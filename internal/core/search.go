@@ -183,7 +183,7 @@ func (sc *Scorer) remember(d *aggData, a int64) {
 
 // acctPtr returns the scorer's accounting context, or nil when the scorer
 // collects no stats (probes then run unowned: the tia and buffer layers
-// count them in the shared sinks on the spot).
+// count them in the probe totals and the factory's ledger on the spot).
 func (sc *Scorer) acctPtr() *pagestore.IOAcct {
 	if sc.stats == nil {
 		return nil
@@ -193,13 +193,12 @@ func (sc *Scorer) acctPtr() *pagestore.IOAcct {
 }
 
 // fold moves what the acct gathered since the last fold — probes, page
-// traffic — into the shared books: the TIA factory's statistics with its
-// attached sinks and the probe totals (tia.Factory.FoldAcct), and the
-// query's own stats.IO. It runs wherever a probing method hands control
-// back to the search's caller — the gmax probe, the root push, Expand and
-// Next, on success and on error — so a query never holds
-// unfolded traffic while it is parked between rounds, canceled or
-// abandoned, and needs no Close.
+// traffic — into the shared books: the TIA factory's ledger and the probe
+// totals (tia.Factory.FoldAcct), and the query's own stats.IO. It runs
+// wherever a probing method hands control back to the search's caller —
+// the gmax probe, the root push, Expand and Next, on success and on error —
+// so a query never holds unfolded traffic while it is parked between
+// rounds, canceled or abandoned, and needs no Close.
 func (sc *Scorer) fold() {
 	if sc.acct.Probes == 0 { // page traffic only comes from probes
 		return
@@ -255,7 +254,7 @@ func (sc *Scorer) maxAggregate() (int64, error) {
 	}
 	defer sc.fold()
 	before := sc.acct.Stats
-	a, err := g.disk.AggregateAcct(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc, sc.acctPtr())
+	a, err := g.disk.Aggregate(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc, sc.acctPtr())
 	if err != nil {
 		return 0, err
 	}
@@ -287,7 +286,7 @@ func (sc *Scorer) aggregate(d *aggData) (int64, error) {
 		begin = time.Now()
 	}
 	before := sc.acct.Stats
-	a, err := d.disk.AggregateAcct(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc, sc.acctPtr())
+	a, err := d.disk.Aggregate(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc, sc.acctPtr())
 	if err != nil {
 		return 0, err
 	}
@@ -659,7 +658,7 @@ func (t *Tree) ScorePOI(q Query, id int64) (Result, error) {
 }
 
 func (t *Tree) scorePOIWith(q Query, st *poiState, gmax float64) (Result, error) {
-	agg, err := st.data.mirror.AggregateFunc(q.Iq, t.opts.Semantics, t.opts.AggFunc)
+	agg, err := st.data.mirror.Aggregate(q.Iq, t.opts.Semantics, t.opts.AggFunc, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -681,7 +680,7 @@ func (t *Tree) scorePOIWith(q Query, st *poiState, gmax float64) (Result, error)
 // gmaxMirror computes the per-query aggregate normalizer from the global
 // TIA's in-memory mirror (no disk accesses). It equals the Scorer's Gmax.
 func (t *Tree) gmaxMirror(iv tia.Interval) (float64, error) {
-	a, err := t.global.mirror.AggregateFunc(iv, t.opts.Semantics, t.opts.AggFunc)
+	a, err := t.global.mirror.Aggregate(iv, t.opts.Semantics, t.opts.AggFunc, nil)
 	return float64(a), err
 }
 

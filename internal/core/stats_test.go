@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -139,8 +140,8 @@ func TestQueryStatsAccounting(t *testing.T) {
 
 // TestInstrumentedTreeMetrics checks the Options.Metrics wiring end to end:
 // after queries on an instrumented tree, the registry holds a nonzero
-// latency histogram, matching work counters, pagestore traffic from the
-// attached PageSink, and per-backend probe totals.
+// latency histogram, matching work counters, pagestore series that read the
+// factory's ledger exactly, and per-backend probe totals.
 func TestInstrumentedTreeMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := buildAccountingTreeOpts(t, Options{
@@ -179,18 +180,37 @@ func TestInstrumentedTreeMetrics(t *testing.T) {
 	if v, ok := snap[`tartree_tia_probes_total{backend="btree"}`].(int64); !ok || v <= 0 {
 		t.Errorf("btree probe counter = %v", snap[`tartree_tia_probes_total{backend="btree"}`])
 	}
-	// The PageSink attached to the factory must have seen buffer traffic.
-	var pageTraffic int64
-	for _, key := range []string{
-		`tartree_pagestore_reads_total{result="hit"}`,
-		`tartree_pagestore_reads_total{result="miss"}`,
-	} {
-		if v, ok := snap[key].(int64); ok {
-			pageTraffic += v
-		}
+	// The pagestore series read the factory's ledger: build traffic plus
+	// what the queries folded.
+	if hits, _ := snap[`tartree_pagestore_reads_total{result="hit"}`].(int64); hits == 0 {
+		t.Error("pagestore hit counter is zero")
 	}
-	if pageTraffic == 0 {
-		t.Error("pagestore hit/miss counters are all zero")
+	checkPageSeries(t, reg, tr.TIAFactory().Ledger())
+}
+
+// checkPageSeries requires the six tartree_pagestore_* series, in the
+// snapshot and in the text exposition, to equal the ledger's totals.
+func checkPageSeries(t *testing.T, reg *obs.Registry, ledger *pagestore.Ledger) {
+	t.Helper()
+	var text strings.Builder
+	if _, err := reg.WriteTo(&text); err != nil {
+		t.Fatal(err)
+	}
+	snap, total, dirty := reg.Snapshot(), ledger.Stats(), ledger.DirtyEvictions()
+	for name, want := range map[string]int64{
+		`tartree_pagestore_reads_total{result="hit"}`:     total.Hits(),
+		`tartree_pagestore_reads_total{result="miss"}`:    total.Misses(),
+		`tartree_pagestore_writes_total{kind="logical"}`:  total.LogicalWrites,
+		`tartree_pagestore_writes_total{kind="physical"}`: total.PhysicalWrites,
+		`tartree_pagestore_evictions_total{kind="clean"}`: total.Evictions - dirty,
+		`tartree_pagestore_evictions_total{kind="dirty"}`: dirty,
+	} {
+		if got, ok := snap[name].(int64); !ok || got != want {
+			t.Errorf("%s = %v, the ledger says %d", name, snap[name], want)
+		}
+		if line := fmt.Sprintf("%s %d\n", name, want); !strings.Contains(text.String(), line) {
+			t.Errorf("exposition lacks %q", line)
+		}
 	}
 }
 
@@ -253,8 +273,8 @@ func TestIOBreakdownConservation(t *testing.T) {
 					EpochLength: 100,
 					TIA:         newFac(),
 				})
-				fac := tr.TIAFactory()
-				fac.ResetStats()
+				ledger := tr.TIAFactory().Ledger()
+				built, builtStats := ledger.Breakdown(), ledger.Stats()
 				queries := []Query{
 					{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: tr.Len(), Alpha0: 0.5},
 					{X: 10, Y: 80, Iq: tia.Interval{Start: 100, End: 400}, K: 5, Alpha0: 0.3},
@@ -301,15 +321,15 @@ func TestIOBreakdownConservation(t *testing.T) {
 				}
 				// Conservation: with the R-tree cells (in-memory, never buffer
 				// traffic) removed, the per-query breakdowns must sum exactly
-				// to the factory's attributed and flat windows, which aggregate
-				// the buffers' own Stats().
+				// to what the factory's ledger gained since the build, which
+				// aggregates the buffers' own Stats().
 				tiaSum := sum
 				tiaSum[pagestore.CompRTreeInternal] = [pagestore.MaxIOLevels]pagestore.IOCell{}
 				tiaSum[pagestore.CompRTreeLeaf] = [pagestore.MaxIOLevels]pagestore.IOCell{}
-				if got := fac.Breakdown(); got != tiaSum {
+				if got := ledger.Breakdown().Sub(built); got != tiaSum {
 					t.Errorf("factory breakdown delta does not equal the sum of per-query breakdowns:\n got %v\nwant %v", got, tiaSum)
 				}
-				if got, want := tiaSum.Total(), fac.Stats(); got != want {
+				if got, want := tiaSum.Total(), ledger.Stats().Sub(builtStats); got != want {
 					t.Errorf("breakdown total %+v != factory stats %+v", got, want)
 				}
 				if tiaSum.Total().LogicalReads == 0 {
@@ -345,8 +365,9 @@ func tiaTraffic(io *pagestore.IOBreakdown) (hits, misses int64, unattributed boo
 // factory's breakdown and flat Stats() (every buffer access lands in
 // precisely one query's breakdown, including evictions and write-backs
 // attributed to the access that triggered them, and including the work a
-// canceled query did up to its abort), the registry's pagestore series, and
-// the process-wide probe counter. Run with -race.
+// canceled query did up to its abort), the registry's pagestore series
+// (which read that ledger), and the process-wide probe counter. Run with
+// -race.
 func TestIOBreakdownConservationConcurrent(t *testing.T) {
 	backends := []struct {
 		name string
@@ -369,11 +390,12 @@ func TestIOBreakdownConservationConcurrent(t *testing.T) {
 					TIA:         be.fac(),
 					Metrics:     reg,
 				})
-				fac := tr.TIAFactory()
-				fac.ResetStats()
+				ledger := tr.TIAFactory().Ledger()
+				built, builtStats := ledger.Breakdown(), ledger.Stats()
 				pageReads := func() int64 {
-					return reg.Counter(`tartree_pagestore_reads_total{result="hit"}`).Value() +
-						reg.Counter(`tartree_pagestore_reads_total{result="miss"}`).Value()
+					snap := reg.Snapshot()
+					return snap[`tartree_pagestore_reads_total{result="hit"}`].(int64) +
+						snap[`tartree_pagestore_reads_total{result="miss"}`].(int64)
 				}
 				readsBefore, probesBefore := pageReads(), tia.ProbeCount(be.kind)
 
@@ -469,16 +491,17 @@ func TestIOBreakdownConservationConcurrent(t *testing.T) {
 				}
 				sum[pagestore.CompRTreeInternal] = [pagestore.MaxIOLevels]pagestore.IOCell{}
 				sum[pagestore.CompRTreeLeaf] = [pagestore.MaxIOLevels]pagestore.IOCell{}
-				if got := fac.Breakdown(); got != sum {
+				if got := ledger.Breakdown().Sub(built); got != sum {
 					t.Errorf("factory breakdown != sum of per-query breakdowns across %d concurrent workers:\n got %v\nwant %v",
 						workers, got, sum)
 				}
-				if got, want := sum.Total(), fac.Stats(); got != want {
+				if got, want := sum.Total(), ledger.Stats().Sub(builtStats); got != want {
 					t.Errorf("breakdown total %+v != factory stats %+v", got, want)
 				}
 				if got, want := pageReads()-readsBefore, sum.Total().LogicalReads; got != want {
 					t.Errorf("tartree_pagestore_reads_total gained %d, the queries read %d pages", got, want)
 				}
+				checkPageSeries(t, reg, ledger)
 				if got := tia.ProbeCount(be.kind) - probesBefore; got != probes {
 					t.Errorf("tia.ProbeCount gained %d, the queries made %d probes", got, probes)
 				}
@@ -493,10 +516,129 @@ func TestIOBreakdownConservationConcurrent(t *testing.T) {
 	}
 }
 
+// TestScrapeWhileQuerying runs the three parties of a serving process at
+// once — queries that count into their accts and fold, ingest whose page
+// traffic nobody owns, and a /metrics scrape that reads the ledger through
+// the registry — under the lock discipline of the server (queries share the
+// tree, an ingest batch has it alone; the scraper takes no lock). Afterwards
+// the ledger holds exactly the queries' own tallies plus the ingest traffic,
+// and the exported series equal it. Run with -race.
+func TestScrapeWhileQuerying(t *testing.T) {
+	reg := obs.NewRegistry()
+	tr := buildAccountingTreeOpts(t, Options{
+		World:       geo.Rect{Min: geo.Vector{0, 0}, Max: geo.Vector{100, 100}},
+		NodeSize:    256,
+		EpochStart:  0,
+		EpochLength: 100,
+		TIA:         tia.NewBTreeFactory(256, 10),
+		Metrics:     reg,
+	})
+	ledger := tr.TIAFactory().Ledger()
+	built := ledger.Breakdown()
+
+	const queriers, perQuerier, batches = 4, 40, 12
+	var mu sync.RWMutex
+	var wg, bg sync.WaitGroup
+	errs := make(chan error, queriers+2)
+	queried := make([]pagestore.IOBreakdown, queriers)
+	for w := 0; w < queriers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(w) + 1))
+			for i := 0; i < perQuerier; i++ {
+				start := int64(r.Intn(8)) * 100
+				q := Query{
+					X: r.Float64() * 100, Y: r.Float64() * 100,
+					Iq: tia.Interval{Start: start, End: start + 100 + int64(r.Intn(10))*100},
+					K:  1 + r.Intn(20), Alpha0: 0.1 + 0.8*r.Float64(),
+				}
+				mu.RLock()
+				_, stats, err := tr.QueryCtx(context.Background(), q, nil)
+				mu.RUnlock()
+				if err != nil {
+					errs <- err
+					return
+				}
+				queried[w].Add(&stats.IO)
+			}
+		}()
+	}
+	var ingested pagestore.IOBreakdown
+	wg.Add(1)
+	go func() { // one closed epoch per batch; alone in the tree, so the ledger's gain is the batch's
+		defer wg.Done()
+		for e := int64(0); e < batches; e++ {
+			mu.Lock()
+			before := ledger.Breakdown()
+			var err error
+			for id := int64(1); id <= 40 && err == nil; id++ {
+				err = tr.AddCheckIn(id*7, 600+e*100+id)
+			}
+			if err == nil {
+				err = tr.FlushEpochs(600 + (e+1)*100)
+			}
+			gain := ledger.Breakdown().Sub(before)
+			mu.Unlock()
+			if err != nil {
+				errs <- err
+				return
+			}
+			ingested.Add(&gain)
+		}
+	}()
+	stop := make(chan struct{})
+	bg.Add(1)
+	go func() { // the scraper: what it reads only grows
+		defer bg.Done()
+		var last int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := reg.WriteTo(io.Discard); err != nil {
+				errs <- err
+				return
+			}
+			hits := reg.Snapshot()[`tartree_pagestore_reads_total{result="hit"}`].(int64)
+			if hits < last {
+				errs <- fmt.Errorf("tartree_pagestore_reads_total{hit} went from %d back to %d", last, hits)
+				return
+			}
+			last = hits
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	bg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	var sum pagestore.IOBreakdown
+	for w := range queried {
+		sum.Add(&queried[w])
+	}
+	sum[pagestore.CompRTreeInternal] = [pagestore.MaxIOLevels]pagestore.IOCell{}
+	sum[pagestore.CompRTreeLeaf] = [pagestore.MaxIOLevels]pagestore.IOCell{}
+	if sum.IsZero() || ingested.Total().LogicalWrites == 0 {
+		t.Fatalf("nothing to reconcile: queries %+v, ingest %+v", sum.Total(), ingested.Total())
+	}
+	if got := ledger.Breakdown().Sub(built).Sub(ingested); got != sum {
+		t.Errorf("ledger − build − ingest != sum of the queries' breakdowns:\n got %v\nwant %v", got, sum)
+	}
+	checkPageSeries(t, reg, ledger)
+}
+
 // TestFailedQueryCountedInBothMetricFamilies pins the agreement between the
 // two metric families that count a query's page reads: the pagestore series
-// (folded from the query's acct while it runs) and the per-query work
-// counters (folded from QueryStats when it ends). A query canceled mid-search
+// (the factory's ledger, into which the query's acct is folded while it
+// runs) and the per-query work counters (folded from QueryStats when it
+// ends). A query canceled mid-search
 // has done real work, and both families must advance by it.
 func TestFailedQueryCountedInBothMetricFamilies(t *testing.T) {
 	reg := obs.NewRegistry()

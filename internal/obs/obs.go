@@ -1,7 +1,7 @@
 // Package obs is the repo's lightweight, dependency-free observability
 // layer: a named registry of atomic counters, gauges and fixed-bucket
-// latency histograms, plus per-query traces (trace.go) and a page-traffic
-// sink adapter (sink.go).
+// latency histograms (counters and gauges may also be callbacks read at
+// export time), plus request traces (span.go, ring.go).
 //
 // The paper's evaluation (Section 8) is built on counting work — node
 // accesses, TIA page I/O, buffer hits. This package unifies those counters

@@ -1,11 +1,11 @@
 // Attributed page-traffic accounting. The paper's evaluation (§8) reports
 // page accesses broken down by structure — R-tree nodes vs. TIA pages — so
-// the sink path optionally carries an IOTag (component + tree level) with
-// every event. Buffers emit tags via GetTag/PutTag; sinks that implement
-// TagSink receive them, everything else keeps seeing the untagged Sink
-// calls. AttrCounterSink accumulates both the flat Stats totals and the
-// per-tag IOBreakdown, with the invariant that the breakdown always sums
-// back to the flat totals (untagged traffic lands in CompUnknown).
+// every access through GetTag/PutTag carries an IOTag (component + tree
+// level; untagged traffic lands in CompUnknown). An event is booked under
+// its tag in one place beside the buffer's own Stats: the IOAcct of the
+// query that caused it, or else the Ledger the buffer was built with, into
+// which accts are added in bulk. A Ledger is therefore the attributed total
+// of everything its buffers did, read where it is needed (Breakdown).
 package pagestore
 
 import (
@@ -71,16 +71,16 @@ type IOTag struct {
 	Comp  Component
 	Level uint8
 	// Acct, when non-nil, is the query-local accounting context this
-	// access is charged to instead of the buffer's sinks (see IOAcct).
-	// Buffers carry it through evictions and write-backs, so side-effect
-	// traffic lands in the acct of the access that forced it — the same
-	// attribution rule TagSink documents.
+	// access is charged to instead of the buffer's ledger (see IOAcct).
+	// Evicting a frame is a side effect of loading another page, so an
+	// eviction and its dirty write-back are charged — tag and acct — to
+	// the access that forced them.
 	Acct *IOAcct
 }
 
 // WithAcct returns a copy of t that charges its traffic to a, whose owner
-// folds it into the sinks later. A nil a leaves the traffic unowned: the
-// buffer emits it to its sinks on the spot.
+// adds it to the ledger later. A nil a leaves the traffic unowned: the
+// buffer counts it in its ledger on the spot.
 func (t IOTag) WithAcct(a *IOAcct) IOTag {
 	t.Acct = a
 	return t
@@ -93,11 +93,11 @@ func (t IOTag) WithAcct(a *IOAcct) IOTag {
 // stay exact while any number of queries run concurrently.
 //
 // Traffic that carries an acct reaches nothing shared: the buffer counts it
-// in its own stats and in the acct, and skips its sinks. The owner folds
-// what the acct gathered into the shared sinks in bulk (BulkSink.AddPages,
-// AttrCounterSink.AddAcct, and the tia factories' FoldAcct on top of them),
-// so a page read costs the cores no shared cache line and the sinks still
-// reach the same totals once the owner has folded.
+// in its own stats and in the acct, and leaves its ledger alone. The owner
+// adds what the acct gathered to the ledger in bulk (Ledger.AddAcct, and
+// the tia factories' FoldAcct on top of it), so a page read costs the cores
+// no shared cache line and the ledger still reaches the same totals once
+// the owner has folded.
 //
 // An IOAcct must not be shared by concurrently running units of work: its
 // fields are plain values and the owning query's goroutine is expected to
@@ -109,7 +109,7 @@ type IOAcct struct {
 	// including evictions and write-backs those accesses forced.
 	Stats Stats
 	// DirtyEvictions is the part of Stats.Evictions that wrote a dirty
-	// frame back (sinks publish clean and dirty evictions separately).
+	// frame back (the write-back itself is one of the PhysicalWrites).
 	DirtyEvictions int64
 	// Probes counts the TIA aggregate probes charged to this acct; the tia
 	// package bumps it instead of its process-wide probe counters.
@@ -167,7 +167,7 @@ func (a *IOAcct) write(t IOTag, physical bool) {
 
 func (a *IOAcct) evicted(t IOTag, dirty bool) {
 	a.Stats.Evictions++
-	if dirty { // the write-back itself was already counted via write()
+	if dirty {
 		a.DirtyEvictions++
 	}
 	if a.IO != nil {
@@ -193,7 +193,7 @@ func (a *IOAcct) touched(fn func(c Component, level int, cell *IOCell)) {
 // DrainTo hands what the acct gathered over to its owner's books: the
 // breakdown is added to dst, and the acct — totals, probes, breakdown — is
 // left empty, ready to be charged again. The owner has folded the acct into
-// the shared sinks first (tia.Factory.FoldAcct).
+// the ledger first (tia.Factory.FoldAcct).
 func (a *IOAcct) DrainTo(dst *IOBreakdown) {
 	if a.IO != nil {
 		a.touched(func(c Component, level int, cell *IOCell) {
@@ -280,22 +280,6 @@ func (b *IOBreakdown) AddRead(t IOTag, hit bool) {
 	}
 }
 
-// AddWrite records one write for tag.
-func (b *IOBreakdown) AddWrite(t IOTag, physical bool) {
-	c, l := t.clamp()
-	if physical {
-		b[c][l].PhysicalWrites++
-	} else {
-		b[c][l].LogicalWrites++
-	}
-}
-
-// AddEviction records one frame eviction for tag.
-func (b *IOBreakdown) AddEviction(t IOTag) {
-	c, l := t.clamp()
-	b[c][l].Evictions++
-}
-
 // Add accumulates o into b cell-wise.
 func (b *IOBreakdown) Add(o *IOBreakdown) {
 	for c := range b {
@@ -315,9 +299,9 @@ func (b IOBreakdown) Sub(o IOBreakdown) IOBreakdown {
 	return b
 }
 
-// Total folds the breakdown back into flat Stats. For an AttrCounterSink
-// this equals Snapshot() exactly — the conservation invariant the
-// accounting tests pin down.
+// Total folds the breakdown back into flat Stats. For a Ledger's breakdown
+// this equals the summed Stats of the buffers built with it once every acct
+// has been added — the conservation invariant the accounting tests pin down.
 func (b *IOBreakdown) Total() Stats {
 	var s Stats
 	for c := range b {
@@ -398,46 +382,6 @@ func (b IOBreakdown) MarshalJSON() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// TagSink is the attributed extension of Sink. Buffers type-assert each
-// attached sink once at attach time; sinks implementing TagSink receive
-// the tagged calls instead of (not in addition to) the plain Sink calls.
-type TagSink interface {
-	Sink
-	// PageReadTag is PageRead with the attribution tag of the access.
-	PageReadTag(tag IOTag, hit bool)
-	// PageWriteTag is PageWrite with the attribution tag of the access.
-	PageWriteTag(tag IOTag, physical bool)
-	// PageEvictedTag is PageEvicted with the tag of the access that
-	// triggered the eviction (evicting a frame is a side effect of
-	// loading another page; the write-back, if any, carries the same tag).
-	PageEvictedTag(tag IOTag, dirty bool)
-}
-
-// BulkSink is the bulk extension of Sink: AddPages adds a batch of page
-// traffic that an IOAcct owner counted privately, as if the events had been
-// reported one by one. obs.PageSink satisfies it structurally, which is why
-// the batch travels as plain integers.
-type BulkSink interface {
-	Sink
-	AddPages(hits, misses, logicalWrites, physicalWrites, cleanEvictions, dirtyEvictions int64)
-}
-
-// FoldInto adds the acct's flat totals to s.
-func (a *IOAcct) FoldInto(s BulkSink) {
-	st := a.Stats
-	s.AddPages(st.Hits(), st.Misses(), st.LogicalWrites, st.PhysicalWrites,
-		st.Evictions-a.DirtyEvictions, a.DirtyEvictions)
-}
-
-// AddPages implements BulkSink.
-func (s *CounterSink) AddPages(hits, misses, logicalWrites, physicalWrites, cleanEvictions, dirtyEvictions int64) {
-	addNonZero(&s.logicalReads, hits+misses)
-	addNonZero(&s.physicalReads, misses)
-	addNonZero(&s.logicalWrites, logicalWrites)
-	addNonZero(&s.physicalWrites, physicalWrites)
-	addNonZero(&s.evictions, cleanEvictions+dirtyEvictions)
-}
-
 // addNonZero spares a bulk add the locked instruction for the counters a
 // batch leaves alone (a read-only query's batch is hits and nothing else).
 func addNonZero(c *atomic.Int64, d int64) {
@@ -446,8 +390,8 @@ func addNonZero(c *atomic.Int64, d int64) {
 	}
 }
 
-// atomicIOCell is the lock-free accumulator behind one breakdown cell.
-type atomicIOCell struct {
+// ledgerCell is the lock-free accumulator behind one breakdown cell.
+type ledgerCell struct {
 	hits           atomic.Int64
 	misses         atomic.Int64
 	logicalWrites  atomic.Int64
@@ -455,91 +399,89 @@ type atomicIOCell struct {
 	evictions      atomic.Int64
 }
 
-func (c *atomicIOCell) load() IOCell {
-	return IOCell{
-		Hits:           c.hits.Load(),
-		Misses:         c.misses.Load(),
-		LogicalWrites:  c.logicalWrites.Load(),
-		PhysicalWrites: c.physicalWrites.Load(),
-		Evictions:      c.evictions.Load(),
-	}
-}
-
-// AttrCounterSink is a CounterSink that additionally attributes traffic by
-// (component, level). The flat totals stay O(5 atomics) to snapshot, while
-// Breakdown() walks all cells and is meant to be read once per experiment.
+// Ledger totals the page traffic of the buffers built with it (see
+// NewBufferWithLedger), attributed by (component, level): the one shared
+// book a tia factory keeps for all its indexes, however many there are.
+// Unowned traffic is counted as it happens, owned traffic when its owner
+// adds the acct; nobody is notified — whoever wants the totals (an
+// experiment, a /metrics scrape) reads Breakdown, which walks every cell.
 //
-// Like CounterSink it is cumulative and has no reset; readers that need
-// windows diff breakdowns (see tia factory ResetStats).
-type AttrCounterSink struct {
-	flat  CounterSink
-	cells [NumComponents][MaxIOLevels]atomicIOCell
+// A Ledger is cumulative and has no reset: it is shared, and zeroing it
+// would skew every reader that diffs two readings (IOBreakdown.Sub). The
+// zero Ledger is ready to use; it must not be copied after first use.
+type Ledger struct {
+	cells [NumComponents][MaxIOLevels]ledgerCell
+	// dirtyEvictions is the part of the cells' evictions that wrote a dirty
+	// frame back. It is not attributed: IOCell is part of every query
+	// response, and only the total is exported.
+	dirtyEvictions atomic.Int64
 }
 
-// Snapshot returns the flat totals (identical to a plain CounterSink).
-func (s *AttrCounterSink) Snapshot() Stats { return s.flat.Snapshot() }
-
-// Breakdown returns the current attributed totals. Breakdown().Total() ==
-// Snapshot() holds whenever no writer is mid-event.
-func (s *AttrCounterSink) Breakdown() IOBreakdown {
+// Breakdown returns the current attributed totals.
+func (l *Ledger) Breakdown() IOBreakdown {
 	var b IOBreakdown
-	for c := range s.cells {
-		for l := range s.cells[c] {
-			b[c][l] = s.cells[c][l].load()
+	for c := range l.cells {
+		for lv := range l.cells[c] {
+			cell := &l.cells[c][lv]
+			b[c][lv] = IOCell{
+				Hits:           cell.hits.Load(),
+				Misses:         cell.misses.Load(),
+				LogicalWrites:  cell.logicalWrites.Load(),
+				PhysicalWrites: cell.physicalWrites.Load(),
+				Evictions:      cell.evictions.Load(),
+			}
 		}
 	}
 	return b
 }
 
+// Stats returns the flat totals: Breakdown().Total().
+func (l *Ledger) Stats() Stats {
+	b := l.Breakdown()
+	return b.Total()
+}
+
 // AddAcct adds the attributed traffic an IOAcct owner gathered privately
-// (a.IO must be set) to the cells and the flat totals alike, so
-// Breakdown().Total() == Snapshot() keeps holding.
-func (s *AttrCounterSink) AddAcct(a *IOAcct) {
+// since the acct was last drained, as if each event had been counted when
+// it happened. a.IO must be set.
+func (l *Ledger) AddAcct(a *IOAcct) {
 	a.touched(func(c Component, level int, cell *IOCell) {
-		ac := &s.cells[c][level]
-		addNonZero(&ac.hits, cell.Hits)
-		addNonZero(&ac.misses, cell.Misses)
-		addNonZero(&ac.logicalWrites, cell.LogicalWrites)
-		addNonZero(&ac.physicalWrites, cell.PhysicalWrites)
-		addNonZero(&ac.evictions, cell.Evictions)
+		lc := &l.cells[c][level]
+		addNonZero(&lc.hits, cell.Hits)
+		addNonZero(&lc.misses, cell.Misses)
+		addNonZero(&lc.logicalWrites, cell.LogicalWrites)
+		addNonZero(&lc.physicalWrites, cell.PhysicalWrites)
+		addNonZero(&lc.evictions, cell.Evictions)
 	})
-	a.FoldInto(&s.flat)
+	addNonZero(&l.dirtyEvictions, a.DirtyEvictions)
 }
 
-// PageRead implements Sink; untagged reads land in CompUnknown.
-func (s *AttrCounterSink) PageRead(hit bool) { s.PageReadTag(IOTag{}, hit) }
+// DirtyEvictions returns how many of the evictions in Breakdown wrote a
+// dirty frame back.
+func (l *Ledger) DirtyEvictions() int64 { return l.dirtyEvictions.Load() }
 
-// PageWrite implements Sink; untagged writes land in CompUnknown.
-func (s *AttrCounterSink) PageWrite(physical bool) { s.PageWriteTag(IOTag{}, physical) }
-
-// PageEvicted implements Sink; untagged evictions land in CompUnknown.
-func (s *AttrCounterSink) PageEvicted(dirty bool) { s.PageEvictedTag(IOTag{}, dirty) }
-
-// PageReadTag implements TagSink.
-func (s *AttrCounterSink) PageReadTag(tag IOTag, hit bool) {
-	s.flat.PageRead(hit)
-	c, l := tag.clamp()
+func (l *Ledger) read(tag IOTag, hit bool) {
+	c, lv := tag.clamp()
 	if hit {
-		s.cells[c][l].hits.Add(1)
+		l.cells[c][lv].hits.Add(1)
 	} else {
-		s.cells[c][l].misses.Add(1)
+		l.cells[c][lv].misses.Add(1)
 	}
 }
 
-// PageWriteTag implements TagSink.
-func (s *AttrCounterSink) PageWriteTag(tag IOTag, physical bool) {
-	s.flat.PageWrite(physical)
-	c, l := tag.clamp()
+func (l *Ledger) write(tag IOTag, physical bool) {
+	c, lv := tag.clamp()
 	if physical {
-		s.cells[c][l].physicalWrites.Add(1)
+		l.cells[c][lv].physicalWrites.Add(1)
 	} else {
-		s.cells[c][l].logicalWrites.Add(1)
+		l.cells[c][lv].logicalWrites.Add(1)
 	}
 }
 
-// PageEvictedTag implements TagSink.
-func (s *AttrCounterSink) PageEvictedTag(tag IOTag, dirty bool) {
-	s.flat.PageEvicted(dirty)
-	c, l := tag.clamp()
-	s.cells[c][l].evictions.Add(1)
+func (l *Ledger) evicted(tag IOTag, dirty bool) {
+	c, lv := tag.clamp()
+	l.cells[c][lv].evictions.Add(1)
+	if dirty {
+		l.dirtyEvictions.Add(1)
+	}
 }

@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -40,18 +41,18 @@ func TestComponentString(t *testing.T) {
 	}
 }
 
-// TestAttrSinkTaggedBuffer drives one buffer with tagged and untagged
+// TestLedgerTaggedBuffer drives one buffer with tagged and untagged unowned
 // traffic, forcing evictions and dirty write-backs, and checks every
-// conservation identity: breakdown total == sink snapshot == buffer stats,
-// with each event in the cell of its tag (evictions under the tag of the
+// conservation identity: ledger total == buffer stats, with each event in
+// the cell of its tag (evictions and their write-backs under the tag of the
 // access that forced them, untagged traffic under CompUnknown).
-func TestAttrSinkTaggedBuffer(t *testing.T) {
+func TestLedgerTaggedBuffer(t *testing.T) {
 	f := NewMemFile(64)
-	var sink AttrCounterSink
-	b := NewBufferWithSinks(f, 2, &sink)
+	var ledger Ledger
+	b := NewBufferWithLedger(f, 2, &ledger)
 
 	var ids []PageID
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		id, err := b.Alloc()
 		if err != nil {
 			t.Fatal(err)
@@ -74,47 +75,56 @@ func TestAttrSinkTaggedBuffer(t *testing.T) {
 	if _, err := b.GetTag(ids[2], btag); err != nil {
 		t.Fatal(err)
 	}
-	// A hit on the mvbt page, then untagged traffic.
+	// A hit on the mvbt page, then untagged traffic: a hit, and a miss that
+	// evicts ids[2] (clean).
 	if _, err := b.GetTag(ids[1], mtag); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Get(ids[2]); err != nil { // untagged hit
+	if _, err := b.Get(ids[2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.GetTag(ids[1], mtag); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Get(ids[3]); err != nil {
 		t.Fatal(err)
 	}
 
-	bd := sink.Breakdown()
-	if got, want := bd.Total(), sink.Snapshot(); got != want {
-		t.Fatalf("breakdown total %+v != sink snapshot %+v", got, want)
+	if got, want := ledger.Stats(), b.Stats(); got != want {
+		t.Fatalf("ledger total %+v != buffer stats %+v", got, want)
 	}
-	if got, want := sink.Snapshot(), b.Stats(); got != want {
-		t.Fatalf("sink snapshot %+v != buffer stats %+v", got, want)
+	bd, want := ledger.Breakdown(), IOBreakdown{}
+	want[CompTIABTree][0] = IOCell{Misses: 1, LogicalWrites: 1, PhysicalWrites: 1, Evictions: 1}
+	want[CompTIAMVBT][1] = IOCell{Hits: 2, LogicalWrites: 1}
+	want[CompUnknown][0] = IOCell{Hits: 1, Misses: 1, Evictions: 1}
+	if bd != want {
+		t.Errorf("ledger cells:\n got %+v\nwant %+v", nonZero(&bd), nonZero(&want))
 	}
-
-	bcell := bd[CompTIABTree][0]
-	if bcell.Misses != 1 || bcell.LogicalWrites != 1 || bcell.PhysicalWrites != 1 || bcell.Evictions != 1 {
-		t.Errorf("btree cell = %+v, want 1 miss, 1 logical + 1 physical write, 1 eviction", bcell)
-	}
-	mcell := bd[CompTIAMVBT][1]
-	if mcell.Hits != 1 || mcell.LogicalWrites != 1 {
-		t.Errorf("mvbt cell = %+v, want 1 hit, 1 logical write", mcell)
-	}
-	ucell := bd[CompUnknown][0]
-	if ucell.Hits != 1 {
-		t.Errorf("unknown cell = %+v, want the untagged hit", ucell)
+	if got := ledger.DirtyEvictions(); got != 1 {
+		t.Errorf("%d dirty evictions, want 1 of the 2", got)
 	}
 }
 
-// TestAttrSinkSharedBuffers checks the aggregate identity when one sink is
-// shared by several buffers: the sum of the buffers' own Stats equals both
-// the sink snapshot and the breakdown total.
-func TestAttrSinkSharedBuffers(t *testing.T) {
+// nonZero lists a breakdown's non-zero cells for failure messages.
+func nonZero(b *IOBreakdown) map[string]IOCell {
+	m := map[string]IOCell{}
+	b.Each(func(c Component, level int, cell IOCell) { m[fmt.Sprintf("%s/%d", c, level)] = cell })
+	return m
+}
+
+// TestLedgerSharedBuffers checks the aggregate identity when one ledger is
+// shared by several buffers, a pass-through one among them: the sum of the
+// buffers' own Stats equals the ledger total.
+func TestLedgerSharedBuffers(t *testing.T) {
 	f := NewMemFile(64)
-	var sink AttrCounterSink
-	b1 := NewBufferWithSinks(f, 1, &sink)
-	b2 := NewBufferWithSinks(f, 1, &sink)
+	var ledger Ledger
+	b1 := NewBufferWithLedger(f, 1, &ledger)
+	b2 := NewBufferWithLedger(f, 1, &ledger)
+	b3 := NewBufferWithLedger(f, 0, &ledger) // pass-through
 	data := make([]byte, 64)
 	tagA := NewIOTag(CompTIABTree, 0)
 	tagB := NewIOTag(CompTIABTree, 1)
+	tagC := NewIOTag(CompTIAMVBT, 0)
 
 	for i := 0; i < 4; i++ {
 		id, err := b1.Alloc()
@@ -127,23 +137,95 @@ func TestAttrSinkSharedBuffers(t *testing.T) {
 		if _, err := b2.GetTag(id, tagB); err != nil {
 			t.Fatal(err)
 		}
+		if err := b3.PutTag(id, data, tagC); err != nil { // physical write
+			t.Fatal(err)
+		}
+		if _, err := b3.GetTag(id, tagC); err != nil { // physical read
+			t.Fatal(err)
+		}
 	}
 	if err := b1.Flush(); err != nil { // untagged physical writes
 		t.Fatal(err)
 	}
-	sum := b1.Stats().Add(b2.Stats())
-	if got := sink.Snapshot(); got != sum {
-		t.Fatalf("sink snapshot %+v != summed buffer stats %+v", got, sum)
+	sum := b1.Stats().Add(b2.Stats()).Add(b3.Stats())
+	if got := ledger.Stats(); got != sum {
+		t.Fatalf("ledger total %+v != summed buffer stats %+v", got, sum)
 	}
-	bd := sink.Breakdown()
-	if got := bd.Total(); got != sum {
-		t.Fatalf("breakdown total %+v != summed buffer stats %+v", got, sum)
+	if d := ledger.Stats().Sub(sum); (d != Stats{}) {
+		t.Errorf("Sub = %+v, want zero", d)
 	}
+	bd := ledger.Breakdown()
 	if bd[CompTIABTree][1].Misses == 0 {
 		t.Error("reads through b2 not attributed to level 1")
 	}
+	if got, want := bd[CompTIAMVBT][0], (IOCell{Misses: 4, LogicalWrites: 4, PhysicalWrites: 4}); got != want {
+		t.Errorf("pass-through cell = %+v, want %+v", got, want)
+	}
 	if bd[CompUnknown][0].PhysicalWrites == 0 {
 		t.Error("flush write-backs not attributed to unknown")
+	}
+}
+
+// TestLedgerAddAcct checks the owned half of the rule: traffic carrying an
+// acct — the eviction and dirty write-back it forces included — stays out
+// of the ledger until the owner adds the acct, arrives in the cells of its
+// tags with the clean/dirty split intact, and is added once however often
+// the owner folds.
+func TestLedgerAddAcct(t *testing.T) {
+	f := NewMemFile(64)
+	var ledger Ledger
+	b := NewBufferWithLedger(f, 1, &ledger)
+	var ids [3]PageID
+	for i := range ids {
+		ids[i], _ = b.Alloc()
+	}
+	data := make([]byte, 64)
+	if err := b.Put(ids[0], data); err != nil { // unowned: one dirty frame
+		t.Fatal(err)
+	}
+	setup := ledger.Breakdown()
+
+	var io IOBreakdown
+	acct := IOAcct{IO: &io}
+	rtag := NewIOTag(CompTIABTree, 2).WithAcct(&acct)
+	wtag := NewIOTag(CompTIABTree, 0).WithAcct(&acct)
+	if _, err := b.GetTag(ids[1], rtag); err != nil { // miss, evicts dirty ids[0]
+		t.Fatal(err)
+	}
+	if _, err := b.GetTag(ids[1], rtag); err != nil { // hit
+		t.Fatal(err)
+	}
+	if err := b.PutTag(ids[2], data, wtag); err != nil { // evicts clean ids[1]
+		t.Fatal(err)
+	}
+	if got := ledger.Breakdown(); got != setup || ledger.DirtyEvictions() != 0 {
+		t.Fatalf("owned traffic reached the ledger before the fold: %+v", nonZero(&got))
+	}
+	if got, want := acct.Stats.Add(setup.Total()), b.Stats(); got != want {
+		t.Fatalf("acct + set-up %+v != buffer stats %+v", got, want)
+	}
+
+	ledger.AddAcct(&acct)
+	var mine IOBreakdown
+	acct.DrainTo(&mine)
+	ledger.AddAcct(&acct) // drained: adds nothing
+	if got, want := ledger.Stats(), b.Stats(); got != want {
+		t.Fatalf("ledger total after the fold %+v != buffer stats %+v", got, want)
+	}
+	if got := ledger.Breakdown().Sub(setup); got != mine {
+		t.Errorf("ledger gained %+v, the acct held %+v", nonZero(&got), nonZero(&mine))
+	}
+	if got := ledger.DirtyEvictions(); got != 1 {
+		t.Errorf("%d dirty evictions after the fold, want 1 of the 2", got)
+	}
+	if got, want := mine[CompTIABTree][2], (IOCell{Hits: 1, Misses: 1, PhysicalWrites: 1, Evictions: 1}); got != want {
+		t.Errorf("read cell = %+v, want %+v", got, want)
+	}
+	if got, want := mine[CompTIABTree][0], (IOCell{LogicalWrites: 1, Evictions: 1}); got != want {
+		t.Errorf("write cell = %+v, want %+v", got, want)
+	}
+	if acct.Stats != (Stats{}) || acct.DirtyEvictions != 0 || !io.IsZero() {
+		t.Errorf("drained acct not empty: %+v", acct.Stats)
 	}
 }
 
@@ -152,8 +234,8 @@ func TestIOBreakdownSubAddComponent(t *testing.T) {
 	tag := NewIOTag(CompRTreeInternal, 2)
 	a.AddRead(tag, true)
 	a.AddRead(tag, false)
-	a.AddWrite(tag, true)
-	a.AddEviction(tag)
+	a[CompRTreeInternal][2].PhysicalWrites++
+	a[CompRTreeInternal][2].Evictions++
 	b.AddRead(tag, true)
 	d := a.Sub(b)
 	want := IOCell{Misses: 1, PhysicalWrites: 1, Evictions: 1}

@@ -24,8 +24,8 @@ func TestBufferConcurrentHammer(t *testing.T) {
 		ownedN   = 3 // read-write pages per worker, disjoint ownership
 	)
 	f := NewMemFile(pageSize)
-	var sink CounterSink
-	b := NewBufferWithSink(f, slots, &sink)
+	var ledger Ledger
+	b := NewBufferWithLedger(f, slots, &ledger)
 
 	pattern := func(seed byte) []byte {
 		data := make([]byte, pageSize)
@@ -69,6 +69,7 @@ func TestBufferConcurrentHammer(t *testing.T) {
 	// including evictions and write-backs attributed to the access that
 	// forced them.
 	accts := make([]IOAcct, workers)
+	ios := make([]IOBreakdown, workers)
 	finals := make([][ownedN]byte, workers) // each worker's last-written seeds
 	var gets, puts [workers]int64
 	errs := make(chan error, workers)
@@ -79,6 +80,7 @@ func TestBufferConcurrentHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
+			accts[w].IO = &ios[w]
 			tag := IOTag{Comp: CompTIABTree, Level: uint8(w % MaxIOLevels)}.WithAcct(&accts[w])
 			last := make([]byte, ownedN) // seed of the last value written per owned page
 			for i := 0; i < iters; i++ {
@@ -128,18 +130,23 @@ func TestBufferConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Conservation: buffer stats, the attached sink, and the sum of the
-	// per-worker accts must all agree on the traffic since the baseline.
-	// Accounted traffic bypasses the sink until its owner folds it in.
+	// Conservation: buffer stats, the ledger, and the sum of the per-worker
+	// accts must all agree on the traffic since the baseline. Accounted
+	// traffic stays out of the ledger until its owner adds the acct.
 	delta := b.Stats().Sub(base)
-	if got := sink.Snapshot(); got != base {
-		t.Errorf("sink %+v saw accounted traffic before the fold (set-up was %+v)", got, base)
+	if got := ledger.Stats(); got != base {
+		t.Errorf("ledger %+v saw accounted traffic before the fold (set-up was %+v)", got, base)
 	}
 	for w := range accts {
-		accts[w].FoldInto(&sink)
+		ledger.AddAcct(&accts[w])
 	}
-	if got := sink.Snapshot(); got != b.Stats() {
-		t.Errorf("sink %+v != buffer stats %+v", got, b.Stats())
+	if got := ledger.Stats(); got != b.Stats() {
+		t.Errorf("ledger %+v != buffer stats %+v", got, b.Stats())
+	}
+	for w := range ios {
+		if cell := ios[w][CompTIABTree][w%MaxIOLevels]; ios[w].Component(CompTIABTree) != cell || cell.Hits+cell.Misses != gets[w] {
+			t.Errorf("worker %d: traffic outside its tag's cell: %+v (%d gets)", w, nonZero(&ios[w]), gets[w])
+		}
 	}
 	var acctSum Stats
 	var wantReads, wantWrites int64
@@ -272,7 +279,7 @@ func TestSlowFile(t *testing.T) {
 
 // BenchmarkBufferGetHit measures the warm-hit path on a single page; a hit
 // takes no lock (BenchmarkGetTagHit is the per-layer number, over a full
-// buffer and with the sink and acct wirings).
+// buffer and with the ledger and acct wirings).
 func BenchmarkBufferGetHit(b *testing.B) {
 	f := NewMemFile(1024)
 	buf := NewBuffer(f, 10)

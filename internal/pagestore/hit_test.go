@@ -3,14 +3,23 @@ package pagestore
 import (
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
+
+// TestBufferFillsItsSizeClass pins what the Buffer's trailing pad is for:
+// 256 bytes, so that the allocator hands out cache-line-aligned Buffers.
+func TestBufferFillsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Buffer{}); got != 256 {
+		t.Errorf("a Buffer is %d bytes, want 256: adjust the trailing pad", got)
+	}
+}
 
 // residentBuffer returns a buffer of the paper's 10 slots with every slot
 // holding a page, and the page ids.
-func residentBuffer(tb testing.TB, sinks ...Sink) (*Buffer, []PageID) {
+func residentBuffer(tb testing.TB, ledger *Ledger) (*Buffer, []PageID) {
 	tb.Helper()
 	const slots = 10
-	b := NewBufferWithSinks(NewMemFile(256), slots, sinks...)
+	b := NewBufferWithLedger(NewMemFile(256), slots, ledger)
 	ids := make([]PageID, slots)
 	for i := range ids {
 		id, err := b.Alloc()
@@ -31,9 +40,8 @@ func TestGetTagHitAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	var attr AttrCounterSink
-	var flat CounterSink
-	b, ids := residentBuffer(t, &attr, &flat)
+	var ledger Ledger
+	b, ids := residentBuffer(t, &ledger)
 	var io IOBreakdown
 	acct := IOAcct{IO: &io}
 	for name, tag := range map[string]IOTag{
@@ -56,16 +64,15 @@ func TestGetTagHitAllocatesNothing(t *testing.T) {
 // BenchmarkGetTagHit is the per-layer number for one read of a resident
 // page, round-robin over a full 10-slot buffer:
 //
-//   - bare: no sinks, no acct (what benchmark/'s pagestore.get_hit_ns times);
-//   - sinks: wired as a tia factory wires a buffer (its AttrCounterSink plus
-//     a registry-style flat sink), the access unowned — every read writes
-//     both shared sinks;
-//   - sinks+acct: the same wiring with a query's acct on the tag, which is
-//     how Scorer.aggregate reads — the sinks are not touched;
-//   - parallel: sinks+acct from GOMAXPROCS goroutines, each on its own
-//     buffer and acct but all wired to the same two sinks. Nothing is
-//     shared on this path, so ns/op at -cpu 2 should be about half of
-//     -cpu 1; run with -cpu 1,2.
+//   - bare: no ledger, no acct (what benchmark/'s pagestore.get_hit_ns times);
+//   - ledger: wired as a tia factory wires a buffer, the access unowned —
+//     every read adds to one shared ledger cell;
+//   - ledger+acct: the same wiring with a query's acct on the tag, which is
+//     how Scorer.aggregate reads — the ledger is not touched;
+//   - parallel: ledger+acct from GOMAXPROCS goroutines, each on its own
+//     buffer and acct but all wired to the same ledger. Nothing is shared
+//     on this path, so ns/op at -cpu 2 should be about half of -cpu 1; run
+//     with -cpu 1,2.
 func BenchmarkGetTagHit(b *testing.B) {
 	run := func(b *testing.B, buf *Buffer, ids []PageID, tag IOTag) {
 		b.ReportAllocs()
@@ -77,17 +84,16 @@ func BenchmarkGetTagHit(b *testing.B) {
 		}
 	}
 	b.Run("bare", func(b *testing.B) {
-		buf, ids := residentBuffer(b)
+		buf, ids := residentBuffer(b, nil)
 		run(b, buf, ids, IOTag{})
 	})
-	var attr AttrCounterSink
-	var flat CounterSink
-	b.Run("sinks", func(b *testing.B) {
-		buf, ids := residentBuffer(b, &attr, &flat)
+	var ledger Ledger
+	b.Run("ledger", func(b *testing.B) {
+		buf, ids := residentBuffer(b, &ledger)
 		run(b, buf, ids, NewIOTag(CompTIABTree, 1))
 	})
-	b.Run("sinks+acct", func(b *testing.B) {
-		buf, ids := residentBuffer(b, &attr, &flat)
+	b.Run("ledger+acct", func(b *testing.B) {
+		buf, ids := residentBuffer(b, &ledger)
 		var io IOBreakdown
 		run(b, buf, ids, NewIOTag(CompTIABTree, 1).WithAcct(&IOAcct{IO: &io}))
 	})
@@ -95,7 +101,7 @@ func BenchmarkGetTagHit(b *testing.B) {
 		var failed atomic.Bool
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
-			buf, ids := residentBuffer(b, &attr, &flat)
+			buf, ids := residentBuffer(b, &ledger)
 			var io IOBreakdown
 			tag := NewIOTag(CompTIABTree, 1).WithAcct(&IOAcct{IO: &io})
 			for i := 0; pb.Next(); i++ {

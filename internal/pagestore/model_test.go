@@ -115,13 +115,6 @@ func (m *refBuffer) free(id PageID) {
 	delete(m.disk, id)
 }
 
-func (m *refBuffer) resize(slots int) {
-	m.slots = slots
-	for m.lru.Len() > slots {
-		m.evict()
-	}
-}
-
 func (m *refBuffer) drop() {
 	m.pages = map[PageID]*list.Element{}
 	m.lru.Init()
@@ -175,21 +168,25 @@ func seeded(seed byte, n int) []byte {
 
 // TestBufferAgainstModel drives the Buffer and the map+list reference with
 // the same random operations — reads and writes with and without an acct,
-// Alloc, Free, Resize over 0/1/3/10/100 slots, Drop, Flush — and after
+// Alloc, Free, Drop, Flush, over buffers of 0/1/3/10/100 slots — and after
 // every operation requires the same hit or miss, the same bytes, the same
 // physical reads and write-backs in the same order (so the same eviction
-// victims), the same buffered set and the same Stats.
+// victims), the same buffered set and the same Stats. All the buffers count
+// into one ledger, which after every operation must total the Stats of the
+// buffers wired to it, less what the acct has not folded yet.
 func TestBufferAgainstModel(t *testing.T) {
 	const pageSize = 32
 	slotChoices := []int{0, 1, 3, 10, 100}
+	var ledger Ledger
+	var retired Stats // of the earlier seeds' buffers
 	for seed := int64(1); seed <= 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		file := &opLog{File: NewMemFile(pageSize)}
-		var sink CounterSink
-		slots := slotChoices[r.Intn(len(slotChoices))]
-		b := NewBufferWithSink(file, slots, &sink)
+		slots := slotChoices[seed%int64(len(slotChoices))]
+		b := NewBufferWithLedger(file, slots, &ledger)
 		m := newRefBuffer(slots)
-		var acct IOAcct
+		var pend, folded IOBreakdown
+		acct := IOAcct{IO: &pend}
 		var live []PageID
 		tag := func() IOTag {
 			if r.Intn(2) == 0 {
@@ -247,14 +244,7 @@ func TestBufferAgainstModel(t *testing.T) {
 				}
 				m.free(id)
 				desc = fmt.Sprintf("free %d", id)
-			case op < 91:
-				n := slotChoices[r.Intn(len(slotChoices))]
-				if err := b.Resize(n); err != nil {
-					t.Fatal(err)
-				}
-				m.resize(n)
-				desc = fmt.Sprintf("resize %d", n)
-			case op < 94:
+			case op < 88:
 				b.Drop()
 				m.drop()
 				desc = "drop"
@@ -287,11 +277,13 @@ func TestBufferAgainstModel(t *testing.T) {
 			if got := b.Stats(); got != m.stats {
 				t.Fatalf("seed %d step %d (%s): stats %+v, reference %+v", seed, step, desc, got, m.stats)
 			}
-		}
-		// The owner folds its acct: the sink then agrees with the buffer.
-		acct.FoldInto(&sink)
-		if got := sink.Snapshot(); got != m.stats {
-			t.Fatalf("seed %d: sink after the fold %+v, reference %+v", seed, got, m.stats)
+			if r.Intn(4) == 0 { // the owner folds its acct
+				ledger.AddAcct(&acct)
+				acct.DrainTo(&folded)
+			}
+			if got, want := ledger.Stats().Add(acct.Stats), retired.Add(m.stats); got != want {
+				t.Fatalf("seed %d step %d (%s): ledger + unfolded acct %+v, buffers %+v", seed, step, desc, got, want)
+			}
 		}
 		// Nothing lost: after a flush the file holds what the reference says.
 		if err := b.Flush(); err != nil {
@@ -307,14 +299,24 @@ func TestBufferAgainstModel(t *testing.T) {
 				t.Fatalf("seed %d: page %d on file differs from the reference (seed %d)", seed, id, m.disk[id])
 			}
 		}
+		// The owner's last fold: the ledger then totals its buffers exactly.
+		ledger.AddAcct(&acct)
+		acct.DrainTo(&folded)
+		retired = retired.Add(m.stats)
+		if got := ledger.Stats(); got != retired {
+			t.Fatalf("seed %d: ledger after the last fold %+v, buffers %+v", seed, got, retired)
+		}
+		if folded.Component(CompTIABTree) != folded[CompTIABTree][1] || folded.Component(CompTIABTree).IsZero() {
+			t.Fatalf("seed %d: owned traffic left its tag's cell: %+v", seed, nonZero(&folded))
+		}
 	}
 }
 
-// TestBufferHitsRaceEvictionAndResize has readers hitting a few hot pages
-// while one goroutine keeps faulting other pages in (evicting) and another
-// keeps resizing the buffer. Lock-free hits must never return another
-// page's bytes, and the accounting must stay conserved. Run with -race.
-func TestBufferHitsRaceEvictionAndResize(t *testing.T) {
+// TestBufferHitsRaceEviction has readers hitting a few hot pages while one
+// goroutine keeps faulting other pages in (evicting) and another keeps
+// reading the ledger. Lock-free hits must never return another page's
+// bytes, and the accounting must stay conserved. Run with -race.
+func TestBufferHitsRaceEviction(t *testing.T) {
 	const (
 		pageSize = 64
 		hot      = 3
@@ -322,8 +324,8 @@ func TestBufferHitsRaceEvictionAndResize(t *testing.T) {
 		readers  = 4
 		iters    = 3000
 	)
-	var sink CounterSink
-	b := NewBufferWithSink(NewMemFile(pageSize), 6, &sink)
+	var ledger Ledger
+	b := NewBufferWithLedger(NewMemFile(pageSize), 6, &ledger)
 	ids := make([]PageID, hot+cold)
 	for i := range ids {
 		id, err := b.Alloc()
@@ -351,6 +353,7 @@ func TestBufferHitsRaceEvictionAndResize(t *testing.T) {
 		return nil
 	}
 	accts := make([]IOAcct, readers)
+	ios := make([]IOBreakdown, readers)
 	var gets [readers + 1]int64
 	errs := make(chan error, readers+2)
 	stop := make(chan struct{})
@@ -360,6 +363,7 @@ func TestBufferHitsRaceEvictionAndResize(t *testing.T) {
 		wg.Add(1)
 		go func() { // hot-page readers, each with its own acct
 			defer wg.Done()
+			accts[w].IO = &ios[w]
 			tag := NewIOTag(CompTIABTree, 1).WithAcct(&accts[w])
 			for i := 0; i < iters; i++ {
 				if err := read((w+i)%hot, tag); err != nil {
@@ -386,16 +390,16 @@ func TestBufferHitsRaceEvictionAndResize(t *testing.T) {
 			gets[readers]++
 		}
 	}()
-	go func() { // resizes, across the inline/overflow boundary too
+	go func() { // a scraper: the ledger never runs ahead of the buffer
 		defer bg.Done()
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if err := b.Resize([]int{2, 6, 14, 1, 4}[i%5]); err != nil {
-				errs <- err
+			if got, now := ledger.Stats(), b.Stats(); got.LogicalReads > now.LogicalReads {
+				errs <- fmt.Errorf("ledger read %d logical reads, the buffer only %d", got.LogicalReads, now.LogicalReads)
 				return
 			}
 		}
@@ -417,10 +421,10 @@ func TestBufferHitsRaceEvictionAndResize(t *testing.T) {
 		t.Errorf("LogicalReads = %d, want %d (one per Get)", delta.LogicalReads, want)
 	}
 	for w := range accts {
-		accts[w].FoldInto(&sink)
+		ledger.AddAcct(&accts[w])
 	}
-	if got := sink.Snapshot(); got != b.Stats() {
-		t.Errorf("sink %+v != buffer stats %+v", got, b.Stats())
+	if got := ledger.Stats(); got != b.Stats() {
+		t.Errorf("ledger %+v != buffer stats %+v", got, b.Stats())
 	}
 	if delta.Evictions == 0 {
 		t.Error("no evictions: the test created no buffer pressure")

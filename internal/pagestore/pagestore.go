@@ -268,76 +268,6 @@ func (s Stats) Sub(t Stats) Stats {
 	}
 }
 
-// Sink receives per-event page traffic from one or more Buffers. The
-// built-in CounterSink accumulates events into Stats; obs.PageSink (which
-// satisfies this interface structurally, keeping internal/obs free of
-// dependencies) publishes them as registry metrics.
-//
-// Implementations must be safe for concurrent use: buffers call sinks
-// while holding their own locks, possibly from many goroutines.
-type Sink interface {
-	// PageRead reports one logical read; hit tells whether it was served
-	// from the buffer (miss = one physical read reached the File).
-	PageRead(hit bool)
-	// PageWrite reports a write: physical writes reached the File, logical
-	// writes were absorbed by the buffer (write-back).
-	PageWrite(physical bool)
-	// PageEvicted reports a frame eviction; dirty evictions additionally
-	// produced a PageWrite(true) for the write-back.
-	PageEvicted(dirty bool)
-}
-
-// CounterSink aggregates the traffic of many Buffers into one set of
-// atomic counters, so reading combined statistics is O(1) regardless of
-// how many buffers exist — the TAR-tree creates one buffer per TIA, which
-// can be tens of thousands.
-//
-// A CounterSink is cumulative and deliberately has no reset: it may be
-// shared by many buffers, and zeroing it would silently skew every reader
-// that diffs snapshots (tia factories implement ResetStats by remembering a
-// base snapshot and subtracting). Buffer.ResetStats likewise leaves sinks
-// untouched; see that method for the exact contract.
-type CounterSink struct {
-	logicalReads   atomic.Int64
-	physicalReads  atomic.Int64
-	logicalWrites  atomic.Int64
-	physicalWrites atomic.Int64
-	evictions      atomic.Int64
-}
-
-// Snapshot returns the current totals.
-func (s *CounterSink) Snapshot() Stats {
-	return Stats{
-		LogicalReads:   s.logicalReads.Load(),
-		PhysicalReads:  s.physicalReads.Load(),
-		LogicalWrites:  s.logicalWrites.Load(),
-		PhysicalWrites: s.physicalWrites.Load(),
-		Evictions:      s.evictions.Load(),
-	}
-}
-
-// PageRead implements Sink.
-func (s *CounterSink) PageRead(hit bool) {
-	s.logicalReads.Add(1)
-	if !hit {
-		s.physicalReads.Add(1)
-	}
-}
-
-// PageWrite implements Sink.
-func (s *CounterSink) PageWrite(physical bool) {
-	if physical {
-		s.physicalWrites.Add(1)
-	} else {
-		s.logicalWrites.Add(1)
-	}
-}
-
-// PageEvicted implements Sink.
-func (s *CounterSink) PageEvicted(bool) {
-	s.evictions.Add(1)
-}
-
 type frame struct {
 	id   PageID
 	data []byte
@@ -371,14 +301,6 @@ func match(cell *atomic.Pointer[frame], id PageID) *frame {
 	return nil
 }
 
-// sinkList is the immutable list of sinks attached to a buffer.
-type sinkList struct {
-	sinks []Sink
-	// tagSinks caches the TagSink assertion per sink (nil where the sink
-	// is untagged), so the per-access fan-out costs no type switches.
-	tagSinks []TagSink
-}
-
 // Buffer is a write-back LRU buffer pool over a File. Each TIA owns a
 // Buffer with a small number of slots (10 in the paper's setup; zero slots
 // makes the buffer a pass-through so every access is physical, as in the
@@ -406,28 +328,32 @@ type sinkList struct {
 // readers — including of the same page — are safe. Writers must not race
 // readers of the same page: the returned Get slice aliases the frame. The
 // TAR-tree upholds this by never mutating TIAs while queries run.
+//
+// Page traffic is counted once: in the buffer's own Stats, and beyond that
+// in the IOAcct of the access when its tag carries one, else in the
+// buffer's Ledger when it was built with one (see the count helpers).
 type Buffer struct {
 	// clock counts the logical accesses — every read that succeeded and
 	// every write, hit or miss, buffered or pass-through — and hands each
 	// its LRU stamp. One counter doing both jobs is what keeps a buffer hit
 	// at two atomic writes (the tick and the frame's stamp): the logical
-	// read count is clock − logical writes (see Buffer.snapshot).
+	// read count is clock − logical writes (see Buffer.Stats).
 	clock  atomic.Int64
 	ids    [inlineSlots]atomic.Uint32
 	frames [inlineSlots]atomic.Pointer[frame]
 	// more holds slots inlineSlots..slots-1; nil when there are none.
 	more  atomic.Pointer[overflow]
 	stats bufStats
-	sinks atomic.Pointer[sinkList]
-	mu    sync.Mutex
-	file  File
-	// slots is the number of slots in use; the rest stay empty. Guarded by
-	// mu.
+	// ledger receives the traffic no IOAcct owns; nil for a buffer nobody
+	// totals. Fixed at construction.
+	ledger *Ledger
+	mu     sync.Mutex
+	file   File
+	// slots is the number of slots, fixed at construction.
 	slots int
-	// base is the cumulative-stats snapshot taken by the last ResetStats;
-	// Stats reports cumulative − base, the same windowing scheme the tia
-	// factories use against their shared sinks. Guarded by mu.
-	base Stats
+	// Rounds the Buffer up to the allocator's 256-byte size class, whose
+	// objects start on a cache line: the head above then is one line.
+	_ [48]byte
 }
 
 // find returns the frame of page id, or nil when the page is not buffered.
@@ -468,36 +394,6 @@ func (b *Buffer) setSlot(i int, fr *frame) {
 	}
 }
 
-// live returns the buffered frames in slot order. Callers hold mu.
-func (b *Buffer) live() []*frame {
-	var frames []*frame
-	for i := 0; i < b.slots; i++ {
-		if _, cell := b.slot(i); cell.Load() != nil {
-			frames = append(frames, cell.Load())
-		}
-	}
-	return frames
-}
-
-// empty empties every slot. Callers hold mu.
-func (b *Buffer) empty() {
-	for i := 0; i < b.slots; i++ {
-		b.setSlot(i, nil)
-	}
-}
-
-// resize sets the slot count, allocating the overflow slots a count beyond
-// inlineSlots needs. Callers hold mu (or the buffer is not yet shared) and
-// have emptied every slot.
-func (b *Buffer) resize(slots int) {
-	b.slots = slots
-	var m *overflow
-	if n := slots - inlineSlots; n > 0 {
-		m = &overflow{ids: make([]atomic.Uint32, n), frames: make([]atomic.Pointer[frame], n)}
-	}
-	b.more.Store(m)
-}
-
 // bufStats is Stats with atomic fields (Stats readers take no lock) and
 // without the logical reads, which the buffer's clock counts.
 type bufStats struct {
@@ -507,69 +403,22 @@ type bufStats struct {
 	evictions      atomic.Int64
 }
 
-// snapshot returns the cumulative traffic. The logical writes are loaded
-// before the clock and every write ticks the clock before it is counted, so
-// a snapshot racing a writer can overstate the reads by that one access but
-// never understate them.
-func (b *Buffer) snapshot() Stats {
-	writes := b.stats.logicalWrites.Load()
-	return Stats{
-		LogicalReads:   b.clock.Load() - writes,
-		PhysicalReads:  b.stats.physicalReads.Load(),
-		LogicalWrites:  writes,
-		PhysicalWrites: b.stats.physicalWrites.Load(),
-		Evictions:      b.stats.evictions.Load(),
-	}
-}
-
 // NewBuffer creates a buffer pool with the given number of slots over f.
 func NewBuffer(f File, slots int) *Buffer {
-	return NewBufferWithSink(f, slots, nil)
+	return NewBufferWithLedger(f, slots, nil)
 }
 
-// NewBufferWithSink creates a buffer pool that additionally reports its
-// traffic to sink (which may be shared by many buffers).
-func NewBufferWithSink(f File, slots int, sink *CounterSink) *Buffer {
-	if sink == nil {
-		return NewBufferWithSinks(f, slots)
-	}
-	return NewBufferWithSinks(f, slots, sink)
-}
-
-// NewBufferWithSinks creates a buffer pool publishing every page-traffic
-// event to each of the given sinks.
-func NewBufferWithSinks(f File, slots int, sinks ...Sink) *Buffer {
+// NewBufferWithLedger creates a buffer pool that counts the traffic no
+// IOAcct owns into ledger, which may be shared by many buffers (nil: none).
+func NewBufferWithLedger(f File, slots int, ledger *Ledger) *Buffer {
 	if slots < 0 {
 		panic("pagestore: negative slot count")
 	}
-	b := &Buffer{file: f}
-	b.resize(slots)
-	b.setSinks(sinks)
+	b := &Buffer{file: f, slots: slots, ledger: ledger}
+	if n := slots - inlineSlots; n > 0 {
+		b.more.Store(&overflow{ids: make([]atomic.Uint32, n), frames: make([]atomic.Pointer[frame], n)})
+	}
 	return b
-}
-
-// setSinks publishes sinks as the buffer's sink list, caching which of them
-// accept attributed events. Callers hold b.mu (or the buffer is not yet
-// shared).
-func (b *Buffer) setSinks(sinks []Sink) {
-	l := &sinkList{sinks: sinks, tagSinks: make([]TagSink, len(sinks))}
-	for i, s := range sinks {
-		l.tagSinks[i], _ = s.(TagSink)
-	}
-	b.sinks.Store(l)
-}
-
-// AddSink attaches another sink; subsequent traffic is reported to it. The
-// TIA factories use it to let a metrics registry observe buffers created
-// before instrumentation was enabled.
-func (b *Buffer) AddSink(s Sink) {
-	if s == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	cur := b.sinks.Load().sinks
-	b.setSinks(append(cur[:len(cur):len(cur)], s)) // copies: cur is published
 }
 
 // File returns the underlying page file.
@@ -578,15 +427,13 @@ func (b *Buffer) File() File { return b.file }
 // PageSize returns the page size of the underlying file.
 func (b *Buffer) PageSize() int { return b.file.PageSize() }
 
-// The count helpers apply one accounting rule: the buffer's own stats see
-// every event (the caller has ticked the clock for the logical access
-// itself); beyond that, traffic that carries an IOAcct is counted there —
-// plain fields of a value only the owning query touches — and folded into
-// the shared sinks by the acct's owner (BulkSink.AddPages,
-// AttrCounterSink.AddAcct), while traffic without an owner is emitted
-// to the sinks on the spot. Tag-aware sinks receive the attribution tag;
-// everyone else gets the plain event. They run with or without the lock
-// held, so everything they touch is atomic, concurrency-safe (sinks), or
+// The count helpers apply the one accounting rule: the buffer's own stats
+// see every event (the caller has ticked the clock for the logical access
+// itself); beyond that an event is counted exactly once more — in the
+// IOAcct on its tag, plain fields of a value only the owning query touches,
+// which the owner adds to the ledger in bulk (Ledger.AddAcct), or, for
+// traffic without an owner, in the buffer's ledger on the spot. They run
+// with or without the lock held, so everything they touch is atomic or
 // owned by a single query (the acct).
 func (b *Buffer) countRead(tag IOTag, hit bool) {
 	if !hit {
@@ -594,15 +441,8 @@ func (b *Buffer) countRead(tag IOTag, hit bool) {
 	}
 	if a := tag.Acct; a != nil {
 		a.read(tag, hit)
-		return
-	}
-	l := b.sinks.Load()
-	for i, s := range l.sinks {
-		if ts := l.tagSinks[i]; ts != nil {
-			ts.PageReadTag(tag, hit)
-		} else {
-			s.PageRead(hit)
-		}
+	} else if b.ledger != nil {
+		b.ledger.read(tag, hit)
 	}
 }
 
@@ -614,15 +454,8 @@ func (b *Buffer) countWrite(tag IOTag, physical bool) {
 	}
 	if a := tag.Acct; a != nil {
 		a.write(tag, physical)
-		return
-	}
-	l := b.sinks.Load()
-	for i, s := range l.sinks {
-		if ts := l.tagSinks[i]; ts != nil {
-			ts.PageWriteTag(tag, physical)
-		} else {
-			s.PageWrite(physical)
-		}
+	} else if b.ledger != nil {
+		b.ledger.write(tag, physical)
 	}
 }
 
@@ -630,15 +463,8 @@ func (b *Buffer) countEviction(tag IOTag, dirty bool) {
 	b.stats.evictions.Add(1)
 	if a := tag.Acct; a != nil {
 		a.evicted(tag, dirty)
-		return
-	}
-	l := b.sinks.Load()
-	for i, s := range l.sinks {
-		if ts := l.tagSinks[i]; ts != nil {
-			ts.PageEvictedTag(tag, dirty)
-		} else {
-			s.PageEvicted(dirty)
-		}
+	} else if b.ledger != nil {
+		b.ledger.evicted(tag, dirty)
 	}
 }
 
@@ -710,7 +536,7 @@ func (b *Buffer) Get(id PageID) ([]byte, error) {
 	return b.GetTag(id, IOTag{})
 }
 
-// GetTag is Get with an attribution tag reported to tag-aware sinks.
+// GetTag is Get with the attribution tag the access is counted under.
 func (b *Buffer) GetTag(id PageID, tag IOTag) ([]byte, error) {
 	// Fast path: a buffer hit takes no lock and, with an acct on the tag,
 	// writes nothing but the buffer's clock, the frame's stamp and the acct.
@@ -754,11 +580,11 @@ func (b *Buffer) Put(id PageID, data []byte) error {
 	return b.PutTag(id, data, IOTag{})
 }
 
-// PutTag is Put with an attribution tag reported to tag-aware sinks.
+// PutTag is Put with the attribution tag the access is counted under.
 func (b *Buffer) PutTag(id PageID, data []byte, tag IOTag) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	stamp := b.clock.Add(1) // before the write is counted: see snapshot
+	stamp := b.clock.Add(1) // before the write is counted: see Stats
 	b.countWrite(tag, false)
 	if b.slots == 0 {
 		if err := b.file.WritePage(id, data); err != nil {
@@ -800,8 +626,9 @@ func (b *Buffer) Free(id PageID) error {
 func (b *Buffer) Flush() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, fr := range b.live() {
-		if fr.dirty {
+	for i := 0; i < b.slots; i++ {
+		_, cell := b.slot(i)
+		if fr := cell.Load(); fr != nil && fr.dirty {
 			if err := b.file.WritePage(fr.id, fr.data); err != nil {
 				return err
 			}
@@ -817,64 +644,23 @@ func (b *Buffer) Flush() error {
 func (b *Buffer) Drop() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.empty()
+	for i := 0; i < b.slots; i++ {
+		b.setSlot(i, nil)
+	}
 }
 
-// Stats returns the buffer's traffic since the last ResetStats (or since
-// creation if it was never reset).
+// Stats returns the buffer's traffic since creation; readers that want a
+// window subtract an earlier reading (Stats.Sub). The logical writes are
+// loaded before the clock and every write ticks the clock before it is
+// counted, so a reading racing a writer can overstate the reads by that one
+// access but never understate them.
 func (b *Buffer) Stats() Stats {
-	b.mu.Lock()
-	base := b.base
-	b.mu.Unlock()
-	return b.snapshot().Sub(base)
-}
-
-// TotalStats returns the buffer's cumulative traffic since creation,
-// unaffected by ResetStats. Because the underlying counters are never
-// zeroed, the sum of TotalStats over every buffer attached to one
-// CounterSink equals that sink's Snapshot at all times — the invariant
-// TestResetStatsLeavesSinkIntact pins.
-func (b *Buffer) TotalStats() Stats {
-	return b.snapshot()
-}
-
-// ResetStats starts a new Stats window by remembering the current
-// cumulative counters as the base; buffered pages stay cached.
-//
-// This is the same windowing scheme the tia factories use: nothing is ever
-// zeroed, so attached sinks (which may be shared by many buffers) keep
-// their exact totals and the sink/buffer accounting identity
-//
-//	sink.Snapshot() == Σ attached buffers' TotalStats()
-//
-// holds across resets. Stats answers the windowed view, TotalStats the
-// cumulative one.
-func (b *Buffer) ResetStats() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.base = b.snapshot()
-}
-
-// Resize changes the number of buffer slots, evicting frames as needed.
-// While it moves the surviving frames to the front of the slot array,
-// lock-free readers may miss a buffered page; their miss path waits for the
-// lock and finds it.
-func (b *Buffer) Resize(slots int) error {
-	if slots < 0 {
-		panic("pagestore: negative slot count")
+	writes := b.stats.logicalWrites.Load()
+	return Stats{
+		LogicalReads:   b.clock.Load() - writes,
+		PhysicalReads:  b.stats.physicalReads.Load(),
+		LogicalWrites:  writes,
+		PhysicalWrites: b.stats.physicalWrites.Load(),
+		Evictions:      b.stats.evictions.Load(),
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for n := len(b.live()); n > slots; n-- {
-		if _, err := b.evict(IOTag{}); err != nil {
-			return err
-		}
-	}
-	kept := b.live()
-	b.empty()
-	b.resize(slots)
-	for i, fr := range kept {
-		b.setSlot(i, fr)
-	}
-	return nil
 }

@@ -199,17 +199,17 @@ func TestBufferLRUOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Put(d, one) // evicts c
-	b.ResetStats()
+	base := b.Stats()
 	if _, err := b.Get(a); err != nil {
 		t.Fatal(err)
 	}
-	if b.Stats().PhysicalReads != 0 {
+	if b.Stats().Sub(base).PhysicalReads != 0 {
 		t.Error("a should still be cached")
 	}
 	if _, err := b.Get(c); err != nil {
 		t.Fatal(err)
 	}
-	if b.Stats().PhysicalReads != 1 {
+	if b.Stats().Sub(base).PhysicalReads != 1 {
 		t.Error("c should have been evicted")
 	}
 }
@@ -224,29 +224,6 @@ func TestBufferFreeDropsFrame(t *testing.T) {
 	}
 	if _, err := b.Get(id); !errors.Is(err, ErrPageBounds) {
 		t.Fatalf("get freed page err = %v", err)
-	}
-}
-
-func TestBufferResize(t *testing.T) {
-	f := NewMemFile(16)
-	b := NewBuffer(f, 8)
-	ids := make([]PageID, 6)
-	for i := range ids {
-		ids[i], _ = b.Alloc()
-		b.Put(ids[i], bytes.Repeat([]byte{byte(i)}, 16))
-	}
-	if err := b.Resize(2); err != nil {
-		t.Fatal(err)
-	}
-	// All data must survive the shrink.
-	for i, id := range ids {
-		got, err := b.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != byte(i) {
-			t.Fatalf("page %d content = %d, want %d", id, got[0], i)
-		}
 	}
 }
 
@@ -319,156 +296,5 @@ func TestBufferModelCheck(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("page %d not durable", id)
 		}
-	}
-}
-
-func TestCounterSinkSharedAcrossBuffers(t *testing.T) {
-	f := NewMemFile(32)
-	var sink CounterSink
-	b1 := NewBufferWithSink(f, 2, &sink)
-	b2 := NewBufferWithSink(f, 0, &sink)
-	id1, _ := b1.Alloc()
-	id2, _ := b2.Alloc()
-	page := bytes.Repeat([]byte{1}, 32)
-	b1.Put(id1, page)
-	b2.Put(id2, page) // pass-through: physical write
-	b1.Get(id1)       // buffered: logical only
-	b2.Get(id2)       // pass-through: physical read
-	s := sink.Snapshot()
-	if s.LogicalReads != 2 || s.LogicalWrites != 2 {
-		t.Errorf("logical counters = %+v", s)
-	}
-	if s.PhysicalReads != 1 || s.PhysicalWrites != 1 {
-		t.Errorf("physical counters = %+v", s)
-	}
-	// The sink must agree with the sum of per-buffer stats.
-	sum := b1.Stats().Add(b2.Stats())
-	if s != sum {
-		t.Errorf("sink %+v != per-buffer sum %+v", s, sum)
-	}
-	if d := s.Sub(sum); (d != Stats{}) {
-		t.Errorf("Sub = %+v, want zero", d)
-	}
-}
-
-// TestResetStatsLeavesSinkIntact pins the Buffer.ResetStats / CounterSink
-// contract: ResetStats opens a new Stats window by base-snapshot
-// subtraction (the same scheme tia factories use), it never zeroes the
-// underlying counters, so shared sinks keep accumulating and
-// sink.Snapshot() == Σ attached buffers' TotalStats() holds across resets.
-func TestResetStatsLeavesSinkIntact(t *testing.T) {
-	f := NewMemFile(32)
-	var sink CounterSink
-	b := NewBufferWithSink(f, 1, &sink)
-	id1, _ := b.Alloc()
-	id2, _ := b.Alloc()
-	page := bytes.Repeat([]byte{9}, 32)
-	b.Put(id1, page)
-	b.Put(id2, page) // evicts id1 (dirty -> physical write + eviction)
-	if _, err := b.Get(id1); err != nil {
-		t.Fatal(err)
-	}
-	pre := b.Stats()
-	if pre.Evictions != 2 { // id1 evicted by Put(id2), id2 evicted by Get(id1)
-		t.Fatalf("evictions = %d, want 2 (stats %+v)", pre.Evictions, pre)
-	}
-	if got := sink.Snapshot(); got != pre {
-		t.Fatalf("sink %+v != buffer stats %+v before reset", got, pre)
-	}
-
-	b.ResetStats()
-	if got := b.Stats(); got != (Stats{}) {
-		t.Fatalf("buffer stats after reset = %+v, want zero", got)
-	}
-	if got := sink.Snapshot(); got != pre {
-		t.Fatalf("reset must not touch the sink: %+v != %+v", got, pre)
-	}
-
-	// New traffic lands in both; the sink exceeds the buffer by exactly the
-	// pre-reset totals, so snapshot diffing still yields exact windows.
-	base := sink.Snapshot()
-	if _, err := b.Get(id1); err != nil { // hit: cached since the Get above
-		t.Fatal(err)
-	}
-	if _, err := b.Get(id2); err != nil { // miss: evicted
-		t.Fatal(err)
-	}
-	local := b.Stats()
-	if local.LogicalReads != 2 || local.PhysicalReads != 1 {
-		t.Fatalf("post-reset buffer stats = %+v", local)
-	}
-	if got := sink.Snapshot().Sub(base); got != local {
-		t.Fatalf("sink window %+v != buffer stats %+v", got, local)
-	}
-	if got := sink.Snapshot().Sub(pre); got != local {
-		t.Fatalf("sink minus pre-reset %+v != buffer stats %+v", got, local)
-	}
-	// TotalStats is the cumulative view: unaffected by the reset, and in
-	// lock-step with the sink at all times.
-	if got, want := b.TotalStats(), sink.Snapshot(); got != want {
-		t.Fatalf("TotalStats %+v != sink snapshot %+v", got, want)
-	}
-	if got, want := b.TotalStats(), pre.Add(local); got != want {
-		t.Fatalf("TotalStats %+v != pre-reset + window %+v", got, want)
-	}
-}
-
-// TestResetStatsWindowsPerBuffer is the multi-buffer regression test for
-// the reset semantic: resetting one buffer must not disturb the other's
-// window, and the shared sink must always equal the sum of TotalStats.
-func TestResetStatsWindowsPerBuffer(t *testing.T) {
-	f := NewMemFile(32)
-	var sink CounterSink
-	b1 := NewBufferWithSink(f, 2, &sink)
-	b2 := NewBufferWithSink(f, 0, &sink) // pass-through
-	id1, _ := b1.Alloc()
-	id2, _ := b2.Alloc()
-	page := bytes.Repeat([]byte{7}, 32)
-	b1.Put(id1, page)
-	b2.Put(id2, page)
-	b1.Get(id1)
-	b2.Get(id2)
-
-	before2 := b2.Stats()
-	b1.ResetStats()
-	if got := b1.Stats(); got != (Stats{}) {
-		t.Fatalf("b1 window after reset = %+v, want zero", got)
-	}
-	if got := b2.Stats(); got != before2 {
-		t.Fatalf("b1 reset disturbed b2's window: %+v != %+v", got, before2)
-	}
-	if got, want := sink.Snapshot(), b1.TotalStats().Add(b2.TotalStats()); got != want {
-		t.Fatalf("sink %+v != sum of TotalStats %+v", got, want)
-	}
-
-	// More traffic after the reset: the invariant keeps holding, and each
-	// buffer's window is exactly its own post-reset traffic.
-	b1.Get(id1)
-	b2.Get(id2)
-	if got := b1.Stats(); got.LogicalReads != 1 {
-		t.Fatalf("b1 window = %+v, want 1 logical read", got)
-	}
-	if got, want := sink.Snapshot(), b1.TotalStats().Add(b2.TotalStats()); got != want {
-		t.Fatalf("sink %+v != sum of TotalStats %+v after more traffic", got, want)
-	}
-}
-
-// TestMultipleSinks checks that every attached sink sees every event,
-// including sinks attached after creation via AddSink.
-func TestMultipleSinks(t *testing.T) {
-	f := NewMemFile(16)
-	var s1, s2 CounterSink
-	b := NewBufferWithSinks(f, 1, &s1)
-	id, _ := b.Alloc()
-	b.Put(id, make([]byte, 16))
-	b.AddSink(&s2)
-	if _, err := b.Get(id); err != nil {
-		t.Fatal(err)
-	}
-	if got := s1.Snapshot(); got.LogicalWrites != 1 || got.LogicalReads != 1 {
-		t.Errorf("s1 = %+v", got)
-	}
-	if got := s2.Snapshot(); got.LogicalWrites != 0 || got.LogicalReads != 1 {
-		t.Errorf("s2 should only see post-attach traffic: %+v", got)
 	}
 }

@@ -332,7 +332,7 @@ func (c *Coordinator) fetchGmax(ctx context.Context, q core.Query, states []*sha
 			return 0, &ShardError{Shard: i, URL: states[i].url, Err: err}
 		}
 	}
-	agg, err := merged.AggregateFunc(q.Iq, tia.Semantics(resps[0].Semantics), tia.Func(resps[0].AggFunc))
+	agg, err := merged.Aggregate(q.Iq, tia.Semantics(resps[0].Semantics), tia.Func(resps[0].AggFunc), nil)
 	if err != nil {
 		return 0, err
 	}

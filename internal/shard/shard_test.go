@@ -452,7 +452,7 @@ func TestSessionRoundsLeaveNothingUnfolded(t *testing.T) {
 			}
 			srv := &Server{Data: TreeViewer{Tree: tr}, Index: 0, N: 1}
 			q := d.Queries(1, 5, 0.3, 13)[0]
-			be.fac.ResetStats()
+			built := be.fac.Ledger().Stats()
 			probes0 := tia.ProbeCount(be.kind)
 
 			post := func(h http.HandlerFunc, path string, req any) roundResponse {
@@ -474,11 +474,8 @@ func TestSessionRoundsLeaveNothingUnfolded(t *testing.T) {
 				t.Helper()
 				reads += rr.Stats.TIAReads
 				scored += int64(rr.Stats.Scored)
-				if got := be.fac.Stats().LogicalReads; got != reads {
+				if got := be.fac.Ledger().Stats().Sub(built).LogicalReads; got != reads {
 					t.Fatalf("round %d: factory saw %d page reads, the session's rounds report %d", round, got, reads)
-				}
-				if b := be.fac.Breakdown(); b.Total() != be.fac.Stats() {
-					t.Fatalf("round %d: breakdown total %+v != factory stats %+v", round, b.Total(), be.fac.Stats())
 				}
 				// The coordinator supplies gmax, so the shard probes only
 				// the entries it scores.

@@ -49,7 +49,7 @@ func BenchmarkAggregateBTree(b *testing.B) {
 	var io pagestore.IOBreakdown
 	acct := pagestore.IOAcct{IO: &io}
 	for i := range idx { // fault every page in
-		if _, err := idx[i].AggregateAcct(Interval{Start: 0, End: 1 << 40}, Contained, FuncSum, &acct); err != nil {
+		if _, err := idx[i].Aggregate(Interval{Start: 0, End: 1 << 40}, Contained, FuncSum, &acct); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func BenchmarkAggregateBTree(b *testing.B) {
 	b.ResetTimer()
 	var sink int64
 	for i := 0; i < b.N; i++ {
-		a, err := idx[i%len(idx)].AggregateAcct(ivs[i%len(ivs)], Contained, FuncSum, &acct)
+		a, err := idx[i%len(idx)].Aggregate(ivs[i%len(ivs)], Contained, FuncSum, &acct)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,10 +68,10 @@ func BenchmarkAggregateBTree(b *testing.B) {
 
 var benchSink int64
 
-// TestAggregateAcctAllocatesNothing pins the probe path from AggregateAcct
+// TestAggregateAllocatesNothing pins the probe path from Aggregate
 // down to the page bytes: on resident pages one probe allocates nothing,
 // whatever the tree height, semantics or fold.
-func TestAggregateAcctAllocatesNothing(t *testing.T) {
+func TestAggregateAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -93,7 +93,7 @@ func TestAggregateAcctAllocatesNothing(t *testing.T) {
 	acct := pagestore.IOAcct{IO: &io}
 	whole := Interval{Start: 0, End: 1 << 40}
 	for _, x := range idx { // fault every page in
-		if _, err := x.AggregateAcct(whole, Contained, FuncSum, &acct); err != nil {
+		if _, err := x.Aggregate(whole, Contained, FuncSum, &acct); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,12 +103,12 @@ func TestAggregateAcctAllocatesNothing(t *testing.T) {
 		if i%7 == 0 {
 			iv = whole
 		}
-		if _, err := x.AggregateAcct(iv, Semantics(i%2), Func(i/2%2), &acct); err != nil {
+		if _, err := x.Aggregate(iv, Semantics(i%2), Func(i/2%2), &acct); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("AggregateAcct allocates %.1f objects per probe, want 0", allocs)
+		t.Fatalf("Aggregate allocates %.1f objects per probe, want 0", allocs)
 	}
 }

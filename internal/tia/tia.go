@@ -49,7 +49,7 @@ func (k BackendKind) String() string {
 // BackendKinds lists every backend kind.
 func BackendKinds() []BackendKind { return []BackendKind{KindMem, KindBTree, KindMVBT} }
 
-// probes counts aggregate probes (AggregateFunc calls) per backend kind,
+// probes counts aggregate probes (Index.Aggregate calls) per backend kind,
 // process-wide; cmd/tarserve and cmd/tarbench export the totals as
 // tia_probes_total{backend="..."} metrics. A probe without an acct adds
 // itself here on the spot; a probe charged to a query's acct is counted
@@ -143,18 +143,15 @@ type Index interface {
 	// a previous record for the same epoch (internal entries overwrite when
 	// a POI insertion raises the per-epoch maximum).
 	Put(rec Record) error
-	// Aggregate sums the Agg of all records matching iv under sem.
-	Aggregate(iv Interval, sem Semantics) (int64, error)
-	// AggregateFunc folds the matching records' values with f.
-	AggregateFunc(iv Interval, sem Semantics, f Func) (int64, error)
-	// AggregateAcct is AggregateFunc with the probe and its page accesses
-	// charged to a query-local acct (which may be nil). Queries thread
-	// their own acct here so per-query I/O accounting stays exact when many
-	// queries run concurrently, and so a probe writes no shared counter:
-	// what the acct gathers reaches the factory's statistics and the probe
-	// totals when its owner calls Factory.FoldAcct. Read-only calls
-	// (Aggregate*, Visit) are safe from many goroutines at once.
-	AggregateAcct(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error)
+	// Aggregate folds the Agg of all records matching iv under sem with f,
+	// charging the probe and its page accesses to the query-local acct, or —
+	// acct nil — counting them in the shared books on the spot. Queries
+	// thread their own acct here so per-query I/O accounting stays exact
+	// when many queries run concurrently, and so a probe writes no shared
+	// counter: what the acct gathers reaches the factory's ledger and the
+	// probe totals when its owner calls Factory.FoldAcct. Read-only calls
+	// (Aggregate, Visit) are safe from many goroutines at once.
+	Aggregate(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error)
 	// Visit iterates all records in ascending Ts order, stopping early when
 	// fn returns false.
 	Visit(fn func(Record) bool) error
@@ -166,27 +163,26 @@ type Index interface {
 	Destroy() error
 }
 
-// Factory creates Indexes that share a storage substrate and aggregate
-// their page-access statistics (the experiments report TIA accesses).
+// Factory creates Indexes that share a storage substrate and one ledger of
+// their page traffic (the experiments report TIA accesses). The per-index
+// buffer size is a constructor argument (the collective-processing
+// experiment uses zero slots).
 type Factory interface {
 	New() (Index, error)
-	// Stats returns combined page traffic of every index created so far.
-	Stats() pagestore.Stats
-	// Breakdown returns the same traffic attributed by (component, level).
-	// Unlike Stats it walks every breakdown cell, so callers read it once
-	// per query, not per probe. Breakdown().Total() == Stats() always.
-	Breakdown() pagestore.IOBreakdown
-	ResetStats()
+	// Ledger returns the combined page traffic of every index created so
+	// far, attributed by (component, level). It is cumulative: readers
+	// that want a window subtract an earlier reading (IOBreakdown.Sub,
+	// Stats.Sub). Traffic a query charged to its acct shows once the query
+	// has folded it, which the best-first search does before it hands
+	// control back to its caller.
+	Ledger() *pagestore.Ledger
 	// FoldAcct adds what a query counted privately in a — the page traffic
-	// and probes of AggregateAcct calls on this factory's indexes — to the
-	// factory's statistics, its attached sinks and the process-wide probe
-	// totals, as if each event had been reported when it happened. The
-	// factory's statistics are attributed, so a.IO must be set. The owner
-	// folds each access once: it clears or discards a afterwards.
+	// and probes of Aggregate calls on this factory's indexes — to the
+	// ledger and the process-wide probe totals, as if each event had been
+	// counted when it happened. The ledger is attributed, so a.IO must be
+	// set. The owner folds each access once: it drains or discards a
+	// afterwards.
 	FoldAcct(a *pagestore.IOAcct)
-	// SetBufferSlots changes the per-index buffer size for indexes created
-	// afterwards (the collective-processing experiment uses zero slots).
-	SetBufferSlots(slots int)
 }
 
 // BulkFactory is the optional fast path a Factory may implement: NewBulk
@@ -265,19 +261,9 @@ func (m *Mem) Put(rec Record) error {
 	return nil
 }
 
-// Aggregate implements Index.
-func (m *Mem) Aggregate(iv Interval, sem Semantics) (int64, error) {
-	return m.AggregateFunc(iv, sem, FuncSum)
-}
-
-// AggregateFunc implements Index.
-func (m *Mem) AggregateFunc(iv Interval, sem Semantics, f Func) (int64, error) {
-	return m.AggregateAcct(iv, sem, f, nil)
-}
-
-// AggregateAcct implements Index; memory indexes have no page traffic, so
-// only the probe itself is charged to the acct.
-func (m *Mem) AggregateAcct(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
+// Aggregate implements Index; memory indexes have no page traffic, so only
+// the probe itself is charged to the acct.
+func (m *Mem) Aggregate(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
 	countProbe(KindMem, acct)
 	lo := m.scanLow(iv, sem)
 	i := sort.Search(len(m.recs), func(i int) bool { return m.recs[i].Ts >= lo })
@@ -357,9 +343,9 @@ func (m *Mem) Destroy() error {
 	return nil
 }
 
-// MemFactory creates Mem indexes. Its stats are always zero: memory access
-// is free in the paper's cost accounting.
-type MemFactory struct{}
+// MemFactory creates Mem indexes. Its ledger stays empty: memory access is
+// free in the paper's cost accounting.
+type MemFactory struct{ ledger pagestore.Ledger }
 
 // NewMemFactory returns a factory of in-memory indexes.
 func NewMemFactory() *MemFactory { return &MemFactory{} }
@@ -370,24 +356,12 @@ func (*MemFactory) New() (Index, error) { return NewMem(), nil }
 // NewBulk implements BulkFactory.
 func (*MemFactory) NewBulk(recs []Record) (Index, error) { return NewMemFromSorted(recs), nil }
 
-// Stats implements Factory.
-func (*MemFactory) Stats() pagestore.Stats { return pagestore.Stats{} }
-
-// Breakdown implements Factory: memory indexes produce no page traffic.
-func (*MemFactory) Breakdown() pagestore.IOBreakdown { return pagestore.IOBreakdown{} }
-
-// ResetStats implements Factory.
-func (*MemFactory) ResetStats() {}
-
-// SetBufferSlots implements Factory.
-func (*MemFactory) SetBufferSlots(int) {}
+// Ledger implements Factory.
+func (f *MemFactory) Ledger() *pagestore.Ledger { return &f.ledger }
 
 // FoldAcct implements Factory: memory indexes produce no page traffic, so
 // only the probes are folded.
 func (*MemFactory) FoldAcct(a *pagestore.IOAcct) { probes[KindMem].Add(a.Probes) }
-
-// AttachSink is a no-op: memory indexes produce no page traffic.
-func (*MemFactory) AttachSink(pagestore.BulkSink) {}
 
 // ---------------------------------------------------------------------------
 // B+-tree backend
@@ -405,19 +379,9 @@ func (b *BTree) Put(rec Record) error {
 	return b.tree.Put(rec.Ts, btree.Value{rec.Te, rec.Agg})
 }
 
-// Aggregate implements Index.
-func (b *BTree) Aggregate(iv Interval, sem Semantics) (int64, error) {
-	return b.AggregateFunc(iv, sem, FuncSum)
-}
-
-// AggregateFunc implements Index.
-func (b *BTree) AggregateFunc(iv Interval, sem Semantics, f Func) (int64, error) {
-	return b.AggregateAcct(iv, sem, f, nil)
-}
-
-// AggregateAcct implements Index, charging the B+-tree page accesses of
-// this probe to acct.
-func (b *BTree) AggregateAcct(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
+// Aggregate implements Index, charging the B+-tree page accesses of this
+// probe to acct.
+func (b *BTree) Aggregate(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
 	countProbe(KindBTree, acct)
 	var acc int64
 	err := b.tree.ScanAcct(b.scanLow(iv, sem), iv.End-1, acct, func(ts int64, v btree.Value) bool {
@@ -443,84 +407,27 @@ func (b *BTree) Len() int { return b.tree.Len() }
 func (b *BTree) Destroy() error { return b.tree.Destroy() }
 
 // pagedFactory is what the two disk-backed factories share: the page file,
-// one small buffer pool per index, and the combined page statistics of all
-// of them.
+// one small buffer pool per index, and the one ledger all of them count
+// into. It keeps no list of the buffers: a destroyed index is garbage.
 type pagedFactory struct {
-	kind     BackendKind
-	file     pagestore.File
-	slots    int
-	bufs     []*pagestore.Buffer
-	sink     pagestore.AttrCounterSink // O(1) combined stats across all buffers
-	base     pagestore.Stats           // totals captured at the last ResetStats
-	attrBase pagestore.IOBreakdown     // breakdown captured at the last ResetStats
-	extra    []pagestore.BulkSink      // attached observers (metrics registries)
+	kind   BackendKind
+	file   pagestore.File
+	slots  int
+	ledger pagestore.Ledger
 }
 
-// newBuffer creates the buffer pool of one more index, wired to the
-// factory's sink and every attached observer.
+// newBuffer creates the buffer pool of one more index.
 func (f *pagedFactory) newBuffer() *pagestore.Buffer {
-	sinks := []pagestore.Sink{&f.sink}
-	for _, s := range f.extra {
-		sinks = append(sinks, s)
-	}
-	buf := pagestore.NewBufferWithSinks(f.file, f.slots, sinks...)
-	f.bufs = append(f.bufs, buf)
-	return buf
+	return pagestore.NewBufferWithLedger(f.file, f.slots, &f.ledger)
 }
 
-// AttachSink subscribes s to the page traffic of every buffer the factory
-// has created or will create: unowned traffic event by event, queries'
-// traffic in bulk when they fold their accts. core.NewTree uses it to
-// publish buffer hit/miss/eviction rates into an obs registry.
-func (f *pagedFactory) AttachSink(s pagestore.BulkSink) {
-	if s == nil {
-		return
-	}
-	f.extra = append(f.extra, s)
-	for _, b := range f.bufs {
-		b.AddSink(s)
-	}
-}
-
-// Stats implements Factory. It reads the shared counter sink, so it is
-// O(1) no matter how many TIAs exist. Traffic a query charged to its acct
-// shows once the query has folded it, which the best-first search does
-// before it hands control back to its caller.
-func (f *pagedFactory) Stats() pagestore.Stats {
-	return f.sink.Snapshot().Sub(f.base)
-}
-
-// Breakdown implements Factory: combined traffic attributed by
-// (component, level) since the last ResetStats.
-func (f *pagedFactory) Breakdown() pagestore.IOBreakdown {
-	return f.sink.Breakdown().Sub(f.attrBase)
-}
-
-// ResetStats implements Factory.
-func (f *pagedFactory) ResetStats() {
-	f.base = f.sink.Snapshot()
-	f.attrBase = f.sink.Breakdown()
-}
+// Ledger implements Factory.
+func (f *pagedFactory) Ledger() *pagestore.Ledger { return &f.ledger }
 
 // FoldAcct implements Factory.
 func (f *pagedFactory) FoldAcct(a *pagestore.IOAcct) {
 	probes[f.kind].Add(a.Probes)
-	if a.Stats == (pagestore.Stats{}) {
-		return
-	}
-	f.sink.AddAcct(a)
-	for _, s := range f.extra {
-		a.FoldInto(s)
-	}
-}
-
-// SetBufferSlots implements Factory. It also resizes existing buffers so an
-// experiment can switch an entire tree between buffered and unbuffered.
-func (f *pagedFactory) SetBufferSlots(slots int) {
-	f.slots = slots
-	for _, b := range f.bufs {
-		b.Resize(slots) //nolint:errcheck // resize of mem file cannot fail
-	}
+	f.ledger.AddAcct(a)
 }
 
 // BTreeFactory creates B+-tree indexes sharing one page file; every index
@@ -600,19 +507,9 @@ func (m *MVBT) Put(rec Record) error {
 	return m.tree.Insert(v, rec.Ts, mvbt.Value{rec.Te, rec.Agg})
 }
 
-// Aggregate implements Index.
-func (m *MVBT) Aggregate(iv Interval, sem Semantics) (int64, error) {
-	return m.AggregateFunc(iv, sem, FuncSum)
-}
-
-// AggregateFunc implements Index.
-func (m *MVBT) AggregateFunc(iv Interval, sem Semantics, f Func) (int64, error) {
-	return m.AggregateAcct(iv, sem, f, nil)
-}
-
-// AggregateAcct implements Index, charging the MVBT page accesses of this
-// probe to acct.
-func (m *MVBT) AggregateAcct(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
+// Aggregate implements Index, charging the MVBT page accesses of this probe
+// to acct.
+func (m *MVBT) Aggregate(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
 	countProbe(KindMVBT, acct)
 	var acc int64
 	err := m.tree.ScanAtAcct(m.tree.Now(), m.scanLow(iv, sem), iv.End-1, acct, func(ts int64, v mvbt.Value) bool {

@@ -2,6 +2,7 @@ package tia
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tartree/internal/pagestore"
@@ -55,7 +56,7 @@ func TestPaperExampleAggregate(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, err := idx.Aggregate(Interval{0, 3}, Contained)
+			got, err := idx.Aggregate(Interval{0, 3}, Contained, FuncSum, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,14 +64,14 @@ func TestPaperExampleAggregate(t *testing.T) {
 				t.Errorf("aggregate over [t0,tc] = %d, want 12", got)
 			}
 			// Only the middle epoch is contained in [1, 2).
-			if got, _ := idx.Aggregate(Interval{1, 2}, Contained); got != 5 {
+			if got, _ := idx.Aggregate(Interval{1, 2}, Contained, FuncSum, nil); got != 5 {
 				t.Errorf("aggregate over [t1,t2) = %d, want 5", got)
 			}
 			// Intersection over a partial window catches neighbours.
-			if got, _ := idx.Aggregate(Interval{1, 2}, Intersecting); got != 5 {
+			if got, _ := idx.Aggregate(Interval{1, 2}, Intersecting, FuncSum, nil); got != 5 {
 				t.Errorf("intersecting over [1,2) = %d, want 5", got)
 			}
-			if got, _ := idx.Aggregate(Interval{0, 2}, Intersecting); got != 8 {
+			if got, _ := idx.Aggregate(Interval{0, 2}, Intersecting, FuncSum, nil); got != 8 {
 				t.Errorf("intersecting over [0,2) = %d, want 8", got)
 			}
 		})
@@ -86,7 +87,7 @@ func TestOverwrite(t *testing.T) {
 			if idx.Len() != 1 {
 				t.Fatalf("len = %d, want 1", idx.Len())
 			}
-			if got, _ := idx.Aggregate(Interval{0, 1000}, Contained); got != 7 {
+			if got, _ := idx.Aggregate(Interval{0, 1000}, Contained, FuncSum, nil); got != 7 {
 				t.Errorf("aggregate = %d, want 7 (overwritten)", got)
 			}
 		})
@@ -162,7 +163,7 @@ func TestAggregateMatchesBruteForce(t *testing.T) {
 								want += rec.Agg
 							}
 						}
-						got, err := idx.Aggregate(iv, sem)
+						got, err := idx.Aggregate(iv, sem, FuncSum, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -187,18 +188,15 @@ func TestFactoryStats(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		idx.Put(Record{Ts: int64(i * 10), Te: int64(i*10 + 10), Agg: 1})
 	}
-	if f.Stats().PhysicalReads == 0 {
+	if f.Ledger().Stats().PhysicalReads == 0 {
 		t.Error("expected physical reads with zero buffer slots")
 	}
-	f.ResetStats()
-	if s := f.Stats(); s.PhysicalReads != 0 || s.PhysicalWrites != 0 {
-		t.Errorf("stats after reset = %+v", s)
-	}
-	if _, err := idx.Aggregate(Interval{0, 1000}, Contained); err != nil {
+	built := f.Ledger().Stats()
+	if _, err := idx.Aggregate(Interval{0, 1000}, Contained, FuncSum, nil); err != nil {
 		t.Fatal(err)
 	}
-	if f.Stats().PhysicalReads == 0 {
-		t.Error("aggregate should incur reads")
+	if d := f.Ledger().Stats().Sub(built); d.PhysicalReads == 0 || d.PhysicalWrites != 0 {
+		t.Errorf("aggregate should incur reads and no writes, got %+v", d)
 	}
 }
 
@@ -209,29 +207,15 @@ func TestFactoryBufferedVsUnbuffered(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			idx.Put(Record{Ts: int64(i * 10), Te: int64(i*10 + 10), Agg: 1})
 		}
-		f.ResetStats()
+		built := f.Ledger().Stats()
 		for q := 0; q < 50; q++ {
-			idx.Aggregate(Interval{0, 5000}, Contained)
+			idx.Aggregate(Interval{0, 5000}, Contained, FuncSum, nil)
 		}
-		return f.Stats().PhysicalReads
+		return f.Ledger().Stats().Sub(built).PhysicalReads
 	}
 	buffered, unbuffered := run(10), run(0)
 	if buffered >= unbuffered {
 		t.Errorf("buffered reads (%d) should be fewer than unbuffered (%d)", buffered, unbuffered)
-	}
-}
-
-func TestSetBufferSlots(t *testing.T) {
-	f := NewBTreeFactory(1024, 10)
-	idx, _ := f.New()
-	for i := 0; i < 200; i++ {
-		idx.Put(Record{Ts: int64(i * 10), Te: int64(i*10 + 10), Agg: 1})
-	}
-	f.SetBufferSlots(0)
-	f.ResetStats()
-	idx.Aggregate(Interval{0, 100}, Contained)
-	if f.Stats().PhysicalReads == 0 {
-		t.Error("after SetBufferSlots(0) every read should be physical")
 	}
 }
 
@@ -283,19 +267,18 @@ func TestAggregateFuncMax(t *testing.T) {
 			for i, agg := range []int64{3, 9, 4, 7} {
 				idx.Put(Record{Ts: int64(i * 10), Te: int64(i*10 + 10), Agg: agg})
 			}
-			if got, _ := idx.AggregateFunc(Interval{Start: 0, End: 40}, Contained, FuncMax); got != 9 {
+			if got, _ := idx.Aggregate(Interval{Start: 0, End: 40}, Contained, FuncMax, nil); got != 9 {
 				t.Errorf("max over all = %d, want 9", got)
 			}
-			if got, _ := idx.AggregateFunc(Interval{Start: 20, End: 40}, Contained, FuncMax); got != 7 {
+			if got, _ := idx.Aggregate(Interval{Start: 20, End: 40}, Contained, FuncMax, nil); got != 7 {
 				t.Errorf("max over tail = %d, want 7", got)
 			}
 			// Empty match: max of nothing is 0.
-			if got, _ := idx.AggregateFunc(Interval{Start: 100, End: 200}, Contained, FuncMax); got != 0 {
+			if got, _ := idx.Aggregate(Interval{Start: 100, End: 200}, Contained, FuncMax, nil); got != 0 {
 				t.Errorf("empty max = %d", got)
 			}
-			// Sum via AggregateFunc equals Aggregate.
-			s1, _ := idx.AggregateFunc(Interval{Start: 0, End: 40}, Contained, FuncSum)
-			s2, _ := idx.Aggregate(Interval{Start: 0, End: 40}, Contained)
+			s1, _ := idx.Aggregate(Interval{Start: 0, End: 40}, Contained, FuncSum, nil)
+			s2, _ := idx.Aggregate(Interval{Start: 0, End: 40}, Contained, FuncSum, nil)
 			if s1 != s2 || s1 != 23 {
 				t.Errorf("sum = %d/%d, want 23", s1, s2)
 			}
@@ -303,7 +286,7 @@ func TestAggregateFuncMax(t *testing.T) {
 	}
 }
 
-// TestProbeCountsPerBackend checks that every backend's AggregateFunc
+// TestProbeCountsPerBackend checks that every backend's Aggregate
 // increments its own probe counter (the per-backend totals exported as
 // tia_probes_total metrics).
 func TestProbeCountsPerBackend(t *testing.T) {
@@ -326,7 +309,7 @@ func TestProbeCountsPerBackend(t *testing.T) {
 		}
 		before := ProbeCount(b.kind)
 		for i := 0; i < 3; i++ {
-			if _, err := idx.AggregateFunc(iv, Contained, FuncSum); err != nil {
+			if _, err := idx.Aggregate(iv, Contained, FuncSum, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -339,30 +322,57 @@ func TestProbeCountsPerBackend(t *testing.T) {
 	}
 }
 
-// TestFactoryAttachSink checks that attached sinks observe buffers created
-// both before and after the attachment.
-func TestFactoryAttachSink(t *testing.T) {
-	f := NewBTreeFactory(256, 4)
-	early, err := f.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sink pagestore.CounterSink
-	f.AttachSink(&sink)
-	late, err := f.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, idx := range []Index{early, late} {
-		if err := idx.Put(Record{Ts: 0, Te: 10, Agg: 1}); err != nil {
-			t.Fatal(err)
+// TestFactoryLedger checks the factory's books: unowned traffic shows at
+// once, a probe charged to an acct only after FoldAcct, and every event
+// lands in the backend's component.
+func TestFactoryLedger(t *testing.T) {
+	for _, tc := range []struct {
+		f    Factory
+		kind BackendKind
+		comp pagestore.Component
+	}{
+		{NewBTreeFactory(256, 4), KindBTree, pagestore.CompTIABTree},
+		{NewMVBTFactory(1024, 4), KindMVBT, pagestore.CompTIAMVBT},
+	} {
+		ledger := tc.f.Ledger()
+		var idxs []Index
+		for i := 0; i < 2; i++ {
+			idx, err := tc.f.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := idx.Put(Record{Ts: 0, Te: 10, Agg: 1}); err != nil {
+				t.Fatal(err)
+			}
+			idxs = append(idxs, idx)
 		}
-		if _, err := idx.Aggregate(Interval{Start: 0, End: 10}, Contained); err != nil {
-			t.Fatal(err)
+		built := ledger.Breakdown()
+		if built.Component(tc.comp).LogicalWrites == 0 {
+			t.Errorf("%v: build writes not in the ledger: %+v", tc.kind, ledger.Stats())
+		}
+		var io pagestore.IOBreakdown
+		acct := pagestore.IOAcct{IO: &io}
+		probes := ProbeCount(tc.kind)
+		for _, idx := range idxs {
+			if _, err := idx.Aggregate(Interval{Start: 0, End: 10}, Contained, FuncSum, &acct); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ledger.Breakdown() != built || ProbeCount(tc.kind) != probes {
+			t.Errorf("%v: an owned probe reached the shared books before the fold", tc.kind)
+		}
+		want := acct.Stats
+		tc.f.FoldAcct(&acct)
+		got := ledger.Breakdown().Sub(built)
+		if cell := got.Component(tc.comp); got.Total() != want || cell.Hits+cell.Misses != want.LogicalReads || want.LogicalReads == 0 {
+			t.Errorf("%v: the ledger gained %+v, the acct held %+v", tc.kind, got.Total(), want)
+		}
+		if d := ProbeCount(tc.kind) - probes; d != 2 {
+			t.Errorf("%v: probe totals gained %d, want 2", tc.kind, d)
 		}
 	}
-	if got := sink.Snapshot(); got.LogicalReads == 0 || got.LogicalWrites == 0 {
-		t.Errorf("attached sink saw no traffic: %+v", got)
+	if f := NewMemFactory(); f.Ledger().Stats() != (pagestore.Stats{}) {
+		t.Error("the memory factory's ledger is not empty")
 	}
 }
 
@@ -394,11 +404,11 @@ func TestBTreeFactoryNewBulk(t *testing.T) {
 	}
 	for _, sem := range []Semantics{Contained, Intersecting} {
 		for _, iv := range []Interval{{-1000, 2000}, {0, 100}, {recs[10].Ts, recs[200].Te}} {
-			a, err := bulk.Aggregate(iv, sem)
+			a, err := bulk.Aggregate(iv, sem, FuncSum, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := put.Aggregate(iv, sem)
+			b, err := put.Aggregate(iv, sem, FuncSum, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -411,7 +421,7 @@ func TestBTreeFactoryNewBulk(t *testing.T) {
 	if err := bulk.Put(Record{Ts: recs[0].Ts, Te: recs[0].Te, Agg: 99}); err != nil {
 		t.Fatal(err)
 	}
-	v, err := bulk.Aggregate(Interval{recs[0].Ts, recs[0].Te}, Contained)
+	v, err := bulk.Aggregate(Interval{recs[0].Ts, recs[0].Te}, Contained, FuncSum, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,4 +436,38 @@ func TestBTreeFactoryNewBulk(t *testing.T) {
 	if empty.Len() != 0 {
 		t.Fatalf("empty len %d", empty.Len())
 	}
+}
+
+// TestDestroyedIndexIsReleased: a factory keeps nothing of an index once it
+// is destroyed — every rebuilt internal entry and every deleted POI destroys
+// one, for the life of the process.
+func TestDestroyedIndexIsReleased(t *testing.T) {
+	f := NewBTreeFactory(256, 10)
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	cycle := func(n int) {
+		for i := 0; i < n; i++ {
+			idx, err := f.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := idx.Put(Record{Ts: int64(i), Te: int64(i) + 10, Agg: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := idx.Destroy(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle(100) // the page file reaches its steady size
+	before := heap()
+	cycle(20000)
+	if after := heap(); after > before+1<<20 {
+		t.Errorf("20000 destroyed indexes left %d KiB on the heap, want < 1 MiB", (after-before)>>10)
+	}
+	runtime.KeepAlive(f)
 }
