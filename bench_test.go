@@ -53,11 +53,11 @@ func BenchmarkExperiment(b *testing.B) {
 
 // Observability overhead: BenchmarkQuery_Bare vs BenchmarkQuery_Instrumented
 // run the same query stream against an uninstrumented and a fully
-// instrumented (Options.Metrics, no span) tree. Compare with benchstat
-// over -count=10: the expected delta is <2%, because the span-less path
-// is nil-receiver no-ops, per-query metrics are a dozen atomic adds,
-// and the page sink costs one interface call per TIA buffer access. Single
-// runs on a shared machine have more noise than the effect being measured.
+// instrumented (Options.Metrics, no span) tree, both on the default
+// in-memory TIAs a server runs. Compare with benchstat over -count=10: the
+// expected delta is <2%, because the span-less path is nil-receiver no-ops
+// and per-query metrics are a dozen atomic adds. Single runs on a shared
+// machine have more noise than the effect being measured.
 
 func benchQueryTree(b *testing.B, reg *obs.Registry) {
 	b.Helper()

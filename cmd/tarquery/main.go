@@ -51,7 +51,7 @@ func main() {
 		showIO   = flag.Bool("io", false, "print the per-component I/O breakdown of the query")
 		showTr   = flag.Bool("trace", false, "print a duration-annotated span tree of the query")
 		replay   = flag.String("replay", "", "build an empty index and feed this check-in stream (written by datagen -checkins) through the live ingest path instead of bulk-loading histories")
-		cacheB   = flag.Int64("cache-bytes", 64<<20, "shared aggregate/result cache size in bytes (0 disables)")
+		cacheB   = flag.Int64("cache-bytes", 64<<20, "shared result cache size in bytes (0 disables)")
 		server   = flag.String("server", "", "query a running tarserve at this base URL instead of building a local index")
 		minLSN   = flag.Uint64("min-lsn", 0, "with -server: hold the query until the server has applied this LSN (read-your-writes against a replication follower)")
 	)

@@ -14,11 +14,18 @@
 // for an execution slot or mid-search — stops promptly and answers 504.
 //
 // Queries are served through a shared epoch-versioned cache (-cache-bytes,
-// default 64 MiB, 0 disables) that memoizes TIA aggregates and whole result
-// sets; every ingest apply or epoch flush invalidates it, so cached answers
-// are always identical to uncached ones. Hit/miss/eviction/bytes gauges are
-// exported as tartree_aggcache_* on /metrics, and every query response
-// reports its own cache_hits/cache_misses.
+// default 64 MiB, 0 disables) that memoizes whole result sets; every ingest
+// apply or epoch flush invalidates it, so cached answers are always
+// identical to uncached ones. Hit/miss/eviction/bytes gauges are exported
+// as tartree_aggcache_* on /metrics, and every query response reports its
+// own cache_hits/cache_misses.
+//
+// The index lives in memory: every entry's TIA is a sorted record slice, a
+// probe reads no page, and so stats.tia_accesses, stats.tia_physical and
+// the tartree_pagestore_* / tartree_io_*{component="tia-*"} series read 0
+// while stats.scored and tartree_tia_probes_total{backend="mem"} count the
+// probes. Page accesses — the paper's cost unit — are what cmd/tarbench
+// measures, on paged B+-tree TIAs.
 //
 // With -wal-dir the server ingests live check-ins durably: POST /v1/ingest
 // appends to a group-committed write-ahead log and answers 200 only after
@@ -132,7 +139,7 @@ func main() {
 		flEvery = flag.Duration("flush-every", 30*time.Second, "background epoch-flush interval (requires -wal-dir)")
 		replay  = flag.String("replay", "", "seed a fresh WAL with this check-in stream (written by datagen -checkins) through the ingest path; skipped if the WAL already holds data")
 		noSync  = flag.Bool("wal-nosync", false, "skip WAL fsyncs (throughput experiments only: crash durability is lost)")
-		cacheB  = flag.Int64("cache-bytes", 64<<20, "shared aggregate/result cache size in bytes (0 disables)")
+		cacheB  = flag.Int64("cache-bytes", 64<<20, "shared result cache size in bytes (0 disables)")
 		trcOut  = flag.String("trace-out", "", "append finished span traces to this file as Chrome trace_event JSON")
 		sloSpec = flag.String("slo", "", `latency/error objectives, e.g. "query:p99<50ms,ingest:p99<100ms" (burn rates on /metrics)`)
 		follow  = flag.String("follow", "", "run as a replication follower of this leader base URL (requires -wal-dir and -repl-token)")

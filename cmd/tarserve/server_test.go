@@ -18,9 +18,18 @@ import (
 	"tartree/internal/aggcache"
 	"tartree/internal/lbsn"
 	"tartree/internal/obs"
+	"tartree/internal/tia"
 )
 
 func newTestServer(t *testing.T) (*server, *lbsn.Dataset) {
+	t.Helper()
+	return newTestServerOn(t, nil)
+}
+
+// newTestServerOn is newTestServer with the TIA factory named (nil: the
+// default, what tarserve runs); tests asserting page traffic pass the
+// paper's B+-tree set-up.
+func newTestServerOn(t *testing.T, factory tia.Factory) (*server, *lbsn.Dataset) {
 	t.Helper()
 	spec, err := lbsn.SpecByName("GS")
 	if err != nil {
@@ -32,7 +41,7 @@ func newTestServer(t *testing.T) (*server, *lbsn.Dataset) {
 	}
 	reg := obs.NewRegistry()
 	ring := obs.NewTraceRing(8)
-	tr, err := d.Build(lbsn.BuildOptions{Metrics: reg})
+	tr, err := d.Build(lbsn.BuildOptions{Metrics: reg, TIA: factory})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +60,7 @@ func get(t *testing.T, s *server, url string) (int, string) {
 // query over HTTP must leave nonzero query-latency buckets, pagestore
 // hit/miss counters, and per-backend TIA probe counts on /metrics.
 func TestServeQueryThenMetrics(t *testing.T) {
-	s, _ := newTestServer(t)
+	s, _ := newTestServerOn(t, tia.NewBTreeFactory(1024, 10))
 
 	code, body := get(t, s, "/v1/query?x=50&y=50&k=5&alpha=0.3&days=128")
 	if code != 200 {
@@ -128,6 +137,52 @@ func TestServeQueryThenMetrics(t *testing.T) {
 	}
 }
 
+// TestServeDefaultCountsNoPages pins the accounting of the server as it is
+// deployed, on the default in-memory TIAs: a probe that reads no page counts
+// none — the TIA page counters read 0 in the response and on /metrics —
+// while the probes themselves and the R-tree cells are still counted.
+func TestServeDefaultCountsNoPages(t *testing.T) {
+	s, _ := newTestServer(t)
+	probes := metricValueOf(t, s, `tartree_tia_probes_total{backend="mem"}`)
+	code, body := get(t, s, "/v1/query?x=50&y=50&k=5&alpha=0.3&days=128")
+	if code != 200 {
+		t.Fatalf("query status %d: %s", code, body)
+	}
+	var resp queryResponse
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Stats.TIAAccesses != 0 || resp.Stats.TIAPhysical != 0 {
+		t.Errorf("in-memory probes counted pages: %+v", resp.Stats)
+	}
+	if resp.Stats.Scored <= 0 || resp.Stats.NodeAccesses != int64(resp.Stats.InternalAccesses+resp.Stats.LeafAccesses) {
+		t.Errorf("stats = %+v, want scored entries and node accesses = R-tree accesses", resp.Stats)
+	}
+	// One probe per scored entry plus the gmax read.
+	if got := metricValueOf(t, s, `tartree_tia_probes_total{backend="mem"}`) - probes; got != float64(resp.Stats.Scored+1) {
+		t.Errorf("mem probes grew by %g, want scored+1 = %d", got, resp.Stats.Scored+1)
+	}
+	_, metrics := get(t, s, "/metrics")
+	for _, result := range []string{"hit", "miss"} {
+		if n := metricValue(t, metrics, `tartree_pagestore_reads_total{result="`+result+`"}`); n != 0 {
+			t.Errorf("pagestore reads %s = %g on a server without pages", result, n)
+		}
+	}
+	if strings.Contains(metrics, `component="tia-`) {
+		t.Error("/metrics attributes page reads to a TIA component")
+	}
+	if n := metricValue(t, metrics, `tartree_io_page_reads_total{component="rtree-leaf",level="0",result="hit"}`); n != float64(resp.Stats.LeafAccesses) {
+		t.Errorf("rtree-leaf hits = %g, want %d", n, resp.Stats.LeafAccesses)
+	}
+}
+
+// metricValueOf scrapes /metrics and returns one series' value.
+func metricValueOf(t *testing.T, s *server, name string) float64 {
+	t.Helper()
+	_, metrics := get(t, s, "/metrics")
+	return metricValue(t, metrics, name)
+}
+
 func TestServeQueryTrace(t *testing.T) {
 	s, _ := newTestServer(t)
 	code, body := get(t, s, "/v1/query?x=30&y=70&k=3&trace=1")
@@ -164,7 +219,7 @@ func TestServeQueryTrace(t *testing.T) {
 // must appear as a finished trace whose execute span carries the query and
 // its I/O breakdown, and a trace=1 query keeps its aggregates.
 func TestServeTraces(t *testing.T) {
-	s, _ := newTestServer(t)
+	s, _ := newTestServerOn(t, tia.NewBTreeFactory(1024, 10))
 	for i := 0; i < 3; i++ {
 		if code, body := get(t, s, "/v1/query?x=50&y=50&k=5&days=128"); code != 200 {
 			t.Fatalf("query status %d: %s", code, body)

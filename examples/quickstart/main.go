@@ -66,6 +66,6 @@ func main() {
 		fmt.Printf("#%d POI %d at (%.0f,%.0f): score %.3f (distance part %.3f, aggregate %d visits)\n",
 			i+1, r.POI.ID, r.POI.X, r.POI.Y, r.Score, r.S0, r.Agg)
 	}
-	fmt.Printf("answered with %d R-tree node accesses and %d TIA page reads\n",
-		stats.RTreeAccesses(), stats.TIAAccesses)
+	fmt.Printf("answered with %d R-tree node accesses and %d TIA probes\n",
+		stats.RTreeAccesses(), stats.Scored)
 }

@@ -1,6 +1,5 @@
 // Package aggcache is a sharded, epoch-versioned, byte-sized LRU cache for
-// query-derived values of a TAR-tree: memoized TIA aggregates — (TIA id,
-// interval, agg-func) → aggregate — and whole ranked result sets — (query
+// query-derived values of a TAR-tree: whole ranked result sets — (query
 // signature, k, α0) → results. The TIA is read-mostly by construction
 // (Section 4.1: aggregates change only when an epoch flush folds buffered
 // check-ins into the index), so between mutations every cached value is
@@ -21,17 +20,11 @@
 // therefore never straddle an invalidation, and its stamp is always the
 // version the value was computed at.
 //
-// The cache has two tiers behind one version stamp, one byte budget and one
-// set of counters. The result tier (Get/Put) is value-agnostic: keys are any
-// comparable values (the caller supplies a 64-bit hash for shard routing),
-// values are opaque with a caller-estimated byte size. The aggregate tier
-// (GetAgg/PutAgg, see aggtier.go) is typed — AggKey → int64 — and keeps its
-// entries in pointer-free slabs, because a search probes it once per scored
-// entry: it boxes nothing, allocates nothing at steady state and leaves the
-// garbage collector nothing to trace. Each shard evicts the least recently
-// used entry of either tier, so the two share the budget the way one LRU
-// list would. A nil *Cache is a valid no-op cache, so call sites need no
-// guards.
+// The cache is value-agnostic: keys are any comparable values (the caller
+// supplies a 64-bit hash for shard routing), values are opaque with a
+// caller-estimated byte size. It holds no single TIA aggregates: an
+// in-memory probe is cheaper than any lookup that could stand in for it. A
+// nil *Cache is a valid no-op cache, so call sites need no guards.
 package aggcache
 
 import (
@@ -44,7 +37,7 @@ import (
 // concurrent queries. Must be a power of two.
 const numShards = 16
 
-// entryOverheadBytes is charged per result-tier entry on top of the
+// entryOverheadBytes is charged per entry on top of the
 // caller-supplied value size. It is what the allocator actually hands out
 // for one entry: the list element (48), the entry struct (64), the key and
 // the value header boxed into interfaces (64 + 24 for core's result key and
@@ -79,18 +72,12 @@ type Cache struct {
 type shard struct {
 	mu       sync.Mutex
 	maxBytes int64
-	// bytes is what the shard is charged: the result tier's entries plus
-	// the aggregate tier's footprint.
-	bytes int64
-	// clock stamps every touch of either tier, so the older of the two LRU
-	// tails is the shard's least recently used entry.
-	clock uint64
+	bytes    int64 // what the shard's entries are charged
 
 	hits, misses, evicted, stale int64
 
 	items map[any]*list.Element
 	lru   list.List // front = most recent
-	agg   aggTier
 }
 
 type entry struct {
@@ -98,7 +85,6 @@ type entry struct {
 	val   any
 	bytes int64
 	ver   uint64
-	used  uint64 // shard clock at the last touch
 }
 
 // New creates a cache bounded to roughly maxBytes across all shards.
@@ -116,7 +102,6 @@ func New(maxBytes int64) *Cache {
 	for i := range c.shards {
 		c.shards[i].maxBytes = per
 		c.shards[i].items = make(map[any]*list.Element)
-		c.shards[i].agg.head, c.shards[i].agg.tail = -1, -1
 	}
 	return c
 }
@@ -163,7 +148,6 @@ func (c *Cache) Get(h uint64, key any) (any, bool) {
 		return nil, false
 	}
 	s.lru.MoveToFront(el)
-	e.used = s.tick()
 	s.hits++
 	return e.val, true
 }
@@ -189,41 +173,21 @@ func (c *Cache) Put(h uint64, key any, val any, valBytes int64) {
 			s.stale++
 		}
 		s.bytes += size - e.bytes
-		e.val, e.bytes, e.ver, e.used = val, size, ver, s.tick()
+		e.val, e.bytes, e.ver = val, size, ver
 		s.lru.MoveToFront(el)
 	} else {
-		s.items[key] = s.lru.PushFront(&entry{key: key, val: val, bytes: size, ver: ver, used: s.tick()})
+		s.items[key] = s.lru.PushFront(&entry{key: key, val: val, bytes: size, ver: ver})
 		s.bytes += size
 	}
 	// The new entry is the most recent of the shard and fits the budget on
 	// its own, so the loop stops before reaching it.
 	for s.bytes > s.maxBytes {
-		if s.aggOldest() {
-			s.removeAgg(s.agg.tail)
-		} else {
-			s.remove(s.lru.Back())
-		}
+		s.remove(s.lru.Back())
 		s.evicted++
 	}
 }
 
-// tick advances the shard's LRU clock. Caller holds s.mu.
-func (s *shard) tick() uint64 {
-	s.clock++
-	return s.clock
-}
-
-// aggOldest reports whether the shard's least recently used entry is in the
-// aggregate tier (false when that tier is empty). Caller holds s.mu.
-func (s *shard) aggOldest() bool {
-	if s.agg.n == 0 {
-		return false
-	}
-	back := s.lru.Back()
-	return back == nil || s.agg.at(s.agg.tail).used < back.Value.(*entry).used
-}
-
-// remove unlinks a result-tier entry from the shard. Caller holds s.mu.
+// remove unlinks an entry from the shard. Caller holds s.mu.
 func (s *shard) remove(el *list.Element) {
 	e := s.lru.Remove(el).(*entry)
 	delete(s.items, e.key)
@@ -244,7 +208,7 @@ func (c *Cache) Snapshot() Stats {
 		st.Evictions += s.evicted
 		st.Invalidated += s.stale
 		st.Bytes += s.bytes
-		st.Entries += int64(len(s.items)) + int64(s.agg.n)
+		st.Entries += int64(len(s.items))
 		s.mu.Unlock()
 	}
 	return st

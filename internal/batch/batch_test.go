@@ -13,10 +13,17 @@ import (
 
 func buildTree(t testing.TB, n int, seed int64) (*core.Tree, *rand.Rand) {
 	t.Helper()
+	return buildTreeOn(t, nil, n, seed)
+}
+
+// buildTreeOn is buildTree with the TIA factory named (nil: the default).
+func buildTreeOn(t testing.TB, factory tia.Factory, n int, seed int64) (*core.Tree, *rand.Rand) {
+	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	tr, err := core.NewTree(core.Options{
 		World:       geo.Rect{Min: geo.Vector{0, 0}, Max: geo.Vector{100, 100}},
 		Grouping:    core.TAR3D,
+		TIA:         factory,
 		EpochStart:  0,
 		EpochLength: 10,
 	})
@@ -96,7 +103,7 @@ func TestCollectiveEqualsIndividual(t *testing.T) {
 // scheme detects a shared front entry by comparing child node ids across the
 // searches' queues, and a change there must not silently lose sharing.
 func TestCollectiveSharesAccesses(t *testing.T) {
-	tr, r := buildTree(t, 1500, 7)
+	tr, r := buildTreeOn(t, tia.NewBTreeFactory(1024, 10), 1500, 7) // TIA page accesses are pinned
 	prevPerQuery := math.Inf(1)
 	pinned := map[int][4]int64{ // internal, leaf, TIA accesses, scored
 		20:  {6, 56, 1704, 1701},

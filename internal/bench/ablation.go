@@ -21,7 +21,7 @@ var tiaBackends = []struct {
 	fac  func() tia.Factory
 }{
 	{"mem", func() tia.Factory { return tia.NewMemFactory() }},
-	{"btree", func() tia.Factory { return tia.NewBTreeFactory(defaultNodeSize, 10) }},
+	{"btree", func() tia.Factory { return paperTIA(defaultNodeSize) }},
 	{"mvbt", func() tia.Factory { return tia.NewMVBTFactory(defaultNodeSize, 10) }},
 }
 
@@ -108,6 +108,7 @@ func (e *dataEnv) buildNoReinsert() (*core.Tree, error) {
 		Grouping:        core.TAR3D,
 		EpochStart:      e.Spec.Start,
 		EpochLength:     defaultEpoch,
+		TIA:             paperTIA(defaultNodeSize), // as dataEnv.Build
 		DisableReinsert: true,
 	})
 	if err != nil {

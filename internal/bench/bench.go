@@ -315,6 +315,24 @@ type dataEnv struct {
 	lastScale bool // the last (largest) of the scales this run sweeps
 }
 
+// paperTIA is the paper's TIA set-up of Section 4.1: a disk B+-tree per
+// entry on pages of the R-tree's node size, behind ten buffer slots.
+func paperTIA(nodeSize int) tia.Factory { return tia.NewBTreeFactory(nodeSize, 10) }
+
+// Build indexes the data set on the paper's TIA set-up unless the
+// experiment names another factory: the experiments count page accesses,
+// which the trees' own in-memory default has none of.
+func (e *dataEnv) Build(o lbsn.BuildOptions) (*core.Tree, error) {
+	if o.TIA == nil {
+		nodeSize := o.NodeSize
+		if nodeSize == 0 {
+			nodeSize = defaultNodeSize
+		}
+		o.TIA = paperTIA(nodeSize)
+	}
+	return e.Dataset.Build(o)
+}
+
 // indexed calls fn for the POIs Build indexes under the same epoch grid and
 // cutoff, each with its epoch history.
 func (e *dataEnv) indexed(epochLength, cutoff int64, fn func(p core.POI, hist []tia.Record)) {

@@ -10,9 +10,8 @@ import (
 )
 
 // Cache experiment defaults: a repeated-interval workload — many query
-// points sharing a handful of distinct intervals — is where the shared
-// cache pays off twice, first through aggregate reuse across queries on the
-// same interval, then through whole-result hits when a query repeats.
+// points sharing a handful of distinct intervals; the shared cache pays off
+// through whole-result hits when a query repeats.
 const (
 	cacheIntervals = 4
 	cacheBytes     = 32 << 20 // large enough that the workload never evicts
@@ -31,18 +30,17 @@ var cachePasses = []struct {
 
 // cacheExp measures the epoch-versioned cache on a repeated-interval
 // workload, per TIA backend: a cold pass with the cache bypassed (the
-// uncached baseline), a first cached pass (aggregate reuse across queries
-// that share an interval), and a warm pass over the identical batch
-// (whole-result hits, zero traversal). Two correctness gates ride along:
-// every cached answer must equal its uncached twin, and after a live ingest
-// the invalidated cache must again agree with the tree.
+// uncached baseline), a first cached pass (every lookup misses and stores)
+// and a warm pass over the identical batch (whole-result hits, zero
+// traversal). Two correctness gates ride along: every cached answer must
+// equal its uncached twin, and after a live ingest the invalidated cache
+// must again agree with the tree.
 //
 // The exported counters depend only on the workload shape — never on
 // timing — so benchdiff can gate on them:
 //
 //	bench_cache_queries_total{backend="..."}
 //	bench_cache_cold_tia_reads_total{backend="..."}
-//	bench_cache_first_agg_hits_total{backend="..."}
 //	bench_cache_warm_result_hits_total{backend="..."}
 //	bench_cache_warm_tia_reads_total{backend="..."}
 func cacheExp(r *run, env *dataEnv) error {
@@ -50,7 +48,7 @@ func cacheExp(r *run, env *dataEnv) error {
 	queries := env.QueriesWithIntervals(r.Queries, defaultK, defaultAlpha, r.Seed+17, ivs)
 	t := r.table(fmt.Sprintf("Cache: repeated-interval workload (%s, scale %.2f, %d queries over %d intervals)",
 		env.name, env.scale, len(queries), cacheIntervals),
-		"backend", "pass", "ms/query", "TIA reads", "agg hits", "agg misses", "result hits", "speedup vs cold")
+		"backend", "pass", "ms/query", "TIA reads", "result hits", "speedup vs cold")
 	ctx := context.Background()
 	for _, b := range tiaBackends {
 		tr, err := env.Build(lbsn.BuildOptions{
@@ -73,7 +71,7 @@ func cacheExp(r *run, env *dataEnv) error {
 				}
 			}
 		}
-		cold, first, warm := ms[0], ms[1], ms[2]
+		cold, warm := ms[0], ms[2]
 
 		// Invalidation gate: a live ingest folded into a fresh epoch must
 		// leave cached and uncached answers in agreement again.
@@ -107,7 +105,6 @@ func cacheExp(r *run, env *dataEnv) error {
 
 		r.count("bench_cache_queries_total", int64(len(queries)), "backend", b.name)
 		r.count("bench_cache_cold_tia_reads_total", cold.work.TIAAccesses, "backend", b.name)
-		r.count("bench_cache_first_agg_hits_total", first.work.CacheHits-first.resultHits, "backend", b.name)
 		r.count("bench_cache_warm_result_hits_total", warm.resultHits, "backend", b.name)
 		r.count("bench_cache_warm_tia_reads_total", warm.work.TIAAccesses, "backend", b.name)
 		for i, m := range ms {
@@ -115,9 +112,7 @@ func cacheExp(r *run, env *dataEnv) error {
 			if i > 0 && m.elapsed > 0 {
 				speedup = fmt.Sprintf("%.1f×", float64(cold.elapsed)/float64(m.elapsed))
 			}
-			// A whole-result hit is not an aggregate probe.
-			t.add(b.name, cachePasses[i].name, m.meanMS(), m.work.TIAAccesses,
-				m.work.CacheHits-m.resultHits, m.work.CacheMisses, m.resultHits, speedup)
+			t.add(b.name, cachePasses[i].name, m.meanMS(), m.work.TIAAccesses, m.resultHits, speedup)
 		}
 	}
 	return nil

@@ -126,7 +126,7 @@ func replExp(r *run, env *dataEnv) error {
 	}
 	fstore, err := wal.OpenStore(ffs, func() (*core.Tree, error) {
 		return nil, fmt.Errorf("follower base builder must not run")
-	}, wal.StoreOptions{NoSync: true})
+	}, wal.StoreOptions{NoSync: true, Factory: paperTIA(defaultNodeSize)}) // as dataEnv.Build
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"tartree/internal/core"
 	"tartree/internal/lbsn"
-	"tartree/internal/tia"
 )
 
 // startupMinSpeedup is the gate on the largest data-set size, the point of
@@ -57,7 +56,7 @@ func startupExp(r *run, env *dataEnv) error {
 		for i := 0; i < 3; i++ {
 			start := time.Now()
 			var err error
-			if lt, err = core.LoadSnapshot(bytes.NewReader(image), tia.NewBTreeFactory(defaultNodeSize, 10)); err != nil {
+			if lt, err = core.LoadSnapshot(bytes.NewReader(image), paperTIA(defaultNodeSize)); err != nil {
 				return nil, 0, err
 			}
 			if d := time.Since(start); d < best {

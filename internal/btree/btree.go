@@ -1,7 +1,8 @@
 // Package btree implements a disk-based B+-tree over a pagestore buffer
-// pool. It is the default backend for the TAR-tree's temporal indexes
-// (TIAs): keys are epoch start times and values are fixed-size records
-// holding the epoch end time and the aggregate value.
+// pool. It is the paged backend for the TAR-tree's temporal indexes (TIAs),
+// the paper's set-up and the experiments': keys are epoch start times and
+// values are fixed-size records holding the epoch end time and the
+// aggregate value.
 //
 // The tree supports point updates (Put is insert-or-overwrite), lookups,
 // ordered range scans through linked leaves, deletion with rebalancing,

@@ -99,8 +99,12 @@ type Options struct {
 	NodeSize int
 	// Grouping selects the entry-grouping strategy (default TAR3D).
 	Grouping Grouping
-	// TIA creates the temporal indexes; nil selects a disk B+-tree factory
-	// with NodeSize pages and 10 buffer slots per TIA, the paper's setup.
+	// TIA creates the temporal indexes; nil selects tia.NewMemFactory():
+	// every entry's records are stored once, in a sorted in-memory slice
+	// that ingest, grouping, snapshots and queries all read, and a probe
+	// touches no page — TIAAccesses, TIAPhysical and the pagestore series
+	// read 0. Name tia.NewBTreeFactory(NodeSize, 10), the paper's setup of
+	// Section 4.1, where page accesses are the unit being measured.
 	TIA tia.Factory
 	// Semantics matches TIA records against query intervals (default
 	// Contained, per Section 4.3).
@@ -128,12 +132,12 @@ type Options struct {
 	// entirely. Trees may share one registry; the pagestore series then
 	// show the factory of the tree created last.
 	Metrics *obs.Registry
-	// Cache, when set, memoizes TIA aggregate probes and whole ranked
-	// result sets across queries. The tree bumps the cache's version stamp
+	// Cache, when set, memoizes whole ranked result sets across queries.
+	// The tree bumps the cache's version stamp
 	// on every mutation that can change a query answer (check-in ingest,
 	// epoch flushes, POI insertion/deletion, rebuilds), so cached answers
 	// are always identical to recomputed ones. A cache may be shared by
-	// several trees — keys embed tree and TIA identities — but then every
+	// several trees — keys embed the tree's identity — but then every
 	// sharing tree invalidates it. Nil disables caching.
 	Cache *aggcache.Cache
 }
@@ -158,7 +162,7 @@ func (o *Options) fill() error {
 		return err
 	}
 	if o.TIA == nil {
-		o.TIA = tia.NewBTreeFactory(o.NodeSize, 10)
+		o.TIA = tia.NewMemFactory()
 	}
 	return nil
 }
@@ -204,29 +208,52 @@ func (q Query) Validate() error {
 	return nil
 }
 
-// aggData is the augmentation attached to every TAR-tree entry: the
-// in-memory mirror of the entry's aggregate distribution (used for grouping
-// decisions and rebuilds) and the disk-resident TIA read — and counted — at
-// query time.
+// aggData is the augmentation attached to every TAR-tree entry: the entry's
+// aggregate distribution as sorted in-memory records (mirror: what ingest,
+// grouping, rebuilds and snapshots read) and the TIA a query probes — and
+// counts — (disk). With the in-memory factory they are the same *tia.Mem and
+// the records exist once; a paged factory's index holds them a second time,
+// on pages, beside the mirror.
 type aggData struct {
 	mirror *tia.Mem
 	disk   tia.Index
-	// id is a process-unique identity used as the stable cache key for this
-	// TIA's memoized aggregates. Identity alone is sound only because every
-	// structural or content mutation bumps the cache version stamp.
-	id uint64
 	// owned marks internal-entry data, whose disk index is destroyed when
 	// the entry disappears. Leaf data is shared with the POI registry and
 	// outlives tree restructuring.
 	owned bool
 }
 
-// idSeq issues process-unique identities for aggData instances and trees.
+// idSeq issues process-unique tree identities.
 var idSeq atomic.Uint64
 
-func newAggData(mirror *tia.Mem, disk tia.Index, owned bool) *aggData {
-	return &aggData{mirror: mirror, disk: disk, id: idSeq.Add(1), owned: owned}
+// newAggData creates the augmentation of one entry over recs: sorted by
+// strictly ascending Ts and handed over, nil for an empty entry. Records
+// arrive only from the snapshot loader, so the factory's bottom-up build is
+// used when it has one. An index that is itself a *tia.Mem is adopted as
+// the mirror.
+func (t *Tree) newAggData(recs []tia.Record, owned bool) (*aggData, error) {
+	var disk tia.Index
+	var err error
+	if bulk, ok := t.opts.TIA.(tia.BulkFactory); ok && recs != nil {
+		disk, err = bulk.NewBulk(recs)
+	} else {
+		disk, err = t.opts.TIA.New()
+		for i := 0; err == nil && i < len(recs); i++ {
+			err = disk.Put(recs[i])
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	mirror, ok := disk.(*tia.Mem)
+	if !ok {
+		mirror = tia.NewMemOwning(recs)
+	}
+	return &aggData{mirror: mirror, disk: disk, owned: owned}, nil
 }
+
+// paged reports whether the records are held a second time in a paged index.
+func (d *aggData) paged() bool { return d.disk != tia.Index(d.mirror) }
 
 // poiState is the per-POI registry record.
 type poiState struct {
@@ -300,12 +327,10 @@ func NewTree(opts Options) (*Tree, error) {
 			registerCacheMetrics(opts.Metrics, opts.Cache)
 		}
 	}
-	disk, err := opts.TIA.New()
-	if err != nil {
+	var err error
+	if t.global, err = t.newAggData(nil, true); err != nil {
 		return nil, err
 	}
-	t.global = newAggData(tia.NewMem(), disk, true)
-
 	t.rt = rstar.New(t.rstarConfig())
 	return t, nil
 }
@@ -408,11 +433,10 @@ func (t *Tree) InsertPOI(p POI, history []tia.Record) error {
 	if !t.opts.World.ContainsPoint(geo.Vector{p.X, p.Y}, 2) {
 		return fmt.Errorf("core: POI %d at (%g, %g) outside the world rectangle", p.ID, p.X, p.Y)
 	}
-	disk, err := t.opts.TIA.New()
+	data, err := t.newAggData(nil, false)
 	if err != nil {
 		return err
 	}
-	data := newAggData(tia.NewMem(), disk, false)
 	var total int64
 	for _, r := range history {
 		if r.Agg == 0 {
@@ -505,9 +529,9 @@ func (t *Tree) POIs(fn func(p POI, total int64) bool) {
 	}
 }
 
-// put stores a record in both the mirror and the disk index.
+// put stores a record: in the mirror, and in the paged index beside it.
 func (d *aggData) put(r tia.Record) error {
-	if err := d.mirror.Put(r); err != nil {
+	if err := d.mirror.Put(r); err != nil || !d.paged() {
 		return err
 	}
 	return d.disk.Put(r)
@@ -521,33 +545,27 @@ func (t *Tree) raiseGlobal(r tia.Record) error {
 	return t.global.put(r)
 }
 
-// rebuildFrom replaces the contents with the per-epoch maxima over the
-// children's mirrors, rewriting the disk index from scratch.
-func (d *aggData) rebuildFrom(entries []rstar.Entry, fresh func() (tia.Index, error)) error {
-	m := tia.NewMem()
-	for _, e := range entries {
-		child := e.Data.(*aggData)
-		if err := tia.MaxMerge(m, child.mirror); err != nil {
-			return err
-		}
-	}
-	if d.disk != nil {
-		if err := d.disk.Destroy(); err != nil {
-			return err
-		}
-	}
-	disk, err := fresh()
+// maxOver creates owned data holding the per-epoch maxima of the mirrors,
+// merged straight into the new mirror; only a paged index has the merged
+// rows written out to it afterwards.
+func (t *Tree) maxOver(mirrors []*tia.Mem) (*aggData, error) {
+	d, err := t.newAggData(nil, true)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, r := range m.Records() {
-		if err := disk.Put(r); err != nil {
-			return err
+	for _, m := range mirrors {
+		if err := tia.MaxMerge(d.mirror, m); err != nil {
+			return nil, err
 		}
 	}
-	d.mirror = m
-	d.disk = disk
-	return nil
+	if d.paged() {
+		for _, r := range d.mirror.Records() {
+			if err := d.disk.Put(r); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return d, nil
 }
 
 // treeAug maintains the TIAs of internal entries across R-tree structure
@@ -559,27 +577,26 @@ type treeAug struct {
 
 // Make implements rstar.Augmenter.
 func (a *treeAug) Make(n *rstar.Node, old any) (any, error) {
-	d, _ := old.(*aggData)
-	if d == nil || !d.owned {
-		// Never cannibalize a leaf's data (possible when a subtree shrinks
-		// to a single POI); internal entries always own a fresh aggData.
-		d = newAggData(nil, nil, true)
-	}
-	if err := d.rebuildFrom(n.Entries, a.t.opts.TIA.New); err != nil {
+	// Dispose never touches a leaf's data (old is one when a subtree shrank
+	// to a single POI): internal entries always get data of their own.
+	if err := a.Dispose(old); err != nil {
 		return nil, err
 	}
-	return d, nil
+	mirrors := make([]*tia.Mem, len(n.Entries))
+	for i, e := range n.Entries {
+		mirrors[i] = e.Data.(*aggData).mirror
+	}
+	return a.t.maxOver(mirrors)
 }
 
 // Extend implements rstar.Augmenter.
 func (a *treeAug) Extend(data any, e rstar.Entry) (any, error) {
 	d, _ := data.(*aggData)
 	if d == nil {
-		disk, err := a.t.opts.TIA.New()
-		if err != nil {
+		var err error
+		if d, err = a.t.newAggData(nil, true); err != nil {
 			return nil, err
 		}
-		d = newAggData(tia.NewMem(), disk, true)
 	}
 	src := e.Data.(*aggData)
 	for _, r := range src.mirror.Records() {
@@ -597,7 +614,7 @@ func (a *treeAug) Extend(data any, e rstar.Entry) (any, error) {
 // registry; internal aggData owns its disk index.
 func (a *treeAug) Dispose(data any) error {
 	d, _ := data.(*aggData)
-	if d == nil || !d.owned || d.disk == nil {
+	if d == nil || !d.owned {
 		return nil
 	}
 	return d.disk.Destroy()
@@ -688,29 +705,19 @@ func (t *Tree) RebuildBulk() error {
 // maxima (deletions may have loosened them).
 func (t *Tree) refreshGlobals() error {
 	t.lambdaMax = 0
-	fresh := tia.NewMem()
+	mirrors := make([]*tia.Mem, 0, len(t.pois))
 	for _, st := range t.pois {
 		if l := t.lambda(st.total); l > t.lambdaMax {
 			t.lambdaMax = l
 		}
-		if err := tia.MaxMerge(fresh, st.data.mirror); err != nil {
-			return err
-		}
+		mirrors = append(mirrors, st.data.mirror)
 	}
 	if err := t.global.disk.Destroy(); err != nil {
 		return err
 	}
-	disk, err := t.opts.TIA.New()
-	if err != nil {
-		return err
-	}
-	for _, r := range fresh.Records() {
-		if err := disk.Put(r); err != nil {
-			return err
-		}
-	}
-	t.global = newAggData(fresh, disk, true)
-	return nil
+	var err error
+	t.global, err = t.maxOver(mirrors)
+	return err
 }
 
 // Check validates the R-tree invariants plus the TAR-tree augmentation
@@ -745,7 +752,7 @@ func (t *Tree) Check() error {
 	if err := walk(t.rt.Root()); err != nil {
 		return err
 	}
-	// Disk TIAs must mirror the in-memory vectors.
+	// A paged TIA must hold what its mirror holds.
 	var derr error
 	t.rt.VisitNodes(func(n *rstar.Node) bool {
 		for _, e := range n.Entries {

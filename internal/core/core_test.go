@@ -534,7 +534,9 @@ func TestNodeAccessComparison(t *testing.T) {
 }
 
 func TestQueryStatsCounted(t *testing.T) {
-	tr, _ := buildRandomTree(t, TAR3D, 500, 5)
+	opts := defaultOpts(TAR3D)
+	opts.TIA = tia.NewBTreeFactory(1024, 10) // TIA page accesses are asserted
+	tr, _ := buildRandomTreeOpts(t, opts, 500, 5)
 	_, stats, err := tr.QueryCtx(context.Background(), Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 200}, K: 10, Alpha0: 0.3}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ type QueryOpts struct {
 	// queue pops, node expansions and TIA probes into one row each.
 	Span *obs.Span
 	// NoCache bypasses the tree's shared epoch-versioned cache for this
-	// query: no result-cache lookup, no aggregate-cache lookups, no stores.
+	// query: no result-cache lookup, no store.
 	NoCache bool
 	// Explain, when non-nil, records the query's EXPLAIN/ANALYZE forensics:
 	// the best-first pop log, heap high-water mark, per-level node accesses,
@@ -173,7 +173,6 @@ func (t *Tree) runQueryCtx(ctx context.Context, q Query, o *QueryOpts) ([]Result
 func (t *Tree) searchTopKCtx(ctx context.Context, q Query, agg *obs.Span, o *QueryOpts, stats *QueryStats) ([]Result, error) {
 	s, err := t.newSearch(q, agg, SearchOptions{
 		Stats:   stats,
-		NoCache: o.NoCache,
 		Explain: o.Explain,
 		Ctx:     ctx,
 	})

@@ -135,15 +135,17 @@ func cacheTestBackends() map[string]func() tia.Factory {
 	}
 }
 
-// TestCacheEquivalence is the correctness contract of the tentpole: for
+// TestCacheEquivalence is the correctness contract of the result cache: for
 // every grouping × backend, cached answers are byte-for-byte identical to
 // uncached ones — on a cold cache, on a warm cache (whole-result hit), and
-// again after a live ingest invalidates every cached aggregate.
+// again, round after round, while live ingest into new and old epochs
+// interleaves with the queries and invalidates every cached result.
 func TestCacheEquivalence(t *testing.T) {
 	queries := []Query{
 		{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 700}, K: 10, Alpha0: 0.5},
 		{X: 10, Y: 80, Iq: tia.Interval{Start: 100, End: 400}, K: 5, Alpha0: 0.3},
 		{X: 95, Y: 5, Iq: tia.Interval{Start: 200, End: 700}, K: 3, Alpha0: 0.7},
+		{X: 50, Y: 50, Iq: tia.Interval{Start: 300, End: 1100}, K: 10, Alpha0: 0.5}, // reaches the epochs ingested below
 	}
 	for _, g := range []Grouping{TAR3D, IndSpa, IndAgg} {
 		for name, newFac := range cacheTestBackends() {
@@ -213,42 +215,50 @@ func TestCacheEquivalence(t *testing.T) {
 					t.Error("mutating a cached result leaked into the cache")
 				}
 
-				// Live ingest: new check-ins for the first answer's POIs, folded
-				// into a fresh epoch, must invalidate every cached entry. The
-				// first post-ingest cached query may not be a stale hit, and it
-				// must again equal the uncached answer.
-				version := cache.Version()
-				top, _, err := tr.QueryCtx(ctx, queries[0], &QueryOpts{NoCache: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, r := range top[:2] {
+				// Interleaved live ingest: each round checks the first answer's
+				// POIs in — one into a fresh epoch, one back-dated into an epoch
+				// that already holds data — and must invalidate every cached
+				// entry. The first cached query after it may not be a stale hit
+				// and must equal the uncached answer; its repeat is a hit again
+				// and equals it too.
+				for round := int64(0); round < 4; round++ {
+					version := cache.Version()
+					top, _, err := tr.QueryCtx(ctx, queries[0], nocache)
+					if err != nil {
+						t.Fatal(err)
+					}
 					for i := 0; i < 50; i++ {
-						if err := tr.AddCheckIn(r.POI.ID, 650); err != nil {
+						if err := tr.AddCheckIn(top[0].POI.ID, 650+100*round); err != nil {
+							t.Fatal(err)
+						}
+						if err := tr.AddCheckIn(top[1].POI.ID, 150+100*round); err != nil {
 							t.Fatal(err)
 						}
 					}
-				}
-				if err := tr.FlushEpochs(700); err != nil {
-					t.Fatal(err)
-				}
-				if cache.Version() <= version {
-					t.Fatalf("ingest did not bump the cache version (%d -> %d)", version, cache.Version())
-				}
-				for i, q := range queries {
-					want, _, err := tr.QueryCtx(ctx, q, nocache)
-					if err != nil {
+					if err := tr.FlushEpochs(700 + 100*round); err != nil {
 						t.Fatal(err)
 					}
-					got, gotStats, err := tr.QueryCtx(ctx, q, nil)
-					if err != nil {
-						t.Fatal(err)
+					if cache.Version() <= version {
+						t.Fatalf("round %d: ingest did not bump the cache version (%d -> %d)", round, version, cache.Version())
 					}
-					if gotStats.ResultCacheHit {
-						t.Errorf("query %d: stale result served after ingest invalidation", i)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("query %d: post-ingest cached result differs from uncached", i)
+					for i, q := range queries {
+						want, _, err := tr.QueryCtx(ctx, q, nocache)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for pass, wantHit := range []bool{false, true} {
+							got, gotStats, err := tr.QueryCtx(ctx, q, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if gotStats.ResultCacheHit != wantHit {
+								t.Errorf("round %d query %d pass %d: result-cache hit = %v, want %v (a hit on pass 0 is stale)",
+									round, i, pass, gotStats.ResultCacheHit, wantHit)
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("round %d query %d pass %d: cached result differs from uncached", round, i, pass)
+							}
+						}
 					}
 				}
 			})

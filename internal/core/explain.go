@@ -52,9 +52,9 @@ type Explain struct {
 	FrontierSize      int           `json:"frontier_size"`
 	FrontierTruncated bool          `json:"frontier_truncated,omitempty"`
 
-	// Probe attribution, recorded at the scorer's TIA and cache probe
-	// sites. These reconcile exactly with the query's QueryStats
-	// (TestExplainConservation).
+	// Probe attribution, recorded at the scorer's TIA probe site and the
+	// result-cache lookup. These reconcile exactly with the query's
+	// QueryStats (TestExplainConservation).
 	TIAReads       int64 `json:"tia_reads"`
 	TIAPhysical    int64 `json:"tia_physical"`
 	CacheHits      int64 `json:"cache_hits"`
@@ -240,18 +240,6 @@ func (e *Explain) recordProbe(logical, physical int64) {
 	}
 	e.TIAReads += logical
 	e.TIAPhysical += physical
-}
-
-// recordCacheProbe tallies one shared-cache aggregate probe.
-func (e *Explain) recordCacheProbe(hit bool) {
-	if e == nil {
-		return
-	}
-	if hit {
-		e.CacheHits++
-	} else {
-		e.CacheMisses++
-	}
 }
 
 // recordResultCacheProbe tallies the whole-result cache lookup.

@@ -252,7 +252,6 @@ func TestExplainNilRecorderNoAllocs(t *testing.T) {
 		e.recordPush(7)
 		e.recordPop(s, Elem{})
 		e.recordProbe(2, 1)
-		e.recordCacheProbe(true)
 		e.recordResultCacheProbe(false)
 		e.recordResult(1, 0.5)
 		e.captureFrontier(s)

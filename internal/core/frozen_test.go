@@ -57,9 +57,11 @@ func checkAgainstScan(t *testing.T, tr *Tree, q Query, got []Result) {
 }
 
 // TestFlatSearchMatchesScan is the search's answer identity: for both
-// matching semantics, both aggregate folds and all three groupings, the
+// matching semantics, both aggregate folds and all three groupings, on the
+// default (in-memory) TIAs a server runs and on both paged backends, the
 // best-first search over the flat layout returns what the sequential scan
-// returns, while check-in ingest and structural mutations interleave with
+// returns, while check-in ingest — new epochs and back-dated check-ins into
+// epochs that already hold data — and structural mutations interleave with
 // the queries. The structural mutations are chosen to change the answer of
 // the very next query — the inserted POI sits on the query point with the
 // largest aggregate, the deleted one is the previous answer's best — so a
@@ -69,86 +71,108 @@ func TestFlatSearchMatchesScan(t *testing.T) {
 		for _, sem := range []tia.Semantics{tia.Contained, tia.Intersecting} {
 			for _, fn := range []tia.Func{tia.FuncSum, tia.FuncMax} {
 				t.Run(fmt.Sprintf("%v/sem%d/fold%d", g, sem, fn), func(t *testing.T) {
-					opts := defaultOpts(g)
-					opts.Semantics, opts.AggFunc = sem, fn
-					tr, r := buildRandomTreeOpts(t, opts, 300, 77+int64(g))
-					nextID, clock := int64(1000), int64(200)
-					q := Query{X: 40, Y: 60, Iq: tia.Interval{Start: 5, End: 195}, K: 8, Alpha0: 0.5}
-					query := func() []Result {
-						t.Helper()
-						got, _, err := tr.QueryCtx(context.Background(), q, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						checkAgainstScan(t, tr, q, got)
-						return got
-					}
-					best := query()[0]
-					for step := 0; step < 24; step++ {
-						switch step % 4 {
-						case 0: // check-in ingest: the layout stays, the aggregates move
-							for i := 0; i < 40; i++ {
-								id := int64(1 + r.Intn(300))
-								if _, ok := tr.Lookup(id); !ok {
-									continue // deleted in an earlier step
-								}
-								if err := tr.AddCheckIn(id, clock+int64(r.Intn(10))); err != nil {
-									t.Fatal(err)
-								}
-							}
-							clock += 10
-							if err := tr.FlushEpochs(clock); err != nil {
-								t.Fatal(err)
-							}
-							q.Iq.End = clock + 5
-						case 1: // a POI that must enter the answer at rank 1
-							hist := []tia.Record{{Ts: 100, Te: 110, Agg: 100000 + int64(step)}}
-							if err := tr.InsertPOI(POI{ID: nextID, X: q.X, Y: q.Y}, hist); err != nil {
-								t.Fatal(err)
-							}
-							nextID++
-						case 2: // the previous best must leave it
-							if ok, err := tr.DeletePOI(best.POI.ID); err != nil || !ok {
-								t.Fatalf("delete %d: %v %v", best.POI.ID, ok, err)
-							}
-						case 3:
-							if err := tr.RebuildBulk(); err != nil {
-								t.Fatal(err)
-							}
-						}
-						if step%4 != 0 && tr.Frozen() {
-							t.Fatalf("step %d: structural mutation kept the compiled layout", step)
-						}
-						got := query()
-						switch step % 4 {
-						case 1:
-							if got[0].POI.ID != nextID-1 {
-								t.Fatalf("step %d: inserted POI %d not at rank 1 of the next query", step, nextID-1)
-							}
-						case 2:
-							for _, res := range got {
-								if res.POI.ID == best.POI.ID {
-									t.Fatalf("step %d: deleted POI %d still answered", step, best.POI.ID)
-								}
-							}
-						}
-						best = got[0]
-						// A second, random query on the now compiled layout.
-						q2 := Query{
-							X: r.Float64() * 100, Y: r.Float64() * 100,
-							Iq:     tia.Interval{Start: int64(r.Intn(100)), End: 101 + int64(r.Intn(int(clock)))},
-							K:      1 + r.Intn(20),
-							Alpha0: 0.05 + 0.9*r.Float64(),
-						}
-						got2, _, err := tr.QueryCtx(context.Background(), q2, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						checkAgainstScan(t, tr, q2, got2)
+					for _, b := range []struct {
+						name    string
+						factory tia.Factory // nil: the default, what a server runs
+					}{
+						{"default", nil},
+						{"btree", tia.NewBTreeFactory(1024, 10)},
+						{"mvbt", tia.NewMVBTFactory(1024, 10)},
+					} {
+						t.Run(b.name, func(t *testing.T) {
+							opts := defaultOpts(g)
+							opts.Semantics, opts.AggFunc, opts.TIA = sem, fn, b.factory
+							flatSearchMatchesScan(t, opts)
+						})
 					}
 				})
 			}
 		}
+	}
+}
+
+func flatSearchMatchesScan(t *testing.T, opts Options) {
+	tr, r := buildRandomTreeOpts(t, opts, 300, 77+int64(opts.Grouping))
+	nextID, clock := int64(1000), int64(200)
+	q := Query{X: 40, Y: 60, Iq: tia.Interval{Start: 5, End: 195}, K: 8, Alpha0: 0.5}
+	query := func() []Result {
+		t.Helper()
+		got, _, err := tr.QueryCtx(context.Background(), q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstScan(t, tr, q, got)
+		return got
+	}
+	best := query()[0]
+	for step := 0; step < 24; step++ {
+		switch step % 4 {
+		case 0: // check-in ingest: the layout stays, the aggregates move
+			for i := 0; i < 40; i++ {
+				id := int64(1 + r.Intn(300))
+				if _, ok := tr.Lookup(id); !ok {
+					continue // deleted in an earlier step
+				}
+				at := clock + int64(r.Intn(10))
+				if i%4 == 3 { // back-dated, into an epoch that already holds data
+					at = int64(r.Intn(int(clock)))
+				}
+				if err := tr.AddCheckIn(id, at); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clock += 10
+			if err := tr.FlushEpochs(clock); err != nil {
+				t.Fatal(err)
+			}
+			q.Iq.End = clock + 5
+		case 1: // a POI that must enter the answer at rank 1
+			hist := []tia.Record{{Ts: 100, Te: 110, Agg: 100000 + int64(step)}}
+			if err := tr.InsertPOI(POI{ID: nextID, X: q.X, Y: q.Y}, hist); err != nil {
+				t.Fatal(err)
+			}
+			nextID++
+		case 2: // the previous best must leave it
+			if ok, err := tr.DeletePOI(best.POI.ID); err != nil || !ok {
+				t.Fatalf("delete %d: %v %v", best.POI.ID, ok, err)
+			}
+		case 3:
+			if err := tr.RebuildBulk(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if step%4 != 0 && tr.Frozen() {
+			t.Fatalf("step %d: structural mutation kept the compiled layout", step)
+		}
+		got := query()
+		switch step % 4 {
+		case 1:
+			if got[0].POI.ID != nextID-1 {
+				t.Fatalf("step %d: inserted POI %d not at rank 1 of the next query", step, nextID-1)
+			}
+		case 2:
+			for _, res := range got {
+				if res.POI.ID == best.POI.ID {
+					t.Fatalf("step %d: deleted POI %d still answered", step, best.POI.ID)
+				}
+			}
+		}
+		best = got[0]
+		// A second, random query on the now compiled layout.
+		q2 := Query{
+			X: r.Float64() * 100, Y: r.Float64() * 100,
+			Iq:     tia.Interval{Start: int64(r.Intn(100)), End: 101 + int64(r.Intn(int(clock)))},
+			K:      1 + r.Intn(20),
+			Alpha0: 0.05 + 0.9*r.Float64(),
+		}
+		got2, _, err := tr.QueryCtx(context.Background(), q2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstScan(t, tr, q2, got2)
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

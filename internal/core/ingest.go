@@ -154,7 +154,7 @@ func (t *Tree) applyEpoch(n *rstar.Node, iv tia.Interval, counts map[int64]int64
 }
 
 // Aggregate returns the temporal aggregate of one POI over iv, read from
-// its disk TIA under the tree's semantics.
+// the TIA a query probes, under the tree's semantics.
 func (t *Tree) Aggregate(id int64, iv tia.Interval) (int64, error) {
 	st, ok := t.pois[id]
 	if !ok {
@@ -163,8 +163,8 @@ func (t *Tree) Aggregate(id int64, iv tia.Interval) (int64, error) {
 	return st.data.disk.Aggregate(iv, t.opts.Semantics, t.opts.AggFunc, nil)
 }
 
-// AggregateMirror is Aggregate from the in-memory mirror (no disk access);
-// baselines and tests use it.
+// AggregateMirror is Aggregate from the in-memory mirror (no page access;
+// on the default factory the mirror is the TIA); baselines and tests use it.
 func (t *Tree) AggregateMirror(id int64, iv tia.Interval) (int64, error) {
 	st, ok := t.pois[id]
 	if !ok {

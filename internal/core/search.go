@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"tartree/internal/aggcache"
 	"tartree/internal/geo"
 	"tartree/internal/obs"
 	"tartree/internal/pagestore"
@@ -21,11 +20,12 @@ type QueryStats struct {
 	LeafAccesses     int
 	// TIAAccesses counts logical TIA page reads (buffer hits included);
 	// TIAPhysical counts the reads that reached the disk, which is what
-	// the buffering experiment of Section 8.4 varies.
+	// the buffering experiment of Section 8.4 varies. A probe of an
+	// in-memory TIA (the default factory) reads no page and counts none.
 	TIAAccesses int64
 	TIAPhysical int64
-	// Scored counts entry score computations (TIA aggregate lookups before
-	// caching).
+	// Scored counts entry score computations: one TIA aggregate probe each,
+	// whatever the backend.
 	Scored int
 	// IO attributes the query's page traffic by (component, level): R-tree
 	// node reads (always buffer hits — the R-tree is in memory) and TIA
@@ -37,14 +37,10 @@ type QueryStats struct {
 	// of queries run concurrently. The R-tree cells reconcile with
 	// InternalAccesses/LeafAccesses.
 	IO pagestore.IOBreakdown
-	// CacheHits and CacheMisses count probes of the shared epoch-versioned
-	// cache (Options.Cache): a hit answered a TIA aggregate probe — or the
-	// whole query — from the cache instead of the backend, a miss fell
-	// through. The same probes appear in IO under the agg-cache component
-	// (level 0 = aggregate probes, level 1 = whole-result lookups), so the
-	// conservation audit extends to cached queries: TIA cells still
-	// reconcile exactly with backend traffic, and cache cells account for
-	// the reads the cache absorbed. Both stay zero without a cache.
+	// CacheHits and CacheMisses count lookups of the shared epoch-versioned
+	// result cache (Options.Cache): a hit answered the whole query, a miss
+	// fell through to the search. The same lookup appears in IO under the
+	// agg-cache component at level 1. Both stay zero without a cache.
 	CacheHits, CacheMisses int64
 	// ResultCacheHit reports that the entire ranked result was served from
 	// the cache: no tree traversal, no TIA probes.
@@ -85,13 +81,9 @@ type aggKey struct {
 // batch that have the same query time interval.
 type AggCache map[aggKey]int64
 
-// aggCacheProbeTag and resultCacheTag attribute shared-cache lookups in the
-// per-query I/O breakdown: level 0 is an aggregate probe, level 1 a
-// whole-result lookup.
-var (
-	aggCacheProbeTag = pagestore.NewIOTag(pagestore.CompAggCache, 0)
-	resultCacheTag   = pagestore.NewIOTag(pagestore.CompAggCache, 1)
-)
+// resultCacheTag attributes the whole-result lookup of the shared cache in
+// the per-query I/O breakdown (level 1 of the agg-cache component).
+var resultCacheTag = pagestore.NewIOTag(pagestore.CompAggCache, 1)
 
 // Scorer computes query-dependent ranking scores of tree entries. A Scorer
 // is bound to one query (point, interval, weights) and one stats sink.
@@ -111,74 +103,28 @@ type Scorer struct {
 	// (Section 7.2). Nil for a single query, which scores every entry once
 	// and so could never hit it.
 	cache AggCache
-	// shared is the tree's epoch-versioned cross-query cache, consulted
-	// after the caller's memo and before the TIA backend. Nil when the
-	// tree has no cache or the search opted out.
-	shared *aggcache.Cache
-	agg    *obs.Span // the query's span when its aggregates are on, else nil
-	// explain, when non-nil, receives the scorer's probe attribution (TIA
-	// reads, cache hits/misses) for EXPLAIN/ANALYZE. Nil costs one pointer
-	// test per probe.
+	agg   *obs.Span // the query's span when its aggregates are on, else nil
+	// explain, when non-nil, receives the scorer's TIA read attribution for
+	// EXPLAIN/ANALYZE. Nil costs one pointer test per probe.
 	explain *Explain
 }
 
-// sharedGet probes the cross-query cache for d's aggregate over the query
-// interval, recording the probe in the stats (hit/miss counters and the
-// agg-cache I/O cell).
-func (sc *Scorer) sharedGet(d *aggData) (int64, bool) {
-	if sc.shared == nil {
-		return 0, false
-	}
-	v, ok := sc.shared.GetAgg(sc.sharedKey(d))
-	sc.explain.recordCacheProbe(ok)
-	if sc.stats != nil {
-		sc.stats.IO.AddRead(aggCacheProbeTag, ok)
-		if ok {
-			sc.stats.CacheHits++
-		} else {
-			sc.stats.CacheMisses++
-		}
-	}
-	return v, ok
-}
-
-// sharedKey identifies d's aggregate over the query interval in the
-// cross-query cache. It embeds the matching semantics and aggregate function
-// so trees with different options can share one cache.
-func (sc *Scorer) sharedKey(d *aggData) aggcache.AggKey {
-	return aggcache.AggKey{
-		TIA:   d.id,
-		Start: sc.q.Iq.Start,
-		End:   sc.q.Iq.End,
-		Sem:   uint8(sc.t.opts.Semantics),
-		Func:  uint8(sc.t.opts.AggFunc),
-	}
-}
-
-// recall answers d's aggregate over the query interval without touching
-// the TIA: from the caller's memo when there is one, else from the
-// cross-query cache.
+// recall answers d's aggregate over the query interval from the caller's
+// memo, without touching the TIA.
 func (sc *Scorer) recall(d *aggData) (int64, bool) {
 	if sc.cache == nil {
-		return sc.sharedGet(d)
+		return 0, false
 	}
-	key := aggKey{idx: d.disk, iv: sc.q.Iq}
-	v, ok := sc.cache[key]
-	if !ok {
-		if v, ok = sc.sharedGet(d); ok {
-			sc.cache[key] = v
-		}
-	}
+	v, ok := sc.cache[aggKey{idx: d.disk, iv: sc.q.Iq}]
 	return v, ok
 }
 
 // remember stores a freshly read aggregate in the caller's memo, when there
-// is one, and in the cross-query cache (a nil cache ignores it).
+// is one.
 func (sc *Scorer) remember(d *aggData, a int64) {
 	if sc.cache != nil {
 		sc.cache[aggKey{idx: d.disk, iv: sc.q.Iq}] = a
 	}
-	sc.shared.PutAgg(sc.sharedKey(d), a)
 }
 
 // acctPtr returns the scorer's accounting context, or nil when the scorer
@@ -220,12 +166,8 @@ func (t *Tree) newScorer(q Query, agg *obs.Span, o SearchOptions) (*Scorer, erro
 		qv:      t.scaled(q.X, q.Y),
 		stats:   o.Stats,
 		cache:   o.Cache,
-		shared:  t.opts.Cache,
 		agg:     agg,
 		explain: o.Explain,
-	}
-	if o.NoCache {
-		sc.shared = nil
 	}
 	if o.Gmax != nil {
 		sc.gmax = *o.Gmax
@@ -275,8 +217,8 @@ func (sc *Scorer) Query() Query { return sc.q }
 // inside the interval anywhere).
 func (sc *Scorer) Gmax() float64 { return sc.gmax }
 
-// aggregate reads (and caches) an entry's TIA aggregate over the query
-// interval, counting physical TIA page reads.
+// aggregate reads an entry's TIA aggregate over the query interval (through
+// the caller's memo, when there is one), counting the TIA page reads.
 func (sc *Scorer) aggregate(d *aggData) (int64, error) {
 	if v, ok := sc.recall(d); ok {
 		return v, nil
@@ -395,9 +337,6 @@ type SearchOptions struct {
 	// the root read; batch processors that share node accesses across
 	// queries account for them externally.
 	SkipAccessCounting bool
-	// NoCache bypasses the tree's shared epoch-versioned cache
-	// (Options.Cache) for this search: no lookups, no stores.
-	NoCache bool
 	// Explain, when non-nil, records the search forensics (pops, node
 	// accesses by level, heap high-water mark, probe attribution) into the
 	// recorder. A nil recorder costs one pointer test per site.

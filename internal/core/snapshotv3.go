@@ -393,7 +393,7 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 			return nil, fmt.Errorf("core: snapshot TIA %d truncated", i)
 		}
 		rest = rest[k:]
-		if n > uint64(len(rest)) { // every packed record is >= 3 bytes... >= 1
+		if n > uint64(len(rest)) { // before int(n) can wrap; DecodePacked bounds it tighter
 			return nil, fmt.Errorf("core: snapshot TIA %d record count %d exceeds section", i, n)
 		}
 		recs, r2, err := tia.DecodePacked(rest, int(n))
@@ -409,11 +409,9 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 	// dataFor materializes the aggData of one reference — memoized, so the
 	// leaf entries of the ENTR section share their POI's aggData identity
 	// exactly as the live tree does. The packed decode guarantees strictly
-	// ascending Ts, so both the mirror and (when the factory supports it)
-	// the disk index are built bottom-up from the sorted stream instead of
-	// one put at a time — the difference between a restart that re-inserts
-	// every record and one that writes each page once.
-	bulk, _ := t.opts.TIA.(tia.BulkFactory)
+	// ascending Ts, and the decoded slice is handed over: it becomes the
+	// in-memory index's storage, or a paged index is built bottom-up from it
+	// (each page written once) with the slice as its mirror.
 	datas := make([]*aggData, ntias)
 	dataFor := func(ref uint32, owned bool) (*aggData, error) {
 		if ref >= uint32(ntias) {
@@ -422,25 +420,10 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 		if d := datas[ref]; d != nil {
 			return d, nil
 		}
-		recs := recsByRef[ref]
-		var disk tia.Index
-		var err error
-		if bulk != nil {
-			disk, err = bulk.NewBulk(recs)
-		} else {
-			disk, err = t.opts.TIA.New()
-			if err == nil {
-				for _, r := range recs {
-					if err = disk.Put(r); err != nil {
-						break
-					}
-				}
-			}
-		}
+		d, err := t.newAggData(recsByRef[ref], owned)
 		if err != nil {
 			return nil, err
 		}
-		d := newAggData(tia.NewMemFromSorted(recs), disk, owned)
 		datas[ref] = d
 		return d, nil
 	}

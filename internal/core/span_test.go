@@ -20,6 +20,7 @@ func spanTestTree(t *testing.T, cache *aggcache.Cache) *Tree {
 		Grouping:    TAR3D,
 		EpochStart:  0,
 		EpochLength: 100,
+		TIA:         tia.NewBTreeFactory(256, 10), // the io rows name tia-btree
 		Cache:       cache,
 	})
 }

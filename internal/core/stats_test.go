@@ -85,7 +85,14 @@ func walkCounts(root *rstar.Node) (internalNodes, leafNodes, entries int) {
 func TestQueryStatsAccounting(t *testing.T) {
 	for _, g := range []Grouping{TAR3D, IndSpa, IndAgg} {
 		t.Run(g.String(), func(t *testing.T) {
-			tr := buildAccountingTree(t, g)
+			tr := buildAccountingTreeOpts(t, Options{
+				World:       geo.Rect{Min: geo.Vector{0, 0}, Max: geo.Vector{100, 100}},
+				NodeSize:    256,
+				Grouping:    g,
+				EpochStart:  0,
+				EpochLength: 100,
+				TIA:         tia.NewBTreeFactory(256, 10), // TIA page accesses are asserted
+			})
 			internals, leaves, entries := walkCounts(tr.Root())
 			if internals < 2 || leaves < 4 {
 				t.Fatalf("tree too shallow for the test: %d internal, %d leaf nodes", internals, leaves)
@@ -149,6 +156,7 @@ func TestInstrumentedTreeMetrics(t *testing.T) {
 		NodeSize:    256,
 		EpochStart:  0,
 		EpochLength: 100,
+		TIA:         tia.NewBTreeFactory(256, 10), // the pagestore series are asserted
 		Metrics:     reg,
 	})
 	q := Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: 5, Alpha0: 0.5}

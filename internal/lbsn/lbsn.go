@@ -323,7 +323,7 @@ type BuildOptions struct {
 	Keep func(p core.POI) bool
 	// Metrics instruments the built tree (see core.Options.Metrics).
 	Metrics *obs.Registry
-	// Cache attaches a shared epoch-versioned aggregate/result cache (see
+	// Cache attaches a shared epoch-versioned result cache (see
 	// core.Options.Cache). Nil disables caching.
 	Cache *aggcache.Cache
 }

@@ -29,14 +29,14 @@ const (
 	CompTIABTree
 	// CompTIAMVBT is a page of an MVBT-backed TIA.
 	CompTIAMVBT
-	// CompAggCache is a shared aggregate-cache probe (internal/aggcache),
-	// not a page access: a Hit is a TIA probe or whole query answered from
-	// the cache (so the traffic the backend would have seen is absent from
-	// the TIA cells), a Miss is a probe that fell through to the backend.
+	// CompAggCache is a lookup of the shared result cache (internal/aggcache),
+	// not a page access: a Hit is a whole query answered from the cache (so
+	// the traffic the backend would have seen is absent from the TIA cells),
+	// a Miss is a lookup that fell through to the search.
 	// Queries record these cells so per-query I/O stays auditable with
 	// caching on — TIA cells still reconcile exactly with backend traffic,
-	// and the aggcache cells explain the reads that never happened. Level 0
-	// holds aggregate probes, level 1 whole-result lookups.
+	// and the aggcache cells explain the reads that never happened. The
+	// lookups are recorded at level 1.
 	CompAggCache
 	// CompShard is a scatter-gather round-trip to one shard process, not a
 	// page access: the coordinator records one read per shard round at

@@ -24,7 +24,7 @@
 // WAL directory as an installed checkpoint (wal.InstallCheckpoint), so the
 // completely ordinary OpenStore recovery path loads it; it then tails the
 // stream and feeds every batch through wal.Store.ApplyReplicated — the same
-// validate→append→apply path local ingest uses, which means aggregate-cache
+// validate→append→apply path local ingest uses, which means result-cache
 // invalidation, epoch flushes and freeze/refreeze work unchanged, and the
 // follower keeps its own durable WAL copy. A restart therefore recovers
 // locally (checkpoint + local segment replay) and resumes tailing from its

@@ -37,13 +37,14 @@ func AppendPacked(dst []byte, recs []Record) []byte {
 
 // DecodePacked decodes n packed records from b, returning the records and
 // the remaining bytes. Corrupt or truncated input yields an error, never a
-// panic: every varint read is bounds-checked and the record slice grows
-// incrementally, so a forged count cannot force a huge allocation.
+// panic: every varint read is bounds-checked, and a count that the input
+// could not hold at three bytes a record is rejected before the slice is
+// allocated — at exactly n records, so a caller may keep it as it is.
 func DecodePacked(b []byte, n int) ([]Record, []byte, error) {
-	if n < 0 {
-		return nil, nil, fmt.Errorf("tia: negative packed record count %d", n)
+	if n < 0 || n > len(b)/3 {
+		return nil, nil, fmt.Errorf("tia: packed record count %d does not fit %d bytes", n, len(b))
 	}
-	var recs []Record
+	recs := make([]Record, 0, n)
 	prev := int64(0)
 	for i := 0; i < n; i++ {
 		var ts int64

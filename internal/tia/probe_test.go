@@ -9,15 +9,14 @@ import (
 
 const day = 86400
 
-// benchTIAs builds n bulk-loaded B+-tree TIAs of 7-day epochs over a
-// two-year span, each with a random subset of the epochs (as a POI's
-// history has), and a set of stream-shaped intervals: length 2^U{0..9}
-// days ending uniformly inside the span (the query shape of the paper's
-// §8 and of the benchmark's request stream).
-func benchTIAs(tb testing.TB, n int) ([]Index, []Interval) {
+// benchTIAs builds n bulk-loaded TIAs of 7-day epochs over a two-year span
+// on f, each with a random subset of the epochs (as a POI's history has),
+// and a set of stream-shaped intervals: length 2^U{0..9} days ending
+// uniformly inside the span (the query shape of the paper's §8 and of the
+// benchmark's request stream).
+func benchTIAs(tb testing.TB, f BulkFactory, n int) ([]Index, []Interval) {
 	const epochs = 104
 	rng := rand.New(rand.NewSource(1))
-	f := NewBTreeFactory(1024, 10)
 	idx := make([]Index, n)
 	for i := range idx {
 		var recs []Record
@@ -40,12 +39,16 @@ func benchTIAs(tb testing.TB, n int) ([]Index, []Interval) {
 	return idx, ivs
 }
 
-// BenchmarkAggregateBTree is the per-layer number for one TIA probe on the
-// default backend: 256 TIAs on resident pages, probed round-robin with
+// BenchmarkAggregateMem and BenchmarkAggregateBTree are the per-layer
+// number for one TIA probe, on the default backend and on the paper's: 256
+// TIAs (the B+-trees on resident pages), probed round-robin with
 // stream-shaped intervals and a query-local acct, exactly as Scorer.aggregate
 // calls it.
-func BenchmarkAggregateBTree(b *testing.B) {
-	idx, ivs := benchTIAs(b, 256)
+func BenchmarkAggregateMem(b *testing.B)   { benchAggregate(b, NewMemFactory()) }
+func BenchmarkAggregateBTree(b *testing.B) { benchAggregate(b, NewBTreeFactory(1024, 10)) }
+
+func benchAggregate(b *testing.B, f BulkFactory) {
+	idx, ivs := benchTIAs(b, f, 256)
 	var io pagestore.IOBreakdown
 	acct := pagestore.IOAcct{IO: &io}
 	for i := range idx { // fault every page in
@@ -75,7 +78,7 @@ func TestAggregateAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	idx, ivs := benchTIAs(t, 8)
+	idx, ivs := benchTIAs(t, NewBTreeFactory(1024, 10), 8)
 	// One TIA tall enough for an inner level above a leaf chain.
 	recs := make([]Record, 500)
 	for i := range recs {
@@ -110,5 +113,22 @@ func TestAggregateAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Aggregate allocates %.1f objects per probe, want 0", allocs)
+	}
+}
+
+// BenchmarkMaxMerge is one internal entry's rebuild: the per-epoch maxima
+// of a node's 36 children, merged into an empty in-memory index.
+func BenchmarkMaxMerge(b *testing.B) {
+	children, _ := benchTIAs(b, NewMemFactory(), 36)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst := NewMem()
+		for _, c := range children {
+			if err := MaxMerge(dst, c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		benchSink += int64(dst.Len())
 	}
 }

@@ -5,13 +5,16 @@
 // stores the POI's own aggregates; the TIA of an internal entry stores, per
 // epoch, the maximum aggregate among the TIAs in its child node.
 //
-// Three interchangeable backends are provided: an in-memory sorted slice,
-// a disk-based B+-tree (the default; one small buffer pool per TIA, as in
-// the paper's setup), and the multi-version B-tree the paper names.
+// Three interchangeable backends are provided: an in-memory sorted slice
+// (the default: what a serving tree is made of), a disk-based B+-tree (one
+// small buffer pool per TIA, the paper's setup — the experiments name it,
+// because page accesses are their unit), and the multi-version B-tree the
+// paper names.
 package tia
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -24,9 +27,10 @@ import (
 type BackendKind int
 
 const (
-	// KindMem is the in-memory sorted-slice backend (also the mirrors).
+	// KindMem is the in-memory sorted-slice backend (the default, and the
+	// mirrors of the paged backends).
 	KindMem BackendKind = iota
-	// KindBTree is the disk B+-tree backend (the default).
+	// KindBTree is the disk B+-tree backend (the paper's setup).
 	KindBTree
 	// KindMVBT is the multi-version B-tree backend.
 	KindMVBT
@@ -188,7 +192,8 @@ type Factory interface {
 // BulkFactory is the optional fast path a Factory may implement: NewBulk
 // builds an index from records already sorted by strictly ascending Ts in
 // one bottom-up pass instead of per-record puts. The snapshot-v3 loader
-// probes for it so a restart writes each TIA page exactly once.
+// probes for it so a restart writes each TIA page exactly once. The index
+// may keep recs as its storage: the caller hands the slice over.
 type BulkFactory interface {
 	NewBulk(recs []Record) (Index, error)
 }
@@ -227,8 +232,9 @@ func match(r Record, iv Interval, sem Semantics) bool {
 // ---------------------------------------------------------------------------
 // In-memory backend
 
-// Mem is an in-memory Index backed by a sorted slice. It is used for the
-// in-memory mirrors the TAR-tree keeps for grouping decisions, and in tests.
+// Mem is an in-memory Index backed by a sorted slice: the index of a
+// serving tree's entries, and the mirror a tree keeps beside every paged
+// index for grouping decisions and rebuilds.
 type Mem struct {
 	spanTracker
 	recs []Record
@@ -240,7 +246,13 @@ func NewMem() *Mem { return &Mem{} }
 // NewMemFromSorted returns an in-memory index over records already sorted
 // by strictly ascending Ts. The slice is copied.
 func NewMemFromSorted(recs []Record) *Mem {
-	m := &Mem{recs: append([]Record(nil), recs...)}
+	return NewMemOwning(append([]Record(nil), recs...))
+}
+
+// NewMemOwning is NewMemFromSorted without the copy: recs becomes the
+// index's storage, so the caller must not touch the slice again.
+func NewMemOwning(recs []Record) *Mem {
+	m := &Mem{recs: recs}
 	for _, r := range recs {
 		m.note(r)
 	}
@@ -353,8 +365,8 @@ func NewMemFactory() *MemFactory { return &MemFactory{} }
 // New implements Factory.
 func (*MemFactory) New() (Index, error) { return NewMem(), nil }
 
-// NewBulk implements BulkFactory.
-func (*MemFactory) NewBulk(recs []Record) (Index, error) { return NewMemFromSorted(recs), nil }
+// NewBulk implements BulkFactory: recs is the index's storage.
+func (*MemFactory) NewBulk(recs []Record) (Index, error) { return NewMemOwning(recs), nil }
 
 // Ledger implements Factory.
 func (f *MemFactory) Ledger() *pagestore.Ledger { return &f.ledger }
@@ -562,8 +574,15 @@ func (f *MVBTFactory) New() (Index, error) {
 // epoch in src, dst's record becomes the larger aggregate. This is how an
 // internal entry's TIA is maintained (Section 4.1: "the TIA of an internal
 // entry stores the largest aggregate value of the TIAs in the child node
-// for each epoch").
+// for each epoch"). Two in-memory indexes merge their sorted records in one
+// pass; a paged index takes one Put per raised epoch.
 func MaxMerge(dst, src Index) error {
+	if d, ok := dst.(*Mem); ok {
+		if s, ok := src.(*Mem); ok {
+			d.maxMerge(s.recs)
+			return nil
+		}
+	}
 	var rs []Record
 	if err := src.Visit(func(r Record) bool { rs = append(rs, r); return true }); err != nil {
 		return err
@@ -584,4 +603,47 @@ func MaxMerge(dst, src Index) error {
 		}
 	}
 	return nil
+}
+
+// maxMerge is MaxMerge over two sorted record slices: it counts the epochs
+// m lacks, grows m's slice by that many, and merges from the back — so no
+// record is overwritten before it is read and nothing else is allocated.
+// As with Put, only a record that lands in m widens the tracked span.
+func (m *Mem) maxMerge(src []Record) {
+	d := m.recs
+	missing := 0
+	for i, j := 0, 0; j < len(src); {
+		switch {
+		case i == len(d) || src[j].Ts < d[i].Ts:
+			missing++
+			j++
+		case src[j].Ts == d[i].Ts:
+			i++
+			j++
+		default:
+			i++
+		}
+	}
+	i := len(d) - 1
+	d = slices.Grow(d, missing)[:len(d)+missing]
+	for j, k := len(src)-1, len(d)-1; j >= 0; k-- {
+		switch {
+		case i >= 0 && d[i].Ts > src[j].Ts:
+			d[k] = d[i]
+			i--
+		case i >= 0 && d[i].Ts == src[j].Ts:
+			d[k] = d[i]
+			if src[j].Agg > d[i].Agg {
+				d[k] = src[j]
+				m.note(src[j])
+			}
+			i--
+			j--
+		default:
+			d[k] = src[j]
+			m.note(src[j])
+			j--
+		}
+	}
+	m.recs = d
 }

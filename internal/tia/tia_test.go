@@ -2,6 +2,7 @@ package tia
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -246,6 +247,59 @@ func TestMaxMerge(t *testing.T) {
 	MaxMerge(dst, src2)
 	if dst.Len() != 4 {
 		t.Errorf("len after merge = %d, want 4", dst.Len())
+	}
+}
+
+// TestMaxMergeMemMatchesGeneric: the one-pass merge of two in-memory
+// indexes leaves exactly what the generic path — one Put per raised epoch —
+// leaves, tracked span included, on sparse, dense and overlapping inputs
+// with epochs of unequal width.
+func TestMaxMergeMemMatchesGeneric(t *testing.T) {
+	type notMem struct{ *Mem } // hides the concrete type: MaxMerge takes the generic path
+	r := rand.New(rand.NewSource(9))
+	random := func(epochs int, density float64, offset int64) *Mem {
+		m := NewMem()
+		for e := int64(0); e < int64(epochs); e++ {
+			if r.Float64() < density {
+				ts := (offset + e) * 10
+				m.Put(Record{Ts: ts, Te: ts + 1 + r.Int63n(30), Agg: 1 + r.Int63n(5)})
+			}
+		}
+		return m
+	}
+	for trial := 0; trial < 500; trial++ {
+		density := []float64{0.05, 0.5, 1}[trial%3]
+		dst := random(r.Intn(40), density, 0)
+		src := random(r.Intn(40), []float64{1, 0.05, 0.5}[trial%3], int64(r.Intn(50))-10)
+		want := NewMemFromSorted(dst.Records())
+		want.spanTracker = dst.spanTracker
+		if err := MaxMerge(notMem{want}, src); err != nil {
+			t.Fatal(err)
+		}
+		before := NewMemFromSorted(src.Records())
+		if err := MaxMerge(dst, src); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(dst.Records(), want.Records()) && (dst.Len() > 0 || want.Len() > 0) {
+			t.Fatalf("trial %d: merged %v, generic path %v", trial, dst.Records(), want.Records())
+		}
+		if dst.maxSpan != want.maxSpan {
+			t.Fatalf("trial %d: tracked span %d, generic path %d", trial, dst.maxSpan, want.maxSpan)
+		}
+		if !reflect.DeepEqual(src.Records(), before.Records()) {
+			t.Fatalf("trial %d: the merge changed its source", trial)
+		}
+		for i := 1; i < dst.Len(); i++ {
+			if dst.recs[i-1].Ts >= dst.recs[i].Ts {
+				t.Fatalf("trial %d: merged records out of order at %d", trial, i)
+			}
+		}
+	}
+	// An index merged into itself is unchanged.
+	m := random(30, 0.5, 0)
+	same := NewMemFromSorted(m.Records())
+	if err := MaxMerge(m, m); err != nil || !reflect.DeepEqual(m.Records(), same.Records()) {
+		t.Fatalf("self-merge: %v, %v", err, m.Records())
 	}
 }
 

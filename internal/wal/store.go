@@ -101,9 +101,10 @@ type StoreOptions struct {
 	// traces. Per-request ingest spans ride the caller's context (IngestCtx).
 	TraceSink obs.TraceSink
 	// Factory builds the TIAs of a tree recovered from a checkpoint; nil
-	// selects the core default.
+	// selects the core default, in-memory TIAs: each TIA's records decoded
+	// from the checkpoint become its storage as they are.
 	Factory tia.Factory
-	// Cache attaches a shared epoch-versioned aggregate/result cache to the
+	// Cache attaches a shared epoch-versioned result cache to the
 	// recovered tree (nil disables). The store's locking makes it safe:
 	// queries — the only writers of cache entries — run under the read
 	// lock, mutations and their invalidation under the write lock.

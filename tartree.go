@@ -110,7 +110,7 @@ type (
 	// TraceRing is the in-memory TraceSink: the most recent finished
 	// traces and the slowest query traces.
 	TraceRing = obs.TraceRing
-	// Cache is the shared epoch-versioned aggregate/result cache attached
+	// Cache is the shared epoch-versioned result cache attached
 	// via Options.Cache; build one with NewCache.
 	Cache = aggcache.Cache
 	// CacheStats is a point-in-time snapshot of a Cache's counters.
@@ -218,7 +218,7 @@ func NewCache(maxBytes int64) *Cache { return aggcache.New(maxBytes) }
 // Load reconstructs a tree from a snapshot image in either format — the gob
 // image of (*Tree).SaveSnapshot or the flat v3 image of SaveSnapshotV3, told
 // apart by their magic; a v3 load arrives with the frozen layout installed.
-// A nil factory selects the default disk B+-tree TIAs.
+// A nil factory selects the default in-memory TIAs.
 func Load(r io.Reader, factory tia.Factory) (*Tree, error) {
 	return core.LoadSnapshot(r, factory)
 }
