@@ -299,7 +299,7 @@ func (s *server) handleShardNext(w http.ResponseWriter, r *http.Request) {
 }
 
 // plan runs the Section-6 estimator for an explain request. With a WAL
-// store attached the planner reads the tree's in-memory mirrors, so the
+// store attached the planner reads the tree's in-memory TIA records, so the
 // estimate runs under the store's read lock like the queries themselves.
 func (s *server) plan(q core.Query) (planner.Plan, error) {
 	if s.store != nil {

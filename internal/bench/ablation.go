@@ -14,7 +14,7 @@ import (
 // workload (k = 10, α0 = 0.3).
 
 // tiaBackends lists the TIA storage engines in cost order: the in-memory
-// mirror (free), the disk B+-tree (the default) and the multi-version
+// slice (free), the disk B+-tree (the default) and the multi-version
 // B-tree the paper names.
 var tiaBackends = []struct {
 	name string

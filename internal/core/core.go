@@ -99,12 +99,14 @@ type Options struct {
 	NodeSize int
 	// Grouping selects the entry-grouping strategy (default TAR3D).
 	Grouping Grouping
-	// TIA creates the temporal indexes; nil selects tia.NewMemFactory():
-	// every entry's records are stored once, in a sorted in-memory slice
-	// that ingest, grouping, snapshots and queries all read, and a probe
-	// touches no page — TIAAccesses, TIAPhysical and the pagestore series
-	// read 0. Name tia.NewBTreeFactory(NodeSize, 10), the paper's setup of
-	// Section 4.1, where page accesses are the unit being measured.
+	// TIA creates the temporal indexes, one per entry; nil selects
+	// tia.NewMemFactory(): an entry's index is its records in a sorted
+	// in-memory slice that ingest, grouping, snapshots and queries all read,
+	// and a probe touches no page — TIAAccesses, TIAPhysical and the
+	// pagestore series read 0. Name tia.NewBTreeFactory(NodeSize, 10), the
+	// paper's setup of Section 4.1, where page accesses are the unit being
+	// measured: its indexes hold the records on pages too, and a probe
+	// reads those.
 	TIA tia.Factory
 	// Semantics matches TIA records against query intervals (default
 	// Contained, per Section 4.3).
@@ -208,58 +210,23 @@ func (q Query) Validate() error {
 	return nil
 }
 
-// aggData is the augmentation attached to every TAR-tree entry: the entry's
-// aggregate distribution as sorted in-memory records (mirror: what ingest,
-// grouping, rebuilds and snapshots read) and the TIA a query probes — and
-// counts — (disk). With the in-memory factory they are the same *tia.Mem and
-// the records exist once; a paged factory's index holds them a second time,
-// on pages, beside the mirror.
-type aggData struct {
-	mirror *tia.Mem
-	disk   tia.Index
-	// owned marks internal-entry data, whose disk index is destroyed when
-	// the entry disappears. Leaf data is shared with the POI registry and
-	// outlives tree restructuring.
-	owned bool
-}
+// tiaOf returns the TIA an entry's Data holds. The augmentation attached to
+// every TAR-tree entry (rstar.Entry.Data, and the Data slab of the compiled
+// layout) is the entry's TIA itself: the pointer the factory returned, which
+// a query probes and whose Records ingest, grouping, rebuilds and snapshots
+// read. A leaf entry's index is its POI's — the registry keeps it across
+// tree restructuring, DeletePOI destroys it; an internal entry's is made by
+// treeAug and destroyed with the entry.
+func tiaOf(data any) tia.Index { return data.(tia.Index) }
 
 // idSeq issues process-unique tree identities.
 var idSeq atomic.Uint64
-
-// newAggData creates the augmentation of one entry over recs: sorted by
-// strictly ascending Ts and handed over, nil for an empty entry. Records
-// arrive only from the snapshot loader, so the factory's bottom-up build is
-// used when it has one. An index that is itself a *tia.Mem is adopted as
-// the mirror.
-func (t *Tree) newAggData(recs []tia.Record, owned bool) (*aggData, error) {
-	var disk tia.Index
-	var err error
-	if bulk, ok := t.opts.TIA.(tia.BulkFactory); ok && recs != nil {
-		disk, err = bulk.NewBulk(recs)
-	} else {
-		disk, err = t.opts.TIA.New()
-		for i := 0; err == nil && i < len(recs); i++ {
-			err = disk.Put(recs[i])
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	mirror, ok := disk.(*tia.Mem)
-	if !ok {
-		mirror = tia.NewMemOwning(recs)
-	}
-	return &aggData{mirror: mirror, disk: disk, owned: owned}, nil
-}
-
-// paged reports whether the records are held a second time in a paged index.
-func (d *aggData) paged() bool { return d.disk != tia.Index(d.mirror) }
 
 // poiState is the per-POI registry record.
 type poiState struct {
 	poi    POI
 	loc    geo.Vector // scaled spatial coordinates
-	data   *aggData
+	data   tia.Index
 	z      float64 // aggregate-dimension coordinate at insertion time
 	total  int64   // lifetime aggregate
 	inTree bool
@@ -282,7 +249,7 @@ type Tree struct {
 	// g(p, Iq): an inexpensive, grouping-independent upper bound that every
 	// index variant shares, so all variants rank identically. (Deleting a
 	// POI can leave it loose; Rebuild retightens it.)
-	global *aggData
+	global tia.Index
 
 	clock   int64                            // latest time observed
 	pending map[tia.Interval]map[int64]int64 // epoch → poi → count
@@ -328,7 +295,7 @@ func NewTree(opts Options) (*Tree, error) {
 		}
 	}
 	var err error
-	if t.global, err = t.newAggData(nil, true); err != nil {
+	if t.global, err = opts.TIA.New(nil); err != nil {
 		return nil, err
 	}
 	t.rt = rstar.New(t.rstarConfig())
@@ -373,13 +340,6 @@ func (t *Tree) Root() *rstar.Node { return t.rt.Root() }
 
 // Dims returns the index dimensionality (2 or 3).
 func (t *Tree) Dims() int { return t.dims }
-
-// TIAFactory returns the factory whose stats accumulate TIA page traffic.
-func (t *Tree) TIAFactory() tia.Factory { return t.opts.TIA }
-
-// MaxDist returns the normalization constant for spatial distances: the
-// diagonal of the world rectangle, in world units.
-func (t *Tree) MaxDist() float64 { return t.opts.World.Diagonal(2) }
 
 // scaled maps world coordinates into index coordinates.
 func (t *Tree) scaled(x, y float64) geo.Vector {
@@ -433,7 +393,7 @@ func (t *Tree) InsertPOI(p POI, history []tia.Record) error {
 	if !t.opts.World.ContainsPoint(geo.Vector{p.X, p.Y}, 2) {
 		return fmt.Errorf("core: POI %d at (%g, %g) outside the world rectangle", p.ID, p.X, p.Y)
 	}
-	data, err := t.newAggData(nil, false)
+	data, err := t.opts.TIA.New(nil)
 	if err != nil {
 		return err
 	}
@@ -442,7 +402,7 @@ func (t *Tree) InsertPOI(p POI, history []tia.Record) error {
 		if r.Agg == 0 {
 			continue
 		}
-		if err := data.put(r); err != nil {
+		if err := data.Put(r); err != nil {
 			return err
 		}
 		if err := t.raiseGlobal(r); err != nil {
@@ -504,7 +464,7 @@ func (t *Tree) DeletePOI(id int64) (bool, error) {
 	if removed {
 		delete(t.pois, id)
 		t.invalidateCache()
-		if err := st.data.disk.Destroy(); err != nil {
+		if err := st.data.Destroy(); err != nil {
 			return true, err
 		}
 	}
@@ -529,43 +489,23 @@ func (t *Tree) POIs(fn func(p POI, total int64) bool) {
 	}
 }
 
-// put stores a record: in the mirror, and in the paged index beside it.
-func (d *aggData) put(r tia.Record) error {
-	if err := d.mirror.Put(r); err != nil || !d.paged() {
-		return err
-	}
-	return d.disk.Put(r)
-}
-
 // raiseGlobal lifts the tree-wide per-epoch maximum to cover r.
 func (t *Tree) raiseGlobal(r tia.Record) error {
-	if cur, ok := currentAgg(t.global.mirror, r.Ts); ok && cur >= r.Agg {
+	if cur, ok := currentAgg(t.global, r.Ts); ok && cur >= r.Agg {
 		return nil
 	}
-	return t.global.put(r)
+	return t.global.Put(r)
 }
 
-// maxOver creates owned data holding the per-epoch maxima of the mirrors,
-// merged straight into the new mirror; only a paged index has the merged
-// rows written out to it afterwards.
-func (t *Tree) maxOver(mirrors []*tia.Mem) (*aggData, error) {
-	d, err := t.newAggData(nil, true)
+// newMaxIndex creates an index holding max, the per-epoch maxima its
+// caller merged in memory — so each epoch reaches the new index, and the
+// pages of a paged one, once and in ascending order.
+func (t *Tree) newMaxIndex(max *tia.Mem) (tia.Index, error) {
+	d, err := t.opts.TIA.New(nil)
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range mirrors {
-		if err := tia.MaxMerge(d.mirror, m); err != nil {
-			return nil, err
-		}
-	}
-	if d.paged() {
-		for _, r := range d.mirror.Records() {
-			if err := d.disk.Put(r); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return d, nil
+	return d, d.MaxMerge(max.Records())
 }
 
 // treeAug maintains the TIAs of internal entries across R-tree structure
@@ -577,52 +517,40 @@ type treeAug struct {
 
 // Make implements rstar.Augmenter.
 func (a *treeAug) Make(n *rstar.Node, old any) (any, error) {
-	// Dispose never touches a leaf's data (old is one when a subtree shrank
-	// to a single POI): internal entries always get data of their own.
 	if err := a.Dispose(old); err != nil {
 		return nil, err
 	}
-	mirrors := make([]*tia.Mem, len(n.Entries))
-	for i, e := range n.Entries {
-		mirrors[i] = e.Data.(*aggData).mirror
+	var max tia.Mem
+	for _, e := range n.Entries {
+		max.MaxMerge(tiaOf(e.Data).Records()) //nolint:errcheck // in memory: cannot fail
 	}
-	return a.t.maxOver(mirrors)
+	return a.t.newMaxIndex(&max)
 }
 
 // Extend implements rstar.Augmenter.
 func (a *treeAug) Extend(data any, e rstar.Entry) (any, error) {
-	d, _ := data.(*aggData)
+	d, _ := data.(tia.Index)
 	if d == nil {
 		var err error
-		if d, err = a.t.newAggData(nil, true); err != nil {
+		if d, err = a.t.opts.TIA.New(nil); err != nil {
 			return nil, err
 		}
 	}
-	src := e.Data.(*aggData)
-	for _, r := range src.mirror.Records() {
-		cur, _ := currentAgg(d.mirror, r.Ts)
-		if r.Agg > cur {
-			if err := d.put(r); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return d, nil
+	return d, d.MaxMerge(tiaOf(e.Data).Records())
 }
 
-// Dispose implements rstar.Augmenter. Leaf aggData stays alive in the POI
-// registry; internal aggData owns its disk index.
+// Dispose implements rstar.Augmenter: rstar disposes only of what Make and
+// Extend returned, the indexes of internal entries.
 func (a *treeAug) Dispose(data any) error {
-	d, _ := data.(*aggData)
-	if d == nil || !d.owned {
-		return nil
+	if d, _ := data.(tia.Index); d != nil {
+		return d.Destroy()
 	}
-	return d.disk.Destroy()
+	return nil
 }
 
-// currentAgg returns the aggregate stored for the epoch starting at ts.
-func currentAgg(m *tia.Mem, ts int64) (int64, bool) {
-	recs := m.Records()
+// currentAgg returns the aggregate x stores for the epoch starting at ts.
+func currentAgg(x tia.Index, ts int64) (int64, bool) {
+	recs := x.Records()
 	lo, hi := 0, len(recs)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -705,24 +633,24 @@ func (t *Tree) RebuildBulk() error {
 // maxima (deletions may have loosened them).
 func (t *Tree) refreshGlobals() error {
 	t.lambdaMax = 0
-	mirrors := make([]*tia.Mem, 0, len(t.pois))
+	var max tia.Mem
 	for _, st := range t.pois {
 		if l := t.lambda(st.total); l > t.lambdaMax {
 			t.lambdaMax = l
 		}
-		mirrors = append(mirrors, st.data.mirror)
+		max.MaxMerge(st.data.Records()) //nolint:errcheck // in memory: cannot fail
 	}
-	if err := t.global.disk.Destroy(); err != nil {
+	if err := t.global.Destroy(); err != nil {
 		return err
 	}
 	var err error
-	t.global, err = t.maxOver(mirrors)
+	t.global, err = t.newMaxIndex(&max)
 	return err
 }
 
 // Check validates the R-tree invariants plus the TAR-tree augmentation
-// invariant: every internal entry's mirror dominates (per epoch) the
-// mirrors of the entries in its child node. Intended for tests.
+// invariant: every internal entry's TIA dominates (per epoch) the TIAs of
+// the entries in its child node. Intended for tests.
 func (t *Tree) Check() error {
 	if err := t.rt.Check(); err != nil {
 		return err
@@ -733,11 +661,10 @@ func (t *Tree) Check() error {
 			if e.Child == nil {
 				continue
 			}
-			parent := e.Data.(*aggData)
+			parent := tiaOf(e.Data)
 			for _, c := range e.Child.Entries {
-				child := c.Data.(*aggData)
-				for _, r := range child.mirror.Records() {
-					got, ok := currentAgg(parent.mirror, r.Ts)
+				for _, r := range tiaOf(c.Data).Records() {
+					got, ok := currentAgg(parent, r.Ts)
 					if !ok || got < r.Agg {
 						return fmt.Errorf("core: internal TIA does not dominate child at epoch %d (%d < %d)", r.Ts, got, r.Agg)
 					}
@@ -752,25 +679,10 @@ func (t *Tree) Check() error {
 	if err := walk(t.rt.Root()); err != nil {
 		return err
 	}
-	// A paged TIA must hold what its mirror holds.
-	var derr error
-	t.rt.VisitNodes(func(n *rstar.Node) bool {
-		for _, e := range n.Entries {
-			d := e.Data.(*aggData)
-			if d.disk.Len() != d.mirror.Len() {
-				derr = fmt.Errorf("core: disk TIA length %d != mirror %d", d.disk.Len(), d.mirror.Len())
-				return false
-			}
-		}
-		return true
-	})
-	if derr != nil {
-		return derr
-	}
 	// The global maxima must dominate every POI's per-epoch aggregates.
 	for id, st := range t.pois {
-		for _, r := range st.data.mirror.Records() {
-			got, ok := currentAgg(t.global.mirror, r.Ts)
+		for _, r := range st.data.Records() {
+			got, ok := currentAgg(t.global, r.Ts)
 			if !ok || got < r.Agg {
 				return fmt.Errorf("core: global TIA does not dominate POI %d at epoch %d (%d < %d)", id, r.Ts, got, r.Agg)
 			}

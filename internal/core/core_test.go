@@ -265,13 +265,9 @@ func buildRandomTreeOpts(t testing.TB, opts Options, n int, seed int64) (*Tree, 
 // bruteForceQuery ranks every POI with ScorePOI and returns the top k.
 func bruteForceQuery(t testing.TB, tr *Tree, q Query) []Result {
 	t.Helper()
-	gmax, err := tr.gmaxMirror(q.Iq)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var all []Result
-	for id, st := range tr.pois {
-		res, err := tr.scorePOIWith(q, st, gmax)
+	for id := range tr.pois {
+		res, err := tr.ScorePOI(q, id)
 		if err != nil {
 			t.Fatalf("score %d: %v", id, err)
 		}
@@ -690,7 +686,7 @@ func TestMaxAggregateFunc(t *testing.T) {
 	}
 	var want int64
 	st := tr.pois[1]
-	for _, rec := range st.data.mirror.Records() {
+	for _, rec := range st.data.Records() {
 		if rec.Agg > want {
 			want = rec.Agg
 		}

@@ -83,7 +83,7 @@ func TestQueryCtxMidSearchCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger := tr.TIAFactory().Ledger()
+	ledger := tr.Options().TIA.Ledger()
 	base := ledger.Breakdown()
 
 	ctx := &stepCtx{Context: context.Background(), limit: 10}
@@ -313,7 +313,7 @@ func TestCacheConservation(t *testing.T) {
 		TIA:         tia.NewBTreeFactory(256, 10),
 		Cache:       cache,
 	})
-	ledger := tr.TIAFactory().Ledger()
+	ledger := tr.Options().TIA.Ledger()
 	base := ledger.Breakdown()
 	queries := []Query{
 		{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: 10, Alpha0: 0.5},

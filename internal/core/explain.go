@@ -233,8 +233,8 @@ func (e *Explain) recordPop(s *Search, el Elem) {
 	e.PopLog = append(e.PopLog, p)
 }
 
-// recordProbe tallies one TIA aggregate probe's page-read delta.
-func (e *Explain) recordProbe(logical, physical int64) {
+// recordTIAReads tallies the page reads of the TIA probes one fold covers.
+func (e *Explain) recordTIAReads(logical, physical int64) {
 	if e == nil {
 		return
 	}

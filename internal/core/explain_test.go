@@ -251,7 +251,7 @@ func TestExplainNilRecorderNoAllocs(t *testing.T) {
 		e.recordNodeAccess(3)
 		e.recordPush(7)
 		e.recordPop(s, Elem{})
-		e.recordProbe(2, 1)
+		e.recordTIAReads(2, 1)
 		e.recordResultCacheProbe(false)
 		e.recordResult(1, 0.5)
 		e.captureFrontier(s)

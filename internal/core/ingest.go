@@ -121,14 +121,14 @@ func (t *Tree) applyEpoch(n *rstar.Node, iv tia.Interval, counts map[int64]int64
 	var max int64
 	for i := range n.Entries {
 		e := &n.Entries[i]
-		d := e.Data.(*aggData)
+		d := tiaOf(e.Data)
 		var eff int64
 		if e.Child == nil {
 			delta := counts[int64(e.Item)]
 			if delta == 0 {
 				continue
 			}
-			cur, _ := currentAgg(d.mirror, iv.Start)
+			cur, _ := currentAgg(d, iv.Start)
 			eff = cur + delta
 		} else {
 			childEff, err := t.applyEpoch(e.Child, iv, counts)
@@ -139,11 +139,11 @@ func (t *Tree) applyEpoch(n *rstar.Node, iv tia.Interval, counts map[int64]int64
 				continue
 			}
 			eff = childEff
-			if cur, _ := currentAgg(d.mirror, iv.Start); cur > eff {
+			if cur, _ := currentAgg(d, iv.Start); cur > eff {
 				eff = cur
 			}
 		}
-		if err := d.put(tia.Record{Ts: iv.Start, Te: iv.End, Agg: eff}); err != nil {
+		if err := d.Put(tia.Record{Ts: iv.Start, Te: iv.End, Agg: eff}); err != nil {
 			return 0, err
 		}
 		if eff > max {
@@ -160,17 +160,17 @@ func (t *Tree) Aggregate(id int64, iv tia.Interval) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: unknown POI %d", id)
 	}
-	return st.data.disk.Aggregate(iv, t.opts.Semantics, t.opts.AggFunc, nil)
+	return st.data.Aggregate(iv, t.opts.Semantics, t.opts.AggFunc, nil)
 }
 
-// AggregateMirror is Aggregate from the in-memory mirror (no page access;
-// on the default factory the mirror is the TIA); baselines and tests use it.
+// AggregateMirror is Aggregate from the records the TIA keeps in memory (no
+// page access, whatever the backend); baselines and tests use it.
 func (t *Tree) AggregateMirror(id int64, iv tia.Interval) (int64, error) {
 	st, ok := t.pois[id]
 	if !ok {
 		return 0, fmt.Errorf("core: unknown POI %d", id)
 	}
-	return st.data.mirror.Aggregate(iv, t.opts.Semantics, t.opts.AggFunc, nil)
+	return t.aggregateRecords(st.data, iv), nil
 }
 
 // History returns a copy of the POI's per-epoch aggregate records.
@@ -179,5 +179,5 @@ func (t *Tree) History(id int64) ([]tia.Record, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unknown POI %d", id)
 	}
-	return append([]tia.Record(nil), st.data.mirror.Records()...), nil
+	return append([]tia.Record(nil), st.data.Records()...), nil
 }

@@ -10,9 +10,8 @@ import (
 	"tartree/internal/tia"
 )
 
-// TestMirrorIsTheIndex: on a tree with the default factory every entry's
-// records exist once — the index a query probes is the mirror that ingest,
-// grouping and snapshots read — and stay what an independent per-POI,
+// TestMirrorIsTheIndex: the index a query probes is the records that ingest,
+// grouping and snapshots read, and they stay what an independent per-POI,
 // per-epoch tally says they are after build, ingest into new and old epochs,
 // deletions that dispose internal entries, both rebuilds and a v3 round
 // trip.
@@ -41,17 +40,6 @@ func TestMirrorIsTheIndex(t *testing.T) {
 				t.Helper()
 				if err := tr.Check(); err != nil {
 					t.Fatalf("%s: %v", stage, err)
-				}
-				tr.rt.VisitNodes(func(n *rstar.Node) bool {
-					for _, e := range n.Entries {
-						if d := e.Data.(*aggData); d.paged() || d.disk.(*tia.Mem) != d.mirror {
-							t.Fatalf("%s: an entry's index is not its mirror", stage)
-						}
-					}
-					return true
-				})
-				if tr.global.paged() {
-					t.Fatalf("%s: the global index is not its mirror", stage)
 				}
 				if tr.Len() != len(want) {
 					t.Fatalf("%s: %d POIs indexed, want %d", stage, tr.Len(), len(want))
@@ -168,7 +156,7 @@ func TestSnapshotV3LoadHoldsRecordsOnce(t *testing.T) {
 	grown := int64(heap()) - int64(before)
 
 	var recBytes int64
-	count := func(d *aggData) { recBytes += int64(d.mirror.Len()) * 24 }
+	count := func(d tia.Index) { recBytes += int64(len(d.Records())) * 24 }
 	count(loaded.global)
 	for _, st := range loaded.pois {
 		count(st.data)
@@ -176,7 +164,7 @@ func TestSnapshotV3LoadHoldsRecordsOnce(t *testing.T) {
 	loaded.rt.VisitNodes(func(n *rstar.Node) bool {
 		for _, e := range n.Entries {
 			if e.Child != nil {
-				count(e.Data.(*aggData))
+				count(tiaOf(e.Data))
 			}
 		}
 		return true

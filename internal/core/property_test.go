@@ -54,13 +54,13 @@ func TestProperty1Consistency(t *testing.T) {
 							if e.Child == nil {
 								continue
 							}
-							s0, s1, err := sc.components(e.Rect, e.Data.(*aggData))
+							s0, s1, err := sc.components(e.Rect, tiaOf(e.Data))
 							if err != nil {
 								return err
 							}
 							parent := sc.Score(s0, s1)
 							for _, c := range e.Child.Entries {
-								cs0, cs1, err := sc.components(c.Rect, c.Data.(*aggData))
+								cs0, cs1, err := sc.components(c.Rect, tiaOf(c.Data))
 								if err != nil {
 									return err
 								}

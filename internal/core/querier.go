@@ -31,19 +31,19 @@ type Querier interface {
 // built from.
 func (t *Tree) Version() uint64 { return t.version }
 
-// GlobalMirrorRecords returns the per-epoch records of the global TIA's
-// in-memory mirror that intersect iv, in ascending Ts order. The slice is
+// GlobalMirrorRecords returns the per-epoch records of the global TIA that
+// intersect iv, in ascending Ts order, read from memory. The slice is
 // freshly allocated.
 //
 // This is the shard-side half of the distributed gmax exchange: a scalar
 // per-shard gmax cannot be combined into the global normalizer under
 // FuncSum (the per-epoch maxima may live on different shards in different
-// epochs), but MaxMerge-ing the shards' mirror records rebuilds exactly
-// the single-node global mirror, so the coordinator's Aggregate over
-// the merge equals the single-node Gmax bit for bit.
+// epochs), but max-merging the shards' records rebuilds exactly the
+// single-node global TIA, so the coordinator's Aggregate over the merge
+// equals the single-node Gmax bit for bit.
 func (t *Tree) GlobalMirrorRecords(iv tia.Interval) []tia.Record {
 	var out []tia.Record
-	for _, r := range t.global.mirror.Records() {
+	for _, r := range t.global.Records() {
 		if iv.Intersects(r) {
 			out = append(out, r)
 		}

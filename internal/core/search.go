@@ -31,10 +31,11 @@ type QueryStats struct {
 	// node reads (always buffer hits — the R-tree is in memory) and TIA
 	// page traffic per backend. The scorer threads a query-local
 	// pagestore.IOAcct through every TIA probe and moves what it gathered
-	// here whenever the search hands control back (Scorer.fold), so the TIA
-	// cells reconcile exactly with the traffic this query caused — with no
-	// global counter diffing, the accounting stays exact while any number
-	// of queries run concurrently. The R-tree cells reconcile with
+	// here — and its page-read totals into TIAAccesses/TIAPhysical — whenever
+	// the search hands control back (Scorer.fold), so the TIA cells reconcile
+	// exactly with the traffic this query caused — with no global counter
+	// diffing, the accounting stays exact while any number of queries run
+	// concurrently. The R-tree cells reconcile with
 	// InternalAccesses/LeafAccesses.
 	IO pagestore.IOBreakdown
 	// CacheHits and CacheMisses count lookups of the shared epoch-versioned
@@ -111,19 +112,19 @@ type Scorer struct {
 
 // recall answers d's aggregate over the query interval from the caller's
 // memo, without touching the TIA.
-func (sc *Scorer) recall(d *aggData) (int64, bool) {
+func (sc *Scorer) recall(d tia.Index) (int64, bool) {
 	if sc.cache == nil {
 		return 0, false
 	}
-	v, ok := sc.cache[aggKey{idx: d.disk, iv: sc.q.Iq}]
+	v, ok := sc.cache[aggKey{idx: d, iv: sc.q.Iq}]
 	return v, ok
 }
 
 // remember stores a freshly read aggregate in the caller's memo, when there
 // is one.
-func (sc *Scorer) remember(d *aggData, a int64) {
+func (sc *Scorer) remember(d tia.Index, a int64) {
 	if sc.cache != nil {
-		sc.cache[aggKey{idx: d.disk, iv: sc.q.Iq}] = a
+		sc.cache[aggKey{idx: d, iv: sc.q.Iq}] = a
 	}
 }
 
@@ -134,21 +135,25 @@ func (sc *Scorer) acctPtr() *pagestore.IOAcct {
 	if sc.stats == nil {
 		return nil
 	}
-	sc.acct.IO = &sc.pend // survives DrainTo; set here for every constructor
 	return &sc.acct
 }
 
 // fold moves what the acct gathered since the last fold — probes, page
 // traffic — into the shared books: the TIA factory's ledger and the probe
-// totals (tia.Factory.FoldAcct), and the query's own stats.IO. It runs
-// wherever a probing method hands control back to the search's caller —
-// the gmax probe, the root push, Expand and Next, on success and on error —
-// so a query never holds unfolded traffic while it is parked between
+// totals (tia.Factory.FoldAcct), and the query's own stats: the page-read
+// totals (TIAAccesses/TIAPhysical, and EXPLAIN's twins) and stats.IO. It
+// runs wherever a probing method hands control back to the search's caller
+// — the gmax probe, the root push, Expand and Next, on success and on error
+// — so a query never holds unfolded traffic while it is parked between
 // rounds, canceled or abandoned, and needs no Close.
 func (sc *Scorer) fold() {
 	if sc.acct.Probes == 0 { // page traffic only comes from probes
 		return
 	}
+	logical, physical := sc.acct.Stats.LogicalReads, sc.acct.Stats.PhysicalReads
+	sc.stats.TIAAccesses += logical
+	sc.stats.TIAPhysical += physical
+	sc.explain.recordTIAReads(logical, physical)
 	sc.t.opts.TIA.FoldAcct(&sc.acct)
 	sc.acct.DrainTo(&sc.stats.IO)
 }
@@ -169,6 +174,7 @@ func (t *Tree) newScorer(q Query, agg *obs.Span, o SearchOptions) (*Scorer, erro
 		agg:     agg,
 		explain: o.Explain,
 	}
+	sc.acct.IO = &sc.pend // survives DrainTo
 	if o.Gmax != nil {
 		sc.gmax = *o.Gmax
 		return sc, nil
@@ -195,16 +201,9 @@ func (sc *Scorer) maxAggregate() (int64, error) {
 		defer sc.agg.Timed("gmax")()
 	}
 	defer sc.fold()
-	before := sc.acct.Stats
-	a, err := g.disk.Aggregate(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc, sc.acctPtr())
+	a, err := g.Aggregate(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc, sc.acctPtr())
 	if err != nil {
 		return 0, err
-	}
-	if sc.stats != nil {
-		delta := sc.acct.Stats.Sub(before)
-		sc.stats.TIAAccesses += delta.LogicalReads
-		sc.stats.TIAPhysical += delta.PhysicalReads
-		sc.explain.recordProbe(delta.LogicalReads, delta.PhysicalReads)
 	}
 	sc.remember(g, a)
 	return a, nil
@@ -218,8 +217,8 @@ func (sc *Scorer) Query() Query { return sc.q }
 func (sc *Scorer) Gmax() float64 { return sc.gmax }
 
 // aggregate reads an entry's TIA aggregate over the query interval (through
-// the caller's memo, when there is one), counting the TIA page reads.
-func (sc *Scorer) aggregate(d *aggData) (int64, error) {
+// the caller's memo, when there is one); the acct counts the page reads.
+func (sc *Scorer) aggregate(d tia.Index) (int64, error) {
 	if v, ok := sc.recall(d); ok {
 		return v, nil
 	}
@@ -227,8 +226,7 @@ func (sc *Scorer) aggregate(d *aggData) (int64, error) {
 	if sc.agg != nil {
 		begin = time.Now()
 	}
-	before := sc.acct.Stats
-	a, err := d.disk.Aggregate(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc, sc.acctPtr())
+	a, err := d.Aggregate(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc, sc.acctPtr())
 	if err != nil {
 		return 0, err
 	}
@@ -236,11 +234,7 @@ func (sc *Scorer) aggregate(d *aggData) (int64, error) {
 		sc.agg.Observe("tia_probe", time.Since(begin))
 	}
 	if sc.stats != nil {
-		delta := sc.acct.Stats.Sub(before)
-		sc.stats.TIAAccesses += delta.LogicalReads
-		sc.stats.TIAPhysical += delta.PhysicalReads
 		sc.stats.Scored++
-		sc.explain.recordProbe(delta.LogicalReads, delta.PhysicalReads)
 	}
 	sc.remember(d, a)
 	return a, nil
@@ -252,7 +246,7 @@ func (sc *Scorer) aggregate(d *aggData) (int64, error) {
 // entries both are exact. Property 1 guarantees α0·s0 + α1·s1 never exceeds
 // the score of anything in the subtree. It does not fold: the search folds
 // once for all the entries it scores before handing control back.
-func (sc *Scorer) components(rect geo.Rect, d *aggData) (s0, s1 float64, err error) {
+func (sc *Scorer) components(rect geo.Rect, d tia.Index) (s0, s1 float64, err error) {
 	s0 = geo.MinDist(sc.qv, rect, 2) / sc.t.maxDistScaled
 	a, err := sc.aggregate(d)
 	if err != nil {
@@ -424,7 +418,7 @@ func (s *Search) Scorer() *Scorer { return s.sc }
 // push scores entry eid of the flat slabs — rectangle and aggregate handle
 // read in place — and inserts it into the queue.
 func (s *Search) push(eid int32) error {
-	s0, s1, err := s.sc.components(s.ft.Rects[eid], s.ft.Data[eid].(*aggData))
+	s0, s1, err := s.sc.components(s.ft.Rects[eid], tiaOf(s.ft.Data[eid]))
 	if err != nil {
 		return err
 	}
@@ -579,8 +573,8 @@ func IOLines(b *pagestore.IOBreakdown) []obs.IOLine {
 }
 
 // ScorePOI computes the exact ranking score of one POI for q (from the
-// in-memory mirror; no disk accesses). Tests and the sequential-scan
-// baseline use it.
+// records the POI's TIA keeps in memory; no page access). Tests and the
+// sequential-scan baseline use it.
 func (t *Tree) ScorePOI(q Query, id int64) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
@@ -589,18 +583,8 @@ func (t *Tree) ScorePOI(q Query, id int64) (Result, error) {
 	if !ok {
 		return Result{}, errUnknownPOI(id)
 	}
-	gmax, err := t.gmaxMirror(q.Iq)
-	if err != nil {
-		return Result{}, err
-	}
-	return t.scorePOIWith(q, st, gmax)
-}
-
-func (t *Tree) scorePOIWith(q Query, st *poiState, gmax float64) (Result, error) {
-	agg, err := st.data.mirror.Aggregate(q.Iq, t.opts.Semantics, t.opts.AggFunc, nil)
-	if err != nil {
-		return Result{}, err
-	}
+	gmax := float64(t.aggregateRecords(t.global, q.Iq)) // equals the Scorer's Gmax
+	agg := t.aggregateRecords(st.data, q.Iq)
 	qv := t.scaled(q.X, q.Y)
 	s0 := geo.Dist(qv, st.loc, 2) / t.maxDistScaled
 	s1 := 1.0
@@ -616,11 +600,10 @@ func (t *Tree) scorePOIWith(q Query, st *poiState, gmax float64) (Result, error)
 	}, nil
 }
 
-// gmaxMirror computes the per-query aggregate normalizer from the global
-// TIA's in-memory mirror (no disk accesses). It equals the Scorer's Gmax.
-func (t *Tree) gmaxMirror(iv tia.Interval) (float64, error) {
-	a, err := t.global.mirror.Aggregate(iv, t.opts.Semantics, t.opts.AggFunc, nil)
-	return float64(a), err
+// aggregateRecords folds x's in-memory records over iv under the tree's
+// semantics: what a probe of x answers, without the probe.
+func (t *Tree) aggregateRecords(x tia.Index, iv tia.Interval) int64 {
+	return tia.AggregateRecords(x.Records(), iv, t.opts.Semantics, t.opts.AggFunc)
 }
 
 type errUnknownPOI int64

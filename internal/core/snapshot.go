@@ -82,7 +82,7 @@ func (t *Tree) SaveSnapshot(w io.Writer) error {
 			ID:      st.poi.ID,
 			X:       st.poi.X,
 			Y:       st.poi.Y,
-			Records: append([]tia.Record(nil), st.data.mirror.Records()...),
+			Records: append([]tia.Record(nil), st.data.Records()...),
 		})
 	}
 	for ep, counts := range t.pending {

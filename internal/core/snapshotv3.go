@@ -92,21 +92,21 @@ func (t *Tree) SaveSnapshotV3(w io.Writer) error {
 
 	// Assign TIA references: 0 = global, 1..P the POIs by ascending id,
 	// then internal entries in entry order. Leaf entries share their POI's
-	// aggData, so the walk below never mints a reference for them.
+	// TIA, so the walk below never mints a reference for them.
 	ids := make([]int64, 0, len(t.pois))
 	for id := range t.pois {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	refs := map[*aggData]uint32{t.global: 0}
-	tias := []*aggData{t.global}
+	refs := map[tia.Index]uint32{t.global: 0}
+	tias := []tia.Index{t.global}
 	for _, id := range ids {
 		d := t.pois[id].data
 		refs[d] = uint32(len(tias))
 		tias = append(tias, d)
 	}
 	for _, data := range f.Data {
-		d := data.(*aggData)
+		d := tiaOf(data)
 		if _, ok := refs[d]; !ok {
 			refs[d] = uint32(len(tias))
 			tias = append(tias, d)
@@ -140,7 +140,7 @@ func (t *Tree) SaveSnapshotV3(w io.Writer) error {
 	var p []byte
 	p = binary.LittleEndian.AppendUint64(p, uint64(len(tias)))
 	for _, d := range tias {
-		recs := d.mirror.Records()
+		recs := d.Records()
 		p = binary.AppendUvarint(p, uint64(len(recs)))
 		p = tia.AppendPacked(p, recs)
 	}
@@ -200,7 +200,7 @@ func (t *Tree) SaveSnapshotV3(w io.Writer) error {
 		}
 		p = binary.LittleEndian.AppendUint32(p, uint32(f.Children[i]))
 		p = binary.LittleEndian.AppendUint64(p, uint64(f.Items[i]))
-		p = binary.LittleEndian.AppendUint32(p, refs[f.Data[i].(*aggData)])
+		p = binary.LittleEndian.AppendUint32(p, refs[tiaOf(f.Data[i])])
 	}
 	section("ENTR", p)
 
@@ -406,33 +406,36 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 		return nil, fmt.Errorf("core: snapshot TIA section has %d trailing bytes", len(rest))
 	}
 
-	// dataFor materializes the aggData of one reference — memoized, so the
-	// leaf entries of the ENTR section share their POI's aggData identity
+	// dataFor materializes the TIA of one reference. The global TIA, a POI
+	// and an internal entry each own theirs — whoever destroys the owner
+	// destroys the index — so a reference cited twice is refused; only the
+	// leaf entries of the ENTR section share (their POI's, shared = true),
 	// exactly as the live tree does. The packed decode guarantees strictly
 	// ascending Ts, and the decoded slice is handed over: it becomes the
-	// in-memory index's storage, or a paged index is built bottom-up from it
-	// (each page written once) with the slice as its mirror.
-	datas := make([]*aggData, ntias)
-	dataFor := func(ref uint32, owned bool) (*aggData, error) {
+	// in-memory index's storage, and a paged index is also built bottom-up
+	// from it (each page written once).
+	datas := make([]tia.Index, ntias)
+	dataFor := func(ref uint32, shared bool) (tia.Index, error) {
 		if ref >= uint32(ntias) {
 			return nil, fmt.Errorf("core: snapshot TIA reference %d out of range", ref)
 		}
-		if d := datas[ref]; d != nil {
-			return d, nil
+		if (datas[ref] != nil) != shared {
+			return nil, fmt.Errorf("core: snapshot TIA %d is cited by the wrong owner", ref)
 		}
-		d, err := t.newAggData(recsByRef[ref], owned)
-		if err != nil {
-			return nil, err
+		if !shared {
+			var err error
+			if datas[ref], err = t.opts.TIA.New(recsByRef[ref]); err != nil {
+				return nil, err
+			}
 		}
-		datas[ref] = d
-		return d, nil
+		return datas[ref], nil
 	}
 
 	// Global per-epoch maxima: replace the empty index NewTree installed.
-	if err := t.global.disk.Destroy(); err != nil {
+	if err := t.global.Destroy(); err != nil {
 		return nil, err
 	}
-	if t.global, err = dataFor(0, true); err != nil {
+	if t.global, err = dataFor(0, false); err != nil {
 		return nil, err
 	}
 
@@ -579,22 +582,18 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 			return nil, err
 		}
 		f.Rects[i], f.Children[i], f.Items[i] = r, int32(child), item
-		owned := true
-		if int32(child) < 0 { // leaf entry: shares the POI's aggData
-			st, ok := t.pois[item]
-			if !ok {
+		leaf := int32(child) < 0 // shares the POI's TIA
+		if leaf {
+			if _, ok := t.pois[item]; !ok {
 				return nil, fmt.Errorf("core: snapshot leaf entry references unknown POI %d", item)
-			}
-			if st.data != nil {
-				owned = false
 			}
 			leaves++
 		}
-		d, err := dataFor(ref, owned)
+		d, err := dataFor(ref, leaf)
 		if err != nil {
 			return nil, err
 		}
-		if int32(child) < 0 && d != t.pois[item].data {
+		if leaf && d != t.pois[item].data {
 			return nil, fmt.Errorf("core: snapshot leaf entry for POI %d cites TIA %d, not the POI's", item, ref)
 		}
 		f.Data[i] = d

@@ -193,7 +193,7 @@ func TestInstrumentedTreeMetrics(t *testing.T) {
 	if hits, _ := snap[`tartree_pagestore_reads_total{result="hit"}`].(int64); hits == 0 {
 		t.Error("pagestore hit counter is zero")
 	}
-	checkPageSeries(t, reg, tr.TIAFactory().Ledger())
+	checkPageSeries(t, reg, tr.Options().TIA.Ledger())
 }
 
 // checkPageSeries requires the six tartree_pagestore_* series, in the
@@ -261,10 +261,10 @@ func TestQuerySpanAggregates(t *testing.T) {
 
 // TestIOBreakdownConservation is the attribution conservation check, for
 // all three groupings: every query's IOBreakdown must (a) match the flat
-// QueryStats counters component by component, (b) contain no unattributed
-// traffic, and (c) sum — across queries — to exactly the TIA factory's
-// breakdown and flat Stats() deltas, which aggregate the underlying
-// pagestore buffers' traffic.
+// QueryStats counters component by component — and EXPLAIN's tally of the
+// same reads — (b) contain no unattributed traffic, and (c) sum — across
+// queries — to exactly the TIA factory's breakdown and flat Stats() deltas,
+// which aggregate the underlying pagestore buffers' traffic.
 func TestIOBreakdownConservation(t *testing.T) {
 	backends := map[string]func() tia.Factory{
 		"btree": func() tia.Factory { return tia.NewBTreeFactory(256, 10) },
@@ -281,7 +281,7 @@ func TestIOBreakdownConservation(t *testing.T) {
 					EpochLength: 100,
 					TIA:         newFac(),
 				})
-				ledger := tr.TIAFactory().Ledger()
+				ledger := tr.Options().TIA.Ledger()
 				built, builtStats := ledger.Breakdown(), ledger.Stats()
 				queries := []Query{
 					{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: tr.Len(), Alpha0: 0.5},
@@ -291,7 +291,8 @@ func TestIOBreakdownConservation(t *testing.T) {
 				}
 				var sum pagestore.IOBreakdown
 				for i, q := range queries {
-					_, stats, err := tr.QueryCtx(context.Background(), q, nil)
+					ex := NewExplain()
+					_, stats, err := tr.QueryCtx(context.Background(), q, &QueryOpts{Explain: ex})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -305,25 +306,8 @@ func TestIOBreakdownConservation(t *testing.T) {
 					if rl.Hits != int64(stats.LeafAccesses) || rl.Misses != 0 {
 						t.Errorf("query %d: rtree-leaf cell %+v, want %d pure hits", i, rl, stats.LeafAccesses)
 					}
-					// TIA cells must reconcile with the flat TIA counters, and
-					// no query traffic may be unattributed.
-					var tiaHits, tiaMisses int64
-					stats.IO.Each(func(c pagestore.Component, level int, cell pagestore.IOCell) {
-						switch c {
-						case pagestore.CompTIABTree, pagestore.CompTIAMVBT:
-							tiaHits += cell.Hits
-							tiaMisses += cell.Misses
-						case pagestore.CompUnknown:
-							t.Errorf("query %d: unattributed traffic at level %d: %+v", i, level, cell)
-						}
-					})
-					if tiaHits+tiaMisses != stats.TIAAccesses {
-						t.Errorf("query %d: tia cells sum to %d logical reads, flat counter says %d",
-							i, tiaHits+tiaMisses, stats.TIAAccesses)
-					}
-					if tiaMisses != stats.TIAPhysical {
-						t.Errorf("query %d: tia cells sum to %d misses, flat counter says %d",
-							i, tiaMisses, stats.TIAPhysical)
+					if err := reconcileTIA(&stats, ex); err != nil {
+						t.Errorf("query %d: %v", i, err)
 					}
 					sum.Add(&stats.IO)
 				}
@@ -348,10 +332,14 @@ func TestIOBreakdownConservation(t *testing.T) {
 	}
 }
 
-// tiaTraffic returns the TIA page traffic in a query's breakdown (hits,
-// misses) and whether any of its traffic is unattributed.
-func tiaTraffic(io *pagestore.IOBreakdown) (hits, misses int64, unattributed bool) {
-	io.Each(func(c pagestore.Component, level int, cell pagestore.IOCell) {
+// reconcileTIA checks a query's tallies of its TIA page reads against each
+// other — the tia-* cells of its breakdown, the flat counters the scorer
+// adds at each fold and, for a query under EXPLAIN (ex non-nil), the
+// recorder's — and that none of its traffic is unattributed.
+func reconcileTIA(stats *QueryStats, ex *Explain) error {
+	var hits, misses int64
+	var unattributed bool
+	stats.IO.Each(func(c pagestore.Component, level int, cell pagestore.IOCell) {
 		switch c {
 		case pagestore.CompTIABTree, pagestore.CompTIAMVBT:
 			hits += cell.Hits
@@ -360,7 +348,18 @@ func tiaTraffic(io *pagestore.IOBreakdown) (hits, misses int64, unattributed boo
 			unattributed = true
 		}
 	})
-	return hits, misses, unattributed
+	if unattributed {
+		return fmt.Errorf("unattributed traffic: %v", stats.IO)
+	}
+	if hits+misses != stats.TIAAccesses || misses != stats.TIAPhysical {
+		return fmt.Errorf("cells (%d logical, %d misses) != flat counters (%d, %d)",
+			hits+misses, misses, stats.TIAAccesses, stats.TIAPhysical)
+	}
+	if ex != nil && (ex.TIAReads != stats.TIAAccesses || ex.TIAPhysical != stats.TIAPhysical) {
+		return fmt.Errorf("explain (%d logical, %d physical) != flat counters (%d, %d)",
+			ex.TIAReads, ex.TIAPhysical, stats.TIAAccesses, stats.TIAPhysical)
+	}
+	return nil
 }
 
 // TestIOBreakdownConservationConcurrent is the concurrent variant of the
@@ -398,7 +397,7 @@ func TestIOBreakdownConservationConcurrent(t *testing.T) {
 					TIA:         be.fac(),
 					Metrics:     reg,
 				})
-				ledger := tr.TIAFactory().Ledger()
+				ledger := tr.Options().TIA.Ledger()
 				built, builtStats := ledger.Breakdown(), ledger.Stats()
 				pageReads := func() int64 {
 					snap := reg.Snapshot()
@@ -433,47 +432,45 @@ func TestIOBreakdownConservationConcurrent(t *testing.T) {
 							}
 						}
 						// One round: two plain queries, one canceled after a
-						// few pops, one under EXPLAIN.
-						run := []func() (QueryStats, error){
-							func() (QueryStats, error) {
+						// few pops and one run to the end, both under EXPLAIN.
+						run := []func(ex *Explain) (QueryStats, error){
+							func(*Explain) (QueryStats, error) {
 								_, st, err := tr.QueryCtx(context.Background(), query(), nil)
 								return st, err
 							},
-							func() (QueryStats, error) {
+							func(*Explain) (QueryStats, error) {
 								_, st, err := tr.QueryCtx(context.Background(), query(), nil)
 								return st, err
 							},
-							func() (QueryStats, error) {
+							func(ex *Explain) (QueryStats, error) {
 								q := query()
 								q.K = tr.Len()
 								ctx := &stepCtx{Context: context.Background(), limit: int64(2 + r.Intn(6))}
-								_, st, err := tr.QueryCtx(ctx, q, nil)
+								_, st, err := tr.QueryCtx(ctx, q, &QueryOpts{Explain: ex})
 								if !errors.Is(err, ErrCanceled) {
 									return st, fmt.Errorf("canceled query: err = %v, want ErrCanceled", err)
 								}
 								tallies[w].aborted++
 								return st, nil
 							},
-							func() (QueryStats, error) {
-								_, st, err := tr.QueryCtx(context.Background(), query(), &QueryOpts{Explain: NewExplain()})
+							func(ex *Explain) (QueryStats, error) {
+								_, st, err := tr.QueryCtx(context.Background(), query(), &QueryOpts{Explain: ex})
 								return st, err
 							},
 						}
 						for i := 0; i < rounds*len(run); i++ {
-							stats, err := run[i%len(run)]()
+							var ex *Explain // nil for the plain queries
+							if i%len(run) >= 2 {
+								ex = NewExplain()
+							}
+							stats, err := run[i%len(run)](ex)
 							if err != nil {
 								errs <- err
 								return
 							}
 							// Per-query reconciliation under load.
-							hits, misses, bad := tiaTraffic(&stats.IO)
-							if bad {
-								errs <- fmt.Errorf("worker %d query %d: unattributed traffic: %v", w, i, stats.IO)
-								return
-							}
-							if hits+misses != stats.TIAAccesses || misses != stats.TIAPhysical {
-								errs <- fmt.Errorf("worker %d query %d: cells (%d logical, %d misses) != flat counters (%d, %d)",
-									w, i, hits+misses, misses, stats.TIAAccesses, stats.TIAPhysical)
+							if err := reconcileTIA(&stats, ex); err != nil {
+								errs <- fmt.Errorf("worker %d query %d: %v", w, i, err)
 								return
 							}
 							tallies[w].io.Add(&stats.IO)
@@ -541,7 +538,7 @@ func TestScrapeWhileQuerying(t *testing.T) {
 		TIA:         tia.NewBTreeFactory(256, 10),
 		Metrics:     reg,
 	})
-	ledger := tr.TIAFactory().Ledger()
+	ledger := tr.Options().TIA.Ledger()
 	built := ledger.Breakdown()
 
 	const queriers, perQuerier, batches = 4, 40, 12

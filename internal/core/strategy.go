@@ -17,11 +17,10 @@ type aggStrategy struct{}
 
 // entryRecords returns the aggregate-distribution records of an entry.
 func entryRecords(e rstar.Entry) []tia.Record {
-	d, _ := e.Data.(*aggData)
-	if d == nil || d.mirror == nil {
-		return nil
+	if d, _ := e.Data.(tia.Index); d != nil {
+		return d.Records()
 	}
-	return d.mirror.Records()
+	return nil
 }
 
 // ChooseSubtree implements rstar.Strategy: pick the child whose aggregate
@@ -61,10 +60,9 @@ func (aggStrategy) Split(t *rstar.Tree, level int, entries []rstar.Entry) ([]rst
 		}
 	}
 
-	groupA := tia.NewMem()
-	groupB := tia.NewMem()
-	tia.MaxMerge(groupA, mirrorOf(entries[si])) //nolint:errcheck // Mem.Put never fails
-	tia.MaxMerge(groupB, mirrorOf(entries[sj])) //nolint:errcheck
+	var groupA, groupB tia.Mem
+	groupA.MaxMerge(entryRecords(entries[si])) //nolint:errcheck // in memory: cannot fail
+	groupB.MaxMerge(entryRecords(entries[sj])) //nolint:errcheck
 	left := []rstar.Entry{entries[si]}
 	right := []rstar.Entry{entries[sj]}
 
@@ -111,19 +109,11 @@ func (aggStrategy) Split(t *rstar.Tree, level int, entries []rstar.Entry) ([]rst
 		}
 		if toA {
 			left = append(left, entries[i])
-			tia.MaxMerge(groupA, mirrorOf(entries[i])) //nolint:errcheck
+			groupA.MaxMerge(ri) //nolint:errcheck
 		} else {
 			right = append(right, entries[i])
-			tia.MaxMerge(groupB, mirrorOf(entries[i])) //nolint:errcheck
+			groupB.MaxMerge(ri) //nolint:errcheck
 		}
 	}
 	return left, right
-}
-
-func mirrorOf(e rstar.Entry) *tia.Mem {
-	d, _ := e.Data.(*aggData)
-	if d == nil || d.mirror == nil {
-		return tia.NewMem()
-	}
-	return d.mirror
 }

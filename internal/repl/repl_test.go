@@ -90,8 +90,8 @@ func assertStoresAgree(t *testing.T, leader, follower *wal.Store, horizon int64)
 		}
 		// Follower == leader is proved on what a server runs: no test names
 		// a StoreOptions.Factory, so the bootstrap builds in-memory TIAs.
-		if _, ok := tr.TIAFactory().(*tia.MemFactory); !ok {
-			t.Fatalf("follower tree runs on %T, want the in-memory default", tr.TIAFactory())
+		if _, ok := tr.Options().TIA.(*tia.MemFactory); !ok {
+			t.Fatalf("follower tree runs on %T, want the in-memory default", tr.Options().TIA)
 		}
 		for id := int64(1); id <= testPOIs; id++ {
 			v, err := tr.Aggregate(id, iv)

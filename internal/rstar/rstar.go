@@ -116,7 +116,9 @@ type Augmenter interface {
 	// Extend updates data so it additionally covers entry e (which was
 	// inserted somewhere in the subtree) and returns the new value.
 	Extend(data any, e Entry) (any, error)
-	// Dispose releases data that is no longer referenced.
+	// Dispose releases data Make or Extend returned, once no entry
+	// references it. A leaf entry's Data came in with Insert and stays its
+	// caller's: Delete does not dispose of it.
 	Dispose(data any) error
 }
 
@@ -398,16 +400,12 @@ func (t *Tree) splitNode(n *Node, reinserted map[int]bool) (*Node, error) {
 }
 
 // Delete removes the leaf entry with the given item whose rectangle
-// intersects rect. It reports whether an entry was removed.
+// intersects rect (its Data is left to the caller). It reports whether an
+// entry was removed.
 func (t *Tree) Delete(rect geo.Rect, item Item) (bool, error) {
 	leaf, idx := t.findLeaf(t.root, rect, item)
 	if leaf == nil {
 		return false, nil
-	}
-	if t.aug != nil {
-		if err := t.aug.Dispose(leaf.Entries[idx].Data); err != nil {
-			return false, err
-		}
 	}
 	leaf.Entries = append(leaf.Entries[:idx], leaf.Entries[idx+1:]...)
 	t.size--

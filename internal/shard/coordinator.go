@@ -267,8 +267,8 @@ func (c *Coordinator) client() *http.Client {
 }
 
 // fetchGmax runs the normalizer exchange: every shard ships its
-// global-mirror records for the query interval, the coordinator MaxMerges
-// them (rebuilding exactly the single-node global mirror) and aggregates.
+// global TIA's records for the query interval, the coordinator max-merges
+// them (rebuilding exactly the single-node global TIA) and aggregates.
 // The per-shard aggregation configs must agree — a mismatched shard is a
 // deployment error, reported as a ShardError.
 func (c *Coordinator) fetchGmax(ctx context.Context, q core.Query, states []*shardState) (float64, error) {
@@ -325,10 +325,7 @@ func (c *Coordinator) fetchGmax(ctx context.Context, q core.Query, states []*sha
 				Err: fmt.Errorf("aggregation config (sem=%d func=%d) disagrees with shard 0 (sem=%d func=%d)",
 					gr.Semantics, gr.AggFunc, resps[0].Semantics, resps[0].AggFunc)}
 		}
-		if len(gr.Records) == 0 {
-			continue
-		}
-		if err := tia.MaxMerge(merged, tia.NewMemFromSorted(gr.Records)); err != nil {
+		if err := merged.MaxMerge(gr.Records); err != nil {
 			return 0, &ShardError{Shard: i, URL: states[i].url, Err: err}
 		}
 	}

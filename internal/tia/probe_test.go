@@ -14,7 +14,7 @@ const day = 86400
 // and a set of stream-shaped intervals: length 2^U{0..9} days ending
 // uniformly inside the span (the query shape of the paper's §8 and of the
 // benchmark's request stream).
-func benchTIAs(tb testing.TB, f BulkFactory, n int) ([]Index, []Interval) {
+func benchTIAs(tb testing.TB, f Factory, n int) ([]Index, []Interval) {
 	const epochs = 104
 	rng := rand.New(rand.NewSource(1))
 	idx := make([]Index, n)
@@ -25,7 +25,7 @@ func benchTIAs(tb testing.TB, f BulkFactory, n int) ([]Index, []Interval) {
 				recs = append(recs, Record{Ts: e * 7 * day, Te: (e + 1) * 7 * day, Agg: 1 + rng.Int63n(50)})
 			}
 		}
-		x, err := f.NewBulk(recs)
+		x, err := f.New(recs)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func benchTIAs(tb testing.TB, f BulkFactory, n int) ([]Index, []Interval) {
 func BenchmarkAggregateMem(b *testing.B)   { benchAggregate(b, NewMemFactory()) }
 func BenchmarkAggregateBTree(b *testing.B) { benchAggregate(b, NewBTreeFactory(1024, 10)) }
 
-func benchAggregate(b *testing.B, f BulkFactory) {
+func benchAggregate(b *testing.B, f Factory) {
 	idx, ivs := benchTIAs(b, f, 256)
 	var io pagestore.IOBreakdown
 	acct := pagestore.IOAcct{IO: &io}
@@ -84,7 +84,7 @@ func TestAggregateAllocatesNothing(t *testing.T) {
 	for i := range recs {
 		recs[i] = Record{Ts: int64(i) * day, Te: int64(i+1) * day, Agg: int64(i%9) + 1}
 	}
-	tall, err := NewBTreeFactory(1024, 10).NewBulk(recs)
+	tall, err := NewBTreeFactory(1024, 10).New(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +123,12 @@ func BenchmarkMaxMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst := NewMem()
+		var dst Mem
 		for _, c := range children {
-			if err := MaxMerge(dst, c); err != nil {
+			if err := dst.MaxMerge(c.Records()); err != nil {
 				b.Fatal(err)
 			}
 		}
-		benchSink += int64(dst.Len())
+		benchSink += int64(len(dst.recs))
 	}
 }

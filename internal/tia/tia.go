@@ -5,11 +5,15 @@
 // stores the POI's own aggregates; the TIA of an internal entry stores, per
 // epoch, the maximum aggregate among the TIAs in its child node.
 //
-// Three interchangeable backends are provided: an in-memory sorted slice
-// (the default: what a serving tree is made of), a disk-based B+-tree (one
-// small buffer pool per TIA, the paper's setup — the experiments name it,
-// because page accesses are their unit), and the multi-version B-tree the
-// paper names.
+// Every index keeps its records in memory as one sorted slice (Records),
+// which is what the tree's maintenance reads. Three interchangeable backends
+// are provided: that slice alone (Mem, the default: what a serving tree is
+// made of), and two that also hold the records on pages, which their
+// Aggregate reads and counts — a disk-based B+-tree (one small buffer pool
+// per TIA, the paper's setup: the experiments name it, because page accesses
+// are their unit) and the multi-version B-tree the paper names. Keeping
+// slice and pages in step is this package's business (Put, MaxMerge), not
+// the caller's.
 package tia
 
 import (
@@ -27,8 +31,8 @@ import (
 type BackendKind int
 
 const (
-	// KindMem is the in-memory sorted-slice backend (the default, and the
-	// mirrors of the paged backends).
+	// KindMem is the in-memory sorted-slice backend (the default), and a
+	// read of any index's in-memory records (AggregateRecords).
 	KindMem BackendKind = iota
 	// KindBTree is the disk B+-tree backend (the paper's setup).
 	KindBTree
@@ -138,7 +142,9 @@ func (f Func) fold(acc, v int64) int64 {
 	return acc + v
 }
 
-// Index is a single TIA.
+// Index is a single TIA. Every index keeps its records in memory, sorted —
+// the in-memory index is nothing else, a paged index holds the same records
+// a second time on its pages and writes both in one Put or MaxMerge.
 //
 // Implementations are not safe for concurrent mutation; the TAR-tree
 // serializes maintenance per entry.
@@ -147,6 +153,15 @@ type Index interface {
 	// a previous record for the same epoch (internal entries overwrite when
 	// a POI insertion raises the per-epoch maximum).
 	Put(rec Record) error
+	// MaxMerge raises the index to the per-epoch maximum of itself and src
+	// (sorted by strictly ascending Ts): for every epoch of src the index
+	// lacks, or holds a smaller aggregate for, src's record is stored. This
+	// is how an internal entry's TIA is maintained (Section 4.1: "the TIA of
+	// an internal entry stores the largest aggregate value of the TIAs in
+	// the child node for each epoch"). The records merge in one pass; a
+	// paged index also writes the raised rows, in ascending order, to its
+	// pages.
+	MaxMerge(src []Record) error
 	// Aggregate folds the Agg of all records matching iv under sem with f,
 	// charging the probe and its page accesses to the query-local acct, or —
 	// acct nil — counting them in the shared books on the spot. Queries
@@ -154,13 +169,12 @@ type Index interface {
 	// when many queries run concurrently, and so a probe writes no shared
 	// counter: what the acct gathers reaches the factory's ledger and the
 	// probe totals when its owner calls Factory.FoldAcct. Read-only calls
-	// (Aggregate, Visit) are safe from many goroutines at once.
+	// (Aggregate, Records) are safe from many goroutines at once.
 	Aggregate(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error)
-	// Visit iterates all records in ascending Ts order, stopping early when
-	// fn returns false.
-	Visit(fn func(Record) bool) error
-	// Len returns the number of stored records.
-	Len() int
+	// Records exposes the records, sorted by ascending Ts, without touching
+	// a page. Callers must not modify the slice; ingest, the grouping
+	// strategies, rebuilds and snapshots read it.
+	Records() []Record
 	// Destroy releases any storage held by the index. The index must not be
 	// used afterwards. It is called when an internal entry's TIA is rebuilt
 	// after the R-tree regroups entries.
@@ -172,7 +186,11 @@ type Index interface {
 // buffer size is a constructor argument (the collective-processing
 // experiment uses zero slots).
 type Factory interface {
-	New() (Index, error)
+	// New creates an index over recs: sorted by strictly ascending Ts and
+	// handed over (the index may keep the slice as its storage), nil for an
+	// empty index. A B+-tree is built from them bottom-up, one page write
+	// per node, so a snapshot load writes each TIA page exactly once.
+	New(recs []Record) (Index, error)
 	// Ledger returns the combined page traffic of every index created so
 	// far, attributed by (component, level). It is cumulative: readers
 	// that want a window subtract an earlier reading (IOBreakdown.Sub,
@@ -189,39 +207,6 @@ type Factory interface {
 	FoldAcct(a *pagestore.IOAcct)
 }
 
-// BulkFactory is the optional fast path a Factory may implement: NewBulk
-// builds an index from records already sorted by strictly ascending Ts in
-// one bottom-up pass instead of per-record puts. The snapshot-v3 loader
-// probes for it so a restart writes each TIA page exactly once. The index
-// may keep recs as its storage: the caller hands the slice over.
-type BulkFactory interface {
-	NewBulk(recs []Record) (Index, error)
-}
-
-// spanTracker records the widest epoch seen, so intersection queries know
-// how far left of the interval a relevant record can start.
-type spanTracker struct {
-	maxSpan int64
-}
-
-func (s *spanTracker) note(r Record) {
-	if d := r.Te - r.Ts; d > s.maxSpan {
-		s.maxSpan = d
-	}
-}
-
-// scanLow returns the lowest Ts that could match iv under sem.
-func (s *spanTracker) scanLow(iv Interval, sem Semantics) int64 {
-	if sem == Contained {
-		return iv.Start
-	}
-	lo := iv.Start - s.maxSpan
-	if lo > iv.Start { // overflow guard
-		lo = math.MinInt64
-	}
-	return lo
-}
-
 func match(r Record, iv Interval, sem Semantics) bool {
 	if sem == Contained {
 		return iv.Contains(r)
@@ -229,34 +214,64 @@ func match(r Record, iv Interval, sem Semantics) bool {
 	return iv.Intersects(r)
 }
 
+// foldFrom folds the records of recs (sorted by Ts) that match iv, starting
+// the scan at the first record with Ts >= lo.
+func foldFrom(recs []Record, lo int64, iv Interval, sem Semantics, f Func) int64 {
+	i := sort.Search(len(recs), func(i int) bool { return recs[i].Ts >= lo })
+	var acc int64
+	for ; i < len(recs) && recs[i].Ts < iv.End; i++ {
+		if match(recs[i], iv, sem) {
+			acc = f.fold(acc, recs[i].Agg)
+		}
+	}
+	return acc
+}
+
+// AggregateRecords is Index.Aggregate over a bare sorted record set — what
+// Index.Records returns — with no index behind it: no page is read, and the
+// fold is counted as one in-memory probe. The references the tests compare
+// a search against (core's ScorePOI and AggregateMirror) are built on it.
+func AggregateRecords(recs []Record, iv Interval, sem Semantics, f Func) int64 {
+	probes[KindMem].Add(1)
+	lo := iv.Start
+	if sem == Intersecting { // no span is known: an early record may reach in
+		lo = math.MinInt64
+	}
+	return foldFrom(recs, lo, iv, sem, f)
+}
+
 // ---------------------------------------------------------------------------
 // In-memory backend
 
-// Mem is an in-memory Index backed by a sorted slice: the index of a
-// serving tree's entries, and the mirror a tree keeps beside every paged
-// index for grouping decisions and rebuilds.
+// Mem is an in-memory Index: a sorted record slice, the index of a serving
+// tree's entries. The paged indexes embed one for the records they keep
+// beside their pages.
 type Mem struct {
-	spanTracker
 	recs []Record
+	// maxSpan is the widest epoch stored, so intersection queries know how
+	// far left of the interval a relevant record can start.
+	maxSpan int64
 }
 
 // NewMem returns an empty in-memory index.
 func NewMem() *Mem { return &Mem{} }
 
-// NewMemFromSorted returns an in-memory index over records already sorted
-// by strictly ascending Ts. The slice is copied.
-func NewMemFromSorted(recs []Record) *Mem {
-	return NewMemOwning(append([]Record(nil), recs...))
+func (m *Mem) note(r Record) {
+	if d := r.Te - r.Ts; d > m.maxSpan {
+		m.maxSpan = d
+	}
 }
 
-// NewMemOwning is NewMemFromSorted without the copy: recs becomes the
-// index's storage, so the caller must not touch the slice again.
-func NewMemOwning(recs []Record) *Mem {
-	m := &Mem{recs: recs}
-	for _, r := range recs {
-		m.note(r)
+// scanLow returns the lowest Ts that could match iv under sem.
+func (m *Mem) scanLow(iv Interval, sem Semantics) int64 {
+	if sem == Contained {
+		return iv.Start
 	}
-	return m
+	lo := iv.Start - m.maxSpan
+	if lo > iv.Start { // overflow guard
+		lo = math.MinInt64
+	}
+	return lo
 }
 
 // Put implements Index.
@@ -277,42 +292,11 @@ func (m *Mem) Put(rec Record) error {
 // the probe itself is charged to the acct.
 func (m *Mem) Aggregate(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
 	countProbe(KindMem, acct)
-	lo := m.scanLow(iv, sem)
-	i := sort.Search(len(m.recs), func(i int) bool { return m.recs[i].Ts >= lo })
-	var acc int64
-	for ; i < len(m.recs) && m.recs[i].Ts < iv.End; i++ {
-		if match(m.recs[i], iv, sem) {
-			acc = f.fold(acc, m.recs[i].Agg)
-		}
-	}
-	return acc, nil
+	return foldFrom(m.recs, m.scanLow(iv, sem), iv, sem, f), nil
 }
 
-// Visit implements Index.
-func (m *Mem) Visit(fn func(Record) bool) error {
-	for _, r := range m.recs {
-		if !fn(r) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// Len implements Index.
-func (m *Mem) Len() int { return len(m.recs) }
-
-// Records exposes the sorted record slice. Callers must not modify it; the
-// TAR-tree's grouping strategies use it for fast distribution distances.
+// Records implements Index.
 func (m *Mem) Records() []Record { return m.recs }
-
-// Total returns the sum of all aggregate values.
-func (m *Mem) Total() int64 {
-	var s int64
-	for _, r := range m.recs {
-		s += r.Agg
-	}
-	return s
-}
 
 // ManhattanRecords returns the L1 distance between two sorted record sets,
 // treating missing epochs as zero. This is the aggregate-distribution
@@ -355,6 +339,69 @@ func (m *Mem) Destroy() error {
 	return nil
 }
 
+// MaxMerge implements Index: it counts the epochs m lacks, grows m's slice
+// by that many, and merges from the back — so no record is overwritten
+// before it is read and nothing else is allocated. As with Put, only a
+// record that lands in m widens the tracked span.
+func (m *Mem) MaxMerge(src []Record) error {
+	d := m.recs
+	missing := 0
+	for i, j := 0, 0; j < len(src); {
+		switch {
+		case i == len(d) || src[j].Ts < d[i].Ts:
+			missing++
+			j++
+		case src[j].Ts == d[i].Ts:
+			i++
+			j++
+		default:
+			i++
+		}
+	}
+	i := len(d) - 1
+	d = slices.Grow(d, missing)[:len(d)+missing]
+	for j, k := len(src)-1, len(d)-1; j >= 0; k-- {
+		switch {
+		case i >= 0 && d[i].Ts > src[j].Ts:
+			d[k] = d[i]
+			i--
+		case i >= 0 && d[i].Ts == src[j].Ts:
+			d[k] = d[i]
+			if src[j].Agg > d[i].Agg {
+				d[k] = src[j]
+				m.note(src[j])
+			}
+			i--
+			j--
+		default:
+			d[k] = src[j]
+			m.note(src[j])
+			j--
+		}
+	}
+	m.recs = d
+	return nil
+}
+
+// mergePaged is MaxMerge for an index that holds m's records a second time
+// on pages: the rows the merge is about to raise go through put, in
+// ascending order, before the records themselves merge.
+func (m *Mem) mergePaged(src []Record, put func(Record) error) error {
+	i := 0
+	for _, r := range src {
+		for i < len(m.recs) && m.recs[i].Ts < r.Ts {
+			i++
+		}
+		if i < len(m.recs) && m.recs[i].Ts == r.Ts && m.recs[i].Agg >= r.Agg {
+			continue
+		}
+		if err := put(r); err != nil {
+			return err
+		}
+	}
+	return m.MaxMerge(src)
+}
+
 // MemFactory creates Mem indexes. Its ledger stays empty: memory access is
 // free in the paper's cost accounting.
 type MemFactory struct{ ledger pagestore.Ledger }
@@ -362,11 +409,17 @@ type MemFactory struct{ ledger pagestore.Ledger }
 // NewMemFactory returns a factory of in-memory indexes.
 func NewMemFactory() *MemFactory { return &MemFactory{} }
 
-// New implements Factory.
-func (*MemFactory) New() (Index, error) { return NewMem(), nil }
+// New implements Factory: recs is the index's storage.
+func (*MemFactory) New(recs []Record) (Index, error) { return newMem(recs), nil }
 
-// NewBulk implements BulkFactory: recs is the index's storage.
-func (*MemFactory) NewBulk(recs []Record) (Index, error) { return NewMemOwning(recs), nil }
+// newMem returns the in-memory index over recs, which become its storage.
+func newMem(recs []Record) *Mem {
+	m := &Mem{recs: recs}
+	for _, r := range recs {
+		m.note(r)
+	}
+	return m
+}
 
 // Ledger implements Factory.
 func (f *MemFactory) Ledger() *pagestore.Ledger { return &f.ledger }
@@ -378,18 +431,25 @@ func (*MemFactory) FoldAcct(a *pagestore.IOAcct) { probes[KindMem].Add(a.Probes)
 // ---------------------------------------------------------------------------
 // B+-tree backend
 
-// BTree is an Index stored in a disk-based B+-tree keyed by epoch start.
+// BTree is an Index stored in a disk-based B+-tree keyed by epoch start,
+// beside the in-memory records every index keeps.
 type BTree struct {
-	spanTracker
+	Mem
 	tree *btree.Tree
-	buf  *pagestore.Buffer
+}
+
+func (b *BTree) putPage(rec Record) error {
+	return b.tree.Put(rec.Ts, btree.Value{rec.Te, rec.Agg})
 }
 
 // Put implements Index.
 func (b *BTree) Put(rec Record) error {
-	b.note(rec)
-	return b.tree.Put(rec.Ts, btree.Value{rec.Te, rec.Agg})
+	b.Mem.Put(rec) //nolint:errcheck // in memory: cannot fail
+	return b.putPage(rec)
 }
+
+// MaxMerge implements Index.
+func (b *BTree) MaxMerge(src []Record) error { return b.mergePaged(src, b.putPage) }
 
 // Aggregate implements Index, charging the B+-tree page accesses of this
 // probe to acct.
@@ -405,18 +465,11 @@ func (b *BTree) Aggregate(iv Interval, sem Semantics, f Func, acct *pagestore.IO
 	return acc, err
 }
 
-// Visit implements Index.
-func (b *BTree) Visit(fn func(Record) bool) error {
-	return b.tree.Scan(math.MinInt64, math.MaxInt64, func(ts int64, v btree.Value) bool {
-		return fn(Record{Ts: ts, Te: v[0], Agg: v[1]})
-	})
-}
-
-// Len implements Index.
-func (b *BTree) Len() int { return b.tree.Len() }
-
 // Destroy implements Index.
-func (b *BTree) Destroy() error { return b.tree.Destroy() }
+func (b *BTree) Destroy() error {
+	b.recs = nil
+	return b.tree.Destroy()
+}
 
 // pagedFactory is what the two disk-backed factories share: the page file,
 // one small buffer pool per index, and the one ledger all of them count
@@ -458,54 +511,43 @@ func NewBTreeFactoryWithFile(f pagestore.File, slots int) *BTreeFactory {
 	return &BTreeFactory{pagedFactory{kind: KindBTree, file: f, slots: slots}}
 }
 
-// New implements Factory.
-func (f *BTreeFactory) New() (Index, error) {
+// New implements Factory: given records, the B+-tree is built bottom-up
+// from them instead of descending from the root once per record.
+func (f *BTreeFactory) New(recs []Record) (Index, error) {
 	buf := f.newBuffer()
-	t, err := btree.New(buf)
+	var t *btree.Tree
+	var err error
+	if recs == nil {
+		t, err = btree.New(buf)
+	} else {
+		keys := make([]int64, len(recs))
+		vals := make([]btree.Value, len(recs))
+		for i, r := range recs {
+			keys[i] = r.Ts
+			vals[i] = btree.Value{r.Te, r.Agg}
+		}
+		t, err = btree.NewBulk(buf, keys, vals)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &BTree{tree: t, buf: buf}, nil
-}
-
-// NewBulk implements BulkFactory: the B+-tree is built bottom-up from the
-// sorted records, one page write per node, instead of descending from the
-// root once per record.
-func (f *BTreeFactory) NewBulk(recs []Record) (Index, error) {
-	buf := f.newBuffer()
-	keys := make([]int64, len(recs))
-	vals := make([]btree.Value, len(recs))
-	for i, r := range recs {
-		keys[i] = r.Ts
-		vals[i] = btree.Value{r.Te, r.Agg}
-	}
-	t, err := btree.NewBulk(buf, keys, vals)
-	if err != nil {
-		return nil, err
-	}
-	b := &BTree{tree: t, buf: buf}
-	for _, r := range recs {
-		b.note(r)
-	}
-	return b, nil
+	return &BTree{Mem: *newMem(recs), tree: t}, nil
 }
 
 // ---------------------------------------------------------------------------
 // Multi-version B-tree backend
 
 // MVBT is an Index stored in a multi-version B-tree, the implementation the
-// paper names. Records are inserted at monotonically increasing versions
-// and queried at the current version.
+// paper names, beside the in-memory records every index keeps. Records are
+// inserted at monotonically increasing versions and queried at the current
+// version.
 type MVBT struct {
-	spanTracker
+	Mem
 	tree *mvbt.Tree
 	buf  *pagestore.Buffer
-	n    int
 }
 
-// Put implements Index.
-func (m *MVBT) Put(rec Record) error {
-	m.note(rec)
+func (m *MVBT) putPage(rec Record) error {
 	v := m.tree.Now()
 	if rec.Ts > v {
 		v = rec.Ts
@@ -515,9 +557,17 @@ func (m *MVBT) Put(rec Record) error {
 	} else if ok {
 		return m.tree.Update(v, rec.Ts, mvbt.Value{rec.Te, rec.Agg})
 	}
-	m.n++
 	return m.tree.Insert(v, rec.Ts, mvbt.Value{rec.Te, rec.Agg})
 }
+
+// Put implements Index.
+func (m *MVBT) Put(rec Record) error {
+	m.Mem.Put(rec) //nolint:errcheck // in memory: cannot fail
+	return m.putPage(rec)
+}
+
+// MaxMerge implements Index.
+func (m *MVBT) MaxMerge(src []Record) error { return m.mergePaged(src, m.putPage) }
 
 // Aggregate implements Index, charging the MVBT page accesses of this probe
 // to acct.
@@ -533,21 +583,12 @@ func (m *MVBT) Aggregate(iv Interval, sem Semantics, f Func, acct *pagestore.IOA
 	return acc, err
 }
 
-// Visit implements Index.
-func (m *MVBT) Visit(fn func(Record) bool) error {
-	return m.tree.ScanAt(m.tree.Now(), math.MinInt64, math.MaxInt64, func(ts int64, v mvbt.Value) bool {
-		return fn(Record{Ts: ts, Te: v[0], Agg: v[1]})
-	})
-}
-
-// Len implements Index.
-func (m *MVBT) Len() int { return m.n }
-
 // Destroy implements Index.
 func (m *MVBT) Destroy() error {
 	// Historical MVBT nodes are shared with no free-list bookkeeping; we
 	// simply drop the buffer. The factory's file reclaims space only when
 	// it is closed, which matches how scratch MVBTs are used.
+	m.recs = nil
 	m.buf.Drop()
 	return nil
 }
@@ -560,90 +601,18 @@ func NewMVBTFactory(pageSize, slots int) *MVBTFactory {
 	return &MVBTFactory{pagedFactory{kind: KindMVBT, file: pagestore.NewMemFile(pageSize), slots: slots}}
 }
 
-// New implements Factory.
-func (f *MVBTFactory) New() (Index, error) {
+// New implements Factory: the records are inserted one version each.
+func (f *MVBTFactory) New(recs []Record) (Index, error) {
 	buf := f.newBuffer()
 	t, err := mvbt.New(buf)
 	if err != nil {
 		return nil, err
 	}
-	return &MVBT{tree: t, buf: buf}, nil
-}
-
-// MaxMerge stores into dst the per-epoch maximum of dst and src: for every
-// epoch in src, dst's record becomes the larger aggregate. This is how an
-// internal entry's TIA is maintained (Section 4.1: "the TIA of an internal
-// entry stores the largest aggregate value of the TIAs in the child node
-// for each epoch"). Two in-memory indexes merge their sorted records in one
-// pass; a paged index takes one Put per raised epoch.
-func MaxMerge(dst, src Index) error {
-	if d, ok := dst.(*Mem); ok {
-		if s, ok := src.(*Mem); ok {
-			d.maxMerge(s.recs)
-			return nil
+	m := &MVBT{Mem: *newMem(recs), tree: t, buf: buf}
+	for _, r := range recs {
+		if err := m.putPage(r); err != nil {
+			return nil, err
 		}
 	}
-	var rs []Record
-	if err := src.Visit(func(r Record) bool { rs = append(rs, r); return true }); err != nil {
-		return err
-	}
-	var ds []Record
-	if err := dst.Visit(func(r Record) bool { ds = append(ds, r); return true }); err != nil {
-		return err
-	}
-	have := make(map[int64]int64, len(ds))
-	for _, r := range ds {
-		have[r.Ts] = r.Agg
-	}
-	for _, r := range rs {
-		if cur, ok := have[r.Ts]; !ok || r.Agg > cur {
-			if err := dst.Put(r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// maxMerge is MaxMerge over two sorted record slices: it counts the epochs
-// m lacks, grows m's slice by that many, and merges from the back — so no
-// record is overwritten before it is read and nothing else is allocated.
-// As with Put, only a record that lands in m widens the tracked span.
-func (m *Mem) maxMerge(src []Record) {
-	d := m.recs
-	missing := 0
-	for i, j := 0, 0; j < len(src); {
-		switch {
-		case i == len(d) || src[j].Ts < d[i].Ts:
-			missing++
-			j++
-		case src[j].Ts == d[i].Ts:
-			i++
-			j++
-		default:
-			i++
-		}
-	}
-	i := len(d) - 1
-	d = slices.Grow(d, missing)[:len(d)+missing]
-	for j, k := len(src)-1, len(d)-1; j >= 0; k-- {
-		switch {
-		case i >= 0 && d[i].Ts > src[j].Ts:
-			d[k] = d[i]
-			i--
-		case i >= 0 && d[i].Ts == src[j].Ts:
-			d[k] = d[i]
-			if src[j].Agg > d[i].Agg {
-				d[k] = src[j]
-				m.note(src[j])
-			}
-			i--
-			j--
-		default:
-			d[k] = src[j]
-			m.note(src[j])
-			j--
-		}
-	}
-	m.recs = d
+	return m, nil
 }

@@ -1,11 +1,16 @@
 package tia
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
+	"tartree/internal/btree"
+	"tartree/internal/mvbt"
 	"tartree/internal/pagestore"
 )
 
@@ -48,7 +53,7 @@ func TestPaperExampleAggregate(t *testing.T) {
 	// epochs; over [t0, tc] the aggregate is 12. Use epochs of length 1.
 	for name, f := range factories() {
 		t.Run(name, func(t *testing.T) {
-			idx, err := f.New()
+			idx, err := f.New(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,11 +87,11 @@ func TestPaperExampleAggregate(t *testing.T) {
 func TestOverwrite(t *testing.T) {
 	for name, f := range factories() {
 		t.Run(name, func(t *testing.T) {
-			idx, _ := f.New()
+			idx, _ := f.New(nil)
 			idx.Put(Record{Ts: 100, Te: 200, Agg: 3})
 			idx.Put(Record{Ts: 100, Te: 200, Agg: 7})
-			if idx.Len() != 1 {
-				t.Fatalf("len = %d, want 1", idx.Len())
+			if n := len(idx.Records()); n != 1 {
+				t.Fatalf("len = %d, want 1", n)
 			}
 			if got, _ := idx.Aggregate(Interval{0, 1000}, Contained, FuncSum, nil); got != 7 {
 				t.Errorf("aggregate = %d, want 7 (overwritten)", got)
@@ -95,10 +100,10 @@ func TestOverwrite(t *testing.T) {
 	}
 }
 
-func TestVisitOrderAndEarlyStop(t *testing.T) {
+func TestRecordsSorted(t *testing.T) {
 	for name, f := range factories() {
 		t.Run(name, func(t *testing.T) {
-			idx, _ := f.New()
+			idx, _ := f.New(nil)
 			// Insert out of order for the mem backend; disk backends get
 			// ascending inserts in practice, but must cope regardless.
 			order := []int64{50, 10, 30, 20, 40}
@@ -110,30 +115,24 @@ func TestVisitOrderAndEarlyStop(t *testing.T) {
 				idx.Put(Record{Ts: ts, Te: ts + 10, Agg: ts})
 			}
 			var got []int64
-			idx.Visit(func(r Record) bool { got = append(got, r.Ts); return true })
-			want := []int64{10, 20, 30, 40, 50}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("visit order = %v", got)
-				}
+			for _, r := range idx.Records() {
+				got = append(got, r.Ts)
 			}
-			n := 0
-			idx.Visit(func(r Record) bool { n++; return n < 2 })
-			if n != 2 {
-				t.Errorf("early stop visited %d", n)
+			if want := []int64{10, 20, 30, 40, 50}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("records order = %v", got)
 			}
 		})
 	}
 }
 
-// Property: Aggregate equals a brute-force sum over Visit, for random
+// Property: Aggregate equals a brute-force sum over the records, for random
 // epoch layouts and random query intervals, under both semantics.
 func TestAggregateMatchesBruteForce(t *testing.T) {
 	for name, f := range factories() {
 		t.Run(name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(11))
 			for trial := 0; trial < 30; trial++ {
-				idx, err := f.New()
+				idx, err := f.New(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,7 +181,7 @@ func TestAggregateMatchesBruteForce(t *testing.T) {
 
 func TestFactoryStats(t *testing.T) {
 	f := NewBTreeFactory(512, 0) // unbuffered: every access is physical
-	idx, err := f.New()
+	idx, err := f.New(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +203,7 @@ func TestFactoryStats(t *testing.T) {
 func TestFactoryBufferedVsUnbuffered(t *testing.T) {
 	run := func(slots int) int64 {
 		f := NewBTreeFactory(1024, slots)
-		idx, _ := f.New()
+		idx, _ := f.New(nil)
 		for i := 0; i < 500; i++ {
 			idx.Put(Record{Ts: int64(i * 10), Te: int64(i*10 + 10), Agg: 1})
 		}
@@ -230,76 +229,146 @@ func TestMaxMerge(t *testing.T) {
 	for _, r := range []Record{{0, 1, 2}, {1, 2, 3}, {2, 3, 1}} {
 		src.Put(r)
 	}
-	if err := MaxMerge(dst, src); err != nil {
+	if err := dst.MaxMerge(src.Records()); err != nil {
 		t.Fatal(err)
 	}
-	var got []int64
-	dst.Visit(func(r Record) bool { got = append(got, r.Agg); return true })
-	want := []int64{2, 3, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged = %v, want %v", got, want)
-		}
+	if want := []Record{{0, 1, 2}, {1, 2, 3}, {2, 3, 2}}; !reflect.DeepEqual(dst.Records(), want) {
+		t.Fatalf("merged = %v, want %v", dst.Records(), want)
 	}
 	// Merging an epoch missing from dst adds it.
-	src2 := NewMem()
-	src2.Put(Record{Ts: 5, Te: 6, Agg: 9})
-	MaxMerge(dst, src2)
-	if dst.Len() != 4 {
-		t.Errorf("len after merge = %d, want 4", dst.Len())
+	dst.MaxMerge([]Record{{Ts: 5, Te: 6, Agg: 9}})
+	if n := len(dst.Records()); n != 4 {
+		t.Errorf("len after merge = %d, want 4", n)
 	}
 }
 
-// TestMaxMergeMemMatchesGeneric: the one-pass merge of two in-memory
-// indexes leaves exactly what the generic path — one Put per raised epoch —
-// leaves, tracked span included, on sparse, dense and overlapping inputs
-// with epochs of unequal width.
-func TestMaxMergeMemMatchesGeneric(t *testing.T) {
-	type notMem struct{ *Mem } // hides the concrete type: MaxMerge takes the generic path
-	r := rand.New(rand.NewSource(9))
-	random := func(epochs int, density float64, offset int64) *Mem {
-		m := NewMem()
-		for e := int64(0); e < int64(epochs); e++ {
-			if r.Float64() < density {
-				ts := (offset + e) * 10
-				m.Put(Record{Ts: ts, Te: ts + 1 + r.Int63n(30), Agg: 1 + r.Int63n(5)})
-			}
+// putPerRaised is the reference MaxMerge is checked against: one Put per
+// epoch of src that dst lacks or holds a smaller aggregate for.
+func putPerRaised(dst Index, src []Record) {
+	for _, r := range src {
+		i, ok := slices.BinarySearchFunc(dst.Records(), r.Ts, func(d Record, ts int64) int { return cmp.Compare(d.Ts, ts) })
+		if !ok || r.Agg > dst.Records()[i].Agg {
+			dst.Put(r)
 		}
-		return m
 	}
+}
+
+// randomMem returns an index with a record, of random width and aggregate,
+// for roughly density of the given epochs starting at offset.
+func randomMem(r *rand.Rand, epochs int, density float64, offset int64) *Mem {
+	m := NewMem()
+	for e := int64(0); e < int64(epochs); e++ {
+		if r.Float64() < density {
+			ts := (offset + e) * 10
+			m.Put(Record{Ts: ts, Te: ts + 1 + r.Int63n(30), Agg: 1 + r.Int63n(5)})
+		}
+	}
+	return m
+}
+
+// TestMaxMergeMemMatchesGeneric: the one-pass merge of sorted records
+// leaves exactly what the generic path — one Put per raised epoch — leaves,
+// tracked span included, on sparse, dense and overlapping inputs with
+// epochs of unequal width.
+func TestMaxMergeMemMatchesGeneric(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 500; trial++ {
 		density := []float64{0.05, 0.5, 1}[trial%3]
-		dst := random(r.Intn(40), density, 0)
-		src := random(r.Intn(40), []float64{1, 0.05, 0.5}[trial%3], int64(r.Intn(50))-10)
-		want := NewMemFromSorted(dst.Records())
-		want.spanTracker = dst.spanTracker
-		if err := MaxMerge(notMem{want}, src); err != nil {
+		dst := randomMem(r, r.Intn(40), density, 0)
+		src := randomMem(r, r.Intn(40), []float64{1, 0.05, 0.5}[trial%3], int64(r.Intn(50))-10)
+		want := &Mem{recs: slices.Clone(dst.recs), maxSpan: dst.maxSpan}
+		putPerRaised(want, src.recs)
+		before := slices.Clone(src.recs)
+		if err := dst.MaxMerge(src.recs); err != nil {
 			t.Fatal(err)
 		}
-		before := NewMemFromSorted(src.Records())
-		if err := MaxMerge(dst, src); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(dst.Records(), want.Records()) && (dst.Len() > 0 || want.Len() > 0) {
-			t.Fatalf("trial %d: merged %v, generic path %v", trial, dst.Records(), want.Records())
+		if !reflect.DeepEqual(dst.recs, want.recs) && len(dst.recs)+len(want.recs) > 0 {
+			t.Fatalf("trial %d: merged %v, generic path %v", trial, dst.recs, want.recs)
 		}
 		if dst.maxSpan != want.maxSpan {
 			t.Fatalf("trial %d: tracked span %d, generic path %d", trial, dst.maxSpan, want.maxSpan)
 		}
-		if !reflect.DeepEqual(src.Records(), before.Records()) {
+		if !reflect.DeepEqual(src.recs, before) {
 			t.Fatalf("trial %d: the merge changed its source", trial)
 		}
-		for i := 1; i < dst.Len(); i++ {
+		for i := 1; i < len(dst.recs); i++ {
 			if dst.recs[i-1].Ts >= dst.recs[i].Ts {
 				t.Fatalf("trial %d: merged records out of order at %d", trial, i)
 			}
 		}
 	}
 	// An index merged into itself is unchanged.
-	m := random(30, 0.5, 0)
-	same := NewMemFromSorted(m.Records())
-	if err := MaxMerge(m, m); err != nil || !reflect.DeepEqual(m.Records(), same.Records()) {
-		t.Fatalf("self-merge: %v, %v", err, m.Records())
+	m := randomMem(r, 30, 0.5, 0)
+	same := slices.Clone(m.recs)
+	if err := m.MaxMerge(m.recs); err != nil || !reflect.DeepEqual(m.recs, same) {
+		t.Fatalf("self-merge: %v, %v", err, m.recs)
+	}
+}
+
+// TestPagedIndexHoldsItsRecords: a paged index holds its records twice — in
+// memory and on pages — and every mutation writes both. Whatever mix of
+// bulk build, Put (inserts, and overwrites that raise or lower an epoch)
+// and MaxMerge made it, a full scan of the pages equals Records() record
+// for record, and both equal an in-memory index fed the same operations.
+func TestPagedIndexHoldsItsRecords(t *testing.T) {
+	pages := func(x Index) (got []Record, err error) {
+		switch x := x.(type) {
+		case *BTree:
+			err = x.tree.Scan(math.MinInt64, math.MaxInt64, func(ts int64, v btree.Value) bool {
+				got = append(got, Record{ts, v[0], v[1]})
+				return true
+			})
+		case *MVBT:
+			err = x.tree.ScanAt(x.tree.Now(), math.MinInt64, math.MaxInt64, func(ts int64, v mvbt.Value) bool {
+				got = append(got, Record{ts, v[0], v[1]})
+				return true
+			})
+		}
+		return got, err
+	}
+	for name, f := range map[string]Factory{"btree": NewBTreeFactory(256, 4), "mvbt": NewMVBTFactory(1024, 4)} {
+		t.Run(name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(5))
+			for trial := 0; trial < 60; trial++ {
+				var init []Record // nil two times in three: an empty index
+				if trial%3 == 0 {
+					init = randomMem(r, 80, 0.6, 0).recs
+				}
+				x, err := f.New(slices.Clone(init))
+				if err != nil {
+					t.Fatal(err)
+				}
+				model := newMem(slices.Clone(init))
+				for op := 0; op <= 40; op++ {
+					got, err := pages(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got)+len(x.Records()) > 0 && !reflect.DeepEqual(got, x.Records()) {
+						t.Fatalf("trial %d, after %d operations: the pages hold %v, Records() %v", trial, op, got, x.Records())
+					}
+					if len(got)+len(model.recs) > 0 && !reflect.DeepEqual(got, model.recs) {
+						t.Fatalf("trial %d, after %d operations: the pages hold %v, the model %v", trial, op, got, model.recs)
+					}
+					if r.Intn(3) == 0 {
+						src := randomMem(r, r.Intn(60), []float64{0.05, 0.5, 1}[op%3], int64(r.Intn(60))-10).recs
+						err = x.MaxMerge(src)
+						putPerRaised(model, src)
+					} else {
+						ts := int64(r.Intn(100)-10) * 10
+						rec := Record{Ts: ts, Te: ts + 1 + r.Int63n(30), Agg: 1 + r.Int63n(5)}
+						err = x.Put(rec)
+						model.Put(rec)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := x.Destroy(); err != nil || len(x.Records()) != 0 {
+					t.Fatalf("trial %d: destroy: %v, %d records left", trial, err, len(x.Records()))
+				}
+			}
+		})
 	}
 }
 
@@ -309,7 +378,7 @@ func TestDestroyMem(t *testing.T) {
 	if err := m.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 0 {
+	if len(m.Records()) != 0 {
 		t.Error("destroy should clear records")
 	}
 }
@@ -317,7 +386,7 @@ func TestDestroyMem(t *testing.T) {
 func TestAggregateFuncMax(t *testing.T) {
 	for name, f := range factories() {
 		t.Run(name, func(t *testing.T) {
-			idx, _ := f.New()
+			idx, _ := f.New(nil)
 			for i, agg := range []int64{3, 9, 4, 7} {
 				idx.Put(Record{Ts: int64(i * 10), Te: int64(i*10 + 10), Agg: agg})
 			}
@@ -347,14 +416,14 @@ func TestProbeCountsPerBackend(t *testing.T) {
 	iv := Interval{Start: 0, End: 100}
 	backends := []struct {
 		kind BackendKind
-		mk   func() (Index, error)
+		f    Factory
 	}{
-		{KindMem, func() (Index, error) { return NewMem(), nil }},
-		{KindBTree, NewBTreeFactory(256, 4).New},
-		{KindMVBT, NewMVBTFactory(1024, 4).New},
+		{KindMem, NewMemFactory()},
+		{KindBTree, NewBTreeFactory(256, 4)},
+		{KindMVBT, NewMVBTFactory(1024, 4)},
 	}
 	for _, b := range backends {
-		idx, err := b.mk()
+		idx, err := b.f.New(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +460,7 @@ func TestFactoryLedger(t *testing.T) {
 		ledger := tc.f.Ledger()
 		var idxs []Index
 		for i := 0; i < 2; i++ {
-			idx, err := tc.f.New()
+			idx, err := tc.f.New(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -440,11 +509,11 @@ func TestBTreeFactoryNewBulk(t *testing.T) {
 		ts += int64(1 + i%7)
 		recs[i] = Record{Ts: ts, Te: ts + 5, Agg: int64(i % 13)}
 	}
-	bulk, err := f.NewBulk(recs)
+	bulk, err := f.New(slices.Clone(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	put, err := f.New()
+	put, err := f.New(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,8 +522,8 @@ func TestBTreeFactoryNewBulk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if bulk.Len() != put.Len() {
-		t.Fatalf("len %d != %d", bulk.Len(), put.Len())
+	if !reflect.DeepEqual(bulk.Records(), put.Records()) {
+		t.Fatalf("records %v != %v", bulk.Records(), put.Records())
 	}
 	for _, sem := range []Semantics{Contained, Intersecting} {
 		for _, iv := range []Interval{{-1000, 2000}, {0, 100}, {recs[10].Ts, recs[200].Te}} {
@@ -483,12 +552,12 @@ func TestBTreeFactoryNewBulk(t *testing.T) {
 		t.Fatalf("overwrite lost: %d", v)
 	}
 	// Empty bulk build works.
-	empty, err := f.NewBulk(nil)
+	empty, err := f.New([]Record{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.Len() != 0 {
-		t.Fatalf("empty len %d", empty.Len())
+	if v, err := empty.Aggregate(Interval{-1000, 2000}, Contained, FuncSum, nil); err != nil || v != 0 {
+		t.Fatalf("empty aggregate %d, %v", v, err)
 	}
 }
 
@@ -505,7 +574,7 @@ func TestDestroyedIndexIsReleased(t *testing.T) {
 	}
 	cycle := func(n int) {
 		for i := 0; i < n; i++ {
-			idx, err := f.New()
+			idx, err := f.New(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

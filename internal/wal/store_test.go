@@ -86,8 +86,8 @@ func assertTreesAgree(t *testing.T, s *Store, ref *core.Tree, horizon int64) {
 		}
 		// The identities are proved on what a server runs: no test names a
 		// StoreOptions.Factory, so recovery builds in-memory TIAs.
-		if _, ok := tr.TIAFactory().(*tia.MemFactory); !ok {
-			t.Fatalf("recovered tree runs on %T, want the in-memory default", tr.TIAFactory())
+		if _, ok := tr.Options().TIA.(*tia.MemFactory); !ok {
+			t.Fatalf("recovered tree runs on %T, want the in-memory default", tr.Options().TIA)
 		}
 		for id := int64(1); id <= testPOIs; id++ {
 			a, err := ref.Aggregate(id, iv)
