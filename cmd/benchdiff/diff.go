@@ -152,14 +152,14 @@ func evalSLOs(objs []obs.Objective, snap snapshot) []finding {
 			}
 			matched = true
 			out = append(out, finding{
-				Name: "slo " + o.String() + " @ " + name,
+				Name:     "slo " + o.String() + " @ " + name,
 				Baseline: o.Threshold, Current: q, Tol: 1,
 				Regression: q > o.Threshold,
 			})
 		}
 		if !matched {
 			out = append(out, finding{
-				Name: "slo " + o.String() + " (no matching metric)",
+				Name:     "slo " + o.String() + " (no matching metric)",
 				Baseline: o.Threshold, Missing: true, Regression: true,
 			})
 		}

@@ -354,16 +354,9 @@ func printExplain(e *tartree.Explain) {
 	if len(e.Shards) > 0 {
 		fmt.Printf("├─ shards (scatter-gather):\n")
 		for _, s := range e.Shards {
-			extra := ""
-			if s.Pruned {
-				extra = ", pruned by global bound"
-			}
-			if s.Restarts > 0 {
-				extra += fmt.Sprintf(", %d restart(s)", s.Restarts)
-			}
-			fmt.Printf("│    shard %d %s: %d candidates over %d rounds (%d bound pushes), %d node accesses, %d TIA reads, %v%s\n",
-				s.Shard, s.URL, s.Results, s.Rounds, s.BoundPushes, s.NodeAccesses, s.TIAReads,
-				time.Duration(s.ElapsedMicros)*time.Microsecond, extra)
+			fmt.Printf("│    shard %d %s: %d candidates, %d node accesses, %d TIA reads, %v\n",
+				s.Shard, s.URL, s.Results, s.NodeAccesses, s.TIAReads,
+				time.Duration(s.ElapsedMicros)*time.Microsecond)
 		}
 	}
 	if len(e.PopLog) > 0 {

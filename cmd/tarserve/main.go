@@ -70,14 +70,13 @@
 // -shard-of i/N -shard-map map.json (indexing only its slice, over the
 // full world so scores stay bit-identical), and one coordinator runs with
 // -coordinator url0,url1,... and no local index. The coordinator serves
-// /v1/query by scatter-gather: it fans the query to every shard, streams
-// candidate batches back, and pushes the merged global k-th score to
-// in-flight shards so each prunes against the global bound. Answers are
+// /v1/query by scatter-gather: after the gmax exchange it sends every
+// shard one stateless query, each shard answers its top k plus the ties at
+// its kth score, and the coordinator merges by (score, id). Answers are
 // exactly identical to single-node execution; a failed shard turns the
 // whole query into a 503 naming the shard, never a silently partial
 // top-k. /healthz reports the role and the shard's key range;
-// tartree_shard_* metrics cover fan-out, rounds, bound pushes and
-// straggler latency.
+// tartree_shard_* metrics cover fan-out, candidates and straggler latency.
 //
 // On SIGINT/SIGTERM the server drains in-flight requests, stops the
 // replication tail and background loops, flushes observed epochs and
@@ -436,9 +435,8 @@ func main() {
 		log.Info("replication leader enabled", "endpoints", "/v1/repl/snapshot /v1/repl/wal")
 	}
 	if shardMap != nil {
-		// The store is the shard's Viewer: each scatter-gather round runs
-		// under its read lock, and live ingest between rounds bumps the tree
-		// version so in-flight sessions restart instead of answering stale.
+		// The store is the shard's Viewer: each shard query runs under one
+		// hold of its read lock, so live ingest never splits a search.
 		srv.enableShard(&shard.Server{
 			Data:    store,
 			Index:   shardIdx,

@@ -170,7 +170,6 @@ func newPendingServer(reg *obs.Registry, traces *obs.TraceRing, log *slog.Logger
 	// until enableShard installs the shard server.
 	s.mux.HandleFunc("GET /v1/shard/gmax", s.handleShardGmax)
 	s.mux.HandleFunc("POST /v1/shard/query", s.handleShardQuery)
-	s.mux.HandleFunc("POST /v1/shard/next", s.handleShardNext)
 	// Unknown /v1/* paths get the JSON error envelope instead of the
 	// mux's plain-text 404 (registered routes win by specificity).
 	s.mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
@@ -289,12 +288,6 @@ func (s *server) handleShardGmax(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	if sh := s.shardServer(w); sh != nil {
 		sh.HandleQuery(w, r)
-	}
-}
-
-func (s *server) handleShardNext(w http.ResponseWriter, r *http.Request) {
-	if sh := s.shardServer(w); sh != nil {
-		sh.HandleNext(w, r)
 	}
 }
 

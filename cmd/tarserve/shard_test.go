@@ -147,18 +147,39 @@ func TestServeShardedQueryMatchesSingleNode(t *testing.T) {
 		}
 
 		// The io breakdown attributes the fan-out: one shard row per shard
-		// that served at least one round, level = shard index.
+		// with one read (its query request), level = shard index.
 		shardRows := 0
 		for _, line := range got.IO {
 			if line.Component == "shard" {
 				shardRows++
-				if line.Hits == 0 {
-					t.Errorf("%s: shard io row at level %d has no round-trips", url, line.Level)
+				if line.Hits != 1 {
+					t.Errorf("%s: shard io row at level %d counts %d requests, want 1", url, line.Level, line.Hits)
 				}
 			}
 		}
-		if shardRows == 0 {
-			t.Errorf("%s: coordinator io breakdown has no shard rows: %+v", url, got.IO)
+		if shardRows != len(c.urls) {
+			t.Errorf("%s: coordinator io breakdown has %d shard rows, want %d: %+v", url, shardRows, len(c.urls), got.IO)
+		}
+	}
+}
+
+// TestServeHugeK: k is read straight from the URL, so a k far beyond the
+// POI count must answer 200 with every POI — on a single node and through
+// the coordinator — instead of sizing an allocation by it.
+func TestServeHugeK(t *testing.T) {
+	c := newShardedCluster(t, 2)
+	want := c.single.tree.Len()
+	for name, s := range map[string]*server{"single-node": c.single, "coordinator": c.coord} {
+		code, body := get(t, s, "/v1/query?x=50&y=50&k=1073741824&alpha=0.3&days=128")
+		if code != 200 {
+			t.Fatalf("%s: status %d: %s", name, code, body)
+		}
+		var resp queryResponse
+		if err := json.Unmarshal([]byte(body), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Results) != want {
+			t.Errorf("%s: %d results, want all %d POIs", name, len(resp.Results), want)
 		}
 	}
 }
@@ -409,7 +430,7 @@ func TestServeShardedTraceID(t *testing.T) {
 					mine = append(mine, ft)
 				}
 			}
-			if len(mine) >= 2 { // the gmax exchange and at least one round
+			if len(mine) >= 2 { // the gmax exchange and the query
 				break
 			}
 		}

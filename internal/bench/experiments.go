@@ -118,7 +118,7 @@ var experiments = []experiment{
 	{id: "repl", group: Infra, dataset: "GS", scales: []float64{0.05}, run: replExp,
 		doc: "replication over loopback HTTP: snapshot bootstrap + WAL tail, LSN-identity and answer-identity gates"},
 	{id: "shard", group: Infra, dataset: "GS", scales: []float64{0.2}, run: shardExp,
-		doc: "scatter-gather over 4 shards: single-node vs coordinator with and without the global bound, exact-identity gate"},
+		doc: "scatter-gather over 4 shards: single-node vs one request per shard per query, exact-identity gate"},
 	{id: "smoke", group: Infra, dataset: "GS", scales: []float64{0.06}, queries: 20, run: smoke,
 		doc: "regression probe behind benchdiff: the four methods on one fixed batch plus a WAL append/replay pass"},
 

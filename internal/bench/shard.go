@@ -79,55 +79,30 @@ func shardExp(r *run, env *dataEnv) error {
 	}
 
 	queries := env.Queries(r.Queries, defaultK, defaultAlpha, r.Seed+43)
-
-	// Arm 1: single-node baseline (also the identity oracle). Arm 2:
-	// scatter-gather with the global bound pushed to in-flight shards. Arm 3:
-	// the same fleet with the bound disabled — every shard streams its whole
-	// frontier.
-	bm, um := shard.NewMetrics(obs.NewRegistry()), shard.NewMetrics(obs.NewRegistry())
+	met := shard.NewMetrics(obs.NewRegistry())
 	oracle, err := r.measure("", single, queries, &core.QueryOpts{NoCache: true})
 	if err != nil {
 		return err
 	}
-	bounded, err := r.measure("", &shard.Coordinator{Shards: urls, Metrics: bm}, queries, nil)
+	sharded, err := r.measure("", &shard.Coordinator{Shards: urls, Metrics: met}, queries, nil)
 	if err != nil {
 		return err
 	}
-	unbounded, err := r.measure("", &shard.Coordinator{Shards: urls, Metrics: um, NoBound: true, Batch: defaultK}, queries, nil)
-	if err != nil {
+	if err := sameBatch(exact, "coordinator vs single-node", oracle, sharded); err != nil {
 		return err
-	}
-	// Gate 1: exact answer identity against the oracle, both arms.
-	if err := sameBatch(exact, "coordinator vs single-node", oracle, bounded); err != nil {
-		return err
-	}
-	if err := sameBatch(exact, "unbounded coordinator vs single-node", oracle, unbounded); err != nil {
-		return err
-	}
-	// Gate 2: the bound must strictly reduce work.
-	singleWork, boundedWork, unboundedWork := oracle.nodeAccesses(), bounded.nodeAccesses(), unbounded.nodeAccesses()
-	if boundedWork >= unboundedWork {
-		return fmt.Errorf("global bound did not reduce work: bounded %d node accesses vs unbounded %d", boundedWork, unboundedWork)
 	}
 
+	singleWork, shardedWork := oracle.nodeAccesses(), sharded.nodeAccesses()
 	r.count("bench_shard_queries_total", int64(len(queries)))
 	r.count("bench_shard_results_total", oracle.results)
-	r.count("bench_shard_fanout_total", bm.Fanout.Value())
-	r.count("bench_shard_rounds_total", bm.Rounds.Value())
-	r.count("bench_shard_bound_pushes_total", bm.BoundPushes.Value())
-	r.count("bench_shard_pruned_total", bm.Pruned.Value())
+	r.count("bench_shard_fanout_total", met.Fanout.Value())
 	r.count("bench_shard_node_accesses_single_total", singleWork)
-	r.count("bench_shard_node_accesses_bounded_total", boundedWork)
-	r.count("bench_shard_node_accesses_unbounded_total", unboundedWork)
+	r.count("bench_shard_node_accesses_scatter_total", shardedWork)
 
 	t := r.table(fmt.Sprintf("Sharding: scatter-gather kNNTA over %d shards, loopback HTTP (%s ×%.2f, %d queries; answers identical to single-node)",
 		shardBenchN, env.name, env.scale, len(queries)),
-		"mode", "node accesses", "rounds", "bound pushes", "pruned shards", "elapsed (ms)")
-	t.add("single-node", singleWork, "-", "-", "-", "-")
-	t.add("scatter-gather, global bound", boundedWork, bm.Rounds.Value(), bm.BoundPushes.Value(), bm.Pruned.Value(),
-		f1(bounded.elapsed.Seconds()*1000))
-	t.add("scatter-gather, no bound", unboundedWork, um.Rounds.Value(), 0, um.Pruned.Value(),
-		f1(unbounded.elapsed.Seconds()*1000))
-	t.add("bound saving", fmt.Sprintf("-%.1f%%", 100*(1-float64(boundedWork)/float64(unboundedWork))), "-", "-", "-", "-")
+		"mode", "node accesses", "shard requests", "elapsed (ms)")
+	t.add("single-node", singleWork, "-", f1(oracle.elapsed.Seconds()*1000))
+	t.add("scatter-gather", shardedWork, met.Fanout.Value(), f1(sharded.elapsed.Seconds()*1000))
 	return nil
 }

@@ -261,10 +261,6 @@ type Tree struct {
 	compileMu sync.Mutex
 
 	instr *instruments // nil unless Options.Metrics is set
-
-	// version counts answer-changing mutations (see Version). Bumped in
-	// invalidateCache, read under whatever lock guards the tree.
-	version uint64
 }
 
 // NewTree creates an empty TAR-tree.
@@ -433,11 +429,10 @@ func (t *Tree) InsertPOI(p POI, history []tia.Record) error {
 	})
 }
 
-// invalidateCache bumps the shared cache's version stamp and the tree's
-// own mutation version. Called by every mutation that can change a query
-// answer; over-invalidation is harmless, under-invalidation never happens.
+// invalidateCache bumps the shared cache's version stamp. Called by every
+// mutation that can change a query answer; over-invalidation is harmless,
+// under-invalidation never happens.
 func (t *Tree) invalidateCache() {
-	t.version++
 	t.opts.Cache.Invalidate() // nil-safe
 }
 

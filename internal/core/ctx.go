@@ -183,7 +183,7 @@ func (t *Tree) searchTopKCtx(ctx context.Context, q Query, agg *obs.Span, o *Que
 	// pruned up to the abort: explain of a canceled query reports the
 	// partial frontier rather than nothing.
 	defer o.Explain.captureFrontier(s)
-	results := make([]Result, 0, q.K)
+	results := make([]Result, 0, min(q.K, t.Len()))
 	for len(results) < q.K {
 		r, err := s.Next()
 		if err != nil {

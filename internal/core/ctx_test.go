@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -31,6 +32,22 @@ func (c *stepCtx) Err() error {
 
 func exhaustiveQuery(tr *Tree) Query {
 	return Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: tr.Len(), Alpha0: 0.5}
+}
+
+// TestQueryCtxHugeK: k comes straight from the request, so a k far beyond
+// the POI count must neither size an allocation nor fail — it returns every
+// POI.
+func TestQueryCtxHugeK(t *testing.T) {
+	tr := buildAccountingTree(t, TAR3D)
+	q := exhaustiveQuery(tr)
+	q.K = math.MaxInt
+	res, _, err := tr.QueryCtx(context.Background(), q, &QueryOpts{NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != tr.Len() {
+		t.Errorf("k=MaxInt returned %d results, want all %d POIs", len(res), tr.Len())
+	}
 }
 
 func TestQueryCtxCanceledBeforeStart(t *testing.T) {

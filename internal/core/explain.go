@@ -76,31 +76,21 @@ type Explain struct {
 }
 
 // ExplainShard is one shard's contribution to a scatter-gather query: how
-// many rounds it served, how much search work it did, and whether the
-// global bound pruned its frontier before exhaustion. The coordinator
+// many candidates it sent and how much search work it did. The coordinator
 // fills one per shard; remote explains round-trip it through JSON.
 type ExplainShard struct {
 	// Shard is the shard index (position in the coordinator's shard list);
 	// URL is its base endpoint.
 	Shard int    `json:"shard"`
 	URL   string `json:"url"`
-	// Results counts candidates this shard streamed to the coordinator;
-	// Rounds counts the batch round-trips it served, and BoundPushes the
-	// rounds that carried a (tightened) global bound down to it.
-	Results     int `json:"results"`
-	Rounds      int `json:"rounds"`
-	BoundPushes int `json:"bound_pushes"`
-	// NodeAccesses and TIAReads are the shard-local search work deltas
-	// summed over all rounds.
+	// Results counts the candidates this shard sent the coordinator: its
+	// top k plus the results tied with its kth score.
+	Results int `json:"results"`
+	// NodeAccesses and TIAReads are the shard-local search work.
 	NodeAccesses int64 `json:"node_accesses"`
 	TIAReads     int64 `json:"tia_reads"`
-	// Pruned reports the shard stopped because its best frontier bound
-	// reached the global kth score (rather than exhausting its frontier);
-	// Restarts counts sessions abandoned to index-version drift.
-	Pruned   bool `json:"pruned,omitempty"`
-	Restarts int  `json:"restarts,omitempty"`
-	// ElapsedMicros is the coordinator-observed wall time spent waiting on
-	// this shard across all rounds (straggler attribution).
+	// ElapsedMicros is the coordinator-observed wall time of this shard's
+	// query request (straggler attribution).
 	ElapsedMicros int64 `json:"elapsed_micros"`
 }
 

@@ -22,15 +22,6 @@ type Querier interface {
 	QueryCtx(ctx context.Context, q Query, opts *QueryOpts) ([]Result, QueryStats, error)
 }
 
-// Version returns the tree's mutation version: a counter bumped by every
-// mutation that can change a query answer (check-in ingest, epoch flushes,
-// POI insertion/deletion, rebuilds). Shard query sessions snapshot it when
-// they start and abandon the session when it drifts, so an incremental
-// search never spans two logical states of the index. Freezing does not
-// bump it — a frozen layout answers identically to the pointer tree it was
-// built from.
-func (t *Tree) Version() uint64 { return t.version }
-
 // GlobalMirrorRecords returns the per-epoch records of the global TIA that
 // intersect iv, in ascending Ts order, read from memory. The slice is
 // freshly allocated.

@@ -26,8 +26,8 @@ const (
 	CodeForbidden        = "forbidden"          // 403: authenticated-but-denied, role mismatch, feature disabled
 	CodeNotFound         = "not_found"          // 404: no such route or resource
 	CodeMethodNotAllowed = "method_not_allowed" // 405: wrong HTTP verb
-	CodeConflict         = "conflict"           // 409: state conflicts with the request (divergent WAL, busy session)
-	CodeGone             = "gone"               // 410: resource existed but was truncated/expired (WAL tail, shard session)
+	CodeConflict         = "conflict"           // 409: state conflicts with the request (divergent WAL)
+	CodeGone             = "gone"               // 410: resource existed but was truncated/expired (WAL tail)
 	CodeUnprocessable    = "unprocessable"      // 422: well-formed input the engine cannot execute
 	CodeInternal         = "internal"           // 500: unexpected server-side failure
 	CodeUnavailable      = "unavailable"        // 503: temporarily unable (recovering, admission full, shard down)

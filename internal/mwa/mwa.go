@@ -93,7 +93,7 @@ func Enumerating(t *core.Tree, q core.Query) ([]core.Result, Adjustment, core.Qu
 	if err != nil {
 		return nil, Adjustment{}, stats, err
 	}
-	topk := make([]core.Result, 0, q.K)
+	topk := make([]core.Result, 0, min(q.K, t.Len()))
 	for len(topk) < q.K {
 		r, err := s.Next()
 		if err != nil {
@@ -152,7 +152,7 @@ func Pruning(t *core.Tree, q core.Query) ([]core.Result, Adjustment, core.QueryS
 	if err != nil {
 		return nil, Adjustment{}, stats, err
 	}
-	topk := make([]core.Result, 0, q.K)
+	topk := make([]core.Result, 0, min(q.K, t.Len()))
 	for len(topk) < q.K {
 		r, err := s.Next()
 		if err != nil {

@@ -10,34 +10,21 @@ import (
 // Coordinator side:
 //
 //	tartree_shard_queries_total        distributed queries served
-//	tartree_shard_fanout_total         shard round-trips issued
-//	tartree_shard_rounds_total         barrier rounds run
-//	tartree_shard_bound_pushes_total   round-trips carrying a global bound
-//	tartree_shard_pruned_total         shards stopped by the global bound
-//	tartree_shard_restarts_total       sessions restarted on version drift
-//	tartree_shard_errors_total         failed shard round-trips
-//	tartree_shard_straggler_seconds    slowest-shard latency per round
+//	tartree_shard_fanout_total         shard query requests issued (one per
+//	                                   shard per query; gmax calls aside)
+//	tartree_shard_errors_total         queries failed by a shard
+//	tartree_shard_straggler_seconds    slowest shard's query latency
 //
 // Shard side:
 //
-//	tartree_shard_sessions_total       search sessions opened
-//	tartree_shard_session_rounds_total rounds served
-//	tartree_shard_candidates_total     candidates streamed up
-//	tartree_shard_expired_total        sessions dropped (TTL, cap, drift)
+//	tartree_shard_candidates_total     candidates sent up
 type Metrics struct {
-	Queries     *obs.Counter
-	Fanout      *obs.Counter
-	Rounds      *obs.Counter
-	BoundPushes *obs.Counter
-	Pruned      *obs.Counter
-	Restarts    *obs.Counter
-	Errors      *obs.Counter
-	Straggler   *obs.Histogram
+	Queries   *obs.Counter
+	Fanout    *obs.Counter
+	Errors    *obs.Counter
+	Straggler *obs.Histogram
 
-	Sessions      *obs.Counter
-	SessionRounds *obs.Counter
-	Candidates    *obs.Counter
-	Expired       *obs.Counter
+	Candidates *obs.Counter
 }
 
 // NewMetrics registers the shard series in r. Pass nil to disable.
@@ -46,19 +33,12 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		Queries:     r.Counter("tartree_shard_queries_total"),
-		Fanout:      r.Counter("tartree_shard_fanout_total"),
-		Rounds:      r.Counter("tartree_shard_rounds_total"),
-		BoundPushes: r.Counter("tartree_shard_bound_pushes_total"),
-		Pruned:      r.Counter("tartree_shard_pruned_total"),
-		Restarts:    r.Counter("tartree_shard_restarts_total"),
-		Errors:      r.Counter("tartree_shard_errors_total"),
-		Straggler:   r.Histogram("tartree_shard_straggler_seconds", nil),
+		Queries:   r.Counter("tartree_shard_queries_total"),
+		Fanout:    r.Counter("tartree_shard_fanout_total"),
+		Errors:    r.Counter("tartree_shard_errors_total"),
+		Straggler: r.Histogram("tartree_shard_straggler_seconds", nil),
 
-		Sessions:      r.Counter("tartree_shard_sessions_total"),
-		SessionRounds: r.Counter("tartree_shard_session_rounds_total"),
-		Candidates:    r.Counter("tartree_shard_candidates_total"),
-		Expired:       r.Counter("tartree_shard_expired_total"),
+		Candidates: r.Counter("tartree_shard_candidates_total"),
 	}
 }
 
@@ -74,30 +54,6 @@ func (m *Metrics) addFanout(n int) {
 	}
 }
 
-func (m *Metrics) addRound() {
-	if m != nil {
-		m.Rounds.Inc()
-	}
-}
-
-func (m *Metrics) addBoundPushes(n int) {
-	if m != nil {
-		m.BoundPushes.Add(int64(n))
-	}
-}
-
-func (m *Metrics) addPruned() {
-	if m != nil {
-		m.Pruned.Inc()
-	}
-}
-
-func (m *Metrics) addRestart() {
-	if m != nil {
-		m.Restarts.Inc()
-	}
-}
-
 func (m *Metrics) addError() {
 	if m != nil {
 		m.Errors.Inc()
@@ -110,26 +66,8 @@ func (m *Metrics) observeStraggler(sec float64) {
 	}
 }
 
-func (m *Metrics) addSession() {
-	if m != nil {
-		m.Sessions.Inc()
-	}
-}
-
-func (m *Metrics) addSessionRound() {
-	if m != nil {
-		m.SessionRounds.Inc()
-	}
-}
-
 func (m *Metrics) addCandidates(n int) {
 	if m != nil {
 		m.Candidates.Add(int64(n))
-	}
-}
-
-func (m *Metrics) addExpired() {
-	if m != nil {
-		m.Expired.Inc()
 	}
 }

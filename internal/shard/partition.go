@@ -1,5 +1,6 @@
 // Package shard spatially partitions the POI set across N shard processes
-// and runs kNNTA as scatter-gather with a shared global ranking bound.
+// and runs kNNTA as stateless scatter-gather: after the gmax exchange, one
+// query request per shard.
 //
 // The partitioner is STR-style (the same sort-tile-recurse idea the
 // parallel bulk loader uses): sort POIs by x, cut into √N columns of equal

@@ -11,9 +11,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
-	"time"
 
 	"tartree/internal/core"
 	"tartree/internal/geo"
@@ -183,8 +181,8 @@ func identical(t *testing.T, tag string, want, got []core.Result) {
 
 // TestCoordinatorMatchesSingleNode is the identity property: across all
 // three groupings, all three TIA backends and varying shard counts, the
-// coordinator's merged top-k — built from small batches so the global bound
-// is pushed mid-query — equals single-node execution exactly.
+// coordinator's merged top-k equals single-node execution exactly, and
+// every query costs exactly one query request per shard.
 func TestCoordinatorMatchesSingleNode(t *testing.T) {
 	d := testDataset(t)
 	pois := d.EffectivePOIs(0, 0)
@@ -221,8 +219,9 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 				}
 				urls := buildFleet(t, d, m, opts, f.fac)
 				met := NewMetrics(obs.NewRegistry())
-				coord := &Coordinator{Shards: urls, Batch: 2, Metrics: met}
-				for qi, q := range d.Queries(12, 5, 0.3, int64(100+gi*10+fi)) {
+				coord := &Coordinator{Shards: urls, Metrics: met}
+				queries := d.Queries(12, 5, 0.3, int64(100+gi*10+fi))
+				for qi, q := range queries {
 					want, _, err := single.QueryCtx(context.Background(), q, &core.QueryOpts{NoCache: true})
 					if err != nil {
 						t.Fatal(err)
@@ -233,8 +232,8 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 					}
 					identical(t, fmt.Sprintf("query %d", qi), want, got)
 				}
-				if met.BoundPushes.Value() == 0 {
-					t.Error("no bound pushes across the battery; the global bound never reached the shards")
+				if got, want := met.Fanout.Value(), int64(n*len(queries)); got != want {
+					t.Errorf("fanout %d over %d queries on %d shards, want %d", got, len(queries), n, want)
 				}
 			})
 		}
@@ -278,163 +277,153 @@ func TestCoordinatorKilledShard(t *testing.T) {
 	}
 }
 
-// mutatingViewer mutates the tree before selected View calls, simulating
-// concurrent ingest between scatter-gather rounds.
+// TestCoordinatorTies: POIs with equal scores straddle the kth rank, inside
+// each shard and across the split. A grid of integer points around the
+// query point in a power-of-two world makes the scaled distances exact, and
+// the check-in count depends on the distance alone, so every point scores
+// bit-identically with its mirror and transposed images; ids are scattered
+// so pop order among ties is not id order. For every k the coordinator must
+// return exactly the k smallest (score, id) pairs, computed by brute force.
+func TestCoordinatorTies(t *testing.T) {
+	const start, end = 0, 64 * 7 * lbsn.Day
+	d := &lbsn.Dataset{
+		Spec:  lbsn.Spec{Start: start, End: end, MinEffective: 1},
+		World: geo.Rect{Min: geo.Vector{0, 0}, Max: geo.Vector{128, 128}},
+	}
+	const side = 9 // a 9×9 grid centred on the query point
+	for i := 0; i < side*side; i++ {
+		dx, dy := i/side-side/2, i%side-side/2
+		var times []int64
+		for c := 0; c <= (dx*dx+dy*dy)%3; c++ {
+			times = append(times, start+int64(c)*lbsn.Day)
+		}
+		d.POIs = append(d.POIs, lbsn.POI{
+			ID: int64(1 + i*37%(side*side)), X: float64(64 + dx), Y: float64(64 + dy), Times: times,
+		})
+	}
+	m := &Map{N: 2, World: d.World, XSplits: []float64{64}, YSplits: [][]float64{nil, nil}}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	opts := lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: 256}
+	single, err := d.Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := &Coordinator{Shards: buildFleet(t, d, m, opts, nil)}
+	q := core.Query{X: 64, Y: 64, K: 1, Alpha0: 0.5, Iq: tia.Interval{Start: start, End: end}}
+	var all []core.Result
+	for _, p := range d.POIs {
+		r, err := single.ScorePOI(q, p.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, r)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Score != all[j].Score {
+			return all[i].Score < all[j].Score
+		}
+		return all[i].POI.ID < all[j].POI.ID
+	})
+	ties := 0
+	for i := 1; i < len(all); i++ {
+		if all[i].Score == all[i-1].Score {
+			ties++
+		}
+	}
+	if ties < len(all)/2 {
+		t.Fatalf("only %d of %d scores tie their predecessor; the grid lost its symmetry", ties, len(all))
+	}
+	for k := 1; k <= len(all); k++ {
+		q.K = k
+		got, _, err := coord.QueryCtx(context.Background(), q, nil)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if len(got) != k {
+			t.Fatalf("k=%d: %d results", k, len(got))
+		}
+		for i, r := range got {
+			if r.POI.ID != all[i].POI.ID || math.Float64bits(r.Score) != math.Float64bits(all[i].Score) {
+				t.Fatalf("k=%d rank %d: POI %d score %v, want POI %d score %v", k, i, r.POI.ID, r.Score, all[i].POI.ID, all[i].Score)
+			}
+		}
+	}
+}
+
+// TestCoordinatorUnencodableQuery: a NaN coordinate passes validation but
+// has no JSON form; the coordinator rejects the query as invalid.
+func TestCoordinatorUnencodableQuery(t *testing.T) {
+	d := testDataset(t)
+	m, err := Partition(d.EffectivePOIs(0, 0), 2, d.World)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := &Coordinator{Shards: buildFleet(t, d, m, lbsn.BuildOptions{}, nil)}
+	q := d.Queries(1, 5, 0.3, 7)[0]
+	q.X = math.NaN()
+	if _, _, err := coord.QueryCtx(context.Background(), q, nil); !errors.Is(err, core.ErrInvalid) {
+		t.Fatalf("a NaN query point: err = %v, want ErrInvalid", err)
+	}
+}
+
+// mutatingViewer mutates the tree before every View call, simulating live
+// ingest between the gmax exchange and the shard query.
 type mutatingViewer struct {
 	tree   *core.Tree
-	views  int
-	mutate func(t *core.Tree, view int)
+	mutate func(t *core.Tree)
 }
 
 func (v *mutatingViewer) View(f func(t *core.Tree)) {
-	v.views++
-	if v.mutate != nil {
-		v.mutate(v.tree, v.views)
-	}
+	v.mutate(v.tree)
 	f(v.tree)
 }
 
-// driftFleet serves one shard whose index mutates mid-query per mutate.
-func driftFleet(t *testing.T, d *lbsn.Dataset, mutate func(tr *core.Tree, view int)) []string {
-	t.Helper()
+// TestCoordinatorUnderIngest: a shard whose index mutates before every
+// request still answers every query with k results — each shard query runs
+// its whole search under one View, so no mutation can split it.
+func TestCoordinatorUnderIngest(t *testing.T) {
+	d := testDataset(t)
 	tr, err := d.Build(lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var poi int64 = -1
+	tr.POIs(func(p core.POI, _ int64) bool { poi = p.ID; return false })
+	views := 0
 	mux := http.NewServeMux()
-	(&Server{Data: &mutatingViewer{tree: tr, mutate: mutate}, Index: 0, N: 1}).Register(mux)
+	(&Server{Data: &mutatingViewer{tree: tr, mutate: func(tr *core.Tree) {
+		views++
+		if err := tr.AddCheckIn(poi, d.Spec.End-1); err != nil {
+			t.Errorf("ingest: %v", err)
+		}
+	}}, Index: 0, N: 1}).Register(mux)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	return []string{srv.URL}
-}
 
-// driftMutation bumps the tree version the way live ingest would.
-func driftMutation(t *testing.T, d *lbsn.Dataset) func(tr *core.Tree, view int) {
-	t.Helper()
-	return func(tr *core.Tree, view int) {
-		var id int64 = -1
-		tr.POIs(func(p core.POI, _ int64) bool { id = p.ID; return false })
-		if id < 0 {
-			t.Error("drift mutation: tree has no POIs")
-			return
+	coord := &Coordinator{Shards: []string{srv.URL}}
+	queries := d.Queries(8, 5, 0.3, 11)
+	for qi, q := range queries {
+		res, _, err := coord.QueryCtx(context.Background(), q, nil)
+		if err != nil {
+			t.Fatalf("query %d under ingest: %v", qi, err)
 		}
-		if err := tr.AddCheckIn(id, d.Spec.End-1); err != nil {
-			t.Errorf("drift mutation: %v", err)
+		if len(res) != q.K {
+			t.Errorf("query %d under ingest returned %d results, want %d", qi, len(res), q.K)
 		}
 	}
-}
-
-// TestCoordinatorVersionDrift: one mutation between rounds makes the shard
-// answer 410; the coordinator restarts that shard's search (dropping its
-// dead-version candidates) and still completes.
-func TestCoordinatorVersionDrift(t *testing.T) {
-	d := testDataset(t)
-	mut := driftMutation(t, d)
-	// View 1 is the gmax exchange, view 2 the session open; mutating at
-	// view 3 invalidates the session exactly once, mid-query.
-	urls := driftFleet(t, d, func(tr *core.Tree, view int) {
-		if view == 3 {
-			mut(tr, view)
-		}
-	})
-	met := NewMetrics(obs.NewRegistry())
-	coord := &Coordinator{Shards: urls, Batch: 1, Metrics: met}
-	q := d.Queries(1, 5, 0.3, 11)[0]
-	res, _, err := coord.QueryCtx(context.Background(), q, nil)
-	if err != nil {
-		t.Fatalf("drifted query failed outright: %v", err)
-	}
-	if len(res) != 5 {
-		t.Errorf("drifted query returned %d results, want 5", len(res))
-	}
-	if met.Restarts.Value() == 0 {
-		t.Error("version drift did not register a restart")
+	if views != 2*len(queries) {
+		t.Errorf("%d views over %d queries, want 2 per query (gmax, search)", views, len(queries))
 	}
 }
 
-// TestCoordinatorDriftGivesUp: an index that mutates on every round can
-// never hold a session; after MaxRestarts the coordinator fails loudly.
-func TestCoordinatorDriftGivesUp(t *testing.T) {
-	d := testDataset(t)
-	mut := driftMutation(t, d)
-	urls := driftFleet(t, d, func(tr *core.Tree, view int) {
-		if view >= 3 {
-			mut(tr, view)
-		}
-	})
-	met := NewMetrics(obs.NewRegistry())
-	coord := &Coordinator{Shards: urls, Batch: 1, MaxRestarts: 2, Metrics: met}
-	q := d.Queries(1, 5, 0.3, 11)[0]
-	_, _, err := coord.QueryCtx(context.Background(), q, nil)
-	if err == nil {
-		t.Fatal("perpetually drifting shard did not fail the query")
-	}
-	var se *ShardError
-	if !errors.As(err, &se) {
-		t.Fatalf("error %T does not unwrap to *ShardError: %v", err, err)
-	}
-	if !strings.Contains(err.Error(), "gave up") {
-		t.Errorf("give-up error does not say so: %v", err)
-	}
-	if got := met.Restarts.Value(); got != 3 {
-		t.Errorf("%d restarts before giving up, want 3 (MaxRestarts+1 attempts)", got)
-	}
-}
-
-// TestSessionTTL: a session abandoned past its TTL answers 410 Gone.
-func TestSessionTTL(t *testing.T) {
-	d := testDataset(t)
-	tr, err := d.Build(lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := time.Unix(1000, 0)
-	srv := &Server{
-		Data:       TreeViewer{Tree: tr},
-		Index:      0,
-		N:          1,
-		SessionTTL: 10 * time.Second,
-		now:        func() time.Time { return clock },
-	}
-	q := d.Queries(1, 5, 0.3, 13)[0]
-	body, _ := json.Marshal(queryRequest{
-		X: q.X, Y: q.Y, K: q.K, Alpha: q.Alpha0,
-		Start: q.Iq.Start, End: q.Iq.End, Gmax: 100, Batch: 1,
-	})
-	rec := httptest.NewRecorder()
-	srv.HandleQuery(rec, httptest.NewRequest(http.MethodPost, "/v1/shard/query", bytes.NewReader(body)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("open: status %d: %s", rec.Code, rec.Body.String())
-	}
-	var rr roundResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
-		t.Fatal(err)
-	}
-	if rr.Done {
-		t.Fatal("session finished in one round; batch 1 should leave a frontier")
-	}
-
-	next := func() *httptest.ResponseRecorder {
-		nb, _ := json.Marshal(nextRequest{Session: rr.Session, Batch: 1})
-		rec := httptest.NewRecorder()
-		srv.HandleNext(rec, httptest.NewRequest(http.MethodPost, "/v1/shard/next", bytes.NewReader(nb)))
-		return rec
-	}
-	if rec := next(); rec.Code != http.StatusOK {
-		t.Fatalf("live session: status %d: %s", rec.Code, rec.Body.String())
-	}
-	clock = clock.Add(11 * time.Second)
-	if rec := next(); rec.Code != http.StatusGone {
-		t.Fatalf("expired session: status %d, want 410: %s", rec.Code, rec.Body.String())
-	}
-}
-
-// TestSessionRoundsLeaveNothingUnfolded drives one shard session round by
-// round and, each time the session is parked between rounds, checks that
-// every shared book already holds what the session's search has counted so
-// far: a search that lives across requests folds its page traffic and
-// probes before it hands control back, so an abandoned or expired session
-// loses nothing. The session is then abandoned mid-search.
+// TestSessionRoundsLeaveNothingUnfolded sends one shard query and checks
+// that every shared book already holds what its search counted by the time
+// the reply is written: the factory's page ledger gained exactly the reply's
+// TIA reads, and the probe counter exactly its scored entries (the
+// coordinator supplies gmax, so the shard probes only the entries it
+// scores).
 func TestSessionRoundsLeaveNothingUnfolded(t *testing.T) {
 	d := testDataset(t)
 	for _, be := range []struct {
@@ -455,49 +444,30 @@ func TestSessionRoundsLeaveNothingUnfolded(t *testing.T) {
 			built := be.fac.Ledger().Stats()
 			probes0 := tia.ProbeCount(be.kind)
 
-			post := func(h http.HandlerFunc, path string, req any) roundResponse {
-				t.Helper()
-				body, _ := json.Marshal(req)
-				rec := httptest.NewRecorder()
-				h(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-				if rec.Code != http.StatusOK {
-					t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
-				}
-				var rr roundResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
-					t.Fatal(err)
-				}
-				return rr
-			}
-			var reads, scored int64
-			check := func(round int, rr roundResponse) {
-				t.Helper()
-				reads += rr.Stats.TIAReads
-				scored += int64(rr.Stats.Scored)
-				if got := be.fac.Ledger().Stats().Sub(built).LogicalReads; got != reads {
-					t.Fatalf("round %d: factory saw %d page reads, the session's rounds report %d", round, got, reads)
-				}
-				// The coordinator supplies gmax, so the shard probes only
-				// the entries it scores.
-				if got := tia.ProbeCount(be.kind) - probes0; got != scored {
-					t.Fatalf("round %d: probe counter gained %d, the session's rounds scored %d entries", round, got, scored)
-				}
-			}
-			rr := post(srv.HandleQuery, "/v1/shard/query", queryRequest{
+			body, _ := json.Marshal(queryRequest{
 				X: q.X, Y: q.Y, K: q.K, Alpha: q.Alpha0,
-				Start: q.Iq.Start, End: q.Iq.End, Gmax: 100, Batch: 1,
+				Start: q.Iq.Start, End: q.Iq.End, Gmax: 100,
 			})
-			check(0, rr)
-			rounds := 1
-			for ; rounds < 6 && !rr.Done; rounds++ {
-				rr = post(srv.HandleNext, "/v1/shard/next", nextRequest{Session: rr.Session, Batch: 1})
-				check(rounds, rr)
+			rec := httptest.NewRecorder()
+			srv.HandleQuery(rec, httptest.NewRequest(http.MethodPost, "/v1/shard/query", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 			}
-			if rounds < 3 {
-				t.Fatalf("the session ended after %d rounds; the test needs one that spans several", rounds)
+			var rp queryResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &rp); err != nil {
+				t.Fatal(err)
 			}
-			if reads == 0 {
-				t.Fatal("the session read no TIA page")
+			if len(rp.Candidates) < q.K {
+				t.Fatalf("%d candidates, want at least k=%d", len(rp.Candidates), q.K)
+			}
+			if rp.Stats.TIAReads == 0 {
+				t.Fatal("the query read no TIA page")
+			}
+			if got := be.fac.Ledger().Stats().Sub(built).LogicalReads; got != rp.Stats.TIAReads {
+				t.Errorf("factory saw %d page reads, the reply reports %d", got, rp.Stats.TIAReads)
+			}
+			if got := tia.ProbeCount(be.kind) - probes0; got != int64(rp.Stats.Scored) {
+				t.Errorf("probe counter gained %d, the reply scored %d entries", got, rp.Stats.Scored)
 			}
 		})
 	}

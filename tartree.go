@@ -133,7 +133,7 @@ type (
 	// ExplainBand is one slab of the Section-6.3 node-access estimation.
 	ExplainBand = core.ExplainBand
 	// ExplainShard is one shard's attribution row in a coordinator's
-	// explain: candidates shipped, rounds, bound pushes, work counters.
+	// explain: candidates shipped, work counters, request latency.
 	ExplainShard = core.ExplainShard
 	// Planner is the Section-6 cost-model query optimizer; build one with
 	// NewPlanner (both engines) or NewPlanEstimator (estimates only).
