@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -70,64 +71,82 @@ func indexedPOI(t *testing.T, s *server, d *lbsn.Dataset) int64 {
 	return 0
 }
 
-// TestServeIngestInvalidatesCache closes the loop between durable ingestion
-// and the shared cache: a warm whole-result hit, then one live check-in
-// through POST /v1/ingest, after which the same query may not be served
-// stale — the ingest apply bumped the cache version. A store restart over
-// the same WAL replays the check-in and must bump the version again, so
-// recovery can never resurrect stale cached answers either.
-func TestServeIngestInvalidatesCache(t *testing.T) {
+// queryAs GETs url and decodes the reply.
+func queryAs(t *testing.T, s *server, url string) queryResponse {
+	t.Helper()
+	code, body := get(t, s, url)
+	if code != 200 {
+		t.Fatalf("GET %s: %d %s", url, code, body)
+	}
+	var resp queryResponse
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestServeIngestKeepsCacheUntilFlush closes the loop between durable
+// ingestion and the shared cache. An acknowledged check-in is buffered until
+// its epoch is flushed, and nothing a query reads changes before then, so
+// the cached answer stays warm and exact — read-your-writes through min_lsn
+// included. The flush that makes the check-in visible empties the cache,
+// and a restarted store (a new tree, so new cache keys) never serves the
+// old tree's entries.
+func TestServeIngestKeepsCacheUntilFlush(t *testing.T) {
 	dir := t.TempDir()
 	cache := aggcache.New(1 << 20)
 	s, d, store := newWALTestServer(t, dir, cache)
 	poi := indexedPOI(t, s, d)
 	const url = "/v1/query?x=50&y=50&k=5&days=128"
-
-	var warm, after queryResponse
-	if code, body := get(t, s, url); code != 200 {
-		t.Fatalf("cold query: %d %s", code, body)
+	hitEqualsUncached := func(step string, s *server, url string, wantHit bool) {
+		t.Helper()
+		got, want := queryAs(t, s, url), queryAs(t, s, url+"&nocache=1")
+		if got.Stats.ResultCacheHit != wantHit {
+			t.Errorf("%s: result_cache_hit = %v, want %v", step, got.Stats.ResultCacheHit, wantHit)
+		}
+		if !reflect.DeepEqual(got.Results, want.Results) {
+			t.Errorf("%s: cached results %v differ from uncached %v", step, got.Results, want.Results)
+		}
 	}
-	code, body := get(t, s, url)
+	queryAs(t, s, url) // fills the cache
+
+	// 1. An ingested check-in is buffered: the cache keeps answering.
+	at := d.Spec.End + 100
+	code, body := post(t, s, "/v1/ingest", fmt.Sprintf(`{"poi":%d,"ts":%d}`, poi, at))
 	if code != 200 {
-		t.Fatalf("warm query: %d %s", code, body)
-	}
-	if err := json.Unmarshal([]byte(body), &warm); err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Stats.ResultCacheHit {
-		t.Fatalf("repeat query not served from the cache: %+v", warm.Stats)
-	}
-
-	version := cache.Version()
-	if code, body := post(t, s, "/v1/ingest", fmt.Sprintf(`{"poi":%d,"ts":%d}`, poi, d.Spec.End+100)); code != 200 {
 		t.Fatalf("ingest: %d %s", code, body)
 	}
-	if cache.Version() <= version {
-		t.Fatalf("ingest did not bump the cache version (%d -> %d)", version, cache.Version())
-	}
-	code, body = get(t, s, url)
-	if code != 200 {
-		t.Fatalf("post-ingest query: %d %s", code, body)
-	}
-	if err := json.Unmarshal([]byte(body), &after); err != nil {
+	var ack struct{ LSN uint64 }
+	if err := json.Unmarshal([]byte(body), &ack); err != nil {
 		t.Fatal(err)
 	}
-	if after.Stats.ResultCacheHit {
-		t.Errorf("stale cached result served after ingest: %+v", after.Stats)
-	}
+	hitEqualsUncached("after ingest", s, url, true)
 
-	// WAL replay is an ingest apply too: recovery over the same directory
-	// must advance the version past everything cached before the restart.
-	version = cache.Version()
+	// 2. Read-your-writes is about the applied LSN, which the ack reached.
+	hitEqualsUncached("min_lsn=ack", s, fmt.Sprintf("%s&min_lsn=%d", url, ack.LSN), true)
+
+	// 3. The flush that folds the epoch in empties the cache. A check-in at
+	// the next epoch's start moves the clock past the first epoch's end.
+	next := s.tree.Epochs().EpochOf(at).End
+	if code, body := post(t, s, "/v1/ingest", fmt.Sprintf(`{"poi":%d,"ts":%d}`, poi, next)); code != 200 {
+		t.Fatalf("ingest: %d %s", code, body)
+	}
+	if err := store.FlushObserved(); err != nil {
+		t.Fatal(err)
+	}
+	hitEqualsUncached("after flush", s, url, false)
+
+	// 4. The query is cached again; a store restarted over the same WAL and
+	// cache must not serve that entry.
+	hitEqualsUncached("before restart", s, url, true)
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, store2 := newWALTestServer(t, dir, cache); store2.Recovery().Replay.Records == 0 {
+	s2, _, store2 := newWALTestServer(t, dir, cache)
+	if store2.Recovery().Replay.Records == 0 {
 		t.Fatal("restart replayed nothing")
 	}
-	if cache.Version() <= version {
-		t.Errorf("WAL replay did not bump the cache version (%d -> %d)", version, cache.Version())
-	}
+	hitEqualsUncached("after restart", s2, url, false)
 }
 
 // TestServeRecoveringThenReady pins the readiness lifecycle: before

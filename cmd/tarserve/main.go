@@ -14,11 +14,11 @@
 // for an execution slot or mid-search — stops promptly and answers 504.
 //
 // Queries are served through a shared epoch-versioned cache (-cache-bytes,
-// default 64 MiB, 0 disables) that memoizes whole result sets; every ingest
-// apply or epoch flush invalidates it, so cached answers are always
-// identical to uncached ones. Hit/miss/eviction/bytes gauges are exported
-// as tartree_aggcache_* on /metrics, and every query response reports its
-// own cache_hits/cache_misses.
+// default 64 MiB, 0 disables) that memoizes whole result sets. An epoch flush
+// (when ingested check-ins become visible) invalidates it, so cached answers
+// are always identical to uncached ones, while an ingest alone leaves it warm.
+// Hit/miss/eviction/bytes gauges are exported as tartree_aggcache_* on
+// /metrics, and every query response reports its own cache_hits/cache_misses.
 //
 // The index lives in memory: every entry's TIA is a sorted record slice, a
 // probe reads no page, and so stats.tia_accesses, stats.tia_physical and
@@ -38,9 +38,10 @@
 //	POST /v1/ingest {"poi": 17, "ts": 1234567890}
 //	POST /v1/ingest {"checkins": [{"poi": 17, "ts": 100}, {"poi": 9, "ts": 105}]}
 //
-// Per-request structured access logs go to stderr (slog). Every /v1/*
-// request is a span tree in the -traces ring, in every role; queries whose
-// request took -slow-query or longer are additionally logged at warn level.
+// Access logs go to stderr (slog) for failed (status ≥ 400) requests and for
+// requests that took -slow-query or longer. Every /v1/* request is a span
+// tree in the -traces ring, in every role; slow queries are also logged at
+// warn level.
 //
 // Queries execute concurrently, bounded by the -max-concurrent admission
 // semaphore (default GOMAXPROCS); requests beyond the limit queue and are
@@ -131,7 +132,7 @@ func main() {
 		group   = flag.String("grouping", "tar", "entry grouping: tar, spa, agg")
 		logJSON = flag.Bool("logjson", false, "emit access logs as JSON instead of text")
 		nTraces = flag.Int("traces", 64, "finished traces kept for /v1/traces: this many recent ones and this many slowest queries (0 turns request tracing off)")
-		slowQ   = flag.Duration("slow-query", 250*time.Millisecond, "log queries whose request took this long or longer at warn level")
+		slowQ   = flag.Duration("slow-query", 250*time.Millisecond, "log requests that took this long or longer (queries also at warn level, with their trace)")
 		maxConc = flag.Int("max-concurrent", 0, "admission limit: queries executing at once (0 = GOMAXPROCS); excess requests queue")
 		walDir  = flag.String("wal-dir", "", "enable durable ingestion: write-ahead log and checkpoints live here")
 		ckEvery = flag.Duration("checkpoint-every", 5*time.Minute, "background checkpoint interval (requires -wal-dir)")
@@ -265,6 +266,7 @@ func main() {
 	// The listener comes up before the index: /healthz answers 503
 	// "recovering" (and /metrics works) until finishStartup below.
 	srv := newPendingServer(reg, ring, log, *maxConc)
+	srv.slowQuery = *slowQ
 	srv.slo = obs.NewSLOTracker(objectives)
 	srv.slo.Register(reg)
 	if *trcOut != "" {

@@ -80,6 +80,9 @@ type server struct {
 	// slo classifies finished query/ingest requests against the -slo
 	// objectives; nil (no objectives) records nothing.
 	slo *obs.SLOTracker
+	// slowQuery is the -slow-query threshold: a request that took this long
+	// or longer gets an access line even when it succeeded.
+	slowQuery time.Duration
 
 	// Replication surface. role is "standalone" unless main configures a
 	// -repl-token ("leader") or -follow ("follower"); it and leaderURL are
@@ -334,8 +337,8 @@ func sloService(path string) string {
 	return ""
 }
 
-// ServeHTTP wraps the mux with the access log, request counters, span
-// tracing on /v1/* (joining the client's traceparent and emitting the
+// ServeHTTP wraps the mux with the error/slow access log, request counters,
+// span tracing on /v1/* (joining the client's traceparent and emitting the
 // server's own in the response), and SLO classification.
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	begin := time.Now()
@@ -366,60 +369,17 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if sw.status >= 400 {
 		s.errors.Inc()
 	}
-	s.log.Info("request",
-		"method", r.Method,
-		"path", r.URL.Path,
-		"status", sw.status,
-		"duration", elapsed,
-		"remote", r.RemoteAddr,
-	)
-}
-
-// queryResponse is the JSON shape of a /v1/query answer.
-type queryResponse struct {
-	Query struct {
-		X      float64 `json:"x"`
-		Y      float64 `json:"y"`
-		K      int     `json:"k"`
-		Alpha0 float64 `json:"alpha0"`
-		Start  int64   `json:"start"`
-		End    int64   `json:"end"`
-	} `json:"query"`
-	Results []queryResult `json:"results"`
-	Stats   struct {
-		InternalAccesses int   `json:"internal_accesses"`
-		LeafAccesses     int   `json:"leaf_accesses"`
-		TIAAccesses      int64 `json:"tia_accesses"`
-		TIAPhysical      int64 `json:"tia_physical"`
-		Scored           int   `json:"scored"`
-		NodeAccesses     int64 `json:"node_accesses"`
-		// Cache probe outcomes for this query (zero without -cache-bytes);
-		// with the I/O rows they keep per-query accounting auditable: the
-		// TIA counters above reconcile with backend traffic, the cache
-		// counters with the reads the cache absorbed.
-		CacheHits      int64 `json:"cache_hits"`
-		CacheMisses    int64 `json:"cache_misses"`
-		ResultCacheHit bool  `json:"result_cache_hit"`
-	} `json:"stats"`
-	// IO is the attributed page-traffic breakdown of this query: one row
-	// per (component, level) pair that saw traffic.
-	IO            []obs.IOLine             `json:"io,omitempty"`
-	ElapsedMicros int64                    `json:"elapsed_us"`
-	Trace         map[string]obs.SpanStats `json:"trace,omitempty"`
-	// Explain is the full EXPLAIN/ANALYZE object (plan, pop log, f(pk)
-	// convergence, frontier, probe attribution) when the request asked for
-	// explain=1.
-	Explain *core.Explain `json:"explain,omitempty"`
-}
-
-type queryResult struct {
-	POI   int64   `json:"poi"`
-	X     float64 `json:"x"`
-	Y     float64 `json:"y"`
-	Score float64 `json:"score"`
-	S0    float64 `json:"s0"`
-	S1    float64 `json:"s1"`
-	Agg   int64   `json:"agg"`
+	// Access lines for failed and slow requests only: a line for every
+	// request cost more server CPU than a result-cache hit (DESIGN §10).
+	if sw.status >= 400 || elapsed >= s.slowQuery {
+		s.log.Info("request",
+			"method", r.Method,
+			"path", r.URL.Path,
+			"status", sw.status,
+			"duration", elapsed,
+			"remote", r.RemoteAddr,
+		)
+	}
 }
 
 // handleQuery answers
@@ -541,7 +501,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				// The recorder was finished with the partial counts and
 				// frontier: a timed-out explain reports what the search had
 				// done, not just the error.
-				writeJSON(w, http.StatusGatewayTimeout, map[string]any{
+				httpapi.WriteJSON(w, http.StatusGatewayTimeout, map[string]any{
 					"error": httpapi.Detail{
 						Code:    httpapi.CodeTimeout,
 						Message: err.Error(),
@@ -563,38 +523,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	var resp queryResponse
-	resp.Query.X, resp.Query.Y = q.X, q.Y
-	resp.Query.K = q.K
-	resp.Query.Alpha0 = q.Alpha0
-	resp.Query.Start, resp.Query.End = q.Iq.Start, q.Iq.End
-	resp.Results = make([]queryResult, 0, len(results))
-	for _, res := range results {
-		resp.Results = append(resp.Results, queryResult{
-			POI: res.POI.ID, X: res.POI.X, Y: res.POI.Y,
-			Score: res.Score, S0: res.S0, S1: res.S1, Agg: res.Agg,
-		})
-	}
-	resp.Stats.InternalAccesses = stats.InternalAccesses
-	resp.Stats.LeafAccesses = stats.LeafAccesses
-	resp.Stats.TIAAccesses = stats.TIAAccesses
-	resp.Stats.TIAPhysical = stats.TIAPhysical
-	resp.Stats.Scored = stats.Scored
-	resp.Stats.NodeAccesses = stats.NodeAccesses()
-	resp.Stats.CacheHits = stats.CacheHits
-	resp.Stats.CacheMisses = stats.CacheMisses
-	resp.Stats.ResultCacheHit = stats.ResultCacheHit
-	resp.IO = core.IOLines(&stats.IO)
-	resp.ElapsedMicros = time.Since(begin).Microseconds()
-	resp.Explain = exp
+	reply := queryReply{q: q, results: results, stats: &stats, explain: exp}
 	if po.traced {
-		resp.Trace = make(map[string]obs.SpanStats)
-		for _, row := range ex.Aggregates() {
-			resp.Trace[row.Name] = row.SpanStats
-		}
+		reply.trace = ex.Aggregates()
 	}
+	reply.elapsedUS = time.Since(begin).Microseconds()
 	rs := reqSpan.StartChild("respond")
-	writeJSON(w, http.StatusOK, resp)
+	reply.write(w)
 	rs.End()
 }
 
@@ -798,7 +733,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.watermark != nil {
 		s.watermark.Advance(lsn)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"count":      len(cs),
 		"lsn":        lsn,
 		"elapsed_us": time.Since(begin).Microseconds(),
@@ -807,7 +742,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		httpapi.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":         "recovering",
 			"uptime_seconds": time.Since(s.start).Seconds(),
 		})
@@ -869,7 +804,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"shards": s.coord.Shards,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // TraceFinished implements obs.TraceSink; both sinks take a nil receiver.
@@ -898,12 +833,12 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusNotFound, fmt.Errorf("no finished trace %s in the ring", id))
 			return
 		}
-		writeJSON(w, http.StatusOK, ft)
+		httpapi.WriteJSON(w, http.StatusOK, ft)
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		writeJSON(w, http.StatusOK, map[string]any{
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 			"capacity":       s.traces.Cap(),
 			"recent":         s.traces.Traces(),
 			"slowest":        s.traces.Slowest(),
@@ -933,14 +868,6 @@ func floatParam(raw string) (float64, error) {
 		return 0, fmt.Errorf("missing")
 	}
 	return strconv.ParseFloat(raw, 64)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 // httpError writes the unified JSON error envelope (internal/httpapi): the

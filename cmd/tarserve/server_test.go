@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -501,6 +502,43 @@ func TestServeQueryCacheStats(t *testing.T) {
 	}
 	if n := metricValue(t, metrics, "tartree_aggcache_entries"); n < 1 {
 		t.Errorf("aggcache entries gauge = %g, want >= 1", n)
+	}
+}
+
+// TestAccessLogErrorsAndSlowOnly: a fast success writes no access line; a
+// failed request and a request over the slow threshold write one each.
+func TestAccessLogErrorsAndSlowOnly(t *testing.T) {
+	s, _ := newTestServer(t)
+	var buf bytes.Buffer
+	s.log = slog.New(slog.NewTextHandler(&buf, nil))
+	lines := func() int {
+		n := strings.Count(buf.String(), "msg=request ")
+		buf.Reset()
+		return n
+	}
+	s.slowQuery = time.Hour
+	for _, tc := range []struct {
+		url  string
+		code int
+		want int
+	}{
+		{"/v1/query?x=50&y=50&k=5", 200, 0},
+		{"/v1/query?x=50&y=50&k=0", 400, 1},
+		{"/v1/nosuch", 404, 1},
+	} {
+		if code, body := get(t, s, tc.url); code != tc.code {
+			t.Fatalf("GET %s: status %d, want %d: %s", tc.url, code, tc.code, body)
+		}
+		if n := lines(); n != tc.want {
+			t.Errorf("GET %s (%d): %d access lines, want %d", tc.url, tc.code, n, tc.want)
+		}
+	}
+	s.slowQuery = time.Microsecond
+	if code, _ := get(t, s, "/v1/query?x=50&y=50&k=5&nocache=1"); code != 200 {
+		t.Fatalf("slow query: status %d", code)
+	}
+	if n := lines(); n != 1 {
+		t.Errorf("a request over the slow threshold wrote %d access lines, want 1", n)
 	}
 }
 

@@ -33,8 +33,8 @@ var cachePasses = []struct {
 // uncached baseline), a first cached pass (every lookup misses and stores)
 // and a warm pass over the identical batch (whole-result hits, zero
 // traversal). Two correctness gates ride along: every cached answer must
-// equal its uncached twin, and after a live ingest the invalidated cache
-// must again agree with the tree.
+// equal its uncached twin, and after a live ingest is flushed the
+// invalidated cache must again agree with the tree.
 //
 // The exported counters depend only on the workload shape — never on
 // timing — so benchdiff can gate on them:

@@ -135,12 +135,12 @@ type Options struct {
 	// show the factory of the tree created last.
 	Metrics *obs.Registry
 	// Cache, when set, memoizes whole ranked result sets across queries.
-	// The tree bumps the cache's version stamp
-	// on every mutation that can change a query answer (check-in ingest,
-	// epoch flushes, POI insertion/deletion, rebuilds), so cached answers
-	// are always identical to recomputed ones. A cache may be shared by
-	// several trees — keys embed the tree's identity — but then every
-	// sharing tree invalidates it. Nil disables caching.
+	// The tree bumps the cache's version stamp on every change to what a
+	// query reads (epoch flushes, POI insertion/deletion, rebuilds; a
+	// buffered check-in is not read until its epoch is flushed), so cached
+	// answers are always identical to recomputed ones. A cache may be
+	// shared by several trees — keys embed the tree's identity — but then
+	// every sharing tree invalidates it. Nil disables caching.
 	Cache *aggcache.Cache
 }
 
@@ -201,7 +201,10 @@ func (q Query) Validate() error {
 	if q.K <= 0 {
 		return fmt.Errorf("%w: k must be positive", ErrInvalid)
 	}
-	if q.Alpha0 <= 0 || q.Alpha0 >= 1 {
+	if math.IsNaN(q.X) || math.IsInf(q.X, 0) || math.IsNaN(q.Y) || math.IsInf(q.Y, 0) {
+		return fmt.Errorf("%w: query point must be finite", ErrInvalid)
+	}
+	if !(q.Alpha0 > 0 && q.Alpha0 < 1) { // written so NaN fails it too
 		return fmt.Errorf("%w: α0 must be in (0, 1)", ErrInvalid)
 	}
 	if q.Iq.End <= q.Iq.Start {
@@ -430,7 +433,7 @@ func (t *Tree) InsertPOI(p POI, history []tia.Record) error {
 }
 
 // invalidateCache bumps the shared cache's version stamp. Called by every
-// mutation that can change a query answer; over-invalidation is harmless,
+// change to what a query reads; over-invalidation is harmless,
 // under-invalidation never happens.
 func (t *Tree) invalidateCache() {
 	t.opts.Cache.Invalidate() // nil-safe

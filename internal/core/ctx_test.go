@@ -156,7 +156,8 @@ func cacheTestBackends() map[string]func() tia.Factory {
 // every grouping × backend, cached answers are byte-for-byte identical to
 // uncached ones — on a cold cache, on a warm cache (whole-result hit), and
 // again, round after round, while live ingest into new and old epochs
-// interleaves with the queries and invalidates every cached result.
+// interleaves with the queries: buffered check-ins leave every cached
+// result a hit, and each flush invalidates them all.
 func TestCacheEquivalence(t *testing.T) {
 	queries := []Query{
 		{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 700}, K: 10, Alpha0: 0.5},
@@ -234,12 +235,35 @@ func TestCacheEquivalence(t *testing.T) {
 
 				// Interleaved live ingest: each round checks the first answer's
 				// POIs in — one into a fresh epoch, one back-dated into an epoch
-				// that already holds data — and must invalidate every cached
-				// entry. The first cached query after it may not be a stale hit
-				// and must equal the uncached answer; its repeat is a hit again
-				// and equals it too.
+				// that already holds data. Buffered, the check-ins change no
+				// answer, so every cached query still hits and equals the
+				// uncached one. The flush that folds them in must invalidate
+				// every cached entry: the first cached query after it may not be
+				// a stale hit and must equal the uncached answer; its repeat is
+				// a hit again and equals it too.
+				passes := func(phase string, round int64, wantHits []bool) {
+					t.Helper()
+					for i, q := range queries {
+						want, _, err := tr.QueryCtx(ctx, q, nocache)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for pass, wantHit := range wantHits {
+							got, gotStats, err := tr.QueryCtx(ctx, q, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if gotStats.ResultCacheHit != wantHit {
+								t.Errorf("round %d %s query %d pass %d: result-cache hit = %v, want %v",
+									round, phase, i, pass, gotStats.ResultCacheHit, wantHit)
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("round %d %s query %d pass %d: cached result differs from uncached", round, phase, i, pass)
+							}
+						}
+					}
+				}
 				for round := int64(0); round < 4; round++ {
-					version := cache.Version()
 					top, _, err := tr.QueryCtx(ctx, queries[0], nocache)
 					if err != nil {
 						t.Fatal(err)
@@ -252,40 +276,25 @@ func TestCacheEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
+					passes("buffered", round, []bool{true})
+					version := cache.Version()
 					if err := tr.FlushEpochs(700 + 100*round); err != nil {
 						t.Fatal(err)
 					}
 					if cache.Version() <= version {
-						t.Fatalf("round %d: ingest did not bump the cache version (%d -> %d)", round, version, cache.Version())
+						t.Fatalf("round %d: flush did not bump the cache version (%d -> %d)", round, version, cache.Version())
 					}
-					for i, q := range queries {
-						want, _, err := tr.QueryCtx(ctx, q, nocache)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for pass, wantHit := range []bool{false, true} {
-							got, gotStats, err := tr.QueryCtx(ctx, q, nil)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if gotStats.ResultCacheHit != wantHit {
-								t.Errorf("round %d query %d pass %d: result-cache hit = %v, want %v (a hit on pass 0 is stale)",
-									round, i, pass, gotStats.ResultCacheHit, wantHit)
-							}
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("round %d query %d pass %d: cached result differs from uncached", round, i, pass)
-							}
-						}
-					}
+					passes("flushed", round, []bool{false, true})
 				}
 			})
 		}
 	}
 }
 
-// TestCacheInvalidationOnMutation pins the conservative invalidation rule:
-// every mutation of the tree — buffered check-in, epoch flush, POI insert
-// and delete, rebuilds — bumps the shared cache's version.
+// TestCacheInvalidationOnMutation pins the invalidation rule: every change
+// to what a query reads — epoch flush, POI insert and delete, rebuilds —
+// bumps the shared cache's version, and a buffered check-in, which no query
+// reads, does not.
 func TestCacheInvalidationOnMutation(t *testing.T) {
 	cache := aggcache.New(1 << 20)
 	opts := defaultOpts(TAR3D)
@@ -302,7 +311,13 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 		}
 	}
 	bumped("InsertPOI", func() error { return tr.InsertPOI(POI{ID: 1, X: 10, Y: 10}, nil) })
-	bumped("AddCheckIn", func() error { return tr.AddCheckIn(1, 5) })
+	before := cache.Version()
+	if err := tr.AddCheckIn(1, 5); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Version() != before {
+		t.Error("a buffered check-in bumped the cache version")
+	}
 	bumped("FlushEpochs", func() error { return tr.FlushEpochs(10) })
 	bumped("Rebuild", func() error { return tr.Rebuild() })
 	bumped("DeletePOI", func() error {

@@ -27,11 +27,9 @@ func (t *Tree) AddCheckIn(id int64, at int64) error {
 		t.pending[ep] = m
 	}
 	m[id]++
+	// No cache invalidation: a buffered check-in changes nothing a query
+	// reads until flushEpoch folds it into the TIAs, and that invalidates.
 	t.observe(at)
-	// Buffered check-ins are not yet query-visible, but invalidating here
-	// (one atomic add) keeps the rule simple and audit-proof: every ingest
-	// apply — WAL replay included — bumps the cache version.
-	t.invalidateCache()
 	return nil
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 )
 
@@ -89,6 +90,27 @@ func WriteError(w http.ResponseWriter, status int, code, message string, details
 // WriteStatusError writes the envelope with the status's default code.
 func WriteStatusError(w http.ResponseWriter, status int, message string) {
 	WriteError(w, status, CodeForStatus(status), message, nil)
+}
+
+// WriteJSON writes v as a compact JSON body. It encodes before it writes
+// the status line, so a value with no JSON form (a NaN, say) gets the 500
+// envelope instead of a 200 with an empty body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		WriteStatusError(w, http.StatusInternalServerError, "encoding reply: "+err.Error())
+		return
+	}
+	WriteBody(w, status, append(b, '\n'))
+}
+
+// WriteBody writes an encoded JSON body with its Content-Length.
+func WriteBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // the status is out: a failed write has no one to tell
 }
 
 // Error is the client-side decoding of a non-2xx response. Status is always

@@ -96,7 +96,6 @@ func (c *Coordinator) Query(ctx context.Context, q core.Query) ([]core.Result, c
 		Start: q.Iq.Start, End: q.Iq.End, Gmax: gmax,
 	})
 	if err != nil {
-		// NaN and ±Inf pass Validate but have no JSON form.
 		return nil, stats, rows, fmt.Errorf("%w: %v", core.ErrInvalid, err)
 	}
 	c.Metrics.addFanout(len(c.Shards))

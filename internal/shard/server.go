@@ -113,7 +113,7 @@ func (s *Server) HandleGmax(w http.ResponseWriter, r *http.Request) {
 			AggFunc:   int(opts.AggFunc),
 		}
 	})
-	writeJSON(w, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // HandleQuery answers one query: the shard's top k under the supplied
@@ -154,7 +154,7 @@ func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.Metrics.addCandidates(len(resp.Candidates))
-	writeJSON(w, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // topKWithTies pops the search's first k results and then every further
@@ -181,9 +181,4 @@ func topKWithTies(s *core.Search, k int) ([]candidate, error) {
 			Score: res.Score, S0: res.S0, S1: res.S1, Agg: res.Agg,
 		})
 	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
 }
