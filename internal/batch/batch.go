@@ -10,8 +10,6 @@ package batch
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"tartree/internal/core"
 	"tartree/internal/tia"
@@ -142,73 +140,6 @@ func Process(t *core.Tree, queries []core.Query) ([]Result, core.QueryStats, err
 		out[i] = Result{Query: st.q, Results: st.results}
 	}
 	return out, stats, nil
-}
-
-// ProcessParallel answers the batch with a worker pool: queries are grouped
-// by time interval, each group runs the collective scheme of Process on one
-// worker, and up to `workers` groups execute concurrently (workers <= 0
-// means GOMAXPROCS). Shared-node-access semantics are preserved *within* a
-// group — exactly the sharing Process would find, since queries in different
-// interval groups never share an aggregate cache anyway. Results come back
-// in input order and the returned stats are the merged per-group counters,
-// so the totals are identical to running each group through Process
-// serially, regardless of worker count.
-func ProcessParallel(t *core.Tree, queries []core.Query, workers int) ([]Result, core.QueryStats, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Group queries by interval, remembering each query's original index.
-	type group struct {
-		queries []core.Query
-		idx     []int
-	}
-	groups := map[tia.Interval]*group{}
-	var order []*group // deterministic iteration: first-appearance order
-	for i, q := range queries {
-		g, ok := groups[q.Iq]
-		if !ok {
-			g = &group{}
-			groups[q.Iq] = g
-			order = append(order, g)
-		}
-		g.queries = append(g.queries, q)
-		g.idx = append(g.idx, i)
-	}
-
-	out := make([]Result, len(queries))
-	perGroup := make([]core.QueryStats, len(order))
-	errs := make([]error, len(order))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for gi, g := range order {
-		wg.Add(1)
-		go func(gi int, g *group) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, stats, err := Process(t, g.queries)
-			perGroup[gi] = stats
-			if err != nil {
-				errs[gi] = err
-				return
-			}
-			for j, r := range res {
-				out[g.idx[j]] = r // disjoint indices: no two groups share a slot
-			}
-		}(gi, g)
-	}
-	wg.Wait()
-
-	var total core.QueryStats
-	for gi := range perGroup {
-		total.Merge(&perGroup[gi])
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, total, err
-		}
-	}
-	return out, total, nil
 }
 
 // countNode counts one shared access of a node at the given level.

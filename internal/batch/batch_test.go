@@ -159,75 +159,6 @@ func TestMoreTypesLessSharing(t *testing.T) {
 	}
 }
 
-// TestParallelEqualsSerial: the worker-pool executor returns the same
-// results as individual processing, in input order, and its work counters
-// are identical regardless of worker count — parallelism must not change
-// what is computed, only when.
-func TestParallelEqualsSerial(t *testing.T) {
-	tr, r := buildTree(t, 800, 5)
-	queries := randomQueries(r, 60, 5)
-	ind, _, err := ProcessIndividually(tr, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var baseline core.QueryStats
-	for wi, workers := range []int{1, 4, 16} {
-		par, ps, err := ProcessParallel(tr, queries, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range par {
-			if par[i].Query != queries[i] {
-				t.Fatalf("workers=%d: result %d out of input order", workers, i)
-			}
-			a, b := par[i].Results, ind[i].Results
-			if len(a) != len(b) {
-				t.Fatalf("workers=%d query %d: %d vs %d results", workers, i, len(a), len(b))
-			}
-			for j := range a {
-				if math.Abs(a[j].Score-b[j].Score) > 1e-9 {
-					t.Fatalf("workers=%d query %d pos %d: %.9f vs %.9f",
-						workers, i, j, a[j].Score, b[j].Score)
-				}
-			}
-		}
-		// Deterministic counters: logical work must not depend on the
-		// worker count. (Physical reads may: eviction order under a shared
-		// buffer legitimately varies with interleaving.)
-		if wi == 0 {
-			baseline = ps
-		} else {
-			if ps.InternalAccesses != baseline.InternalAccesses ||
-				ps.LeafAccesses != baseline.LeafAccesses ||
-				ps.TIAAccesses != baseline.TIAAccesses ||
-				ps.Scored != baseline.Scored {
-				t.Errorf("workers=%d: stats %+v differ from workers=1 baseline %+v",
-					workers, ps, baseline)
-			}
-		}
-	}
-}
-
-// TestParallelSharesWithinGroups: the worker-pool executor preserves the
-// collective scheme's sharing inside each interval group, so it does far
-// fewer R-tree accesses than individual processing.
-func TestParallelSharesWithinGroups(t *testing.T) {
-	tr, r := buildTree(t, 1500, 9)
-	queries := randomQueries(r, 200, 3)
-	_, ps, err := ProcessParallel(tr, queries, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, is, err := ProcessIndividually(tr, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.RTreeAccesses() >= is.RTreeAccesses() {
-		t.Errorf("parallel collective (%d R-tree accesses) not cheaper than individual (%d)",
-			ps.RTreeAccesses(), is.RTreeAccesses())
-	}
-}
-
 func TestEmptyBatch(t *testing.T) {
 	tr, _ := buildTree(t, 50, 1)
 	out, stats, err := Process(tr, nil)
@@ -268,8 +199,5 @@ func TestBatchInvalidQuery(t *testing.T) {
 	}
 	if _, _, err := ProcessIndividually(tr, bad); err == nil {
 		t.Error("invalid query accepted individually")
-	}
-	if _, _, err := ProcessParallel(tr, bad, 4); err == nil {
-		t.Error("invalid query accepted in parallel")
 	}
 }

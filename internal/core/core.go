@@ -220,7 +220,7 @@ func (q Query) Validate() error {
 // read. A leaf entry's index is its POI's — the registry keeps it across
 // tree restructuring, DeletePOI destroys it; an internal entry's is made by
 // treeAug and destroyed with the entry.
-func tiaOf(data any) tia.Index { return data.(tia.Index) }
+func tiaOf(data any) *tia.Index { return data.(*tia.Index) }
 
 // idSeq issues process-unique tree identities.
 var idSeq atomic.Uint64
@@ -229,7 +229,7 @@ var idSeq atomic.Uint64
 type poiState struct {
 	poi    POI
 	loc    geo.Vector // scaled spatial coordinates
-	data   tia.Index
+	data   *tia.Index
 	z      float64 // aggregate-dimension coordinate at insertion time
 	total  int64   // lifetime aggregate
 	inTree bool
@@ -252,7 +252,7 @@ type Tree struct {
 	// g(p, Iq): an inexpensive, grouping-independent upper bound that every
 	// index variant shares, so all variants rank identically. (Deleting a
 	// POI can leave it loose; Rebuild retightens it.)
-	global tia.Index
+	global *tia.Index
 
 	clock   int64                            // latest time observed
 	pending map[tia.Interval]map[int64]int64 // epoch → poi → count
@@ -498,7 +498,7 @@ func (t *Tree) raiseGlobal(r tia.Record) error {
 // newMaxIndex creates an index holding max, the per-epoch maxima its
 // caller merged in memory — so each epoch reaches the new index, and the
 // pages of a paged one, once and in ascending order.
-func (t *Tree) newMaxIndex(max *tia.Mem) (tia.Index, error) {
+func (t *Tree) newMaxIndex(max *tia.Index) (*tia.Index, error) {
 	d, err := t.opts.TIA.New(nil)
 	if err != nil {
 		return nil, err
@@ -518,7 +518,7 @@ func (a *treeAug) Make(n *rstar.Node, old any) (any, error) {
 	if err := a.Dispose(old); err != nil {
 		return nil, err
 	}
-	var max tia.Mem
+	var max tia.Index
 	for _, e := range n.Entries {
 		max.MaxMerge(tiaOf(e.Data).Records()) //nolint:errcheck // in memory: cannot fail
 	}
@@ -527,7 +527,7 @@ func (a *treeAug) Make(n *rstar.Node, old any) (any, error) {
 
 // Extend implements rstar.Augmenter.
 func (a *treeAug) Extend(data any, e rstar.Entry) (any, error) {
-	d, _ := data.(tia.Index)
+	d, _ := data.(*tia.Index)
 	if d == nil {
 		var err error
 		if d, err = a.t.opts.TIA.New(nil); err != nil {
@@ -540,14 +540,14 @@ func (a *treeAug) Extend(data any, e rstar.Entry) (any, error) {
 // Dispose implements rstar.Augmenter: rstar disposes only of what Make and
 // Extend returned, the indexes of internal entries.
 func (a *treeAug) Dispose(data any) error {
-	if d, _ := data.(tia.Index); d != nil {
+	if d, _ := data.(*tia.Index); d != nil {
 		return d.Destroy()
 	}
 	return nil
 }
 
 // currentAgg returns the aggregate x stores for the epoch starting at ts.
-func currentAgg(x tia.Index, ts int64) (int64, bool) {
+func currentAgg(x *tia.Index, ts int64) (int64, bool) {
 	recs := x.Records()
 	lo, hi := 0, len(recs)
 	for lo < hi {
@@ -631,7 +631,7 @@ func (t *Tree) RebuildBulk() error {
 // maxima (deletions may have loosened them).
 func (t *Tree) refreshGlobals() error {
 	t.lambdaMax = 0
-	var max tia.Mem
+	var max tia.Index
 	for _, st := range t.pois {
 		if l := t.lambda(st.total); l > t.lambdaMax {
 			t.lambdaMax = l

@@ -6,32 +6,20 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"tartree/internal/pagestore"
 	"tartree/internal/tia"
 )
 
-// benchBackends are the TIA backends the parallel benchmarks cover; the
-// buffered disk backends are the interesting cases (shared buffer pools
-// under concurrent access), mem is the contention-free ceiling, and
-// btree-slowdisk adds simulated device latency so queries actually block
-// on misses — the case where overlapping execution pays off even when
-// hardware parallelism is scarce.
+// benchBackends are the TIA backends the parallel benchmarks cover: the
+// buffered disk backends share their buffer pools under concurrent access,
+// and mem — what a serving tree is made of — is the contention-free case.
 var benchBackends = []struct {
-	name  string
-	fac   func() (tia.Factory, *pagestore.SlowFile)
-	delay time.Duration // applied after the build, before measuring
+	name string
+	fac  func() tia.Factory
 }{
-	{"mem", func() (tia.Factory, *pagestore.SlowFile) { return tia.NewMemFactory(), nil }, 0},
-	{"btree", func() (tia.Factory, *pagestore.SlowFile) { return tia.NewBTreeFactory(1024, 10), nil }, 0},
-	{"mvbt", func() (tia.Factory, *pagestore.SlowFile) { return tia.NewMVBTFactory(1024, 10), nil }, 0},
-	// Unbuffered (slots=0), as in the paper's buffering baseline: every
-	// logical read is physical, so queries genuinely block on the device.
-	{"btree-slowdisk", func() (tia.Factory, *pagestore.SlowFile) {
-		sf := pagestore.NewSlowFile(pagestore.NewMemFile(1024), 0)
-		return tia.NewBTreeFactoryWithFile(sf, 0), sf
-	}, 50 * time.Microsecond},
+	{"mem", func() tia.Factory { return tia.NewMemFactory() }},
+	{"btree", func() tia.Factory { return tia.NewBTreeFactory(1024, 10) }},
+	{"mvbt", func() tia.Factory { return tia.NewMVBTFactory(1024, 10) }},
 }
 
 func benchParallelTree(b *testing.B, g Grouping, fac tia.Factory) *Tree {
@@ -62,11 +50,7 @@ func BenchmarkQueryParallel(b *testing.B) {
 	for _, g := range []Grouping{TAR3D, IndSpa, IndAgg} {
 		for _, be := range benchBackends {
 			b.Run(g.String()+"/"+be.name, func(b *testing.B) {
-				fac, slow := be.fac()
-				tr := benchParallelTree(b, g, fac)
-				if slow != nil {
-					slow.SetDelay(be.delay)
-				}
+				tr := benchParallelTree(b, g, be.fac())
 				var seed atomic.Int64
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
@@ -91,11 +75,7 @@ func BenchmarkQuerySerialized(b *testing.B) {
 	for _, g := range []Grouping{TAR3D, IndSpa, IndAgg} {
 		for _, be := range benchBackends {
 			b.Run(g.String()+"/"+be.name, func(b *testing.B) {
-				fac, slow := be.fac()
-				tr := benchParallelTree(b, g, fac)
-				if slow != nil {
-					slow.SetDelay(be.delay)
-				}
+				tr := benchParallelTree(b, g, be.fac())
 				var mu sync.Mutex
 				var seed atomic.Int64
 				b.ResetTimer()

@@ -73,7 +73,7 @@ func (s *QueryStats) Merge(o *QueryStats) {
 
 // aggKey identifies a cached TIA aggregate.
 type aggKey struct {
-	idx tia.Index
+	idx *tia.Index
 	iv  tia.Interval
 }
 
@@ -112,7 +112,7 @@ type Scorer struct {
 
 // recall answers d's aggregate over the query interval from the caller's
 // memo, without touching the TIA.
-func (sc *Scorer) recall(d tia.Index) (int64, bool) {
+func (sc *Scorer) recall(d *tia.Index) (int64, bool) {
 	if sc.cache == nil {
 		return 0, false
 	}
@@ -122,7 +122,7 @@ func (sc *Scorer) recall(d tia.Index) (int64, bool) {
 
 // remember stores a freshly read aggregate in the caller's memo, when there
 // is one.
-func (sc *Scorer) remember(d tia.Index, a int64) {
+func (sc *Scorer) remember(d *tia.Index, a int64) {
 	if sc.cache != nil {
 		sc.cache[aggKey{idx: d, iv: sc.q.Iq}] = a
 	}
@@ -218,7 +218,7 @@ func (sc *Scorer) Gmax() float64 { return sc.gmax }
 
 // aggregate reads an entry's TIA aggregate over the query interval (through
 // the caller's memo, when there is one); the acct counts the page reads.
-func (sc *Scorer) aggregate(d tia.Index) (int64, error) {
+func (sc *Scorer) aggregate(d *tia.Index) (int64, error) {
 	if v, ok := sc.recall(d); ok {
 		return v, nil
 	}
@@ -246,7 +246,7 @@ func (sc *Scorer) aggregate(d tia.Index) (int64, error) {
 // entries both are exact. Property 1 guarantees α0·s0 + α1·s1 never exceeds
 // the score of anything in the subtree. It does not fold: the search folds
 // once for all the entries it scores before handing control back.
-func (sc *Scorer) components(rect geo.Rect, d tia.Index) (s0, s1 float64, err error) {
+func (sc *Scorer) components(rect geo.Rect, d *tia.Index) (s0, s1 float64, err error) {
 	s0 = geo.MinDist(sc.qv, rect, 2) / sc.t.maxDistScaled
 	a, err := sc.aggregate(d)
 	if err != nil {
@@ -602,7 +602,7 @@ func (t *Tree) ScorePOI(q Query, id int64) (Result, error) {
 
 // aggregateRecords folds x's in-memory records over iv under the tree's
 // semantics: what a probe of x answers, without the probe.
-func (t *Tree) aggregateRecords(x tia.Index, iv tia.Interval) int64 {
+func (t *Tree) aggregateRecords(x *tia.Index, iv tia.Interval) int64 {
 	return tia.AggregateRecords(x.Records(), iv, t.opts.Semantics, t.opts.AggFunc)
 }
 

@@ -98,8 +98,8 @@ func (t *Tree) SaveSnapshotV3(w io.Writer) error {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	refs := map[tia.Index]uint32{t.global: 0}
-	tias := []tia.Index{t.global}
+	refs := map[*tia.Index]uint32{t.global: 0}
+	tias := []*tia.Index{t.global}
 	for _, id := range ids {
 		d := t.pois[id].data
 		refs[d] = uint32(len(tias))
@@ -414,8 +414,8 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 	// ascending Ts, and the decoded slice is handed over: it becomes the
 	// in-memory index's storage, and a paged index is also built bottom-up
 	// from it (each page written once).
-	datas := make([]tia.Index, ntias)
-	dataFor := func(ref uint32, shared bool) (tia.Index, error) {
+	datas := make([]*tia.Index, ntias)
+	dataFor := func(ref uint32, shared bool) (*tia.Index, error) {
 		if ref >= uint32(ntias) {
 			return nil, fmt.Errorf("core: snapshot TIA reference %d out of range", ref)
 		}

@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"reflect"
 	"testing"
 
@@ -287,7 +290,10 @@ func TestSnapshotV3Deterministic(t *testing.T) {
 
 // FuzzLoadSnapshotV3 hammers the v3 decoder with mutated images: any input
 // must either load cleanly or error — panics and unbounded allocations are
-// the failure modes the bounds-checked cursor exists to prevent.
+// the failure modes the bounds-checked cursor exists to prevent — and a
+// loaded tree's TIAs hold strictly ascending epochs of positive length.
+// Each mutated body is re-sealed with its CRC-32C trailer, so a mutation
+// reaches the section decoders instead of failing the checksum.
 func FuzzLoadSnapshotV3(f *testing.F) {
 	tr, _ := buildRandomTree(f, TAR3D, 60, 53)
 	var buf bytes.Buffer
@@ -297,10 +303,56 @@ func FuzzLoadSnapshotV3(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:40])
 	f.Add(snapshotV3Magic[:])
+	f.Add(overflowingV3Image(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if n := len(data) - 4; n >= len(snapshotV3Magic) && bytes.HasPrefix(data, snapshotV3Magic[:]) {
+			data = binary.LittleEndian.AppendUint32(data[:n:n], crc32.Checksum(data[:n], v3Castagnoli))
+		}
 		tr, err := LoadSnapshot(bytes.NewReader(data), nil)
-		if err == nil && tr == nil {
+		if err != nil {
+			return
+		}
+		if tr == nil {
 			t.Fatal("nil tree without error")
 		}
+		ascending := func(recs []tia.Record) {
+			for i, r := range recs {
+				if r.Te <= r.Ts || i > 0 && r.Ts <= recs[i-1].Ts {
+					t.Fatalf("loaded records out of order or empty at %d: %v", i, recs)
+				}
+			}
+		}
+		ascending(tr.global.Records())
+		for _, st := range tr.pois {
+			ascending(st.data.Records())
+		}
 	})
+}
+
+// overflowingV3Image returns a sealed v3 image whose one POI's epoch ends
+// past math.MaxInt64: the image of a record ten units short of the end, with
+// its packed epoch length raised to 127 in place.
+func overflowingV3Image(tb testing.TB) []byte {
+	tr := mustTree(tb, defaultOpts(TAR3D))
+	rec := tia.Record{Ts: math.MaxInt64 - 20, Te: math.MaxInt64 - 10, Agg: 1}
+	if err := tr.InsertPOI(POI{ID: 1, X: 5, Y: 5}, []tia.Record{rec}); err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.SaveSnapshotV3(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	img := buf.Bytes()
+	packed := tia.AppendPacked(nil, []tia.Record{rec})
+	at := bytes.Index(img, packed)
+	if at < 0 {
+		tb.Fatal("packed record not found in the image")
+	}
+	img[at+len(binary.AppendVarint(nil, rec.Ts))] = 127 // the uvarint Te − Ts
+	n := len(img) - 4
+	binary.LittleEndian.PutUint32(img[n:], crc32.Checksum(img[:n], v3Castagnoli))
+	if _, err := LoadSnapshot(bytes.NewReader(img), nil); err == nil {
+		tb.Fatal("an image whose epoch ends past math.MaxInt64 loaded")
+	}
+	return img
 }

@@ -17,7 +17,7 @@ type aggStrategy struct{}
 
 // entryRecords returns the aggregate-distribution records of an entry.
 func entryRecords(e rstar.Entry) []tia.Record {
-	if d, _ := e.Data.(tia.Index); d != nil {
+	if d, _ := e.Data.(*tia.Index); d != nil {
 		return d.Records()
 	}
 	return nil
@@ -60,7 +60,7 @@ func (aggStrategy) Split(t *rstar.Tree, level int, entries []rstar.Entry) ([]rst
 		}
 	}
 
-	var groupA, groupB tia.Mem
+	var groupA, groupB tia.Index
 	groupA.MaxMerge(entryRecords(entries[si])) //nolint:errcheck // in memory: cannot fail
 	groupB.MaxMerge(entryRecords(entries[sj])) //nolint:errcheck
 	left := []rstar.Entry{entries[si]}

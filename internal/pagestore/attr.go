@@ -95,15 +95,14 @@ func (t IOTag) WithAcct(a *IOAcct) IOTag {
 // Traffic that carries an acct reaches nothing shared: the buffer counts it
 // in its own stats and in the acct, and leaves its ledger alone. The owner
 // adds what the acct gathered to the ledger in bulk (Ledger.AddAcct, and
-// the tia factories' FoldAcct on top of it), so a page read costs the cores
-// no shared cache line and the ledger still reaches the same totals once
-// the owner has folded.
+// the tia factories' FoldAcct on top of it), so a page read writes no
+// counter shared by the factory's buffers and the ledger still reaches the
+// same totals once the owner has folded.
 //
 // An IOAcct must not be shared by concurrently running units of work: its
 // fields are plain values and the owning query's goroutine is expected to
-// be the only one whose accesses carry it. (Buffers record into it without
-// holding any lock; that is safe precisely because distinct concurrent
-// queries carry distinct accts.)
+// be the only one whose accesses carry it. (A buffer's lock guards the
+// buffer, not the acct; distinct concurrent queries carry distinct accts.)
 type IOAcct struct {
 	// Stats totals the traffic of the accesses carrying this acct,
 	// including evictions and write-backs those accesses forced.

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestBufferConcurrentHammer drives one small Buffer from many goroutines —
@@ -244,86 +243,4 @@ func TestBufferConcurrentReadsSamePage(t *testing.T) {
 	if s := b.Stats(); s.Hits() < 8*200-2 {
 		t.Errorf("expected nearly all hits, got %+v", s)
 	}
-}
-
-func TestSlowFile(t *testing.T) {
-	inner := NewMemFile(32)
-	sf := NewSlowFile(inner, 0)
-	id, err := sf.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bytes.Repeat([]byte{3}, 32)
-	if err := sf.WritePage(id, want); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 32)
-	if err := sf.ReadPage(id, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("SlowFile did not pass data through")
-	}
-	sf.SetDelay(5 * time.Millisecond)
-	if sf.Delay() != 5*time.Millisecond {
-		t.Errorf("Delay() = %v", sf.Delay())
-	}
-	begin := time.Now()
-	if err := sf.ReadPage(id, got); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(begin); elapsed < 5*time.Millisecond {
-		t.Errorf("read took %v, want >= 5ms", elapsed)
-	}
-}
-
-// BenchmarkBufferGetHit measures the warm-hit path on a single page; a hit
-// takes no lock (BenchmarkGetTagHit is the per-layer number, over a full
-// buffer and with the ledger and acct wirings).
-func BenchmarkBufferGetHit(b *testing.B) {
-	f := NewMemFile(1024)
-	buf := NewBuffer(f, 10)
-	id, err := buf.Alloc()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := buf.Get(id); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := buf.Get(id); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBufferGetHitParallel is the contended variant: all workers
-// hammer hits on the same warm buffer. Under the old single-mutex design
-// this serialized completely.
-func BenchmarkBufferGetHitParallel(b *testing.B) {
-	f := NewMemFile(1024)
-	buf := NewBuffer(f, 10)
-	ids := make([]PageID, 8)
-	for i := range ids {
-		id, err := buf.Alloc()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ids[i] = id
-		if _, err := buf.Get(id); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if _, err := buf.Get(ids[i%len(ids)]); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
 }

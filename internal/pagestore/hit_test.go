@@ -3,16 +3,7 @@ package pagestore
 import (
 	"sync/atomic"
 	"testing"
-	"unsafe"
 )
-
-// TestBufferFillsItsSizeClass pins what the Buffer's trailing pad is for:
-// 256 bytes, so that the allocator hands out cache-line-aligned Buffers.
-func TestBufferFillsItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Buffer{}); got != 256 {
-		t.Errorf("a Buffer is %d bytes, want 256: adjust the trailing pad", got)
-	}
-}
 
 // residentBuffer returns a buffer of the paper's 10 slots with every slot
 // holding a page, and the page ids.

@@ -149,9 +149,9 @@ func (b *Buffer) residentIDs() []PageID {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var ids []PageID
-	for i := 0; i < b.slots; i++ {
-		if _, cell := b.slot(i); cell.Load() != nil {
-			ids = append(ids, cell.Load().id)
+	for _, fr := range b.frames {
+		if fr != nil {
+			ids = append(ids, fr.id)
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })

@@ -4,17 +4,19 @@
 // The experimental setup in the paper keeps the R-tree in memory while
 // every TIA is disk based and "assigned a maximum of 10 buffer slots".
 // This package provides exactly that machinery: a page file abstraction
-// (with an in-memory simulated disk and an OS-file implementation), and a
-// small per-index LRU buffer pool that counts logical and physical page
-// accesses so experiments can report node accesses precisely.
+// with an in-memory simulated disk, and a small per-index LRU buffer pool
+// that counts logical and physical page accesses so experiments can report
+// node accesses precisely. Only the page shadow of a paged TIA reads
+// through it — the experiments name one; a serving tree's TIAs are in
+// memory and touch no page — while the accounting types (IOAcct,
+// IOBreakdown, Ledger) are also what every query reports its I/O in.
 package pagestore
 
 import (
 	"errors"
 	"fmt"
-	"os"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // PageID identifies a page within a File. Zero is never a valid page, so it
@@ -53,10 +55,9 @@ type File interface {
 	Close() error
 }
 
-// MemFile is an in-memory File: a simulated disk. It is the default backend
-// for experiments because page accesses can be counted without paying for
-// real I/O, mirroring how the paper reports node accesses as the
-// machine-independent cost metric.
+// MemFile is an in-memory File: a simulated disk. Page accesses are counted
+// without paying for real I/O, mirroring how the paper reports node
+// accesses as the machine-independent cost metric.
 type MemFile struct {
 	pageSize int
 	pages    [][]byte // index = PageID-1; nil entry means freed
@@ -138,92 +139,6 @@ func (f *MemFile) Close() error {
 	return nil
 }
 
-// OSFile is a File backed by a file on disk. Its free list lives in memory:
-// the store is rebuilt from scratch each run, which matches how the
-// experiments construct indexes.
-type OSFile struct {
-	f        *os.File
-	pageSize int
-	pages    int // allocated high-water mark
-	freed    map[PageID]bool
-	free     []PageID
-}
-
-// NewOSFile creates (truncating) a page file at path.
-func NewOSFile(path string, pageSize int) (*OSFile, error) {
-	if pageSize <= 0 {
-		return nil, errors.New("pagestore: page size must be positive")
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &OSFile{f: f, pageSize: pageSize, freed: make(map[PageID]bool)}, nil
-}
-
-// PageSize implements File.
-func (f *OSFile) PageSize() int { return f.pageSize }
-
-// Alloc implements File.
-func (f *OSFile) Alloc() (PageID, error) {
-	if n := len(f.free); n > 0 {
-		id := f.free[n-1]
-		f.free = f.free[:n-1]
-		delete(f.freed, id)
-		if err := f.WritePage(id, make([]byte, f.pageSize)); err != nil {
-			return InvalidPage, err
-		}
-		return id, nil
-	}
-	f.pages++
-	id := PageID(f.pages)
-	if err := f.WritePage(id, make([]byte, f.pageSize)); err != nil {
-		return InvalidPage, err
-	}
-	return id, nil
-}
-
-func (f *OSFile) check(id PageID) error {
-	if id == InvalidPage || int(id) > f.pages || f.freed[id] {
-		return fmt.Errorf("%w: %d", ErrPageBounds, id)
-	}
-	return nil
-}
-
-// ReadPage implements File.
-func (f *OSFile) ReadPage(id PageID, buf []byte) error {
-	if err := f.check(id); err != nil {
-		return err
-	}
-	_, err := f.f.ReadAt(buf[:f.pageSize], int64(id-1)*int64(f.pageSize))
-	return err
-}
-
-// WritePage implements File.
-func (f *OSFile) WritePage(id PageID, data []byte) error {
-	if id == InvalidPage || int(id) > f.pages {
-		return fmt.Errorf("%w: %d", ErrPageBounds, id)
-	}
-	_, err := f.f.WriteAt(data[:f.pageSize], int64(id-1)*int64(f.pageSize))
-	return err
-}
-
-// Free implements File.
-func (f *OSFile) Free(id PageID) error {
-	if err := f.check(id); err != nil {
-		return err
-	}
-	f.freed[id] = true
-	f.free = append(f.free, id)
-	return nil
-}
-
-// NumPages implements File.
-func (f *OSFile) NumPages() int { return f.pages - len(f.free) }
-
-// Close implements File.
-func (f *OSFile) Close() error { return f.f.Close() }
-
 // Stats counts page traffic through a Buffer. Logical counts include buffer
 // hits; physical counts are actual File operations, i.e. the disk accesses
 // the paper's experiments report.
@@ -269,138 +184,42 @@ func (s Stats) Sub(t Stats) Stats {
 }
 
 type frame struct {
-	id   PageID
-	data []byte
-	// dirty is guarded by the buffer's exclusive lock: only writers, evict
-	// and Flush look at it.
+	id    PageID
+	data  []byte
 	dirty bool
-	// used is the frame's last-access stamp from the buffer's logical
-	// clock; the eviction victim is the frame with the minimum stamp.
-	// Stamps are unique (the clock only counts up), so this is exact LRU.
-	// Atomic because buffer hits stamp it without any lock.
-	used atomic.Int64
+	// used is the frame's last-access stamp from the buffer's clock; the
+	// eviction victim is the frame with the least stamp. Stamps are unique
+	// (the clock only counts up), so this is exact LRU.
+	used int64
 }
 
-// inlineSlots is the number of slots a Buffer carries inside itself: the
-// paper's per-TIA budget, which is what every TIA buffer of a serving tree
-// has. Only the buffer-size ablation configures more.
-const inlineSlots = 10
-
-// overflow holds the slots beyond inlineSlots.
-type overflow struct {
-	ids    []atomic.Uint32
-	frames []atomic.Pointer[frame]
-}
-
-// match returns the frame in cell if it is page id's, else nil: a slot that
-// changed under a lock-free reader holds nil or another page's frame.
-func match(cell *atomic.Pointer[frame], id PageID) *frame {
-	if fr := cell.Load(); fr != nil && fr.id == id {
-		return fr
-	}
-	return nil
-}
-
-// Buffer is a write-back LRU buffer pool over a File. Each TIA owns a
+// Buffer is a write-back LRU buffer pool over a File. Each paged TIA owns a
 // Buffer with a small number of slots (10 in the paper's setup; zero slots
 // makes the buffer a pass-through so every access is physical, as in the
 // collective-processing experiments).
 //
-// The buffered pages sit in a slot array: ids[i] is the page in slot i
-// (InvalidPage when the slot is free) and frames[i] its frame. A TIA holds
-// one to three pages and the paper's setup caps a buffer at 10 slots, so
-// scanning a cache line of ids beats hashing them — and with the ids, the
-// clock and the first frame pointers at the head of the Buffer itself, a
-// hit reads one cache line of the Buffer and then the frame, with no
-// pointer to chase in between.
+// The buffered pages sit in a slot array, frames[i] nil when slot i is free.
+// A TIA holds one to three pages and the paper caps a buffer at 10 slots, so
+// scanning the slots beats hashing the ids, and the linear victim scan beats
+// maintaining a list.
 //
-// A Buffer is safe for concurrent use. A buffer hit takes no lock: it scans
-// the ids, ticks the buffer's clock and stamps the frame — every write
-// lands in the Buffer or the frame, none in memory shared with other
-// buffers when the access carries an IOAcct (see IOTag.Acct). Misses,
-// writes, eviction and maintenance take the exclusive lock and change slots
-// one atomic store at a time: a slot is filled frame first, id second, and
-// emptied id first, frame second. A reader that matched an id therefore
-// finds in the slot either that page's frame, or — when the slot changed
-// under it — nil or the frame of another page, which it tells apart by the
-// frame's own immutable id and treats as a miss; the miss path looks again
-// under the lock, so the hit/miss accounting stays exact. Concurrent
-// readers — including of the same page — are safe. Writers must not race
-// readers of the same page: the returned Get slice aliases the frame. The
-// TAR-tree upholds this by never mutating TIAs while queries run.
+// A Buffer is safe for concurrent use: every access takes its one mutex.
+// Writers must not race readers of the same page — the returned Get slice
+// aliases the frame — which the TAR-tree upholds by never mutating TIAs while
+// queries run.
 //
 // Page traffic is counted once: in the buffer's own Stats, and beyond that
 // in the IOAcct of the access when its tag carries one, else in the
 // buffer's Ledger when it was built with one (see the count helpers).
 type Buffer struct {
-	// clock counts the logical accesses — every read that succeeded and
-	// every write, hit or miss, buffered or pass-through — and hands each
-	// its LRU stamp. One counter doing both jobs is what keeps a buffer hit
-	// at two atomic writes (the tick and the frame's stamp): the logical
-	// read count is clock − logical writes (see Buffer.Stats).
-	clock  atomic.Int64
-	ids    [inlineSlots]atomic.Uint32
-	frames [inlineSlots]atomic.Pointer[frame]
-	// more holds slots inlineSlots..slots-1; nil when there are none.
-	more  atomic.Pointer[overflow]
-	stats bufStats
+	mu     sync.Mutex
+	file   File
+	frames []*frame
+	clock  int64 // the latest LRU stamp handed out
+	stats  Stats
 	// ledger receives the traffic no IOAcct owns; nil for a buffer nobody
 	// totals. Fixed at construction.
 	ledger *Ledger
-	mu     sync.Mutex
-	file   File
-	// slots is the number of slots, fixed at construction.
-	slots int
-	// Rounds the Buffer up to the allocator's 256-byte size class, whose
-	// objects start on a cache line: the head above then is one line.
-	_ [48]byte
-}
-
-// find returns the frame of page id, or nil when the page is not buffered.
-func (b *Buffer) find(id PageID) *frame {
-	for i := range b.ids {
-		if PageID(b.ids[i].Load()) == id {
-			return match(&b.frames[i], id)
-		}
-	}
-	if m := b.more.Load(); m != nil {
-		for i := range m.ids {
-			if PageID(m.ids[i].Load()) == id {
-				return match(&m.frames[i], id)
-			}
-		}
-	}
-	return nil
-}
-
-// slot returns the cells of slot i < slots. Callers hold mu.
-func (b *Buffer) slot(i int) (*atomic.Uint32, *atomic.Pointer[frame]) {
-	if i < inlineSlots {
-		return &b.ids[i], &b.frames[i]
-	}
-	m := b.more.Load()
-	return &m.ids[i-inlineSlots], &m.frames[i-inlineSlots]
-}
-
-// setSlot puts fr (nil to empty it) into slot i. Callers hold mu.
-func (b *Buffer) setSlot(i int, fr *frame) {
-	id, cell := b.slot(i)
-	// Emptied id first, so a reader never matches the id of a slot whose
-	// frame is already gone; filled frame first, for the same reason.
-	id.Store(uint32(InvalidPage))
-	cell.Store(fr)
-	if fr != nil {
-		id.Store(uint32(fr.id))
-	}
-}
-
-// bufStats is Stats with atomic fields (Stats readers take no lock) and
-// without the logical reads, which the buffer's clock counts.
-type bufStats struct {
-	physicalReads  atomic.Int64
-	logicalWrites  atomic.Int64
-	physicalWrites atomic.Int64
-	evictions      atomic.Int64
 }
 
 // NewBuffer creates a buffer pool with the given number of slots over f.
@@ -414,30 +233,22 @@ func NewBufferWithLedger(f File, slots int, ledger *Ledger) *Buffer {
 	if slots < 0 {
 		panic("pagestore: negative slot count")
 	}
-	b := &Buffer{file: f, slots: slots, ledger: ledger}
-	if n := slots - inlineSlots; n > 0 {
-		b.more.Store(&overflow{ids: make([]atomic.Uint32, n), frames: make([]atomic.Pointer[frame], n)})
-	}
-	return b
+	return &Buffer{file: f, frames: make([]*frame, slots), ledger: ledger}
 }
-
-// File returns the underlying page file.
-func (b *Buffer) File() File { return b.file }
 
 // PageSize returns the page size of the underlying file.
 func (b *Buffer) PageSize() int { return b.file.PageSize() }
 
 // The count helpers apply the one accounting rule: the buffer's own stats
-// see every event (the caller has ticked the clock for the logical access
-// itself); beyond that an event is counted exactly once more — in the
-// IOAcct on its tag, plain fields of a value only the owning query touches,
-// which the owner adds to the ledger in bulk (Ledger.AddAcct), or, for
-// traffic without an owner, in the buffer's ledger on the spot. They run
-// with or without the lock held, so everything they touch is atomic or
-// owned by a single query (the acct).
+// see every event; beyond that an event is counted exactly once more — in
+// the IOAcct on its tag, plain fields of a value only the owning query
+// touches, which the owner adds to the ledger in bulk (Ledger.AddAcct), or,
+// for traffic without an owner, in the buffer's ledger on the spot. Callers
+// hold mu.
 func (b *Buffer) countRead(tag IOTag, hit bool) {
+	b.stats.LogicalReads++
 	if !hit {
-		b.stats.physicalReads.Add(1)
+		b.stats.PhysicalReads++
 	}
 	if a := tag.Acct; a != nil {
 		a.read(tag, hit)
@@ -448,9 +259,9 @@ func (b *Buffer) countRead(tag IOTag, hit bool) {
 
 func (b *Buffer) countWrite(tag IOTag, physical bool) {
 	if physical {
-		b.stats.physicalWrites.Add(1)
+		b.stats.PhysicalWrites++
 	} else {
-		b.stats.logicalWrites.Add(1)
+		b.stats.LogicalWrites++
 	}
 	if a := tag.Acct; a != nil {
 		a.write(tag, physical)
@@ -460,7 +271,7 @@ func (b *Buffer) countWrite(tag IOTag, physical bool) {
 }
 
 func (b *Buffer) countEviction(tag IOTag, dirty bool) {
-	b.stats.evictions.Add(1)
+	b.stats.Evictions++
 	if a := tag.Acct; a != nil {
 		a.evicted(tag, dirty)
 	} else if b.ledger != nil {
@@ -468,61 +279,64 @@ func (b *Buffer) countEviction(tag IOTag, dirty bool) {
 	}
 }
 
-// evict flushes and removes the least recently used frame, returning the
-// slot it freed (-1 when nothing is buffered). The eviction (and any dirty
-// write-back) is attributed to the tag of the access that forced it, since
-// evicting is a side effect of loading another page. Callers hold the
-// exclusive lock; slot counts are small (10 in the paper's setup), so the
-// linear victim scan beats maintaining a list.
-func (b *Buffer) evict(tag IOTag) (int, error) {
-	v, victim := -1, (*frame)(nil)
-	for i := 0; i < b.slots; i++ {
-		_, cell := b.slot(i)
-		if fr := cell.Load(); fr != nil && (victim == nil || fr.used.Load() < victim.used.Load()) {
-			v, victim = i, fr
+// find returns the slot of page id, -1 when the page is not buffered.
+func (b *Buffer) find(id PageID) int {
+	for i, fr := range b.frames {
+		if fr != nil && fr.id == id {
+			return i
 		}
 	}
-	if victim == nil {
-		return -1, nil
+	return -1
+}
+
+// evict flushes and removes the least recently used frame of a full buffer,
+// returning the slot it freed. The eviction (and any dirty write-back) is
+// attributed to the tag of the access that forced it, since evicting is a
+// side effect of loading another page. Callers hold mu.
+func (b *Buffer) evict(tag IOTag) (int, error) {
+	v := 0
+	for i, fr := range b.frames {
+		if fr.used < b.frames[v].used {
+			v = i
+		}
 	}
+	victim := b.frames[v]
 	if victim.dirty {
 		if err := b.file.WritePage(victim.id, victim.data); err != nil {
 			return -1, err
 		}
 		b.countWrite(tag, true)
 	}
-	b.setSlot(v, nil)
+	b.frames[v] = nil
 	b.countEviction(tag, victim.dirty)
 	return v, nil
 }
 
-// load returns the frame for id, faulting it in (and evicting) as needed;
-// stamping the frame is left to the caller, who ticks the clock. Callers
-// hold the exclusive lock and have checked slots > 0.
-func (b *Buffer) load(id PageID, readThrough bool, tag IOTag) (*frame, error) {
-	if fr := b.find(id); fr != nil {
-		return fr, nil
+// load returns the frame for id, faulting it in (and evicting) as needed,
+// stamped as the buffer's latest access, and whether it was buffered
+// already. Callers hold mu and have checked that the buffer has slots.
+func (b *Buffer) load(id PageID, readThrough bool, tag IOTag) (*frame, bool, error) {
+	b.clock++
+	if i := b.find(id); i >= 0 {
+		fr := b.frames[i]
+		fr.used = b.clock
+		return fr, true, nil
 	}
-	free := -1
-	for i := 0; i < b.slots && free < 0; i++ {
-		if _, cell := b.slot(i); cell.Load() == nil {
-			free = i
-		}
-	}
+	free := slices.Index(b.frames, nil)
 	if free < 0 {
 		var err error
 		if free, err = b.evict(tag); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
-	fr := &frame{id: id, data: make([]byte, b.file.PageSize())}
+	fr := &frame{id: id, data: make([]byte, b.file.PageSize()), used: b.clock}
 	if readThrough {
 		if err := b.file.ReadPage(id, fr.data); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
-	b.setSlot(free, fr)
-	return fr, nil
+	b.frames[free] = fr
+	return fr, false, nil
 }
 
 // Get returns the content of page id. The returned slice is the frame's
@@ -538,37 +352,20 @@ func (b *Buffer) Get(id PageID) ([]byte, error) {
 
 // GetTag is Get with the attribution tag the access is counted under.
 func (b *Buffer) GetTag(id PageID, tag IOTag) ([]byte, error) {
-	// Fast path: a buffer hit takes no lock and, with an acct on the tag,
-	// writes nothing but the buffer's clock, the frame's stamp and the acct.
-	if fr := b.find(id); fr != nil {
-		fr.used.Store(b.clock.Add(1))
-		b.countRead(tag, true)
-		return fr.data, nil
-	}
-	return b.getMiss(id, tag)
-}
-
-// getMiss is GetTag for a page the lock-free scan did not find.
-func (b *Buffer) getMiss(id PageID, tag IOTag) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.slots == 0 {
+	if len(b.frames) == 0 {
 		buf := make([]byte, b.file.PageSize())
 		if err := b.file.ReadPage(id, buf); err != nil {
 			return nil, err
 		}
-		b.clock.Add(1)
 		b.countRead(tag, false)
 		return buf, nil
 	}
-	// Re-check under the exclusive lock: a racing miss may have faulted
-	// the page in between our scan and Lock.
-	hit := b.find(id) != nil
-	fr, err := b.load(id, true, tag)
+	fr, hit, err := b.load(id, true, tag)
 	if err != nil {
 		return nil, err
 	}
-	fr.used.Store(b.clock.Add(1))
 	b.countRead(tag, hit)
 	return fr.data, nil
 }
@@ -584,20 +381,18 @@ func (b *Buffer) Put(id PageID, data []byte) error {
 func (b *Buffer) PutTag(id PageID, data []byte, tag IOTag) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	stamp := b.clock.Add(1) // before the write is counted: see Stats
 	b.countWrite(tag, false)
-	if b.slots == 0 {
+	if len(b.frames) == 0 {
 		if err := b.file.WritePage(id, data); err != nil {
 			return err
 		}
 		b.countWrite(tag, true)
 		return nil
 	}
-	fr, err := b.load(id, false, tag)
+	fr, _, err := b.load(id, false, tag)
 	if err != nil {
 		return err
 	}
-	fr.used.Store(stamp)
 	copy(fr.data, data[:b.file.PageSize()])
 	fr.dirty = true
 	return nil
@@ -614,10 +409,8 @@ func (b *Buffer) Alloc() (PageID, error) {
 func (b *Buffer) Free(id PageID) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for i := 0; i < b.slots; i++ {
-		if pid, _ := b.slot(i); PageID(pid.Load()) == id {
-			b.setSlot(i, nil)
-		}
+	if i := b.find(id); i >= 0 {
+		b.frames[i] = nil
 	}
 	return b.file.Free(id)
 }
@@ -626,9 +419,8 @@ func (b *Buffer) Free(id PageID) error {
 func (b *Buffer) Flush() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for i := 0; i < b.slots; i++ {
-		_, cell := b.slot(i)
-		if fr := cell.Load(); fr != nil && fr.dirty {
+	for _, fr := range b.frames {
+		if fr != nil && fr.dirty {
 			if err := b.file.WritePage(fr.id, fr.data); err != nil {
 				return err
 			}
@@ -644,23 +436,13 @@ func (b *Buffer) Flush() error {
 func (b *Buffer) Drop() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for i := 0; i < b.slots; i++ {
-		b.setSlot(i, nil)
-	}
+	clear(b.frames)
 }
 
 // Stats returns the buffer's traffic since creation; readers that want a
-// window subtract an earlier reading (Stats.Sub). The logical writes are
-// loaded before the clock and every write ticks the clock before it is
-// counted, so a reading racing a writer can overstate the reads by that one
-// access but never understate them.
+// window subtract an earlier reading (Stats.Sub).
 func (b *Buffer) Stats() Stats {
-	writes := b.stats.logicalWrites.Load()
-	return Stats{
-		LogicalReads:   b.clock.Load() - writes,
-		PhysicalReads:  b.stats.physicalReads.Load(),
-		LogicalWrites:  writes,
-		PhysicalWrites: b.stats.physicalWrites.Load(),
-		Evictions:      b.stats.evictions.Load(),
-	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.stats
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"testing"
 )
 
@@ -83,15 +82,6 @@ func testFileBasics(t *testing.T, f File) {
 
 func TestMemFileBasics(t *testing.T) {
 	testFileBasics(t, NewMemFile(128))
-}
-
-func TestOSFileBasics(t *testing.T) {
-	f, err := NewOSFile(filepath.Join(t.TempDir(), "pages.db"), 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	testFileBasics(t, f)
 }
 
 func TestBufferHitAndMiss(t *testing.T) {

@@ -22,7 +22,7 @@ type Scanner struct {
 	semantics tia.Semantics
 	pois      []core.POI
 	recs      [][]tia.Record // per POI, ascending by Ts
-	global    *tia.Mem       // per-epoch maxima (the normalization range)
+	global    *tia.Index     // per-epoch maxima (the normalization range)
 }
 
 // New creates an empty scanner over the given world rectangle.
@@ -31,7 +31,7 @@ func New(world geo.Rect, semantics tia.Semantics) *Scanner {
 		world:     world,
 		maxDist:   world.Diagonal(2),
 		semantics: semantics,
-		global:    tia.NewMem(),
+		global:    new(tia.Index),
 	}
 }
 

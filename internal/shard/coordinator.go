@@ -214,7 +214,7 @@ func (c *Coordinator) call(ctx context.Context, method, url string, body []byte,
 // The per-shard aggregation configs must agree — a mismatched shard is a
 // deployment error, reported as a ShardError.
 func (c *Coordinator) mergeGmax(q core.Query, resps []gmaxResponse) (float64, error) {
-	merged := tia.NewMem()
+	merged := new(tia.Index)
 	for i, gr := range resps {
 		if gr.Of != len(resps) || gr.Index != i {
 			return 0, &ShardError{Shard: i, URL: c.Shards[i],

@@ -3,6 +3,7 @@ package tia
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Packed record encoding for snapshots: a TIA's sorted records compress to
@@ -19,7 +20,7 @@ import (
 // a few bytes instead of the 24 bytes of its struct form.
 
 // AppendPacked appends the packed encoding of recs (sorted ascending by Ts,
-// as Mem.Records returns them) to dst and returns the extended slice.
+// as Index.Records returns them) to dst and returns the extended slice.
 func AppendPacked(dst []byte, recs []Record) []byte {
 	prev := int64(0)
 	for i, r := range recs {
@@ -36,8 +37,10 @@ func AppendPacked(dst []byte, recs []Record) []byte {
 }
 
 // DecodePacked decodes n packed records from b, returning the records and
-// the remaining bytes. Corrupt or truncated input yields an error, never a
-// panic: every varint read is bounds-checked, and a count that the input
+// the remaining bytes: Ts strictly ascending, every epoch of positive
+// length. Corrupt or truncated input yields an error, never a panic or a
+// wrapped timestamp: every varint read is bounds-checked, every addition is
+// checked against int64 overflow, and a count that the input
 // could not hold at three bytes a record is rejected before the slice is
 // allocated — at exactly n records, so a caller may keep it as it is.
 func DecodePacked(b []byte, n int) ([]Record, []byte, error) {
@@ -62,6 +65,9 @@ func DecodePacked(b []byte, n int) ([]Record, []byte, error) {
 			if d == 0 || d > 1<<62 {
 				return nil, nil, fmt.Errorf("tia: non-increasing packed Ts at record %d", i)
 			}
+			if prev > math.MaxInt64-int64(d) {
+				return nil, nil, fmt.Errorf("tia: packed Ts overflows at record %d", i)
+			}
 			ts, b = prev+int64(d), b[k:]
 		}
 		prev = ts
@@ -71,6 +77,9 @@ func DecodePacked(b []byte, n int) ([]Record, []byte, error) {
 		}
 		if du == 0 || du > 1<<62 {
 			return nil, nil, fmt.Errorf("tia: empty packed epoch at record %d", i)
+		}
+		if ts > math.MaxInt64-int64(du) {
+			return nil, nil, fmt.Errorf("tia: packed Te overflows at record %d", i)
 		}
 		b = b[k:]
 		agg, k := binary.Varint(b)

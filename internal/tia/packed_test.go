@@ -1,6 +1,8 @@
 package tia
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -67,5 +69,25 @@ func TestPackedRejectsCorrupt(t *testing.T) {
 	bad = append(bad, 10, 1)
 	if _, _, err := DecodePacked(bad, 2); err == nil {
 		t.Fatal("zero Ts delta accepted")
+	}
+	// Additions that would wrap past math.MaxInt64 must error: a Te beyond
+	// it, and a Ts delta beyond it.
+	wrapTe := binary.AppendVarint(nil, math.MaxInt64-5)
+	wrapTe = binary.AppendUvarint(wrapTe, 10)
+	wrapTe = binary.AppendVarint(wrapTe, 1)
+	if recs, _, err := DecodePacked(wrapTe, 1); err == nil {
+		t.Fatalf("Te overflow accepted: %v", recs)
+	}
+	wrapTs := AppendPacked(nil, []Record{{Ts: math.MaxInt64 - 20, Te: math.MaxInt64 - 10, Agg: 1}})
+	wrapTs = binary.AppendUvarint(wrapTs, 30)
+	wrapTs = binary.AppendUvarint(wrapTs, 1)
+	wrapTs = binary.AppendVarint(wrapTs, 1)
+	if recs, _, err := DecodePacked(wrapTs, 2); err == nil {
+		t.Fatalf("Ts overflow accepted: %v", recs)
+	}
+	// The largest representable epoch still decodes.
+	edge := []Record{{Ts: math.MaxInt64 - 20, Te: math.MaxInt64 - 10, Agg: 1}, {Ts: math.MaxInt64 - 10, Te: math.MaxInt64, Agg: 2}}
+	if got, _, err := DecodePacked(AppendPacked(nil, edge), 2); err != nil || !reflect.DeepEqual(got, edge) {
+		t.Fatalf("edge records: %v, %v", got, err)
 	}
 }

@@ -14,10 +14,10 @@ const day = 86400
 // and a set of stream-shaped intervals: length 2^U{0..9} days ending
 // uniformly inside the span (the query shape of the paper's §8 and of the
 // benchmark's request stream).
-func benchTIAs(tb testing.TB, f Factory, n int) ([]Index, []Interval) {
+func benchTIAs(tb testing.TB, f Factory, n int) ([]*Index, []Interval) {
 	const epochs = 104
 	rng := rand.New(rand.NewSource(1))
-	idx := make([]Index, n)
+	idx := make([]*Index, n)
 	for i := range idx {
 		var recs []Record
 		for e := int64(0); e < epochs; e++ {
@@ -88,7 +88,7 @@ func TestAggregateAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := tall.(*BTree).tree.Height(); h < 2 {
+	if h := tall.pages.bt.Height(); h < 2 {
 		t.Fatalf("height %d, want an inner level", h)
 	}
 	idx = append(idx, tall)
@@ -123,7 +123,7 @@ func BenchmarkMaxMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var dst Mem
+		var dst Index
 		for _, c := range children {
 			if err := dst.MaxMerge(c.Records()); err != nil {
 				b.Fatal(err)

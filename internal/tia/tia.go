@@ -5,13 +5,12 @@
 // stores the POI's own aggregates; the TIA of an internal entry stores, per
 // epoch, the maximum aggregate among the TIAs in its child node.
 //
-// Every index keeps its records in memory as one sorted slice (Records),
-// which is what the tree's maintenance reads. Three interchangeable backends
-// are provided: that slice alone (Mem, the default: what a serving tree is
-// made of), and two that also hold the records on pages, which their
-// Aggregate reads and counts — a disk-based B+-tree (one small buffer pool
-// per TIA, the paper's setup: the experiments name it, because page accesses
-// are their unit) and the multi-version B-tree the paper names. Keeping
+// An Index is one concrete type: its records in one sorted in-memory slice
+// (Records), which the tree's maintenance reads and a serving tree's queries
+// fold. The experiments count pages, so a paged factory gives each index a
+// shadow as well — the same records on pages, in a disk-based B+-tree (one
+// small buffer pool per TIA, the paper's setup) or the multi-version B-tree
+// the paper names — which its Aggregate then reads and counts. Keeping
 // slice and pages in step is this package's business (Put, MaxMerge), not
 // the caller's.
 package tia
@@ -31,12 +30,12 @@ import (
 type BackendKind int
 
 const (
-	// KindMem is the in-memory sorted-slice backend (the default), and a
+	// KindMem is a probe of an index without a shadow (the default), and a
 	// read of any index's in-memory records (AggregateRecords).
 	KindMem BackendKind = iota
-	// KindBTree is the disk B+-tree backend (the paper's setup).
+	// KindBTree is a probe of a disk B+-tree shadow (the paper's setup).
 	KindBTree
-	// KindMVBT is the multi-version B-tree backend.
+	// KindMVBT is a probe of a multi-version B-tree shadow.
 	KindMVBT
 	numKinds
 )
@@ -142,43 +141,24 @@ func (f Func) fold(acc, v int64) int64 {
 	return acc + v
 }
 
-// Index is a single TIA. Every index keeps its records in memory, sorted —
-// the in-memory index is nothing else, a paged index holds the same records
-// a second time on its pages and writes both in one Put or MaxMerge.
+// Index is a single TIA: its records, sorted by strictly ascending Ts, in
+// one in-memory slice that ingest, grouping, rebuilds, snapshots and — on a
+// serving tree — every query read. An index made by a paged factory
+// (NewBTreeFactory, NewMVBTFactory) also holds the same records a second
+// time on pages, its shadow: Put and MaxMerge write both, and Aggregate
+// reads the pages and counts them, since page accesses are the unit of the
+// paper's experiments. An index without a shadow touches no page.
 //
-// Implementations are not safe for concurrent mutation; the TAR-tree
-// serializes maintenance per entry.
-type Index interface {
-	// Put inserts the record for the epoch starting at rec.Ts, overwriting
-	// a previous record for the same epoch (internal entries overwrite when
-	// a POI insertion raises the per-epoch maximum).
-	Put(rec Record) error
-	// MaxMerge raises the index to the per-epoch maximum of itself and src
-	// (sorted by strictly ascending Ts): for every epoch of src the index
-	// lacks, or holds a smaller aggregate for, src's record is stored. This
-	// is how an internal entry's TIA is maintained (Section 4.1: "the TIA of
-	// an internal entry stores the largest aggregate value of the TIAs in
-	// the child node for each epoch"). The records merge in one pass; a
-	// paged index also writes the raised rows, in ascending order, to its
-	// pages.
-	MaxMerge(src []Record) error
-	// Aggregate folds the Agg of all records matching iv under sem with f,
-	// charging the probe and its page accesses to the query-local acct, or —
-	// acct nil — counting them in the shared books on the spot. Queries
-	// thread their own acct here so per-query I/O accounting stays exact
-	// when many queries run concurrently, and so a probe writes no shared
-	// counter: what the acct gathers reaches the factory's ledger and the
-	// probe totals when its owner calls Factory.FoldAcct. Read-only calls
-	// (Aggregate, Records) are safe from many goroutines at once.
-	Aggregate(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error)
-	// Records exposes the records, sorted by ascending Ts, without touching
-	// a page. Callers must not modify the slice; ingest, the grouping
-	// strategies, rebuilds and snapshots read it.
-	Records() []Record
-	// Destroy releases any storage held by the index. The index must not be
-	// used afterwards. It is called when an internal entry's TIA is rebuilt
-	// after the R-tree regroups entries.
-	Destroy() error
+// The zero Index is an empty in-memory index. An Index is not safe for
+// concurrent mutation; the TAR-tree serializes maintenance per entry.
+// Read-only calls (Aggregate, Records) are safe from many goroutines at
+// once.
+type Index struct {
+	recs []Record
+	// maxSpan is the widest epoch stored, so intersection queries know how
+	// far left of the interval a relevant record can start.
+	maxSpan int64
+	pages   *shadow // nil unless a paged factory made the index
 }
 
 // Factory creates Indexes that share a storage substrate and one ledger of
@@ -187,10 +167,10 @@ type Index interface {
 // experiment uses zero slots).
 type Factory interface {
 	// New creates an index over recs: sorted by strictly ascending Ts and
-	// handed over (the index may keep the slice as its storage), nil for an
-	// empty index. A B+-tree is built from them bottom-up, one page write
-	// per node, so a snapshot load writes each TIA page exactly once.
-	New(recs []Record) (Index, error)
+	// handed over (the index keeps the slice as its storage), nil for an
+	// empty index. A B+-tree shadow is built from them bottom-up, one page
+	// write per node, so a snapshot load writes each TIA page exactly once.
+	New(recs []Record) (*Index, error)
 	// Ledger returns the combined page traffic of every index created so
 	// far, attributed by (component, level). It is cumulative: readers
 	// that want a window subtract an earlier reading (IOBreakdown.Sub,
@@ -240,63 +220,179 @@ func AggregateRecords(recs []Record, iv Interval, sem Semantics, f Func) int64 {
 	return foldFrom(recs, lo, iv, sem, f)
 }
 
-// ---------------------------------------------------------------------------
-// In-memory backend
-
-// Mem is an in-memory Index: a sorted record slice, the index of a serving
-// tree's entries. The paged indexes embed one for the records they keep
-// beside their pages.
-type Mem struct {
-	recs []Record
-	// maxSpan is the widest epoch stored, so intersection queries know how
-	// far left of the interval a relevant record can start.
-	maxSpan int64
+// newIndex returns the in-memory index over recs, which become its storage.
+func newIndex(recs []Record) *Index {
+	x := &Index{recs: recs}
+	for _, r := range recs {
+		x.note(r)
+	}
+	return x
 }
 
-// NewMem returns an empty in-memory index.
-func NewMem() *Mem { return &Mem{} }
-
-func (m *Mem) note(r Record) {
-	if d := r.Te - r.Ts; d > m.maxSpan {
-		m.maxSpan = d
+func (x *Index) note(r Record) {
+	if d := r.Te - r.Ts; d > x.maxSpan {
+		x.maxSpan = d
 	}
 }
 
 // scanLow returns the lowest Ts that could match iv under sem.
-func (m *Mem) scanLow(iv Interval, sem Semantics) int64 {
+func (x *Index) scanLow(iv Interval, sem Semantics) int64 {
 	if sem == Contained {
 		return iv.Start
 	}
-	lo := iv.Start - m.maxSpan
+	lo := iv.Start - x.maxSpan
 	if lo > iv.Start { // overflow guard
 		lo = math.MinInt64
 	}
 	return lo
 }
 
-// Put implements Index.
-func (m *Mem) Put(rec Record) error {
-	m.note(rec)
-	i := sort.Search(len(m.recs), func(i int) bool { return m.recs[i].Ts >= rec.Ts })
-	if i < len(m.recs) && m.recs[i].Ts == rec.Ts {
-		m.recs[i] = rec
-		return nil
+// Put inserts the record for the epoch starting at rec.Ts, overwriting a
+// previous record for the same epoch (internal entries overwrite when a POI
+// insertion raises the per-epoch maximum), and writes it to the shadow.
+func (x *Index) Put(rec Record) error {
+	x.note(rec)
+	i := sort.Search(len(x.recs), func(i int) bool { return x.recs[i].Ts >= rec.Ts })
+	if i < len(x.recs) && x.recs[i].Ts == rec.Ts {
+		x.recs[i] = rec
+	} else {
+		x.recs = append(x.recs, Record{})
+		copy(x.recs[i+1:], x.recs[i:])
+		x.recs[i] = rec
 	}
-	m.recs = append(m.recs, Record{})
-	copy(m.recs[i+1:], m.recs[i:])
-	m.recs[i] = rec
+	if x.pages != nil {
+		return x.pages.put(rec)
+	}
 	return nil
 }
 
-// Aggregate implements Index; memory indexes have no page traffic, so only
-// the probe itself is charged to the acct.
-func (m *Mem) Aggregate(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
-	countProbe(KindMem, acct)
-	return foldFrom(m.recs, m.scanLow(iv, sem), iv, sem, f), nil
+// MaxMerge raises the index to the per-epoch maximum of itself and src
+// (sorted by strictly ascending Ts): for every epoch of src the index lacks,
+// or holds a smaller aggregate for, src's record is stored. This is how an
+// internal entry's TIA is maintained (Section 4.1: "the TIA of an internal
+// entry stores the largest aggregate value of the TIAs in the child node
+// for each epoch"). With a shadow, the raised rows are first written to the
+// pages, in ascending order.
+//
+// The records merge in one pass: it counts the epochs x lacks, grows x's
+// slice by that many, and merges from the back — so no record is
+// overwritten before it is read and nothing else is allocated. As with Put,
+// only a record that lands in x widens the tracked span.
+func (x *Index) MaxMerge(src []Record) error {
+	if x.pages != nil {
+		if err := x.putRaised(src); err != nil {
+			return err
+		}
+	}
+	d := x.recs
+	missing := 0
+	for i, j := 0, 0; j < len(src); {
+		switch {
+		case i == len(d) || src[j].Ts < d[i].Ts:
+			missing++
+			j++
+		case src[j].Ts == d[i].Ts:
+			i++
+			j++
+		default:
+			i++
+		}
+	}
+	i := len(d) - 1
+	d = slices.Grow(d, missing)[:len(d)+missing]
+	for j, k := len(src)-1, len(d)-1; j >= 0; k-- {
+		switch {
+		case i >= 0 && d[i].Ts > src[j].Ts:
+			d[k] = d[i]
+			i--
+		case i >= 0 && d[i].Ts == src[j].Ts:
+			d[k] = d[i]
+			if src[j].Agg > d[i].Agg {
+				d[k] = src[j]
+				x.note(src[j])
+			}
+			i--
+			j--
+		default:
+			d[k] = src[j]
+			x.note(src[j])
+			j--
+		}
+	}
+	x.recs = d
+	return nil
 }
 
-// Records implements Index.
-func (m *Mem) Records() []Record { return m.recs }
+// putRaised writes to the shadow the rows of src that MaxMerge is about to
+// raise, in ascending order.
+func (x *Index) putRaised(src []Record) error {
+	i := 0
+	for _, r := range src {
+		for i < len(x.recs) && x.recs[i].Ts < r.Ts {
+			i++
+		}
+		if i < len(x.recs) && x.recs[i].Ts == r.Ts && x.recs[i].Agg >= r.Agg {
+			continue
+		}
+		if err := x.pages.put(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Aggregate folds the Agg of all records matching iv under sem with f,
+// charging the probe — and, with a shadow, the page accesses that answer it
+// — to the query-local acct, or (acct nil) counting them in the shared
+// books on the spot. Queries thread their own acct here so per-query I/O
+// accounting stays exact when many queries run concurrently, and so a
+// probe writes no shared counter: what the acct gathers reaches the
+// factory's ledger and the probe totals when its owner calls
+// Factory.FoldAcct. Without a shadow it cannot fail.
+func (x *Index) Aggregate(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
+	lo := x.scanLow(iv, sem)
+	if x.pages != nil {
+		return x.pages.aggregate(lo, iv, sem, f, acct)
+	}
+	countProbe(KindMem, acct)
+	return foldFrom(x.recs, lo, iv, sem, f), nil
+}
+
+// Records exposes the records, sorted by ascending Ts, without touching a
+// page. Callers must not modify the slice.
+func (x *Index) Records() []Record { return x.recs }
+
+// Destroy releases the records and any pages the index holds. The index
+// must not be used afterwards. It is called when an internal entry's TIA is
+// rebuilt after the R-tree regroups entries, and when a POI is deleted.
+func (x *Index) Destroy() error {
+	x.recs = nil
+	if x.pages != nil {
+		return x.pages.destroy()
+	}
+	return nil
+}
+
+// PageRecords returns what a full scan of the index's shadow reads, and
+// false for an index without one. It lets tests check that the pages hold
+// exactly Records().
+func (x *Index) PageRecords() ([]Record, bool, error) {
+	if x.pages == nil {
+		return nil, false, nil
+	}
+	var recs []Record
+	visit := func(ts int64, v [2]int64) bool {
+		recs = append(recs, Record{Ts: ts, Te: v[0], Agg: v[1]})
+		return true
+	}
+	var err error
+	if s := x.pages; s.bt != nil {
+		err = s.bt.Scan(math.MinInt64, math.MaxInt64, func(ts int64, v btree.Value) bool { return visit(ts, v) })
+	} else {
+		err = s.mv.ScanAt(s.mv.Now(), math.MinInt64, math.MaxInt64, func(ts int64, v mvbt.Value) bool { return visit(ts, v) })
+	}
+	return recs, true, err
+}
 
 // ManhattanRecords returns the L1 distance between two sorted record sets,
 // treating missing epochs as zero. This is the aggregate-distribution
@@ -333,93 +429,15 @@ func ManhattanRecords(a, b []Record) int64 {
 	return d
 }
 
-// Destroy implements Index.
-func (m *Mem) Destroy() error {
-	m.recs = nil
-	return nil
-}
-
-// MaxMerge implements Index: it counts the epochs m lacks, grows m's slice
-// by that many, and merges from the back — so no record is overwritten
-// before it is read and nothing else is allocated. As with Put, only a
-// record that lands in m widens the tracked span.
-func (m *Mem) MaxMerge(src []Record) error {
-	d := m.recs
-	missing := 0
-	for i, j := 0, 0; j < len(src); {
-		switch {
-		case i == len(d) || src[j].Ts < d[i].Ts:
-			missing++
-			j++
-		case src[j].Ts == d[i].Ts:
-			i++
-			j++
-		default:
-			i++
-		}
-	}
-	i := len(d) - 1
-	d = slices.Grow(d, missing)[:len(d)+missing]
-	for j, k := len(src)-1, len(d)-1; j >= 0; k-- {
-		switch {
-		case i >= 0 && d[i].Ts > src[j].Ts:
-			d[k] = d[i]
-			i--
-		case i >= 0 && d[i].Ts == src[j].Ts:
-			d[k] = d[i]
-			if src[j].Agg > d[i].Agg {
-				d[k] = src[j]
-				m.note(src[j])
-			}
-			i--
-			j--
-		default:
-			d[k] = src[j]
-			m.note(src[j])
-			j--
-		}
-	}
-	m.recs = d
-	return nil
-}
-
-// mergePaged is MaxMerge for an index that holds m's records a second time
-// on pages: the rows the merge is about to raise go through put, in
-// ascending order, before the records themselves merge.
-func (m *Mem) mergePaged(src []Record, put func(Record) error) error {
-	i := 0
-	for _, r := range src {
-		for i < len(m.recs) && m.recs[i].Ts < r.Ts {
-			i++
-		}
-		if i < len(m.recs) && m.recs[i].Ts == r.Ts && m.recs[i].Agg >= r.Agg {
-			continue
-		}
-		if err := put(r); err != nil {
-			return err
-		}
-	}
-	return m.MaxMerge(src)
-}
-
-// MemFactory creates Mem indexes. Its ledger stays empty: memory access is
-// free in the paper's cost accounting.
+// MemFactory creates in-memory indexes. Its ledger stays empty: memory
+// access is free in the paper's cost accounting.
 type MemFactory struct{ ledger pagestore.Ledger }
 
 // NewMemFactory returns a factory of in-memory indexes.
 func NewMemFactory() *MemFactory { return &MemFactory{} }
 
 // New implements Factory: recs is the index's storage.
-func (*MemFactory) New(recs []Record) (Index, error) { return newMem(recs), nil }
-
-// newMem returns the in-memory index over recs, which become its storage.
-func newMem(recs []Record) *Mem {
-	m := &Mem{recs: recs}
-	for _, r := range recs {
-		m.note(r)
-	}
-	return m
-}
+func (*MemFactory) New(recs []Record) (*Index, error) { return newIndex(recs), nil }
 
 // Ledger implements Factory.
 func (f *MemFactory) Ledger() *pagestore.Ledger { return &f.ledger }
@@ -429,190 +447,128 @@ func (f *MemFactory) Ledger() *pagestore.Ledger { return &f.ledger }
 func (*MemFactory) FoldAcct(a *pagestore.IOAcct) { probes[KindMem].Add(a.Probes) }
 
 // ---------------------------------------------------------------------------
-// B+-tree backend
+// Page shadows
 
-// BTree is an Index stored in a disk-based B+-tree keyed by epoch start,
-// beside the in-memory records every index keeps.
-type BTree struct {
-	Mem
-	tree *btree.Tree
+// shadow is the page-resident copy of an index's records: a disk-based
+// B+-tree keyed by epoch start (the paper's setup) or the multi-version
+// B-tree the paper names, inserted at monotonically increasing versions and
+// read at the current one. Either sits behind the index's own small buffer
+// pool.
+type shadow struct {
+	kind BackendKind
+	bt   *btree.Tree // KindBTree
+	mv   *mvbt.Tree  // KindMVBT
+	buf  *pagestore.Buffer
 }
 
-func (b *BTree) putPage(rec Record) error {
-	return b.tree.Put(rec.Ts, btree.Value{rec.Te, rec.Agg})
+func (s *shadow) put(rec Record) error {
+	if s.bt != nil {
+		return s.bt.Put(rec.Ts, btree.Value{rec.Te, rec.Agg})
+	}
+	v := max(s.mv.Now(), rec.Ts)
+	if _, ok, err := s.mv.Get(v, rec.Ts); err != nil {
+		return err
+	} else if ok {
+		return s.mv.Update(v, rec.Ts, mvbt.Value{rec.Te, rec.Agg})
+	}
+	return s.mv.Insert(v, rec.Ts, mvbt.Value{rec.Te, rec.Agg})
 }
 
-// Put implements Index.
-func (b *BTree) Put(rec Record) error {
-	b.Mem.Put(rec) //nolint:errcheck // in memory: cannot fail
-	return b.putPage(rec)
-}
-
-// MaxMerge implements Index.
-func (b *BTree) MaxMerge(src []Record) error { return b.mergePaged(src, b.putPage) }
-
-// Aggregate implements Index, charging the B+-tree page accesses of this
-// probe to acct.
-func (b *BTree) Aggregate(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
-	countProbe(KindBTree, acct)
+// aggregate is Index.Aggregate read from the pages, from Ts lo on.
+func (s *shadow) aggregate(lo int64, iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
+	countProbe(s.kind, acct)
 	var acc int64
-	err := b.tree.ScanAcct(b.scanLow(iv, sem), iv.End-1, acct, func(ts int64, v btree.Value) bool {
-		if match(Record{Ts: ts, Te: v[0], Agg: v[1]}, iv, sem) {
-			acc = f.fold(acc, v[1])
-		}
-		return true
-	})
+	var err error
+	if s.bt != nil {
+		err = s.bt.ScanAcct(lo, iv.End-1, acct, func(ts int64, v btree.Value) bool {
+			if match(Record{Ts: ts, Te: v[0], Agg: v[1]}, iv, sem) {
+				acc = f.fold(acc, v[1])
+			}
+			return true
+		})
+	} else {
+		err = s.mv.ScanAtAcct(s.mv.Now(), lo, iv.End-1, acct, func(ts int64, v mvbt.Value) bool {
+			if match(Record{Ts: ts, Te: v[0], Agg: v[1]}, iv, sem) {
+				acc = f.fold(acc, v[1])
+			}
+			return true
+		})
+	}
 	return acc, err
 }
 
-// Destroy implements Index.
-func (b *BTree) Destroy() error {
-	b.recs = nil
-	return b.tree.Destroy()
+func (s *shadow) destroy() error {
+	if s.bt != nil {
+		return s.bt.Destroy()
+	}
+	// Historical MVBT nodes are shared with no free-list bookkeeping; we
+	// simply drop the buffer. The factory's file reclaims space only when
+	// it is closed, which matches how scratch MVBTs are used.
+	s.buf.Drop()
+	return nil
 }
 
-// pagedFactory is what the two disk-backed factories share: the page file,
-// one small buffer pool per index, and the one ledger all of them count
-// into. It keeps no list of the buffers: a destroyed index is garbage.
-type pagedFactory struct {
+// PagedFactory creates indexes with a page shadow, all sharing one page
+// file (an in-memory simulated disk); every index gets its own small buffer
+// pool, matching the paper's "each TIA is assigned a maximum of 10 buffer
+// slots". It keeps no list of the buffers: a destroyed index is garbage.
+type PagedFactory struct {
 	kind   BackendKind
 	file   pagestore.File
 	slots  int
 	ledger pagestore.Ledger
 }
 
-// newBuffer creates the buffer pool of one more index.
-func (f *pagedFactory) newBuffer() *pagestore.Buffer {
-	return pagestore.NewBufferWithLedger(f.file, f.slots, &f.ledger)
+// NewBTreeFactory creates a factory of B+-tree-shadowed indexes with the
+// given page size and per-index buffer slots: the paper's setup.
+func NewBTreeFactory(pageSize, slots int) *PagedFactory {
+	return &PagedFactory{kind: KindBTree, file: pagestore.NewMemFile(pageSize), slots: slots}
 }
 
-// Ledger implements Factory.
-func (f *pagedFactory) Ledger() *pagestore.Ledger { return &f.ledger }
-
-// FoldAcct implements Factory.
-func (f *pagedFactory) FoldAcct(a *pagestore.IOAcct) {
-	probes[f.kind].Add(a.Probes)
-	f.ledger.AddAcct(a)
+// NewMVBTFactory creates a factory of MVBT-shadowed indexes.
+func NewMVBTFactory(pageSize, slots int) *PagedFactory {
+	return &PagedFactory{kind: KindMVBT, file: pagestore.NewMemFile(pageSize), slots: slots}
 }
 
-// BTreeFactory creates B+-tree indexes sharing one page file; every index
-// gets its own small buffer pool, matching the paper's "each TIA is
-// assigned a maximum of 10 buffer slots".
-type BTreeFactory struct{ pagedFactory }
-
-// NewBTreeFactory creates a factory over an in-memory simulated disk with
-// the given page size and per-index buffer slots.
-func NewBTreeFactory(pageSize, slots int) *BTreeFactory {
-	return NewBTreeFactoryWithFile(pagestore.NewMemFile(pageSize), slots)
-}
-
-// NewBTreeFactoryWithFile creates a factory over an existing page file.
-func NewBTreeFactoryWithFile(f pagestore.File, slots int) *BTreeFactory {
-	return &BTreeFactory{pagedFactory{kind: KindBTree, file: f, slots: slots}}
-}
-
-// New implements Factory: given records, the B+-tree is built bottom-up
-// from them instead of descending from the root once per record.
-func (f *BTreeFactory) New(recs []Record) (Index, error) {
-	buf := f.newBuffer()
-	var t *btree.Tree
+// New implements Factory. Given records, a B+-tree is built bottom-up from
+// them instead of descending from the root once per record; an MVBT
+// inserts them one version each.
+func (f *PagedFactory) New(recs []Record) (*Index, error) {
+	s := &shadow{kind: f.kind, buf: pagestore.NewBufferWithLedger(f.file, f.slots, &f.ledger)}
 	var err error
-	if recs == nil {
-		t, err = btree.New(buf)
-	} else {
+	switch {
+	case f.kind == KindMVBT:
+		if s.mv, err = mvbt.New(s.buf); err == nil {
+			for _, r := range recs {
+				if err = s.put(r); err != nil {
+					break
+				}
+			}
+		}
+	case recs == nil:
+		s.bt, err = btree.New(s.buf)
+	default:
 		keys := make([]int64, len(recs))
 		vals := make([]btree.Value, len(recs))
 		for i, r := range recs {
 			keys[i] = r.Ts
 			vals[i] = btree.Value{r.Te, r.Agg}
 		}
-		t, err = btree.NewBulk(buf, keys, vals)
+		s.bt, err = btree.NewBulk(s.buf, keys, vals)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &BTree{Mem: *newMem(recs), tree: t}, nil
+	x := newIndex(recs)
+	x.pages = s
+	return x, nil
 }
 
-// ---------------------------------------------------------------------------
-// Multi-version B-tree backend
+// Ledger implements Factory.
+func (f *PagedFactory) Ledger() *pagestore.Ledger { return &f.ledger }
 
-// MVBT is an Index stored in a multi-version B-tree, the implementation the
-// paper names, beside the in-memory records every index keeps. Records are
-// inserted at monotonically increasing versions and queried at the current
-// version.
-type MVBT struct {
-	Mem
-	tree *mvbt.Tree
-	buf  *pagestore.Buffer
-}
-
-func (m *MVBT) putPage(rec Record) error {
-	v := m.tree.Now()
-	if rec.Ts > v {
-		v = rec.Ts
-	}
-	if _, ok, err := m.tree.Get(v, rec.Ts); err != nil {
-		return err
-	} else if ok {
-		return m.tree.Update(v, rec.Ts, mvbt.Value{rec.Te, rec.Agg})
-	}
-	return m.tree.Insert(v, rec.Ts, mvbt.Value{rec.Te, rec.Agg})
-}
-
-// Put implements Index.
-func (m *MVBT) Put(rec Record) error {
-	m.Mem.Put(rec) //nolint:errcheck // in memory: cannot fail
-	return m.putPage(rec)
-}
-
-// MaxMerge implements Index.
-func (m *MVBT) MaxMerge(src []Record) error { return m.mergePaged(src, m.putPage) }
-
-// Aggregate implements Index, charging the MVBT page accesses of this probe
-// to acct.
-func (m *MVBT) Aggregate(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
-	countProbe(KindMVBT, acct)
-	var acc int64
-	err := m.tree.ScanAtAcct(m.tree.Now(), m.scanLow(iv, sem), iv.End-1, acct, func(ts int64, v mvbt.Value) bool {
-		if match(Record{Ts: ts, Te: v[0], Agg: v[1]}, iv, sem) {
-			acc = f.fold(acc, v[1])
-		}
-		return true
-	})
-	return acc, err
-}
-
-// Destroy implements Index.
-func (m *MVBT) Destroy() error {
-	// Historical MVBT nodes are shared with no free-list bookkeeping; we
-	// simply drop the buffer. The factory's file reclaims space only when
-	// it is closed, which matches how scratch MVBTs are used.
-	m.recs = nil
-	m.buf.Drop()
-	return nil
-}
-
-// MVBTFactory creates MVBT indexes sharing one page file.
-type MVBTFactory struct{ pagedFactory }
-
-// NewMVBTFactory creates a factory over an in-memory simulated disk.
-func NewMVBTFactory(pageSize, slots int) *MVBTFactory {
-	return &MVBTFactory{pagedFactory{kind: KindMVBT, file: pagestore.NewMemFile(pageSize), slots: slots}}
-}
-
-// New implements Factory: the records are inserted one version each.
-func (f *MVBTFactory) New(recs []Record) (Index, error) {
-	buf := f.newBuffer()
-	t, err := mvbt.New(buf)
-	if err != nil {
-		return nil, err
-	}
-	m := &MVBT{Mem: *newMem(recs), tree: t, buf: buf}
-	for _, r := range recs {
-		if err := m.putPage(r); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+// FoldAcct implements Factory.
+func (f *PagedFactory) FoldAcct(a *pagestore.IOAcct) {
+	probes[f.kind].Add(a.Probes)
+	f.ledger.AddAcct(a)
 }

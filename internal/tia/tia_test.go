@@ -2,15 +2,12 @@ package tia
 
 import (
 	"cmp"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 
-	"tartree/internal/btree"
-	"tartree/internal/mvbt"
 	"tartree/internal/pagestore"
 )
 
@@ -220,7 +217,7 @@ func TestFactoryBufferedVsUnbuffered(t *testing.T) {
 }
 
 func TestMaxMerge(t *testing.T) {
-	dst, src := NewMem(), NewMem()
+	dst, src := new(Index), new(Index)
 	// Paper's example from Section 4.1: children {⟨t0,t1,2⟩,⟨t1,t2,2⟩,⟨t2,*,2⟩}
 	// and {⟨t0,t1,2⟩,⟨t1,t2,3⟩,⟨t2,*,1⟩} give parent {2, 3, 2}.
 	for _, r := range []Record{{0, 1, 2}, {1, 2, 2}, {2, 3, 2}} {
@@ -244,7 +241,7 @@ func TestMaxMerge(t *testing.T) {
 
 // putPerRaised is the reference MaxMerge is checked against: one Put per
 // epoch of src that dst lacks or holds a smaller aggregate for.
-func putPerRaised(dst Index, src []Record) {
+func putPerRaised(dst *Index, src []Record) {
 	for _, r := range src {
 		i, ok := slices.BinarySearchFunc(dst.Records(), r.Ts, func(d Record, ts int64) int { return cmp.Compare(d.Ts, ts) })
 		if !ok || r.Agg > dst.Records()[i].Agg {
@@ -255,8 +252,8 @@ func putPerRaised(dst Index, src []Record) {
 
 // randomMem returns an index with a record, of random width and aggregate,
 // for roughly density of the given epochs starting at offset.
-func randomMem(r *rand.Rand, epochs int, density float64, offset int64) *Mem {
-	m := NewMem()
+func randomMem(r *rand.Rand, epochs int, density float64, offset int64) *Index {
+	m := new(Index)
 	for e := int64(0); e < int64(epochs); e++ {
 		if r.Float64() < density {
 			ts := (offset + e) * 10
@@ -276,7 +273,7 @@ func TestMaxMergeMemMatchesGeneric(t *testing.T) {
 		density := []float64{0.05, 0.5, 1}[trial%3]
 		dst := randomMem(r, r.Intn(40), density, 0)
 		src := randomMem(r, r.Intn(40), []float64{1, 0.05, 0.5}[trial%3], int64(r.Intn(50))-10)
-		want := &Mem{recs: slices.Clone(dst.recs), maxSpan: dst.maxSpan}
+		want := &Index{recs: slices.Clone(dst.recs), maxSpan: dst.maxSpan}
 		putPerRaised(want, src.recs)
 		before := slices.Clone(src.recs)
 		if err := dst.MaxMerge(src.recs); err != nil {
@@ -311,21 +308,6 @@ func TestMaxMergeMemMatchesGeneric(t *testing.T) {
 // and MaxMerge made it, a full scan of the pages equals Records() record
 // for record, and both equal an in-memory index fed the same operations.
 func TestPagedIndexHoldsItsRecords(t *testing.T) {
-	pages := func(x Index) (got []Record, err error) {
-		switch x := x.(type) {
-		case *BTree:
-			err = x.tree.Scan(math.MinInt64, math.MaxInt64, func(ts int64, v btree.Value) bool {
-				got = append(got, Record{ts, v[0], v[1]})
-				return true
-			})
-		case *MVBT:
-			err = x.tree.ScanAt(x.tree.Now(), math.MinInt64, math.MaxInt64, func(ts int64, v mvbt.Value) bool {
-				got = append(got, Record{ts, v[0], v[1]})
-				return true
-			})
-		}
-		return got, err
-	}
 	for name, f := range map[string]Factory{"btree": NewBTreeFactory(256, 4), "mvbt": NewMVBTFactory(1024, 4)} {
 		t.Run(name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(5))
@@ -338,11 +320,11 @@ func TestPagedIndexHoldsItsRecords(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				model := newMem(slices.Clone(init))
+				model := newIndex(slices.Clone(init))
 				for op := 0; op <= 40; op++ {
-					got, err := pages(x)
-					if err != nil {
-						t.Fatal(err)
+					got, paged, err := x.PageRecords()
+					if err != nil || !paged {
+						t.Fatalf("trial %d: page scan: %v, shadow %v", trial, err, paged)
 					}
 					if len(got)+len(x.Records()) > 0 && !reflect.DeepEqual(got, x.Records()) {
 						t.Fatalf("trial %d, after %d operations: the pages hold %v, Records() %v", trial, op, got, x.Records())
@@ -373,7 +355,7 @@ func TestPagedIndexHoldsItsRecords(t *testing.T) {
 }
 
 func TestDestroyMem(t *testing.T) {
-	m := NewMem()
+	m := new(Index)
 	m.Put(Record{0, 1, 5})
 	if err := m.Destroy(); err != nil {
 		t.Fatal(err)
@@ -458,7 +440,7 @@ func TestFactoryLedger(t *testing.T) {
 		{NewMVBTFactory(1024, 4), KindMVBT, pagestore.CompTIAMVBT},
 	} {
 		ledger := tc.f.Ledger()
-		var idxs []Index
+		var idxs []*Index
 		for i := 0; i < 2; i++ {
 			idx, err := tc.f.New(nil)
 			if err != nil {

@@ -123,9 +123,8 @@ func (fs *DirFS) SyncDir() error {
 	return d.Sync()
 }
 
-// SlowFS wraps an FS so every File.Sync takes at least the given delay —
-// the WAL-side analog of pagestore.SlowFile, modeling a disk whose fsync
-// dominates the write path. Group-commit benchmarks use it: with a slow
+// SlowFS wraps an FS so every File.Sync takes at least the given delay,
+// modeling a disk whose fsync dominates the write path. Group-commit benchmarks use it: with a slow
 // fsync, coalescing many appends per sync is the whole game.
 type SlowFS struct {
 	FS
