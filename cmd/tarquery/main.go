@@ -6,9 +6,9 @@
 //
 // With -server it instead queries a running tarserve over HTTP — a
 // standalone server, a replication follower, or a shard coordinator, the
-// client cannot tell. -explain and -io work remotely too: the server's
-// plan tree (or, on a coordinator, the per-shard attribution) and I/O
-// breakdown ride back in the response. Adding -min-lsn holds the query
+// client cannot tell. -explain works remotely too: the server's plan tree
+// (or, on a coordinator, the per-shard attribution) rides back in the
+// response. Adding -min-lsn holds the query
 // until that server has applied the given LSN, which is how a client
 // reads its own writes from a replication follower.
 package main
@@ -28,8 +28,6 @@ import (
 	"tartree/internal/httpapi"
 	"tartree/internal/lbsn"
 	"tartree/internal/mwa"
-	"tartree/internal/obs"
-	"tartree/internal/pagestore"
 	"tartree/internal/planner"
 )
 
@@ -48,7 +46,6 @@ func main() {
 		plan     = flag.Bool("plan", false, "consult the cost-model planner before answering")
 		explain  = flag.Bool("explain", false, "print the query's EXPLAIN/ANALYZE: plan estimates, best-first pop log, f(pk) convergence and the pruned frontier")
 		group    = flag.String("grouping", "tar", "entry grouping: tar, spa, agg")
-		showIO   = flag.Bool("io", false, "print the per-component I/O breakdown of the query")
 		showTr   = flag.Bool("trace", false, "print a duration-annotated span tree of the query")
 		replay   = flag.String("replay", "", "build an empty index and feed this check-in stream (written by datagen -checkins) through the live ingest path instead of bulk-loading histories")
 		cacheB   = flag.Int64("cache-bytes", 64<<20, "shared result cache size in bytes (0 disables)")
@@ -61,7 +58,7 @@ func main() {
 		fatal(fmt.Errorf("-min-lsn requires -server"))
 	}
 	if *server != "" {
-		remoteQuery(*server, *x, *y, *k, *alpha, *days, *minLSN, *explain, *showIO)
+		remoteQuery(*server, *x, *y, *k, *alpha, *days, *minLSN, *explain)
 		return
 	}
 
@@ -190,10 +187,6 @@ func main() {
 	fmt.Printf("\n%d node accesses (%d internal, %d leaf), %d TIA page reads, %v\n",
 		stats.RTreeAccesses(), stats.InternalAccesses, stats.LeafAccesses, stats.TIAAccesses, elapsed.Round(time.Microsecond))
 
-	if *showIO {
-		printIOBreakdown(stats)
-	}
-
 	if exp != nil {
 		printExplain(exp)
 	}
@@ -230,7 +223,7 @@ func main() {
 // that watermark, which gives read-your-writes semantics against a
 // replication follower: ingest on the leader, note the acknowledged LSN,
 // query the follower with it.
-func remoteQuery(server string, x, y float64, k int, alpha float64, days int64, minLSN uint64, explain, showIO bool) {
+func remoteQuery(server string, x, y float64, k int, alpha float64, days int64, minLSN uint64, explain bool) {
 	rem := &client.Remote{
 		BaseURL: strings.TrimRight(server, "/"),
 		MinLSN:  minLSN,
@@ -272,53 +265,9 @@ func remoteQuery(server string, x, y float64, k int, alpha float64, days int64, 
 		resp.Stats.InternalAccesses+resp.Stats.LeafAccesses, resp.Stats.InternalAccesses, resp.Stats.LeafAccesses,
 		resp.Stats.TIAAccesses, time.Duration(resp.ElapsedMicros)*time.Microsecond, elapsed.Round(time.Microsecond), cached)
 
-	if showIO {
-		printRemoteIO(resp.IO, resp.Stats)
-	}
 	if exp != nil {
 		printExplain(exp)
 	}
-}
-
-// printRemoteIO renders the per-component I/O attribution a remote query
-// reports (the flattened io lines of the /v1/query response).
-func printRemoteIO(lines []obs.IOLine, stats tartree.QueryStats) {
-	fmt.Printf("\nI/O breakdown (level 0 = leaf; shard rows: level = shard index):\n")
-	fmt.Printf("%-16s %5s  %8s  %8s  %9s\n", "component", "level", "hits", "misses", "evictions")
-	var hits, misses, evictions int64
-	for _, l := range lines {
-		fmt.Printf("%-16s %5d  %8d  %8d  %9d\n", l.Component, l.Level, l.Hits, l.Misses, l.Evictions)
-		hits += l.Hits
-		misses += l.Misses
-		evictions += l.Evictions
-	}
-	fmt.Printf("%-16s %5s  %8d  %8d  %9d\n", "total", "", hits, misses, evictions)
-	fmt.Printf("cache: %d hits, %d misses", stats.CacheHits, stats.CacheMisses)
-	if stats.ResultCacheHit {
-		fmt.Printf(" (whole result served from cache)")
-	}
-	fmt.Println()
-}
-
-// printIOBreakdown renders the attributed page traffic of one query as a
-// table, one row per (component, level) pair that saw traffic. Level 0 is
-// the leaf level of the owning structure.
-func printIOBreakdown(stats tartree.QueryStats) {
-	fmt.Printf("\nI/O breakdown (level 0 = leaf):\n")
-	fmt.Printf("%-16s %5s  %8s  %8s  %9s\n", "component", "level", "hits", "misses", "evictions")
-	var total pagestore.IOCell
-	stats.IO.Each(func(c pagestore.Component, level int, cell pagestore.IOCell) {
-		fmt.Printf("%-16s %5d  %8d  %8d  %9d\n", c, level, cell.Hits, cell.Misses, cell.Evictions)
-		total.Hits += cell.Hits
-		total.Misses += cell.Misses
-		total.Evictions += cell.Evictions
-	})
-	fmt.Printf("%-16s %5s  %8d  %8d  %9d\n", "total", "", total.Hits, total.Misses, total.Evictions)
-	fmt.Printf("cache: %d hits, %d misses", stats.CacheHits, stats.CacheMisses)
-	if stats.ResultCacheHit {
-		fmt.Printf(" (whole result served from cache)")
-	}
-	fmt.Println()
 }
 
 // printExplain renders the EXPLAIN/ANALYZE recorder as an annotated text

@@ -22,7 +22,7 @@
 //
 // The index lives in memory: every entry's TIA is a sorted record slice, a
 // probe reads no page, and so stats.tia_accesses, stats.tia_physical and
-// the tartree_pagestore_* / tartree_io_*{component="tia-*"} series read 0
+// the tartree_pagestore_* / tartree_tia_page_reads_total series read 0
 // while stats.scored and tartree_tia_probes_total{backend="mem"} count the
 // probes. Page accesses — the paper's cost unit — are what cmd/tarbench
 // measures, on paged B+-tree TIAs.
@@ -76,7 +76,8 @@
 // its kth score, and the coordinator merges by (score, id). Answers are
 // exactly identical to single-node execution; a failed shard turns the
 // whole query into a 503 naming the shard, never a silently partial
-// top-k. /healthz reports the role and the shard's key range;
+// top-k; so does a shard that has not answered one call within
+// shardCallTimeout. /healthz reports the role and the shard's key range;
 // tartree_shard_* metrics cover fan-out, candidates and straggler latency.
 //
 // On SIGINT/SIGTERM the server drains in-flight requests, stops the
@@ -109,6 +110,11 @@ import (
 
 // drainTimeout bounds how long shutdown waits for in-flight requests.
 const drainTimeout = 10 * time.Second
+
+// shardCallTimeout bounds one coordinator → shard call, so a shard that
+// accepts the connection and never answers fails the query with the 503
+// naming it instead of hanging it when the caller set no timeout_ms.
+const shardCallTimeout = 10 * time.Second
 
 // The listener's connection limits: a client has readHeaderTimeout to send
 // its request headers, and an idle keep-alive connection is closed after
@@ -320,6 +326,7 @@ func main() {
 		}
 		srv.setCoordinator(&shard.Coordinator{
 			Shards:  urls,
+			Client:  &http.Client{Timeout: shardCallTimeout},
 			Metrics: shard.NewMetrics(reg),
 		}, shardMap)
 		srv.finishStartup(nil, nil, spec.Start, spec.End)

@@ -12,13 +12,12 @@ import (
 	"tartree/internal/core"
 	"tartree/internal/httpapi"
 	"tartree/internal/obs"
-	"tartree/internal/pagestore"
 )
 
 // queryReply is one /v1/query answer. appendJSON writes it with the field
 // names, order and number formatting that encoding/json gives its struct
 // form (reply_test.go keeps that form and compares the bytes), without
-// reflection or an intermediate copy of the results and I/O rows.
+// reflection or an intermediate copy of the results.
 type queryReply struct {
 	q         core.Query
 	results   []core.Result
@@ -117,26 +116,7 @@ func (r *queryReply) appendJSON(b []byte) ([]byte, error) {
 	a.int(`,"cache_hits":`, st.CacheHits)
 	a.int(`,"cache_misses":`, st.CacheMisses)
 	a.b = strconv.AppendBool(append(a.b, `,"result_cache_hit":`...), st.ResultCacheHit)
-	a.b = append(a.b, '}')
-	// The I/O rows are core.IOLines' rows; "io" is left out when there are
-	// none. Component names are plain ASCII labels that need no escaping.
-	const ioOpen = `,"io":[{"component":"`
-	pre := ioOpen
-	st.IO.Each(func(c pagestore.Component, level int, cell pagestore.IOCell) {
-		a.b = append(append(a.b, pre...), c.String()...)
-		pre = `,{"component":"`
-		a.int(`","level":`, int64(level))
-		a.int(`,"hits":`, cell.Hits)
-		a.int(`,"misses":`, cell.Misses)
-		if cell.Evictions != 0 {
-			a.int(`,"evictions":`, cell.Evictions)
-		}
-		a.b = append(a.b, '}')
-	})
-	if pre != ioOpen {
-		a.b = append(a.b, ']')
-	}
-	a.int(`,"elapsed_us":`, r.elapsedUS)
+	a.int(`},"elapsed_us":`, r.elapsedUS)
 	if len(r.trace) > 0 {
 		rows := make(map[string]obs.SpanStats, len(r.trace))
 		for _, row := range r.trace {

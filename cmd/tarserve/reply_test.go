@@ -18,7 +18,6 @@ import (
 	"tartree/internal/core"
 	"tartree/internal/lbsn"
 	"tartree/internal/obs"
-	"tartree/internal/pagestore"
 	"tartree/internal/tia"
 )
 
@@ -47,7 +46,6 @@ type queryResponse struct {
 		CacheMisses      int64 `json:"cache_misses"`
 		ResultCacheHit   bool  `json:"result_cache_hit"`
 	} `json:"stats"`
-	IO            []obs.IOLine             `json:"io,omitempty"`
 	ElapsedMicros int64                    `json:"elapsed_us"`
 	Trace         map[string]obs.SpanStats `json:"trace,omitempty"`
 	Explain       *core.Explain            `json:"explain,omitempty"`
@@ -87,7 +85,6 @@ func structForm(r *queryReply) queryResponse {
 	resp.Stats.CacheHits = st.CacheHits
 	resp.Stats.CacheMisses = st.CacheMisses
 	resp.Stats.ResultCacheHit = st.ResultCacheHit
-	resp.IO = core.IOLines(&st.IO)
 	resp.ElapsedMicros = r.elapsedUS
 	resp.Explain = r.explain
 	if r.trace != nil {
@@ -100,8 +97,8 @@ func structForm(r *queryReply) queryResponse {
 }
 
 // randomReply draws a reply whose numbers stress encoding/json's formatting:
-// signed zero, the 'f'/'e' switch at 1e-6 and 1e21, whole and subnormal
-// values, and I/O rows with and without evictions.
+// signed zero, the 'f'/'e' switch at 1e-6 and 1e21, and whole and subnormal
+// values.
 func randomReply(r *rand.Rand) *queryReply {
 	special := []float64{0, math.Copysign(0, -1), 1e-7, 1e-6, 1e20, 1e21, 3, -42, 1e300,
 		5e-324, 0.1, 123456789.125, -1.5e-9}
@@ -127,16 +124,6 @@ func randomReply(r *rand.Rand) *queryReply {
 	st.InternalAccesses, st.LeafAccesses, st.Scored = r.Intn(1000), r.Intn(1000), r.Intn(5000)
 	st.TIAAccesses, st.TIAPhysical = r.Int63n(1e6), r.Int63n(1e6)
 	st.CacheHits, st.CacheMisses, st.ResultCacheHit = r.Int63n(2), r.Int63n(2), r.Intn(2) == 0
-	for i := r.Intn(6); i > 0; i-- {
-		cell := &st.IO[r.Intn(int(pagestore.NumComponents))][r.Intn(pagestore.MaxIOLevels)]
-		cell.Hits, cell.Misses = r.Int63n(100), r.Int63n(100)
-		switch r.Intn(3) {
-		case 0:
-			cell.Evictions = 1 + r.Int63n(10)
-		case 1:
-			cell.PhysicalWrites = 1 // a row that prints neither writes nor evictions
-		}
-	}
 	if r.Intn(8) == 0 {
 		rep.trace = []obs.SpanStat{{Name: "expand", SpanStats: obs.SpanStats{Count: 3, Total: 4, Max: 2}},
 			{Name: "gmax", SpanStats: obs.SpanStats{Count: 1}}}

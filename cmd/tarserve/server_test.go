@@ -99,22 +99,12 @@ func TestServeQueryThenMetrics(t *testing.T) {
 	if n := metricValue(t, metrics, `tartree_query_latency_seconds_sum`); n <= 0 {
 		t.Errorf("latency sum = %g, want > 0", n)
 	}
-	// Attributed I/O counters: the query must leave labeled read series for
-	// the r-tree components and the TIA backend, and they must reconcile
-	// with the response's own stats.
-	rtleaf := metricValue(t, metrics, `tartree_io_page_reads_total{component="rtree-leaf",level="0",result="hit"}`)
-	if rtleaf != float64(resp.Stats.LeafAccesses) {
-		t.Errorf("rtree-leaf hits = %g, want %d", rtleaf, resp.Stats.LeafAccesses)
+	// The work counters must reconcile with the response's own stats.
+	if n := metricValue(t, metrics, `tartree_rtree_node_accesses_total{level="leaf"}`); n != float64(resp.Stats.LeafAccesses) {
+		t.Errorf("leaf accesses = %g, want %d", n, resp.Stats.LeafAccesses)
 	}
-	var tiaReads float64
-	for level := 0; level < 8; level++ {
-		for _, result := range []string{"hit", "miss"} {
-			tiaReads += metricValue(t, metrics,
-				`tartree_io_page_reads_total{component="tia-btree",level="`+strconv.Itoa(level)+`",result="`+result+`"}`)
-		}
-	}
-	if tiaReads != float64(resp.Stats.TIAAccesses) {
-		t.Errorf("tia-btree reads = %g, want %d", tiaReads, resp.Stats.TIAAccesses)
+	if n := metricValue(t, metrics, `tartree_tia_page_reads_total{kind="logical"}`); n != float64(resp.Stats.TIAAccesses) {
+		t.Errorf("tia page reads = %g, want %d", n, resp.Stats.TIAAccesses)
 	}
 	hits := metricValue(t, metrics, `tartree_pagestore_reads_total{result="hit"}`)
 	misses := metricValue(t, metrics, `tartree_pagestore_reads_total{result="miss"}`)
@@ -141,7 +131,7 @@ func TestServeQueryThenMetrics(t *testing.T) {
 // TestServeDefaultCountsNoPages pins the accounting of the server as it is
 // deployed, on the default in-memory TIAs: a probe that reads no page counts
 // none — the TIA page counters read 0 in the response and on /metrics —
-// while the probes themselves and the R-tree cells are still counted.
+// while the probes themselves and the R-tree accesses are still counted.
 func TestServeDefaultCountsNoPages(t *testing.T) {
 	s, _ := newTestServer(t)
 	probes := metricValueOf(t, s, `tartree_tia_probes_total{backend="mem"}`)
@@ -169,11 +159,11 @@ func TestServeDefaultCountsNoPages(t *testing.T) {
 			t.Errorf("pagestore reads %s = %g on a server without pages", result, n)
 		}
 	}
-	if strings.Contains(metrics, `component="tia-`) {
-		t.Error("/metrics attributes page reads to a TIA component")
+	if n := metricValue(t, metrics, `tartree_tia_page_reads_total{kind="logical"}`); n != 0 {
+		t.Errorf("tia page reads = %g on a server without pages", n)
 	}
-	if n := metricValue(t, metrics, `tartree_io_page_reads_total{component="rtree-leaf",level="0",result="hit"}`); n != float64(resp.Stats.LeafAccesses) {
-		t.Errorf("rtree-leaf hits = %g, want %d", n, resp.Stats.LeafAccesses)
+	if n := metricValue(t, metrics, `tartree_rtree_node_accesses_total{level="leaf"}`); n != float64(resp.Stats.LeafAccesses) {
+		t.Errorf("leaf accesses = %g, want %d", n, resp.Stats.LeafAccesses)
 	}
 }
 
@@ -218,7 +208,7 @@ func TestServeQueryTrace(t *testing.T) {
 
 // TestServeTraces checks the ring endpoint: every query — trace=1 or not —
 // must appear as a finished trace whose execute span carries the query and
-// its I/O breakdown, and a trace=1 query keeps its aggregates.
+// its work total, and a trace=1 query keeps its aggregates.
 func TestServeTraces(t *testing.T) {
 	s, _ := newTestServerOn(t, tia.NewBTreeFactory(1024, 10))
 	for i := 0; i < 3; i++ {
@@ -263,16 +253,8 @@ func TestServeTraces(t *testing.T) {
 		if ft.TraceID.IsZero() || ft.Root().Duration() <= 0 {
 			t.Errorf("trace missing identity/timing: %+v", ft.Root())
 		}
-		io, _ := ft.Find("execute").Attr("io")
-		rows, _ := io.([]any)
-		var tia float64
-		for _, row := range rows {
-			if line := row.(map[string]any); line["component"] == "tia-btree" {
-				tia += line["hits"].(float64) + line["misses"].(float64)
-			}
-		}
-		if tia == 0 {
-			t.Errorf("trace %s has no attributed TIA traffic: %v", ft.TraceID, io)
+		if n, _ := ft.Find("execute").Attr("node_accesses"); n == nil || n.(float64) <= 0 {
+			t.Errorf("trace %s carries no work: node_accesses = %v", ft.TraceID, n)
 		}
 	}
 	for i := 1; i < len(dump.Slowest); i++ {
@@ -364,15 +346,9 @@ func TestServeConcurrentQueries(t *testing.T) {
 					errs <- fmt.Errorf("worker %d: %v", w, err)
 					return
 				}
-				// Per-query attribution must reconcile even under load.
-				var tia int64
-				for _, line := range resp.IO {
-					if strings.HasPrefix(line.Component, "tia-") {
-						tia += line.Hits + line.Misses
-					}
-				}
-				if tia != resp.Stats.TIAAccesses {
-					errs <- fmt.Errorf("worker %d: attributed TIA reads %d != stats %d", w, tia, resp.Stats.TIAAccesses)
+				// Per-query counters must stay consistent even under load.
+				if st := resp.Stats; st.NodeAccesses != int64(st.InternalAccesses+st.LeafAccesses)+st.TIAAccesses {
+					errs <- fmt.Errorf("worker %d: node_accesses %d != R-tree + TIA reads in %+v", w, st.NodeAccesses, st)
 					return
 				}
 			}

@@ -39,12 +39,8 @@ var (
 
 // node is the in-memory decoding of a page.
 type node struct {
-	id   pagestore.PageID
-	leaf bool
-	// level is the node's height in the tree (1 = leaf); it is not
-	// stored on the page but threaded from callers, which always know
-	// it, so page I/O can be attributed per level.
-	level    int
+	id       pagestore.PageID
+	leaf     bool
 	keys     []int64
 	vals     []Value            // leaf only; len == len(keys)
 	children []pagestore.PageID // inner only; len == len(keys)+1
@@ -87,7 +83,7 @@ func New(buf *pagestore.Buffer) (*Tree, error) {
 		return nil, err
 	}
 	t.root = root
-	if err := t.writeNode(&node{id: root, leaf: true, level: 1}); err != nil {
+	if err := t.writeNode(&node{id: root, leaf: true}); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -149,7 +145,7 @@ func NewBulk(buf *pagestore.Buffer, keys []int64, vals []Value) (*Tree, error) {
 		if i < n%nleaves {
 			cnt++
 		}
-		nd := &node{id: ids[i], leaf: true, level: 1, keys: keys[off : off+cnt], vals: vals[off : off+cnt]}
+		nd := &node{id: ids[i], leaf: true, keys: keys[off : off+cnt], vals: vals[off : off+cnt]}
 		if i+1 < nleaves {
 			nd.next = ids[i+1]
 		}
@@ -179,7 +175,7 @@ func NewBulk(buf *pagestore.Buffer, keys []int64, vals []Value) (*Tree, error) {
 			if err != nil {
 				return nil, err
 			}
-			nd := &node{id: id, level: t.height}
+			nd := &node{id: id}
 			nd.children = make([]pagestore.PageID, cnt)
 			nd.keys = make([]int64, cnt-1)
 			for j, c := range group {
@@ -210,21 +206,15 @@ func (t *Tree) Height() int { return t.height }
 func (t *Tree) LeafCap() int  { return t.leafCap }
 func (t *Tree) InnerCap() int { return t.innerCap }
 
-// tag attributes one page access to this tree's component at the given
-// node level (btree levels are 1-based; attribution levels are 0 = leaf).
-func tag(level int) pagestore.IOTag {
-	return pagestore.NewIOTag(pagestore.CompTIABTree, level-1)
-}
-
 // readNode decodes page id into a node. Only the mutating paths (Put,
 // Delete, rebalance, Destroy) and Check use it; lookups and scans read the
 // page bytes in place (see GetAcct, ScanAcct) and never build a node.
-func (t *Tree) readNode(id pagestore.PageID, level int) (*node, error) {
-	page, err := t.buf.GetTag(id, tag(level))
+func (t *Tree) readNode(id pagestore.PageID) (*node, error) {
+	page, err := t.buf.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	n := &node{id: id, level: level}
+	n := &node{id: id}
 	n.leaf = page[0]&flagLeaf != 0
 	cnt := int(binary.LittleEndian.Uint16(page[2:4]))
 	n.next = pagestore.PageID(binary.LittleEndian.Uint32(page[4:8]))
@@ -285,7 +275,7 @@ func (t *Tree) writeNode(n *node) error {
 			off += innerEntry
 		}
 	}
-	return t.buf.PutTag(n.id, page, tag(n.level))
+	return t.buf.Put(n.id, page)
 }
 
 // search returns the index of the first key >= k.
@@ -308,7 +298,7 @@ func (t *Tree) Get(key int64) (Value, bool, error) {
 }
 
 // The read path works on the page bytes in place. A slice returned by
-// Buffer.GetTag is read-only and stays valid after the call: the buffer
+// Buffer.GetAcct is read-only and stays valid after the call: the buffer
 // never recycles a frame's bytes (an evicted frame is dropped, not reused)
 // and TIAs are not mutated while queries run, so nothing is decoded or
 // copied — the header gives count and next, keys are binary-searched at
@@ -356,12 +346,12 @@ func leafSearch(page []byte, cnt int, k int64) int {
 }
 
 // findLeaf descends from the root to the leaf that may hold key, one
-// GetTag per inner node, and returns the leaf's page id. Child i of an
+// GetAcct per inner node, and returns the leaf's page id. Child i of an
 // inner page sits at headerSize + i*innerEntry, key i four bytes after it.
 func (t *Tree) findLeaf(key int64, acct *pagestore.IOAcct) (pagestore.PageID, error) {
 	id := t.root
 	for level := t.height; level > 1; level-- {
-		page, err := t.buf.GetTag(id, tag(level).WithAcct(acct))
+		page, err := t.buf.GetAcct(id, acct)
 		if err != nil {
 			return 0, err
 		}
@@ -391,7 +381,7 @@ func (t *Tree) GetAcct(key int64, acct *pagestore.IOAcct) (Value, bool, error) {
 	if err != nil {
 		return Value{}, false, err
 	}
-	page, err := t.buf.GetTag(id, tag(1).WithAcct(acct))
+	page, err := t.buf.GetAcct(id, acct)
 	if err != nil {
 		return Value{}, false, err
 	}
@@ -422,7 +412,6 @@ func (t *Tree) Put(key int64, v Value) error {
 		}
 		root := &node{
 			id:       id,
-			level:    t.height + 1,
 			keys:     []int64{sepKey},
 			children: []pagestore.PageID{t.root, right},
 		}
@@ -438,7 +427,7 @@ func (t *Tree) Put(key int64, v Value) error {
 // insert descends to the leaf, inserts and splits upward. It returns the
 // separator key and new right sibling when the visited node split.
 func (t *Tree) insert(id pagestore.PageID, level int, key int64, v Value) (int64, pagestore.PageID, bool, error) {
-	n, err := t.readNode(id, level)
+	n, err := t.readNode(id)
 	if err != nil {
 		return 0, pagestore.InvalidPage, false, err
 	}
@@ -464,12 +453,11 @@ func (t *Tree) insert(id pagestore.PageID, level int, key int64, v Value) (int64
 			return 0, pagestore.InvalidPage, false, err
 		}
 		right := &node{
-			id:    rid,
-			leaf:  true,
-			level: 1,
-			keys:  append([]int64(nil), n.keys[mid:]...),
-			vals:  append([]Value(nil), n.vals[mid:]...),
-			next:  n.next,
+			id:   rid,
+			leaf: true,
+			keys: append([]int64(nil), n.keys[mid:]...),
+			vals: append([]Value(nil), n.vals[mid:]...),
+			next: n.next,
 		}
 		n.keys = n.keys[:mid]
 		n.vals = n.vals[:mid]
@@ -510,7 +498,6 @@ func (t *Tree) insert(id pagestore.PageID, level int, key int64, v Value) (int64
 	}
 	right := &node{
 		id:       rid,
-		level:    level,
 		keys:     append([]int64(nil), n.keys[mid+1:]...),
 		children: append([]pagestore.PageID(nil), n.children[mid+1:]...),
 	}
@@ -547,7 +534,7 @@ func (t *Tree) ScanAcct(lo, hi int64, acct *pagestore.IOAcct, fn func(key int64,
 		if hops--; hops < 0 {
 			return errCorrupt
 		}
-		page, err := t.buf.GetTag(id, tag(1).WithAcct(acct))
+		page, err := t.buf.GetAcct(id, acct)
 		if err != nil {
 			return err
 		}
@@ -577,7 +564,7 @@ func (t *Tree) Delete(key int64) (bool, error) {
 	}
 	// Collapse the root when an inner root has a single child.
 	for t.height > 1 {
-		n, err := t.readNode(t.root, t.height)
+		n, err := t.readNode(t.root)
 		if err != nil {
 			return removed, err
 		}
@@ -604,7 +591,7 @@ func (t *Tree) minKeys(level int) int {
 // remove deletes key from the subtree rooted at id. The second result
 // reports whether the node at id is now underfull (its parent rebalances).
 func (t *Tree) remove(id pagestore.PageID, level int, key int64) (bool, bool, error) {
-	n, err := t.readNode(id, level)
+	n, err := t.readNode(id)
 	if err != nil {
 		return false, false, err
 	}
@@ -637,7 +624,7 @@ func (t *Tree) remove(id pagestore.PageID, level int, key int64) (bool, bool, er
 // rebalance fixes the underfull child at position i of parent p by
 // borrowing from or merging with a sibling.
 func (t *Tree) rebalance(p *node, i, childLevel int) error {
-	child, err := t.readNode(p.children[i], childLevel)
+	child, err := t.readNode(p.children[i])
 	if err != nil {
 		return err
 	}
@@ -645,7 +632,7 @@ func (t *Tree) rebalance(p *node, i, childLevel int) error {
 
 	// Try to borrow from the left sibling.
 	if i > 0 {
-		left, err := t.readNode(p.children[i-1], childLevel)
+		left, err := t.readNode(p.children[i-1])
 		if err != nil {
 			return err
 		}
@@ -677,7 +664,7 @@ func (t *Tree) rebalance(p *node, i, childLevel int) error {
 	}
 	// Try to borrow from the right sibling.
 	if i < len(p.children)-1 {
-		right, err := t.readNode(p.children[i+1], childLevel)
+		right, err := t.readNode(p.children[i+1])
 		if err != nil {
 			return err
 		}
@@ -709,11 +696,11 @@ func (t *Tree) rebalance(p *node, i, childLevel int) error {
 	if j == 0 {
 		j = 1
 	}
-	left, err := t.readNode(p.children[j-1], childLevel)
+	left, err := t.readNode(p.children[j-1])
 	if err != nil {
 		return err
 	}
-	right, err := t.readNode(p.children[j], childLevel)
+	right, err := t.readNode(p.children[j])
 	if err != nil {
 		return err
 	}
@@ -748,7 +735,7 @@ func (t *Tree) Destroy() error {
 
 func (t *Tree) freeSubtree(id pagestore.PageID, level int) error {
 	if level > 1 {
-		n, err := t.readNode(id, level)
+		n, err := t.readNode(id)
 		if err != nil {
 			return err
 		}
@@ -775,7 +762,7 @@ func (t *Tree) Check() error {
 }
 
 func (t *Tree) check(id pagestore.PageID, level int, lo, hi *int64, isRoot bool) (int, pagestore.PageID, pagestore.PageID, error) {
-	n, err := t.readNode(id, level)
+	n, err := t.readNode(id)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -817,7 +804,7 @@ func (t *Tree) check(id pagestore.PageID, level int, lo, hi *int64, isRoot bool)
 			firstLeaf = fl
 		} else if level == 2 {
 			// Verify the leaf chain between consecutive children.
-			prev, err := t.readNode(prevLast, 1)
+			prev, err := t.readNode(prevLast)
 			if err != nil {
 				return 0, 0, 0, err
 			}

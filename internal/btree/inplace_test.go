@@ -19,7 +19,7 @@ import (
 func refGet(t *Tree, key int64) (Value, bool, error) {
 	id := t.root
 	for level := t.height; level > 1; level-- {
-		n, err := t.readNode(id, level)
+		n, err := t.readNode(id)
 		if err != nil {
 			return Value{}, false, err
 		}
@@ -29,7 +29,7 @@ func refGet(t *Tree, key int64) (Value, bool, error) {
 		}
 		id = n.children[i]
 	}
-	n, err := t.readNode(id, 1)
+	n, err := t.readNode(id)
 	if err != nil {
 		return Value{}, false, err
 	}
@@ -49,7 +49,7 @@ type pair struct {
 func refScan(t *Tree, lo, hi int64, limit int) (out []pair, pages int64, err error) {
 	id := t.root
 	for level := t.height; level > 1; level-- {
-		n, err := t.readNode(id, level)
+		n, err := t.readNode(id)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -61,7 +61,7 @@ func refScan(t *Tree, lo, hi int64, limit int) (out []pair, pages int64, err err
 		id = n.children[i]
 	}
 	for id != pagestore.InvalidPage {
-		n, err := t.readNode(id, 1)
+		n, err := t.readNode(id)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -88,7 +88,7 @@ func separators(t *testing.T, tr *Tree) []int64 {
 		if level == 1 {
 			return
 		}
-		n, err := tr.readNode(id, level)
+		n, err := tr.readNode(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func leafCount(t *testing.T, tr *Tree) int {
 	id, err := tr.findLeaf(math.MinInt64, nil)
 	for err == nil && id != pagestore.InvalidPage {
 		var nd *node
-		nd, err = tr.readNode(id, 1)
+		nd, err = tr.readNode(id)
 		if err == nil {
 			n, id = n+1, nd.next
 		}
@@ -131,8 +131,7 @@ func checkEquivalent(t *testing.T, tr *Tree, r *rand.Rand, keys []int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var io pagestore.IOBreakdown
-		acct := pagestore.IOAcct{IO: &io}
+		var acct pagestore.IOAcct
 		got, ok, err := tr.GetAcct(k, &acct)
 		if err != nil || ok != wantOK || got != want {
 			t.Fatalf("GetAcct(%d) = %v %v %v, reference %v %v", k, got, ok, err, want, wantOK)
@@ -152,8 +151,7 @@ func checkEquivalent(t *testing.T, tr *Tree, r *rand.Rand, keys []int64) {
 			t.Fatal(err)
 		}
 		var got []pair
-		var io pagestore.IOBreakdown
-		acct := pagestore.IOAcct{IO: &io}
+		var acct pagestore.IOAcct
 		err = tr.ScanAcct(lo, hi, &acct, func(k int64, v Value) bool {
 			got = append(got, pair{k, v})
 			return len(got) != limit
@@ -163,10 +161,6 @@ func checkEquivalent(t *testing.T, tr *Tree, r *rand.Rand, keys []int64) {
 		}
 		if acct.Stats.LogicalReads != pages {
 			t.Fatalf("ScanAcct(%d, %d) charged %d reads, reference walked %d pages", lo, hi, acct.Stats.LogicalReads, pages)
-		}
-		leaf := io[pagestore.CompTIABTree][0].Hits + io[pagestore.CompTIABTree][0].Misses
-		if leaf != pages-int64(tr.height-1) {
-			t.Fatalf("ScanAcct(%d, %d): %d reads tagged leaf level, want %d", lo, hi, leaf, pages-int64(tr.height-1))
 		}
 	}
 }
@@ -267,8 +261,7 @@ func TestInPlaceReadsConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
-			var io pagestore.IOBreakdown
-			acct := pagestore.IOAcct{IO: &io}
+			var acct pagestore.IOAcct
 			for i := 0; i < 400; i++ {
 				a := r.Intn(len(keys))
 				if v, ok, err := tr.GetAcct(keys[a], &acct); err != nil || !ok || v != vals[a] {
@@ -314,7 +307,7 @@ func TestCorruptPages(t *testing.T) {
 		}
 		for id, _ := tr.findLeaf(math.MinInt64, nil); id != pagestore.InvalidPage; {
 			leaves = append(leaves, id)
-			n, err := tr.readNode(id, 1)
+			n, err := tr.readNode(id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -426,8 +419,7 @@ func BenchmarkScanAcct(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("height%d", tr.height), func(b *testing.B) {
-			var io pagestore.IOBreakdown
-			acct := pagestore.IOAcct{IO: &io}
+			var acct pagestore.IOAcct
 			var sum int64
 			fn := func(_ int64, v Value) bool { sum += v[1]; return true }
 			if err := tr.ScanAcct(math.MinInt64, math.MaxInt64, &acct, fn); err != nil { // fault every page in

@@ -17,7 +17,6 @@ import (
 
 	"tartree/internal/core"
 	"tartree/internal/httpapi"
-	"tartree/internal/obs"
 )
 
 // Remote queries a tarserve instance over HTTP. The zero value is unusable;
@@ -38,11 +37,10 @@ type Remote struct {
 
 // Response is the full decoded answer of one remote query — everything
 // /v1/query returns beyond the ([]Result, QueryStats) pair, for callers
-// like tarquery that render I/O attribution and explains.
+// like tarquery that render server time and explains.
 type Response struct {
 	Results       []core.Result
 	Stats         core.QueryStats
-	IO            []obs.IOLine
 	ElapsedMicros int64
 	Explain       *core.Explain
 }
@@ -68,7 +66,6 @@ type wireResponse struct {
 		CacheMisses      int64 `json:"cache_misses"`
 		ResultCacheHit   bool  `json:"result_cache_hit"`
 	} `json:"stats"`
-	IO            []obs.IOLine  `json:"io"`
 	ElapsedMicros int64         `json:"elapsed_us"`
 	Explain       *core.Explain `json:"explain"`
 }
@@ -134,7 +131,7 @@ func (r *Remote) Do(ctx context.Context, q core.Query, opts *core.QueryOpts) (*R
 	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("client: decoding %s response: %w", r.BaseURL, err)
 	}
-	out := &Response{IO: wire.IO, ElapsedMicros: wire.ElapsedMicros, Explain: wire.Explain}
+	out := &Response{ElapsedMicros: wire.ElapsedMicros, Explain: wire.Explain}
 	out.Results = make([]core.Result, len(wire.Results))
 	for i, res := range wire.Results {
 		out.Results[i] = core.Result{

@@ -83,6 +83,10 @@ func TestInsertAndLookup(t *testing.T) {
 	if _, ok := tr.Lookup(99); ok {
 		t.Error("phantom lookup")
 	}
+	q := Query{X: 10, Y: 20, Iq: tia.Interval{Start: 0, End: 10}, K: 1, Alpha0: 0.5}
+	if _, err := tr.ScorePOI(q, 99); err == nil || err.Error() != "core: unknown POI 99" {
+		t.Errorf("ScorePOI of an unknown POI: %v, want %q", err, "core: unknown POI 99")
+	}
 	if tr.Len() != 1 {
 		t.Errorf("len = %d", tr.Len())
 	}

@@ -78,7 +78,7 @@ func (t *Tree) QueryCtx(ctx context.Context, q Query, opts *QueryOpts) ([]Result
 		begin = time.Now()
 	}
 	res, stats, err := t.runQueryCtx(ctx, q, &o)
-	o.Explain.Finish(res, &stats, err)
+	o.Explain.Finish(res, err)
 	if t.instr != nil {
 		t.instr.record(stats, len(res), time.Since(begin), err)
 	}
@@ -105,11 +105,10 @@ func AnnotateSpan(sp *obs.Span, q Query, results int, stats *QueryStats, err err
 	if sp == nil {
 		return
 	}
-	attrs := append(make([]obs.Attr, 0, 6),
+	attrs := append(make([]obs.Attr, 0, 5),
 		obs.Attr{Key: obs.AttrQuery, Value: queryAttr(q)},
 		obs.Attr{Key: obs.AttrResults, Value: results},
-		obs.Attr{Key: "node_accesses", Value: stats.NodeAccesses()},
-		obs.Attr{Key: "io", Value: IOLines(&stats.IO)})
+		obs.Attr{Key: "node_accesses", Value: stats.NodeAccesses()})
 	if err != nil {
 		attrs = append(attrs, obs.Attr{Key: obs.AttrError, Value: err.Error()})
 	}
@@ -120,11 +119,10 @@ func AnnotateSpan(sp *obs.Span, q Query, results int, stats *QueryStats, err err
 }
 
 func (t *Tree) runQueryCtx(ctx context.Context, q Query, o *QueryOpts) ([]Result, QueryStats, error) {
-	// I/O attribution is query-local: the scorer's IOAcct points at
-	// stats.IO and rides the IOTag of every TIA page access (including
-	// evictions and write-backs that access forces), so nothing here diffs
-	// shared factory counters and concurrent queries cannot bleed traffic
-	// into each other's stats.
+	// I/O accounting is query-local: the scorer's IOAcct rides every TIA
+	// page access (including evictions and write-backs that access forces),
+	// so nothing here diffs shared factory counters and concurrent queries
+	// cannot bleed traffic into each other's stats.
 	var stats QueryStats
 	if err := q.Validate(); err != nil {
 		return nil, stats, err
@@ -144,7 +142,6 @@ func (t *Tree) runQueryCtx(ctx context.Context, q Query, o *QueryOpts) ([]Result
 		}
 		rhash = hashResultKey(rkey)
 		v, ok := cache.Get(rhash, rkey)
-		stats.IO.AddRead(resultCacheTag, ok)
 		o.Explain.recordResultCacheProbe(ok)
 		ps.SetAttr("hit", ok)
 		ps.End()

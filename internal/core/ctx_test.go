@@ -10,7 +10,6 @@ import (
 
 	"tartree/internal/aggcache"
 	"tartree/internal/geo"
-	"tartree/internal/pagestore"
 	"tartree/internal/tia"
 )
 
@@ -84,7 +83,7 @@ func TestQueryCtxExpiredDeadline(t *testing.T) {
 // fixed number of best-first pops and checks the three promises of the
 // contract: the error wraps ErrCanceled, the stats are valid partial counts
 // (some work done, strictly less than a full run), and nothing leaks — the
-// canceled query's attributed I/O still reconciles with the factory, and
+// canceled query's page reads still reconcile with the factory, and
 // the tree keeps answering correctly afterwards.
 func TestQueryCtxMidSearchCancellation(t *testing.T) {
 	tr := buildAccountingTreeOpts(t, Options{
@@ -101,7 +100,7 @@ func TestQueryCtxMidSearchCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ledger := tr.Options().TIA.Ledger()
-	base := ledger.Breakdown()
+	base := ledger.Stats()
 
 	ctx := &stepCtx{Context: context.Background(), limit: 10}
 	res, stats, err := tr.QueryCtx(ctx, q, nil)
@@ -122,9 +121,9 @@ func TestQueryCtxMidSearchCancellation(t *testing.T) {
 			ctx.limit, stats.RTreeAccesses(), fullStats.RTreeAccesses())
 	}
 
-	// No leaked accounting: the canceled query's breakdown plus a completed
-	// query's breakdown must equal the factory's delta exactly, and the
-	// completed query must reproduce the pre-cancellation answer.
+	// No leaked accounting: the canceled query's page reads plus a completed
+	// query's must equal the factory's delta exactly, and the completed query
+	// must reproduce the pre-cancellation answer.
 	after, afterStats, err := tr.QueryCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -132,14 +131,8 @@ func TestQueryCtxMidSearchCancellation(t *testing.T) {
 	if !reflect.DeepEqual(after, full) {
 		t.Error("query after cancellation differs from the one before")
 	}
-	var sum pagestore.IOBreakdown
-	sum.Add(&stats.IO)
-	sum.Add(&afterStats.IO)
-	sum[pagestore.CompRTreeInternal] = [pagestore.MaxIOLevels]pagestore.IOCell{}
-	sum[pagestore.CompRTreeLeaf] = [pagestore.MaxIOLevels]pagestore.IOCell{}
-	if got := ledger.Breakdown().Sub(base); got != sum {
-		t.Errorf("factory delta != canceled + completed breakdowns:\n got %v\nwant %v", got, sum)
-	}
+	stats.Merge(&afterStats)
+	checkLedgerReads(t, ledger, base, &stats)
 }
 
 // cacheTestBackends mirrors the conservation test's backend set plus the
@@ -329,11 +322,11 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 	})
 }
 
-// TestCacheConservation extends the attribution conservation check to a
-// cache-enabled tree: cache probes are attributed to their own component
-// (agg-cache) and reconcile with the flat CacheHits/CacheMisses counters,
-// while the TIA cells still count only real backend reads and still sum to
-// exactly the factory's delta.
+// TestCacheConservation extends the conservation check to a cache-enabled
+// tree: every query makes one result-cache lookup, the per-query
+// CacheHits/CacheMisses sum to the cache's own counters, and the TIA
+// counters still count only real backend reads and still sum to exactly
+// the factory's delta.
 func TestCacheConservation(t *testing.T) {
 	cache := aggcache.New(1 << 20)
 	tr := buildAccountingTreeOpts(t, Options{
@@ -346,50 +339,28 @@ func TestCacheConservation(t *testing.T) {
 		Cache:       cache,
 	})
 	ledger := tr.Options().TIA.Ledger()
-	base := ledger.Breakdown()
+	base := ledger.Stats()
 	queries := []Query{
 		{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: 10, Alpha0: 0.5},
 		{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: 10, Alpha0: 0.5}, // warm repeat
 		{X: 10, Y: 80, Iq: tia.Interval{Start: 100, End: 400}, K: 5, Alpha0: 0.3},
 	}
-	var sum pagestore.IOBreakdown
+	var sum QueryStats
 	for i, q := range queries {
 		_, stats, err := tr.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tiaReads, cacheReads, cacheHits int64
-		stats.IO.Each(func(c pagestore.Component, level int, cell pagestore.IOCell) {
-			switch c {
-			case pagestore.CompTIABTree, pagestore.CompTIAMVBT:
-				tiaReads += cell.Hits + cell.Misses
-			case pagestore.CompAggCache:
-				cacheReads += cell.Hits + cell.Misses
-				cacheHits += cell.Hits
-			case pagestore.CompUnknown:
-				t.Errorf("query %d: unattributed traffic at level %d: %+v", i, level, cell)
-			}
-		})
-		if tiaReads != stats.TIAAccesses {
-			t.Errorf("query %d: tia cells sum to %d, flat counter says %d", i, tiaReads, stats.TIAAccesses)
+		if stats.CacheHits+stats.CacheMisses != 1 || stats.ResultCacheHit != (stats.CacheHits == 1) {
+			t.Errorf("query %d: %d hits and %d misses (result hit %v), want one lookup",
+				i, stats.CacheHits, stats.CacheMisses, stats.ResultCacheHit)
 		}
-		if cacheReads != stats.CacheHits+stats.CacheMisses {
-			t.Errorf("query %d: agg-cache cells sum to %d probes, flat counters say %d",
-				i, cacheReads, stats.CacheHits+stats.CacheMisses)
-		}
-		if cacheHits != stats.CacheHits {
-			t.Errorf("query %d: agg-cache cells hold %d hits, flat counter says %d", i, cacheHits, stats.CacheHits)
-		}
-		sum.Add(&stats.IO)
+		sum.Merge(&stats)
 	}
-	sum[pagestore.CompRTreeInternal] = [pagestore.MaxIOLevels]pagestore.IOCell{}
-	sum[pagestore.CompRTreeLeaf] = [pagestore.MaxIOLevels]pagestore.IOCell{}
-	sum[pagestore.CompAggCache] = [pagestore.MaxIOLevels]pagestore.IOCell{}
-	if got := ledger.Breakdown().Sub(base); got != sum {
-		t.Errorf("factory delta != sum of per-query breakdowns with the cache on:\n got %v\nwant %v", got, sum)
-	}
+	checkLedgerReads(t, ledger, base, &sum)
 	snap := cache.Snapshot()
-	if snap.Hits == 0 || snap.Entries == 0 {
-		t.Errorf("cache saw no traffic: %+v", snap)
+	if snap.Hits != sum.CacheHits || snap.Misses != sum.CacheMisses || snap.Hits == 0 {
+		t.Errorf("cache counted %d hits and %d misses, the queries %d and %d",
+			snap.Hits, snap.Misses, sum.CacheHits, sum.CacheMisses)
 	}
 }

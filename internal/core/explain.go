@@ -10,9 +10,9 @@ import (
 // QueryCtx call via QueryOpts.Explain, it captures the best-first search
 // forensics pop by pop — which nodes were expanded at which Property-1
 // lower bound, how the kth-score f(pk) converged, how deep the priority
-// queue grew — plus the probe attribution the query-local IOAcct cells
-// already collect, and (when a planner ran first) the Section-6 cost-model
-// estimates to compare the actuals against.
+// queue grew — plus the TIA reads the query-local IOAcct already counts,
+// and (when a planner ran first) the Section-6 cost-model estimates to
+// compare the actuals against.
 //
 // A nil *Explain is the disabled state: every method no-ops, so the query
 // path pays one pointer test per instrumented site and allocates nothing
@@ -62,10 +62,9 @@ type Explain struct {
 	ResultCacheHit bool  `json:"result_cache_hit,omitempty"`
 
 	// Set by Finish.
-	Results  int          `json:"results"`
-	ActualFk float64      `json:"actual_fk"`
-	Err      string       `json:"error,omitempty"`
-	IO       []obs.IOLine `json:"io,omitempty"`
+	Results  int     `json:"results"`
+	ActualFk float64 `json:"actual_fk"`
+	Err      string  `json:"error,omitempty"`
 
 	// Shards carries the per-shard attribution when the query ran through
 	// the scatter-gather coordinator (internal/shard): one row per shard,
@@ -282,13 +281,13 @@ func (e *Explain) captureFrontier(s *Search) {
 	}
 }
 
-// Finish seals the recorder with the query's outcome: result count, actual
-// f(pk) (the last result's score) and the attributed I/O snapshot.
+// Finish seals the recorder with the query's outcome: result count and
+// actual f(pk) (the last result's score).
 // Idempotent, so the planner may finish a scan-path explain the tree never
 // saw; nil-safe like every other method. QueryCtx calls it on every path,
 // including errors — a canceled query's explain carries the partial counts
 // and frontier with Err set.
-func (e *Explain) Finish(results []Result, stats *QueryStats, err error) {
+func (e *Explain) Finish(results []Result, err error) {
 	if e == nil || e.done {
 		return
 	}
@@ -299,9 +298,6 @@ func (e *Explain) Finish(results []Result, stats *QueryStats, err error) {
 	}
 	if err != nil {
 		e.Err = err.Error()
-	}
-	if stats != nil {
-		e.IO = IOLines(&stats.IO)
 	}
 }
 

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tartree/internal/aggcache"
@@ -26,18 +24,8 @@ type instruments struct {
 	tiaLogical  *obs.Counter
 	tiaPhysical *obs.Counter
 	scored      *obs.Counter
-
-	// Attributed I/O counters, one triple per (component, level) actually
-	// observed. Created lazily so the exposition shows only series with
-	// traffic; a query reads its cells' triples without a lock, ioMu only
-	// serializes creating one.
-	reg  *obs.Registry
-	ioMu sync.Mutex
-	io   [pagestore.NumComponents][pagestore.MaxIOLevels]atomic.Pointer[ioCounters]
+	reg         *obs.Registry
 }
-
-// ioCounters are the registry series of one breakdown cell.
-type ioCounters struct{ hits, misses, evictions *obs.Counter }
 
 func newInstruments(r *obs.Registry) *instruments {
 	registerTIAProbes(r)
@@ -53,29 +41,6 @@ func newInstruments(r *obs.Registry) *instruments {
 		scored:      r.Counter("tartree_entries_scored_total"),
 		reg:         r,
 	}
-}
-
-// ioCell returns (creating on first use) the counters of one breakdown cell.
-func (in *instruments) ioCell(c pagestore.Component, level int) *ioCounters {
-	slot := &in.io[c][level]
-	if ctrs := slot.Load(); ctrs != nil {
-		return ctrs
-	}
-	in.ioMu.Lock()
-	defer in.ioMu.Unlock()
-	if ctrs := slot.Load(); ctrs != nil {
-		return ctrs
-	}
-	ctrs := &ioCounters{
-		hits: in.reg.Counter(fmt.Sprintf(
-			`tartree_io_page_reads_total{component=%q,level="%d",result="hit"}`, c.String(), level)),
-		misses: in.reg.Counter(fmt.Sprintf(
-			`tartree_io_page_reads_total{component=%q,level="%d",result="miss"}`, c.String(), level)),
-		evictions: in.reg.Counter(fmt.Sprintf(
-			`tartree_io_evictions_total{component=%q,level="%d"}`, c.String(), level)),
-	}
-	slot.Store(ctrs)
-	return ctrs
 }
 
 // record folds one finished query into the metrics: the paper's work
@@ -98,12 +63,6 @@ func (in *instruments) record(stats QueryStats, nresults int, d time.Duration, e
 	in.tiaLogical.Add(stats.TIAAccesses)
 	in.tiaPhysical.Add(stats.TIAPhysical)
 	in.scored.Add(int64(stats.Scored))
-	stats.IO.Each(func(c pagestore.Component, level int, cell pagestore.IOCell) {
-		ctrs := in.ioCell(c, level)
-		ctrs.hits.Add(cell.Hits)
-		ctrs.misses.Add(cell.Misses)
-		ctrs.evictions.Add(cell.Evictions)
-	})
 }
 
 // registerCacheMetrics exports the shared epoch-versioned cache's counters

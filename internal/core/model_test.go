@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -156,7 +157,7 @@ func TestConcurrentQueries(t *testing.T) {
 						// Sanity: scores non-decreasing.
 						for j := 1; j < len(res); j++ {
 							if res[j].Score < res[j-1].Score-1e-12 {
-								errs <- errUnknownPOI(0)
+								errs <- fmt.Errorf("score %v at rank %d below %v before it", res[j].Score, j, res[j-1].Score)
 								return
 							}
 						}

@@ -22,26 +22,19 @@ type QueryStats struct {
 	// TIAPhysical counts the reads that reached the disk, which is what
 	// the buffering experiment of Section 8.4 varies. A probe of an
 	// in-memory TIA (the default factory) reads no page and counts none.
+	//
+	// The scorer threads a query-local pagestore.IOAcct through every TIA
+	// probe and moves its page reads here whenever the search hands control
+	// back (Scorer.fold): with no global counter diffing, the accounting
+	// stays exact while any number of queries run concurrently.
 	TIAAccesses int64
 	TIAPhysical int64
 	// Scored counts entry score computations: one TIA aggregate probe each,
 	// whatever the backend.
 	Scored int
-	// IO attributes the query's page traffic by (component, level): R-tree
-	// node reads (always buffer hits — the R-tree is in memory) and TIA
-	// page traffic per backend. The scorer threads a query-local
-	// pagestore.IOAcct through every TIA probe and moves what it gathered
-	// here — and its page-read totals into TIAAccesses/TIAPhysical — whenever
-	// the search hands control back (Scorer.fold), so the TIA cells reconcile
-	// exactly with the traffic this query caused — with no global counter
-	// diffing, the accounting stays exact while any number of queries run
-	// concurrently. The R-tree cells reconcile with
-	// InternalAccesses/LeafAccesses.
-	IO pagestore.IOBreakdown
 	// CacheHits and CacheMisses count lookups of the shared epoch-versioned
 	// result cache (Options.Cache): a hit answered the whole query, a miss
-	// fell through to the search. The same lookup appears in IO under the
-	// agg-cache component at level 1. Both stay zero without a cache.
+	// fell through to the search. Both stay zero without a cache.
 	CacheHits, CacheMisses int64
 	// ResultCacheHit reports that the entire ranked result was served from
 	// the cache: no tree traversal, no TIA probes.
@@ -57,8 +50,8 @@ func (s QueryStats) NodeAccesses() int64 {
 // RTreeAccesses returns only the R-tree node accesses.
 func (s QueryStats) RTreeAccesses() int { return s.InternalAccesses + s.LeafAccesses }
 
-// Merge accumulates another query's counters (and I/O breakdown) into s,
-// for batch executors that report one aggregate QueryStats.
+// Merge accumulates another query's counters into s, for batch executors
+// that report one aggregate QueryStats.
 func (s *QueryStats) Merge(o *QueryStats) {
 	s.InternalAccesses += o.InternalAccesses
 	s.LeafAccesses += o.LeafAccesses
@@ -68,7 +61,6 @@ func (s *QueryStats) Merge(o *QueryStats) {
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
 	s.ResultCacheHit = s.ResultCacheHit || o.ResultCacheHit
-	s.IO.Add(&o.IO)
 }
 
 // aggKey identifies a cached TIA aggregate.
@@ -82,10 +74,6 @@ type aggKey struct {
 // batch that have the same query time interval.
 type AggCache map[aggKey]int64
 
-// resultCacheTag attributes the whole-result lookup of the shared cache in
-// the per-query I/O breakdown (level 1 of the agg-cache component).
-var resultCacheTag = pagestore.NewIOTag(pagestore.CompAggCache, 1)
-
 // Scorer computes query-dependent ranking scores of tree entries. A Scorer
 // is bound to one query (point, interval, weights) and one stats sink.
 type Scorer struct {
@@ -96,10 +84,9 @@ type Scorer struct {
 	stats *QueryStats
 	// acct is the query-local I/O accounting context threaded through
 	// every TIA probe: the probe and its page reads are counted here, in
-	// plain fields only this query touches, and in nothing shared. Its
-	// breakdown pointer aims at pend; fold moves both on.
+	// plain fields only this query touches, and in nothing shared; fold
+	// moves it on.
 	acct pagestore.IOAcct
-	pend pagestore.IOBreakdown
 	// cache is the caller's memo shared among the searches of a batch
 	// (Section 7.2). Nil for a single query, which scores every entry once
 	// and so could never hit it.
@@ -140,12 +127,12 @@ func (sc *Scorer) acctPtr() *pagestore.IOAcct {
 
 // fold moves what the acct gathered since the last fold — probes, page
 // traffic — into the shared books: the TIA factory's ledger and the probe
-// totals (tia.Factory.FoldAcct), and the query's own stats: the page-read
-// totals (TIAAccesses/TIAPhysical, and EXPLAIN's twins) and stats.IO. It
-// runs wherever a probing method hands control back to the search's caller
-// — the gmax probe, the root push, Expand and Next, on success and on error
-// — so a query never holds unfolded traffic while it is parked between
-// rounds, canceled or abandoned, and needs no Close.
+// totals (tia.Factory.FoldAcct), and the query's own page-read totals
+// (TIAAccesses/TIAPhysical, and EXPLAIN's twins). It runs wherever a
+// probing method hands control back to the search's caller — the gmax
+// probe, the root push, Expand and Next, on success and on error — so a
+// query never holds unfolded traffic while it is parked between rounds,
+// canceled or abandoned, and needs no Close.
 func (sc *Scorer) fold() {
 	if sc.acct.Probes == 0 { // page traffic only comes from probes
 		return
@@ -155,7 +142,7 @@ func (sc *Scorer) fold() {
 	sc.stats.TIAPhysical += physical
 	sc.explain.recordTIAReads(logical, physical)
 	sc.t.opts.TIA.FoldAcct(&sc.acct)
-	sc.acct.DrainTo(&sc.stats.IO)
+	sc.acct = pagestore.IOAcct{}
 }
 
 // newScorer binds a scorer to q. The aggregate normalizer is o.Gmax when
@@ -174,7 +161,6 @@ func (t *Tree) newScorer(q Query, agg *obs.Span, o SearchOptions) (*Scorer, erro
 		agg:     agg,
 		explain: o.Explain,
 	}
-	sc.acct.IO = &sc.pend // survives DrainTo
 	if o.Gmax != nil {
 		sc.gmax = *o.Gmax
 		return sc, nil
@@ -391,10 +377,8 @@ func (s *Search) countNodeAccess(level int) {
 	if s.countAccesses && s.stats != nil {
 		if level == 0 {
 			s.stats.LeafAccesses++
-			s.stats.IO.AddRead(pagestore.NewIOTag(pagestore.CompRTreeLeaf, 0), true)
 		} else {
 			s.stats.InternalAccesses++
-			s.stats.IO.AddRead(pagestore.NewIOTag(pagestore.CompRTreeInternal, level), true)
 		}
 	}
 	s.explain.recordNodeAccess(level)
@@ -555,23 +539,6 @@ func (s *Search) level(el Elem) int {
 	return int(s.ft.Nodes[el.child].Level)
 }
 
-// IOLines converts a breakdown into the neutral rows obs stores (obs is
-// dependency-free, so it cannot see pagestore types). Exported so servers
-// can render a query's attribution without depending on the array layout.
-func IOLines(b *pagestore.IOBreakdown) []obs.IOLine {
-	var out []obs.IOLine
-	b.Each(func(c pagestore.Component, level int, cell pagestore.IOCell) {
-		out = append(out, obs.IOLine{
-			Component: c.String(),
-			Level:     level,
-			Hits:      cell.Hits,
-			Misses:    cell.Misses,
-			Evictions: cell.Evictions,
-		})
-	})
-	return out
-}
-
 // ScorePOI computes the exact ranking score of one POI for q (from the
 // records the POI's TIA keeps in memory; no page access). Tests and the
 // sequential-scan baseline use it.
@@ -581,7 +548,7 @@ func (t *Tree) ScorePOI(q Query, id int64) (Result, error) {
 	}
 	st, ok := t.pois[id]
 	if !ok {
-		return Result{}, errUnknownPOI(id)
+		return Result{}, fmt.Errorf("core: unknown POI %d", id)
 	}
 	gmax := float64(t.aggregateRecords(t.global, q.Iq)) // equals the Scorer's Gmax
 	agg := t.aggregateRecords(st.data, q.Iq)
@@ -605,7 +572,3 @@ func (t *Tree) ScorePOI(q Query, id int64) (Result, error) {
 func (t *Tree) aggregateRecords(x *tia.Index, iv tia.Interval) int64 {
 	return tia.AggregateRecords(x.Records(), iv, t.opts.Semantics, t.opts.AggFunc)
 }
-
-type errUnknownPOI int64
-
-func (e errUnknownPOI) Error() string { return "core: unknown POI" }

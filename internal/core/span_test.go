@@ -20,7 +20,7 @@ func spanTestTree(t *testing.T, cache *aggcache.Cache) *Tree {
 		Grouping:    TAR3D,
 		EpochStart:  0,
 		EpochLength: 100,
-		TIA:         tia.NewBTreeFactory(256, 10), // the io rows name tia-btree
+		TIA:         tia.NewBTreeFactory(256, 10), // the node_accesses attribute counts pages
 		Cache:       cache,
 	})
 }
@@ -28,16 +28,17 @@ func spanTestTree(t *testing.T, cache *aggcache.Cache) *Tree {
 var spanTestQuery = Query{X: 20, Y: 20, Iq: tia.Interval{Start: 0, End: 600}, K: 3, Alpha0: 0.5}
 
 // TestQuerySpanAnnotations checks what QueryCtx leaves on the span it was
-// given: the query, result count, I/O rows and explain summary as typed
+// given: the query, result count, work total and explain summary as typed
 // values that render when the trace is read, and the error of a failed
 // query — the same on a search, a result-cache hit and a refused query, so
 // all three are query traces.
 func TestQuerySpanAnnotations(t *testing.T) {
 	tr := spanTestTree(t, aggcache.New(1<<20))
 	ring := obs.NewTraceRing(4)
+	var stats QueryStats // of the last run
 	run := func(ctx context.Context, q Query, ex *Explain) *obs.FinishedTrace {
 		root := obs.StartTrace("test", obs.SpanContext{}, ring)
-		_, _, _ = tr.QueryCtx(ctx, q, &QueryOpts{Span: root, Explain: ex})
+		_, stats, _ = tr.QueryCtx(ctx, q, &QueryOpts{Span: root, Explain: ex})
 		root.Finish()
 		return ring.Traces()[0]
 	}
@@ -53,15 +54,8 @@ func TestQuerySpanAnnotations(t *testing.T) {
 	if v, _ := root.Attr(obs.AttrResults); v != 3 {
 		t.Errorf("results attribute = %v, want 3", v)
 	}
-	io, _ := root.Attr("io")
-	var tiaReads int64
-	for _, line := range io.([]obs.IOLine) {
-		if line.Component == "tia-btree" {
-			tiaReads += line.Hits + line.Misses
-		}
-	}
-	if tiaReads == 0 {
-		t.Errorf("io attribute has no TIA traffic: %+v", io)
+	if v, _ := root.Attr("node_accesses"); v != stats.NodeAccesses() || stats.TIAAccesses == 0 {
+		t.Errorf("node_accesses attribute = %v, want the stats' %d with TIA page reads", v, stats.NodeAccesses())
 	}
 	if v, _ := root.Attr("explain"); v.(*obs.ExplainSummary).Pops == 0 {
 		t.Errorf("explain attribute = %+v, want the summary of a search that popped", v)
@@ -75,7 +69,7 @@ func TestQuerySpanAnnotations(t *testing.T) {
 	}
 	for _, want := range []string{
 		`{"key":"query","value":"knnta(x=20, y=20, k=3, a0=0.5, iq=[0,600))"}`,
-		`"component":"tia-btree"`, `"actual_node_accesses"`,
+		`{"key":"node_accesses","value":`, `"actual_node_accesses"`,
 	} {
 		if !strings.Contains(string(blob), want) {
 			t.Errorf("rendered trace missing %s:\n%s", want, blob)

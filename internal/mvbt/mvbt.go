@@ -59,11 +59,8 @@ func (e entry) child() pagestore.PageID { return pagestore.PageID(e.val[0]) }
 func (e entry) liveAt(v int64) bool { return e.vstart <= v && v < e.vend }
 
 type node struct {
-	id   pagestore.PageID
-	leaf bool
-	// level is the node's height (1 = leaf); it is not stored on the page
-	// but threaded from callers so page I/O can be attributed per level.
-	level   int
+	id      pagestore.PageID
+	leaf    bool
 	entries []entry
 }
 
@@ -121,7 +118,7 @@ func New(buf *pagestore.Buffer) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := t.writeNode(&node{id: id, leaf: true, level: 1}); err != nil {
+	if err := t.writeNode(&node{id: id, leaf: true}); err != nil {
 		return nil, err
 	}
 	t.roots = []rootSpan{{vstart: math.MinInt64, vend: Live, id: id, height: 1}}
@@ -141,24 +138,18 @@ func (t *Tree) Now() int64 { return t.now }
 // version splits of the root occurred).
 func (t *Tree) NumRoots() int { return len(t.roots) }
 
-// tag attributes one page access to this tree's component at the given
-// node level (mvbt levels are 1-based; attribution levels are 0 = leaf).
-func tag(level int) pagestore.IOTag {
-	return pagestore.NewIOTag(pagestore.CompTIAMVBT, level-1)
-}
-
-func (t *Tree) readNode(id pagestore.PageID, level int) (*node, error) {
-	return t.readNodeAcct(id, level, nil)
+func (t *Tree) readNode(id pagestore.PageID) (*node, error) {
+	return t.readNodeAcct(id, nil)
 }
 
 // readNodeAcct is readNode with the access charged to a query-local acct
-// (nil for unattributed traffic, e.g. the mutation paths).
-func (t *Tree) readNodeAcct(id pagestore.PageID, level int, acct *pagestore.IOAcct) (*node, error) {
-	page, err := t.buf.GetTag(id, tag(level).WithAcct(acct))
+// (nil for unowned traffic, e.g. the mutation paths).
+func (t *Tree) readNodeAcct(id pagestore.PageID, acct *pagestore.IOAcct) (*node, error) {
+	page, err := t.buf.GetAcct(id, acct)
 	if err != nil {
 		return nil, err
 	}
-	n := &node{id: id, level: level}
+	n := &node{id: id}
 	n.leaf = page[0]&flagLeaf != 0
 	cnt := int(binary.LittleEndian.Uint16(page[2:4]))
 	if cnt > t.b {
@@ -196,7 +187,7 @@ func (t *Tree) writeNode(n *node) error {
 		binary.LittleEndian.PutUint64(page[off+32:], uint64(e.val[1]))
 		off += entrySize
 	}
-	return t.buf.PutTag(n.id, page, tag(n.level))
+	return t.buf.Put(n.id, page)
 }
 
 func (t *Tree) liveRoot() *rootSpan { return &t.roots[len(t.roots)-1] }
@@ -247,7 +238,7 @@ func (t *Tree) descend(v, key int64) ([]pathElem, error) {
 	path := make([]pathElem, 0, span.height)
 	id := span.id
 	for level := span.height; level >= 1; level-- {
-		n, err := t.readNode(id, level)
+		n, err := t.readNode(id)
 		if err != nil {
 			return nil, err
 		}
@@ -401,14 +392,13 @@ func splitByKey(entries []entry) ([]entry, []entry) {
 	return left, right
 }
 
-// newNodeFrom allocates and writes a node holding entries at the given
-// tree level.
-func (t *Tree) newNodeFrom(leaf bool, level int, entries []entry) (*node, error) {
+// newNodeFrom allocates and writes a node holding entries.
+func (t *Tree) newNodeFrom(leaf bool, entries []entry) (*node, error) {
 	id, err := t.buf.Alloc()
 	if err != nil {
 		return nil, err
 	}
-	n := &node{id: id, leaf: leaf, level: level, entries: entries}
+	n := &node{id: id, leaf: leaf, entries: entries}
 	return n, t.writeNode(n)
 }
 
@@ -474,7 +464,7 @@ func (t *Tree) restructure(parent, child *node, v int64) error {
 	// Strong version underflow: merge with the router-adjacent sibling.
 	if len(liveEntries) < t.svd {
 		if sibID, ok := siblingOf(parent, child.id, v, router); ok {
-			sib, err := t.readNode(sibID, child.level)
+			sib, err := t.readNode(sibID)
 			if err != nil {
 				return err
 			}
@@ -499,7 +489,7 @@ func (t *Tree) restructure(parent, child *node, v int64) error {
 	}
 
 	addChild := func(router int64, leaf bool, entries []entry) error {
-		nn, err := t.newNodeFrom(leaf, child.level, entries)
+		nn, err := t.newNodeFrom(leaf, entries)
 		if err != nil {
 			return err
 		}
@@ -536,7 +526,7 @@ func (t *Tree) fixRoot(root *node, v int64) error {
 
 	if len(liveEntries) == 0 {
 		// Degenerate: everything is dead. Start a fresh empty leaf root.
-		nn, err := t.newNodeFrom(true, 1, nil)
+		nn, err := t.newNodeFrom(true, nil)
 		if err != nil {
 			return err
 		}
@@ -546,15 +536,15 @@ func (t *Tree) fixRoot(root *node, v int64) error {
 
 	if len(liveEntries) > t.svo {
 		l, r := splitByKey(liveEntries)
-		ln, err := t.newNodeFrom(root.leaf, root.level, l)
+		ln, err := t.newNodeFrom(root.leaf, l)
 		if err != nil {
 			return err
 		}
-		rn, err := t.newNodeFrom(root.leaf, root.level, r)
+		rn, err := t.newNodeFrom(root.leaf, r)
 		if err != nil {
 			return err
 		}
-		newRoot, err := t.newNodeFrom(false, root.level+1, []entry{
+		newRoot, err := t.newNodeFrom(false, []entry{
 			{key: math.MinInt64, vstart: v, vend: Live, val: Value{int64(ln.id), 0}},
 			{key: r[0].key, vstart: v, vend: Live, val: Value{int64(rn.id), 0}},
 		})
@@ -565,7 +555,7 @@ func (t *Tree) fixRoot(root *node, v int64) error {
 		return nil
 	}
 
-	nn, err := t.newNodeFrom(root.leaf, root.level, liveEntries)
+	nn, err := t.newNodeFrom(root.leaf, liveEntries)
 	if err != nil {
 		return err
 	}
@@ -578,7 +568,7 @@ func (t *Tree) Get(v, key int64) (Value, bool, error) {
 	span := t.rootFor(v)
 	id := span.id
 	for level := span.height; level > 1; level-- {
-		n, err := t.readNode(id, level)
+		n, err := t.readNode(id)
 		if err != nil {
 			return Value{}, false, err
 		}
@@ -588,7 +578,7 @@ func (t *Tree) Get(v, key int64) (Value, bool, error) {
 		}
 		id = n.entries[i].child()
 	}
-	n, err := t.readNode(id, 1)
+	n, err := t.readNode(id)
 	if err != nil {
 		return Value{}, false, err
 	}
@@ -628,7 +618,7 @@ func (t *Tree) ScanAtAcct(v, lo, hi int64, acct *pagestore.IOAcct, fn func(key i
 
 // collect gathers live leaf entries in [lo, hi] at version v.
 func (t *Tree) collect(id pagestore.PageID, level int, v, lo, hi int64, acct *pagestore.IOAcct, out *[]entry) error {
-	n, err := t.readNodeAcct(id, level, acct)
+	n, err := t.readNodeAcct(id, acct)
 	if err != nil {
 		return err
 	}

@@ -8,28 +8,11 @@ import (
 	"time"
 )
 
-// IOLine is one attributed I/O row of a query: the page traffic one
-// (component, level) pair caused. The component is a neutral string
-// (internal/obs depends on nothing), produced by core from the pagestore
-// breakdown.
-type IOLine struct {
-	Component string `json:"component"`
-	Level     int    `json:"level"`
-	Hits      int64  `json:"hits"`
-	Misses    int64  `json:"misses"`
-	Evictions int64  `json:"evictions,omitempty"`
-}
-
-// String renders the row for WriteTree: "tia-btree/0 12h+3m".
-func (l IOLine) String() string {
-	return fmt.Sprintf("%s/%d %dh+%dm", l.Component, l.Level, l.Hits, l.Misses)
-}
-
 // ExplainSummary is the compact form of a query's EXPLAIN/ANALYZE carried
 // as an attribute of its query's span: the planner's estimates (when a planner
 // ran), the search actuals, and the signed relative node-access error.
-// Like IOLine it is a neutral struct — internal/obs depends on nothing, so
-// core condenses its full explain recorder into this shape.
+// It is a neutral struct — internal/obs depends on nothing, so core
+// condenses its full explain recorder into this shape.
 type ExplainSummary struct {
 	// Engine and the estimates are zero when the query ran unplanned.
 	Engine            string  `json:"engine,omitempty"`

@@ -1,52 +1,12 @@
 package pagestore
 
-import (
-	"encoding/json"
-	"fmt"
-	"strings"
-	"testing"
-)
+import "testing"
 
-func TestIOTagClamp(t *testing.T) {
-	if tag := NewIOTag(CompTIABTree, -3); tag.Level != 0 {
-		t.Errorf("negative level clamped to %d, want 0", tag.Level)
-	}
-	if tag := NewIOTag(CompTIABTree, MaxIOLevels+5); tag.Level != MaxIOLevels-1 {
-		t.Errorf("oversized level clamped to %d, want %d", tag.Level, MaxIOLevels-1)
-	}
-	if tag := NewIOTag(Component(200), 1); tag.Comp != CompUnknown {
-		t.Errorf("invalid component clamped to %v, want unknown", tag.Comp)
-	}
-	// A hand-built out-of-range tag must still land inside the array.
-	var b IOBreakdown
-	b.AddRead(IOTag{Comp: Component(250), Level: 250}, true)
-	if got := b[CompUnknown][MaxIOLevels-1].Hits; got != 1 {
-		t.Errorf("raw out-of-range tag landed wrong: %+v", b)
-	}
-}
-
-func TestComponentString(t *testing.T) {
-	want := map[Component]string{
-		CompUnknown:       "unknown",
-		CompRTreeInternal: "rtree-internal",
-		CompRTreeLeaf:     "rtree-leaf",
-		CompTIABTree:      "tia-btree",
-		CompTIAMVBT:       "tia-mvbt",
-		Component(99):     "unknown",
-	}
-	for c, s := range want {
-		if c.String() != s {
-			t.Errorf("Component(%d).String() = %q, want %q", c, c.String(), s)
-		}
-	}
-}
-
-// TestLedgerTaggedBuffer drives one buffer with tagged and untagged unowned
-// traffic, forcing evictions and dirty write-backs, and checks every
-// conservation identity: ledger total == buffer stats, with each event in
-// the cell of its tag (evictions and their write-backs under the tag of the
-// access that forced them, untagged traffic under CompUnknown).
-func TestLedgerTaggedBuffer(t *testing.T) {
+// TestLedgerUnownedTraffic drives one buffer with unowned traffic, forcing
+// evictions and dirty write-backs, and checks every conservation identity:
+// ledger total == buffer stats == the events the accesses caused, with the
+// dirty evictions split out.
+func TestLedgerUnownedTraffic(t *testing.T) {
 	f := NewMemFile(64)
 	var ledger Ledger
 	b := NewBufferWithLedger(f, 2, &ledger)
@@ -59,57 +19,37 @@ func TestLedgerTaggedBuffer(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	btag := NewIOTag(CompTIABTree, 0)
-	mtag := NewIOTag(CompTIAMVBT, 1)
 	data := make([]byte, 64)
 
-	// Two tagged dirty pages fill the buffer.
-	if err := b.PutTag(ids[0], data, btag); err != nil {
+	// Two dirty pages fill the buffer.
+	if err := b.Put(ids[0], data); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.PutTag(ids[1], data, mtag); err != nil {
+	if err := b.Put(ids[1], data); err != nil {
 		t.Fatal(err)
 	}
-	// Loading a third page under btag evicts ids[0] (dirty): the eviction
-	// and its physical write-back must be attributed to btag.
-	if _, err := b.GetTag(ids[2], btag); err != nil {
-		t.Fatal(err)
-	}
-	// A hit on the mvbt page, then untagged traffic: a hit, and a miss that
-	// evicts ids[2] (clean).
-	if _, err := b.GetTag(ids[1], mtag); err != nil {
-		t.Fatal(err)
-	}
+	// Loading a third page evicts ids[0] (dirty) and writes it back.
 	if _, err := b.Get(ids[2]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.GetTag(ids[1], mtag); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Get(ids[3]); err != nil {
-		t.Fatal(err)
+	// Three hits, then a miss that evicts the least recently used ids[2]
+	// (clean).
+	for _, id := range []PageID{ids[1], ids[2], ids[1], ids[3]} {
+		if _, err := b.Get(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	if got, want := ledger.Stats(), b.Stats(); got != want {
-		t.Fatalf("ledger total %+v != buffer stats %+v", got, want)
+	want := Stats{LogicalReads: 5, PhysicalReads: 2, LogicalWrites: 2, PhysicalWrites: 1, Evictions: 2}
+	if got := b.Stats(); got != want {
+		t.Fatalf("buffer stats %+v, want %+v", got, want)
 	}
-	bd, want := ledger.Breakdown(), IOBreakdown{}
-	want[CompTIABTree][0] = IOCell{Misses: 1, LogicalWrites: 1, PhysicalWrites: 1, Evictions: 1}
-	want[CompTIAMVBT][1] = IOCell{Hits: 2, LogicalWrites: 1}
-	want[CompUnknown][0] = IOCell{Hits: 1, Misses: 1, Evictions: 1}
-	if bd != want {
-		t.Errorf("ledger cells:\n got %+v\nwant %+v", nonZero(&bd), nonZero(&want))
+	if got := ledger.Stats(); got != want {
+		t.Fatalf("ledger total %+v != buffer stats %+v", got, want)
 	}
 	if got := ledger.DirtyEvictions(); got != 1 {
 		t.Errorf("%d dirty evictions, want 1 of the 2", got)
 	}
-}
-
-// nonZero lists a breakdown's non-zero cells for failure messages.
-func nonZero(b *IOBreakdown) map[string]IOCell {
-	m := map[string]IOCell{}
-	b.Each(func(c Component, level int, cell IOCell) { m[fmt.Sprintf("%s/%d", c, level)] = cell })
-	return m
 }
 
 // TestLedgerSharedBuffers checks the aggregate identity when one ledger is
@@ -122,29 +62,26 @@ func TestLedgerSharedBuffers(t *testing.T) {
 	b2 := NewBufferWithLedger(f, 1, &ledger)
 	b3 := NewBufferWithLedger(f, 0, &ledger) // pass-through
 	data := make([]byte, 64)
-	tagA := NewIOTag(CompTIABTree, 0)
-	tagB := NewIOTag(CompTIABTree, 1)
-	tagC := NewIOTag(CompTIAMVBT, 0)
 
 	for i := 0; i < 4; i++ {
 		id, err := b1.Alloc()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b1.PutTag(id, data, tagA); err != nil {
+		if err := b1.Put(id, data); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b2.GetTag(id, tagB); err != nil {
+		if _, err := b2.Get(id); err != nil {
 			t.Fatal(err)
 		}
-		if err := b3.PutTag(id, data, tagC); err != nil { // physical write
+		if err := b3.Put(id, data); err != nil { // physical write
 			t.Fatal(err)
 		}
-		if _, err := b3.GetTag(id, tagC); err != nil { // physical read
+		if _, err := b3.Get(id); err != nil { // physical read
 			t.Fatal(err)
 		}
 	}
-	if err := b1.Flush(); err != nil { // untagged physical writes
+	if err := b1.Flush(); err != nil { // unowned physical writes
 		t.Fatal(err)
 	}
 	sum := b1.Stats().Add(b2.Stats()).Add(b3.Stats())
@@ -154,23 +91,15 @@ func TestLedgerSharedBuffers(t *testing.T) {
 	if d := ledger.Stats().Sub(sum); (d != Stats{}) {
 		t.Errorf("Sub = %+v, want zero", d)
 	}
-	bd := ledger.Breakdown()
-	if bd[CompTIABTree][1].Misses == 0 {
-		t.Error("reads through b2 not attributed to level 1")
-	}
-	if got, want := bd[CompTIAMVBT][0], (IOCell{Misses: 4, LogicalWrites: 4, PhysicalWrites: 4}); got != want {
-		t.Errorf("pass-through cell = %+v, want %+v", got, want)
-	}
-	if bd[CompUnknown][0].PhysicalWrites == 0 {
-		t.Error("flush write-backs not attributed to unknown")
+	if got, want := b3.Stats(), (Stats{LogicalReads: 4, PhysicalReads: 4, LogicalWrites: 4, PhysicalWrites: 4}); got != want {
+		t.Errorf("pass-through stats = %+v, want %+v", got, want)
 	}
 }
 
 // TestLedgerAddAcct checks the owned half of the rule: traffic carrying an
 // acct — the eviction and dirty write-back it forces included — stays out
-// of the ledger until the owner adds the acct, arrives in the cells of its
-// tags with the clean/dirty split intact, and is added once however often
-// the owner folds.
+// of the ledger until the owner adds the acct, and then arrives with the
+// clean/dirty split intact.
 func TestLedgerAddAcct(t *testing.T) {
 	f := NewMemFile(64)
 	var ledger Ledger
@@ -183,100 +112,34 @@ func TestLedgerAddAcct(t *testing.T) {
 	if err := b.Put(ids[0], data); err != nil { // unowned: one dirty frame
 		t.Fatal(err)
 	}
-	setup := ledger.Breakdown()
+	setup := ledger.Stats()
 
-	var io IOBreakdown
-	acct := IOAcct{IO: &io}
-	rtag := NewIOTag(CompTIABTree, 2).WithAcct(&acct)
-	wtag := NewIOTag(CompTIABTree, 0).WithAcct(&acct)
-	if _, err := b.GetTag(ids[1], rtag); err != nil { // miss, evicts dirty ids[0]
+	var acct IOAcct
+	if _, err := b.GetAcct(ids[1], &acct); err != nil { // miss, evicts dirty ids[0]
 		t.Fatal(err)
 	}
-	if _, err := b.GetTag(ids[1], rtag); err != nil { // hit
+	if _, err := b.GetAcct(ids[1], &acct); err != nil { // hit
 		t.Fatal(err)
 	}
-	if err := b.PutTag(ids[2], data, wtag); err != nil { // evicts clean ids[1]
+	if err := b.PutAcct(ids[2], data, &acct); err != nil { // evicts clean ids[1]
 		t.Fatal(err)
 	}
-	if got := ledger.Breakdown(); got != setup || ledger.DirtyEvictions() != 0 {
-		t.Fatalf("owned traffic reached the ledger before the fold: %+v", nonZero(&got))
+	if got := ledger.Stats(); got != setup || ledger.DirtyEvictions() != 0 {
+		t.Fatalf("owned traffic reached the ledger before the fold: %+v", got)
 	}
-	if got, want := acct.Stats.Add(setup.Total()), b.Stats(); got != want {
-		t.Fatalf("acct + set-up %+v != buffer stats %+v", got, want)
+	want := Stats{LogicalReads: 2, PhysicalReads: 1, LogicalWrites: 1, PhysicalWrites: 1, Evictions: 2}
+	if acct.Stats != want || acct.DirtyEvictions != 1 {
+		t.Fatalf("acct %+v (%d dirty), want %+v (1 dirty)", acct.Stats, acct.DirtyEvictions, want)
+	}
+	if got := acct.Stats.Add(setup); got != b.Stats() {
+		t.Fatalf("acct + set-up %+v != buffer stats %+v", got, b.Stats())
 	}
 
 	ledger.AddAcct(&acct)
-	var mine IOBreakdown
-	acct.DrainTo(&mine)
-	ledger.AddAcct(&acct) // drained: adds nothing
 	if got, want := ledger.Stats(), b.Stats(); got != want {
 		t.Fatalf("ledger total after the fold %+v != buffer stats %+v", got, want)
 	}
-	if got := ledger.Breakdown().Sub(setup); got != mine {
-		t.Errorf("ledger gained %+v, the acct held %+v", nonZero(&got), nonZero(&mine))
-	}
 	if got := ledger.DirtyEvictions(); got != 1 {
 		t.Errorf("%d dirty evictions after the fold, want 1 of the 2", got)
-	}
-	if got, want := mine[CompTIABTree][2], (IOCell{Hits: 1, Misses: 1, PhysicalWrites: 1, Evictions: 1}); got != want {
-		t.Errorf("read cell = %+v, want %+v", got, want)
-	}
-	if got, want := mine[CompTIABTree][0], (IOCell{LogicalWrites: 1, Evictions: 1}); got != want {
-		t.Errorf("write cell = %+v, want %+v", got, want)
-	}
-	if acct.Stats != (Stats{}) || acct.DirtyEvictions != 0 || !io.IsZero() {
-		t.Errorf("drained acct not empty: %+v", acct.Stats)
-	}
-}
-
-func TestIOBreakdownSubAddComponent(t *testing.T) {
-	var a, b IOBreakdown
-	tag := NewIOTag(CompRTreeInternal, 2)
-	a.AddRead(tag, true)
-	a.AddRead(tag, false)
-	a[CompRTreeInternal][2].PhysicalWrites++
-	a[CompRTreeInternal][2].Evictions++
-	b.AddRead(tag, true)
-	d := a.Sub(b)
-	want := IOCell{Misses: 1, PhysicalWrites: 1, Evictions: 1}
-	if got := d[CompRTreeInternal][2]; got != want {
-		t.Errorf("Sub cell = %+v, want %+v", got, want)
-	}
-	d.Add(&b)
-	if got := d.Component(CompRTreeInternal); got != (IOCell{Hits: 1, Misses: 1, PhysicalWrites: 1, Evictions: 1}) {
-		t.Errorf("Component fold = %+v", got)
-	}
-	if d.IsZero() {
-		t.Error("IsZero on non-empty breakdown")
-	}
-	var zero IOBreakdown
-	if !zero.IsZero() {
-		t.Error("zero breakdown not IsZero")
-	}
-}
-
-func TestIOBreakdownJSON(t *testing.T) {
-	var b IOBreakdown
-	b.AddRead(NewIOTag(CompRTreeLeaf, 0), true)
-	b.AddRead(NewIOTag(CompTIABTree, 1), false)
-	out, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(out)
-	for _, want := range []string{`"component":"rtree-leaf"`, `"component":"tia-btree"`, `"level":1`, `"misses":1`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("JSON %s missing %s", s, want)
-		}
-	}
-	if strings.Contains(s, "tia-mvbt") {
-		t.Errorf("JSON %s contains zero cells", s)
-	}
-	var decoded []map[string]any
-	if err := json.Unmarshal(out, &decoded); err != nil {
-		t.Fatalf("output is not a JSON array: %v", err)
-	}
-	if len(decoded) != 2 {
-		t.Errorf("JSON has %d rows, want 2", len(decoded))
 	}
 }

@@ -68,7 +68,6 @@ func TestBufferConcurrentHammer(t *testing.T) {
 	// including evictions and write-backs attributed to the access that
 	// forced them.
 	accts := make([]IOAcct, workers)
-	ios := make([]IOBreakdown, workers)
 	finals := make([][ownedN]byte, workers) // each worker's last-written seeds
 	var gets, puts [workers]int64
 	errs := make(chan error, workers)
@@ -79,14 +78,13 @@ func TestBufferConcurrentHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
-			accts[w].IO = &ios[w]
-			tag := IOTag{Comp: CompTIABTree, Level: uint8(w % MaxIOLevels)}.WithAcct(&accts[w])
+			acct := &accts[w]
 			last := make([]byte, ownedN) // seed of the last value written per owned page
 			for i := 0; i < iters; i++ {
 				switch op := r.Intn(10); {
 				case op < 4: // read a shared, read-only page
 					k := r.Intn(sharedN)
-					data, err := b.GetTag(shared[k], tag)
+					data, err := b.GetAcct(shared[k], acct)
 					if err != nil {
 						errs <- err
 						return
@@ -98,7 +96,7 @@ func TestBufferConcurrentHammer(t *testing.T) {
 					}
 				case op < 7: // read one of our own pages
 					k := r.Intn(ownedN)
-					data, err := b.GetTag(owned[w][k], tag)
+					data, err := b.GetAcct(owned[w][k], acct)
 					if err != nil {
 						errs <- err
 						return
@@ -111,7 +109,7 @@ func TestBufferConcurrentHammer(t *testing.T) {
 				default: // overwrite one of our own pages
 					k := r.Intn(ownedN)
 					last[k] = byte(1 + r.Intn(90))
-					if err := b.PutTag(owned[w][k], pattern(last[k]), tag); err != nil {
+					if err := b.PutAcct(owned[w][k], pattern(last[k]), acct); err != nil {
 						errs <- err
 						return
 					}
@@ -142,9 +140,9 @@ func TestBufferConcurrentHammer(t *testing.T) {
 	if got := ledger.Stats(); got != b.Stats() {
 		t.Errorf("ledger %+v != buffer stats %+v", got, b.Stats())
 	}
-	for w := range ios {
-		if cell := ios[w][CompTIABTree][w%MaxIOLevels]; ios[w].Component(CompTIABTree) != cell || cell.Hits+cell.Misses != gets[w] {
-			t.Errorf("worker %d: traffic outside its tag's cell: %+v (%d gets)", w, nonZero(&ios[w]), gets[w])
+	for w := range accts {
+		if got := accts[w].Stats; got.LogicalReads != gets[w] || got.LogicalWrites != puts[w] {
+			t.Errorf("worker %d: acct %+v, want %d reads and %d writes", w, got, gets[w], puts[w])
 		}
 	}
 	var acctSum Stats

@@ -185,14 +185,13 @@ func TestBufferAgainstModel(t *testing.T) {
 		slots := slotChoices[seed%int64(len(slotChoices))]
 		b := NewBufferWithLedger(file, slots, &ledger)
 		m := newRefBuffer(slots)
-		var pend, folded IOBreakdown
-		acct := IOAcct{IO: &pend}
+		var acct IOAcct
 		var live []PageID
-		tag := func() IOTag {
+		owner := func() *IOAcct {
 			if r.Intn(2) == 0 {
-				return NewIOTag(CompTIABTree, 1).WithAcct(&acct)
+				return &acct
 			}
-			return IOTag{}
+			return nil
 		}
 		for step := 0; step < 1500; step++ {
 			desc := ""
@@ -214,7 +213,7 @@ func TestBufferAgainstModel(t *testing.T) {
 			case op < 55:
 				id := live[r.Intn(len(live))]
 				before := b.Stats()
-				data, err := b.GetTag(id, tag())
+				data, err := b.GetAcct(id, owner())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -230,7 +229,7 @@ func TestBufferAgainstModel(t *testing.T) {
 			case op < 80:
 				id := live[r.Intn(len(live))]
 				s := byte(1 + r.Intn(200))
-				if err := b.PutTag(id, seeded(s, pageSize), tag()); err != nil {
+				if err := b.PutAcct(id, seeded(s, pageSize), owner()); err != nil {
 					t.Fatal(err)
 				}
 				m.put(id, s)
@@ -279,7 +278,7 @@ func TestBufferAgainstModel(t *testing.T) {
 			}
 			if r.Intn(4) == 0 { // the owner folds its acct
 				ledger.AddAcct(&acct)
-				acct.DrainTo(&folded)
+				acct = IOAcct{}
 			}
 			if got, want := ledger.Stats().Add(acct.Stats), retired.Add(m.stats); got != want {
 				t.Fatalf("seed %d step %d (%s): ledger + unfolded acct %+v, buffers %+v", seed, step, desc, got, want)
@@ -301,13 +300,9 @@ func TestBufferAgainstModel(t *testing.T) {
 		}
 		// The owner's last fold: the ledger then totals its buffers exactly.
 		ledger.AddAcct(&acct)
-		acct.DrainTo(&folded)
 		retired = retired.Add(m.stats)
 		if got := ledger.Stats(); got != retired {
 			t.Fatalf("seed %d: ledger after the last fold %+v, buffers %+v", seed, got, retired)
-		}
-		if folded.Component(CompTIABTree) != folded[CompTIABTree][1] || folded.Component(CompTIABTree).IsZero() {
-			t.Fatalf("seed %d: owned traffic left its tag's cell: %+v", seed, nonZero(&folded))
 		}
 	}
 }
@@ -342,8 +337,8 @@ func TestBufferHitsRaceEviction(t *testing.T) {
 	}
 	base := b.Stats()
 
-	read := func(i int, tag IOTag) error {
-		data, err := b.GetTag(ids[i], tag)
+	read := func(i int, acct *IOAcct) error {
+		data, err := b.GetAcct(ids[i], acct)
 		if err != nil {
 			return err
 		}
@@ -353,7 +348,6 @@ func TestBufferHitsRaceEviction(t *testing.T) {
 		return nil
 	}
 	accts := make([]IOAcct, readers)
-	ios := make([]IOBreakdown, readers)
 	var gets [readers + 1]int64
 	errs := make(chan error, readers+2)
 	stop := make(chan struct{})
@@ -363,10 +357,8 @@ func TestBufferHitsRaceEviction(t *testing.T) {
 		wg.Add(1)
 		go func() { // hot-page readers, each with its own acct
 			defer wg.Done()
-			accts[w].IO = &ios[w]
-			tag := NewIOTag(CompTIABTree, 1).WithAcct(&accts[w])
 			for i := 0; i < iters; i++ {
-				if err := read((w+i)%hot, tag); err != nil {
+				if err := read((w+i)%hot, &accts[w]); err != nil {
 					errs <- err
 					return
 				}
@@ -383,7 +375,7 @@ func TestBufferHitsRaceEviction(t *testing.T) {
 				return
 			default:
 			}
-			if err := read(hot+i%cold, IOTag{}); err != nil {
+			if err := read(hot+i%cold, nil); err != nil {
 				errs <- err
 				return
 			}

@@ -8,8 +8,8 @@
 // that counts logical and physical page accesses so experiments can report
 // node accesses precisely. Only the page shadow of a paged TIA reads
 // through it — the experiments name one; a serving tree's TIAs are in
-// memory and touch no page — while the accounting types (IOAcct,
-// IOBreakdown, Ledger) are also what every query reports its I/O in.
+// memory and touch no page — while the accounting types (IOAcct, Ledger)
+// are also what every query counts its page reads in.
 package pagestore
 
 import (
@@ -208,9 +208,9 @@ type frame struct {
 // aliases the frame — which the TAR-tree upholds by never mutating TIAs while
 // queries run.
 //
-// Page traffic is counted once: in the buffer's own Stats, and beyond that
-// in the IOAcct of the access when its tag carries one, else in the
-// buffer's Ledger when it was built with one (see the count helpers).
+// Page traffic is counted in the buffer's own Stats, and beyond that once
+// more: in the IOAcct of the access when it carries one, else in the
+// buffer's Ledger when it was built with one (see charge).
 type Buffer struct {
 	mu     sync.Mutex
 	file   File
@@ -239,43 +239,41 @@ func NewBufferWithLedger(f File, slots int, ledger *Ledger) *Buffer {
 // PageSize returns the page size of the underlying file.
 func (b *Buffer) PageSize() int { return b.file.PageSize() }
 
-// The count helpers apply the one accounting rule: the buffer's own stats
-// see every event; beyond that an event is counted exactly once more — in
-// the IOAcct on its tag, plain fields of a value only the owning query
-// touches, which the owner adds to the ledger in bulk (Ledger.AddAcct), or,
-// for traffic without an owner, in the buffer's ledger on the spot. Callers
-// hold mu.
-func (b *Buffer) countRead(tag IOTag, hit bool) {
-	b.stats.LogicalReads++
+// charge applies the one accounting rule to the events d, dirty of whose
+// evictions wrote a frame back: the buffer's own stats see every event;
+// beyond that an event is counted exactly once more — in the access's
+// IOAcct, plain fields of a value only the owning query touches, which the
+// owner adds to the ledger in bulk (Ledger.AddAcct), or, for traffic without
+// an owner, in the buffer's ledger on the spot. Callers hold mu.
+func (b *Buffer) charge(a *IOAcct, d Stats, dirty int64) {
+	b.stats = b.stats.Add(d)
+	switch {
+	case a != nil:
+		a.Stats = a.Stats.Add(d)
+		a.DirtyEvictions += dirty
+	case b.ledger != nil:
+		b.ledger.add(d, dirty)
+	}
+}
+
+// countRead is charge for one page read, a miss when it reached the file,
+// spelled out field by field: it is the buffer's hit path.
+func (b *Buffer) countRead(a *IOAcct, hit bool) {
+	var miss int64
 	if !hit {
-		b.stats.PhysicalReads++
+		miss = 1
 	}
-	if a := tag.Acct; a != nil {
-		a.read(tag, hit)
-	} else if b.ledger != nil {
-		b.ledger.read(tag, hit)
-	}
-}
-
-func (b *Buffer) countWrite(tag IOTag, physical bool) {
-	if physical {
-		b.stats.PhysicalWrites++
-	} else {
-		b.stats.LogicalWrites++
-	}
-	if a := tag.Acct; a != nil {
-		a.write(tag, physical)
-	} else if b.ledger != nil {
-		b.ledger.write(tag, physical)
-	}
-}
-
-func (b *Buffer) countEviction(tag IOTag, dirty bool) {
-	b.stats.Evictions++
-	if a := tag.Acct; a != nil {
-		a.evicted(tag, dirty)
-	} else if b.ledger != nil {
-		b.ledger.evicted(tag, dirty)
+	b.stats.LogicalReads++
+	b.stats.PhysicalReads += miss
+	switch {
+	case a != nil:
+		a.Stats.LogicalReads++
+		a.Stats.PhysicalReads += miss
+	case b.ledger == nil:
+	case hit:
+		b.ledger.hits.Add(1)
+	default:
+		b.ledger.misses.Add(1)
 	}
 }
 
@@ -291,9 +289,9 @@ func (b *Buffer) find(id PageID) int {
 
 // evict flushes and removes the least recently used frame of a full buffer,
 // returning the slot it freed. The eviction (and any dirty write-back) is
-// attributed to the tag of the access that forced it, since evicting is a
+// charged to the acct of the access that forced it, since evicting is a
 // side effect of loading another page. Callers hold mu.
-func (b *Buffer) evict(tag IOTag) (int, error) {
+func (b *Buffer) evict(a *IOAcct) (int, error) {
 	v := 0
 	for i, fr := range b.frames {
 		if fr.used < b.frames[v].used {
@@ -301,21 +299,22 @@ func (b *Buffer) evict(tag IOTag) (int, error) {
 		}
 	}
 	victim := b.frames[v]
+	var dirty int64
 	if victim.dirty {
 		if err := b.file.WritePage(victim.id, victim.data); err != nil {
 			return -1, err
 		}
-		b.countWrite(tag, true)
+		dirty = 1
 	}
 	b.frames[v] = nil
-	b.countEviction(tag, victim.dirty)
+	b.charge(a, Stats{PhysicalWrites: dirty, Evictions: 1}, dirty)
 	return v, nil
 }
 
 // load returns the frame for id, faulting it in (and evicting) as needed,
 // stamped as the buffer's latest access, and whether it was buffered
 // already. Callers hold mu and have checked that the buffer has slots.
-func (b *Buffer) load(id PageID, readThrough bool, tag IOTag) (*frame, bool, error) {
+func (b *Buffer) load(id PageID, readThrough bool, a *IOAcct) (*frame, bool, error) {
 	b.clock++
 	if i := b.find(id); i >= 0 {
 		fr := b.frames[i]
@@ -325,7 +324,7 @@ func (b *Buffer) load(id PageID, readThrough bool, tag IOTag) (*frame, bool, err
 	free := slices.Index(b.frames, nil)
 	if free < 0 {
 		var err error
-		if free, err = b.evict(tag); err != nil {
+		if free, err = b.evict(a); err != nil {
 			return nil, false, err
 		}
 	}
@@ -343,15 +342,15 @@ func (b *Buffer) load(id PageID, readThrough bool, tag IOTag) (*frame, bool, err
 // own bytes: callers must treat it as read-only. It stays valid after the
 // call — an evicted frame is dropped, never recycled, so a reader holding
 // one keeps the bytes it was given — and its content stays the page's as
-// long as no writer runs (PutTag writes into the frame), which the TAR-tree
+// long as no writer runs (Put writes into the frame), which the TAR-tree
 // guarantees while queries run. The B+-tree read path reads pages in place
 // on the strength of this.
 func (b *Buffer) Get(id PageID) ([]byte, error) {
-	return b.GetTag(id, IOTag{})
+	return b.GetAcct(id, nil)
 }
 
-// GetTag is Get with the attribution tag the access is counted under.
-func (b *Buffer) GetTag(id PageID, tag IOTag) ([]byte, error) {
+// GetAcct is Get with the access charged to a (nil: the buffer's ledger).
+func (b *Buffer) GetAcct(id PageID, a *IOAcct) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.frames) == 0 {
@@ -359,14 +358,14 @@ func (b *Buffer) GetTag(id PageID, tag IOTag) ([]byte, error) {
 		if err := b.file.ReadPage(id, buf); err != nil {
 			return nil, err
 		}
-		b.countRead(tag, false)
+		b.countRead(a, false)
 		return buf, nil
 	}
-	fr, hit, err := b.load(id, true, tag)
+	fr, hit, err := b.load(id, true, a)
 	if err != nil {
 		return nil, err
 	}
-	b.countRead(tag, hit)
+	b.countRead(a, hit)
 	return fr.data, nil
 }
 
@@ -374,22 +373,22 @@ func (b *Buffer) GetTag(id PageID, tag IOTag) ([]byte, error) {
 // deferred until eviction or Flush (write-back); without slots it goes
 // straight to the file.
 func (b *Buffer) Put(id PageID, data []byte) error {
-	return b.PutTag(id, data, IOTag{})
+	return b.PutAcct(id, data, nil)
 }
 
-// PutTag is Put with the attribution tag the access is counted under.
-func (b *Buffer) PutTag(id PageID, data []byte, tag IOTag) error {
+// PutAcct is Put with the access charged to a (nil: the buffer's ledger).
+func (b *Buffer) PutAcct(id PageID, data []byte, a *IOAcct) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.countWrite(tag, false)
+	b.charge(a, Stats{LogicalWrites: 1}, 0)
 	if len(b.frames) == 0 {
 		if err := b.file.WritePage(id, data); err != nil {
 			return err
 		}
-		b.countWrite(tag, true)
+		b.charge(a, Stats{PhysicalWrites: 1}, 0)
 		return nil
 	}
-	fr, _, err := b.load(id, false, tag)
+	fr, _, err := b.load(id, false, a)
 	if err != nil {
 		return err
 	}
@@ -424,7 +423,7 @@ func (b *Buffer) Flush() error {
 			if err := b.file.WritePage(fr.id, fr.data); err != nil {
 				return err
 			}
-			b.countWrite(IOTag{}, true)
+			b.charge(nil, Stats{PhysicalWrites: 1}, 0)
 			fr.dirty = false
 		}
 	}

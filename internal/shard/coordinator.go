@@ -14,7 +14,6 @@ import (
 	"tartree/internal/core"
 	"tartree/internal/httpapi"
 	"tartree/internal/obs"
-	"tartree/internal/pagestore"
 	"tartree/internal/tia"
 )
 
@@ -58,7 +57,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, q core.Query, opts *core.Que
 	if opts != nil {
 		if opts.Explain != nil {
 			opts.Explain.Shards = shards
-			opts.Explain.Finish(res, &stats, err)
+			opts.Explain.Finish(res, err)
 		}
 		core.AnnotateSpan(opts.Span, q, len(res), &stats, err, opts.Explain)
 	}
@@ -102,9 +101,6 @@ func (c *Coordinator) Query(ctx context.Context, q core.Query) ([]core.Result, c
 	replies, took, err := scatter[queryResponse](ctx, c, http.MethodPost, "/v1/shard/query", body)
 	var straggler time.Duration
 	for i := range rows {
-		// One CompShard read per shard per query: the distributed analogue
-		// of a node access, attributed at level = shard index.
-		stats.IO.AddRead(pagestore.NewIOTag(pagestore.CompShard, i), true)
 		rows[i].ElapsedMicros = took[i].Microseconds()
 		straggler = max(straggler, took[i])
 	}

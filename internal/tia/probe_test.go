@@ -49,8 +49,7 @@ func BenchmarkAggregateBTree(b *testing.B) { benchAggregate(b, NewBTreeFactory(1
 
 func benchAggregate(b *testing.B, f Factory) {
 	idx, ivs := benchTIAs(b, f, 256)
-	var io pagestore.IOBreakdown
-	acct := pagestore.IOAcct{IO: &io}
+	var acct pagestore.IOAcct
 	for i := range idx { // fault every page in
 		if _, err := idx[i].Aggregate(Interval{Start: 0, End: 1 << 40}, Contained, FuncSum, &acct); err != nil {
 			b.Fatal(err)
@@ -92,8 +91,7 @@ func TestAggregateAllocatesNothing(t *testing.T) {
 		t.Fatalf("height %d, want an inner level", h)
 	}
 	idx = append(idx, tall)
-	var io pagestore.IOBreakdown
-	acct := pagestore.IOAcct{IO: &io}
+	var acct pagestore.IOAcct
 	whole := Interval{Start: 0, End: 1 << 40}
 	for _, x := range idx { // fault every page in
 		if _, err := x.Aggregate(whole, Contained, FuncSum, &acct); err != nil {

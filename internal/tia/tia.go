@@ -172,18 +172,16 @@ type Factory interface {
 	// write per node, so a snapshot load writes each TIA page exactly once.
 	New(recs []Record) (*Index, error)
 	// Ledger returns the combined page traffic of every index created so
-	// far, attributed by (component, level). It is cumulative: readers
-	// that want a window subtract an earlier reading (IOBreakdown.Sub,
-	// Stats.Sub). Traffic a query charged to its acct shows once the query
-	// has folded it, which the best-first search does before it hands
-	// control back to its caller.
+	// far. It is cumulative: readers that want a window subtract an earlier
+	// reading (Stats.Sub). Traffic a query charged to its acct shows once
+	// the query has folded it, which the best-first search does before it
+	// hands control back to its caller.
 	Ledger() *pagestore.Ledger
 	// FoldAcct adds what a query counted privately in a — the page traffic
 	// and probes of Aggregate calls on this factory's indexes — to the
 	// ledger and the process-wide probe totals, as if each event had been
-	// counted when it happened. The ledger is attributed, so a.IO must be
-	// set. The owner folds each access once: it drains or discards a
-	// afterwards.
+	// counted when it happened. The owner folds each access once: it
+	// empties a afterwards.
 	FoldAcct(a *pagestore.IOAcct)
 }
 

@@ -428,16 +428,14 @@ func TestProbeCountsPerBackend(t *testing.T) {
 }
 
 // TestFactoryLedger checks the factory's books: unowned traffic shows at
-// once, a probe charged to an acct only after FoldAcct, and every event
-// lands in the backend's component.
+// once, and a probe charged to an acct only after FoldAcct.
 func TestFactoryLedger(t *testing.T) {
 	for _, tc := range []struct {
 		f    Factory
 		kind BackendKind
-		comp pagestore.Component
 	}{
-		{NewBTreeFactory(256, 4), KindBTree, pagestore.CompTIABTree},
-		{NewMVBTFactory(1024, 4), KindMVBT, pagestore.CompTIAMVBT},
+		{NewBTreeFactory(256, 4), KindBTree},
+		{NewMVBTFactory(1024, 4), KindMVBT},
 	} {
 		ledger := tc.f.Ledger()
 		var idxs []*Index
@@ -451,26 +449,24 @@ func TestFactoryLedger(t *testing.T) {
 			}
 			idxs = append(idxs, idx)
 		}
-		built := ledger.Breakdown()
-		if built.Component(tc.comp).LogicalWrites == 0 {
-			t.Errorf("%v: build writes not in the ledger: %+v", tc.kind, ledger.Stats())
+		built := ledger.Stats()
+		if built.LogicalWrites == 0 {
+			t.Errorf("%v: build writes not in the ledger: %+v", tc.kind, built)
 		}
-		var io pagestore.IOBreakdown
-		acct := pagestore.IOAcct{IO: &io}
+		var acct pagestore.IOAcct
 		probes := ProbeCount(tc.kind)
 		for _, idx := range idxs {
 			if _, err := idx.Aggregate(Interval{Start: 0, End: 10}, Contained, FuncSum, &acct); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if ledger.Breakdown() != built || ProbeCount(tc.kind) != probes {
+		if ledger.Stats() != built || ProbeCount(tc.kind) != probes {
 			t.Errorf("%v: an owned probe reached the shared books before the fold", tc.kind)
 		}
 		want := acct.Stats
 		tc.f.FoldAcct(&acct)
-		got := ledger.Breakdown().Sub(built)
-		if cell := got.Component(tc.comp); got.Total() != want || cell.Hits+cell.Misses != want.LogicalReads || want.LogicalReads == 0 {
-			t.Errorf("%v: the ledger gained %+v, the acct held %+v", tc.kind, got.Total(), want)
+		if got := ledger.Stats().Sub(built); got != want || want.LogicalReads == 0 {
+			t.Errorf("%v: the ledger gained %+v, the acct held %+v", tc.kind, got, want)
 		}
 		if d := ProbeCount(tc.kind) - probes; d != 2 {
 			t.Errorf("%v: probe totals gained %d, want 2", tc.kind, d)
