@@ -71,14 +71,15 @@
 // -shard-of i/N -shard-map map.json (indexing only its slice, over the
 // full world so scores stay bit-identical), and one coordinator runs with
 // -coordinator url0,url1,... and no local index. The coordinator serves
-// /v1/query by scatter-gather: after the gmax exchange it sends every
-// shard one stateless query, each shard answers its top k plus the ties at
-// its kth score, and the coordinator merges by (score, id). Answers are
-// exactly identical to single-node execution; a failed shard turns the
-// whole query into a 503 naming the shard, never a silently partial
-// top-k; so does a shard that has not answered one call within
-// shardCallTimeout. /healthz reports the role and the shard's key range;
-// tartree_shard_* metrics cover fan-out, candidates and straggler latency.
+// /v1/query by scatter-gather: one stateless query per shard, carrying the
+// gmax of its cached merge of the shards' global TIAs (refetched after a
+// shard's 409 says its own moved); each shard answers its top k plus the
+// ties at its kth score, and the coordinator merges by (score, id). Answers
+// are exactly identical to single-node execution; a failed shard turns the
+// whole query into a 503 naming the shard, never a silently partial top-k;
+// so does a shard that has not answered one call within shardCallTimeout.
+// /healthz reports the role and the shard's key range; tartree_shard_*
+// metrics cover fan-out, global-TIA fetches, candidates and stragglers.
 //
 // On SIGINT/SIGTERM the server drains in-flight requests, stops the
 // replication tail and background loops, flushes observed epochs and
@@ -115,6 +116,17 @@ const drainTimeout = 10 * time.Second
 // accepts the connection and never answers fails the query with the 503
 // naming it instead of hanging it when the caller set no timeout_ms.
 const shardCallTimeout = 10 * time.Second
+
+// newShardClient is the coordinator's shard client. A query holds one
+// connection per shard, so each shard gets, and keeps idle, one connection
+// per query admission runs at once (http.DefaultTransport keeps two idle,
+// redialling more).
+func newShardClient(maxConcurrent int) *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxConnsPerHost, tr.MaxIdleConnsPerHost = maxConcurrent, maxConcurrent
+	tr.MaxIdleConns = 0 // no total cap: the per-shard one bounds it
+	return &http.Client{Timeout: shardCallTimeout, Transport: tr}
+}
 
 // The listener's connection limits: a client has readHeaderTimeout to send
 // its request headers, and an idle keep-alive connection is closed after
@@ -326,7 +338,7 @@ func main() {
 		}
 		srv.setCoordinator(&shard.Coordinator{
 			Shards:  urls,
-			Client:  &http.Client{Timeout: shardCallTimeout},
+			Client:  newShardClient(cap(srv.admission)),
 			Metrics: shard.NewMetrics(reg),
 		}, shardMap)
 		srv.finishStartup(nil, nil, spec.Start, spec.End)

@@ -6,10 +6,13 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,8 +34,9 @@ type shardedCluster struct {
 	m      *shard.Map
 	d      *lbsn.Dataset
 	// shardServers lets tests reach into one shard's HTTP server (e.g. to
-	// kill it).
+	// kill it); newConns[i] counts the connections shard i accepted.
 	shardServers []*httptest.Server
+	newConns     []atomic.Int64
 }
 
 func newShardedCluster(t *testing.T, n int) *shardedCluster {
@@ -51,7 +55,7 @@ func newShardedCluster(t *testing.T, n int) *shardedCluster {
 	}
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
 
-	c := &shardedCluster{m: m, d: d, urls: make([]string, n), shardServers: make([]*httptest.Server, n)}
+	c := &shardedCluster{m: m, d: d, urls: make([]string, n), shardServers: make([]*httptest.Server, n), newConns: make([]atomic.Int64, n)}
 	for i := 0; i < n; i++ {
 		idx := i
 		tr, err := d.Build(lbsn.BuildOptions{
@@ -68,7 +72,13 @@ func newShardedCluster(t *testing.T, n int) *shardedCluster {
 			Region: m.Region(idx),
 		}, m)
 		sh.finishStartup(tr, nil, d.Spec.Start, d.Spec.End)
-		srv := httptest.NewServer(sh)
+		srv := httptest.NewUnstartedServer(sh)
+		srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				c.newConns[idx].Add(1)
+			}
+		}
+		srv.Start()
 		t.Cleanup(srv.Close)
 		c.shards = append(c.shards, sh)
 		c.shardServers[i] = srv
@@ -77,7 +87,7 @@ func newShardedCluster(t *testing.T, n int) *shardedCluster {
 
 	reg := obs.NewRegistry()
 	co := newPendingServer(reg, obs.NewTraceRing(8), log, 4)
-	co.setCoordinator(&shard.Coordinator{Shards: c.urls, Metrics: shard.NewMetrics(reg)}, m)
+	co.setCoordinator(&shard.Coordinator{Shards: c.urls, Client: newShardClient(cap(co.admission)), Metrics: shard.NewMetrics(reg)}, m)
 	co.finishStartup(nil, nil, d.Spec.Start, d.Spec.End)
 	c.coord = co
 
@@ -252,6 +262,37 @@ func TestServeShardedStalledShard(t *testing.T) {
 		t.Errorf("a stalled shard held the query for %v", took)
 	}
 	checkShardError(t, code, body, 1, stalled.URL)
+}
+
+// TestServeShardedKeepsConnections: at -max-concurrent 8 the coordinator
+// keeps a connection per running query to each shard, so 20 rounds of 8
+// concurrent queries open at most 8 connections per shard instead of
+// redialling whatever the transport's idle pool could not hold.
+func TestServeShardedKeepsConnections(t *testing.T) {
+	c := newShardedCluster(t, 2)
+	log := slog.New(slog.NewTextHandler(io.Discard, nil))
+	co := newPendingServer(obs.NewRegistry(), obs.NewTraceRing(8), log, 8)
+	co.setCoordinator(&shard.Coordinator{Shards: c.urls, Client: newShardClient(cap(co.admission))}, c.m)
+	co.finishStartup(nil, nil, c.d.Spec.Start, c.d.Spec.End)
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				url := fmt.Sprintf("/v1/query?x=%d&y=%d&k=5&alpha=0.3&days=128", 10+10*g, 90-10*round%80)
+				if code, body := get(t, co, url); code != 200 {
+					t.Errorf("round %d query %d: status %d: %s", round, g, code, body)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for i := range c.newConns {
+		if got := c.newConns[i].Load(); got > 8 {
+			t.Errorf("shard %d accepted %d connections for 8 concurrent queries", i, got)
+		}
+	}
 }
 
 // checkShardError requires a reply to be the 503 unavailable envelope naming
@@ -449,7 +490,7 @@ func TestServeShardedTraceID(t *testing.T) {
 					mine = append(mine, ft)
 				}
 			}
-			if len(mine) >= 2 { // the gmax exchange and the query
+			if len(mine) >= 2 { // the first query's global-TIA fetch and the query
 				break
 			}
 		}

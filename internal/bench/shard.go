@@ -22,26 +22,21 @@ const shardBenchNodeSize = 256
 
 // shardExp measures scatter-gather kNNTA over loopback HTTP: the effective
 // POI set is STR-partitioned across four shard servers, and the same query
-// battery runs three ways — single-node, coordinated with the global
-// ranking bound pushed to in-flight shards, and coordinated with the bound
-// disabled (pure fan-out). Two gates ride along: the bounded coordinator's
-// answers must be exactly identical to single-node execution (ids AND
-// scores — the shards index their slices over the full world rectangle, so
-// per-POI scores are bit-identical), and the global bound must strictly
-// reduce the summed per-shard node accesses against the no-bound fan-out.
+// battery runs two ways — on a single-node tree and through the
+// coordinator, which sends every shard one query request per query. One
+// gate rides along: the coordinator's answers must be exactly identical to
+// single-node execution (ids AND scores — the shards index their slices
+// over the full world rectangle, so per-POI scores are bit-identical).
 //
-// The exported counters depend only on the workload shape (the rounds are
-// barriers, so round/push counts are deterministic), never on timing:
+// The exported counters depend only on the workload shape, never on
+// timing (the fleet is static, so the coordinator fetches the global TIA
+// once and no shard refuses a query):
 //
 //	bench_shard_queries_total
 //	bench_shard_results_total
 //	bench_shard_fanout_total
-//	bench_shard_rounds_total
-//	bench_shard_bound_pushes_total
-//	bench_shard_pruned_total
 //	bench_shard_node_accesses_single_total
-//	bench_shard_node_accesses_bounded_total
-//	bench_shard_node_accesses_unbounded_total
+//	bench_shard_node_accesses_scatter_total
 func shardExp(r *run, env *dataEnv) error {
 	single, err := env.Build(lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: shardBenchNodeSize})
 	if err != nil {

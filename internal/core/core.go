@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -253,6 +254,9 @@ type Tree struct {
 	// index variant shares, so all variants rank identically. (Deleting a
 	// POI can leave it loose; Rebuild retightens it.)
 	global *tia.Index
+	// instance and globalSeq make up GlobalStamp.
+	instance  uint64
+	globalSeq uint64
 
 	clock   int64                            // latest time observed
 	pending map[tia.Interval]map[int64]int64 // epoch → poi → count
@@ -276,14 +280,15 @@ func NewTree(opts Options) (*Tree, error) {
 		return nil, errors.New("core: world rectangle is degenerate")
 	}
 	t := &Tree{
-		id:      idSeq.Add(1),
-		opts:    opts,
-		dims:    opts.Grouping.Dims(),
-		scale:   1 / ext,
-		origin:  opts.World.Min,
-		pois:    make(map[int64]*poiState),
-		pending: make(map[tia.Interval]map[int64]int64),
-		clock:   opts.Epochs.Origin(),
+		id:       idSeq.Add(1),
+		opts:     opts,
+		dims:     opts.Grouping.Dims(),
+		scale:    1 / ext,
+		origin:   opts.World.Min,
+		pois:     make(map[int64]*poiState),
+		pending:  make(map[tia.Interval]map[int64]int64),
+		clock:    opts.Epochs.Origin(),
+		instance: rand.Uint64(),
 	}
 	t.maxDistScaled = opts.World.Diagonal(2) * t.scale
 	if opts.Metrics != nil {
@@ -492,6 +497,7 @@ func (t *Tree) raiseGlobal(r tia.Record) error {
 	if cur, ok := currentAgg(t.global, r.Ts); ok && cur >= r.Agg {
 		return nil
 	}
+	t.globalSeq++
 	return t.global.Put(r)
 }
 
@@ -638,6 +644,7 @@ func (t *Tree) refreshGlobals() error {
 		}
 		max.MaxMerge(st.data.Records()) //nolint:errcheck // in memory: cannot fail
 	}
+	t.globalSeq++
 	if err := t.global.Destroy(); err != nil {
 		return err
 	}

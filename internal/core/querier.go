@@ -22,22 +22,26 @@ type Querier interface {
 	QueryCtx(ctx context.Context, q Query, opts *QueryOpts) ([]Result, QueryStats, error)
 }
 
-// GlobalMirrorRecords returns the per-epoch records of the global TIA that
-// intersect iv, in ascending Ts order, read from memory. The slice is
-// freshly allocated.
-//
-// This is the shard-side half of the distributed gmax exchange: a scalar
-// per-shard gmax cannot be combined into the global normalizer under
-// FuncSum (the per-epoch maxima may live on different shards in different
-// epochs), but max-merging the shards' records rebuilds exactly the
-// single-node global TIA, so the coordinator's Aggregate over the merge
-// equals the single-node Gmax bit for bit.
-func (t *Tree) GlobalMirrorRecords(iv tia.Interval) []tia.Record {
-	var out []tia.Record
-	for _, r := range t.global.Records() {
-		if iv.Intersects(r) {
-			out = append(out, r)
-		}
-	}
-	return out
+// GlobalStamp names one state of a tree's global TIA. Seq goes up at every
+// change of it (a flush or POI insert that raises a maximum, a rebuild, a
+// snapshot load; not a POI delete, which leaves it loose), and Instance is
+// drawn at random per tree, so a restarted process never repeats a stamp.
+type GlobalStamp struct {
+	Instance uint64 `json:"instance"`
+	Seq      uint64 `json:"seq"`
+}
+
+// GlobalStamp returns the stamp of the global TIA as it stands.
+func (t *Tree) GlobalStamp() GlobalStamp {
+	return GlobalStamp{Instance: t.instance, Seq: t.globalSeq}
+}
+
+// GlobalRecords returns a copy of the global TIA's per-epoch records, in
+// ascending Ts order. It is a shard's part of the distributed normalizer:
+// scalar per-shard gmaxes do not combine under FuncSum (the per-epoch
+// maxima may live on different shards), but max-merging the shards'
+// records rebuilds exactly the single-node global TIA, whose Aggregate
+// over any interval equals the single-node Gmax bit for bit.
+func (t *Tree) GlobalRecords() []tia.Record {
+	return append([]tia.Record(nil), t.global.Records()...)
 }

@@ -438,6 +438,7 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 	if t.global, err = dataFor(0, false); err != nil {
 		return nil, err
 	}
+	t.globalSeq++
 
 	// POIS.
 	ps, err := c.section("POIS")

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tartree/internal/core"
@@ -37,11 +39,11 @@ func (e *ShardError) Unwrap() error { return e.Err }
 // candidates into the global top-k, implementing core.Querier so servers
 // and CLIs treat a sharded cluster exactly like a local tree.
 //
-// A query costs two parallel requests per shard: the gmax exchange, then
-// one stateless query carrying the global gmax. Each shard answers its top
-// k plus the results tied with its kth score; the coordinator sorts the
-// union by (score, id) and keeps k — the id tiebreak makes the distributed
-// answer deterministic where pop order is not.
+// A query costs one stateless request per shard, carrying the gmax of the
+// coordinator's merge of the shards' global TIAs and the shard's stamp. Each
+// shard answers its top k plus the results tied with its kth score; the
+// coordinator sorts the union by (score, id) and keeps k — the id tiebreak
+// makes the distributed answer deterministic where pop order is not.
 type Coordinator struct {
 	// Shards are the shard base URLs in shard-map order.
 	Shards []string
@@ -49,7 +51,22 @@ type Coordinator struct {
 	// when nil).
 	Client  *http.Client
 	Metrics *Metrics
+
+	view atomic.Pointer[globalView] // nil until fetched, and once a shard refuses it
 }
+
+// globalView is the max-merge of every shard's global TIA, with each
+// shard's stamp and their shared aggregation config. It is never modified.
+type globalView struct {
+	merged *tia.Index
+	stamps []core.GlobalStamp
+	sem    tia.Semantics
+	fn     tia.Func
+}
+
+// maxAttempts bounds the tries of a query whose view shards refuse: a
+// second refusal means a shard's global TIA moved again meanwhile.
+const maxAttempts = 3
 
 // QueryCtx implements core.Querier.
 func (c *Coordinator) QueryCtx(ctx context.Context, q core.Query, opts *core.QueryOpts) ([]core.Result, core.QueryStats, error) {
@@ -79,33 +96,11 @@ func (c *Coordinator) Query(ctx context.Context, q core.Query) ([]core.Result, c
 	for i, url := range c.Shards {
 		rows[i] = core.ExplainShard{Shard: i, URL: url}
 	}
-
-	path := fmt.Sprintf("/v1/shard/gmax?start=%d&end=%d", q.Iq.Start, q.Iq.End)
-	gmaxes, _, err := scatter[gmaxResponse](ctx, c, http.MethodGet, path, nil)
+	replies, err := c.search(ctx, q, rows)
 	if err != nil {
-		return nil, stats, rows, err
-	}
-	gmax, err := c.mergeGmax(q, gmaxes)
-	if err != nil {
-		return nil, stats, rows, err
-	}
-
-	body, err := json.Marshal(queryRequest{
-		X: q.X, Y: q.Y, K: q.K, Alpha: q.Alpha0,
-		Start: q.Iq.Start, End: q.Iq.End, Gmax: gmax,
-	})
-	if err != nil {
-		return nil, stats, rows, fmt.Errorf("%w: %v", core.ErrInvalid, err)
-	}
-	c.Metrics.addFanout(len(c.Shards))
-	replies, took, err := scatter[queryResponse](ctx, c, http.MethodPost, "/v1/shard/query", body)
-	var straggler time.Duration
-	for i := range rows {
-		rows[i].ElapsedMicros = took[i].Microseconds()
-		straggler = max(straggler, took[i])
-	}
-	c.Metrics.observeStraggler(straggler.Seconds())
-	if err != nil {
+		if !errors.Is(err, core.ErrInvalid) {
+			c.Metrics.addError()
+		}
 		return nil, stats, rows, err
 	}
 
@@ -140,17 +135,91 @@ func (c *Coordinator) Query(ctx context.Context, q core.Query) ([]core.Result, c
 	return results, stats, rows, nil
 }
 
-// scatter sends the same request to every shard in parallel and decodes
-// shard i's JSON reply into out[i]; took[i] is how long shard i took, and
-// is filled even when the call fails. The first failing shard in shard
-// order fails the whole call as a ShardError — or as ErrCanceled once ctx
-// has ended.
-func scatter[T any](ctx context.Context, c *Coordinator, method, path string, body []byte) ([]T, []time.Duration, error) {
+// search runs the query on every shard under the view's gmax and each
+// shard's stamp. A 409 drops the view and the query runs again under a
+// fresh one; rows get the last try's latencies.
+func (c *Coordinator) search(ctx context.Context, q core.Query, rows []core.ExplainShard) ([]queryResponse, error) {
+	for attempt := 1; ; attempt++ {
+		v := c.view.Load()
+		var err error
+		if v == nil {
+			if v, err = c.fetchView(ctx); err != nil {
+				return nil, err
+			}
+		}
+		gmax, _ := v.merged.Aggregate(q.Iq, v.sem, v.fn, nil) // in memory: cannot fail
+		bodies := make([][]byte, len(c.Shards))
+		for i := range bodies {
+			if bodies[i], err = json.Marshal(queryRequest{
+				X: q.X, Y: q.Y, K: q.K, Alpha: q.Alpha0,
+				Start: q.Iq.Start, End: q.Iq.End, Gmax: float64(gmax), Stamp: v.stamps[i],
+			}); err != nil {
+				return nil, fmt.Errorf("%w: %v", core.ErrInvalid, err)
+			}
+		}
+		c.Metrics.addFanout(len(c.Shards))
+		replies, took, err := scatter[queryResponse](ctx, c, http.MethodPost, "/v1/shard/query", bodies)
+		var straggler time.Duration
+		for i := range rows {
+			rows[i].ElapsedMicros = took[i].Microseconds()
+			straggler = max(straggler, took[i])
+		}
+		c.Metrics.observeStraggler(straggler.Seconds())
+		var he *httpapi.Error
+		if err == nil || !errors.As(err, &he) || he.Status != http.StatusConflict {
+			return replies, err
+		}
+		c.view.CompareAndSwap(v, nil)
+		if attempt == maxAttempts {
+			return nil, err
+		}
+	}
+}
+
+// fetchView asks every shard for its global TIA and stamp, checks that
+// each is the shard the coordinator expects and that all share one
+// aggregation config (a deployment error otherwise, reported as a
+// ShardError), and publishes the max-merge, which rebuilds exactly the
+// single-node global TIA.
+func (c *Coordinator) fetchView(ctx context.Context) (*globalView, error) {
+	c.Metrics.addGmaxFetch()
+	resps, _, err := scatter[gmaxResponse](ctx, c, http.MethodGet, "/v1/shard/gmax", nil)
+	if err != nil {
+		return nil, err
+	}
+	v := &globalView{merged: new(tia.Index), sem: tia.Semantics(resps[0].Semantics), fn: tia.Func(resps[0].AggFunc)}
+	for i, gr := range resps {
+		if gr.Of != len(resps) || gr.Index != i {
+			return nil, &ShardError{Shard: i, URL: c.Shards[i],
+				Err: fmt.Errorf("identifies as shard %d/%d, coordinator expects %d/%d", gr.Index, gr.Of, i, len(resps))}
+		}
+		if gr.Semantics != resps[0].Semantics || gr.AggFunc != resps[0].AggFunc {
+			return nil, &ShardError{Shard: i, URL: c.Shards[i],
+				Err: fmt.Errorf("aggregation config (sem=%d func=%d) disagrees with shard 0 (sem=%d func=%d)",
+					gr.Semantics, gr.AggFunc, resps[0].Semantics, resps[0].AggFunc)}
+		}
+		v.merged.MaxMerge(gr.Records) //nolint:errcheck // in memory: cannot fail
+		v.stamps = append(v.stamps, gr.Stamp)
+	}
+	c.view.Store(v)
+	return v, nil
+}
+
+// scatter sends one request to every shard in parallel — bodies[i] to
+// shard i, or no body when bodies is nil — and decodes shard i's JSON
+// reply into out[i]; took[i] is how long shard i took, and is filled even
+// when the call fails. The first failing shard in shard order fails the
+// whole call as a ShardError — or as ErrCanceled once ctx has ended.
+func scatter[T any](ctx context.Context, c *Coordinator, method, path string, bodies [][]byte) ([]T, []time.Duration, error) {
 	out := make([]T, len(c.Shards))
 	took := make([]time.Duration, len(c.Shards))
 	errs := make([]error, len(c.Shards))
 	var wg sync.WaitGroup
 	for i, url := range c.Shards {
+		var body []byte
+		if bodies != nil {
+			body = bodies[i]
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -162,7 +231,6 @@ func scatter[T any](ctx context.Context, c *Coordinator, method, path string, bo
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			c.Metrics.addError()
 			if ctx.Err() != nil {
 				return nil, took, fmt.Errorf("%w: %v", core.ErrCanceled, ctx.Err())
 			}
@@ -202,32 +270,4 @@ func (c *Coordinator) call(ctx context.Context, method, url string, body []byte,
 		return httpapi.ReadError(resp)
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// mergeGmax finishes the normalizer exchange: every shard shipped its
-// global TIA's records for the query interval, and max-merging them
-// rebuilds exactly the single-node global TIA, whose aggregate is gmax.
-// The per-shard aggregation configs must agree — a mismatched shard is a
-// deployment error, reported as a ShardError.
-func (c *Coordinator) mergeGmax(q core.Query, resps []gmaxResponse) (float64, error) {
-	merged := new(tia.Index)
-	for i, gr := range resps {
-		if gr.Of != len(resps) || gr.Index != i {
-			return 0, &ShardError{Shard: i, URL: c.Shards[i],
-				Err: fmt.Errorf("identifies as shard %d/%d, coordinator expects %d/%d", gr.Index, gr.Of, i, len(resps))}
-		}
-		if gr.Semantics != resps[0].Semantics || gr.AggFunc != resps[0].AggFunc {
-			return 0, &ShardError{Shard: i, URL: c.Shards[i],
-				Err: fmt.Errorf("aggregation config (sem=%d func=%d) disagrees with shard 0 (sem=%d func=%d)",
-					gr.Semantics, gr.AggFunc, resps[0].Semantics, resps[0].AggFunc)}
-		}
-		if err := merged.MaxMerge(gr.Records); err != nil {
-			return 0, &ShardError{Shard: i, URL: c.Shards[i], Err: err}
-		}
-	}
-	agg, err := merged.Aggregate(q.Iq, tia.Semantics(resps[0].Semantics), tia.Func(resps[0].AggFunc), nil)
-	if err != nil {
-		return 0, err
-	}
-	return float64(agg), nil
 }

@@ -11,7 +11,9 @@ import (
 //
 //	tartree_shard_queries_total        distributed queries served
 //	tartree_shard_fanout_total         shard query requests issued (one per
-//	                                   shard per query; gmax calls aside)
+//	                                   shard per try of a query)
+//	tartree_shard_gmax_fetches_total   global-TIA fetches (one GET
+//	                                   /v1/shard/gmax per shard each)
 //	tartree_shard_errors_total         queries failed by a shard
 //	tartree_shard_straggler_seconds    slowest shard's query latency
 //
@@ -19,10 +21,11 @@ import (
 //
 //	tartree_shard_candidates_total     candidates sent up
 type Metrics struct {
-	Queries   *obs.Counter
-	Fanout    *obs.Counter
-	Errors    *obs.Counter
-	Straggler *obs.Histogram
+	Queries     *obs.Counter
+	Fanout      *obs.Counter
+	GmaxFetches *obs.Counter
+	Errors      *obs.Counter
+	Straggler   *obs.Histogram
 
 	Candidates *obs.Counter
 }
@@ -33,10 +36,11 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		Queries:   r.Counter("tartree_shard_queries_total"),
-		Fanout:    r.Counter("tartree_shard_fanout_total"),
-		Errors:    r.Counter("tartree_shard_errors_total"),
-		Straggler: r.Histogram("tartree_shard_straggler_seconds", nil),
+		Queries:     r.Counter("tartree_shard_queries_total"),
+		Fanout:      r.Counter("tartree_shard_fanout_total"),
+		GmaxFetches: r.Counter("tartree_shard_gmax_fetches_total"),
+		Errors:      r.Counter("tartree_shard_errors_total"),
+		Straggler:   r.Histogram("tartree_shard_straggler_seconds", nil),
 
 		Candidates: r.Counter("tartree_shard_candidates_total"),
 	}
@@ -51,6 +55,12 @@ func (m *Metrics) addQuery() {
 func (m *Metrics) addFanout(n int) {
 	if m != nil {
 		m.Fanout.Add(int64(n))
+	}
+}
+
+func (m *Metrics) addGmaxFetch() {
+	if m != nil {
+		m.GmaxFetches.Inc()
 	}
 }
 

@@ -3,7 +3,6 @@ package shard
 import (
 	"encoding/json"
 	"net/http"
-	"strconv"
 
 	"tartree/internal/core"
 	"tartree/internal/geo"
@@ -16,21 +15,23 @@ import (
 // second lookup; stats are the shard's whole search work for the query.
 
 type gmaxResponse struct {
-	Index     int          `json:"index"`
-	Of        int          `json:"of"`
-	Records   []tia.Record `json:"records"`
-	Semantics int          `json:"semantics"`
-	AggFunc   int          `json:"agg_func"`
+	Index     int              `json:"index"`
+	Of        int              `json:"of"`
+	Records   []tia.Record     `json:"records"`
+	Stamp     core.GlobalStamp `json:"stamp"`
+	Semantics int              `json:"semantics"`
+	AggFunc   int              `json:"agg_func"`
 }
 
 type queryRequest struct {
-	X     float64 `json:"x"`
-	Y     float64 `json:"y"`
-	K     int     `json:"k"`
-	Alpha float64 `json:"alpha"`
-	Start int64   `json:"start"`
-	End   int64   `json:"end"`
-	Gmax  float64 `json:"gmax"`
+	X     float64          `json:"x"`
+	Y     float64          `json:"y"`
+	K     int              `json:"k"`
+	Alpha float64          `json:"alpha"`
+	Start int64            `json:"start"`
+	End   int64            `json:"end"`
+	Gmax  float64          `json:"gmax"`
+	Stamp core.GlobalStamp `json:"stamp"`
 }
 
 type candidate struct {
@@ -74,7 +75,8 @@ func (v TreeViewer) View(f func(t *core.Tree)) { f(v.Tree) }
 // coordinator's global gmax inside one Viewer.View call and returns its
 // first k results plus every further result tied with the kth score; every
 // global top-k POI is among its own shard's top k, and the ties let the
-// coordinator break them by (score, id).
+// coordinator break them by (score, id). In the same View it refuses a
+// query whose stamp is not its global TIA's: that gmax is stale.
 type Server struct {
 	// Data guards the shard's tree; Index/N/Region describe its place in
 	// the shard map (healthz reports them).
@@ -92,23 +94,19 @@ func (s *Server) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/shard/query", s.HandleQuery)
 }
 
-// HandleGmax serves the shard's half of the distributed normalizer
-// exchange: the global-mirror records intersecting [start, end), plus the
-// aggregation configuration so the coordinator can verify all shards agree.
+// HandleGmax serves the shard's part of the distributed normalizer: its
+// whole global TIA and that TIA's stamp, plus the shard's place in the map
+// and its aggregation configuration, so the coordinator can verify all
+// shards agree.
 func (s *Server) HandleGmax(w http.ResponseWriter, r *http.Request) {
-	start, err1 := strconv.ParseInt(r.URL.Query().Get("start"), 10, 64)
-	end, err2 := strconv.ParseInt(r.URL.Query().Get("end"), 10, 64)
-	if err1 != nil || err2 != nil || end <= start {
-		httpapi.WriteStatusError(w, http.StatusBadRequest, "gmax needs integer start < end")
-		return
-	}
 	var resp gmaxResponse
 	s.Data.View(func(t *core.Tree) {
 		opts := t.Options()
 		resp = gmaxResponse{
 			Index:     s.Index,
 			Of:        s.N,
-			Records:   t.GlobalMirrorRecords(tia.Interval{Start: start, End: end}),
+			Records:   t.GlobalRecords(),
+			Stamp:     t.GlobalStamp(),
 			Semantics: int(opts.Semantics),
 			AggFunc:   int(opts.AggFunc),
 		}
@@ -117,7 +115,9 @@ func (s *Server) HandleGmax(w http.ResponseWriter, r *http.Request) {
 }
 
 // HandleQuery answers one query: the shard's top k under the supplied
-// gmax, plus the results tied with the kth score.
+// gmax, plus the results tied with the kth score. A query whose stamp is
+// not the shard's current one gets the 409 conflict envelope with the
+// current stamp in its details, and no search runs.
 func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -133,8 +133,12 @@ func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp queryResponse
+	var stamp core.GlobalStamp
 	var err error
 	s.Data.View(func(t *core.Tree) {
+		if stamp = t.GlobalStamp(); stamp != req.Stamp {
+			return
+		}
 		var st core.QueryStats
 		var search *core.Search
 		search, err = t.NewSearchWith(q, core.SearchOptions{Gmax: &req.Gmax, Stats: &st, Ctx: r.Context()})
@@ -149,6 +153,11 @@ func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 			Scored:      st.Scored,
 		}
 	})
+	if stamp != req.Stamp {
+		httpapi.WriteError(w, http.StatusConflict, httpapi.CodeConflict,
+			"the global TIA changed since the coordinator fetched it", map[string]any{"stamp": stamp})
+		return
+	}
 	if err != nil {
 		httpapi.WriteStatusError(w, http.StatusInternalServerError, err.Error())
 		return

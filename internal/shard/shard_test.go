@@ -6,15 +6,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"tartree/internal/core"
 	"tartree/internal/geo"
+	"tartree/internal/httpapi"
 	"tartree/internal/lbsn"
 	"tartree/internal/obs"
 	"tartree/internal/tia"
@@ -122,29 +125,58 @@ func TestLocateHalfOpenBoundary(t *testing.T) {
 	}
 }
 
-// buildFleet builds one tree per shard (each over the full world, keeping
-// only its slice) and serves them over loopback HTTP.
-func buildFleet(t *testing.T, d *lbsn.Dataset, m *Map, opts lbsn.BuildOptions, fac func() tia.Factory) []string {
+// lockedViewer serves a shard's tree under a read-write lock, the way
+// wal.Store does: queries View it under the read lock, and a test changes
+// or replaces the tree under the write lock.
+type lockedViewer struct {
+	mu   sync.RWMutex
+	tree *core.Tree
+}
+
+func (v *lockedViewer) View(f func(t *core.Tree)) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	f(v.tree)
+}
+
+// update serves from then on the tree f returns; f may change the tree it
+// is given and return it.
+func (v *lockedViewer) update(f func(t *core.Tree) *core.Tree) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.tree = f(v.tree)
+}
+
+// shardTree builds shard idx's tree: over the full world, keeping only the
+// POIs the map assigns to it.
+func shardTree(t *testing.T, d *lbsn.Dataset, m *Map, idx int, opts lbsn.BuildOptions) *core.Tree {
 	t.Helper()
-	urls := make([]string, m.N)
+	opts.Keep = func(p core.POI) bool { return m.Locate(p.X, p.Y) == idx }
+	tr, err := d.Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// buildFleet builds one tree per shard and serves them over loopback HTTP;
+// views let a test change or replace a shard's tree.
+func buildFleet(t *testing.T, d *lbsn.Dataset, m *Map, opts lbsn.BuildOptions, fac func() tia.Factory) (urls []string, views []*lockedViewer) {
+	t.Helper()
 	for i := 0; i < m.N; i++ {
-		idx := i
 		o := opts
 		if fac != nil {
 			o.TIA = fac()
 		}
-		o.Keep = func(p core.POI) bool { return m.Locate(p.X, p.Y) == idx }
-		tr, err := d.Build(o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		v := &lockedViewer{tree: shardTree(t, d, m, i, o)}
 		mux := http.NewServeMux()
-		(&Server{Data: TreeViewer{Tree: tr}, Index: idx, N: m.N, Region: m.Region(idx)}).Register(mux)
+		(&Server{Data: v, Index: i, N: m.N, Region: m.Region(i)}).Register(mux)
 		srv := httptest.NewServer(mux)
 		t.Cleanup(srv.Close)
-		urls[i] = srv.URL
+		urls = append(urls, srv.URL)
+		views = append(views, v)
 	}
-	return urls
+	return urls, views
 }
 
 // identical requires exact answer identity: the same POI ids with
@@ -152,8 +184,16 @@ func buildFleet(t *testing.T, d *lbsn.Dataset, m *Map, opts lbsn.BuildOptions, f
 // measure-zero tie cannot order-flake the comparison.
 func identical(t *testing.T, tag string, want, got []core.Result) {
 	t.Helper()
+	if d := diff(want, got); d != "" {
+		t.Fatalf("%s: %s", tag, d)
+	}
+}
+
+// diff is identical's comparison, safe off the test goroutine: it
+// describes the first difference, or returns "" when there is none.
+func diff(want, got []core.Result) string {
 	if len(want) != len(got) {
-		t.Fatalf("%s: result count %d, want %d", tag, len(got), len(want))
+		return fmt.Sprintf("result count %d, want %d", len(got), len(want))
 	}
 	canon := func(rs []core.Result) []core.Result {
 		out := append([]core.Result(nil), rs...)
@@ -168,21 +208,23 @@ func identical(t *testing.T, tag string, want, got []core.Result) {
 	a, b := canon(want), canon(got)
 	for i := range a {
 		if a[i].POI.ID != b[i].POI.ID {
-			t.Fatalf("%s: rank %d: POI %d, want %d", tag, i, b[i].POI.ID, a[i].POI.ID)
+			return fmt.Sprintf("rank %d: POI %d, want %d", i, b[i].POI.ID, a[i].POI.ID)
 		}
 		if math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
-			t.Fatalf("%s: rank %d (POI %d): score %v, want %v", tag, i, a[i].POI.ID, b[i].Score, a[i].Score)
+			return fmt.Sprintf("rank %d (POI %d): score %v, want %v", i, a[i].POI.ID, b[i].Score, a[i].Score)
 		}
 		if a[i].Agg != b[i].Agg {
-			t.Fatalf("%s: rank %d (POI %d): agg %d, want %d", tag, i, a[i].POI.ID, b[i].Agg, a[i].Agg)
+			return fmt.Sprintf("rank %d (POI %d): agg %d, want %d", i, a[i].POI.ID, b[i].Agg, a[i].Agg)
 		}
 	}
+	return ""
 }
 
 // TestCoordinatorMatchesSingleNode is the identity property: across all
 // three groupings, all three TIA backends and varying shard counts, the
 // coordinator's merged top-k equals single-node execution exactly, and
-// every query costs exactly one query request per shard.
+// every query costs exactly one query request per shard and the whole
+// battery one global-TIA fetch.
 func TestCoordinatorMatchesSingleNode(t *testing.T) {
 	d := testDataset(t)
 	pois := d.EffectivePOIs(0, 0)
@@ -217,7 +259,7 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				urls := buildFleet(t, d, m, opts, f.fac)
+				urls, _ := buildFleet(t, d, m, opts, f.fac)
 				met := NewMetrics(obs.NewRegistry())
 				coord := &Coordinator{Shards: urls, Metrics: met}
 				queries := d.Queries(12, 5, 0.3, int64(100+gi*10+fi))
@@ -235,6 +277,9 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 				if got, want := met.Fanout.Value(), int64(n*len(queries)); got != want {
 					t.Errorf("fanout %d over %d queries on %d shards, want %d", got, len(queries), n, want)
 				}
+				if got := met.GmaxFetches.Value(); got != 1 {
+					t.Errorf("%d global-TIA fetches over %d queries on a static fleet, want 1", got, len(queries))
+				}
 			})
 		}
 	}
@@ -249,7 +294,7 @@ func TestCoordinatorKilledShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	urls := buildFleet(t, d, m, lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: 256}, nil)
+	urls, _ := buildFleet(t, d, m, lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: 256}, nil)
 	q := d.Queries(1, 5, 0.3, 7)[0]
 	coord := &Coordinator{Shards: urls}
 	if _, _, err := coord.QueryCtx(context.Background(), q, nil); err != nil {
@@ -310,7 +355,8 @@ func TestCoordinatorTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := &Coordinator{Shards: buildFleet(t, d, m, opts, nil)}
+	urls, _ := buildFleet(t, d, m, opts, nil)
+	coord := &Coordinator{Shards: urls}
 	q := core.Query{X: 64, Y: 64, K: 1, Alpha0: 0.5, Iq: tia.Interval{Start: start, End: end}}
 	var all []core.Result
 	for _, p := range d.POIs {
@@ -360,7 +406,8 @@ func TestCoordinatorUnencodableQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := &Coordinator{Shards: buildFleet(t, d, m, lbsn.BuildOptions{}, nil)}
+	urls, _ := buildFleet(t, d, m, lbsn.BuildOptions{}, nil)
+	coord := &Coordinator{Shards: urls}
 	q := d.Queries(1, 5, 0.3, 7)[0]
 	q.X = math.NaN()
 	if _, _, err := coord.QueryCtx(context.Background(), q, nil); !errors.Is(err, core.ErrInvalid) {
@@ -369,7 +416,7 @@ func TestCoordinatorUnencodableQuery(t *testing.T) {
 }
 
 // mutatingViewer mutates the tree before every View call, simulating live
-// ingest between the gmax exchange and the shard query.
+// ingest between any two shard requests.
 type mutatingViewer struct {
 	tree   *core.Tree
 	mutate func(t *core.Tree)
@@ -382,7 +429,8 @@ func (v *mutatingViewer) View(f func(t *core.Tree)) {
 
 // TestCoordinatorUnderIngest: a shard whose index mutates before every
 // request still answers every query with k results — each shard query runs
-// its whole search under one View, so no mutation can split it.
+// its whole search under one View, so no mutation can split it. Buffered
+// check-ins do not move the global TIA, so one fetch serves every query.
 func TestCoordinatorUnderIngest(t *testing.T) {
 	d := testDataset(t)
 	tr, err := d.Build(lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: 256})
@@ -413,18 +461,33 @@ func TestCoordinatorUnderIngest(t *testing.T) {
 			t.Errorf("query %d under ingest returned %d results, want %d", qi, len(res), q.K)
 		}
 	}
-	if views != 2*len(queries) {
-		t.Errorf("%d views over %d queries, want 2 per query (gmax, search)", views, len(queries))
+	if views != len(queries)+1 {
+		t.Errorf("%d views over %d queries, want one per query plus the one fetch", views, len(queries))
 	}
 }
 
-// TestSessionRoundsLeaveNothingUnfolded sends one shard query and checks
-// that every shared book already holds what its search counted by the time
-// the reply is written: the factory's page ledger gained exactly the reply's
-// TIA reads, and the probe counter exactly its scored entries (the
-// coordinator supplies gmax, so the shard probes only the entries it
-// scores).
-func TestSessionRoundsLeaveNothingUnfolded(t *testing.T) {
+// serveShard runs one request through srv's routes, body JSON-encoded
+// unless nil.
+func serveShard(srv *Server, method, path string, body any) *httptest.ResponseRecorder {
+	mux := http.NewServeMux()
+	srv.Register(mux)
+	var rd io.Reader
+	if body != nil {
+		b, _ := json.Marshal(body) // the test's own wire structs always encode
+		rd = bytes.NewReader(b)
+	}
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(method, path, rd))
+	return rec
+}
+
+// TestShardQueryLeavesNothingUnfolded sends one shard query, under the
+// stamp the shard's /v1/shard/gmax reported, and checks that every shared
+// book already holds what its search counted by the time the reply is
+// written: the factory's page ledger gained exactly the reply's TIA reads,
+// and the probe counter exactly its scored entries (the coordinator
+// supplies gmax, so the shard probes only the entries it scores).
+func TestShardQueryLeavesNothingUnfolded(t *testing.T) {
 	d := testDataset(t)
 	for _, be := range []struct {
 		name string
@@ -440,16 +503,18 @@ func TestSessionRoundsLeaveNothingUnfolded(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv := &Server{Data: TreeViewer{Tree: tr}, Index: 0, N: 1}
+			var gm gmaxResponse
+			if err := json.Unmarshal(serveShard(srv, http.MethodGet, "/v1/shard/gmax", nil).Body.Bytes(), &gm); err != nil {
+				t.Fatal(err)
+			}
 			q := d.Queries(1, 5, 0.3, 13)[0]
 			built := be.fac.Ledger().Stats()
 			probes0 := tia.ProbeCount(be.kind)
 
-			body, _ := json.Marshal(queryRequest{
+			rec := serveShard(srv, http.MethodPost, "/v1/shard/query", queryRequest{
 				X: q.X, Y: q.Y, K: q.K, Alpha: q.Alpha0,
-				Start: q.Iq.Start, End: q.Iq.End, Gmax: 100,
+				Start: q.Iq.Start, End: q.Iq.End, Gmax: 100, Stamp: gm.Stamp,
 			})
-			rec := httptest.NewRecorder()
-			srv.HandleQuery(rec, httptest.NewRequest(http.MethodPost, "/v1/shard/query", bytes.NewReader(body)))
 			if rec.Code != http.StatusOK {
 				t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 			}
@@ -470,5 +535,217 @@ func TestSessionRoundsLeaveNothingUnfolded(t *testing.T) {
 				t.Errorf("probe counter gained %d, the reply scored %d entries", got, rp.Stats.Scored)
 			}
 		})
+	}
+}
+
+// TestShardQueryStaleStamp: a shard query whose stamp is not the shard's
+// current one — missing, older, or another tree's — gets the 409 conflict
+// envelope carrying the current stamp, and no search runs.
+func TestShardQueryStaleStamp(t *testing.T) {
+	d := testDataset(t)
+	tr, err := d.Build(lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	met := NewMetrics(obs.NewRegistry())
+	srv := &Server{Data: TreeViewer{Tree: tr}, Index: 0, N: 1, Metrics: met}
+	q := d.Queries(1, 5, 0.3, 13)[0]
+	cur := tr.GlobalStamp()
+	for name, stamp := range map[string]core.GlobalStamp{
+		"missing":        {},
+		"older":          {Instance: cur.Instance, Seq: cur.Seq - 1},
+		"other instance": {Instance: cur.Instance + 1, Seq: cur.Seq},
+	} {
+		probes0 := tia.ProbeCount(tia.KindMem)
+		rec := serveShard(srv, http.MethodPost, "/v1/shard/query", queryRequest{
+			X: q.X, Y: q.Y, K: q.K, Alpha: q.Alpha0,
+			Start: q.Iq.Start, End: q.Iq.End, Gmax: 100, Stamp: stamp,
+		})
+		if rec.Code != http.StatusConflict {
+			t.Fatalf("%s stamp: status %d, want 409: %s", name, rec.Code, rec.Body.String())
+		}
+		var env struct {
+			Error struct {
+				Code    string `json:"code"`
+				Details struct {
+					Stamp core.GlobalStamp `json:"stamp"`
+				} `json:"details"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Error.Code != httpapi.CodeConflict || env.Error.Details.Stamp != cur {
+			t.Errorf("%s stamp: envelope code %q stamp %+v, want %q and the current %+v",
+				name, env.Error.Code, env.Error.Details.Stamp, httpapi.CodeConflict, cur)
+		}
+		if got := tia.ProbeCount(tia.KindMem) - probes0; got != 0 {
+			t.Errorf("%s stamp: the refused query probed %d TIAs", name, got)
+		}
+	}
+	if got := met.Candidates.Value(); got != 0 {
+		t.Errorf("refused queries sent up %d candidates", got)
+	}
+}
+
+// stampFleet is a 2-shard fleet beside a single-node tree over the same
+// data, with the changes that move a shard's stamp: steps[0] flushes an
+// epoch that raises shard 1's global maximum (the same check-ins reach the
+// single-node tree), and steps[1] restarts shard 0 — a tree built afresh
+// over its unchanged data, whose stamp counter equals the old one and
+// whose instance does not. Each step runs on the test goroutine while no
+// query is in flight, and fails the test unless the stamp moved. The
+// queries' intervals cover the flushed epoch, so a stale gmax would change
+// every score.
+type stampFleet struct {
+	single  *core.Tree
+	coord   *Coordinator
+	met     *Metrics
+	queries []core.Query
+	steps   []func()
+}
+
+func newStampFleet(t *testing.T) *stampFleet {
+	d := testDataset(t)
+	m, err := Partition(d.EffectivePOIs(0, 0), 2, d.World)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: 256}
+	single, err := d.Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls, views := buildFleet(t, d, m, opts, nil)
+	f := &stampFleet{single: single, met: NewMetrics(obs.NewRegistry())}
+	f.coord = &Coordinator{Shards: urls, Metrics: f.met}
+
+	at := d.Spec.End - 1
+	epoch := single.Epochs().EpochOf(at)
+	f.queries = d.Queries(10, 5, 0.3, 17)
+	for i := range f.queries {
+		f.queries[i].Iq = tia.Interval{Start: epoch.Start - int64(i)*7*lbsn.Day, End: epoch.End}
+	}
+	// More check-ins than any epoch's worldwide maximum, so the flush raises
+	// the merged global TIA too.
+	var n int64
+	for _, r := range single.GlobalRecords() {
+		n = max(n, r.Agg+1)
+	}
+	burst := func(tr *core.Tree, poi int64) {
+		for i := int64(0); i < n; i++ {
+			if err := tr.AddCheckIn(poi, at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved := func(tag string, before, after core.GlobalStamp) {
+		if before == after {
+			t.Fatalf("%s left the shard's stamp at %+v", tag, before)
+		}
+	}
+	f.steps = []func(){
+		func() {
+			views[1].update(func(tr *core.Tree) *core.Tree {
+				poi := int64(math.MaxInt64)
+				tr.POIs(func(p core.POI, _ int64) bool { poi = min(poi, p.ID); return true })
+				before := tr.GlobalStamp()
+				burst(tr, poi)
+				burst(single, poi)
+				moved("the flush", before, tr.GlobalStamp())
+				return tr
+			})
+		},
+		func() {
+			views[0].update(func(old *core.Tree) *core.Tree {
+				fresh := shardTree(t, d, m, 0, opts)
+				before, after := old.GlobalStamp(), fresh.GlobalStamp()
+				if before.Seq != after.Seq {
+					t.Fatalf("a rebuild over the same data counts %d global changes, the original %d", after.Seq, before.Seq)
+				}
+				moved("the restart", before, after)
+				return fresh
+			})
+		},
+	}
+	return f
+}
+
+// want is single-node execution of every query.
+func (f *stampFleet) want(t *testing.T) [][]core.Result {
+	out := make([][]core.Result, len(f.queries))
+	for i, q := range f.queries {
+		var err error
+		if out[i], _, err = f.single.QueryCtx(context.Background(), q, &core.QueryOpts{NoCache: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestCoordinatorRefetchesWhenAStampMoves: after an epoch flush that raises
+// a shard's global maximum, and after a shard restart, the next query
+// equals single-node execution on the data as it now stands, bit for bit,
+// and each change costs exactly one global-TIA fetch.
+func TestCoordinatorRefetchesWhenAStampMoves(t *testing.T) {
+	f := newStampFleet(t)
+	for phase := 0; ; phase++ {
+		want := f.want(t)
+		for qi, q := range f.queries {
+			got, _, err := f.coord.QueryCtx(context.Background(), q, nil)
+			if err != nil {
+				t.Fatalf("phase %d query %d: %v", phase, qi, err)
+			}
+			identical(t, fmt.Sprintf("phase %d query %d", phase, qi), want[qi], got)
+		}
+		if got := f.met.GmaxFetches.Value(); got != int64(phase+1) {
+			t.Errorf("phase %d: %d global-TIA fetches, want %d", phase, got, phase+1)
+		}
+		if phase == len(f.steps) {
+			break
+		}
+		f.steps[phase]()
+	}
+	// Each refused query ran once more: one query request per shard per
+	// query, plus one per shard per change.
+	if got, want := f.met.Fanout.Value(), int64(2*((len(f.steps)+1)*len(f.queries)+len(f.steps))); got != want {
+		t.Errorf("fanout %d, want %d", got, want)
+	}
+}
+
+// TestCoordinatorConcurrentInvalidation: 8 goroutines query the fleet in
+// each phase while the changes between phases drop the coordinator's view.
+// No query fails, and every answer equals single-node execution for its
+// phase.
+func TestCoordinatorConcurrentInvalidation(t *testing.T) {
+	f := newStampFleet(t)
+	for phase := 0; ; phase++ {
+		want := f.want(t)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range f.queries {
+					qi := (i + g) % len(f.queries)
+					got, _, err := f.coord.QueryCtx(context.Background(), f.queries[qi], nil)
+					if err != nil {
+						t.Errorf("phase %d goroutine %d query %d: %v", phase, g, qi, err)
+						return
+					}
+					if d := diff(want[qi], got); d != "" {
+						t.Errorf("phase %d goroutine %d query %d: %s", phase, g, qi, d)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if phase == len(f.steps) {
+			break
+		}
+		f.steps[phase]()
 	}
 }
