@@ -32,11 +32,11 @@ func main() {
 		fatal(fmt.Errorf("-shards and -shard-map must be given together"))
 	}
 
-	spec, err := lbsn.SpecByName(*name)
+	spec, err := lbsn.SpecFor(*name, *scale)
 	if err != nil {
 		fatal(err)
 	}
-	d, err := lbsn.Generate(spec.Scaled(*scale))
+	d, err := lbsn.Generate(spec)
 	if err != nil {
 		fatal(err)
 	}

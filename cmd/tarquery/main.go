@@ -62,19 +62,10 @@ func main() {
 		return
 	}
 
-	spec, err := lbsn.SpecByName(*name)
-	if err != nil {
-		fatal(err)
+	if *pois != "" && *checkins == "" {
+		fatal(fmt.Errorf("-pois requires -checkins"))
 	}
-	var d *lbsn.Dataset
-	if *pois != "" {
-		if *checkins == "" {
-			fatal(fmt.Errorf("-pois requires -checkins"))
-		}
-		d, err = lbsn.LoadCSV(spec, *pois, *checkins)
-	} else {
-		d, err = lbsn.Generate(spec.Scaled(*scale))
-	}
+	spec, err := lbsn.SpecFor(*name, *scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -91,10 +82,15 @@ func main() {
 	}
 	cache := tartree.NewCache(*cacheB) // nil when disabled
 	buildStart := time.Now()
+	build := lbsn.BuildOptions{Grouping: g, Cache: cache}
 	var tr *tartree.Tree
-	if *replay != "" {
-		tr, err = d.BuildEmpty(lbsn.BuildOptions{Grouping: g, Cache: cache})
+	switch {
+	case *replay != "":
+		d, err := lbsn.Generate(spec)
 		if err != nil {
+			fatal(err)
+		}
+		if tr, err = d.BuildEmpty(build); err != nil {
 			fatal(err)
 		}
 		f, err := os.Open(*replay)
@@ -115,9 +111,17 @@ func main() {
 		}
 		fmt.Printf("replayed %d check-ins through the ingest path (%d for non-indexed POIs skipped)\n",
 			applied, skipped)
-	} else {
-		tr, err = d.Build(lbsn.BuildOptions{Grouping: g, Cache: cache})
+	case *pois != "":
+		d, err := lbsn.LoadCSV(spec, *pois, *checkins)
 		if err != nil {
+			fatal(err)
+		}
+		if tr, err = d.Build(build); err != nil {
+			fatal(err)
+		}
+	default:
+		// Generated and indexed POI by POI: the data set is never held.
+		if tr, err = spec.Build(build); err != nil {
 			fatal(err)
 		}
 	}
@@ -126,7 +130,7 @@ func main() {
 	fmt.Printf("built %s over %s: %d effective POIs, %d leaf + %d internal nodes, height %d (%v)\n",
 		g, spec.Name, tr.Len(), leaves, internals, tr.Height(), time.Since(buildStart).Round(time.Millisecond))
 
-	end := d.Spec.End
+	end := spec.End
 	q := tartree.Query{
 		X: *x, Y: *y,
 		Iq:     tartree.Interval{Start: end - *days*lbsn.Day, End: end},

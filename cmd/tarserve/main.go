@@ -27,10 +27,18 @@
 // probes. Page accesses — the paper's cost unit — are what cmd/tarbench
 // measures, on paged B+-tree TIAs.
 //
+// The index is built as the data set is generated (lbsn.Spec.Build): each
+// POI is indexed, or dropped below the effectiveness threshold, as it is
+// drawn, so the process never holds the whole -dataset/-scale data set and
+// its memory is the index's. The listener comes up first and /healthz
+// answers "recovering" until the index is ready. -scale outside (0, 1] is
+// refused.
+//
 // With -wal-dir the server ingests live check-ins durably: POST /v1/ingest
 // appends to a group-committed write-ahead log and answers 200 only after
 // the batch is fsynced and applied. On startup the index is recovered from
-// the newest checkpoint in the WAL directory plus a log replay; the listener
+// the newest checkpoint in the WAL directory plus a log replay (the data set
+// is generated only when the directory holds no checkpoint); the listener
 // comes up first so /healthz reports "recovering" until the replay is done.
 // Background loops fold elapsed epochs (-flush-every) and write checkpoints
 // (-checkpoint-every) that let the log drop obsolete segments.
@@ -241,28 +249,16 @@ func main() {
 		fatal(fmt.Errorf("unknown grouping %q", *group))
 	}
 
-	spec, err := lbsn.SpecByName(*name)
+	spec, err := lbsn.SpecFor(*name, *scale)
 	if err != nil {
 		fatal(err)
-	}
-	spec = spec.Scaled(*scale)
-	// Neither a follower nor a coordinator builds a local base: the
-	// follower's tree comes from the leader's snapshot, the coordinator
-	// delegates every query to its shards. Both need only the spec (the
-	// default query interval), so the expensive generation is skipped.
-	var d *lbsn.Dataset
-	if *follow == "" && *coord == "" {
-		log.Info("generating data set", "dataset", spec.Name, "scale", *scale)
-		if d, err = lbsn.Generate(spec); err != nil {
-			fatal(err)
-		}
 	}
 	// A shard indexes only the POIs the map assigns to it; Locate is the
 	// membership oracle so every process sharing the map agrees exactly.
 	var keep func(p core.POI) bool
 	if shardMap != nil {
-		if d.World != shardMap.World {
-			fatal(fmt.Errorf("shard map %s was built for world %v, data set has %v — regenerate it with datagen -shard-map at the same -dataset/-scale", *mapFile, shardMap.World, d.World))
+		if w := spec.World(); w != shardMap.World {
+			fatal(fmt.Errorf("shard map %s was built for world %v, data set has %v — regenerate it with datagen -shard-map at the same -dataset/-scale", *mapFile, shardMap.World, w))
 		}
 		keep = func(p core.POI) bool { return shardMap.Locate(p.X, p.Y) == shardIdx }
 	}
@@ -275,6 +271,10 @@ func main() {
 		ring.SetSlowLog(log, *slowQ)
 	}
 	cache := aggcache.New(*cacheB) // nil when disabled
+	// A base index is built straight from the spec: each POI is indexed or
+	// dropped as it is drawn, so the data set is never held in memory.
+	// Neither a follower nor a coordinator builds one.
+	opts := lbsn.BuildOptions{Grouping: g, Metrics: reg, Cache: cache, Keep: keep}
 
 	objectives, err := obs.ParseSLOs(*sloSpec)
 	if err != nil {
@@ -349,7 +349,8 @@ func main() {
 
 	buildStart := time.Now()
 	if *walDir == "" {
-		tr, err := d.Build(lbsn.BuildOptions{Grouping: g, Metrics: reg, Cache: cache, Keep: keep})
+		log.Info("building index", "dataset", spec.Name, "scale", *scale)
+		tr, err := spec.Build(opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -365,7 +366,7 @@ func main() {
 			log.Info("shard enabled", "shard", shardIdx, "of", shardN)
 		}
 		logIndex(log, tr, buildStart)
-		srv.finishStartup(tr, nil, d.Spec.Start, d.Spec.End)
+		srv.finishStartup(tr, nil, spec.Start, spec.End)
 		waitAndDrain(nil)
 		return
 	}
@@ -373,7 +374,8 @@ func main() {
 	// Durable mode: recover from the newest checkpoint plus a WAL replay.
 	// The base tree — used only when the directory holds no checkpoint —
 	// bulk-loads the historical data set, or starts empty when a -replay
-	// stream will provide the history through the ingest path. A follower
+	// stream will provide the history through the ingest path (the one case
+	// that still generates the whole data set, to select its POIs). A follower
 	// never builds one: Bootstrap below installs the leader's snapshot as
 	// the local checkpoint before the store opens.
 	fs, err := wal.NewDirFS(*walDir)
@@ -411,10 +413,15 @@ func main() {
 		if *follow != "" {
 			return nil, errors.New("follower WAL directory holds no snapshot; bootstrap should have installed one")
 		}
+		log.Info("building index", "dataset", spec.Name, "scale", *scale)
 		if *replay != "" {
-			return d.BuildEmpty(lbsn.BuildOptions{Grouping: g, Metrics: reg, Cache: cache, Keep: keep})
+			d, err := lbsn.Generate(spec)
+			if err != nil {
+				return nil, err
+			}
+			return d.BuildEmpty(opts)
 		}
-		return d.Build(lbsn.BuildOptions{Grouping: g, Metrics: reg, Cache: cache, Keep: keep})
+		return spec.Build(opts)
 	}
 	store, err := wal.OpenStore(fs, base, wal.StoreOptions{
 		Metrics:    reg,

@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-
-	"tartree/internal/geo"
 )
 
 // WriteCSV materializes the data set as two CSV files in dir:
@@ -77,7 +75,7 @@ func LoadCSV(spec Spec, poisPath, checkinsPath string) (*Dataset, error) {
 	d := &Dataset{
 		Spec:  spec,
 		POIs:  pois,
-		World: geo.Rect{Min: geo.Vector{0, 0}, Max: geo.Vector{worldSide, worldSide}},
+		World: spec.World(),
 	}
 	return d, nil
 }

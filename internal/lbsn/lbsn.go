@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"tartree/internal/aggcache"
@@ -88,6 +88,7 @@ func SpecByName(name string) (Spec, error) {
 
 // Scaled returns a copy with POI and check-in counts scaled by f, keeping
 // the per-POI distribution (and hence the effectiveness threshold) intact.
+// A factor outside (0, 1] returns s unchanged; SpecFor rejects it instead.
 func (s Spec) Scaled(f float64) Spec {
 	if f <= 0 || f > 1 {
 		return s
@@ -95,6 +96,24 @@ func (s Spec) Scaled(f float64) Spec {
 	s.Locations = int(float64(s.Locations) * f)
 	s.CheckIns = int(float64(s.CheckIns) * f)
 	return s
+}
+
+// SpecFor returns the named data set scaled by f, which must lie in (0, 1]:
+// the lookup behind every command's -dataset and -scale flags.
+func SpecFor(name string, f float64) (Spec, error) {
+	s, err := SpecByName(name)
+	if err != nil {
+		return Spec{}, err
+	}
+	if !(f > 0 && f <= 1) {
+		return Spec{}, fmt.Errorf("lbsn: scale %g outside (0, 1]", f)
+	}
+	return s.Scaled(f), nil
+}
+
+// World is the square every generated POI lies in.
+func (s Spec) World() geo.Rect {
+	return geo.Rect{Min: geo.Vector{0, 0}, Max: geo.Vector{worldSide, worldSide}}
 }
 
 // POI is a generated location with its check-in times (ascending).
@@ -119,21 +138,32 @@ const worldSide = 100.0
 
 // Generate materializes the data set.
 func Generate(spec Spec) (*Dataset, error) {
-	if spec.Locations <= 0 || spec.CheckIns <= 0 || spec.End <= spec.Start {
-		return nil, fmt.Errorf("lbsn: invalid spec %+v", spec)
+	d := &Dataset{Spec: spec, World: spec.World(), POIs: make([]POI, 0, max(spec.Locations, 0))}
+	err := spec.each(false, func(p *POI) error {
+		d.POIs = append(d.POIs, *p)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	r := rand.New(rand.NewSource(spec.Seed))
-	d := &Dataset{
-		Spec:  spec,
-		World: geo.Rect{Min: geo.Vector{0, 0}, Max: geo.Vector{worldSide, worldSide}},
+	return d, nil
+}
+
+// each draws the data set's POIs in ID order and hands each one to fn; fn's
+// error stops the generation. With reuse every POI's Times is the same
+// buffer, overwritten by the next POI, so fn must copy what it keeps.
+func (s Spec) each(reuse bool, fn func(p *POI) error) error {
+	if s.Locations <= 0 || s.CheckIns <= 0 || s.End <= s.Start {
+		return fmt.Errorf("lbsn: invalid spec %+v", s)
 	}
+	r := rand.New(rand.NewSource(s.Seed))
 
 	// Spatial mixture: cluster centers with Zipf-distributed popularity and
 	// varied spreads, plus a uniform background component.
 	type cluster struct {
 		cx, cy, sigma, weight float64
 	}
-	clusters := make([]cluster, spec.Clusters)
+	clusters := make([]cluster, s.Clusters)
 	wsum := 0.0
 	for i := range clusters {
 		clusters[i] = cluster{
@@ -157,21 +187,21 @@ func Generate(spec Spec) (*Dataset, error) {
 	// Per-POI totals: a geometric body below Xmin mixed with a power-law
 	// tail from (Beta, Xmin), with the tail probability calibrated so the
 	// overall mean matches CheckIns/Locations.
-	targetMean := float64(spec.CheckIns) / float64(spec.Locations)
-	tail, err := powerlaw.NewDist(spec.Beta, spec.Xmin)
+	targetMean := float64(s.CheckIns) / float64(s.Locations)
+	tail, err := powerlaw.NewDist(s.Beta, s.Xmin)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tailMean := tail.Mean()
 	if math.IsInf(tailMean, 1) {
 		// β <= 2: the untruncated mean diverges; use the truncated mean at
 		// the sampler's practical ceiling.
-		tailMean = truncatedMean(tail, spec.Xmin*1000)
+		tailMean = truncatedMean(tail, s.Xmin*1000)
 	}
 	// Geometric body on [1, Xmin): success probability chosen for a small
 	// mean, then truncated.
 	bodyP := 0.45
-	bodyMean := geomTruncMean(bodyP, spec.Xmin)
+	bodyMean := geomTruncMean(bodyP, s.Xmin)
 	pTail := (targetMean - bodyMean) / (tailMean - bodyMean)
 	if pTail < 0.0005 {
 		pTail = 0.0005
@@ -190,15 +220,18 @@ func Generate(spec Spec) (*Dataset, error) {
 			for r.Float64() < 1-bodyP {
 				x++
 			}
-			if x < spec.Xmin {
+			if x < s.Xmin {
 				return x
 			}
 		}
 	}
 
-	span := spec.End - spec.Start
-	d.POIs = make([]POI, spec.Locations)
-	for i := range d.POIs {
+	span := s.End - s.Start
+	var (
+		p   POI
+		buf []int64
+	)
+	for i := 0; i < s.Locations; i++ {
 		c := pickCluster()
 		var x, y float64
 		if r.Float64() < 0.1 {
@@ -211,15 +244,21 @@ func Generate(spec Spec) (*Dataset, error) {
 		// POIs are born throughout the first 60% of the span; check-ins
 		// arrive uniformly between birth and the end (a homogeneous
 		// Poisson process conditioned on the total).
-		birth := spec.Start + int64(r.Float64()*0.6*float64(span))
-		times := make([]int64, total)
-		for j := range times {
-			times[j] = birth + int64(r.Float64()*float64(spec.End-birth))
+		birth := s.Start + int64(r.Float64()*0.6*float64(span))
+		if !reuse || int64(cap(buf)) < total {
+			buf = make([]int64, total)
 		}
-		sort.Slice(times, func(a, b int) bool { return times[a] < times[b] })
-		d.POIs[i] = POI{ID: int64(i + 1), X: x, Y: y, Times: times}
+		times := buf[:total]
+		for j := range times {
+			times[j] = birth + int64(r.Float64()*float64(s.End-birth))
+		}
+		slices.Sort(times)
+		p = POI{ID: int64(i + 1), X: x, Y: y, Times: times}
+		if err := fn(&p); err != nil {
+			return err
+		}
 	}
-	return d, nil
+	return nil
 }
 
 func clamp(v, lo, hi float64) float64 {
@@ -329,42 +368,83 @@ type BuildOptions struct {
 }
 
 // Build indexes the data set's effective POIs into a TAR-tree.
-func (d *Dataset) Build(o BuildOptions) (*core.Tree, error) {
+func (d *Dataset) Build(o BuildOptions) (*core.Tree, error) { return d.build(o, false) }
+
+func (d *Dataset) build(o BuildOptions, empty bool) (*core.Tree, error) {
+	tr, add, err := d.Spec.indexer(d.World, o, empty)
+	if err != nil {
+		return nil, err
+	}
+	for i := range d.POIs {
+		if err := add(&d.POIs[i]); err != nil {
+			return nil, err
+		}
+	}
+	return tr, nil
+}
+
+// Build generates the data set and indexes each effective POI as it is
+// drawn, into the same tree Generate(s).Build(o) returns: only the indexed
+// POIs are ever held, not the whole data set.
+func (s Spec) Build(o BuildOptions) (*core.Tree, error) {
+	tr, add, err := s.indexer(s.World(), o, false)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.each(true, add); err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// indexer returns an empty tree over world and the one selection rule of
+// every build: add indexes a POI whose check-ins (up to o.Cutoff) reach the
+// effectiveness threshold and that o.Keep accepts, with its history, or with
+// none when empty is set. add copies what it keeps of the POI.
+func (s Spec) indexer(world geo.Rect, o BuildOptions, empty bool) (*core.Tree, func(*POI) error, error) {
 	if o.EpochLength == 0 {
 		o.EpochLength = 7 * Day
 	}
 	tr, err := core.NewTree(core.Options{
-		World:       d.World,
+		World:       world,
 		NodeSize:    o.NodeSize,
 		Grouping:    o.Grouping,
 		TIA:         o.TIA,
 		Semantics:   o.Semantics,
-		EpochStart:  d.Spec.Start,
+		EpochStart:  s.Start,
 		EpochLength: o.EpochLength,
 		Metrics:     o.Metrics,
 		Cache:       o.Cache,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for i := range d.POIs {
-		p := &d.POIs[i]
-		hist := History(p, d.Spec.Start, o.EpochLength, o.Cutoff)
-		var total int64
-		for _, r := range hist {
-			total += r.Agg
+	add := func(p *POI) error {
+		hist, ok := s.effective(p, o.EpochLength, o.Cutoff)
+		poi := core.POI{ID: p.ID, X: p.X, Y: p.Y}
+		if !ok || (o.Keep != nil && !o.Keep(poi)) {
+			return nil
 		}
-		if total < d.Spec.MinEffective {
-			continue
+		if empty {
+			hist = nil
 		}
-		if o.Keep != nil && !o.Keep(core.POI{ID: p.ID, X: p.X, Y: p.Y}) {
-			continue
-		}
-		if err := tr.InsertPOI(core.POI{ID: p.ID, X: p.X, Y: p.Y}, hist); err != nil {
-			return nil, err
-		}
+		return tr.InsertPOI(poi, hist)
 	}
-	return tr, nil
+	return tr, add, nil
+}
+
+// effective buckets p's check-ins before cutoff (0: all) and reports
+// whether their total reaches the effectiveness threshold.
+func (s Spec) effective(p *POI, epochLength, cutoff int64) ([]tia.Record, bool) {
+	if cutoff == 0 && p.Total() < s.MinEffective {
+		return nil, false // every check-in counts: skip before History allocates
+	}
+	hist := History(p, s.Start, epochLength, cutoff)
+	var total int64
+	for _, r := range hist {
+		total += r.Agg
+	}
+	return hist, total >= s.MinEffective
 }
 
 // EffectivePOIs returns the POIs Build would index — those whose check-in
@@ -378,11 +458,7 @@ func (d *Dataset) EffectivePOIs(epochLength, cutoff int64) []core.POI {
 	var out []core.POI
 	for i := range d.POIs {
 		p := &d.POIs[i]
-		var total int64
-		for _, r := range History(p, d.Spec.Start, epochLength, cutoff) {
-			total += r.Agg
-		}
-		if total >= d.Spec.MinEffective {
+		if _, ok := d.Spec.effective(p, epochLength, cutoff); ok {
 			out = append(out, core.POI{ID: p.ID, X: p.X, Y: p.Y})
 		}
 	}

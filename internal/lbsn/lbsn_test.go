@@ -1,7 +1,11 @@
 package lbsn
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,6 +36,34 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a.POIs[i].X != b.POIs[i].X || a.POIs[i].Total() != b.POIs[i].Total() {
 			t.Fatalf("POI %d differs between runs", i)
 		}
+	}
+}
+
+// TestGenerateGolden pins Generate's exact output: a SHA-256 over every
+// POI's ID, coordinates and check-in times. Any change to the RNG draws, their
+// order or the sort of a POI's times changes the data set every experiment,
+// test and server is built from, and fails here.
+func TestGenerateGolden(t *testing.T) {
+	const want = "6ce44f6ca418902a2d676bfdc562f4144f882d4d825523f75ded571d7ab2f376"
+	d, err := Generate(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf []byte
+	for i := range d.POIs {
+		p := &d.POIs[i]
+		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(p.ID))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.X))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Y))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(p.Times)))
+		for _, ts := range p.Times {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(ts))
+		}
+		h.Write(buf)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("Generate(%s ×0.08) hashes to %s, want %s", smallSpec().Name, got, want)
 	}
 }
 
@@ -250,6 +282,86 @@ func TestSpecHelpers(t *testing.T) {
 	}
 	if bad := GW.Scaled(-1); bad.Locations != GW.Locations {
 		t.Errorf("invalid scale should be ignored")
+	}
+}
+
+func TestSpecFor(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		scale float64
+		ok    bool
+	}{
+		{"GS", 0.5, true},
+		{"GS", 1, true},
+		{"NYC", 1e-3, true},
+		{"GS", 0, false},
+		{"GS", -0.1, false},
+		{"GS", 1.0001, false},
+		{"GS", 2, false},
+		{"GS", math.NaN(), false},
+		{"GS", math.Inf(1), false},
+		{"XX", 0.5, false},
+	} {
+		s, err := SpecFor(c.name, c.scale)
+		if (err == nil) != c.ok {
+			t.Errorf("SpecFor(%q, %g): err = %v, want ok = %v", c.name, c.scale, err, c.ok)
+			continue
+		}
+		if !c.ok {
+			continue
+		}
+		base, _ := SpecByName(c.name)
+		if want := base.Scaled(c.scale); s != want {
+			t.Errorf("SpecFor(%q, %g) = %+v, want %+v", c.name, c.scale, s, want)
+		}
+	}
+}
+
+// TestSpecBuildMatchesGenerate pins the streaming build to the materializing
+// one: for every grouping, a Keep filter and a cutoff, Spec.Build writes the
+// same v3 snapshot bytes as Generate followed by Dataset.Build.
+func TestSpecBuildMatchesGenerate(t *testing.T) {
+	spec := GS.Scaled(0.02)
+	d, err := Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]BuildOptions{
+		"tar":    {Grouping: core.TAR3D},
+		"spa":    {Grouping: core.IndSpa},
+		"agg":    {Grouping: core.IndAgg},
+		"keep":   {Keep: func(p core.POI) bool { return p.X < 50 }},
+		"cutoff": {Cutoff: d.SnapshotEnd(0.6), EpochLength: Day},
+	}
+	lens := map[string]int{}
+	for name, o := range cases {
+		want, err := d.Build(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := spec.Build(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a, b bytes.Buffer
+		if err := want.SaveSnapshotV3(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.SaveSnapshotV3(&b); err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s: Spec.Build (%d POIs, %d B) differs from Generate+Build (%d POIs, %d B)",
+				name, got.Len(), b.Len(), want.Len(), a.Len())
+		}
+		lens[name] = want.Len()
+	}
+	// The filters must bite, or the last two cases prove nothing new.
+	if lens["keep"] >= lens["tar"] || lens["cutoff"] >= lens["tar"] {
+		t.Fatalf("filters selected nothing fewer: %v", lens)
+	}
+	if _, err := (Spec{}).Build(BuildOptions{}); err == nil {
+		t.Fatal("empty spec accepted")
 	}
 }
 

@@ -97,40 +97,7 @@ func ReadCheckInStream(r io.Reader) ([]StreamCheckIn, error) {
 // path to deliver. Replaying the full CheckInStream into the result and
 // flushing reproduces Build's aggregates — the equivalence the stream tools
 // (tarquery -replay, tarserve -replay) rely on.
-func (d *Dataset) BuildEmpty(o BuildOptions) (*core.Tree, error) {
-	if o.EpochLength == 0 {
-		o.EpochLength = 7 * Day
-	}
-	tr, err := core.NewTree(core.Options{
-		World:       d.World,
-		NodeSize:    o.NodeSize,
-		Grouping:    o.Grouping,
-		TIA:         o.TIA,
-		Semantics:   o.Semantics,
-		EpochStart:  d.Spec.Start,
-		EpochLength: o.EpochLength,
-		Metrics:     o.Metrics,
-		Cache:       o.Cache,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range d.POIs {
-		p := &d.POIs[i]
-		hist := History(p, d.Spec.Start, o.EpochLength, o.Cutoff)
-		var total int64
-		for _, r := range hist {
-			total += r.Agg
-		}
-		if total < d.Spec.MinEffective {
-			continue
-		}
-		if err := tr.InsertPOI(core.POI{ID: p.ID, X: p.X, Y: p.Y}, nil); err != nil {
-			return nil, err
-		}
-	}
-	return tr, nil
-}
+func (d *Dataset) BuildEmpty(o BuildOptions) (*core.Tree, error) { return d.build(o, true) }
 
 // ReplayStream feeds the stream through the tree's ingest path, skipping
 // check-ins for POIs the tree does not index (non-effective POIs are absent

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"tartree/internal/core"
 	"tartree/internal/tia"
 )
 
@@ -131,6 +132,45 @@ func TestStreamReplayMatchesBulkBuild(t *testing.T) {
 			if !ok || math.Abs(w-r.Score) > 1e-9 {
 				t.Fatalf("POI %d score %.12f, bulk %.12f (ok=%v)", r.POI.ID, r.Score, w, ok)
 			}
+		}
+	}
+}
+
+// TestBuildEmptyKeep checks that BuildEmpty applies the Keep filter: a shard
+// seeded through the replay path must index the same POIs as its bulk build,
+// or every shard would carry, and the coordinator return, each POI once.
+func TestBuildEmptyKeep(t *testing.T) {
+	d, err := Generate(GS.Scaled(0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := func(tr *core.Tree) map[int64]bool {
+		out := map[int64]bool{}
+		tr.POIs(func(p core.POI, _ int64) bool {
+			out[p.ID] = true
+			return true
+		})
+		return out
+	}
+	o := BuildOptions{Keep: func(p core.POI) bool { return p.Y >= 50 }}
+	bulk, err := d.Build(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := d.BuildEmpty(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := ids(bulk), ids(empty)
+	if len(want) == 0 || len(want) == len(d.EffectivePOIs(0, 0)) {
+		t.Fatalf("Keep selected %d of %d effective POIs", len(want), len(d.EffectivePOIs(0, 0)))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("BuildEmpty indexed %d POIs, Build %d", len(got), len(want))
+	}
+	for id := range want {
+		if !got[id] {
+			t.Fatalf("POI %d in Build, not in BuildEmpty", id)
 		}
 	}
 }
