@@ -84,6 +84,10 @@ func main() {
 	if *datasets != "" {
 		cfg.Datasets = strings.Split(*datasets, ",")
 	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "tarbench: %v\n", err)
+		os.Exit(2)
+	}
 	if *jsonDir != "" {
 		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "tarbench: %v\n", err)

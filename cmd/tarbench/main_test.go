@@ -28,15 +28,15 @@ func TestProbesPerExperiment(t *testing.T) {
 		}
 		return snap.TIAProbes
 	}
-	smoke, cache := run("smoke"), run("cache")
-	if smoke["btree"] == 0 || cache["mvbt"] == 0 {
-		t.Fatalf("experiments probed nothing: smoke %v cache %v", smoke, cache)
+	smoke, backend := run("smoke"), run("abl-backend")
+	if smoke["btree"] == 0 || backend["mvbt"] == 0 {
+		t.Fatalf("experiments probed nothing: smoke %v abl-backend %v", smoke, backend)
 	}
 	if again := run("smoke"); !reflect.DeepEqual(again, smoke) {
-		t.Errorf("smoke after cache reports probes %v, alone %v", again, smoke)
+		t.Errorf("smoke after abl-backend reports probes %v, alone %v", again, smoke)
 	}
-	if again := run("cache"); !reflect.DeepEqual(again, cache) {
-		t.Errorf("cache after smoke reports probes %v, alone %v", again, cache)
+	if again := run("abl-backend"); !reflect.DeepEqual(again, backend) {
+		t.Errorf("abl-backend after smoke reports probes %v, alone %v", again, backend)
 	}
 }
 

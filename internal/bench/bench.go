@@ -1,10 +1,10 @@
 // Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation (Section 8), plus the infrastructure
+// figure of the paper's evaluation (Section 8), plus the two infrastructure
 // experiments CI gates and the ablations DESIGN.md calls out. One ordered
 // table (experiments.go) names every experiment; Run executes one of them in
 // a run context that owns what they all share: resolving the data set, scale
-// and query-count defaults, generating the data, emitting metrics, comparing
-// answers, and the single loop that times a query batch (measure).
+// and query-count defaults, generating the data, emitting metrics, and the
+// single loop that times a query batch (measure).
 // cmd/tarbench prints the tables and the root bench_test.go wraps each id as
 // BenchmarkExperiment/<id>.
 //
@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -40,8 +39,9 @@ type Config struct {
 	// Experiments that run on one data set (see their table row) take the
 	// first.
 	Datasets []string
-	// Scale shrinks the data sets; 0 selects the experiment's default, or
-	// else per-dataset defaults that keep a full experiment within minutes.
+	// Scale shrinks the data sets and must lie in (0, 1]; 0 selects the
+	// experiment's default, or else per-dataset defaults that keep a full
+	// experiment within minutes.
 	Scale float64
 	// Queries per measurement; 0 selects the experiment's default, or else
 	// 200 (the paper uses 1000).
@@ -81,13 +81,24 @@ var defaultScales = map[string]float64{
 }
 
 func (c Config) scaleFor(name string) float64 {
-	if c.Scale > 0 {
+	if c.Scale != 0 {
 		return c.Scale
 	}
 	if s, ok := defaultScales[name]; ok {
 		return s
 	}
 	return 0.1
+}
+
+// Validate reports what Run refuses: a data set lbsn does not know, or a
+// Scale outside (0, 1] other than 0 — lbsn.SpecFor's rule.
+func (c Config) Validate() error {
+	for _, name := range c.datasets() {
+		if _, err := lbsn.SpecFor(name, c.scaleFor(name)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (c Config) queries() int {
@@ -147,8 +158,8 @@ func (t *Table) Print(w io.Writer) {
 }
 
 // Group classifies an experiment: a table or figure of the paper, an
-// infrastructure experiment (the CI-gated ones and the WAL throughput
-// table), or an ablation of one design choice.
+// infrastructure experiment (one CI gates against a committed baseline), or
+// an ablation of one design choice.
 type Group string
 
 const (
@@ -167,11 +178,8 @@ type experiment struct {
 	// dataset, when set, makes this a one-data-set experiment: it runs on
 	// Config.Datasets[0], or on this one when none is configured.
 	dataset string
-	// scales replaces the per-dataset default scale when Config.Scale is 0;
-	// with several, the body runs once per scale into the same table.
-	scales  []float64
-	queries int  // replaces the 200-query default when Config.Queries is 0
-	noData  bool // the body takes no data set (env is nil)
+	scale   float64 // replaces the per-dataset default scale when Config.Scale is 0
+	queries int     // replaces the 200-query default when Config.Queries is 0
 	run     func(r *run, env *dataEnv) error
 }
 
@@ -192,8 +200,12 @@ func Experiments() []Info {
 	return out
 }
 
-// Run executes the experiment with the given id and returns its tables.
+// Run executes the experiment with the given id and returns its tables. A
+// Config that fails Validate runs nothing.
 func Run(id string, cfg Config) ([]Table, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	for i := range experiments {
 		if experiments[i].id == id {
 			tables, err := experiments[i].execute(cfg)
@@ -207,8 +219,8 @@ func Run(id string, cfg Config) ([]Table, error) {
 }
 
 // execute resolves cfg against the experiment's defaults and calls the body
-// once per (data set, scale). It is the one place that iterates the
-// configured data sets and the one place that generates them.
+// once per data set. It is the one place that iterates the configured data
+// sets and the one place that generates them.
 func (e *experiment) execute(cfg Config) ([]Table, error) {
 	r := &run{Config: cfg}
 	if r.Queries == 0 {
@@ -216,11 +228,6 @@ func (e *experiment) execute(cfg Config) ([]Table, error) {
 	}
 	r.Queries = r.queries()
 	switch {
-	case e.noData:
-		r.Datasets = nil
-		if err := e.run(r, nil); err != nil {
-			return nil, err
-		}
 	case e.dataset == "":
 		r.Datasets = cfg.datasets()
 	case len(cfg.Datasets) == 0:
@@ -229,23 +236,20 @@ func (e *experiment) execute(cfg Config) ([]Table, error) {
 		r.Datasets = cfg.Datasets[:1]
 	}
 	for _, name := range r.Datasets {
-		spec, err := lbsn.SpecByName(name)
+		sc := e.scale
+		if cfg.Scale != 0 || sc == 0 {
+			sc = cfg.scaleFor(name)
+		}
+		spec, err := lbsn.SpecFor(name, sc)
 		if err != nil {
 			return nil, err
 		}
-		scales := e.scales
-		if cfg.Scale > 0 || len(scales) == 0 {
-			scales = []float64{cfg.scaleFor(name)}
+		d, err := lbsn.Generate(spec)
+		if err != nil {
+			return nil, err
 		}
-		for i, sc := range scales {
-			d, err := lbsn.Generate(spec.Scaled(sc))
-			if err != nil {
-				return nil, err
-			}
-			env := &dataEnv{Dataset: d, name: name, scale: sc, lastScale: i == len(scales)-1}
-			if err := e.run(r, env); err != nil {
-				return nil, err
-			}
+		if err := e.run(r, &dataEnv{Dataset: d, name: name, scale: sc}); err != nil {
+			return nil, err
 		}
 	}
 	out := make([]Table, len(r.tables))
@@ -264,7 +268,7 @@ type run struct {
 }
 
 // table returns the run's table with this title, creating it on first use —
-// a body invoked once per scale keeps adding rows to the same table.
+// a body invoked once per data set keeps adding rows to the same table.
 func (r *run) table(title string, header ...string) *Table {
 	for _, t := range r.tables {
 		if t.Title == title {
@@ -310,9 +314,8 @@ func (r *run) gauge(name string, v float64, labels ...string) {
 // dataEnv is one generated data set at one scale.
 type dataEnv struct {
 	*lbsn.Dataset
-	name      string
-	scale     float64
-	lastScale bool // the last (largest) of the scales this run sweeps
+	name  string
+	scale float64
 }
 
 // paperTIA is the paper's TIA set-up of Section 4.1: a disk B+-tree per
@@ -378,17 +381,15 @@ func (e *dataEnv) buildAll(nodeSize int, epochLength, cutoff int64) ([]method, e
 	return out, nil
 }
 
-// measurement is what one measured batch did: the work totals and answers
-// the experiments read, and the latency distribution of the batch.
+// measurement is what one measured batch did: the work totals the
+// experiments read, and the latency distribution of the batch.
 type measurement struct {
-	queries    int
-	elapsed    time.Duration   // summed per-query wall time
-	work       core.QueryStats // merged over the batch
-	results    int64           // answers returned, summed
-	resultHits int64           // queries served whole from the result cache
-	fkSum      float64         // summed k-th (last) score
-	answers    [][]core.Result
-	latency    obs.HistogramSnapshot
+	queries int
+	elapsed time.Duration   // summed per-query wall time
+	work    core.QueryStats // merged over the batch
+	results int64           // answers returned, summed
+	fkSum   float64         // summed k-th (last) score
+	latency obs.HistogramSnapshot
 }
 
 // mean renders a batch total as a per-query mean.
@@ -403,25 +404,18 @@ func (m *measurement) meanFk() string { return f3(m.fkSum / float64(m.queries)) 
 // nodeAccesses is the R-tree node accesses of the batch.
 func (m *measurement) nodeAccesses() int64 { return int64(m.work.RTreeAccesses()) }
 
-// fingerprint is the exact query work compared between two traversals of
-// the same index: node, leaf and TIA accesses, and results.
-func (m *measurement) fingerprint() [4]int64 {
-	return [4]int64{m.nodeAccesses(), int64(m.work.LeafAccesses), m.work.TIAAccesses, m.results}
-}
-
 // measure runs the query batch against q, one query at a time — the only
 // loop in the package that times queries, so every method of every
 // experiment is measured through the same path. opts (nil for the defaults)
-// applies to every query. A non-empty method labels the run-wide latency
-// series: with Config.Metrics set the observations also accumulate in
-// bench_query_latency_seconds{method="..."}; the infrastructure experiments
-// time passes rather than methods and pass "". With Config.TraceSink set the
+// applies to every query. The method labels the run-wide latency series:
+// with Config.Metrics set the observations also accumulate in
+// bench_query_latency_seconds{method="..."}. With Config.TraceSink set the
 // batch is one bench_batch trace with a child span per query.
 func (r *run) measure(method string, q core.Querier, queries []core.Query, opts *core.QueryOpts) (measurement, error) {
-	m := measurement{queries: len(queries), answers: make([][]core.Result, len(queries))}
+	m := measurement{queries: len(queries)}
 	local := obs.NewHistogram(nil)
 	var shared *obs.Histogram
-	if r.Metrics != nil && method != "" {
+	if r.Metrics != nil {
 		shared = r.Metrics.Histogram(series("bench_query_latency_seconds", []string{"method", method}), nil)
 	}
 	// A nil TraceSink makes bt nil and every span call below a no-op.
@@ -433,7 +427,7 @@ func (r *run) measure(method string, q core.Querier, queries []core.Query, opts 
 	if opts != nil {
 		o = *opts
 	}
-	for i, qu := range queries {
+	for _, qu := range queries {
 		o.Span = bt.StartChild("query")
 		start := time.Now()
 		res, stats, err := q.QueryCtx(context.Background(), qu, &o)
@@ -449,67 +443,12 @@ func (r *run) measure(method string, q core.Querier, queries []core.Query, opts 
 		m.elapsed += elapsed
 		m.work.Merge(&stats)
 		m.results += int64(len(res))
-		if stats.ResultCacheHit {
-			m.resultHits++
-		}
 		if len(res) > 0 {
 			m.fkSum += res[len(res)-1].Score
 		}
-		m.answers[i] = res
 	}
 	m.latency = local.Snapshot()
 	return m, nil
-}
-
-// answerMode selects how strictly sameAnswers compares.
-type answerMode int
-
-const (
-	// exact: the same results bit for bit — POI, scores, aggregate — once
-	// both sides are ordered by (score, id), so a tie between equal-score
-	// POIs cannot order-flake a gate.
-	exact answerMode = iota
-	// asSet: the same (POI, aggregate) multiset — the equivalence that
-	// survives a bulk rebuild or a replica, where tree shapes differ.
-	asSet
-)
-
-// sameAnswers is the answer-identity gate the experiments enforce inline.
-func sameAnswers(mode answerMode, want, got []core.Result) error {
-	if len(want) != len(got) {
-		return fmt.Errorf("result count %d != %d", len(got), len(want))
-	}
-	canon := func(rs []core.Result) []core.Result {
-		out := append([]core.Result(nil), rs...)
-		sort.Slice(out, func(i, j int) bool {
-			a, b := out[i], out[j]
-			if mode == exact && a.Score != b.Score {
-				return a.Score < b.Score
-			}
-			if a.POI.ID != b.POI.ID {
-				return a.POI.ID < b.POI.ID
-			}
-			return a.Agg < b.Agg
-		})
-		return out
-	}
-	a, b := canon(want), canon(got)
-	for i := range a {
-		if a[i].POI.ID != b[i].POI.ID || a[i].Agg != b[i].Agg || (mode == exact && a[i] != b[i]) {
-			return fmt.Errorf("rank %d: %+v != %+v", i, b[i], a[i])
-		}
-	}
-	return nil
-}
-
-// sameBatch applies sameAnswers to every query of two measured batches.
-func sameBatch(mode answerMode, what string, want, got measurement) error {
-	for i := range want.answers {
-		if err := sameAnswers(mode, want.answers[i], got.answers[i]); err != nil {
-			return fmt.Errorf("query %d: %s: %w", i, what, err)
-		}
-	}
-	return nil
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"tartree/internal/core"
 	"tartree/internal/obs"
 )
 
@@ -53,10 +53,34 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestRunRejectsScale: a Scale outside (0, 1] other than 0 is refused before
+// anything runs — 2 used to generate scale-1 data under a "scale 2.00" title,
+// and -3 silently ran the experiment's default.
+func TestRunRejectsScale(t *testing.T) {
+	for _, c := range []struct {
+		scale float64
+		ok    bool
+	}{{0, true}, {0.06, true}, {1, true}, {-3, false}, {2, false}, {math.NaN(), false}} {
+		cfg := Config{Datasets: []string{"GS"}, Scale: c.scale}
+		if err := cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("scale %v: Validate() = %v", c.scale, err)
+		}
+		if c.ok {
+			continue
+		}
+		if _, err := Run("smoke", cfg); err == nil || !strings.Contains(err.Error(), "outside (0, 1]") {
+			t.Errorf("scale %v: Run error %v, want the out-of-range refusal", c.scale, err)
+		}
+	}
+	if err := (Config{Datasets: []string{"XX"}}).Validate(); err == nil {
+		t.Error("unknown data set passed Validate")
+	}
+}
+
 // TestExperimentTable checks the one registry: ids are unique, every group
-// has members, every row can run, and the infra group's CI-gated experiments
-// are exactly the ones with a committed bench/baseline/BENCH_<id>.json (the
-// CI bench matrix runs one job per baseline).
+// has members, every row can run, and the infra group is exactly the
+// experiments with a committed bench/baseline/BENCH_<id>.json (the CI bench
+// matrix runs one job per baseline).
 func TestExperimentTable(t *testing.T) {
 	seen := map[string]Group{}
 	groups := map[Group]int{}
@@ -88,10 +112,8 @@ func TestExperimentTable(t *testing.T) {
 			t.Errorf("bench/baseline/BENCH_%s.json names no infra experiment of the table", id)
 		}
 	}
-	// ingest is the one ungated infra experiment: its fsync counts depend on
-	// how concurrent writers happen to group, so there is nothing exact to gate.
 	for id, g := range seen {
-		if g == Infra && id != "ingest" && !baselines[id] {
+		if g == Infra && !baselines[id] {
 			t.Errorf("infra experiment %q has no bench/baseline/BENCH_%s.json", id, id)
 		}
 	}
@@ -242,13 +264,13 @@ func TestAllExperimentsRun(t *testing.T) { runAll(t, func(g Group) bool { return
 func TestAblationsRun(t *testing.T) { runAll(t, func(g Group) bool { return g == Ablation }) }
 
 // TestSingleDatasetExperimentsHonourDatasets: an experiment that runs on one
-// data set takes Config.Datasets[0] — shard and repl used to run GS whatever
-// was asked — and says so in its table title.
+// data set takes Config.Datasets[0], not the data set of its table row, and
+// says so in its table title.
 func TestSingleDatasetExperimentsHonourDatasets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	for _, id := range []string{"shard", "repl"} {
+	for _, id := range []string{"calibration", "smoke"} {
 		tables, err := Run(id, Config{Datasets: []string{"GW"}, Scale: 0.02, Queries: 10, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
@@ -256,32 +278,6 @@ func TestSingleDatasetExperimentsHonourDatasets(t *testing.T) {
 		if !strings.Contains(tables[0].Title, "GW") || strings.Contains(tables[0].Title, "GS") {
 			t.Errorf("%s on GW: table title %q", id, tables[0].Title)
 		}
-	}
-}
-
-// TestSameAnswers pins the two comparison modes.
-func TestSameAnswers(t *testing.T) {
-	a := core.Result{POI: core.POI{ID: 1}, Score: 0.5, Agg: 3}
-	b := core.Result{POI: core.POI{ID: 2}, Score: 0.5, Agg: 4}
-	c := core.Result{POI: core.POI{ID: 3}, Score: 0.7, Agg: 1}
-	if err := sameAnswers(exact, []core.Result{a, b, c}, []core.Result{b, a, c}); err != nil {
-		t.Errorf("exact: tie order must not matter: %v", err)
-	}
-	moved := c
-	moved.Score = 0.6
-	if err := sameAnswers(exact, []core.Result{a, b, c}, []core.Result{a, b, moved}); err == nil {
-		t.Error("exact: a different score passed")
-	}
-	if err := sameAnswers(asSet, []core.Result{a, b, c}, []core.Result{moved, b, a}); err != nil {
-		t.Errorf("asSet: same (POI, aggregate) multiset in another order: %v", err)
-	}
-	other := c
-	other.Agg = 2
-	if err := sameAnswers(asSet, []core.Result{a, b, c}, []core.Result{a, b, other}); err == nil {
-		t.Error("asSet: a different aggregate passed")
-	}
-	if err := sameAnswers(asSet, []core.Result{a, b}, []core.Result{a}); err == nil {
-		t.Error("a shorter answer passed")
 	}
 }
 

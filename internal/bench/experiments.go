@@ -107,19 +107,9 @@ var experiments = []experiment{
 			{label: "50", batch: 1000, types: 50}, {label: "100", batch: 1000, types: 100},
 		})},
 
-	{id: "ingest", group: Infra, noData: true, run: ingest,
-		doc: "WAL ingestion throughput on a simulated slow disk: fsync-per-append vs group commit vs nosync (uses no data set)"},
-	{id: "cache", group: Infra, dataset: "GS", scales: []float64{0.06}, queries: 20, run: cacheExp,
-		doc: "epoch-versioned cache on a repeated-interval workload: cold/first/warm passes per TIA backend, equivalence and invalidation gates"},
-	{id: "calibration", group: Infra, dataset: "GS", scales: []float64{0.06}, run: calibrationExp,
+	{id: "calibration", group: Infra, dataset: "GS", scale: 0.06, run: calibrationExp,
 		doc: "planner calibration: Section-6 estimate vs executed search over (k, interval) classes, 8 queries each"},
-	{id: "startup", group: Infra, dataset: "GS", scales: []float64{0.05, 0.1, 0.2}, queries: 20, run: startupExp,
-		doc: "cold start: gob-v2 rebuild vs flat snapshot-v3 load per data-set size, restored==recompiled layout and v2==v3 gates"},
-	{id: "repl", group: Infra, dataset: "GS", scales: []float64{0.05}, run: replExp,
-		doc: "replication over loopback HTTP: snapshot bootstrap + WAL tail, LSN-identity and answer-identity gates"},
-	{id: "shard", group: Infra, dataset: "GS", scales: []float64{0.2}, run: shardExp,
-		doc: "scatter-gather over 4 shards: single-node vs one request per shard per query, exact-identity gate"},
-	{id: "smoke", group: Infra, dataset: "GS", scales: []float64{0.06}, queries: 20, run: smoke,
+	{id: "smoke", group: Infra, dataset: "GS", scale: 0.06, queries: 20, run: smoke,
 		doc: "regression probe behind benchdiff: the four methods on one fixed batch plus a WAL append/replay pass"},
 
 	{id: "abl-backend", group: Ablation, run: ablationBackend,

@@ -15,7 +15,8 @@ import (
 
 // TestSnapshotV3RoundTrip: save-v3 → load reproduces the tree exactly —
 // structure, aggregates, pending check-ins, λ̂max — for every grouping,
-// arrives pre-frozen, and stays mutable.
+// arrives pre-frozen with the layout a recompile would produce (same
+// answers, same work), and stays mutable.
 func TestSnapshotV3RoundTrip(t *testing.T) {
 	for _, g := range []Grouping{TAR3D, IndSpa, IndAgg} {
 		t.Run(g.String(), func(t *testing.T) {
@@ -30,7 +31,9 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 			if err := tr.SaveSnapshotV3(&buf); err != nil {
 				t.Fatal(err)
 			}
-			got, err := LoadSnapshot(bytes.NewReader(buf.Bytes()), nil)
+			// Disk B+-tree TIAs, so the work compared below includes TIA
+			// page accesses (the in-memory backend reads no page).
+			got, err := LoadSnapshot(bytes.NewReader(buf.Bytes()), tia.NewBTreeFactory(256, 10))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,13 +53,16 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Identical query answers (exact: same rects, same aggregates).
-			for trial := 0; trial < 10; trial++ {
-				q := Query{
+			queries := make([]Query, 10)
+			for i := range queries {
+				queries[i] = Query{
 					X: r.Float64() * 100, Y: r.Float64() * 100,
 					Iq:     tia.Interval{Start: int64(r.Intn(100)), End: int64(120 + r.Intn(80))},
 					K:      7,
 					Alpha0: 0.3,
 				}
+			}
+			for trial, q := range queries {
 				a, _, err := tr.QueryCtx(context.Background(), q, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -67,6 +73,33 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 				}
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("trial %d: answers differ after v3 round trip", trial)
+				}
+			}
+			// The layout read from the image is the one recompiling the
+			// thawed pointer tree produces: same answers, same work.
+			run := func() ([][]Result, []QueryStats) {
+				var res [][]Result
+				var stats []QueryStats
+				for _, q := range queries {
+					a, st, err := got.QueryCtx(context.Background(), q, &QueryOpts{NoCache: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, stats = append(res, a), append(stats, st)
+				}
+				return res, stats
+			}
+			restored, restoredWork := run()
+			got.Unfreeze()
+			recompiled, recompiledWork := run()
+			for i := range queries {
+				if !reflect.DeepEqual(restored[i], recompiled[i]) {
+					t.Fatalf("trial %d: restored layout answers %v, recompiled %v", i, restored[i], recompiled[i])
+				}
+				a, b := restoredWork[i], recompiledWork[i]
+				if a.RTreeAccesses() != b.RTreeAccesses() || a.LeafAccesses != b.LeafAccesses || a.TIAAccesses != b.TIAAccesses {
+					t.Fatalf("trial %d: restored layout work (node %d, leaf %d, TIA %d) != recompiled (node %d, leaf %d, TIA %d)",
+						i, a.RTreeAccesses(), a.LeafAccesses, a.TIAAccesses, b.RTreeAccesses(), b.LeafAccesses, b.TIAAccesses)
 				}
 			}
 			// The restored tree accepts further updates (structural mutation
