@@ -86,11 +86,7 @@ func main() {
 	var tr *tartree.Tree
 	switch {
 	case *replay != "":
-		d, err := lbsn.Generate(spec)
-		if err != nil {
-			fatal(err)
-		}
-		if tr, err = d.BuildEmpty(build); err != nil {
+		if tr, err = spec.BuildEmpty(build); err != nil {
 			fatal(err)
 		}
 		f, err := os.Open(*replay)

@@ -374,8 +374,8 @@ func main() {
 	// Durable mode: recover from the newest checkpoint plus a WAL replay.
 	// The base tree — used only when the directory holds no checkpoint —
 	// bulk-loads the historical data set, or starts empty when a -replay
-	// stream will provide the history through the ingest path (the one case
-	// that still generates the whole data set, to select its POIs). A follower
+	// stream will provide the history through the ingest path (its POIs are
+	// selected as they are drawn, like the bulk load's). A follower
 	// never builds one: Bootstrap below installs the leader's snapshot as
 	// the local checkpoint before the store opens.
 	fs, err := wal.NewDirFS(*walDir)
@@ -415,11 +415,7 @@ func main() {
 		}
 		log.Info("building index", "dataset", spec.Name, "scale", *scale)
 		if *replay != "" {
-			d, err := lbsn.Generate(spec)
-			if err != nil {
-				return nil, err
-			}
-			return d.BuildEmpty(opts)
+			return spec.BuildEmpty(opts)
 		}
 		return spec.Build(opts)
 	}

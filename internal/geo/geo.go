@@ -57,7 +57,11 @@ func (r Rect) Valid(dims int) bool {
 	return true
 }
 
-// Union returns the smallest rectangle containing both r and s.
+// Union returns the smallest rectangle containing both r and s. Union,
+// OverlapArea and MaxDist use the builtin min and max, which the compiler
+// inlines. They treat ±0 and NaN as math.Min and math.Max do, except for a
+// NaN against an infinity: math.Max(+Inf, NaN) is +Inf, max(+Inf, NaN) is
+// NaN. The tree's entry rectangles and query points hold no infinity.
 func (r Rect) Union(s Rect) Rect {
 	if r.IsEmpty() {
 		return s
@@ -67,8 +71,8 @@ func (r Rect) Union(s Rect) Rect {
 	}
 	var u Rect
 	for d := 0; d < MaxDims; d++ {
-		u.Min[d] = math.Min(r.Min[d], s.Min[d])
-		u.Max[d] = math.Max(r.Max[d], s.Max[d])
+		u.Min[d] = min(r.Min[d], s.Min[d])
+		u.Max[d] = max(r.Max[d], s.Max[d])
 	}
 	return u
 }
@@ -140,8 +144,8 @@ func (r Rect) Margin(dims int) float64 {
 func (r Rect) OverlapArea(s Rect, dims int) float64 {
 	a := 1.0
 	for d := 0; d < dims; d++ {
-		lo := math.Max(r.Min[d], s.Min[d])
-		hi := math.Min(r.Max[d], s.Max[d])
+		lo := max(r.Min[d], s.Min[d])
+		hi := min(r.Max[d], s.Max[d])
 		if hi <= lo {
 			return 0
 		}
@@ -216,7 +220,7 @@ func MinDist(v Vector, r Rect, dims int) float64 {
 func MaxDist(v Vector, r Rect, dims int) float64 {
 	s := 0.0
 	for d := 0; d < dims; d++ {
-		e := math.Max(math.Abs(v[d]-r.Min[d]), math.Abs(v[d]-r.Max[d]))
+		e := max(math.Abs(v[d]-r.Min[d]), math.Abs(v[d]-r.Max[d]))
 		s += e * e
 	}
 	return math.Sqrt(s)

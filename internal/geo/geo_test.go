@@ -244,3 +244,65 @@ func TestString(t *testing.T) {
 		t.Error("empty string")
 	}
 }
+
+// TestBuiltinMinMaxMatchMath checks that Union, OverlapArea and MaxDist,
+// which use the builtin min and max, return what the math.Min and math.Max
+// forms return on ±0, on NaN and on ±Inf coordinates (any NaN counts as
+// equal to any other). The one input on which they differ, a NaN against an
+// infinity, is left out: math.Max(+Inf, NaN) is +Inf, max(+Inf, NaN) NaN.
+func TestBuiltinMinMaxMatchMath(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b) }
+	sameRect := func(a, b Rect) bool {
+		for d := 0; d < MaxDims; d++ {
+			if !same(a.Min[d], b.Min[d]) || !same(a.Max[d], b.Max[d]) {
+				return false
+			}
+		}
+		return true
+	}
+	negZero := math.Copysign(0, -1)
+	for _, set := range []struct {
+		special []float64
+		points  bool // MaxDist from an infinite point takes Inf-Inf: a NaN against an infinity
+	}{
+		{[]float64{math.NaN(), negZero, 0, 1, -2}, true},
+		{[]float64{math.Inf(1), math.Inf(-1), negZero, 0, 1, -2}, false},
+	} {
+		special := set.special
+		for _, a := range special {
+			for _, b := range special {
+				for _, c := range special {
+					r := Rect{Min: Vector{a, b, 0}, Max: Vector{c, c, 1}}
+					s := Rect{Min: Vector{b, c, 0}, Max: Vector{a, a, 1}}
+					var u Rect
+					area, dist := 1.0, 0.0
+					for d := 0; d < MaxDims; d++ {
+						u.Min[d] = math.Min(r.Min[d], s.Min[d])
+						u.Max[d] = math.Max(r.Max[d], s.Max[d])
+					}
+					for d := 0; d < 2; d++ {
+						if lo, hi := math.Max(r.Min[d], s.Min[d]), math.Min(r.Max[d], s.Max[d]); hi <= lo {
+							area = 0
+							break
+						} else {
+							area *= hi - lo
+						}
+					}
+					for d := 0; d < 2; d++ {
+						e := math.Max(math.Abs(s.Min[d]-r.Min[d]), math.Abs(s.Min[d]-r.Max[d]))
+						dist += e * e
+					}
+					if !r.IsEmpty() && !s.IsEmpty() && !sameRect(r.Union(s), u) {
+						t.Errorf("%v ∪ %v = %v, want %v", r, s, r.Union(s), u)
+					}
+					if got := r.OverlapArea(s, 2); !same(got, area) {
+						t.Errorf("overlap(%v, %v) = %v, want %v", r, s, got, area)
+					}
+					if got, want := MaxDist(s.Min, r, 2), math.Sqrt(dist); set.points && !same(got, want) {
+						t.Errorf("maxdist(%v, %v) = %v, want %v", s.Min, r, got, want)
+					}
+				}
+			}
+		}
+	}
+}

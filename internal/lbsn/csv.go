@@ -55,7 +55,9 @@ func (d *Dataset) WriteCSV(dir string) (poisPath, checkinsPath string, err error
 }
 
 // LoadCSV reads a data set written by WriteCSV. The spec supplies the
-// metadata (name, time span, thresholds) that the CSV files do not carry.
+// metadata (name, time span, thresholds) that the CSV files do not carry. A
+// check-in before spec.Start is refused, as live ingest refuses it: no epoch
+// of the grid that starts there contains it.
 func LoadCSV(spec Spec, poisPath, checkinsPath string) (*Dataset, error) {
 	pois, err := readPOIs(poisPath)
 	if err != nil {
@@ -65,7 +67,7 @@ func LoadCSV(spec Spec, poisPath, checkinsPath string) (*Dataset, error) {
 	for i := range pois {
 		byID[pois[i].ID] = &pois[i]
 	}
-	if err := readCheckIns(checkinsPath, byID); err != nil {
+	if err := readCheckIns(checkinsPath, byID, spec.Start); err != nil {
 		return nil, err
 	}
 	for i := range pois {
@@ -105,7 +107,7 @@ func readPOIs(path string) ([]POI, error) {
 	return pois, nil
 }
 
-func readCheckIns(path string, byID map[int64]*POI) error {
+func readCheckIns(path string, byID map[int64]*POI, start int64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -126,6 +128,9 @@ func readCheckIns(path string, byID map[int64]*POI) error {
 		p, ok := byID[id]
 		if !ok {
 			return fmt.Errorf("lbsn: check-in for unknown POI %d in %s", id, path)
+		}
+		if ts < start {
+			return fmt.Errorf("lbsn: check-in of POI %d at %d precedes epoch origin %d in %s", id, ts, start, path)
 		}
 		p.Times = append(p.Times, ts)
 	}

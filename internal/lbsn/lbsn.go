@@ -150,8 +150,9 @@ func Generate(spec Spec) (*Dataset, error) {
 }
 
 // each draws the data set's POIs in ID order and hands each one to fn; fn's
-// error stops the generation. With reuse every POI's Times is the same
-// buffer, overwritten by the next POI, so fn must copy what it keeps.
+// error stops the generation. Without reuse each POI gets its own Times,
+// sorted ascending. With reuse every POI's Times is the same buffer, in draw
+// order and overwritten by the next POI, so fn must copy what it keeps.
 func (s Spec) each(reuse bool, fn func(p *POI) error) error {
 	if s.Locations <= 0 || s.CheckIns <= 0 || s.End <= s.Start {
 		return fmt.Errorf("lbsn: invalid spec %+v", s)
@@ -252,7 +253,9 @@ func (s Spec) each(reuse bool, fn func(p *POI) error) error {
 		for j := range times {
 			times[j] = birth + int64(r.Float64()*float64(s.End-birth))
 		}
-		slices.Sort(times)
+		if !reuse {
+			slices.Sort(times) // History does not need it; Generate's POIs promise it
+		}
 		p = POI{ID: int64(i + 1), X: x, Y: y, Times: times}
 		if err := fn(&p); err != nil {
 			return err
@@ -323,23 +326,59 @@ func (d *Dataset) SnapshotEnd(frac float64) int64 {
 
 // History buckets one POI's check-ins up to cutoff into epochs of the given
 // grid, returning the non-zero records ascending. A zero cutoff means the
-// full span.
+// full span. The times may come in any order: History counts them into an
+// array over the POI's own epoch range, which yields the records a pass over
+// the sorted times would. When that range is longer than the check-in count
+// it sorts the epoch indexes instead, so a short epoch allocates no more
+// than the times do.
 func History(p *POI, epochStart, epochLength, cutoff int64) []tia.Record {
 	if cutoff == 0 {
 		cutoff = math.MaxInt64
 	}
-	var recs []tia.Record
+	lo, hi, n := int64(math.MaxInt64), int64(math.MinInt64), 0
 	for _, t := range p.Times {
-		if t >= cutoff {
-			break
+		if t < cutoff {
+			idx := (t - epochStart) / epochLength
+			lo, hi, n = min(lo, idx), max(hi, idx), n+1
 		}
-		idx := (t - epochStart) / epochLength
+	}
+	if n == 0 {
+		return nil
+	}
+	span := uint64(hi) - uint64(lo) // hi-lo, which may not fit an int64
+	recs := make([]tia.Record, 0, min(span+1, uint64(n)))
+	emit := func(idx, agg int64) {
 		ts := epochStart + idx*epochLength
-		if n := len(recs); n > 0 && recs[n-1].Ts == ts {
-			recs[n-1].Agg++
-			continue
+		recs = append(recs, tia.Record{Ts: ts, Te: ts + epochLength, Agg: agg})
+	}
+	if span >= uint64(n) {
+		idxs := make([]int64, 0, n)
+		for _, t := range p.Times {
+			if t < cutoff {
+				idxs = append(idxs, (t-epochStart)/epochLength)
+			}
 		}
-		recs = append(recs, tia.Record{Ts: ts, Te: ts + epochLength, Agg: 1})
+		slices.Sort(idxs)
+		for i := 0; i < len(idxs); {
+			j := i + 1
+			for j < len(idxs) && idxs[j] == idxs[i] {
+				j++
+			}
+			emit(idxs[i], int64(j-i))
+			i = j
+		}
+		return recs
+	}
+	counts := make([]int64, hi-lo+1)
+	for _, t := range p.Times {
+		if t < cutoff {
+			counts[(t-epochStart)/epochLength-lo]++
+		}
+	}
+	for i, c := range counts {
+		if c != 0 {
+			emit(lo+int64(i), c)
+		}
 	}
 	return recs
 }
@@ -368,10 +407,8 @@ type BuildOptions struct {
 }
 
 // Build indexes the data set's effective POIs into a TAR-tree.
-func (d *Dataset) Build(o BuildOptions) (*core.Tree, error) { return d.build(o, false) }
-
-func (d *Dataset) build(o BuildOptions, empty bool) (*core.Tree, error) {
-	tr, add, err := d.Spec.indexer(d.World, o, empty)
+func (d *Dataset) Build(o BuildOptions) (*core.Tree, error) {
+	tr, add, err := d.Spec.indexer(d.World, o, false)
 	if err != nil {
 		return nil, err
 	}
@@ -385,9 +422,12 @@ func (d *Dataset) build(o BuildOptions, empty bool) (*core.Tree, error) {
 
 // Build generates the data set and indexes each effective POI as it is
 // drawn, into the same tree Generate(s).Build(o) returns: only the indexed
-// POIs are ever held, not the whole data set.
-func (s Spec) Build(o BuildOptions) (*core.Tree, error) {
-	tr, add, err := s.indexer(s.World(), o, false)
+// POIs are ever held, not the whole data set, and their check-in times are
+// never sorted.
+func (s Spec) Build(o BuildOptions) (*core.Tree, error) { return s.build(o, false) }
+
+func (s Spec) build(o BuildOptions, empty bool) (*core.Tree, error) {
+	tr, add, err := s.indexer(s.World(), o, empty)
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"tartree/internal/core"
@@ -179,6 +186,63 @@ func TestHistoryBucketing(t *testing.T) {
 	cut := History(&p, 0, 10, 10)
 	if len(cut) != 1 || cut[0].Agg != 3 {
 		t.Fatalf("cut = %v", cut)
+	}
+}
+
+// sortedHistory is History as it was when it required ascending times: one
+// pass that extends the last record or starts the next.
+func sortedHistory(times []int64, epochStart, epochLength, cutoff int64) []tia.Record {
+	if cutoff == 0 {
+		cutoff = math.MaxInt64
+	}
+	var recs []tia.Record
+	for _, t := range times {
+		if t >= cutoff {
+			break
+		}
+		ts := epochStart + (t-epochStart)/epochLength*epochLength
+		if n := len(recs); n > 0 && recs[n-1].Ts == ts {
+			recs[n-1].Agg++
+			continue
+		}
+		recs = append(recs, tia.Record{Ts: ts, Te: ts + epochLength, Agg: 1})
+	}
+	return recs
+}
+
+// TestHistoryAnyOrder checks that History on shuffled times returns exactly
+// the records the sorted pass returns, for dense POIs (the counting array),
+// sparse ones (more epochs than check-ins: the sort fallback), 1-, 7- and
+// 28-day epochs, and cutoffs before, inside and after the times.
+func TestHistoryAnyOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	start := GS.Start
+	for trial := 0; trial < 600; trial++ {
+		n := 1 + r.Intn(400)
+		span := (1 + r.Int63n(500)) * Day
+		if trial%3 == 0 {
+			n = 1 + r.Intn(4) // a few check-ins over a long span
+		}
+		times := make([]int64, n)
+		for i := range times {
+			times[i] = start + r.Int63n(span)
+		}
+		if trial%5 == 0 && n > 1 {
+			times[1] = times[0] // duplicate instants
+		}
+		sorted := slices.Clone(times)
+		slices.Sort(sorted)
+		r.Shuffle(len(times), func(i, j int) { times[i], times[j] = times[j], times[i] })
+		for _, epoch := range []int64{Day, 7 * Day, 28 * Day} {
+			for _, cutoff := range []int64{0, start, start + span/2, sorted[n-1], sorted[n-1] + 1} {
+				want := sortedHistory(sorted, start, epoch, cutoff)
+				got := History(&POI{Times: times}, start, epoch, cutoff)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d, %d check-ins over %d days, epoch %d days, cutoff %d: got %v, want %v",
+						trial, n, span/Day, epoch/Day, cutoff, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -365,6 +429,52 @@ func TestSpecBuildMatchesGenerate(t *testing.T) {
 	}
 }
 
+// TestSpecBuildGolden pins the tree Spec.Build makes, not only its agreement
+// with Generate+Build: a SHA-256 of the v3 snapshot per grouping, with a Keep
+// filter, with a cutoff, on a three-level GW tree, and of the empty replay
+// bases BuildEmpty makes. A change to the R* choice, the split or the
+// bucketing that moves one entry fails here even when both build paths move
+// together. The values were recorded before History counted epochs and the
+// leaf choice skipped overlap sums, and the empty ones from
+// Generate(spec).BuildEmpty.
+func TestSpecBuildGolden(t *testing.T) {
+	gs := GS.Scaled(0.05)
+	keep := func(p core.POI) bool { return p.X < 50 }
+	cases := []struct {
+		name  string
+		spec  Spec
+		o     BuildOptions
+		empty bool
+		want  string
+	}{
+		{"tar", gs, BuildOptions{Grouping: core.TAR3D}, false, "33704130fe4f00d6fe264ce13f4e6aa0d4f9c2c87e1f05ebda89197a6461488a"},
+		{"spa", gs, BuildOptions{Grouping: core.IndSpa}, false, "8d8fe7af4e3927686b16a988520d07a1333982e3e5b9b59e44966b56d544f79a"},
+		{"agg", gs, BuildOptions{Grouping: core.IndAgg}, false, "b4ff8d673692eb45c23bb1097db335acc5c8388d4f07824545e2b2a1c45dc3a2"},
+		{"keep", gs, BuildOptions{Keep: keep}, false, "79ce115e3964adf53baec29abb099441efdb6ad8dd6f2e4fb76509adf4de8cea"},
+		{"cutoff", gs, BuildOptions{Cutoff: gs.Start + (gs.End-gs.Start)*3/5, EpochLength: Day}, false, "26a9df0a8b0360bd5162e5af04bd594e2c8c450b77b0cf03cacb5d36206e6a82"},
+		{"gw-tar", GW.Scaled(0.25), BuildOptions{Grouping: core.TAR3D}, false, "8decbc6e63f95a57609e98dbd4566f587df0def49930194431170ac6b3138e8b"},
+		{"empty", gs, BuildOptions{}, true, "cd5d9ec43bbc5984c432d1802377bb6a0c21147d08bad97db4b3523b7af5a807"},
+		{"empty-keep", gs, BuildOptions{Keep: keep}, true, "f410d337f3adf54a63ac8c6e873ffdbfdc3e23290d4205027f736395f2b081da"},
+	}
+	for _, c := range cases {
+		build := c.spec.Build
+		if c.empty {
+			build = c.spec.BuildEmpty
+		}
+		tr, err := build(c.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := tr.SaveSnapshotV3(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s (%d POIs): snapshot SHA-256 %s, want %s", c.name, tr.Len(), got, c.want)
+		}
+	}
+}
+
 func TestGenerateInvalidSpec(t *testing.T) {
 	if _, err := Generate(Spec{}); err == nil {
 		t.Fatal("empty spec accepted")
@@ -439,5 +549,42 @@ func TestCSVRoundTrip(t *testing.T) {
 func TestLoadCSVErrors(t *testing.T) {
 	if _, err := LoadCSV(NYC, "/nonexistent/p.csv", "/nonexistent/c.csv"); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestLoadCSVRejectsPreOriginCheckIn checks that a check-in before the
+// spec's Start is refused, naming the POI and the time, as live ingest
+// refuses it, instead of being filed in the first epoch, which does not
+// contain it.
+func TestLoadCSVRejectsPreOriginCheckIn(t *testing.T) {
+	dir := t.TempDir()
+	pp, cp := filepath.Join(dir, "p.csv"), filepath.Join(dir, "c.csv")
+	early := NYC.Start - 3600
+	if err := os.WriteFile(pp, []byte("id,x,y,total\n7,1,2,2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rows := fmt.Sprintf("poi,unix_time\n7,%d\n7,%d\n", NYC.Start, early)
+	if err := os.WriteFile(cp, []byte(rows), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadCSV(NYC, pp, cp)
+	if err == nil {
+		t.Fatal("check-in before the epoch origin accepted")
+	}
+	for _, want := range []string{"POI 7", strconv.FormatInt(early, 10)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+// BenchmarkSpecBuild times the start-up build tarserve runs: generate GW at
+// scale 0.1 and index each effective POI into a TAR3D tree as it is drawn.
+func BenchmarkSpecBuild(b *testing.B) {
+	spec := GW.Scaled(0.1)
+	for i := 0; i < b.N; i++ {
+		if _, err := spec.Build(BuildOptions{Grouping: core.TAR3D}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

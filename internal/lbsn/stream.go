@@ -92,12 +92,13 @@ func ReadCheckInStream(r io.Reader) ([]StreamCheckIn, error) {
 	}
 }
 
-// BuildEmpty indexes the data set's effective POIs with empty histories: the
-// same POI set Build selects, but every aggregate left for the ingestion
-// path to deliver. Replaying the full CheckInStream into the result and
-// flushing reproduces Build's aggregates — the equivalence the stream tools
-// (tarquery -replay, tarserve -replay) rely on.
-func (d *Dataset) BuildEmpty(o BuildOptions) (*core.Tree, error) { return d.build(o, true) }
+// BuildEmpty generates the data set and indexes its effective POIs with
+// empty histories: the same POI set Build selects, but every aggregate left
+// for the ingestion path to deliver. Replaying the full CheckInStream into
+// the result and flushing reproduces Build's aggregates — the equivalence
+// the stream tools (tarquery -replay, tarserve -replay) rely on. Like Build
+// it streams, so the data set is never held.
+func (s Spec) BuildEmpty(o BuildOptions) (*core.Tree, error) { return s.build(o, true) }
 
 // ReplayStream feeds the stream through the tree's ingest path, skipping
 // check-ins for POIs the tree does not index (non-effective POIs are absent

@@ -72,7 +72,7 @@ func TestStreamReplayMatchesBulkBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := d.BuildEmpty(BuildOptions{})
+	live, err := d.Spec.BuildEmpty(BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestBuildEmptyKeep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty, err := d.BuildEmpty(o)
+	empty, err := d.Spec.BuildEmpty(o)
 	if err != nil {
 		t.Fatal(err)
 	}

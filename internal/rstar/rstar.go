@@ -613,26 +613,42 @@ func (t *Tree) Check() error {
 // boxes it is the IND-spa alternative.
 type SpatialStrategy struct{}
 
-// ChooseSubtree implements Strategy.
+// ChooseSubtree implements Strategy. Above the leaves it minimizes area
+// enlargement; at level 1 it minimizes the growth of the child's summed
+// overlap with its siblings, skipping work that cannot change that sum:
+//   - when e already lies inside child c (grown == c), the before and after
+//     sums add the same terms in the same order, so their difference is 0;
+//   - a sibling o that grown does not overlap adds 0 to the after sum, and,
+//     since c ⊆ grown, 0 to the before sum too; adding 0 changes no sum.
+//
+// Every other term is added in the old order, so whenever the overlap sums
+// are finite the choice and its tie-breaks are those of the full M² scan,
+// and the tree is the same tree.
 func (SpatialStrategy) ChooseSubtree(t *Tree, n *Node, e Entry) int {
 	dims := t.cfg.Dims
 	best := 0
 	if n.Level == 1 {
 		// Children are leaves: minimize overlap enlargement.
 		bestOverlap, bestEnl, bestArea := math.Inf(1), math.Inf(1), math.Inf(1)
-		for i, c := range n.Entries {
-			grown := c.Rect.Union(e.Rect)
+		for i := range n.Entries {
+			c := &n.Entries[i].Rect
+			grown := c.Union(e.Rect)
 			var before, after float64
-			for j, o := range n.Entries {
-				if j == i {
-					continue
+			if grown != *c {
+				for j := range n.Entries {
+					if j == i {
+						continue
+					}
+					o := &n.Entries[j].Rect
+					if a := grown.OverlapArea(*o, dims); a != 0 {
+						before += c.OverlapArea(*o, dims)
+						after += a
+					}
 				}
-				before += c.Rect.OverlapArea(o.Rect, dims)
-				after += grown.OverlapArea(o.Rect, dims)
 			}
 			dOverlap := after - before
-			enl := c.Rect.Enlargement(e.Rect, dims)
-			area := c.Rect.Area(dims)
+			area := c.Area(dims)
+			enl := grown.Area(dims) - area // c.Enlargement(e.Rect, dims) without a second Union
 			if dOverlap < bestOverlap ||
 				(dOverlap == bestOverlap && (enl < bestEnl ||
 					(enl == bestEnl && area < bestArea))) {
