@@ -420,11 +420,10 @@ func main() {
 		return spec.Build(opts)
 	}
 	store, err := wal.OpenStore(fs, base, wal.StoreOptions{
-		Metrics:    reg,
-		NoSync:     *noSync,
-		Cache:      cache,
-		TraceSink:  srv.spanSink,
-		SnapshotV3: true,
+		Metrics:   reg,
+		NoSync:    *noSync,
+		Cache:     cache,
+		TraceSink: srv.spanSink,
 	})
 	if err != nil {
 		fatal(err)
@@ -448,7 +447,7 @@ func main() {
 	}
 
 	// Pre-warm the compiled layout so the first query does not pay for it
-	// (a no-op after a v3 checkpoint, which restores it directly).
+	// (a no-op after a checkpoint, which restores it directly).
 	store.Freeze()
 	switch {
 	case *follow != "":

@@ -388,14 +388,29 @@ func (t *Tree) zCoord(lambda float64) float64 {
 	return z
 }
 
+// checkLocation is the coordinate rule of every indexed POI, whether
+// InsertPOI or the snapshot loader admits it: a finite point inside the
+// world rectangle. Finiteness is tested first because ContainsPoint passes
+// NaN (every comparison with it is false). Callers prefix the error.
+func (t *Tree) checkLocation(p POI) error {
+	if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+		return fmt.Errorf("POI %d at (%g, %g) is not a finite point", p.ID, p.X, p.Y)
+	}
+	if !t.opts.World.ContainsPoint(geo.Vector{p.X, p.Y}, 2) {
+		return fmt.Errorf("POI %d at (%g, %g) outside the world rectangle", p.ID, p.X, p.Y)
+	}
+	return nil
+}
+
 // InsertPOI indexes a POI together with its check-in history (aggregates
-// already bucketed into epochs; zero-aggregate epochs are omitted).
+// already bucketed into epochs; zero-aggregate epochs are omitted). The
+// POI must lie inside the world rectangle (checkLocation).
 func (t *Tree) InsertPOI(p POI, history []tia.Record) error {
 	if _, dup := t.pois[p.ID]; dup {
 		return fmt.Errorf("core: POI %d already indexed", p.ID)
 	}
-	if !t.opts.World.ContainsPoint(geo.Vector{p.X, p.Y}, 2) {
-		return fmt.Errorf("core: POI %d at (%g, %g) outside the world rectangle", p.ID, p.X, p.Y)
+	if err := t.checkLocation(p); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	data, err := t.opts.TIA.New(nil)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"tartree/internal/geo"
@@ -76,6 +77,14 @@ func TestInsertAndLookup(t *testing.T) {
 	if err := tr.InsertPOI(POI{ID: 2, X: 200, Y: 0}, nil); err == nil {
 		t.Error("out-of-world POI accepted")
 	}
+	// The world test alone passes NaN: every comparison with it is false.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, p := range []POI{{ID: 7, X: bad, Y: 20}, {ID: 7, X: 10, Y: bad}} {
+			if err := tr.InsertPOI(p, []tia.Record{{Ts: 0, Te: 10, Agg: 3}}); err == nil || !strings.Contains(err.Error(), "POI 7") {
+				t.Errorf("InsertPOI(%+v): err = %v, want a refusal naming POI 7", p, err)
+			}
+		}
+	}
 	p, ok := tr.Lookup(1)
 	if !ok || p.X != 10 || p.Y != 20 {
 		t.Errorf("lookup = %+v %v", p, ok)
@@ -89,6 +98,9 @@ func TestInsertAndLookup(t *testing.T) {
 	}
 	if tr.Len() != 1 {
 		t.Errorf("len = %d", tr.Len())
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

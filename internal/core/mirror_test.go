@@ -153,7 +153,7 @@ func testMirrorIsTheIndex(t *testing.T, g Grouping, factory func() tia.Factory) 
 	check(tr, "RebuildBulk")
 
 	var buf bytes.Buffer
-	if err := tr.SaveSnapshotV3(&buf); err != nil {
+	if err := tr.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadSnapshot(&buf, factory())
@@ -181,7 +181,7 @@ func TestSnapshotV3LoadHoldsRecordsOnce(t *testing.T) {
 		}
 	}
 	var image bytes.Buffer
-	if err := tr.SaveSnapshotV3(&image); err != nil {
+	if err := tr.SaveSnapshot(&image); err != nil {
 		t.Fatal(err)
 	}
 	tr = nil

@@ -2,12 +2,13 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"tartree/internal/aggcache"
 	"tartree/internal/geo"
@@ -16,13 +17,14 @@ import (
 	"tartree/internal/tia"
 )
 
-// Snapshot v3 is an exact on-disk image of the frozen flat layout: fixed-
-// width little-endian sections followed by a CRC-32C trailer (the WAL's
-// checksum), no gob. Loading is section reads — the node and entry slabs
-// deserialize straight into an rstar.FlatTree, TIA contents arrive packed
-// (tia.AppendPacked) instead of being recomputed from POI histories — so a
-// server restart skips the per-POI inserts and the bulk rebuild of the
-// legacy gob path entirely.
+// Snapshot v3 is the one on-disk image of a tree — every checkpoint,
+// follower bootstrap and tartree.Load reads and writes it. It is an exact
+// image of the frozen flat layout: fixed-width little-endian sections
+// followed by a CRC-32C trailer (the WAL's checksum). Loading is section
+// reads — the node and entry slabs deserialize straight into an
+// rstar.FlatTree, TIA contents arrive packed (tia.AppendPacked) instead of
+// being recomputed from POI histories — so a server restart makes no
+// per-POI insert and no bulk rebuild.
 //
 // Layout (all integers little-endian):
 //
@@ -72,11 +74,13 @@ const (
 
 var v3Castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// SaveSnapshotV3 writes the snapshot-v3 image. It only reads the tree (the
-// WAL checkpointer calls it under a read lock) and writes its compiled flat
-// layout, compiling it first — as a search would — when a structural
-// mutation dropped it.
-func (t *Tree) SaveSnapshotV3(w io.Writer) error {
+// SaveSnapshot writes the snapshot-v3 image (POIs, histories,
+// configuration and any pending check-ins), so a later process can
+// LoadSnapshot it without replaying the check-in stream. It only reads the
+// tree (the WAL checkpointer calls it under a read lock) and writes its
+// compiled flat layout, compiling it first — as a search would — when a
+// structural mutation dropped it.
+func (t *Tree) SaveSnapshot(w io.Writer) error {
 	var flags uint32
 	var epochStart, epochLength int64
 	switch e := t.opts.Epochs.(type) {
@@ -97,7 +101,7 @@ func (t *Tree) SaveSnapshotV3(w io.Writer) error {
 	for id := range t.pois {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	refs := map[*tia.Index]uint32{t.global: 0}
 	tias := []*tia.Index{t.global}
 	for _, id := range ids {
@@ -158,25 +162,27 @@ func (t *Tree) SaveSnapshotV3(w io.Writer) error {
 	}
 	section("POIS", p)
 
-	pending := make([]snapshotEpoch, 0, len(t.pending))
-	for ep, counts := range t.pending {
-		se := snapshotEpoch{Start: ep.Start, End: ep.End}
-		for id, c := range counts {
-			se.POIs = append(se.POIs, id)
-			se.Counts = append(se.Counts, c)
-		}
-		sortEpochPOIs(&se)
-		pending = append(pending, se)
+	// Pending epochs by start, each one's POIs by ascending id, so saves of
+	// the same tree encode identically.
+	eps := make([]tia.Interval, 0, len(t.pending))
+	for ep := range t.pending {
+		eps = append(eps, ep)
 	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i].Start < pending[j].Start })
-	p = binary.LittleEndian.AppendUint64(nil, uint64(len(pending)))
-	for _, se := range pending {
-		p = binary.LittleEndian.AppendUint64(p, uint64(se.Start))
-		p = binary.LittleEndian.AppendUint64(p, uint64(se.End))
-		p = binary.LittleEndian.AppendUint64(p, uint64(len(se.POIs)))
-		for i := range se.POIs {
-			p = binary.LittleEndian.AppendUint64(p, uint64(se.POIs[i]))
-			p = binary.LittleEndian.AppendUint64(p, uint64(se.Counts[i]))
+	slices.SortFunc(eps, func(a, b tia.Interval) int { return cmp.Compare(a.Start, b.Start) })
+	p = binary.LittleEndian.AppendUint64(nil, uint64(len(eps)))
+	for _, ep := range eps {
+		counts := t.pending[ep]
+		pois := make([]int64, 0, len(counts))
+		for id := range counts {
+			pois = append(pois, id)
+		}
+		slices.Sort(pois)
+		p = binary.LittleEndian.AppendUint64(p, uint64(ep.Start))
+		p = binary.LittleEndian.AppendUint64(p, uint64(ep.End))
+		p = binary.LittleEndian.AppendUint64(p, uint64(len(pois)))
+		for _, id := range pois {
+			p = binary.LittleEndian.AppendUint64(p, uint64(id))
+			p = binary.LittleEndian.AppendUint64(p, uint64(counts[id]))
 		}
 	}
 	section("PEND", p)
@@ -286,14 +292,37 @@ func (c *v3cursor) section(id string) (*v3cursor, error) {
 	return &v3cursor{b: p}, nil
 }
 
-// loadSnapshotV3 decodes a v3 image (magic already verified by the caller,
-// but still present in b). It builds the rstar.FlatTree straight from the
-// NODE/ENTR sections, thaws it into the pointer tree, and installs it as
-// the frozen layout — no per-POI inserts, no bulk rebuild, for every
+// LoadSnapshot reconstructs a tree saved with SaveSnapshot; any other
+// input is refused. The TIA factory is supplied fresh (a TIA's records are
+// decoded, not its pages); nil selects the default, in-memory TIAs. The
+// tree arrives with the frozen layout read from the image installed.
+func LoadSnapshot(r io.Reader, factory tia.Factory) (*Tree, error) {
+	return LoadSnapshotObserved(r, factory, nil, nil)
+}
+
+// LoadSnapshotObserved is LoadSnapshot with instrumentation and caching:
+// the loaded tree publishes metrics as if it had been created with
+// Options.Metrics set, and attaches the shared epoch-versioned cache (nil
+// disables). The WAL recovery path uses it so a restored server keeps its
+// observability surface and cache.
+func LoadSnapshotObserved(r io.Reader, factory tia.Factory, metrics *obs.Registry, cache *aggcache.Cache) (*Tree, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading snapshot: %w", err)
+	}
+	return loadSnapshotV3(b, factory, metrics, cache)
+}
+
+// loadSnapshotV3 decodes a v3 image. It builds the rstar.FlatTree straight
+// from the NODE/ENTR sections, thaws it into the pointer tree, and installs
+// it as the frozen layout — no per-POI inserts, no bulk rebuild, for every
 // grouping including IND-agg.
 func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache *aggcache.Cache) (*Tree, error) {
-	if len(b) < v3HeaderBytes+4 || !bytes.Equal(b[:8], snapshotV3Magic[:]) {
-		return nil, fmt.Errorf("core: not a v3 snapshot")
+	if !bytes.HasPrefix(b, snapshotV3Magic[:]) {
+		return nil, fmt.Errorf("core: not a snapshot-v3 image")
+	}
+	if len(b) < v3HeaderBytes+4 {
+		return nil, fmt.Errorf("core: snapshot truncated at %d bytes", len(b))
 	}
 	body, trailer := b[:len(b)-4], b[len(b)-4:]
 	if crc32.Checksum(body, v3Castagnoli) != binary.LittleEndian.Uint32(trailer) {
@@ -473,6 +502,9 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 		}
 		if _, dup := t.pois[id]; dup {
 			return nil, fmt.Errorf("core: snapshot POI %d duplicated", id)
+		}
+		if err := t.checkLocation(POI{ID: id, X: x, Y: y}); err != nil {
+			return nil, fmt.Errorf("core: snapshot %w", err)
 		}
 		data, err := dataFor(ref, false)
 		if err != nil {

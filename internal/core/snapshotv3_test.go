@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tartree/internal/obs"
@@ -28,7 +29,7 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 				}
 			}
 			var buf bytes.Buffer
-			if err := tr.SaveSnapshotV3(&buf); err != nil {
+			if err := tr.SaveSnapshot(&buf); err != nil {
 				t.Fatal(err)
 			}
 			// Disk B+-tree TIAs, so the work compared below includes TIA
@@ -126,72 +127,78 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotV3MatchesV2: a tree saved both ways loads to equivalent
-// trees — same answers, same aggregates — so old gob snapshots keep loading
-// through the legacy path while new checkpoints use v3.
-func TestSnapshotV3MatchesV2(t *testing.T) {
+// TestSnapshotPreservesPending pins the no-check-in-loss property through a
+// snapshot+recover cycle: check-ins buffered but not yet flushed must
+// survive SaveSnapshot/LoadSnapshot and fold into the same aggregates as on
+// the original tree.
+func TestSnapshotPreservesPending(t *testing.T) {
 	for _, g := range []Grouping{TAR3D, IndSpa, IndAgg} {
 		t.Run(g.String(), func(t *testing.T) {
-			tr, r := buildRandomTree(t, g, 200, 23)
-			var v2, v3 bytes.Buffer
-			if err := tr.SaveSnapshot(&v2); err != nil {
+			tr := mustTree(t, defaultOpts(g))
+			for id := int64(1); id <= 5; id++ {
+				if err := tr.InsertPOI(POI{ID: id, X: float64(id) * 3, Y: float64(id) * 7}, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Buffer check-ins across two epochs without flushing.
+			for i := 0; i < 30; i++ {
+				id := int64(i%5 + 1)
+				if err := tr.AddCheckIn(id, int64(i*5)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := tr.PendingCheckIns()
+			if want == 0 {
+				t.Fatal("test produced no pending check-ins")
+			}
+
+			var buf bytes.Buffer
+			if err := tr.SaveSnapshot(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if err := tr.SaveSnapshotV3(&v3); err != nil {
-				t.Fatal(err)
-			}
-			fromV2, err := LoadSnapshot(&v2, nil)
+			got, err := LoadSnapshot(&buf, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromV3, err := LoadSnapshot(&v3, nil)
-			if err != nil {
+			if n := got.PendingCheckIns(); n != want {
+				t.Fatalf("restored tree has %d pending check-ins, want %d", n, want)
+			}
+
+			// Flushing both trees must yield identical aggregates.
+			if err := tr.FlushAll(); err != nil {
 				t.Fatal(err)
 			}
-			if fromV2.Len() != fromV3.Len() {
-				t.Fatalf("lens differ: %d vs %d", fromV2.Len(), fromV3.Len())
+			if err := got.FlushAll(); err != nil {
+				t.Fatal(err)
 			}
-			iv := tia.Interval{Start: 0, End: 500}
-			fromV2.POIs(func(p POI, total int64) bool {
-				a, err := fromV2.Aggregate(p.ID, iv)
+			if n := got.PendingCheckIns(); n != 0 {
+				t.Fatalf("restored tree still has %d pending after FlushAll", n)
+			}
+			iv := tia.Interval{Start: 0, End: 1000}
+			for id := int64(1); id <= 5; id++ {
+				a, err := tr.Aggregate(id, iv)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := fromV3.Aggregate(p.ID, iv)
+				b, err := got.Aggregate(id, iv)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if a != b {
-					t.Fatalf("POI %d: aggregate %d (v2) vs %d (v3)", p.ID, a, b)
-				}
-				return true
-			})
-			for trial := 0; trial < 10; trial++ {
-				q := Query{
-					X: r.Float64() * 100, Y: r.Float64() * 100,
-					Iq:     tia.Interval{Start: int64(r.Intn(100)), End: int64(120 + r.Intn(80))},
-					K:      5,
-					Alpha0: 0.4,
-				}
-				a, _, err := fromV2.QueryCtx(context.Background(), q, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, _, err := fromV3.QueryCtx(context.Background(), q, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(a) != len(b) {
-					t.Fatalf("trial %d: %d vs %d results", trial, len(a), len(b))
-				}
-				for i := range a {
-					if a[i].POI.ID != b[i].POI.ID || a[i].Agg != b[i].Agg {
-						t.Fatalf("trial %d pos %d: (%d,%d) vs (%d,%d)",
-							trial, i, a[i].POI.ID, a[i].Agg, b[i].POI.ID, b[i].Agg)
-					}
+					t.Errorf("POI %d: aggregate %d after restore, want %d", id, b, a)
 				}
 			}
+			if err := got.Check(); err != nil {
+				t.Fatal(err)
+			}
 		})
+	}
+}
+
+func TestSnapshotGarbage(t *testing.T) {
+	_, err := LoadSnapshot(bytes.NewReader([]byte("not a snapshot")), nil)
+	if err == nil || !strings.Contains(err.Error(), "not a snapshot-v3 image") {
+		t.Fatalf("garbage: err = %v, want the snapshot-v3 refusal", err)
 	}
 }
 
@@ -201,7 +208,7 @@ func TestSnapshotV3MatchesV2(t *testing.T) {
 func TestSnapshotV3RejectsCorrupt(t *testing.T) {
 	tr, _ := buildRandomTree(t, TAR3D, 120, 31)
 	var buf bytes.Buffer
-	if err := tr.SaveSnapshotV3(&buf); err != nil {
+	if err := tr.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
@@ -222,11 +229,48 @@ func TestSnapshotV3RejectsCorrupt(t *testing.T) {
 			}
 		}
 	}
-	// Wrong magic falls through to the gob path and must error there.
+	// A wrong magic is refused before anything else is read.
 	mut := append([]byte(nil), img...)
 	mut[0] = 'X'
-	if _, err := LoadSnapshot(bytes.NewReader(mut), nil); err == nil {
-		t.Fatal("wrong magic accepted")
+	if _, err := LoadSnapshot(bytes.NewReader(mut), nil); err == nil || !strings.Contains(err.Error(), "not a snapshot-v3 image") {
+		t.Fatalf("wrong magic: err = %v, want the snapshot-v3 refusal", err)
+	}
+}
+
+// TestSnapshotRejectsBadPOICoordinates: a POIS row InsertPOI would refuse —
+// outside the world, NaN, infinite — is refused by the loader too, even in
+// an image whose checksum is resealed around it.
+func TestSnapshotRejectsBadPOICoordinates(t *testing.T) {
+	tr := mustTree(t, defaultOpts(TAR3D))
+	for id := int64(1); id <= 3; id++ {
+		if err := tr.InsertPOI(POI{ID: id, X: float64(id) * 10, Y: 50}, []tia.Record{{Ts: 0, Te: 10, Agg: id}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	// POI 2's row starts with its id and x.
+	row := binary.LittleEndian.AppendUint64(nil, 2)
+	row = binary.LittleEndian.AppendUint64(row, math.Float64bits(20))
+	at := bytes.Index(img, row)
+	if at < 0 {
+		t.Fatal("POI 2's row not found in the image")
+	}
+	for _, x := range []float64{1e9, math.NaN(), math.Inf(1), 20} {
+		mut := append([]byte(nil), img...)
+		binary.LittleEndian.PutUint64(mut[at+8:], math.Float64bits(x))
+		resealV3(mut)
+		_, err := LoadSnapshot(bytes.NewReader(mut), nil)
+		if x == 20 { // the row as saved: the resealed image still loads
+			if err != nil {
+				t.Fatalf("the unchanged image: %v", err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), "POI 2") {
+			t.Errorf("x = %g: err = %v, want a refusal naming POI 2", x, err)
+		}
 	}
 }
 
@@ -234,7 +278,7 @@ func TestSnapshotV3RejectsCorrupt(t *testing.T) {
 func TestSnapshotV3EmptyTree(t *testing.T) {
 	tr := mustTree(t, defaultOpts(TAR3D))
 	var buf bytes.Buffer
-	if err := tr.SaveSnapshotV3(&buf); err != nil {
+	if err := tr.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadSnapshot(&buf, nil)
@@ -255,7 +299,7 @@ func TestSnapshotV3EmptyTree(t *testing.T) {
 func TestSnapshotV3RestoreExportsIndexGauges(t *testing.T) {
 	tr, _ := buildRandomTree(t, TAR3D, 200, 23)
 	var buf bytes.Buffer
-	if err := tr.SaveSnapshotV3(&buf); err != nil {
+	if err := tr.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
@@ -276,8 +320,8 @@ func TestSnapshotV3RestoreExportsIndexGauges(t *testing.T) {
 	}
 }
 
-// TestSnapshotV3GeometricEpochs: the geometric-grid flag round-trips.
-func TestSnapshotV3GeometricEpochs(t *testing.T) {
+// TestSnapshotGeometricEpochs: the geometric-grid flag round-trips.
+func TestSnapshotGeometricEpochs(t *testing.T) {
 	opts := Options{
 		World:    world(0, 0, 100, 100),
 		Grouping: TAR3D,
@@ -288,7 +332,7 @@ func TestSnapshotV3GeometricEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.SaveSnapshotV3(&buf); err != nil {
+	if err := tr.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadSnapshot(&buf, nil)
@@ -304,16 +348,55 @@ func TestSnapshotV3GeometricEpochs(t *testing.T) {
 	}
 }
 
+// TestSnapshotV3GeometricEpochs: a geometric grid with a non-zero origin
+// keeps its exact Start and First across a round trip, and records spread
+// over several doubling epochs aggregate as before the save.
+func TestSnapshotV3GeometricEpochs(t *testing.T) {
+	want := GeometricEpochs{Start: 7, First: 5}
+	opts := Options{
+		World:    world(0, 0, 100, 100),
+		Grouping: TAR3D,
+		Epochs:   want,
+	}
+	tr := mustTree(t, opts)
+	// Epochs of the grid: [7,12), [12,22), [22,42), [42,82).
+	recs := []tia.Record{{Ts: 7, Te: 12, Agg: 2}, {Ts: 22, Te: 42, Agg: 5}, {Ts: 42, Te: 82, Agg: 1}}
+	if err := tr.InsertPOI(POI{ID: 1, X: 5, Y: 5}, recs); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadSnapshot(&buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := got.Epochs().(GeometricEpochs); !ok || e != want {
+		t.Fatalf("epochs = %#v, want %#v", got.Epochs(), want)
+	}
+	for _, q := range []tia.Interval{{Start: 0, End: 100}, {Start: 12, End: 42}, {Start: 42, End: 82}} {
+		w, _ := tr.Aggregate(1, q)
+		a, _ := got.Aggregate(1, q)
+		if a != w {
+			t.Fatalf("aggregate over %v = %d after load, %d before", q, a, w)
+		}
+	}
+	if a, _ := got.Aggregate(1, tia.Interval{Start: 0, End: 100}); a != 8 {
+		t.Fatalf("total aggregate = %d, want 8", a)
+	}
+}
+
 // TestSnapshotV3Deterministic: saving the same tree twice yields identical
 // bytes (entry order is fixed by the frozen compile, POIs and pending are
 // sorted), so checkpoint artifacts are reproducible and diffable.
 func TestSnapshotV3Deterministic(t *testing.T) {
 	tr, _ := buildRandomTree(t, TAR3D, 150, 41)
 	var a, b bytes.Buffer
-	if err := tr.SaveSnapshotV3(&a); err != nil {
+	if err := tr.SaveSnapshot(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.SaveSnapshotV3(&b); err != nil {
+	if err := tr.SaveSnapshot(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -330,7 +413,7 @@ func TestSnapshotV3Deterministic(t *testing.T) {
 func FuzzLoadSnapshotV3(f *testing.F) {
 	tr, _ := buildRandomTree(f, TAR3D, 60, 53)
 	var buf bytes.Buffer
-	if err := tr.SaveSnapshotV3(&buf); err != nil {
+	if err := tr.SaveSnapshot(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -372,7 +455,7 @@ func overflowingV3Image(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.SaveSnapshotV3(&buf); err != nil {
+	if err := tr.SaveSnapshot(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	img := buf.Bytes()
@@ -382,10 +465,16 @@ func overflowingV3Image(tb testing.TB) []byte {
 		tb.Fatal("packed record not found in the image")
 	}
 	img[at+len(binary.AppendVarint(nil, rec.Ts))] = 127 // the uvarint Te − Ts
-	n := len(img) - 4
-	binary.LittleEndian.PutUint32(img[n:], crc32.Checksum(img[:n], v3Castagnoli))
+	resealV3(img)
 	if _, err := LoadSnapshot(bytes.NewReader(img), nil); err == nil {
 		tb.Fatal("an image whose epoch ends past math.MaxInt64 loaded")
 	}
 	return img
+}
+
+// resealV3 rewrites an image's CRC-32C trailer over its mutated body, so the
+// mutation reaches the section decoders instead of failing the checksum.
+func resealV3(img []byte) {
+	n := len(img) - 4
+	binary.LittleEndian.PutUint32(img[n:], crc32.Checksum(img[:n], v3Castagnoli))
 }

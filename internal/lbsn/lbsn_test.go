@@ -408,10 +408,10 @@ func TestSpecBuildMatchesGenerate(t *testing.T) {
 			t.Fatal(err)
 		}
 		var a, b bytes.Buffer
-		if err := want.SaveSnapshotV3(&a); err != nil {
+		if err := want.SaveSnapshot(&a); err != nil {
 			t.Fatal(err)
 		}
-		if err := got.SaveSnapshotV3(&b); err != nil {
+		if err := got.SaveSnapshot(&b); err != nil {
 			t.Fatal(err)
 		}
 		if want.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -466,7 +466,7 @@ func TestSpecBuildGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := sha256.New()
-		if err := tr.SaveSnapshotV3(h); err != nil {
+		if err := tr.SaveSnapshot(h); err != nil {
 			t.Fatal(err)
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
@@ -575,6 +575,31 @@ func TestLoadCSVRejectsPreOriginCheckIn(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)
 		}
+	}
+}
+
+// TestLoadCSVNaNPOIRefusedByBuild: a POI row whose x reads "NaN" parses
+// (strconv accepts it), and the build refuses to index that POI, naming it,
+// instead of filing an entry no distance can rank.
+func TestLoadCSVNaNPOIRefusedByBuild(t *testing.T) {
+	dir := t.TempDir()
+	pp, cp := filepath.Join(dir, "p.csv"), filepath.Join(dir, "c.csv")
+	if err := os.WriteFile(pp, []byte("id,x,y,total\n3,1,2,1\n7,NaN,2,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rows := fmt.Sprintf("poi,unix_time\n3,%d\n7,%d\n", NYC.Start, NYC.Start)
+	if err := os.WriteFile(cp, []byte(rows), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := NYC
+	spec.MinEffective = 1 // both POIs are indexed
+	d, err := LoadCSV(spec, pp, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.Build(BuildOptions{Grouping: core.TAR3D})
+	if err == nil || !strings.Contains(err.Error(), "POI 7") {
+		t.Fatalf("build over a NaN POI: err = %v, want a refusal naming POI 7", err)
 	}
 }
 

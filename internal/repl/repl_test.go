@@ -88,8 +88,8 @@ func assertStoresAgree(t *testing.T, leader, follower *wal.Store, horizon int64)
 		if err := tr.Check(); err != nil {
 			t.Fatalf("follower tree invariant: %v", err)
 		}
-		// Follower == leader is proved on what a server runs: no test names
-		// a StoreOptions.Factory, so the bootstrap builds in-memory TIAs.
+		// Follower == leader is proved on what a server runs: the bootstrap
+		// builds in-memory TIAs, the core default.
 		if _, ok := tr.Options().TIA.(*tia.MemFactory); !ok {
 			t.Fatalf("follower tree runs on %T, want the in-memory default", tr.Options().TIA)
 		}

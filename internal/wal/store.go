@@ -12,7 +12,6 @@ import (
 	"tartree/internal/aggcache"
 	"tartree/internal/core"
 	"tartree/internal/obs"
-	"tartree/internal/tia"
 )
 
 // checkpointTmp is the scratch name a checkpoint is written under before the
@@ -100,19 +99,15 @@ type StoreOptions struct {
 	// batch traces (linking member ingests), epoch-flush and checkpoint
 	// traces. Per-request ingest spans ride the caller's context (IngestCtx).
 	TraceSink obs.TraceSink
-	// Factory builds the TIAs of a tree recovered from a checkpoint; nil
-	// selects the core default, in-memory TIAs: each TIA's records decoded
-	// from the checkpoint become its storage as they are.
-	Factory tia.Factory
 	// Cache attaches a shared epoch-versioned result cache to the
 	// recovered tree (nil disables). The store's locking makes it safe:
 	// queries — the only writers of cache entries — run under the read
 	// lock, mutations and their invalidation under the write lock.
 	Cache *aggcache.Cache
-	// SnapshotV3 makes Checkpoint write the flat snapshot-v3 format (exact
-	// frozen layout + packed TIAs) instead of the legacy gob image, so the
-	// next startup loads by section reads with no rebuild. Recovery reads
-	// either format regardless — the loader dispatches on the magic bytes.
+	// SnapshotV3 is ignored: every checkpoint is the snapshot-v3 image, the
+	// only format recovery reads. It stays only so existing literals
+	// compile (untagged, so staticcheck's deprecation check passes them),
+	// and goes once none sets it.
 	SnapshotV3 bool
 }
 
@@ -189,7 +184,7 @@ func OpenStore(fs FS, base func() (*core.Tree, error), opts StoreOptions) (*Stor
 		if err != nil {
 			return nil, err
 		}
-		tree, err = core.LoadSnapshotObserved(f, opts.Factory, opts.Metrics, opts.Cache)
+		tree, err = core.LoadSnapshotObserved(f, nil, opts.Metrics, opts.Cache)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("wal: loading checkpoint %s: %w", ckName, err)
@@ -351,27 +346,30 @@ func (s *Store) ApplyReplicated(first uint64, cs []CheckIn) (uint64, error) {
 	return s.Ingest(cs)
 }
 
-// EncodeSnapshot encodes a consistent snapshot of the tree (snapshot v3
-// when the store is configured for it, the legacy gob image otherwise) and
+// EncodeSnapshot encodes a consistent snapshot-v3 image of the tree and
 // returns the encoded bytes plus the exact LSN they cover: the contiguous
 // applied prefix at encode time. A replication follower that installs these
 // bytes as a checkpoint and then tails the WAL from the returned LSN + 1
 // reconstructs the leader's tree exactly.
 func (s *Store) EncodeSnapshot() ([]byte, uint64, error) {
 	s.mu.RLock()
-	lsn := s.appliedContig
-	var buf bytes.Buffer
-	var err error
-	if s.opts.SnapshotV3 {
-		err = s.tree.SaveSnapshotV3(&buf)
-	} else {
-		err = s.tree.SaveSnapshot(&buf)
-	}
-	s.mu.RUnlock()
+	defer s.mu.RUnlock()
+	b, err := s.encodeLocked()
 	if err != nil {
 		return nil, 0, err
 	}
-	return buf.Bytes(), lsn, nil
+	return b, s.appliedContig, nil
+}
+
+// encodeLocked encodes the tree's snapshot-v3 image; the caller holds mu
+// for reading. SaveSnapshot only reads the tree, even without an installed
+// frozen layout (it compiles a temporary one), so the read lock suffices.
+func (s *Store) encodeLocked() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := s.tree.SaveSnapshot(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // markApplied records that LSNs [first,last] are folded into the tree and
@@ -454,8 +452,8 @@ func (s *Store) Checkpoint() (uint64, error) {
 	defer s.ckMu.Unlock()
 	start := time.Now()
 
-	// Encode under the tree lock (pending check-ins travel in the snapshot
-	// since version 2); all file I/O happens after release.
+	// Encode under the tree lock (pending check-ins travel in the
+	// snapshot); all file I/O happens after release.
 	s.mu.RLock()
 	lsn := s.appliedContig
 	if lsn == s.checkpointLSN {
@@ -466,15 +464,7 @@ func (s *Store) Checkpoint() (uint64, error) {
 	ck.SetAttr("lsn", lsn)
 	defer ck.Finish()
 	enc := ck.StartChild("encode")
-	var buf bytes.Buffer
-	var err error
-	if s.opts.SnapshotV3 {
-		// Read-only even without an installed frozen layout (it compiles a
-		// temporary one), so the read lock suffices.
-		err = s.tree.SaveSnapshotV3(&buf)
-	} else {
-		err = s.tree.SaveSnapshot(&buf)
-	}
+	img, err := s.encodeLocked()
 	s.mu.RUnlock()
 	enc.End()
 	if err != nil {
@@ -487,7 +477,7 @@ func (s *Store) Checkpoint() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(img); err != nil {
 		f.Close()
 		return 0, err
 	}

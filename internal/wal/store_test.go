@@ -2,6 +2,7 @@ package wal
 
 import (
 	"context"
+	"io"
 	"math"
 	"testing"
 
@@ -84,8 +85,8 @@ func assertTreesAgree(t *testing.T, s *Store, ref *core.Tree, horizon int64) {
 		if err := tr.Check(); err != nil {
 			t.Fatalf("recovered tree invariant: %v", err)
 		}
-		// The identities are proved on what a server runs: no test names a
-		// StoreOptions.Factory, so recovery builds in-memory TIAs.
+		// The identities are proved on what a server runs: recovery builds
+		// in-memory TIAs, the core default.
 		if _, ok := tr.Options().TIA.(*tia.MemFactory); !ok {
 			t.Fatalf("recovered tree runs on %T, want the in-memory default", tr.Options().TIA)
 		}
@@ -320,13 +321,13 @@ func TestStorePendingSurviveCheckpoint(t *testing.T) {
 	assertTreesAgree(t, s2, referenceTree(t, cs, horizon), horizon)
 }
 
-// TestStoreCheckpointV3Recover: with StoreOptions.SnapshotV3 the checkpoint
-// is the flat v3 image; recovery loads it by section reads (the tree comes
-// back frozen), replays the WAL tail past it, and agrees exactly with an
+// TestStoreCheckpointV3Recover: a store on default options checkpoints the
+// flat v3 image; recovery loads it by section reads (the tree comes back
+// frozen), replays the WAL tail past it, and agrees exactly with an
 // unjournaled reference.
 func TestStoreCheckpointV3Recover(t *testing.T) {
 	fs := testFS(t)
-	opts := StoreOptions{SnapshotV3: true}
+	opts := StoreOptions{}
 	s, err := OpenStore(fs, newBaseTree, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -348,6 +349,16 @@ func TestStoreCheckpointV3Recover(t *testing.T) {
 	}
 	if ck != 200 {
 		t.Fatalf("checkpoint LSN = %d, want 200", ck)
+	}
+	f, err := fs.Open(checkpointName(ck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	magic := make([]byte, 8)
+	_, err = io.ReadFull(f, magic)
+	f.Close()
+	if err != nil || string(magic) != "TARSNP3\x00" {
+		t.Fatalf("checkpoint starts %q (%v), want the snapshot-v3 magic", magic, err)
 	}
 	// The tail past the checkpoint rides the WAL.
 	if _, err := s.Ingest(cs[200:]); err != nil {

@@ -215,10 +215,10 @@ func NewTraceRing(n int) *TraceRing { return obs.NewTraceRing(n) }
 // maxBytes for Options.Cache. maxBytes <= 0 returns nil, the no-op cache.
 func NewCache(maxBytes int64) *Cache { return aggcache.New(maxBytes) }
 
-// Load reconstructs a tree from a snapshot image in either format — the gob
-// image of (*Tree).SaveSnapshot or the flat v3 image of SaveSnapshotV3, told
-// apart by their magic; a v3 load arrives with the frozen layout installed.
-// A nil factory selects the default in-memory TIAs.
+// Load reconstructs a tree from the snapshot-v3 image (*Tree).SaveSnapshot
+// writes, the one snapshot format; any other input is refused. The tree
+// arrives with the frozen layout installed. A nil factory selects the
+// default in-memory TIAs.
 func Load(r io.Reader, factory tia.Factory) (*Tree, error) {
 	return core.LoadSnapshot(r, factory)
 }
