@@ -10,6 +10,10 @@
 //	                    503 "recovering" while it is still loading
 //	GET  /debug/pprof/  standard Go profiling endpoints
 //
+// METRICS.md catalogs every /metrics series with the roles that export it
+// and its reader: a test, the end-to-end benchmark, or an operator question
+// in the README. TestMetricsCatalog checks every role's page against it.
+//
 // timeout_ms maps to a context deadline: a query that exceeds it — queued
 // for an execution slot or mid-search — stops promptly and answers 504.
 //
@@ -150,80 +154,105 @@ func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
+// config is the command line as main parsed and checked it: what start
+// needs to bring a role up. TestMetricsCatalog starts every role from one.
+type config struct {
+	spec     lbsn.Spec
+	scale    float64
+	grouping core.Grouping
+	// cacheBytes sizes the shared result cache (0 disables it).
+	cacheBytes int64
+	// Durable mode (walDir set).
+	walDir           string
+	ckEvery, flEvery time.Duration
+	replay           string
+	noSync           bool
+	// Replication: follow is the leader's base URL.
+	follow, replTok string
+	// Sharding: shardMap is set for a shard, shards for a coordinator.
+	shardIdx, shardN int
+	shardMap         *shard.Map
+	shards           []string
+}
+
 func main() {
 	var (
+		cfg     config
 		addr    = flag.String("addr", ":8080", "listen address")
 		name    = flag.String("dataset", "GS", "data set name (NYC, LA, GW, GS)")
-		scale   = flag.Float64("scale", 0.1, "data set scale in (0,1]")
 		group   = flag.String("grouping", "tar", "entry grouping: tar, spa, agg")
 		logJSON = flag.Bool("logjson", false, "emit access logs as JSON instead of text")
 		nTraces = flag.Int("traces", 64, "finished traces kept for /v1/traces: this many recent ones and this many slowest queries (0 turns request tracing off)")
 		slowQ   = flag.Duration("slow-query", 250*time.Millisecond, "log requests that took this long or longer (queries also at warn level, with their trace)")
 		maxConc = flag.Int("max-concurrent", 0, "admission limit: queries executing at once (0 = GOMAXPROCS); excess requests queue")
-		walDir  = flag.String("wal-dir", "", "enable durable ingestion: write-ahead log and checkpoints live here")
-		ckEvery = flag.Duration("checkpoint-every", 5*time.Minute, "background checkpoint interval (requires -wal-dir)")
-		flEvery = flag.Duration("flush-every", 30*time.Second, "background epoch-flush interval (requires -wal-dir)")
-		replay  = flag.String("replay", "", "seed a fresh WAL with this check-in stream (written by datagen -checkins) through the ingest path; skipped if the WAL already holds data")
-		noSync  = flag.Bool("wal-nosync", false, "skip WAL fsyncs (throughput experiments only: crash durability is lost)")
-		cacheB  = flag.Int64("cache-bytes", 64<<20, "shared result cache size in bytes (0 disables)")
 		trcOut  = flag.String("trace-out", "", "append finished span traces to this file as Chrome trace_event JSON")
-		sloSpec = flag.String("slo", "", `latency/error objectives, e.g. "query:p99<50ms,ingest:p99<100ms" (burn rates on /metrics)`)
-		follow  = flag.String("follow", "", "run as a replication follower of this leader base URL (requires -wal-dir and -repl-token)")
-		replTok = flag.String("repl-token", "", "shared replication secret: enables the leader's /v1/repl endpoints, authenticates a follower; empty disables replication")
 		shardOf = flag.String("shard-of", "", `serve spatial shard "i/N" of the data set (requires -shard-map); only POIs the map assigns to shard i are indexed`)
 		mapFile = flag.String("shard-map", "", "shard map JSON file (written by datagen -shard-map); required with -shard-of")
 		coord   = flag.String("coordinator", "", "comma-separated shard base URLs: run /v1/query as a scatter-gather coordinator over them (no local index)")
 	)
+	flag.Float64Var(&cfg.scale, "scale", 0.1, "data set scale in (0,1]")
+	flag.StringVar(&cfg.walDir, "wal-dir", "", "enable durable ingestion: write-ahead log and checkpoints live here")
+	flag.DurationVar(&cfg.ckEvery, "checkpoint-every", 5*time.Minute, "background checkpoint interval (requires -wal-dir)")
+	flag.DurationVar(&cfg.flEvery, "flush-every", 30*time.Second, "background epoch-flush interval (requires -wal-dir)")
+	flag.StringVar(&cfg.replay, "replay", "", "seed a fresh WAL with this check-in stream (written by datagen -checkins) through the ingest path; skipped if the WAL already holds data")
+	flag.BoolVar(&cfg.noSync, "wal-nosync", false, "skip WAL fsyncs (throughput experiments only: crash durability is lost)")
+	flag.Int64Var(&cfg.cacheBytes, "cache-bytes", 64<<20, "shared result cache size in bytes (0 disables)")
+	flag.StringVar(&cfg.follow, "follow", "", "run as a replication follower of this leader base URL (requires -wal-dir and -repl-token)")
+	flag.StringVar(&cfg.replTok, "repl-token", "", "shared replication secret: enables the leader's /v1/repl endpoints, authenticates a follower; empty disables replication")
 	flag.Parse()
-	var (
-		shardIdx, shardN int
-		shardMap         *shard.Map
-	)
 	if *shardOf != "" {
 		switch {
 		case *coord != "":
 			fatal(errors.New("-shard-of and -coordinator are mutually exclusive roles"))
-		case *follow != "":
+		case cfg.follow != "":
 			fatal(errors.New("-shard-of cannot be combined with -follow: a shard owns its own slice of the base data"))
-		case *replTok != "":
+		case cfg.replTok != "":
 			fatal(errors.New("-shard-of cannot be combined with -repl-token"))
 		case *mapFile == "":
 			fatal(errors.New("-shard-of requires -shard-map"))
 		}
-		if n, err := fmt.Sscanf(*shardOf, "%d/%d", &shardIdx, &shardN); err != nil || n != 2 {
+		if n, err := fmt.Sscanf(*shardOf, "%d/%d", &cfg.shardIdx, &cfg.shardN); err != nil || n != 2 {
 			fatal(fmt.Errorf("-shard-of must look like \"0/4\", got %q", *shardOf))
 		}
-		if shardN < 1 || shardIdx < 0 || shardIdx >= shardN {
-			fatal(fmt.Errorf("-shard-of index %d out of range for %d shards", shardIdx, shardN))
+		if cfg.shardN < 1 || cfg.shardIdx < 0 || cfg.shardIdx >= cfg.shardN {
+			fatal(fmt.Errorf("-shard-of index %d out of range for %d shards", cfg.shardIdx, cfg.shardN))
 		}
 		m, err := shard.LoadMap(*mapFile)
 		if err != nil {
 			fatal(err)
 		}
-		if m.N != shardN {
-			fatal(fmt.Errorf("-shard-of names %d shards but map %s holds %d", shardN, *mapFile, m.N))
+		if m.N != cfg.shardN {
+			fatal(fmt.Errorf("-shard-of names %d shards but map %s holds %d", cfg.shardN, *mapFile, m.N))
 		}
-		shardMap = m
+		cfg.shardMap = m
 	}
 	if *coord != "" {
 		switch {
-		case *follow != "":
+		case cfg.follow != "":
 			fatal(errors.New("-coordinator cannot be combined with -follow"))
-		case *replTok != "":
+		case cfg.replTok != "":
 			fatal(errors.New("-coordinator cannot be combined with -repl-token: the coordinator holds no WAL to replicate"))
-		case *walDir != "":
+		case cfg.walDir != "":
 			fatal(errors.New("-coordinator cannot be combined with -wal-dir: ingest goes to the shards, not the coordinator"))
 		}
+		cfg.shards = strings.Split(*coord, ",")
+		for i := range cfg.shards {
+			cfg.shards[i] = strings.TrimRight(strings.TrimSpace(cfg.shards[i]), "/")
+			if cfg.shards[i] == "" {
+				fatal(fmt.Errorf("-coordinator has an empty shard URL in %q", *coord))
+			}
+		}
 	}
-	if *follow != "" {
+	if cfg.follow != "" {
 		switch {
-		case *walDir == "":
+		case cfg.walDir == "":
 			fatal(errors.New("-follow requires -wal-dir for the follower's own WAL copy"))
-		case *replTok == "":
+		case cfg.replTok == "":
 			fatal(errors.New("-follow requires -repl-token"))
-		case *replay != "":
+		case cfg.replay != "":
 			fatal(errors.New("-replay cannot be combined with -follow: a follower's history comes from the leader"))
 		}
+		cfg.follow = strings.TrimRight(cfg.follow, "/")
 	}
 
 	// Shutdown: first signal starts the drain, a second one kills the
@@ -237,56 +266,34 @@ func main() {
 	}
 	log := slog.New(h)
 
-	var g core.Grouping
 	switch *group {
 	case "tar":
-		g = core.TAR3D
+		cfg.grouping = core.TAR3D
 	case "spa":
-		g = core.IndSpa
+		cfg.grouping = core.IndSpa
 	case "agg":
-		g = core.IndAgg
+		cfg.grouping = core.IndAgg
 	default:
 		fatal(fmt.Errorf("unknown grouping %q", *group))
 	}
 
-	spec, err := lbsn.SpecFor(*name, *scale)
-	if err != nil {
+	var err error
+	if cfg.spec, err = lbsn.SpecFor(*name, cfg.scale); err != nil {
 		fatal(err)
 	}
-	// A shard indexes only the POIs the map assigns to it; Locate is the
-	// membership oracle so every process sharing the map agrees exactly.
-	var keep func(p core.POI) bool
-	if shardMap != nil {
-		if w := spec.World(); w != shardMap.World {
-			fatal(fmt.Errorf("shard map %s was built for world %v, data set has %v — regenerate it with datagen -shard-map at the same -dataset/-scale", *mapFile, shardMap.World, w))
-		}
-		keep = func(p core.POI) bool { return shardMap.Locate(p.X, p.Y) == shardIdx }
+	if m := cfg.shardMap; m != nil && cfg.spec.World() != m.World {
+		fatal(fmt.Errorf("shard map %s was built for world %v, data set has %v — regenerate it with datagen -shard-map at the same -dataset/-scale", *mapFile, m.World, cfg.spec.World()))
 	}
 
-	reg := obs.NewRegistry()
-	obs.RegisterRuntimeMetrics(reg)
 	var ring *obs.TraceRing
 	if *nTraces > 0 {
 		ring = obs.NewTraceRing(*nTraces)
 		ring.SetSlowLog(log, *slowQ)
 	}
-	cache := aggcache.New(*cacheB) // nil when disabled
-	// A base index is built straight from the spec: each POI is indexed or
-	// dropped as it is drawn, so the data set is never held in memory.
-	// Neither a follower nor a coordinator builds one.
-	opts := lbsn.BuildOptions{Grouping: g, Metrics: reg, Cache: cache, Keep: keep}
-
-	objectives, err := obs.ParseSLOs(*sloSpec)
-	if err != nil {
-		fatal(err)
-	}
-
 	// The listener comes up before the index: /healthz answers 503
-	// "recovering" (and /metrics works) until finishStartup below.
-	srv := newPendingServer(reg, ring, log, *maxConc)
+	// "recovering" (and /metrics works) until start finishes.
+	srv := newPendingServer(newRegistry(), ring, log, *maxConc)
 	srv.slowQuery = *slowQ
-	srv.slo = obs.NewSLOTracker(objectives)
-	srv.slo.Register(reg)
 	if *trcOut != "" {
 		f, err := os.OpenFile(*trcOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -304,71 +311,95 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpServer.Serve(ln) }()
 
-	// waitAndDrain blocks until a shutdown signal (or listener failure),
-	// drains in-flight requests, then runs cleanup — flushing and closing
-	// whatever durable state the mode holds.
-	waitAndDrain := func(cleanup func()) {
-		select {
-		case <-ctx.Done():
-			log.Info("shutdown signal received, draining", "timeout", drainTimeout)
-		case err := <-serveErr:
-			fatal(err)
-		}
-		drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		if err := httpServer.Shutdown(drainCtx); err != nil {
-			log.Warn("drain incomplete", "err", err)
-		}
-		if cleanup != nil {
-			cleanup()
-		}
-		log.Info("shutdown complete")
+	closeRole, err := start(ctx, &cfg, srv, log, stop)
+	if err != nil {
+		fatal(err)
 	}
+	// Block until a shutdown signal (or listener failure), drain in-flight
+	// requests, then close whatever durable state the role holds.
+	select {
+	case <-ctx.Done():
+		log.Info("shutdown signal received, draining", "timeout", drainTimeout)
+	case err := <-serveErr:
+		fatal(err)
+	}
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := httpServer.Shutdown(drainCtx); err != nil {
+		log.Warn("drain incomplete", "err", err)
+	}
+	replErr := closeRole()
+	log.Info("shutdown complete")
+	if replErr != nil {
+		os.Exit(1)
+	}
+}
 
+// newRegistry is the registry every role exports on /metrics: the Go
+// runtime's series, plus what start registers for the role.
+func newRegistry() *obs.Registry {
+	reg := obs.NewRegistry()
+	obs.RegisterRuntimeMetrics(reg)
+	return reg
+}
+
+// start brings up the role cfg names behind srv and flips srv to ready: it
+// builds or recovers the index (a coordinator has none), enables the role's
+// endpoints and starts the background loops, which run until ctx ends. A
+// follower whose replication tail fails while ctx is live calls fail, so
+// the process drains instead of serving ever-staler data. Call the returned
+// function once ctx has ended: it waits for the tail, flushes observed epochs
+// and closes the WAL, and returns the tail's failure, if any.
+func start(ctx context.Context, cfg *config, srv *server, log *slog.Logger, fail func()) (func() error, error) {
+	spec, reg := cfg.spec, srv.reg
+	none := func() error { return nil }
 	// Coordinator: no local index at all. /v1/query scatter-gathers across
 	// the shard fleet; everything else (metrics, traces, healthz) works as
 	// usual over the nil tree.
-	if *coord != "" {
-		urls := strings.Split(*coord, ",")
-		for i := range urls {
-			urls[i] = strings.TrimRight(strings.TrimSpace(urls[i]), "/")
-			if urls[i] == "" {
-				fatal(fmt.Errorf("-coordinator has an empty shard URL in %q", *coord))
-			}
-		}
+	if cfg.shards != nil {
 		srv.setCoordinator(&shard.Coordinator{
-			Shards:  urls,
+			Shards:  cfg.shards,
 			Client:  newShardClient(cap(srv.admission)),
 			Metrics: shard.NewMetrics(reg),
-		}, shardMap)
+		}, cfg.shardMap)
 		srv.finishStartup(nil, nil, spec.Start, spec.End)
-		log.Info("coordinator ready", "shards", len(urls))
-		waitAndDrain(nil)
-		return
+		log.Info("coordinator ready", "shards", len(cfg.shards))
+		return none, nil
 	}
+	// A shard indexes only the POIs the map assigns to it; Locate is the
+	// membership oracle so every process sharing the map agrees exactly.
+	var keep func(p core.POI) bool
+	enableShard := func(data shard.Viewer) {}
+	if m := cfg.shardMap; m != nil {
+		keep = func(p core.POI) bool { return m.Locate(p.X, p.Y) == cfg.shardIdx }
+		enableShard = func(data shard.Viewer) {
+			srv.enableShard(&shard.Server{
+				Data:    data,
+				Index:   cfg.shardIdx,
+				N:       cfg.shardN,
+				Region:  m.Region(cfg.shardIdx),
+				Metrics: shard.NewMetrics(reg),
+			}, m)
+			log.Info("shard enabled", "shard", cfg.shardIdx, "of", cfg.shardN)
+		}
+	}
+	// A base index is built straight from the spec: each POI is indexed or
+	// dropped as it is drawn, so the data set is never held in memory.
+	// Neither a follower nor a coordinator builds one.
+	opts := lbsn.BuildOptions{Grouping: cfg.grouping, Metrics: reg, Cache: aggcache.New(cfg.cacheBytes), Keep: keep}
 
 	buildStart := time.Now()
-	if *walDir == "" {
-		log.Info("building index", "dataset", spec.Name, "scale", *scale)
+	if cfg.walDir == "" {
+		log.Info("building index", "dataset", spec.Name, "scale", cfg.scale)
 		tr, err := spec.Build(opts)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		tr.Freeze()
-		if shardMap != nil {
-			srv.enableShard(&shard.Server{
-				Data:    shard.TreeViewer{Tree: tr},
-				Index:   shardIdx,
-				N:       shardN,
-				Region:  shardMap.Region(shardIdx),
-				Metrics: shard.NewMetrics(reg),
-			}, shardMap)
-			log.Info("shard enabled", "shard", shardIdx, "of", shardN)
-		}
+		enableShard(shard.TreeViewer{Tree: tr})
 		logIndex(log, tr, buildStart)
 		srv.finishStartup(tr, nil, spec.Start, spec.End)
-		waitAndDrain(nil)
-		return
+		return none, nil
 	}
 
 	// Durable mode: recover from the newest checkpoint plus a WAL replay.
@@ -378,21 +409,21 @@ func main() {
 	// selected as they are drawn, like the bulk load's). A follower
 	// never builds one: Bootstrap below installs the leader's snapshot as
 	// the local checkpoint before the store opens.
-	fs, err := wal.NewDirFS(*walDir)
+	fs, err := wal.NewDirFS(cfg.walDir)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	var (
 		wm    *repl.Watermark
 		rm    *repl.Metrics
 		fopts repl.FollowerOptions
 	)
-	if *follow != "" {
+	if cfg.follow != "" {
 		wm = repl.NewWatermark()
 		rm = repl.NewMetrics(reg)
 		fopts = repl.FollowerOptions{
-			LeaderURL: strings.TrimRight(*follow, "/"),
-			Token:     *replTok,
+			LeaderURL: cfg.follow,
+			Token:     cfg.replTok,
 			Watermark: wm,
 			Metrics:   rm,
 			Logf: func(format string, args ...any) {
@@ -401,36 +432,36 @@ func main() {
 		}
 		lsn, downloaded, err := repl.Bootstrap(ctx, fs, fopts)
 		if err != nil {
-			fatal(fmt.Errorf("bootstrapping from %s: %w", fopts.LeaderURL, err))
+			return nil, fmt.Errorf("bootstrapping from %s: %w", fopts.LeaderURL, err)
 		}
 		if downloaded {
 			log.Info("bootstrapped from leader snapshot", "leader", fopts.LeaderURL, "lsn", lsn)
 		} else {
-			log.Info("local WAL state found, skipping snapshot bootstrap", "dir", *walDir)
+			log.Info("local WAL state found, skipping snapshot bootstrap", "dir", cfg.walDir)
 		}
 	}
 	base := func() (*core.Tree, error) {
-		if *follow != "" {
+		if cfg.follow != "" {
 			return nil, errors.New("follower WAL directory holds no snapshot; bootstrap should have installed one")
 		}
-		log.Info("building index", "dataset", spec.Name, "scale", *scale)
-		if *replay != "" {
+		log.Info("building index", "dataset", spec.Name, "scale", cfg.scale)
+		if cfg.replay != "" {
 			return spec.BuildEmpty(opts)
 		}
 		return spec.Build(opts)
 	}
 	store, err := wal.OpenStore(fs, base, wal.StoreOptions{
 		Metrics:   reg,
-		NoSync:    *noSync,
-		Cache:     cache,
+		NoSync:    cfg.noSync,
+		Cache:     opts.Cache,
 		TraceSink: srv.spanSink,
 	})
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	rec := store.Recovery()
 	log.Info("wal recovered",
-		"dir", *walDir,
+		"dir", cfg.walDir,
 		"checkpoint_loaded", rec.CheckpointLoaded,
 		"checkpoint_lsn", rec.CheckpointLSN,
 		"replayed", rec.Replay.Records,
@@ -438,11 +469,11 @@ func main() {
 		"durable_lsn", store.DurableLSN(),
 	)
 
-	if *replay != "" {
+	if cfg.replay != "" {
 		if rec.CheckpointLoaded || store.DurableLSN() > 0 {
-			log.Info("replay skipped: WAL already holds data", "file", *replay)
-		} else if err := seedFromStream(store, *replay, log); err != nil {
-			fatal(err)
+			log.Info("replay skipped: WAL already holds data", "file", cfg.replay)
+		} else if err := seedFromStream(store, cfg.replay, log); err != nil {
+			return nil, err
 		}
 	}
 
@@ -450,31 +481,22 @@ func main() {
 	// (a no-op after a checkpoint, which restores it directly).
 	store.Freeze()
 	switch {
-	case *follow != "":
+	case cfg.follow != "":
 		srv.setFollower(fopts.LeaderURL, wm, rm)
 		rm.ObserveApplied(store.AppliedLSN(), store.AppliedLSN())
-	case *replTok != "":
-		srv.enableReplLeader(&repl.Leader{Store: store, Token: *replTok, Metrics: repl.NewMetrics(reg)})
+	case cfg.replTok != "":
+		srv.enableReplLeader(&repl.Leader{Store: store, Token: cfg.replTok, Metrics: repl.NewMetrics(reg)})
 		log.Info("replication leader enabled", "endpoints", "/v1/repl/snapshot /v1/repl/wal")
 	}
-	if shardMap != nil {
-		// The store is the shard's Viewer: each shard query runs under one
-		// hold of its read lock, so live ingest never splits a search.
-		srv.enableShard(&shard.Server{
-			Data:    store,
-			Index:   shardIdx,
-			N:       shardN,
-			Region:  shardMap.Region(shardIdx),
-			Metrics: shard.NewMetrics(reg),
-		}, shardMap)
-		log.Info("shard enabled", "shard", shardIdx, "of", shardN)
-	}
+	// The store is the shard's Viewer: each shard query runs under one hold
+	// of its read lock, so live ingest never splits a search.
+	enableShard(store)
 	logIndex(log, store.Tree(), buildStart)
 	srv.finishStartup(store.Tree(), store, spec.Start, spec.End)
 
-	if *flEvery > 0 {
+	if cfg.flEvery > 0 {
 		go func() {
-			tick := time.NewTicker(*flEvery)
+			tick := time.NewTicker(cfg.flEvery)
 			defer tick.Stop()
 			for {
 				select {
@@ -488,9 +510,9 @@ func main() {
 			}
 		}()
 	}
-	if *ckEvery > 0 {
+	if cfg.ckEvery > 0 {
 		go func() {
-			tick := time.NewTicker(*ckEvery)
+			tick := time.NewTicker(cfg.ckEvery)
 			defer tick.Stop()
 			for {
 				select {
@@ -510,32 +532,30 @@ func main() {
 		}()
 	}
 
-	// The follower's tail loop runs until shutdown or a fatal replication
+	// The follower's tail loop runs until ctx ends or a fatal replication
 	// error (leader truncated our LSN, bad token, divergence) — the latter
-	// triggers the same drain path as a signal and exits nonzero rather
-	// than serving ever-staler data silently.
-	var (
-		replDone  chan error
-		replFatal bool
-	)
-	if *follow != "" {
+	// calls fail, which drains the process and exits nonzero rather than
+	// serving ever-staler data silently.
+	var replDone chan error
+	if cfg.follow != "" {
 		replDone = make(chan error, 1)
 		go func() {
 			err := (&repl.Follower{Store: store, Opts: fopts}).Run(ctx)
 			replDone <- err
 			if err != nil && ctx.Err() == nil {
 				log.Error("replication tail failed, shutting down", "err", err)
-				stop()
+				fail()
 			}
 		}()
 	}
 
-	waitAndDrain(func() {
+	return func() error {
+		var replErr error
 		if replDone != nil {
-			// The canceled context already stopped the tail; wait for the
-			// last apply to finish before closing the store under it.
+			// The ended context already stopped the tail; wait for the last
+			// apply to finish before closing the store under it.
 			if err := <-replDone; err != nil && !errors.Is(err, context.Canceled) {
-				replFatal = true
+				replErr = err
 			}
 		}
 		if err := store.FlushObserved(); err != nil {
@@ -544,10 +564,8 @@ func main() {
 		if err := store.Close(); err != nil {
 			log.Error("closing store", "err", err)
 		}
-	})
-	if replFatal {
-		os.Exit(1)
-	}
+		return replErr
+	}, nil
 }
 
 // seedFromStream feeds a datagen -checkins stream through the durable ingest

@@ -64,7 +64,6 @@ type server struct {
 	queued    atomic.Int64
 
 	requests *obs.Counter
-	errors   *obs.Counter
 	mux      *http.ServeMux
 
 	// Tracing: every /v1/* request gets a span tree rooted at the route,
@@ -77,9 +76,6 @@ type server struct {
 	traceOut *obs.FileTraceSink
 	spanSink obs.TraceSink
 
-	// slo classifies finished query/ingest requests against the -slo
-	// objectives; nil (no objectives) records nothing.
-	slo *obs.SLOTracker
 	// slowQuery is the -slow-query threshold: a request that took this long
 	// or longer gets an access line even when it succeeded.
 	slowQuery time.Duration
@@ -130,7 +126,6 @@ func newPendingServer(reg *obs.Registry, traces *obs.TraceRing, log *slog.Logger
 		start:     time.Now(),
 		admission: make(chan struct{}, maxConcurrent),
 		requests:  reg.Counter("tarserve_http_requests_total"),
-		errors:    reg.Counter("tarserve_http_errors_total"),
 		mux:       http.NewServeMux(),
 	}
 	if traces != nil {
@@ -139,24 +134,11 @@ func newPendingServer(reg *obs.Registry, traces *obs.TraceRing, log *slog.Logger
 	reg.GaugeFunc("tarserve_max_concurrent_queries", func() float64 { return float64(cap(s.admission)) })
 	reg.GaugeFunc("tarserve_inflight_queries", func() float64 { return float64(s.inflight.Load()) })
 	reg.GaugeFunc("tarserve_query_queue_depth", func() float64 { return float64(s.queued.Load()) })
-	reg.GaugeFunc("tarserve_goroutines", func() float64 { return float64(runtime.NumGoroutine()) })
-	reg.GaugeFunc("tarserve_heap_alloc_bytes", func() float64 {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return float64(m.HeapAlloc)
-	})
-	reg.GaugeFunc("tarserve_uptime_seconds", func() float64 { return time.Since(s.start).Seconds() })
 	reg.GaugeFunc("tarserve_ready", func() float64 {
 		if s.ready.Load() {
 			return 1
 		}
 		return 0
-	})
-	reg.GaugeFunc("tarserve_indexed_pois", func() float64 {
-		if !s.ready.Load() || s.tree == nil {
-			return 0
-		}
-		return float64(s.tree.Len())
 	})
 
 	s.mux.HandleFunc("GET /v1/query", s.handleQuery)
@@ -326,20 +308,9 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// sloService maps a request path to the SLO service it counts against.
-func sloService(path string) string {
-	switch path {
-	case "/v1/query":
-		return "query"
-	case "/v1/ingest":
-		return "ingest"
-	}
-	return ""
-}
-
-// ServeHTTP wraps the mux with the error/slow access log, request counters,
-// span tracing on /v1/* (joining the client's traceparent and emitting the
-// server's own in the response), and SLO classification.
+// ServeHTTP wraps the mux with the error/slow access log, the request
+// counter, and span tracing on /v1/* (joining the client's traceparent and
+// emitting the server's own in the response).
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	begin := time.Now()
 	s.requests.Inc()
@@ -360,14 +331,6 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if sp != nil {
 		sp.SetAttr("status", sw.status)
 		sp.Finish()
-	}
-	if svc := sloService(r.URL.Path); svc != "" {
-		// Server-side failures burn the error budget; client errors (4xx)
-		// do not — a malformed query is not our latency problem.
-		s.slo.Observe(svc, elapsed, sw.status >= 500)
-	}
-	if sw.status >= 400 {
-		s.errors.Inc()
 	}
 	// Access lines for failed and slow requests only: a line for every
 	// request cost more server CPU than a result-cache hit (DESIGN §10).

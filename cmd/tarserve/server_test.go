@@ -120,7 +120,7 @@ func TestServeQueryThenMetrics(t *testing.T) {
 	for _, ty := range []string{
 		"# TYPE tartree_query_latency_seconds histogram",
 		"# TYPE tartree_pagestore_reads_total counter",
-		"# TYPE tarserve_goroutines gauge",
+		"# TYPE tarserve_max_concurrent_queries gauge",
 	} {
 		if !strings.Contains(metrics, ty) {
 			t.Errorf("missing %q in /metrics", ty)

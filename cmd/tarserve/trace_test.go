@@ -249,31 +249,3 @@ func TestTracesChromeExport(t *testing.T) {
 		t.Fatalf("default traces view: %d %s", code, body)
 	}
 }
-
-// TestServerSLOMetrics wires an SLO tracker the way main does and checks
-// the burn-rate series appear on /metrics after a query.
-func TestServerSLOMetrics(t *testing.T) {
-	s := newTracingTestServer(t)
-	objs, err := obs.ParseSLOs("query:p99<50ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.slo = obs.NewSLOTracker(objs)
-	s.slo.Register(s.reg)
-	if code, body := get(t, s, "/v1/query?x=50&y=50&k=3"); code != 200 {
-		t.Fatalf("query: %d %s", code, body)
-	}
-	code, body := get(t, s, "/metrics")
-	if code != 200 {
-		t.Fatalf("metrics status %d", code)
-	}
-	for _, want := range []string{
-		`tartree_slo_requests_total{slo="query:p99<50ms",outcome="good"}`,
-		`tartree_slo_burn_rate{slo="query:p99<50ms",window="5m"}`,
-		`tartree_slo_burn_rate{slo="query:p99<50ms",window="1h"}`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-}

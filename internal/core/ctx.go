@@ -80,7 +80,7 @@ func (t *Tree) QueryCtx(ctx context.Context, q Query, opts *QueryOpts) ([]Result
 	res, stats, err := t.runQueryCtx(ctx, q, &o)
 	o.Explain.Finish(res, err)
 	if t.instr != nil {
-		t.instr.record(stats, len(res), time.Since(begin), err)
+		t.instr.record(stats, time.Since(begin), err)
 	}
 	AnnotateSpan(o.Span, q, len(res), &stats, err, o.Explain)
 	return res, stats, err

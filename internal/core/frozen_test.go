@@ -179,15 +179,9 @@ func flatSearchMatchesScan(t *testing.T, opts Options) {
 // TestFreezeLifecycle: the first search compiles the layout, Freeze on a
 // compiled tree is a no-op, check-in ingest keeps the layout (its entries
 // share the aggregate handles, so the flushed epochs are observed), and
-// every structural mutation drops it until the next search — with the
-// tartree_index_bytes{layout="flat"} gauge reading 0 in between and the new
-// layout's size afterwards.
+// every structural mutation drops it until the next search.
 func TestFreezeLifecycle(t *testing.T) {
-	reg := obs.NewRegistry()
-	opts := explainTreeOpts(TAR3D, tia.NewMemFactory())
-	opts.Metrics = reg
-	tr := buildAccountingTreeOpts(t, opts)
-	gauge := reg.Gauge(`tartree_index_bytes{layout="flat"}`)
+	tr := buildAccountingTreeOpts(t, explainTreeOpts(TAR3D, tia.NewMemFactory()))
 	if tr.Frozen() {
 		t.Fatal("a tree nobody searched holds a compiled layout")
 	}
@@ -235,30 +229,13 @@ func TestFreezeLifecycle(t *testing.T) {
 		if err := m.mutate(); err != nil {
 			t.Fatal(err)
 		}
-		if tr.Frozen() || gauge.Value() != 0 {
-			t.Fatalf("%s left a stale compiled layout (gauge reads %v bytes)", m.name, gauge.Value())
+		if tr.Frozen() {
+			t.Fatalf("%s left a stale compiled layout", m.name)
 		}
 		query()
 		if !tr.Frozen() || tr.Freeze() == f {
 			t.Fatalf("the search after %s did not compile a fresh layout", m.name)
 		}
-		if _, flat := tr.IndexBytes(); flat == 0 || int64(gauge.Value()) != flat {
-			t.Fatalf("after %s the gauge reads %v, the new layout holds %d bytes", m.name, gauge.Value(), flat)
-		}
-	}
-}
-
-// TestIndexBytes: the flat layout must be the smaller representation.
-func TestIndexBytes(t *testing.T) {
-	tr := buildAccountingTreeOpts(t, explainTreeOpts(TAR3D, tia.NewMemFactory()))
-	ptr, flat := tr.IndexBytes()
-	if ptr <= 0 || flat != 0 {
-		t.Fatalf("before the first compile: pointer=%d flat=%d", ptr, flat)
-	}
-	tr.Freeze()
-	ptr, flat = tr.IndexBytes()
-	if flat <= 0 || flat >= ptr {
-		t.Fatalf("compiled: flat=%d not in (0, pointer=%d)", flat, ptr)
 	}
 }
 

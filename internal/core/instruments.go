@@ -17,14 +17,13 @@ import (
 type instruments struct {
 	queries     *obs.Counter
 	queryErrors *obs.Counter
-	results     *obs.Counter
 	latency     *obs.Histogram
 	internals   *obs.Counter
 	leaves      *obs.Counter
 	tiaLogical  *obs.Counter
 	tiaPhysical *obs.Counter
 	scored      *obs.Counter
-	reg         *obs.Registry
+	freezes     *obs.Counter
 }
 
 func newInstruments(r *obs.Registry) *instruments {
@@ -32,14 +31,13 @@ func newInstruments(r *obs.Registry) *instruments {
 	return &instruments{
 		queries:     r.Counter("tartree_queries_total"),
 		queryErrors: r.Counter("tartree_query_errors_total"),
-		results:     r.Counter("tartree_results_total"),
 		latency:     r.Histogram("tartree_query_latency_seconds", nil),
 		internals:   r.Counter(`tartree_rtree_node_accesses_total{level="internal"}`),
 		leaves:      r.Counter(`tartree_rtree_node_accesses_total{level="leaf"}`),
 		tiaLogical:  r.Counter(`tartree_tia_page_reads_total{kind="logical"}`),
 		tiaPhysical: r.Counter(`tartree_tia_page_reads_total{kind="physical"}`),
 		scored:      r.Counter("tartree_entries_scored_total"),
-		reg:         r,
+		freezes:     r.Counter("tartree_freezes_total"),
 	}
 }
 
@@ -48,7 +46,7 @@ func newInstruments(r *obs.Registry) *instruments {
 // measured. A failed or canceled query still did the work in its stats —
 // the factory's ledger and the probe totals have already counted it — so
 // the work counters take it too and the two families keep agreeing.
-func (in *instruments) record(stats QueryStats, nresults int, d time.Duration, err error) {
+func (in *instruments) record(stats QueryStats, d time.Duration, err error) {
 	if in == nil {
 		return
 	}
@@ -57,7 +55,6 @@ func (in *instruments) record(stats QueryStats, nresults int, d time.Duration, e
 	if err != nil {
 		in.queryErrors.Inc()
 	}
-	in.results.Add(int64(nresults))
 	in.internals.Add(int64(stats.InternalAccesses))
 	in.leaves.Add(int64(stats.LeafAccesses))
 	in.tiaLogical.Add(stats.TIAAccesses)

@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
+	"tartree/internal/geo"
 	"tartree/internal/rstar"
 	"tartree/internal/tia"
 )
@@ -205,7 +207,11 @@ func TestSnapshotV3LoadHoldsRecordsOnce(t *testing.T) {
 	for _, st := range loaded.pois {
 		count(st.data)
 	}
+	// The R*-tree's own share: node structs and entry arrays, and the
+	// compiled layout's slabs.
+	var treeBytes int64
 	loaded.rt.VisitNodes(func(n *rstar.Node) bool {
+		treeBytes += int64(unsafe.Sizeof(*n)) + int64(cap(n.Entries))*int64(unsafe.Sizeof(rstar.Entry{}))
 		for _, e := range n.Entries {
 			if e.Child != nil {
 				count(tiaOf(e.Data))
@@ -214,7 +220,12 @@ func TestSnapshotV3LoadHoldsRecordsOnce(t *testing.T) {
 		return true
 	})
 	flat := loaded.Freeze()
-	bound := recBytes*13/10 + int64(loaded.rt.MemoryBytes()) + int64(flat.Bytes())
+	treeBytes += int64(unsafe.Sizeof(*flat)) +
+		int64(cap(flat.Nodes))*int64(unsafe.Sizeof(rstar.FlatNode{})) +
+		int64(cap(flat.Rects))*int64(unsafe.Sizeof(geo.Rect{})) +
+		int64(cap(flat.Children))*4 + int64(cap(flat.Items))*8 +
+		int64(cap(flat.Data))*int64(unsafe.Sizeof(any(nil)))
+	bound := recBytes*13/10 + treeBytes
 	t.Logf("heap grew %d B loading %d B of records (bound %d B)", grown, recBytes, bound)
 	if grown > bound {
 		t.Errorf("heap grew %d B, more than 1.3 × %d B of records + the R*-tree (%d B): records are held more than once",

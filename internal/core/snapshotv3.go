@@ -647,8 +647,5 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 	}
 	t.rt = rt
 	t.flat.Store(f)
-	if t.instr != nil {
-		t.instr.recordIndexBytes(rt.MemoryBytes(), f.Bytes())
-	}
 	return t, nil
 }

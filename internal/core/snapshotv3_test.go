@@ -293,10 +293,10 @@ func TestSnapshotV3EmptyTree(t *testing.T) {
 	}
 }
 
-// TestSnapshotV3RestoreExportsIndexGauges: a tree restored frozen from a
-// v3 image reports the by-layout footprint gauges without ever calling
-// Freeze — the loader installs the layout through the same telemetry path.
-func TestSnapshotV3RestoreExportsIndexGauges(t *testing.T) {
+// TestSnapshotV3RestoreInstallsLayout: a tree restored from a v3 image
+// holds the compiled layout without ever calling Freeze, so the restore
+// counts no compile.
+func TestSnapshotV3RestoreInstallsLayout(t *testing.T) {
 	tr, _ := buildRandomTree(t, TAR3D, 200, 23)
 	var buf bytes.Buffer
 	if err := tr.SaveSnapshot(&buf); err != nil {
@@ -309,11 +309,6 @@ func TestSnapshotV3RestoreExportsIndexGauges(t *testing.T) {
 	}
 	if !got.Frozen() {
 		t.Fatal("v3 load did not install the frozen layout")
-	}
-	ptr := reg.Gauge(`tartree_index_bytes{layout="pointer"}`).Value()
-	flat := reg.Gauge(`tartree_index_bytes{layout="flat"}`).Value()
-	if flat <= 0 || ptr <= 0 || flat >= ptr {
-		t.Fatalf("restored gauges: pointer=%v flat=%v (want 0 < flat < pointer)", ptr, flat)
 	}
 	if n := reg.Counter("tartree_freezes_total").Value(); n != 0 {
 		t.Fatalf("restore counted as a freeze: tartree_freezes_total = %v", n)

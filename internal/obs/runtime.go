@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"runtime"
 	rm "runtime/metrics"
 	"sync"
 	"time"
@@ -19,15 +18,15 @@ import (
 // a single runtime/metrics.Read regardless of how many series are
 // registered, and every exported gauge is from the same consistent sample.
 
-// runtimeMetricNames maps the runtime/metrics names we want to the metric
-// names they are exported under. Registration is capability-based: names the
-// running Go version does not provide are skipped, so the collector works
-// across toolchain versions.
+// runtimeGauges, runtimeCounters and runtimeHistograms map the
+// runtime/metrics names we want to the metric names they are exported
+// under. Registration is capability-based: names the running Go version
+// does not provide are skipped, so the collector works across toolchain
+// versions.
 var runtimeGauges = []struct{ runtime, metric string }{
 	{"/sched/goroutines:goroutines", "go_goroutines"},
 	{"/sched/gomaxprocs:threads", "go_gomaxprocs"},
 	{"/memory/classes/heap/objects:bytes", "go_heap_objects_bytes"},
-	{"/memory/classes/heap/released:bytes", "go_heap_released_bytes"},
 	{"/memory/classes/total:bytes", "go_memory_total_bytes"},
 	{"/gc/heap/goal:bytes", "go_gc_heap_goal_bytes"},
 }
@@ -35,17 +34,11 @@ var runtimeGauges = []struct{ runtime, metric string }{
 var runtimeCounters = []struct{ runtime, metric string }{
 	{"/gc/cycles/total:gc-cycles", "go_gc_cycles_total"},
 	{"/gc/heap/allocs:bytes", "go_heap_allocs_bytes_total"},
-	{"/cgo/go-to-c-calls:calls", "go_cgo_calls_total"},
 }
 
-var runtimeHistograms = []struct {
-	runtimes []string // first available name wins (renames across Go versions)
-	metric   string
-}{
-	// The GC pause distribution moved from /gc/pauses:seconds to
-	// /sched/pauses/total/gc:seconds in Go 1.22.
-	{[]string{"/sched/pauses/total/gc:seconds", "/gc/pauses:seconds"}, "go_gc_pauses_seconds"},
-	{[]string{"/sched/latencies:seconds"}, "go_sched_latencies_seconds"},
+var runtimeHistograms = []struct{ runtime, metric string }{
+	{"/sched/pauses/total/gc:seconds", "go_gc_pauses_seconds"},
+	{"/sched/latencies:seconds", "go_sched_latencies_seconds"},
 }
 
 // maxRuntimeBuckets bounds the exposition size of runtime histograms: the
@@ -111,7 +104,7 @@ func float64Value(v rm.Value) float64 {
 // HistogramSnapshot (inclusive upper bounds plus a trailing +Inf bucket),
 // merging adjacent buckets down to maxRuntimeBuckets. The sum is estimated
 // from bucket midpoints — the runtime does not track it — which is fine for
-// the burn-rate and quantile consumers of these series.
+// the quantile consumers of these series.
 func snapshotFromRuntimeHistogram(h *rm.Float64Histogram) HistogramSnapshot {
 	var s HistogramSnapshot
 	if h == nil || len(h.Counts) == 0 || len(h.Buckets) != len(h.Counts)+1 {
@@ -179,9 +172,9 @@ func snapshotFromRuntimeHistogram(h *rm.Float64Histogram) HistogramSnapshot {
 
 // RegisterRuntimeMetrics publishes the Go runtime's telemetry into r: the
 // GC pause and scheduler-latency histograms, heap/goroutine/GC gauges and
-// counters, plus go_num_cpu. Series the running toolchain does not provide
-// are skipped. All callbacks read through one cached sample (1s TTL), so
-// scrapes are cheap and internally consistent.
+// counters. Series the running toolchain does not provide are skipped. All
+// callbacks read through one cached sample (1s TTL), so scrapes are cheap
+// and internally consistent.
 func RegisterRuntimeMetrics(r *Registry) {
 	registerRuntimeMetrics(r, time.Second)
 }
@@ -192,51 +185,34 @@ func registerRuntimeMetrics(r *Registry, ttl time.Duration) {
 		available[d.Name] = true
 	}
 	var names []string
-	for _, g := range runtimeGauges {
-		if available[g.runtime] {
-			names = append(names, g.runtime)
-		}
-	}
-	for _, c := range runtimeCounters {
-		if available[c.runtime] {
-			names = append(names, c.runtime)
-		}
-	}
-	histNames := make(map[string]string) // metric name -> chosen runtime name
-	for _, h := range runtimeHistograms {
-		for _, rn := range h.runtimes {
-			if available[rn] {
-				names = append(names, rn)
-				histNames[h.metric] = rn
-				break
+	for _, list := range [][]struct{ runtime, metric string }{runtimeGauges, runtimeCounters, runtimeHistograms} {
+		for _, m := range list {
+			if available[m.runtime] {
+				names = append(names, m.runtime)
 			}
 		}
 	}
 	s := newRuntimeSampler(names, ttl)
 
 	for _, g := range runtimeGauges {
-		if !available[g.runtime] {
-			continue
+		if rn := g.runtime; available[rn] {
+			r.GaugeFunc(g.metric, func() float64 { return float64Value(s.value(rn)) })
 		}
-		rn := g.runtime
-		r.GaugeFunc(g.metric, func() float64 { return float64Value(s.value(rn)) })
 	}
 	for _, c := range runtimeCounters {
-		if !available[c.runtime] {
-			continue
+		if rn := c.runtime; available[rn] {
+			r.CounterFunc(c.metric, func() int64 { return int64(float64Value(s.value(rn))) })
 		}
-		rn := c.runtime
-		r.CounterFunc(c.metric, func() int64 { return int64(float64Value(s.value(rn))) })
 	}
-	for metric, rn := range histNames {
-		rn := rn
-		r.HistogramFunc(metric, func() HistogramSnapshot {
-			v := s.value(rn)
-			if v.Kind() != rm.KindFloat64Histogram {
-				return HistogramSnapshot{}
-			}
-			return snapshotFromRuntimeHistogram(v.Float64Histogram())
-		})
+	for _, h := range runtimeHistograms {
+		if rn := h.runtime; available[rn] {
+			r.HistogramFunc(h.metric, func() HistogramSnapshot {
+				v := s.value(rn)
+				if v.Kind() != rm.KindFloat64Histogram {
+					return HistogramSnapshot{}
+				}
+				return snapshotFromRuntimeHistogram(v.Float64Histogram())
+			})
+		}
 	}
-	r.GaugeFunc("go_num_cpu", func() float64 { return float64(runtime.NumCPU()) })
 }

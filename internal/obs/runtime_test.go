@@ -25,7 +25,6 @@ func TestRegisterRuntimeMetrics(t *testing.T) {
 		"go_gomaxprocs ",
 		"go_memory_total_bytes ",
 		"go_gc_cycles_total ",
-		"go_num_cpu ",
 		`go_gc_pauses_seconds_bucket{le="+Inf"}`,
 		"go_gc_pauses_seconds_count ",
 		`go_sched_latencies_seconds_bucket{le="+Inf"}`,

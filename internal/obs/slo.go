@@ -4,18 +4,12 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// slo.go: declarative service-level objectives and multi-window burn-rate
-// accounting. An Objective like "query:p99<50ms" promises that 99% of query
-// requests finish under 50ms; the 1% allowance is the error budget. The
-// SLOTracker classifies each request as within/over budget and maintains
-// burn rates over a short (5m) and a long (1h) window — the standard SRE
-// multi-window pattern: the short window catches a fast burn early, the
-// long window keeps a slow leak from hiding between scrapes.
+// slo.go: declarative service-level objectives. An Objective like
+// "query:p99<50ms" promises that 99% of query requests finish under 50ms;
+// benchdiff -slo gates a bench snapshot's latency histograms against it.
 
 // Objective is one parsed SLO clause.
 type Objective struct {
@@ -23,19 +17,6 @@ type Objective struct {
 	Kind      string  // "p50".."p99.9" for latency, or "error_rate"
 	Threshold float64 // seconds for latency kinds, a fraction for error_rate
 }
-
-// Target returns the promised good-request fraction: 0.99 for p99,
-// 1-threshold for error_rate.
-func (o Objective) Target() float64 {
-	if o.Kind == "error_rate" {
-		return 1 - o.Threshold
-	}
-	pct, _ := strconv.ParseFloat(strings.TrimPrefix(o.Kind, "p"), 64)
-	return pct / 100
-}
-
-// Budget returns the error budget, the allowed bad-request fraction.
-func (o Objective) Budget() float64 { return 1 - o.Target() }
 
 // String renders the objective back in flag syntax, e.g. "query:p99<50ms".
 func (o Objective) String() string {
@@ -63,13 +44,13 @@ func ParseSLO(s string) (Objective, error) {
 	switch {
 	case o.Kind == "error_rate":
 		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f <= 0 || f >= 1 {
+		if err != nil || !(0 < f && f < 1) {
 			return o, fmt.Errorf("slo %q: error_rate threshold must be a fraction in (0,1)", s)
 		}
 		o.Threshold = f
 	case strings.HasPrefix(o.Kind, "p"):
 		pct, err := strconv.ParseFloat(o.Kind[1:], 64)
-		if err != nil || pct <= 0 || pct >= 100 {
+		if err != nil || !(0 < pct && pct < 100) {
 			return o, fmt.Errorf("slo %q: quantile must be p(0,100), e.g. p99", s)
 		}
 		d, err := time.ParseDuration(val)
@@ -99,192 +80,4 @@ func ParseSLOs(s string) ([]Objective, error) {
 		out = append(out, o)
 	}
 	return out, nil
-}
-
-// sloWindow counts good/bad requests over a rolling span using a ring of
-// fixed-width time buckets. Buckets are lazily recycled on access, so idle
-// services cost nothing between requests.
-type sloWindow struct {
-	mu     sync.Mutex
-	bucket time.Duration
-	good   []int64
-	bad    []int64
-	epoch  []int64 // which bucket-epoch each slot currently holds
-}
-
-func newSLOWindow(span time.Duration, buckets int) *sloWindow {
-	w := &sloWindow{
-		bucket: span / time.Duration(buckets),
-		good:   make([]int64, buckets),
-		bad:    make([]int64, buckets),
-		epoch:  make([]int64, buckets),
-	}
-	for i := range w.epoch {
-		w.epoch[i] = -1
-	}
-	return w
-}
-
-func (w *sloWindow) slot(now time.Time) (int, int64) {
-	e := now.UnixNano() / int64(w.bucket)
-	return int(e % int64(len(w.good))), e
-}
-
-func (w *sloWindow) add(now time.Time, good bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	i, e := w.slot(now)
-	if w.epoch[i] != e {
-		w.good[i], w.bad[i], w.epoch[i] = 0, 0, e
-	}
-	if good {
-		w.good[i]++
-	} else {
-		w.bad[i]++
-	}
-}
-
-// totals sums the buckets still inside the window ending at now.
-func (w *sloWindow) totals(now time.Time) (good, bad int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, e := w.slot(now)
-	min := e - int64(len(w.good)) + 1
-	for i := range w.good {
-		if w.epoch[i] >= min && w.epoch[i] <= e {
-			good += w.good[i]
-			bad += w.bad[i]
-		}
-	}
-	return good, bad
-}
-
-// sloState is the live accounting for one objective.
-type sloState struct {
-	obj       Objective
-	good, bad atomic.Int64 // cumulative, for /metrics counters
-	short     *sloWindow   // 5m
-	long      *sloWindow   // 1h
-}
-
-// Burn-rate window spans. Exported on /metrics as window="5m" / window="1h".
-const (
-	sloShortWindow = 5 * time.Minute
-	sloLongWindow  = time.Hour
-)
-
-// SLOTracker classifies requests against a set of objectives and exposes
-// cumulative good/bad counters plus multi-window burn-rate gauges. A nil
-// tracker is a valid no-op, matching the rest of the package.
-type SLOTracker struct {
-	states []*sloState
-	now    func() time.Time // injectable for tests
-}
-
-// NewSLOTracker builds a tracker for the given objectives. With no
-// objectives it returns nil, which disables all accounting.
-func NewSLOTracker(objs []Objective) *SLOTracker {
-	if len(objs) == 0 {
-		return nil
-	}
-	t := &SLOTracker{now: time.Now}
-	for _, o := range objs {
-		t.states = append(t.states, &sloState{
-			obj:   o,
-			short: newSLOWindow(sloShortWindow, 30),
-			long:  newSLOWindow(sloLongWindow, 60),
-		})
-	}
-	return t
-}
-
-// Objectives returns the tracked objectives in registration order.
-func (t *SLOTracker) Objectives() []Objective {
-	if t == nil {
-		return nil
-	}
-	out := make([]Objective, len(t.states))
-	for i, s := range t.states {
-		out[i] = s.obj
-	}
-	return out
-}
-
-// Observe records one finished request for a service. For latency
-// objectives the request is good when it succeeded and finished under the
-// threshold; for error_rate objectives only failure matters.
-func (t *SLOTracker) Observe(service string, d time.Duration, failed bool) {
-	if t == nil {
-		return
-	}
-	now := t.now()
-	for _, s := range t.states {
-		if s.obj.Service != service {
-			continue
-		}
-		good := !failed
-		if good && s.obj.Kind != "error_rate" {
-			good = d.Seconds() <= s.obj.Threshold
-		}
-		if good {
-			s.good.Add(1)
-		} else {
-			s.bad.Add(1)
-		}
-		s.short.add(now, good)
-		s.long.add(now, good)
-	}
-}
-
-// BurnRate returns the current burn rate of an objective over the short
-// (5m) or long (1h) window: the observed bad-request fraction divided by
-// the error budget. 1.0 means the budget is being consumed exactly at the
-// sustainable rate; >1 means it will be exhausted early. Zero traffic
-// burns nothing.
-func (t *SLOTracker) BurnRate(obj Objective, window time.Duration) float64 {
-	if t == nil {
-		return 0
-	}
-	for _, s := range t.states {
-		if s.obj != obj {
-			continue
-		}
-		w := s.short
-		if window >= sloLongWindow {
-			w = s.long
-		}
-		good, bad := w.totals(t.now())
-		total := good + bad
-		if total == 0 {
-			return 0
-		}
-		budget := s.obj.Budget()
-		if budget <= 0 {
-			return 0
-		}
-		return (float64(bad) / float64(total)) / budget
-	}
-	return 0
-}
-
-// Register publishes per-objective series into r:
-//
-//	tartree_slo_requests_total{slo="...",outcome="good"|"bad"}  counters
-//	tartree_slo_burn_rate{slo="...",window="5m"|"1h"}           gauges
-func (t *SLOTracker) Register(r *Registry) {
-	if t == nil || r == nil {
-		return
-	}
-	for _, s := range t.states {
-		s := s
-		name := s.obj.String()
-		r.CounterFunc(fmt.Sprintf("tartree_slo_requests_total{slo=%q,outcome=\"good\"}", name),
-			s.good.Load)
-		r.CounterFunc(fmt.Sprintf("tartree_slo_requests_total{slo=%q,outcome=\"bad\"}", name),
-			s.bad.Load)
-		r.GaugeFunc(fmt.Sprintf("tartree_slo_burn_rate{slo=%q,window=\"5m\"}", name),
-			func() float64 { return t.BurnRate(s.obj, sloShortWindow) })
-		r.GaugeFunc(fmt.Sprintf("tartree_slo_burn_rate{slo=%q,window=\"1h\"}", name),
-			func() float64 { return t.BurnRate(s.obj, sloLongWindow) })
-	}
 }

@@ -139,7 +139,6 @@ func Bootstrap(ctx context.Context, fs wal.FS, opts FollowerOptions) (uint64, bo
 	if err := wal.InstallCheckpoint(fs, lsn, resp.Body); err != nil {
 		return 0, false, fmt.Errorf("repl: installing snapshot: %w", err)
 	}
-	opts.Metrics.addBootstrap()
 	return lsn, true, nil
 }
 

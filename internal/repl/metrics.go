@@ -18,7 +18,7 @@ import (
 //	tartree_repl_lag_seconds    0 while caught up, else seconds since the
 //	                            follower last was
 //
-// plus counters for records applied, reconnects and bootstraps. On a
+// plus counters for records applied and reconnects. On a
 // leader, counters for snapshots served, stream requests and records
 // streamed.
 type Metrics struct {
@@ -30,7 +30,6 @@ type Metrics struct {
 	// Follower side.
 	RecordsApplied *obs.Counter
 	Reconnects     *obs.Counter
-	Bootstraps     *obs.Counter
 
 	appliedLSN    atomic.Uint64
 	leaderDurable atomic.Uint64
@@ -52,7 +51,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		RecordsStreamed: r.Counter("tartree_repl_records_streamed_total"),
 		RecordsApplied:  r.Counter("tartree_repl_records_applied_total"),
 		Reconnects:      r.Counter("tartree_repl_reconnects_total"),
-		Bootstraps:      r.Counter("tartree_repl_bootstraps_total"),
 	}
 	m.caughtUp.Store(true)
 	r.GaugeFunc("tartree_repl_applied_lsn", func() float64 {
@@ -138,11 +136,5 @@ func (m *Metrics) addRecordsApplied(n int) {
 func (m *Metrics) addReconnect() {
 	if m != nil {
 		m.Reconnects.Inc()
-	}
-}
-
-func (m *Metrics) addBootstrap() {
-	if m != nil {
-		m.Bootstraps.Inc()
 	}
 }

@@ -2,7 +2,6 @@ package rstar
 
 import (
 	"fmt"
-	"unsafe"
 
 	"tartree/internal/geo"
 )
@@ -89,32 +88,6 @@ func (t *Tree) Freeze() *FlatTree {
 
 // Root returns the root node (node 0).
 func (f *FlatTree) Root() FlatNode { return f.Nodes[0] }
-
-// Bytes returns the heap footprint of the slabs (headers included) — the
-// number exported as tartree_index_bytes{layout="flat"}.
-func (f *FlatTree) Bytes() int64 {
-	if f == nil {
-		return 0
-	}
-	return int64(unsafe.Sizeof(*f)) +
-		int64(cap(f.Nodes))*int64(unsafe.Sizeof(FlatNode{})) +
-		int64(cap(f.Rects))*int64(unsafe.Sizeof(geo.Rect{})) +
-		int64(cap(f.Children))*4 +
-		int64(cap(f.Items))*8 +
-		int64(cap(f.Data))*int64(unsafe.Sizeof(any(nil)))
-}
-
-// MemoryBytes estimates the heap footprint of the pointer tree: node
-// structs plus their entry arrays. Augmentation data is excluded (it is
-// shared with the frozen layout, so it cancels out of any comparison).
-func (t *Tree) MemoryBytes() int64 {
-	var b int64
-	t.VisitNodes(func(n *Node) bool {
-		b += int64(unsafe.Sizeof(*n)) + int64(cap(n.Entries))*int64(unsafe.Sizeof(Entry{}))
-		return true
-	})
-	return b
-}
 
 // Thaw reconstructs a mutable pointer tree from the frozen form, restoring
 // Parent pointers and slot caches. cfg must be the configuration the

@@ -18,14 +18,7 @@ type Metrics struct {
 	records       *obs.Counter   // tartree_wal_records_total
 	fsyncs        *obs.Counter   // tartree_wal_fsyncs_total
 	batches       *obs.Counter   // tartree_wal_batches_total
-	rotations     *obs.Counter   // tartree_wal_segment_rotations_total
-	deleted       *obs.Counter   // tartree_wal_segments_deleted_total
-	replayRecords *obs.Counter   // tartree_wal_replayed_records_total
-	replaySkipped *obs.Counter   // tartree_wal_replay_skipped_total
-	tornBytes     *obs.Counter   // tartree_wal_torn_bytes_truncated_total
-	checkpoints   *obs.Counter   // tartree_wal_checkpoints_total
 	segments      *obs.Gauge     // tartree_wal_segments
-	appendLat     *obs.Histogram // tartree_wal_append_latency_seconds
 	fsyncLat      *obs.Histogram // tartree_wal_fsync_latency_seconds
 	fsyncStallLat *obs.Histogram // tartree_wal_fsync_stall_seconds
 	checkpointLat *obs.Histogram // tartree_wal_checkpoint_duration_seconds
@@ -43,14 +36,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		records:       reg.Counter("tartree_wal_records_total"),
 		fsyncs:        reg.Counter("tartree_wal_fsyncs_total"),
 		batches:       reg.Counter("tartree_wal_batches_total"),
-		rotations:     reg.Counter("tartree_wal_segment_rotations_total"),
-		deleted:       reg.Counter("tartree_wal_segments_deleted_total"),
-		replayRecords: reg.Counter("tartree_wal_replayed_records_total"),
-		replaySkipped: reg.Counter("tartree_wal_replay_skipped_total"),
-		tornBytes:     reg.Counter("tartree_wal_torn_bytes_truncated_total"),
-		checkpoints:   reg.Counter("tartree_wal_checkpoints_total"),
 		segments:      reg.Gauge("tartree_wal_segments"),
-		appendLat:     reg.Histogram("tartree_wal_append_latency_seconds", nil),
 		fsyncLat:      reg.Histogram("tartree_wal_fsync_latency_seconds", nil),
 		fsyncStallLat: reg.Histogram("tartree_wal_fsync_stall_seconds", nil),
 		checkpointLat: reg.Histogram("tartree_wal_checkpoint_duration_seconds", nil),
@@ -58,13 +44,12 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-func (m *Metrics) appendDone(records int, d time.Duration) {
+func (m *Metrics) appendDone(records int) {
 	if m == nil {
 		return
 	}
 	m.appends.Inc()
 	m.records.Add(int64(records))
-	m.appendLat.Observe(d.Seconds())
 }
 
 func (m *Metrics) fsyncDone(d time.Duration) {
@@ -95,20 +80,6 @@ func (m *Metrics) batchDone(appends int, records int64) {
 	m.batchRecords.Observe(float64(records))
 }
 
-func (m *Metrics) rotated() {
-	if m == nil {
-		return
-	}
-	m.rotations.Inc()
-}
-
-func (m *Metrics) segmentDeleted() {
-	if m == nil {
-		return
-	}
-	m.deleted.Inc()
-}
-
 func (m *Metrics) setSegments(n int) {
 	if m == nil {
 		return
@@ -116,19 +87,9 @@ func (m *Metrics) setSegments(n int) {
 	m.segments.Set(float64(n))
 }
 
-func (m *Metrics) replayed(s *ReplayStats) {
-	if m == nil {
-		return
-	}
-	m.replayRecords.Add(s.Records)
-	m.replaySkipped.Add(s.Skipped)
-	m.tornBytes.Add(s.TruncatedBytes)
-}
-
 func (m *Metrics) checkpointDone(d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.checkpoints.Inc()
 	m.checkpointLat.Observe(d.Seconds())
 }

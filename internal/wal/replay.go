@@ -1,11 +1,8 @@
 package wal
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"strings"
 )
@@ -74,7 +71,6 @@ func (l *Log) recover(after uint64, apply func(lsn uint64, c CheckIn) error) err
 		survive = survive[:n-1]
 	}
 	l.segments = survive
-	l.m.replayed(&l.replay)
 	return nil
 }
 
@@ -89,72 +85,33 @@ func (l *Log) replaySegment(seg segmentInfo, expect, after uint64, final bool, a
 		return 0, false, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-
-	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		// A header too short to read can only be the torn creation of the
-		// final segment; anywhere else it is corruption.
-		if final && (err == io.EOF || err == io.ErrUnexpectedEOF) {
+	sc := NewFrameScanner(f, seg.first)
+	if err := readSegmentHeader(sc.r, seg); err != nil {
+		short := errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+		if final && (short || errors.Is(err, errBadMagic)) {
+			// The torn creation of the final segment: its header never
+			// became whole.
 			return expect, true, l.dropTail(seg.name, 0)
 		}
-		return 0, false, fmt.Errorf("%w: segment %s: short header", ErrCorrupt, seg.name)
-	}
-	if string(hdr[:8]) != segMagic {
-		if final {
-			return expect, true, l.dropTail(seg.name, 0)
+		if short {
+			err = fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		return 0, false, fmt.Errorf("%w: segment %s: bad magic", ErrCorrupt, seg.name)
-	}
-	if first := binary.LittleEndian.Uint64(hdr[8:]); first != seg.first {
-		return 0, false, fmt.Errorf("%w: segment %s: header LSN %d != name", ErrCorrupt, seg.name, first)
+		return 0, false, err
 	}
 
 	offset := int64(segHeaderSize)
-	var frame [frameSize]byte
 	for {
-		_, err := io.ReadFull(r, frame[:frameHeaderSize])
-		if err == io.EOF {
-			return expect, false, nil // clean end of segment
-		}
-		bad := ""
-		var lsn uint64
-		var c CheckIn
+		lsn, c, err := sc.Next()
 		switch {
-		case err == io.ErrUnexpectedEOF:
-			bad = "short frame header"
+		case err == io.EOF:
+			return expect, false, nil // clean end of segment
+		case err == io.ErrUnexpectedEOF || errors.Is(err, ErrCorrupt):
+			if final {
+				return expect, false, l.dropTail(seg.name, offset)
+			}
+			return 0, false, fmt.Errorf("%w: segment %s at offset %d: %v", ErrCorrupt, seg.name, offset, err)
 		case err != nil:
 			return 0, false, err
-		default:
-			length := binary.LittleEndian.Uint32(frame[0:])
-			crc := binary.LittleEndian.Uint32(frame[4:])
-			if length != recordPayload {
-				bad = fmt.Sprintf("frame length %d", length)
-				break
-			}
-			if _, err := io.ReadFull(r, frame[frameHeaderSize:]); err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					bad = "short payload"
-					break
-				}
-				return 0, false, err
-			}
-			if crc32.Checksum(frame[frameHeaderSize:], castagnoli) != crc {
-				bad = "CRC mismatch"
-				break
-			}
-			lsn = binary.LittleEndian.Uint64(frame[frameHeaderSize:])
-			c.POI = int64(binary.LittleEndian.Uint64(frame[frameHeaderSize+8:]))
-			c.At = int64(binary.LittleEndian.Uint64(frame[frameHeaderSize+16:]))
-			if lsn != expect {
-				bad = fmt.Sprintf("LSN %d, expected %d", lsn, expect)
-			}
-		}
-		if bad != "" {
-			if !final {
-				return 0, false, fmt.Errorf("%w: segment %s at offset %d: %s", ErrCorrupt, seg.name, offset, bad)
-			}
-			return expect, false, l.dropTail(seg.name, offset)
 		}
 		if lsn > after {
 			if err := apply(lsn, c); err != nil {

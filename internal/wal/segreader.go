@@ -96,10 +96,12 @@ func EncodeFrames(first uint64, cs []CheckIn) []byte {
 // when the stream ends mid-frame — on a replication stream both just mean
 // the connection ended and the follower should reconnect from its own
 // durable position. ErrCorrupt reports a CRC, length or LSN-sequence
-// violation, which on a verified-durable stream is real damage.
+// violation, which on a verified-durable stream is real damage. After an
+// error every later call returns the same error and no record.
 type FrameScanner struct {
 	r      *bufio.Reader
 	expect uint64 // next LSN required; 0 accepts any starting LSN
+	err    error  // the first error Next returned
 }
 
 // NewFrameScanner reads frames from rd, requiring LSNs contiguous from
@@ -120,6 +122,15 @@ func (s *FrameScanner) Buffered() int {
 
 // Next decodes one frame.
 func (s *FrameScanner) Next() (uint64, CheckIn, error) {
+	if s.err != nil {
+		return 0, CheckIn{}, s.err
+	}
+	lsn, c, err := s.next()
+	s.err = err
+	return lsn, c, err
+}
+
+func (s *FrameScanner) next() (uint64, CheckIn, error) {
 	var frame [frameSize]byte
 	if _, err := io.ReadFull(s.r, frame[:frameHeaderSize]); err != nil {
 		return 0, CheckIn{}, err
@@ -147,6 +158,27 @@ func (s *FrameScanner) Next() (uint64, CheckIn, error) {
 		POI: int64(binary.LittleEndian.Uint64(frame[frameHeaderSize+8:])),
 		At:  int64(binary.LittleEndian.Uint64(frame[frameHeaderSize+16:])),
 	}, nil
+}
+
+// errBadMagic reports a segment header that does not start with segMagic.
+// On the final segment at recovery it is the torn creation of a header that
+// never became whole; anywhere else it is corruption.
+var errBadMagic = fmt.Errorf("%w: bad segment magic", ErrCorrupt)
+
+// readSegmentHeader reads seg's header from r and checks it against the
+// segment's name. A header cut short wraps io.EOF or io.ErrUnexpectedEOF.
+func readSegmentHeader(r io.Reader, seg segmentInfo) error {
+	var hdr [segHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return fmt.Errorf("wal: segment %s: reading header: %w", seg.name, err)
+	}
+	if string(hdr[:8]) != segMagic {
+		return fmt.Errorf("segment %s: %w", seg.name, errBadMagic)
+	}
+	if first := binary.LittleEndian.Uint64(hdr[8:]); first != seg.first {
+		return fmt.Errorf("%w: segment %s: header LSN %d != name", ErrCorrupt, seg.name, first)
+	}
+	return nil
 }
 
 // SegmentReader reads committed records from the log in LSN order, starting
@@ -257,18 +289,9 @@ func (r *SegmentReader) open() error {
 		return err
 	}
 	sc := NewFrameScanner(f, r.next)
-	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(sc.r, hdr[:]); err != nil {
+	if err := readSegmentHeader(sc.r, seg); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: segment %s: short header: %w", seg.name, err)
-	}
-	if string(hdr[:8]) != segMagic {
-		f.Close()
-		return fmt.Errorf("%w: segment %s: bad magic", ErrCorrupt, seg.name)
-	}
-	if first := binary.LittleEndian.Uint64(hdr[8:]); first != seg.first {
-		f.Close()
-		return fmt.Errorf("%w: segment %s: header LSN %d != name", ErrCorrupt, seg.name, first)
+		return err
 	}
 	if skip := int64(r.next-seg.first) * frameSize; skip > 0 {
 		if _, err := io.CopyN(io.Discard, sc.r, skip); err != nil {

@@ -326,3 +326,45 @@ func TestConcurrentAppendWhileTail(t *testing.T) {
 		t.Fatalf("expected caught-up after the corpus, got %v", err)
 	}
 }
+
+// FuzzFrameScanner feeds arbitrary bytes to the decoder a follower runs on
+// its leader's WAL stream. It must never panic; every frame it returns must
+// re-encode to exactly the bytes it consumed, with LSNs contiguous from first
+// when first is set; and once it has returned an error it returns no record.
+func FuzzFrameScanner(f *testing.F) {
+	cs := []CheckIn{{POI: 3, At: 100}, {POI: -1, At: 1 << 40}, {POI: 17, At: -5}}
+	valid := EncodeFrames(7, cs)
+	flipped := bytes.Clone(valid)
+	flipped[frameSize+4] ^= 1 // the second frame's CRC
+	f.Add(valid, uint64(7))
+	f.Add(valid, uint64(0))
+	f.Add(valid, uint64(8)) // a stream that starts at the wrong LSN
+	f.Add(valid[:frameSize], uint64(7))
+	f.Add(valid[:frameSize+frameHeaderSize], uint64(7))
+	f.Add(valid[:2*frameSize-1], uint64(7))
+	f.Add(flipped, uint64(7))
+	f.Add([]byte{}, uint64(1))
+	f.Fuzz(func(t *testing.T, data []byte, first uint64) {
+		sc := NewFrameScanner(bytes.NewReader(data), first)
+		var consumed int
+		for {
+			lsn, c, err := sc.Next()
+			if err != nil {
+				for i := 0; i < 2; i++ {
+					if lsn, c, again := sc.Next(); again == nil || lsn != 0 || c != (CheckIn{}) {
+						t.Fatalf("after %v: Next returned LSN %d %+v, %v", err, lsn, c, again)
+					}
+				}
+				return
+			}
+			if first != 0 && lsn != first+uint64(consumed/frameSize) {
+				t.Fatalf("frame %d has LSN %d, want %d", consumed/frameSize, lsn, first+uint64(consumed/frameSize))
+			}
+			end := consumed + frameSize
+			if end > len(data) || !bytes.Equal(EncodeFrames(lsn, []CheckIn{c}), data[consumed:end]) {
+				t.Fatalf("frame at %d (LSN %d, %+v) does not re-encode to the bytes it consumed", consumed, lsn, c)
+			}
+			consumed = end
+		}
+	})
+}

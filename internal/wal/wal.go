@@ -254,7 +254,7 @@ func (l *Log) AppendCtx(ctx context.Context, cs []CheckIn) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	l.m.appendDone(len(cs), time.Since(start))
+	l.m.appendDone(len(cs))
 	return req.last, nil
 }
 
@@ -397,7 +397,6 @@ func (l *Log) rotate(first uint64) error {
 	if err := l.openSegment(first); err != nil {
 		return err
 	}
-	l.m.rotated()
 	return nil
 }
 
@@ -463,7 +462,6 @@ func (l *Log) TruncateThrough(lsn uint64) error {
 		if err := l.fs.Remove(s.name); err != nil {
 			return err
 		}
-		l.m.segmentDeleted()
 	}
 	if len(victims) > 0 {
 		if err := l.fs.SyncDir(); err != nil {
