@@ -25,11 +25,11 @@
 // /metrics, and every query response reports its own cache_hits/cache_misses.
 //
 // The index lives in memory: every entry's TIA is a sorted record slice, a
-// probe reads no page, and so stats.tia_accesses, stats.tia_physical and
-// the tartree_pagestore_* / tartree_tia_page_reads_total series read 0
-// while stats.scored and tartree_tia_probes_total{backend="mem"} count the
-// probes. Page accesses — the paper's cost unit — are what cmd/tarbench
-// measures, on paged B+-tree TIAs.
+// probe reads no page, and so stats.tia_accesses and stats.tia_physical
+// read 0 while stats.scored and tartree_tia_probes_total{backend="mem"}
+// count the probes; /metrics has no page series. Page accesses — the
+// paper's cost unit — are what cmd/tarbench measures, on paged B+-tree
+// TIAs.
 //
 // The index is built as the data set is generated (lbsn.Spec.Build): each
 // POI is indexed, or dropped below the effectiveness threshold, as it is

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -575,8 +576,8 @@ func (s *server) parseQuery(r *http.Request) (core.Query, parseOpts, error) {
 	}
 	if raw := v.Get("timeout_ms"); raw != "" {
 		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || ms <= 0 {
-			return q, po, fmt.Errorf("parameter timeout_ms: must be a positive integer")
+		if err != nil || ms <= 0 || ms > int64(math.MaxInt64/time.Millisecond) {
+			return q, po, fmt.Errorf("parameter timeout_ms: must be a positive integer of at most %d", math.MaxInt64/time.Millisecond)
 		}
 		po.timeout = time.Duration(ms) * time.Millisecond
 	}

@@ -58,8 +58,9 @@ func get(t *testing.T, s *server, url string) (int, string) {
 }
 
 // TestServeQueryThenMetrics is the end-to-end acceptance check: a kNNTA
-// query over HTTP must leave nonzero query-latency buckets, pagestore
-// hit/miss counters, and per-backend TIA probe counts on /metrics.
+// query over HTTP on paged TIAs must report its page reads in its stats
+// and leave nonzero query-latency buckets and per-backend TIA probe counts
+// on /metrics.
 func TestServeQueryThenMetrics(t *testing.T) {
 	s, _ := newTestServerOn(t, tia.NewBTreeFactory(1024, 10))
 
@@ -74,7 +75,7 @@ func TestServeQueryThenMetrics(t *testing.T) {
 	if len(resp.Results) == 0 || len(resp.Results) > 5 {
 		t.Fatalf("got %d results, want 1..5", len(resp.Results))
 	}
-	if resp.Stats.NodeAccesses <= 0 || resp.Stats.Scored <= 0 {
+	if resp.Stats.NodeAccesses <= 0 || resp.Stats.Scored <= 0 || resp.Stats.TIAAccesses <= 0 {
 		t.Errorf("query did no work: %+v", resp.Stats)
 	}
 	for i := 1; i < len(resp.Results); i++ {
@@ -103,14 +104,6 @@ func TestServeQueryThenMetrics(t *testing.T) {
 	if n := metricValue(t, metrics, `tartree_rtree_node_accesses_total{level="leaf"}`); n != float64(resp.Stats.LeafAccesses) {
 		t.Errorf("leaf accesses = %g, want %d", n, resp.Stats.LeafAccesses)
 	}
-	if n := metricValue(t, metrics, `tartree_tia_page_reads_total{kind="logical"}`); n != float64(resp.Stats.TIAAccesses) {
-		t.Errorf("tia page reads = %g, want %d", n, resp.Stats.TIAAccesses)
-	}
-	hits := metricValue(t, metrics, `tartree_pagestore_reads_total{result="hit"}`)
-	misses := metricValue(t, metrics, `tartree_pagestore_reads_total{result="miss"}`)
-	if hits+misses <= 0 {
-		t.Errorf("pagestore reads hit=%g miss=%g, want traffic", hits, misses)
-	}
 	if n := metricValue(t, metrics, `tartree_tia_probes_total{backend="btree"}`); n <= 0 {
 		t.Errorf("btree probes = %g, want > 0", n)
 	}
@@ -119,7 +112,7 @@ func TestServeQueryThenMetrics(t *testing.T) {
 	}
 	for _, ty := range []string{
 		"# TYPE tartree_query_latency_seconds histogram",
-		"# TYPE tartree_pagestore_reads_total counter",
+		"# TYPE tartree_tia_probes_total counter",
 		"# TYPE tarserve_max_concurrent_queries gauge",
 	} {
 		if !strings.Contains(metrics, ty) {
@@ -130,8 +123,9 @@ func TestServeQueryThenMetrics(t *testing.T) {
 
 // TestServeDefaultCountsNoPages pins the accounting of the server as it is
 // deployed, on the default in-memory TIAs: a probe that reads no page counts
-// none — the TIA page counters read 0 in the response and on /metrics —
-// while the probes themselves and the R-tree accesses are still counted.
+// none — the TIA page counters read 0 in the response, and /metrics has no
+// page series — while the probes themselves and the R-tree accesses are
+// still counted.
 func TestServeDefaultCountsNoPages(t *testing.T) {
 	s, _ := newTestServer(t)
 	probes := metricValueOf(t, s, `tartree_tia_probes_total{backend="mem"}`)
@@ -154,13 +148,10 @@ func TestServeDefaultCountsNoPages(t *testing.T) {
 		t.Errorf("mem probes grew by %g, want scored+1 = %d", got, resp.Stats.Scored+1)
 	}
 	_, metrics := get(t, s, "/metrics")
-	for _, result := range []string{"hit", "miss"} {
-		if n := metricValue(t, metrics, `tartree_pagestore_reads_total{result="`+result+`"}`); n != 0 {
-			t.Errorf("pagestore reads %s = %g on a server without pages", result, n)
+	for _, family := range []string{"tartree_pagestore_", "tartree_tia_page_reads_total"} {
+		if strings.Contains(metrics, family) {
+			t.Errorf("/metrics exports %s* on a server without pages", family)
 		}
-	}
-	if n := metricValue(t, metrics, `tartree_tia_page_reads_total{kind="logical"}`); n != 0 {
-		t.Errorf("tia page reads = %g on a server without pages", n)
 	}
 	if n := metricValue(t, metrics, `tartree_rtree_node_accesses_total{level="leaf"}`); n != float64(resp.Stats.LeafAccesses) {
 		t.Errorf("leaf accesses = %g, want %d", n, resp.Stats.LeafAccesses)

@@ -409,6 +409,7 @@ func TestServeErrorEnvelope(t *testing.T) {
 	}{
 		{"malformed query", s, "GET", "/v1/query?x=abc&y=50&k=5", "", 400, "invalid_argument", ""},
 		{"k out of range", s, "GET", "/v1/query?x=50&y=50&k=0&days=128", "", 400, "invalid_argument", "k must be positive"},
+		{"timeout_ms overflowing a duration", s, "GET", "/v1/query?x=50&y=50&k=5&timeout_ms=18446744073710", "", 400, "invalid_argument", "timeout_ms"},
 		{"min_lsn without a store", s, "GET", "/v1/query?x=50&y=50&k=5&days=128&min_lsn=9", "", 400, "invalid_argument", "min_lsn"},
 		{"shard routes on a standalone server", s, "GET", "/v1/shard/gmax", "", 403, "forbidden", "-shard-of"},
 		{"repl routes on a standalone server", s, "GET", "/v1/repl/snapshot", "", 403, "forbidden", "-repl-token"},

@@ -47,8 +47,7 @@ type node struct {
 	next     pagestore.PageID   // leaf chain
 }
 
-// Tree is a disk-based B+-tree. Read-only operations (Get, Scan and their
-// Acct variants) are safe to call from many goroutines at once — the buffer
+// Tree is a disk-based B+-tree. Read-only operations (Get, Scan) are safe to call from many goroutines at once — the buffer
 // pool synchronizes page access — but the tree is not safe for concurrent
 // mutation, nor for mutation concurrent with reads; the TAR-tree serializes
 // updates per TIA and never mutates TIAs while queries run.
@@ -208,7 +207,7 @@ func (t *Tree) InnerCap() int { return t.innerCap }
 
 // readNode decodes page id into a node. Only the mutating paths (Put,
 // Delete, rebalance, Destroy) and Check use it; lookups and scans read the
-// page bytes in place (see GetAcct, ScanAcct) and never build a node.
+// page bytes in place (see Get, Scan) and never build a node.
 func (t *Tree) readNode(id pagestore.PageID) (*node, error) {
 	page, err := t.buf.Get(id)
 	if err != nil {
@@ -292,13 +291,8 @@ func search(keys []int64, k int64) int {
 	return lo
 }
 
-// Get returns the value stored under key, and whether it exists.
-func (t *Tree) Get(key int64) (Value, bool, error) {
-	return t.GetAcct(key, nil)
-}
-
 // The read path works on the page bytes in place. A slice returned by
-// Buffer.GetAcct is read-only and stays valid after the call: the buffer
+// Buffer.Get is read-only and stays valid after the call: the buffer
 // never recycles a frame's bytes (an evicted frame is dropped, not reused)
 // and TIAs are not mutated while queries run, so nothing is decoded or
 // copied — the header gives count and next, keys are binary-searched at
@@ -346,12 +340,12 @@ func leafSearch(page []byte, cnt int, k int64) int {
 }
 
 // findLeaf descends from the root to the leaf that may hold key, one
-// GetAcct per inner node, and returns the leaf's page id. Child i of an
+// Buffer.Get per inner node, and returns the leaf's page id. Child i of an
 // inner page sits at headerSize + i*innerEntry, key i four bytes after it.
-func (t *Tree) findLeaf(key int64, acct *pagestore.IOAcct) (pagestore.PageID, error) {
+func (t *Tree) findLeaf(key int64) (pagestore.PageID, error) {
 	id := t.root
 	for level := t.height; level > 1; level-- {
-		page, err := t.buf.GetAcct(id, acct)
+		page, err := t.buf.Get(id)
 		if err != nil {
 			return 0, err
 		}
@@ -375,13 +369,13 @@ func (t *Tree) findLeaf(key int64, acct *pagestore.IOAcct) (pagestore.PageID, er
 	return id, nil
 }
 
-// GetAcct is Get with the page accesses charged to acct (which may be nil).
-func (t *Tree) GetAcct(key int64, acct *pagestore.IOAcct) (Value, bool, error) {
-	id, err := t.findLeaf(key, acct)
+// Get returns the value stored under key, and whether it exists.
+func (t *Tree) Get(key int64) (Value, bool, error) {
+	id, err := t.findLeaf(key)
 	if err != nil {
 		return Value{}, false, err
 	}
-	page, err := t.buf.GetAcct(id, acct)
+	page, err := t.buf.Get(id)
 	if err != nil {
 		return Value{}, false, err
 	}
@@ -515,14 +509,7 @@ func (t *Tree) insert(id pagestore.PageID, level int, key int64, v Value) (int64
 // Scan visits all pairs with lo <= key <= hi in ascending key order,
 // stopping early when fn returns false.
 func (t *Tree) Scan(lo, hi int64, fn func(key int64, v Value) bool) error {
-	return t.ScanAcct(lo, hi, nil, fn)
-}
-
-// ScanAcct is Scan with the page accesses charged to acct (which may be
-// nil). The TIA aggregation path threads the owning query's acct here so
-// per-query I/O stays exact under concurrent execution.
-func (t *Tree) ScanAcct(lo, hi int64, acct *pagestore.IOAcct, fn func(key int64, v Value) bool) error {
-	id, err := t.findLeaf(lo, acct)
+	id, err := t.findLeaf(lo)
 	if err != nil {
 		return err
 	}
@@ -534,7 +521,7 @@ func (t *Tree) ScanAcct(lo, hi int64, acct *pagestore.IOAcct, fn func(key int64,
 		if hops--; hops < 0 {
 			return errCorrupt
 		}
-		page, err := t.buf.GetAcct(id, acct)
+		page, err := t.buf.Get(id)
 		if err != nil {
 			return err
 		}

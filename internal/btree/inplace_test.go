@@ -103,7 +103,7 @@ func separators(t *testing.T, tr *Tree) []int64 {
 
 func leafCount(t *testing.T, tr *Tree) int {
 	n := 0
-	id, err := tr.findLeaf(math.MinInt64, nil)
+	id, err := tr.findLeaf(math.MinInt64)
 	for err == nil && id != pagestore.InvalidPage {
 		var nd *node
 		nd, err = tr.readNode(id)
@@ -117,10 +117,10 @@ func leafCount(t *testing.T, tr *Tree) int {
 	return n
 }
 
-// checkEquivalent compares GetAcct and ScanAcct with the reference on a set
-// of probe keys: results, order, early stop, and the page reads charged to a
-// query-local acct (one per visited node).
-func checkEquivalent(t *testing.T, tr *Tree, r *rand.Rand, keys []int64) {
+// checkEquivalent compares Get and Scan with the reference on a set of probe
+// keys: results, order, early stop, and the page reads ledger counts (one
+// per visited node); ledger is the one tr's buffer was built with.
+func checkEquivalent(t *testing.T, tr *Tree, ledger *pagestore.Ledger, r *rand.Rand, keys []int64) {
 	t.Helper()
 	probes := append([]int64{math.MinInt64, math.MaxInt64, -1, 0, 1}, separators(t, tr)...)
 	for _, k := range keys {
@@ -131,13 +131,13 @@ func checkEquivalent(t *testing.T, tr *Tree, r *rand.Rand, keys []int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var acct pagestore.IOAcct
-		got, ok, err := tr.GetAcct(k, &acct)
+		before := ledger.Stats()
+		got, ok, err := tr.Get(k)
 		if err != nil || ok != wantOK || got != want {
-			t.Fatalf("GetAcct(%d) = %v %v %v, reference %v %v", k, got, ok, err, want, wantOK)
+			t.Fatalf("Get(%d) = %v %v %v, reference %v %v", k, got, ok, err, want, wantOK)
 		}
-		if acct.Stats.LogicalReads != int64(tr.height) {
-			t.Fatalf("GetAcct(%d) charged %d reads on a height-%d tree", k, acct.Stats.LogicalReads, tr.height)
+		if reads := ledger.Stats().Sub(before).LogicalReads; reads != int64(tr.height) {
+			t.Fatalf("Get(%d) read %d pages of a height-%d tree", k, reads, tr.height)
 		}
 	}
 	for i := 0; i < 200; i++ {
@@ -151,16 +151,16 @@ func checkEquivalent(t *testing.T, tr *Tree, r *rand.Rand, keys []int64) {
 			t.Fatal(err)
 		}
 		var got []pair
-		var acct pagestore.IOAcct
-		err = tr.ScanAcct(lo, hi, &acct, func(k int64, v Value) bool {
+		before := ledger.Stats()
+		err = tr.Scan(lo, hi, func(k int64, v Value) bool {
 			got = append(got, pair{k, v})
 			return len(got) != limit
 		})
 		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("ScanAcct(%d, %d) limit %d = %v (%v), reference %v", lo, hi, limit, got, err, want)
+			t.Fatalf("Scan(%d, %d) limit %d = %v (%v), reference %v", lo, hi, limit, got, err, want)
 		}
-		if acct.Stats.LogicalReads != pages {
-			t.Fatalf("ScanAcct(%d, %d) charged %d reads, reference walked %d pages", lo, hi, acct.Stats.LogicalReads, pages)
+		if reads := ledger.Stats().Sub(before).LogicalReads; reads != pages {
+			t.Fatalf("Scan(%d, %d) read %d pages, reference walked %d pages", lo, hi, reads, pages)
 		}
 	}
 }
@@ -175,8 +175,12 @@ func TestInPlaceReadsMatchDecodedReference(t *testing.T) {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			pageSize := []int{128, 256, 1024}[seed%3]
-			tr := newTestTree(t, pageSize)
-			checkEquivalent(t, tr, r, nil) // empty tree
+			var ledger pagestore.Ledger
+			tr, err := New(pagestore.NewBufferWithLedger(pagestore.NewMemFile(pageSize), 64, &ledger))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEquivalent(t, tr, &ledger, r, nil) // empty tree
 
 			live := map[int64]bool{}
 			snapshot := func() []int64 {
@@ -199,12 +203,12 @@ func TestInPlaceReadsMatchDecodedReference(t *testing.T) {
 			if tr.height != 1 {
 				t.Fatalf("height %d, want a single leaf", tr.height)
 			}
-			checkEquivalent(t, tr, r, snapshot())
+			checkEquivalent(t, tr, &ledger, r, snapshot())
 			put(600)
 			if pageSize == 128 && (tr.height < 3 || leafCount(t, tr) < 3) {
 				t.Fatalf("height %d with %d leaves: want a deep tree", tr.height, leafCount(t, tr))
 			}
-			checkEquivalent(t, tr, r, snapshot())
+			checkEquivalent(t, tr, &ledger, r, snapshot())
 			for _, k := range snapshot() { // delete most keys: borrows, merges, root collapse
 				if r.Intn(5) > 0 {
 					if _, err := tr.Delete(k); err != nil {
@@ -216,7 +220,7 @@ func TestInPlaceReadsMatchDecodedReference(t *testing.T) {
 			if err := tr.Check(); err != nil {
 				t.Fatal(err)
 			}
-			checkEquivalent(t, tr, r, snapshot())
+			checkEquivalent(t, tr, &ledger, r, snapshot())
 		})
 	}
 	t.Run("bulk", func(t *testing.T) {
@@ -229,14 +233,15 @@ func TestInPlaceReadsMatchDecodedReference(t *testing.T) {
 				k += 1 + r.Int63n(3)
 				keys[i], vals[i] = k, Value{k + 7, r.Int63()}
 			}
-			tr, err := NewBulk(pagestore.NewBuffer(pagestore.NewMemFile(128), 8), keys, vals)
+			var ledger pagestore.Ledger
+			tr, err := NewBulk(pagestore.NewBufferWithLedger(pagestore.NewMemFile(128), 8, &ledger), keys, vals)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if n == 3000 && (tr.height < 3 || leafCount(t, tr) < 3) {
 				t.Fatalf("height %d: want a deep bulk-loaded tree", tr.height)
 			}
-			checkEquivalent(t, tr, r, keys)
+			checkEquivalent(t, tr, &ledger, r, keys)
 		}
 	})
 }
@@ -261,11 +266,10 @@ func TestInPlaceReadsConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
-			var acct pagestore.IOAcct
 			for i := 0; i < 400; i++ {
 				a := r.Intn(len(keys))
-				if v, ok, err := tr.GetAcct(keys[a], &acct); err != nil || !ok || v != vals[a] {
-					t.Errorf("GetAcct(%d) = %v %v %v", keys[a], v, ok, err)
+				if v, ok, err := tr.Get(keys[a]); err != nil || !ok || v != vals[a] {
+					t.Errorf("Get(%d) = %v %v %v", keys[a], v, ok, err)
 					return
 				}
 				b := a + r.Intn(120)
@@ -273,7 +277,7 @@ func TestInPlaceReadsConcurrent(t *testing.T) {
 					b = len(keys) - 1
 				}
 				at := a
-				err := tr.ScanAcct(keys[a], keys[b]+1, &acct, func(k int64, v Value) bool {
+				err := tr.Scan(keys[a], keys[b]+1, func(k int64, v Value) bool {
 					if k != keys[at] || v != vals[at] {
 						t.Errorf("scan from %d: got key %d at position %d", keys[a], k, at)
 						return false
@@ -305,7 +309,7 @@ func TestCorruptPages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id, _ := tr.findLeaf(math.MinInt64, nil); id != pagestore.InvalidPage; {
+		for id, _ := tr.findLeaf(math.MinInt64); id != pagestore.InvalidPage; {
 			leaves = append(leaves, id)
 			n, err := tr.readNode(id)
 			if err != nil {
@@ -372,17 +376,17 @@ func TestCorruptPages(t *testing.T) {
 			tr, leaves := build(t)
 			c.damage(t, tr, leaves)
 			visited := 0
-			err := tr.ScanAcct(math.MinInt64, math.MaxInt64, nil, func(int64, Value) bool {
+			err := tr.Scan(math.MinInt64, math.MaxInt64, func(int64, Value) bool {
 				visited++
 				return true
 			})
 			if !errors.Is(err, errCorrupt) {
-				t.Fatalf("ScanAcct = %v after %d pairs, want errCorrupt", err, visited)
+				t.Fatalf("Scan = %v after %d pairs, want errCorrupt", err, visited)
 			}
 			// Lookups descend through the root to the first leaf; those that
 			// meet the damaged page fail the same way, and none panics.
-			if _, _, err := tr.GetAcct(0, nil); err != nil && !errors.Is(err, errCorrupt) {
-				t.Fatalf("GetAcct = %v", err)
+			if _, _, err := tr.Get(0); err != nil && !errors.Is(err, errCorrupt) {
+				t.Fatalf("Get = %v", err)
 			}
 		})
 	}
@@ -404,10 +408,10 @@ func TestCorruptPages(t *testing.T) {
 	})
 }
 
-// BenchmarkScanAcct is the per-layer number for one B+-tree range read on
+// BenchmarkScanResident is the per-layer number for one B+-tree range read on
 // resident pages, by tree height: the descent plus a scan of about twenty
 // records (a TIA probe over a few months of weekly epochs).
-func BenchmarkScanAcct(b *testing.B) {
+func BenchmarkScanResident(b *testing.B) {
 	for _, n := range []int{40, 1500, 60000} { // heights 1, 2, 3 at 1 KiB pages
 		keys := make([]int64, n)
 		vals := make([]Value, n)
@@ -419,10 +423,9 @@ func BenchmarkScanAcct(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("height%d", tr.height), func(b *testing.B) {
-			var acct pagestore.IOAcct
 			var sum int64
 			fn := func(_ int64, v Value) bool { sum += v[1]; return true }
-			if err := tr.ScanAcct(math.MinInt64, math.MaxInt64, &acct, fn); err != nil { // fault every page in
+			if err := tr.Scan(math.MinInt64, math.MaxInt64, fn); err != nil { // fault every page in
 				b.Fatal(err)
 			}
 			r := rand.New(rand.NewSource(1))
@@ -434,7 +437,7 @@ func BenchmarkScanAcct(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				lo := los[i%len(los)]
-				if err := tr.ScanAcct(lo, lo+20*7-1, &acct, fn); err != nil {
+				if err := tr.Scan(lo, lo+20*7-1, fn); err != nil {
 					b.Fatal(err)
 				}
 			}

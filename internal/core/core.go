@@ -103,8 +103,8 @@ type Options struct {
 	// TIA creates the temporal indexes, one per entry; nil selects
 	// tia.NewMemFactory(): an entry's index is its records in a sorted
 	// in-memory slice that ingest, grouping, snapshots and queries all read,
-	// and a probe touches no page — TIAAccesses, TIAPhysical and the
-	// pagestore series read 0. Name tia.NewBTreeFactory(NodeSize, 10), the
+	// and a probe touches no page — TIAAccesses and TIAPhysical read 0.
+	// Name tia.NewBTreeFactory(NodeSize, 10), the
 	// paper's setup of Section 4.1, where page accesses are the unit being
 	// measured: its indexes hold the records on pages too, and a probe
 	// reads those.
@@ -129,11 +129,8 @@ type Options struct {
 	// ablation experiments use it to isolate that heuristic's effect.
 	DisableReinsert bool
 	// Metrics, when set, instruments the tree: queries publish latency
-	// histograms and work counters into the registry, and the registry's
-	// tartree_pagestore_* series read the TIA factory's page-traffic
-	// ledger at scrape time. Nil (the default) disables instrumentation
-	// entirely. Trees may share one registry; the pagestore series then
-	// show the factory of the tree created last.
+	// histograms and work counters into the registry. Nil (the default)
+	// disables instrumentation entirely. Trees may share one registry.
 	Metrics *obs.Registry
 	// Cache, when set, memoizes whole ranked result sets across queries.
 	// The tree bumps the cache's version stamp on every change to what a
@@ -293,7 +290,6 @@ func NewTree(opts Options) (*Tree, error) {
 	t.maxDistScaled = opts.World.Diagonal(2) * t.scale
 	if opts.Metrics != nil {
 		t.instr = newInstruments(opts.Metrics)
-		registerPageMetrics(opts.Metrics, opts.TIA.Ledger())
 		if opts.Cache != nil {
 			registerCacheMetrics(opts.Metrics, opts.Cache)
 		}

@@ -78,7 +78,7 @@ func (t *Tree) QueryCtx(ctx context.Context, q Query, opts *QueryOpts) ([]Result
 		begin = time.Now()
 	}
 	res, stats, err := t.runQueryCtx(ctx, q, &o)
-	o.Explain.Finish(res, err)
+	o.Explain.Finish(res, stats, err)
 	if t.instr != nil {
 		t.instr.record(stats, time.Since(begin), err)
 	}
@@ -119,10 +119,6 @@ func AnnotateSpan(sp *obs.Span, q Query, results int, stats *QueryStats, err err
 }
 
 func (t *Tree) runQueryCtx(ctx context.Context, q Query, o *QueryOpts) ([]Result, QueryStats, error) {
-	// I/O accounting is query-local: the scorer's IOAcct rides every TIA
-	// page access (including evictions and write-backs that access forces),
-	// so nothing here diffs shared factory counters and concurrent queries
-	// cannot bleed traffic into each other's stats.
 	var stats QueryStats
 	if err := q.Validate(); err != nil {
 		return nil, stats, err
@@ -142,7 +138,6 @@ func (t *Tree) runQueryCtx(ctx context.Context, q Query, o *QueryOpts) ([]Result
 		}
 		rhash = hashResultKey(rkey)
 		v, ok := cache.Get(rhash, rkey)
-		o.Explain.recordResultCacheProbe(ok)
 		ps.SetAttr("hit", ok)
 		ps.End()
 		if ok {

@@ -10,9 +10,9 @@ import (
 // QueryCtx call via QueryOpts.Explain, it captures the best-first search
 // forensics pop by pop — which nodes were expanded at which Property-1
 // lower bound, how the kth-score f(pk) converged, how deep the priority
-// queue grew — plus the TIA reads the query-local IOAcct already counts,
-// and (when a planner ran first) the Section-6 cost-model estimates to
-// compare the actuals against.
+// queue grew — plus, from the query's stats, its TIA reads and cache
+// lookups, and (when a planner ran first) the Section-6 cost-model
+// estimates to compare the actuals against.
 //
 // A nil *Explain is the disabled state: every method no-ops, so the query
 // path pays one pointer test per instrumented site and allocates nothing
@@ -52,9 +52,7 @@ type Explain struct {
 	FrontierSize      int           `json:"frontier_size"`
 	FrontierTruncated bool          `json:"frontier_truncated,omitempty"`
 
-	// Probe attribution, recorded at the scorer's TIA probe site and the
-	// result-cache lookup. These reconcile exactly with the query's
-	// QueryStats (TestExplainConservation).
+	// Probe attribution, copied from the query's QueryStats by Finish.
 	TIAReads       int64 `json:"tia_reads"`
 	TIAPhysical    int64 `json:"tia_physical"`
 	CacheHits      int64 `json:"cache_hits"`
@@ -222,28 +220,6 @@ func (e *Explain) recordPop(s *Search, el Elem) {
 	e.PopLog = append(e.PopLog, p)
 }
 
-// recordTIAReads tallies the page reads of the TIA probes one fold covers.
-func (e *Explain) recordTIAReads(logical, physical int64) {
-	if e == nil {
-		return
-	}
-	e.TIAReads += logical
-	e.TIAPhysical += physical
-}
-
-// recordResultCacheProbe tallies the whole-result cache lookup.
-func (e *Explain) recordResultCacheProbe(hit bool) {
-	if e == nil {
-		return
-	}
-	if hit {
-		e.CacheHits++
-		e.ResultCacheHit = true
-	} else {
-		e.CacheMisses++
-	}
-}
-
 // recordResult extends the convergence timeline with the rank-th result
 // (1-based), which surfaced at the current pop count.
 func (e *Explain) recordResult(rank int, score float64) {
@@ -281,17 +257,22 @@ func (e *Explain) captureFrontier(s *Search) {
 	}
 }
 
-// Finish seals the recorder with the query's outcome: result count and
-// actual f(pk) (the last result's score).
-// Idempotent, so the planner may finish a scan-path explain the tree never
-// saw; nil-safe like every other method. QueryCtx calls it on every path,
-// including errors — a canceled query's explain carries the partial counts
-// and frontier with Err set.
-func (e *Explain) Finish(results []Result, err error) {
+// Finish seals the recorder with the query's outcome: result count, actual
+// f(pk) (the last result's score), and the TIA reads and cache lookups in
+// stats. Idempotent, so the planner may finish a scan-path explain the tree
+// never saw; nil-safe like every other method. QueryCtx calls it on every
+// path, including errors — a canceled query's explain carries the partial
+// counts and frontier with Err set.
+func (e *Explain) Finish(results []Result, stats QueryStats, err error) {
 	if e == nil || e.done {
 		return
 	}
 	e.done = true
+	e.TIAReads = stats.TIAAccesses
+	e.TIAPhysical = stats.TIAPhysical
+	e.CacheHits = stats.CacheHits
+	e.CacheMisses = stats.CacheMisses
+	e.ResultCacheHit = stats.ResultCacheHit
 	e.Results = len(results)
 	if len(results) > 0 {
 		e.ActualFk = results[len(results)-1].Score

@@ -248,11 +248,9 @@ func TestExplainNilRecorderNoAllocs(t *testing.T) {
 		e.recordNodeAccess(3)
 		e.recordPush(7)
 		e.recordPop(s, Elem{})
-		e.recordTIAReads(2, 1)
-		e.recordResultCacheProbe(false)
 		e.recordResult(1, 0.5)
 		e.captureFrontier(s)
-		e.Finish(nil, nil)
+		e.Finish(nil, QueryStats{}, nil)
 		if e.NodeAccesses() != 0 {
 			t.Fatal("nil recorder counted accesses")
 		}

@@ -158,7 +158,8 @@ func (t *Tree) Aggregate(id int64, iv tia.Interval) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: unknown POI %d", id)
 	}
-	return st.data.Aggregate(iv, t.opts.Semantics, t.opts.AggFunc, nil)
+	tia.AddProbes(st.data.Kind(), 1)
+	return st.data.Aggregate(iv, t.opts.Semantics, t.opts.AggFunc)
 }
 
 // AggregateMirror is Aggregate from the records the TIA keeps in memory (no

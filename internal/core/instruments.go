@@ -6,7 +6,6 @@ import (
 
 	"tartree/internal/aggcache"
 	"tartree/internal/obs"
-	"tartree/internal/pagestore"
 	"tartree/internal/tia"
 )
 
@@ -20,8 +19,6 @@ type instruments struct {
 	latency     *obs.Histogram
 	internals   *obs.Counter
 	leaves      *obs.Counter
-	tiaLogical  *obs.Counter
-	tiaPhysical *obs.Counter
 	scored      *obs.Counter
 	freezes     *obs.Counter
 }
@@ -34,8 +31,6 @@ func newInstruments(r *obs.Registry) *instruments {
 		latency:     r.Histogram("tartree_query_latency_seconds", nil),
 		internals:   r.Counter(`tartree_rtree_node_accesses_total{level="internal"}`),
 		leaves:      r.Counter(`tartree_rtree_node_accesses_total{level="leaf"}`),
-		tiaLogical:  r.Counter(`tartree_tia_page_reads_total{kind="logical"}`),
-		tiaPhysical: r.Counter(`tartree_tia_page_reads_total{kind="physical"}`),
 		scored:      r.Counter("tartree_entries_scored_total"),
 		freezes:     r.Counter("tartree_freezes_total"),
 	}
@@ -44,8 +39,8 @@ func newInstruments(r *obs.Registry) *instruments {
 // record folds one finished query into the metrics: the paper's work
 // counters (QueryStats) plus the wall-clock latency the paper never
 // measured. A failed or canceled query still did the work in its stats —
-// the factory's ledger and the probe totals have already counted it — so
-// the work counters take it too and the two families keep agreeing.
+// the probe totals have already counted it — so the work counters take it
+// too and the two families keep agreeing.
 func (in *instruments) record(stats QueryStats, d time.Duration, err error) {
 	if in == nil {
 		return
@@ -57,8 +52,6 @@ func (in *instruments) record(stats QueryStats, d time.Duration, err error) {
 	}
 	in.internals.Add(int64(stats.InternalAccesses))
 	in.leaves.Add(int64(stats.LeafAccesses))
-	in.tiaLogical.Add(stats.TIAAccesses)
-	in.tiaPhysical.Add(stats.TIAPhysical)
 	in.scored.Add(int64(stats.Scored))
 }
 
@@ -83,27 +76,4 @@ func registerTIAProbes(r *obs.Registry) {
 		r.CounterFunc(fmt.Sprintf(`tartree_tia_probes_total{backend=%q}`, k.String()),
 			func() int64 { return tia.ProbeCount(k) })
 	}
-}
-
-// registerPageMetrics exports a TIA factory's page-traffic ledger as the
-// tartree_pagestore_* series, read at scrape time: build and ingest traffic
-// as it happened, queries' traffic once they folded it. Re-registration
-// replaces the callbacks, so of several trees sharing one registry the last
-// tree's factory wins.
-func registerPageMetrics(r *obs.Registry, l *pagestore.Ledger) {
-	total := func(pick func(pagestore.Stats) int64) func() int64 {
-		return func() int64 { return pick(l.Stats()) }
-	}
-	const p = "tartree_pagestore"
-	r.CounterFunc(p+`_reads_total{result="hit"}`, total(pagestore.Stats.Hits))
-	r.CounterFunc(p+`_reads_total{result="miss"}`, total(pagestore.Stats.Misses))
-	r.CounterFunc(p+`_writes_total{kind="logical"}`, total(func(s pagestore.Stats) int64 { return s.LogicalWrites }))
-	r.CounterFunc(p+`_writes_total{kind="physical"}`, total(func(s pagestore.Stats) int64 { return s.PhysicalWrites }))
-	// The dirty count is read first: evictions only grow, so a scrape racing
-	// an eviction cannot report a negative clean count.
-	r.CounterFunc(p+`_evictions_total{kind="clean"}`, func() int64 {
-		dirty := l.DirtyEvictions()
-		return l.Stats().Evictions - dirty
-	})
-	r.CounterFunc(p+`_evictions_total{kind="dirty"}`, l.DirtyEvictions)
 }

@@ -23,10 +23,10 @@ type QueryStats struct {
 	// the buffering experiment of Section 8.4 varies. A probe of an
 	// in-memory TIA (the default factory) reads no page and counts none.
 	//
-	// The scorer threads a query-local pagestore.IOAcct through every TIA
-	// probe and moves its page reads here whenever the search hands control
-	// back (Scorer.fold): with no global counter diffing, the accounting
-	// stays exact while any number of queries run concurrently.
+	// They are the difference of two readings of the factory's ledger, taken
+	// around each step of the search (Scorer.settle): exact while the query
+	// is the only one reading the factory's pages, as it is in the
+	// experiments, which run each query alone.
 	TIAAccesses int64
 	TIAPhysical int64
 	// Scored counts entry score computations: one TIA aggregate probe each,
@@ -82,11 +82,9 @@ type Scorer struct {
 	qv    geo.Vector // scaled query point
 	gmax  float64    // aggregate normalizer (per-query constant)
 	stats *QueryStats
-	// acct is the query-local I/O accounting context threaded through
-	// every TIA probe: the probe and its page reads are counted here, in
-	// plain fields only this query touches, and in nothing shared; fold
-	// moves it on.
-	acct pagestore.IOAcct
+	// probes counts the TIA probes since the last settle, in a plain field
+	// only this query touches: a probe writes nothing shared.
+	probes int64
 	// cache is the caller's memo shared among the searches of a batch
 	// (Section 7.2). Nil for a single query, which scores every entry once
 	// and so could never hit it.
@@ -115,34 +113,28 @@ func (sc *Scorer) remember(d *tia.Index, a int64) {
 	}
 }
 
-// acctPtr returns the scorer's accounting context, or nil when the scorer
-// collects no stats (probes then run unowned: the tia and buffer layers
-// count them in the probe totals and the factory's ledger on the spot).
-func (sc *Scorer) acctPtr() *pagestore.IOAcct {
-	if sc.stats == nil {
-		return nil
-	}
-	return &sc.acct
-}
+// pageReads reads the TIA factory's ledger, for settle to diff.
+func (sc *Scorer) pageReads() pagestore.Stats { return sc.t.opts.TIA.Ledger().Stats() }
 
-// fold moves what the acct gathered since the last fold — probes, page
-// traffic — into the shared books: the TIA factory's ledger and the probe
-// totals (tia.Factory.FoldAcct), and the query's own page-read totals
-// (TIAAccesses/TIAPhysical, and EXPLAIN's twins). It runs wherever a
-// probing method hands control back to the search's caller — the gmax
-// probe, the root push, Expand and Next, on success and on error — so a
-// query never holds unfolded traffic while it is parked between rounds,
-// canceled or abandoned, and needs no Close.
-func (sc *Scorer) fold() {
-	if sc.acct.Probes == 0 { // page traffic only comes from probes
+// settle closes one step of the search: it adds the probes made since the
+// last settle to the process-wide totals (tia.AddProbes), and the pages
+// the factory read since before — its ledger when the step began — to the
+// query's TIAAccesses and TIAPhysical. It runs wherever a probing method
+// hands control back to the search's caller — the gmax probe, the root
+// push, Expand and Next, on success and on error — so a query never holds
+// uncounted probes while it is parked between rounds, canceled or
+// abandoned, and needs no Close.
+func (sc *Scorer) settle(before pagestore.Stats) {
+	if sc.probes == 0 { // pages are only read by probes
 		return
 	}
-	logical, physical := sc.acct.Stats.LogicalReads, sc.acct.Stats.PhysicalReads
-	sc.stats.TIAAccesses += logical
-	sc.stats.TIAPhysical += physical
-	sc.explain.recordTIAReads(logical, physical)
-	sc.t.opts.TIA.FoldAcct(&sc.acct)
-	sc.acct = pagestore.IOAcct{}
+	tia.AddProbes(sc.t.global.Kind(), sc.probes)
+	sc.probes = 0
+	if sc.stats != nil {
+		d := sc.pageReads().Sub(before)
+		sc.stats.TIAAccesses += d.LogicalReads
+		sc.stats.TIAPhysical += d.PhysicalReads
+	}
 }
 
 // newScorer binds a scorer to q. The aggregate normalizer is o.Gmax when
@@ -186,8 +178,9 @@ func (sc *Scorer) maxAggregate() (int64, error) {
 	if sc.agg != nil {
 		defer sc.agg.Timed("gmax")()
 	}
-	defer sc.fold()
-	a, err := g.Aggregate(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc, sc.acctPtr())
+	defer sc.settle(sc.pageReads())
+	sc.probes++
+	a, err := g.Aggregate(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc)
 	if err != nil {
 		return 0, err
 	}
@@ -203,7 +196,7 @@ func (sc *Scorer) Query() Query { return sc.q }
 func (sc *Scorer) Gmax() float64 { return sc.gmax }
 
 // aggregate reads an entry's TIA aggregate over the query interval (through
-// the caller's memo, when there is one); the acct counts the page reads.
+// the caller's memo, when there is one).
 func (sc *Scorer) aggregate(d *tia.Index) (int64, error) {
 	if v, ok := sc.recall(d); ok {
 		return v, nil
@@ -212,7 +205,8 @@ func (sc *Scorer) aggregate(d *tia.Index) (int64, error) {
 	if sc.agg != nil {
 		begin = time.Now()
 	}
-	a, err := d.Aggregate(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc, sc.acctPtr())
+	sc.probes++
+	a, err := d.Aggregate(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc)
 	if err != nil {
 		return 0, err
 	}
@@ -230,8 +224,8 @@ func (sc *Scorer) aggregate(d *tia.Index) (int64, error) {
 // rectangle rect and aggregate d: the normalized spatial distance lower
 // bound s0 and the aggregate term lower bound s1 = 1 − g/Gmax. For leaf
 // entries both are exact. Property 1 guarantees α0·s0 + α1·s1 never exceeds
-// the score of anything in the subtree. It does not fold: the search folds
-// once for all the entries it scores before handing control back.
+// the score of anything in the subtree. It does not settle: the search
+// settles once for all the entries it scores before handing control back.
 func (sc *Scorer) components(rect geo.Rect, d *tia.Index) (s0, s1 float64, err error) {
 	s0 = geo.MinDist(sc.qv, rect, 2) / sc.t.maxDistScaled
 	a, err := sc.aggregate(d)
@@ -354,7 +348,7 @@ func (t *Tree) newSearch(q Query, agg *obs.Span, o SearchOptions) (*Search, erro
 
 // pushRoot reads the root node (node 0) and scores its entries.
 func (s *Search) pushRoot() error {
-	defer s.sc.fold()
+	defer s.sc.settle(s.sc.pageReads())
 	return s.pushNode(0)
 }
 
@@ -486,12 +480,12 @@ func (s *Search) Pop() (el Elem, ok bool) {
 // R-tree descent including the scoring of the child entries, so the nested
 // "tia_probe" time is a subset of it.
 func (s *Search) Expand(el Elem) error {
-	defer s.sc.fold()
+	defer s.sc.settle(s.sc.pageReads())
 	return s.expand(el)
 }
 
-// expand is Expand without the fold, for Next, which folds once for all
-// the expansions it makes before it returns.
+// expand is Expand without the settle, for Next, which settles once for
+// all the expansions it makes before it returns.
 func (s *Search) expand(el Elem) error {
 	if el.child < 0 {
 		return nil
@@ -505,7 +499,7 @@ func (s *Search) expand(el Elem) error {
 // Next runs the search until the next POI emerges, returning nil when the
 // tree is exhausted.
 func (s *Search) Next() (*Result, error) {
-	defer s.sc.fold()
+	defer s.sc.settle(s.sc.pageReads())
 	for {
 		if s.ctx != nil {
 			if err := s.ctx.Err(); err != nil {

@@ -139,13 +139,7 @@ func (t *Tree) Now() int64 { return t.now }
 func (t *Tree) NumRoots() int { return len(t.roots) }
 
 func (t *Tree) readNode(id pagestore.PageID) (*node, error) {
-	return t.readNodeAcct(id, nil)
-}
-
-// readNodeAcct is readNode with the access charged to a query-local acct
-// (nil for unowned traffic, e.g. the mutation paths).
-func (t *Tree) readNodeAcct(id pagestore.PageID, acct *pagestore.IOAcct) (*node, error) {
-	page, err := t.buf.GetAcct(id, acct)
+	page, err := t.buf.Get(id)
 	if err != nil {
 		return nil, err
 	}
@@ -592,19 +586,12 @@ func (t *Tree) Get(v, key int64) (Value, bool, error) {
 
 // ScanAt visits all live ⟨key, value⟩ pairs with lo <= key <= hi as of
 // version v, in ascending key order, stopping early when fn returns false.
+// Read-only operations are safe to call from many goroutines at once;
+// mutation must not run concurrently with anything else.
 func (t *Tree) ScanAt(v, lo, hi int64, fn func(key int64, val Value) bool) error {
-	return t.ScanAtAcct(v, lo, hi, nil, fn)
-}
-
-// ScanAtAcct is ScanAt with the page accesses charged to acct (which may be
-// nil). The TIA aggregation path threads the owning query's acct here so
-// per-query I/O stays exact under concurrent execution. Read-only
-// operations are safe to call from many goroutines at once; mutation must
-// not run concurrently with anything else.
-func (t *Tree) ScanAtAcct(v, lo, hi int64, acct *pagestore.IOAcct, fn func(key int64, val Value) bool) error {
 	span := t.rootFor(v)
 	var results []entry
-	if err := t.collect(span.id, span.height, v, lo, hi, acct, &results); err != nil {
+	if err := t.collect(span.id, span.height, v, lo, hi, &results); err != nil {
 		return err
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].key < results[j].key })
@@ -617,8 +604,8 @@ func (t *Tree) ScanAtAcct(v, lo, hi int64, acct *pagestore.IOAcct, fn func(key i
 }
 
 // collect gathers live leaf entries in [lo, hi] at version v.
-func (t *Tree) collect(id pagestore.PageID, level int, v, lo, hi int64, acct *pagestore.IOAcct, out *[]entry) error {
-	n, err := t.readNodeAcct(id, acct)
+func (t *Tree) collect(id pagestore.PageID, level int, v, lo, hi int64, out *[]entry) error {
+	n, err := t.readNode(id)
 	if err != nil {
 		return err
 	}
@@ -653,7 +640,7 @@ func (t *Tree) collect(id pagestore.PageID, level int, v, lo, hi int64, acct *pa
 		if covLo > hi || next <= lo {
 			continue
 		}
-		if err := t.collect(e.child(), level-1, v, lo, hi, acct, out); err != nil {
+		if err := t.collect(e.child(), level-1, v, lo, hi, out); err != nil {
 			return err
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // TestBufferConcurrentHammer drives one small Buffer from many goroutines —
 // reads of shared pages, reads and write-backs of per-worker pages, constant
 // eviction pressure from the tiny slot count — and checks, with the race
-// detector as the memory-safety referee, that the accounting stays exactly
-// conserved and no write-back is lost.
+// detector as the memory-safety referee, that the ledger counts every
+// access exactly once and no write-back is lost.
 func TestBufferConcurrentHammer(t *testing.T) {
 	const (
 		workers  = 8
@@ -61,13 +61,8 @@ func TestBufferConcurrentHammer(t *testing.T) {
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	base := b.Stats()
+	base := ledger.Stats()
 
-	// Each worker carries a query-local acct; their sum must equal the
-	// buffer's own delta exactly — every access lands in precisely one acct,
-	// including evictions and write-backs attributed to the access that
-	// forced them.
-	accts := make([]IOAcct, workers)
 	finals := make([][ownedN]byte, workers) // each worker's last-written seeds
 	var gets, puts [workers]int64
 	errs := make(chan error, workers)
@@ -78,13 +73,12 @@ func TestBufferConcurrentHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
-			acct := &accts[w]
 			last := make([]byte, ownedN) // seed of the last value written per owned page
 			for i := 0; i < iters; i++ {
 				switch op := r.Intn(10); {
 				case op < 4: // read a shared, read-only page
 					k := r.Intn(sharedN)
-					data, err := b.GetAcct(shared[k], acct)
+					data, err := b.Get(shared[k])
 					if err != nil {
 						errs <- err
 						return
@@ -96,7 +90,7 @@ func TestBufferConcurrentHammer(t *testing.T) {
 					}
 				case op < 7: // read one of our own pages
 					k := r.Intn(ownedN)
-					data, err := b.GetAcct(owned[w][k], acct)
+					data, err := b.Get(owned[w][k])
 					if err != nil {
 						errs <- err
 						return
@@ -109,7 +103,7 @@ func TestBufferConcurrentHammer(t *testing.T) {
 				default: // overwrite one of our own pages
 					k := r.Intn(ownedN)
 					last[k] = byte(1 + r.Intn(90))
-					if err := b.PutAcct(owned[w][k], pattern(last[k]), acct); err != nil {
+					if err := b.Put(owned[w][k], pattern(last[k])); err != nil {
 						errs <- err
 						return
 					}
@@ -127,33 +121,13 @@ func TestBufferConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Conservation: buffer stats, the ledger, and the sum of the per-worker
-	// accts must all agree on the traffic since the baseline. Accounted
-	// traffic stays out of the ledger until its owner adds the acct.
-	delta := b.Stats().Sub(base)
-	if got := ledger.Stats(); got != base {
-		t.Errorf("ledger %+v saw accounted traffic before the fold (set-up was %+v)", got, base)
-	}
-	for w := range accts {
-		ledger.AddAcct(&accts[w])
-	}
-	if got := ledger.Stats(); got != b.Stats() {
-		t.Errorf("ledger %+v != buffer stats %+v", got, b.Stats())
-	}
-	for w := range accts {
-		if got := accts[w].Stats; got.LogicalReads != gets[w] || got.LogicalWrites != puts[w] {
-			t.Errorf("worker %d: acct %+v, want %d reads and %d writes", w, got, gets[w], puts[w])
-		}
-	}
-	var acctSum Stats
+	// Conservation: the ledger's traffic since the baseline is one read per
+	// Get and one write per Put of all the workers.
+	delta := ledger.Stats().Sub(base)
 	var wantReads, wantWrites int64
-	for w := range accts {
-		acctSum = acctSum.Add(accts[w].Stats)
+	for w := 0; w < workers; w++ {
 		wantReads += gets[w]
 		wantWrites += puts[w]
-	}
-	if acctSum != delta {
-		t.Errorf("sum of per-worker accts %+v != buffer delta %+v", acctSum, delta)
 	}
 	if delta.LogicalReads != wantReads {
 		t.Errorf("LogicalReads = %d, want %d (one per Get)", delta.LogicalReads, wantReads)
@@ -205,7 +179,8 @@ func TestBufferConcurrentHammer(t *testing.T) {
 // concurrent readers of the same page are safe and all see the same bytes.
 func TestBufferConcurrentReadsSamePage(t *testing.T) {
 	f := NewMemFile(32)
-	b := NewBuffer(f, 2)
+	var ledger Ledger
+	b := NewBufferWithLedger(f, 2, &ledger)
 	id, err := b.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +213,7 @@ func TestBufferConcurrentReadsSamePage(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if s := b.Stats(); s.Hits() < 8*200-2 {
+	if s := ledger.Stats(); s.Hits() < 8*200-2 {
 		t.Errorf("expected nearly all hits, got %+v", s)
 	}
 }

@@ -25,78 +25,69 @@ func residentBuffer(tb testing.TB, ledger *Ledger) (*Buffer, []PageID) {
 	return b, ids
 }
 
-// TestGetAcctHitAllocatesNothing pins the buffer hit path: a read of a
-// resident page allocates nothing, with or without an acct.
-func TestGetAcctHitAllocatesNothing(t *testing.T) {
+// TestGetHitAllocatesNothing pins the buffer hit path: a read of a
+// resident page allocates nothing, with or without a ledger.
+func TestGetHitAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	var ledger Ledger
-	b, ids := residentBuffer(t, &ledger)
-	for name, acct := range map[string]*IOAcct{"unowned": nil, "acct": new(IOAcct)} {
+	for name, ledger := range map[string]*Ledger{"bare": nil, "ledger": new(Ledger)} {
+		b, ids := residentBuffer(t, ledger)
 		i := 0
 		allocs := testing.AllocsPerRun(2000, func() {
-			if _, err := b.GetAcct(ids[i%len(ids)], acct); err != nil {
+			if _, err := b.Get(ids[i%len(ids)]); err != nil {
 				t.Fatal(err)
 			}
 			i++
 		})
 		if allocs != 0 {
-			t.Errorf("%s: a resident GetAcct allocates %.1f objects, want 0", name, allocs)
+			t.Errorf("%s: a resident Get allocates %.1f objects, want 0", name, allocs)
 		}
 	}
 }
 
-// BenchmarkGetAcctHit is the per-layer number for one read of a resident
-// page, round-robin over a full 10-slot buffer:
+// BenchmarkGetHit is the per-layer number for one read of a resident page,
+// round-robin over a full 10-slot buffer:
 //
-//   - bare: no ledger, no acct (what benchmark/'s pagestore.get_hit_ns times);
-//   - ledger: wired as a tia factory wires a buffer, the access unowned —
-//     every read adds to the one shared ledger;
-//   - ledger+acct: the same wiring with a query's acct, which is how
-//     Scorer.aggregate reads — the ledger is not touched;
-//   - parallel: ledger+acct from GOMAXPROCS goroutines, each on its own
-//     buffer and acct but all wired to the same ledger. Nothing is shared
-//     on this path, so ns/op at -cpu 2 should be about half of -cpu 1; run
-//     with -cpu 1,2.
-func BenchmarkGetAcctHit(b *testing.B) {
-	run := func(b *testing.B, buf *Buffer, ids []PageID, acct *IOAcct) {
+//   - bare: no ledger (what benchmark/'s pagestore.get_hit_ns times);
+//   - ledger: wired as a tia factory wires a buffer — every read adds to
+//     the one shared ledger;
+//   - parallel: ledger from GOMAXPROCS goroutines, each on its own buffer
+//     but all wired to the same ledger, as concurrent probes of one paged
+//     factory would be; run with -cpu 1,2.
+func BenchmarkGetHit(b *testing.B) {
+	run := func(b *testing.B, buf *Buffer, ids []PageID) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := buf.GetAcct(ids[i%len(ids)], acct); err != nil {
+			if _, err := buf.Get(ids[i%len(ids)]); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	b.Run("bare", func(b *testing.B) {
 		buf, ids := residentBuffer(b, nil)
-		run(b, buf, ids, nil)
+		run(b, buf, ids)
 	})
 	var ledger Ledger
 	b.Run("ledger", func(b *testing.B) {
 		buf, ids := residentBuffer(b, &ledger)
-		run(b, buf, ids, nil)
-	})
-	b.Run("ledger+acct", func(b *testing.B) {
-		buf, ids := residentBuffer(b, &ledger)
-		run(b, buf, ids, new(IOAcct))
+		run(b, buf, ids)
 	})
 	b.Run("parallel", func(b *testing.B) {
 		var failed atomic.Bool
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			buf, ids := residentBuffer(b, &ledger)
-			acct := new(IOAcct)
 			for i := 0; pb.Next(); i++ {
-				if _, err := buf.GetAcct(ids[i%len(ids)], acct); err != nil {
+				if _, err := buf.Get(ids[i%len(ids)]); err != nil {
 					failed.Store(true)
 					return
 				}
 			}
 		})
 		if failed.Load() {
-			b.Fatal("GetAcct failed on a resident page")
+			b.Fatal("Get failed on a resident page")
 		}
 	})
 }

@@ -167,13 +167,13 @@ func seeded(seed byte, n int) []byte {
 }
 
 // TestBufferAgainstModel drives the Buffer and the map+list reference with
-// the same random operations — reads and writes with and without an acct,
-// Alloc, Free, Drop, Flush, over buffers of 0/1/3/10/100 slots — and after
-// every operation requires the same hit or miss, the same bytes, the same
-// physical reads and write-backs in the same order (so the same eviction
-// victims), the same buffered set and the same Stats. All the buffers count
-// into one ledger, which after every operation must total the Stats of the
-// buffers wired to it, less what the acct has not folded yet.
+// the same random operations — reads, writes, Alloc, Free, Drop, Flush,
+// over buffers of 0/1/3/10/100 slots — and after every operation requires
+// the same hit or miss, the same bytes, the same physical reads and
+// write-backs in the same order (so the same eviction victims), the same
+// buffered set and the same Stats. All the buffers count into one ledger,
+// which after every operation must total the Stats of the buffers wired to
+// it.
 func TestBufferAgainstModel(t *testing.T) {
 	const pageSize = 32
 	slotChoices := []int{0, 1, 3, 10, 100}
@@ -185,14 +185,7 @@ func TestBufferAgainstModel(t *testing.T) {
 		slots := slotChoices[seed%int64(len(slotChoices))]
 		b := NewBufferWithLedger(file, slots, &ledger)
 		m := newRefBuffer(slots)
-		var acct IOAcct
 		var live []PageID
-		owner := func() *IOAcct {
-			if r.Intn(2) == 0 {
-				return &acct
-			}
-			return nil
-		}
 		for step := 0; step < 1500; step++ {
 			desc := ""
 			flushed := []string(nil)
@@ -212,13 +205,13 @@ func TestBufferAgainstModel(t *testing.T) {
 				desc = fmt.Sprintf("alloc %d", id)
 			case op < 55:
 				id := live[r.Intn(len(live))]
-				before := b.Stats()
-				data, err := b.GetAcct(id, owner())
+				before := ledger.Stats()
+				data, err := b.Get(id)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want, wantHit := m.get(id)
-				gotHit := b.Stats().Sub(before).PhysicalReads == 0
+				gotHit := ledger.Stats().Sub(before).PhysicalReads == 0
 				desc = fmt.Sprintf("get %d", id)
 				if gotHit != wantHit {
 					t.Fatalf("seed %d step %d (%s): hit = %v, reference says %v", seed, step, desc, gotHit, wantHit)
@@ -229,7 +222,7 @@ func TestBufferAgainstModel(t *testing.T) {
 			case op < 80:
 				id := live[r.Intn(len(live))]
 				s := byte(1 + r.Intn(200))
-				if err := b.PutAcct(id, seeded(s, pageSize), owner()); err != nil {
+				if err := b.Put(id, seeded(s, pageSize)); err != nil {
 					t.Fatal(err)
 				}
 				m.put(id, s)
@@ -273,15 +266,8 @@ func TestBufferAgainstModel(t *testing.T) {
 			if got, want := b.residentIDs(), m.resident(); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("seed %d step %d (%s): buffered %v, reference %v", seed, step, desc, got, want)
 			}
-			if got := b.Stats(); got != m.stats {
-				t.Fatalf("seed %d step %d (%s): stats %+v, reference %+v", seed, step, desc, got, m.stats)
-			}
-			if r.Intn(4) == 0 { // the owner folds its acct
-				ledger.AddAcct(&acct)
-				acct = IOAcct{}
-			}
-			if got, want := ledger.Stats().Add(acct.Stats), retired.Add(m.stats); got != want {
-				t.Fatalf("seed %d step %d (%s): ledger + unfolded acct %+v, buffers %+v", seed, step, desc, got, want)
+			if got, want := ledger.Stats(), retired.Add(m.stats); got != want {
+				t.Fatalf("seed %d step %d (%s): ledger %+v, reference %+v", seed, step, desc, got, want)
 			}
 		}
 		// Nothing lost: after a flush the file holds what the reference says.
@@ -298,19 +284,18 @@ func TestBufferAgainstModel(t *testing.T) {
 				t.Fatalf("seed %d: page %d on file differs from the reference (seed %d)", seed, id, m.disk[id])
 			}
 		}
-		// The owner's last fold: the ledger then totals its buffers exactly.
-		ledger.AddAcct(&acct)
 		retired = retired.Add(m.stats)
 		if got := ledger.Stats(); got != retired {
-			t.Fatalf("seed %d: ledger after the last fold %+v, buffers %+v", seed, got, retired)
+			t.Fatalf("seed %d: ledger after the final flush %+v, reference %+v", seed, got, retired)
 		}
 	}
 }
 
 // TestBufferHitsRaceEviction has readers hitting a few hot pages while one
 // goroutine keeps faulting other pages in (evicting) and another keeps
-// reading the ledger. Lock-free hits must never return another page's
-// bytes, and the accounting must stay conserved. Run with -race.
+// reading the ledger. Hits must never return another page's bytes, no
+// reading of the ledger may see a count go back, and the accounting must
+// stay conserved. Run with -race.
 func TestBufferHitsRaceEviction(t *testing.T) {
 	const (
 		pageSize = 64
@@ -335,10 +320,10 @@ func TestBufferHitsRaceEviction(t *testing.T) {
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	base := b.Stats()
+	base := ledger.Stats()
 
-	read := func(i int, acct *IOAcct) error {
-		data, err := b.GetAcct(ids[i], acct)
+	read := func(i int) error {
+		data, err := b.Get(ids[i])
 		if err != nil {
 			return err
 		}
@@ -347,7 +332,6 @@ func TestBufferHitsRaceEviction(t *testing.T) {
 		}
 		return nil
 	}
-	accts := make([]IOAcct, readers)
 	var gets [readers + 1]int64
 	errs := make(chan error, readers+2)
 	stop := make(chan struct{})
@@ -355,10 +339,10 @@ func TestBufferHitsRaceEviction(t *testing.T) {
 	for w := 0; w < readers; w++ {
 		w := w
 		wg.Add(1)
-		go func() { // hot-page readers, each with its own acct
+		go func() { // hot-page readers
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if err := read((w+i)%hot, &accts[w]); err != nil {
+				if err := read((w + i) % hot); err != nil {
 					errs <- err
 					return
 				}
@@ -375,25 +359,28 @@ func TestBufferHitsRaceEviction(t *testing.T) {
 				return
 			default:
 			}
-			if err := read(hot+i%cold, nil); err != nil {
+			if err := read(hot + i%cold); err != nil {
 				errs <- err
 				return
 			}
 			gets[readers]++
 		}
 	}()
-	go func() { // a scraper: the ledger never runs ahead of the buffer
+	go func() { // a scraper: no count goes back
 		defer bg.Done()
+		last := base
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if got, now := ledger.Stats(), b.Stats(); got.LogicalReads > now.LogicalReads {
-				errs <- fmt.Errorf("ledger read %d logical reads, the buffer only %d", got.LogicalReads, now.LogicalReads)
+			now := ledger.Stats()
+			if now.Hits() < last.Hits() || now.Misses() < last.Misses() || now.Evictions < last.Evictions {
+				errs <- fmt.Errorf("ledger went from %+v back to %+v", last, now)
 				return
 			}
+			last = now
 		}
 	}()
 	wg.Wait()
@@ -404,7 +391,7 @@ func TestBufferHitsRaceEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	delta := b.Stats().Sub(base)
+	delta := ledger.Stats().Sub(base)
 	var want int64
 	for _, n := range gets {
 		want += n
@@ -412,11 +399,8 @@ func TestBufferHitsRaceEviction(t *testing.T) {
 	if delta.LogicalReads != want {
 		t.Errorf("LogicalReads = %d, want %d (one per Get)", delta.LogicalReads, want)
 	}
-	for w := range accts {
-		ledger.AddAcct(&accts[w])
-	}
-	if got := ledger.Stats(); got != b.Stats() {
-		t.Errorf("ledger %+v != buffer stats %+v", got, b.Stats())
+	if delta.Evictions != delta.Misses() {
+		t.Errorf("%d evictions, want one per miss (%d) of the full buffer", delta.Evictions, delta.Misses())
 	}
 	if delta.Evictions == 0 {
 		t.Error("no evictions: the test created no buffer pressure")

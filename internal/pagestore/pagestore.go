@@ -8,8 +8,7 @@
 // that counts logical and physical page accesses so experiments can report
 // node accesses precisely. Only the page shadow of a paged TIA reads
 // through it — the experiments name one; a serving tree's TIAs are in
-// memory and touch no page — while the accounting types (IOAcct, Ledger)
-// are also what every query counts its page reads in.
+// memory and touch no page.
 package pagestore
 
 import (
@@ -139,9 +138,9 @@ func (f *MemFile) Close() error {
 	return nil
 }
 
-// Stats counts page traffic through a Buffer. Logical counts include buffer
-// hits; physical counts are actual File operations, i.e. the disk accesses
-// the paper's experiments report.
+// Stats is a reading of a Ledger: the page traffic through its buffers.
+// Logical counts include buffer hits; physical counts are actual File
+// operations, i.e. the disk accesses the paper's experiments report.
 type Stats struct {
 	LogicalReads   int64
 	PhysicalReads  int64
@@ -208,27 +207,24 @@ type frame struct {
 // aliases the frame — which the TAR-tree upholds by never mutating TIAs while
 // queries run.
 //
-// Page traffic is counted in the buffer's own Stats, and beyond that once
-// more: in the IOAcct of the access when it carries one, else in the
-// buffer's Ledger when it was built with one (see charge).
+// Page traffic is counted as it happens in the buffer's Ledger, if it was
+// built with one.
 type Buffer struct {
 	mu     sync.Mutex
 	file   File
 	frames []*frame
-	clock  int64 // the latest LRU stamp handed out
-	stats  Stats
-	// ledger receives the traffic no IOAcct owns; nil for a buffer nobody
-	// totals. Fixed at construction.
-	ledger *Ledger
+	clock  int64   // the latest LRU stamp handed out
+	ledger *Ledger // nil for a buffer nobody totals; fixed at construction
 }
 
-// NewBuffer creates a buffer pool with the given number of slots over f.
+// NewBuffer creates a buffer pool with the given number of slots over f,
+// counting its traffic nowhere.
 func NewBuffer(f File, slots int) *Buffer {
 	return NewBufferWithLedger(f, slots, nil)
 }
 
-// NewBufferWithLedger creates a buffer pool that counts the traffic no
-// IOAcct owns into ledger, which may be shared by many buffers (nil: none).
+// NewBufferWithLedger creates a buffer pool that counts its traffic into
+// ledger, which may be shared by many buffers (nil: none).
 func NewBufferWithLedger(f File, slots int, ledger *Ledger) *Buffer {
 	if slots < 0 {
 		panic("pagestore: negative slot count")
@@ -238,44 +234,6 @@ func NewBufferWithLedger(f File, slots int, ledger *Ledger) *Buffer {
 
 // PageSize returns the page size of the underlying file.
 func (b *Buffer) PageSize() int { return b.file.PageSize() }
-
-// charge applies the one accounting rule to the events d, dirty of whose
-// evictions wrote a frame back: the buffer's own stats see every event;
-// beyond that an event is counted exactly once more — in the access's
-// IOAcct, plain fields of a value only the owning query touches, which the
-// owner adds to the ledger in bulk (Ledger.AddAcct), or, for traffic without
-// an owner, in the buffer's ledger on the spot. Callers hold mu.
-func (b *Buffer) charge(a *IOAcct, d Stats, dirty int64) {
-	b.stats = b.stats.Add(d)
-	switch {
-	case a != nil:
-		a.Stats = a.Stats.Add(d)
-		a.DirtyEvictions += dirty
-	case b.ledger != nil:
-		b.ledger.add(d, dirty)
-	}
-}
-
-// countRead is charge for one page read, a miss when it reached the file,
-// spelled out field by field: it is the buffer's hit path.
-func (b *Buffer) countRead(a *IOAcct, hit bool) {
-	var miss int64
-	if !hit {
-		miss = 1
-	}
-	b.stats.LogicalReads++
-	b.stats.PhysicalReads += miss
-	switch {
-	case a != nil:
-		a.Stats.LogicalReads++
-		a.Stats.PhysicalReads += miss
-	case b.ledger == nil:
-	case hit:
-		b.ledger.hits.Add(1)
-	default:
-		b.ledger.misses.Add(1)
-	}
-}
 
 // find returns the slot of page id, -1 when the page is not buffered.
 func (b *Buffer) find(id PageID) int {
@@ -288,10 +246,8 @@ func (b *Buffer) find(id PageID) int {
 }
 
 // evict flushes and removes the least recently used frame of a full buffer,
-// returning the slot it freed. The eviction (and any dirty write-back) is
-// charged to the acct of the access that forced it, since evicting is a
-// side effect of loading another page. Callers hold mu.
-func (b *Buffer) evict(a *IOAcct) (int, error) {
+// returning the slot it freed. Callers hold mu.
+func (b *Buffer) evict() (int, error) {
 	v := 0
 	for i, fr := range b.frames {
 		if fr.used < b.frames[v].used {
@@ -299,22 +255,20 @@ func (b *Buffer) evict(a *IOAcct) (int, error) {
 		}
 	}
 	victim := b.frames[v]
-	var dirty int64
 	if victim.dirty {
 		if err := b.file.WritePage(victim.id, victim.data); err != nil {
 			return -1, err
 		}
-		dirty = 1
 	}
 	b.frames[v] = nil
-	b.charge(a, Stats{PhysicalWrites: dirty, Evictions: 1}, dirty)
+	b.ledger.evict(victim.dirty)
 	return v, nil
 }
 
 // load returns the frame for id, faulting it in (and evicting) as needed,
 // stamped as the buffer's latest access, and whether it was buffered
 // already. Callers hold mu and have checked that the buffer has slots.
-func (b *Buffer) load(id PageID, readThrough bool, a *IOAcct) (*frame, bool, error) {
+func (b *Buffer) load(id PageID, readThrough bool) (*frame, bool, error) {
 	b.clock++
 	if i := b.find(id); i >= 0 {
 		fr := b.frames[i]
@@ -324,7 +278,7 @@ func (b *Buffer) load(id PageID, readThrough bool, a *IOAcct) (*frame, bool, err
 	free := slices.Index(b.frames, nil)
 	if free < 0 {
 		var err error
-		if free, err = b.evict(a); err != nil {
+		if free, err = b.evict(); err != nil {
 			return nil, false, err
 		}
 	}
@@ -346,11 +300,6 @@ func (b *Buffer) load(id PageID, readThrough bool, a *IOAcct) (*frame, bool, err
 // guarantees while queries run. The B+-tree read path reads pages in place
 // on the strength of this.
 func (b *Buffer) Get(id PageID) ([]byte, error) {
-	return b.GetAcct(id, nil)
-}
-
-// GetAcct is Get with the access charged to a (nil: the buffer's ledger).
-func (b *Buffer) GetAcct(id PageID, a *IOAcct) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.frames) == 0 {
@@ -358,14 +307,14 @@ func (b *Buffer) GetAcct(id PageID, a *IOAcct) ([]byte, error) {
 		if err := b.file.ReadPage(id, buf); err != nil {
 			return nil, err
 		}
-		b.countRead(a, false)
+		b.ledger.read(false)
 		return buf, nil
 	}
-	fr, hit, err := b.load(id, true, a)
+	fr, hit, err := b.load(id, true)
 	if err != nil {
 		return nil, err
 	}
-	b.countRead(a, hit)
+	b.ledger.read(hit)
 	return fr.data, nil
 }
 
@@ -373,22 +322,17 @@ func (b *Buffer) GetAcct(id PageID, a *IOAcct) ([]byte, error) {
 // deferred until eviction or Flush (write-back); without slots it goes
 // straight to the file.
 func (b *Buffer) Put(id PageID, data []byte) error {
-	return b.PutAcct(id, data, nil)
-}
-
-// PutAcct is Put with the access charged to a (nil: the buffer's ledger).
-func (b *Buffer) PutAcct(id PageID, data []byte, a *IOAcct) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.charge(a, Stats{LogicalWrites: 1}, 0)
+	b.ledger.logicalWrite()
 	if len(b.frames) == 0 {
 		if err := b.file.WritePage(id, data); err != nil {
 			return err
 		}
-		b.charge(a, Stats{PhysicalWrites: 1}, 0)
+		b.ledger.physicalWrite()
 		return nil
 	}
-	fr, _, err := b.load(id, false, a)
+	fr, _, err := b.load(id, false)
 	if err != nil {
 		return err
 	}
@@ -423,7 +367,7 @@ func (b *Buffer) Flush() error {
 			if err := b.file.WritePage(fr.id, fr.data); err != nil {
 				return err
 			}
-			b.charge(nil, Stats{PhysicalWrites: 1}, 0)
+			b.ledger.physicalWrite()
 			fr.dirty = false
 		}
 	}
@@ -436,12 +380,4 @@ func (b *Buffer) Drop() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	clear(b.frames)
-}
-
-// Stats returns the buffer's traffic since creation; readers that want a
-// window subtract an earlier reading (Stats.Sub).
-func (b *Buffer) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stats
 }

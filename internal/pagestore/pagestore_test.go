@@ -86,7 +86,8 @@ func TestMemFileBasics(t *testing.T) {
 
 func TestBufferHitAndMiss(t *testing.T) {
 	f := NewMemFile(64)
-	b := NewBuffer(f, 2)
+	var ledger Ledger
+	b := NewBufferWithLedger(f, 2, &ledger)
 	id, _ := b.Alloc()
 	data := bytes.Repeat([]byte{7}, 64)
 	if err := b.Put(id, data); err != nil {
@@ -102,7 +103,7 @@ func TestBufferHitAndMiss(t *testing.T) {
 			t.Fatal("mismatch")
 		}
 	}
-	s := b.Stats()
+	s := ledger.Stats()
 	if s.LogicalReads != 2 || s.PhysicalReads != 0 {
 		t.Errorf("stats = %+v, want 2 logical / 0 physical reads", s)
 	}
@@ -112,7 +113,7 @@ func TestBufferHitAndMiss(t *testing.T) {
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s := b.Stats(); s.PhysicalWrites != 1 {
+	if s := ledger.Stats(); s.PhysicalWrites != 1 {
 		t.Errorf("after flush physical writes = %d, want 1", s.PhysicalWrites)
 	}
 	// Underlying file must now hold the data.
@@ -127,7 +128,8 @@ func TestBufferHitAndMiss(t *testing.T) {
 
 func TestBufferEviction(t *testing.T) {
 	f := NewMemFile(32)
-	b := NewBuffer(f, 2)
+	var ledger Ledger
+	b := NewBufferWithLedger(f, 2, &ledger)
 	var ids []PageID
 	for i := 0; i < 3; i++ {
 		id, _ := b.Alloc()
@@ -139,11 +141,11 @@ func TestBufferEviction(t *testing.T) {
 	}
 	// Capacity 2: writing the third page evicted the first (dirty -> one
 	// physical write).
-	if s := b.Stats(); s.PhysicalWrites != 1 {
+	if s := ledger.Stats(); s.PhysicalWrites != 1 {
 		t.Errorf("physical writes = %d, want 1 (eviction)", s.PhysicalWrites)
 	}
 	// Reading the evicted page is a miss.
-	before := b.Stats().PhysicalReads
+	before := ledger.Stats().PhysicalReads
 	got, err := b.Get(ids[0])
 	if err != nil {
 		t.Fatal(err)
@@ -151,14 +153,15 @@ func TestBufferEviction(t *testing.T) {
 	if got[0] != 1 {
 		t.Fatalf("evicted page content lost: %d", got[0])
 	}
-	if b.Stats().PhysicalReads != before+1 {
+	if ledger.Stats().PhysicalReads != before+1 {
 		t.Error("expected one physical read for evicted page")
 	}
 }
 
 func TestBufferZeroSlots(t *testing.T) {
 	f := NewMemFile(32)
-	b := NewBuffer(f, 0)
+	var ledger Ledger
+	b := NewBufferWithLedger(f, 0, &ledger)
 	id, _ := b.Alloc()
 	data := bytes.Repeat([]byte{3}, 32)
 	if err := b.Put(id, data); err != nil {
@@ -169,7 +172,7 @@ func TestBufferZeroSlots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := b.Stats()
+	s := ledger.Stats()
 	if s.PhysicalReads != 5 || s.PhysicalWrites != 1 {
 		t.Errorf("pass-through stats = %+v", s)
 	}
@@ -177,7 +180,8 @@ func TestBufferZeroSlots(t *testing.T) {
 
 func TestBufferLRUOrder(t *testing.T) {
 	f := NewMemFile(16)
-	b := NewBuffer(f, 2)
+	var ledger Ledger
+	b := NewBufferWithLedger(f, 2, &ledger)
 	a, _ := b.Alloc()
 	c, _ := b.Alloc()
 	d, _ := b.Alloc()
@@ -189,17 +193,17 @@ func TestBufferLRUOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Put(d, one) // evicts c
-	base := b.Stats()
+	base := ledger.Stats()
 	if _, err := b.Get(a); err != nil {
 		t.Fatal(err)
 	}
-	if b.Stats().Sub(base).PhysicalReads != 0 {
+	if ledger.Stats().Sub(base).PhysicalReads != 0 {
 		t.Error("a should still be cached")
 	}
 	if _, err := b.Get(c); err != nil {
 		t.Fatal(err)
 	}
-	if b.Stats().Sub(base).PhysicalReads != 1 {
+	if ledger.Stats().Sub(base).PhysicalReads != 1 {
 		t.Error("c should have been evicted")
 	}
 }

@@ -414,7 +414,7 @@ func (p *Planner) QueryCtx(ctx context.Context, q core.Query, opts *core.QueryOp
 	}
 	if plan.Engine == UseScan && p.scan != nil {
 		res, err := p.scan.Query(q)
-		ex.Finish(res, err)
+		ex.Finish(res, core.QueryStats{}, err)
 		p.Observe(plan, ex)
 		return res, plan, core.QueryStats{}, err
 	}

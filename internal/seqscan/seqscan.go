@@ -42,10 +42,11 @@ func (s *Scanner) Add(p core.POI, history []tia.Record) {
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Ts < recs[j].Ts })
 	s.recs = append(s.recs, recs)
 	for _, r := range recs {
-		if cur, err := s.global.Aggregate(tia.Interval{Start: r.Ts, End: r.Ts + 1}, tia.Intersecting, tia.FuncSum, nil); err == nil && r.Agg > cur {
+		if cur, err := s.global.Aggregate(tia.Interval{Start: r.Ts, End: r.Ts + 1}, tia.Intersecting, tia.FuncSum); err == nil && r.Agg > cur {
 			s.global.Put(r) //nolint:errcheck // Mem.Put cannot fail
 		}
 	}
+	tia.AddProbes(tia.KindMem, int64(len(recs)))
 }
 
 // Len returns the number of POIs.
@@ -70,7 +71,8 @@ func (s *Scanner) QueryCtx(ctx context.Context, q core.Query, _ *core.QueryOpts)
 	if err := q.Validate(); err != nil {
 		return nil, stats, err
 	}
-	gmaxI, err := s.global.Aggregate(q.Iq, s.semantics, tia.FuncSum, nil)
+	tia.AddProbes(tia.KindMem, 1)
+	gmaxI, err := s.global.Aggregate(q.Iq, s.semantics, tia.FuncSum)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -74,7 +74,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, q core.Query, opts *core.Que
 	if opts != nil {
 		if opts.Explain != nil {
 			opts.Explain.Shards = shards
-			opts.Explain.Finish(res, err)
+			opts.Explain.Finish(res, stats, err)
 		}
 		core.AnnotateSpan(opts.Span, q, len(res), &stats, err, opts.Explain)
 	}
@@ -147,7 +147,8 @@ func (c *Coordinator) search(ctx context.Context, q core.Query, rows []core.Expl
 				return nil, err
 			}
 		}
-		gmax, _ := v.merged.Aggregate(q.Iq, v.sem, v.fn, nil) // in memory: cannot fail
+		tia.AddProbes(tia.KindMem, 1)
+		gmax, _ := v.merged.Aggregate(q.Iq, v.sem, v.fn) // in memory: cannot fail
 		bodies := make([][]byte, len(c.Shards))
 		for i := range bodies {
 			if bodies[i], err = json.Marshal(queryRequest{

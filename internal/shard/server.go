@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 
 	"tartree/internal/core"
@@ -114,14 +115,24 @@ func (s *Server) HandleGmax(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
+// maxQueryBody bounds a POST /v1/shard/query body, which the coordinator
+// sends as a few hundred bytes; a larger one is refused with 413 before it
+// is all read into memory.
+const maxQueryBody = 64 << 10
+
 // HandleQuery answers one query: the shard's top k under the supplied
 // gmax, plus the results tied with the kth score. A query whose stamp is
 // not the shard's current one gets the 409 conflict envelope with the
 // current stamp in its details, and no search runs.
 func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpapi.WriteStatusError(w, http.StatusBadRequest, "malformed shard query body: "+err.Error())
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpapi.WriteStatusError(w, status, "malformed shard query body: "+err.Error())
 		return
 	}
 	q := core.Query{

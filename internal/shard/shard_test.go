@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -535,6 +536,30 @@ func TestShardQueryLeavesNothingUnfolded(t *testing.T) {
 				t.Errorf("probe counter gained %d, the reply scored %d entries", got, rp.Stats.Scored)
 			}
 		})
+	}
+}
+
+// TestShardQueryBodyLimit: a shard query body over maxQueryBody is refused
+// with the 413 envelope, before any search runs.
+func TestShardQueryBodyLimit(t *testing.T) {
+	d := testDataset(t)
+	tr, err := d.Build(lbsn.BuildOptions{Grouping: core.TAR3D, NodeSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &Server{Data: TreeViewer{Tree: tr}, Index: 0, N: 1}
+	mux := http.NewServeMux()
+	srv.Register(mux)
+	body := `{"x":50,"y":50,"k":3,"alpha":0.5,"start":0,"end":100,"gmax":1,"pad":"` +
+		strings.Repeat("a", maxQueryBody) + `"}`
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shard/query", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize shard query: status %d, want 413: %.200s", rec.Code, rec.Body.String())
+	}
+	var env httpapi.Envelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != httpapi.CodeForStatus(rec.Code) || env.Error.Message == "" {
+		t.Errorf("oversize shard query: body %.200q is not the error envelope (%v)", rec.Body.String(), err)
 	}
 }
 

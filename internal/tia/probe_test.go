@@ -3,8 +3,6 @@ package tia
 import (
 	"math/rand"
 	"testing"
-
-	"tartree/internal/pagestore"
 )
 
 const day = 86400
@@ -42,16 +40,14 @@ func benchTIAs(tb testing.TB, f Factory, n int) ([]*Index, []Interval) {
 // BenchmarkAggregateMem and BenchmarkAggregateBTree are the per-layer
 // number for one TIA probe, on the default backend and on the paper's: 256
 // TIAs (the B+-trees on resident pages), probed round-robin with
-// stream-shaped intervals and a query-local acct, exactly as Scorer.aggregate
-// calls it.
+// stream-shaped intervals, exactly as Scorer.aggregate calls it.
 func BenchmarkAggregateMem(b *testing.B)   { benchAggregate(b, NewMemFactory()) }
 func BenchmarkAggregateBTree(b *testing.B) { benchAggregate(b, NewBTreeFactory(1024, 10)) }
 
 func benchAggregate(b *testing.B, f Factory) {
 	idx, ivs := benchTIAs(b, f, 256)
-	var acct pagestore.IOAcct
 	for i := range idx { // fault every page in
-		if _, err := idx[i].Aggregate(Interval{Start: 0, End: 1 << 40}, Contained, FuncSum, &acct); err != nil {
+		if _, err := idx[i].Aggregate(Interval{Start: 0, End: 1 << 40}, Contained, FuncSum); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -59,7 +55,7 @@ func benchAggregate(b *testing.B, f Factory) {
 	b.ResetTimer()
 	var sink int64
 	for i := 0; i < b.N; i++ {
-		a, err := idx[i%len(idx)].Aggregate(ivs[i%len(ivs)], Contained, FuncSum, &acct)
+		a, err := idx[i%len(idx)].Aggregate(ivs[i%len(ivs)], Contained, FuncSum)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,10 +87,9 @@ func TestAggregateAllocatesNothing(t *testing.T) {
 		t.Fatalf("height %d, want an inner level", h)
 	}
 	idx = append(idx, tall)
-	var acct pagestore.IOAcct
 	whole := Interval{Start: 0, End: 1 << 40}
 	for _, x := range idx { // fault every page in
-		if _, err := x.Aggregate(whole, Contained, FuncSum, &acct); err != nil {
+		if _, err := x.Aggregate(whole, Contained, FuncSum); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +99,7 @@ func TestAggregateAllocatesNothing(t *testing.T) {
 		if i%7 == 0 {
 			iv = whole
 		}
-		if _, err := x.Aggregate(iv, Semantics(i%2), Func(i/2%2), &acct); err != nil {
+		if _, err := x.Aggregate(iv, Semantics(i%2), Func(i/2%2)); err != nil {
 			t.Fatal(err)
 		}
 		i++

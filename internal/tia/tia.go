@@ -58,18 +58,17 @@ func BackendKinds() []BackendKind { return []BackendKind{KindMem, KindBTree, Kin
 
 // probes counts aggregate probes (Index.Aggregate calls) per backend kind,
 // process-wide; cmd/tarserve and cmd/tarbench export the totals as
-// tia_probes_total{backend="..."} metrics. A probe without an acct adds
-// itself here on the spot; a probe charged to a query's acct is counted
-// there and arrives when the query folds the acct (Factory.FoldAcct).
+// tia_probes_total{backend="..."} metrics. Aggregate counts nothing itself:
+// its caller adds its probes here in bulk (AddProbes), so a probe writes no
+// counter that other goroutines share.
 var probes [numKinds]atomic.Int64
 
-// countProbe applies the accounting rule to one probe of kind k.
-func countProbe(k BackendKind, acct *pagestore.IOAcct) {
-	if acct != nil {
-		acct.Probes++
-		return
+// AddProbes adds n aggregate probes of backend k to the process-wide
+// totals.
+func AddProbes(k BackendKind, n int64) {
+	if n != 0 {
+		probes[k].Add(n)
 	}
-	probes[k].Add(1)
 }
 
 // ProbeCount returns the number of aggregate probes issued against the
@@ -172,17 +171,9 @@ type Factory interface {
 	// write per node, so a snapshot load writes each TIA page exactly once.
 	New(recs []Record) (*Index, error)
 	// Ledger returns the combined page traffic of every index created so
-	// far. It is cumulative: readers that want a window subtract an earlier
-	// reading (Stats.Sub). Traffic a query charged to its acct shows once
-	// the query has folded it, which the best-first search does before it
-	// hands control back to its caller.
+	// far, counted as it happens. It is cumulative: readers that want a
+	// window subtract an earlier reading (Stats.Sub).
 	Ledger() *pagestore.Ledger
-	// FoldAcct adds what a query counted privately in a — the page traffic
-	// and probes of Aggregate calls on this factory's indexes — to the
-	// ledger and the process-wide probe totals, as if each event had been
-	// counted when it happened. The owner folds each access once: it
-	// empties a afterwards.
-	FoldAcct(a *pagestore.IOAcct)
 }
 
 func match(r Record, iv Interval, sem Semantics) bool {
@@ -339,21 +330,24 @@ func (x *Index) putRaised(src []Record) error {
 	return nil
 }
 
-// Aggregate folds the Agg of all records matching iv under sem with f,
-// charging the probe — and, with a shadow, the page accesses that answer it
-// — to the query-local acct, or (acct nil) counting them in the shared
-// books on the spot. Queries thread their own acct here so per-query I/O
-// accounting stays exact when many queries run concurrently, and so a
-// probe writes no shared counter: what the acct gathers reaches the
-// factory's ledger and the probe totals when its owner calls
-// Factory.FoldAcct. Without a shadow it cannot fail.
-func (x *Index) Aggregate(iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
+// Aggregate folds the Agg of all records matching iv under sem with f. With
+// a shadow it reads the pages, which the factory's ledger counts; the probe
+// itself is the caller's to count (AddProbes, with Kind). Without a shadow
+// it cannot fail.
+func (x *Index) Aggregate(iv Interval, sem Semantics, f Func) (int64, error) {
 	lo := x.scanLow(iv, sem)
 	if x.pages != nil {
-		return x.pages.aggregate(lo, iv, sem, f, acct)
+		return x.pages.aggregate(lo, iv, sem, f)
 	}
-	countProbe(KindMem, acct)
 	return foldFrom(x.recs, lo, iv, sem, f), nil
+}
+
+// Kind returns the backend a probe of x reads: its shadow's, else KindMem.
+func (x *Index) Kind() BackendKind {
+	if x.pages != nil {
+		return x.pages.kind
+	}
+	return KindMem
 }
 
 // Records exposes the records, sorted by ascending Ts, without touching a
@@ -440,10 +434,6 @@ func (*MemFactory) New(recs []Record) (*Index, error) { return newIndex(recs), n
 // Ledger implements Factory.
 func (f *MemFactory) Ledger() *pagestore.Ledger { return &f.ledger }
 
-// FoldAcct implements Factory: memory indexes produce no page traffic, so
-// only the probes are folded.
-func (*MemFactory) FoldAcct(a *pagestore.IOAcct) { probes[KindMem].Add(a.Probes) }
-
 // ---------------------------------------------------------------------------
 // Page shadows
 
@@ -473,19 +463,18 @@ func (s *shadow) put(rec Record) error {
 }
 
 // aggregate is Index.Aggregate read from the pages, from Ts lo on.
-func (s *shadow) aggregate(lo int64, iv Interval, sem Semantics, f Func, acct *pagestore.IOAcct) (int64, error) {
-	countProbe(s.kind, acct)
+func (s *shadow) aggregate(lo int64, iv Interval, sem Semantics, f Func) (int64, error) {
 	var acc int64
 	var err error
 	if s.bt != nil {
-		err = s.bt.ScanAcct(lo, iv.End-1, acct, func(ts int64, v btree.Value) bool {
+		err = s.bt.Scan(lo, iv.End-1, func(ts int64, v btree.Value) bool {
 			if match(Record{Ts: ts, Te: v[0], Agg: v[1]}, iv, sem) {
 				acc = f.fold(acc, v[1])
 			}
 			return true
 		})
 	} else {
-		err = s.mv.ScanAtAcct(s.mv.Now(), lo, iv.End-1, acct, func(ts int64, v mvbt.Value) bool {
+		err = s.mv.ScanAt(s.mv.Now(), lo, iv.End-1, func(ts int64, v mvbt.Value) bool {
 			if match(Record{Ts: ts, Te: v[0], Agg: v[1]}, iv, sem) {
 				acc = f.fold(acc, v[1])
 			}
@@ -564,9 +553,3 @@ func (f *PagedFactory) New(recs []Record) (*Index, error) {
 
 // Ledger implements Factory.
 func (f *PagedFactory) Ledger() *pagestore.Ledger { return &f.ledger }
-
-// FoldAcct implements Factory.
-func (f *PagedFactory) FoldAcct(a *pagestore.IOAcct) {
-	probes[f.kind].Add(a.Probes)
-	f.ledger.AddAcct(a)
-}
