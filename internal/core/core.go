@@ -261,7 +261,7 @@ type Tree struct {
 	// flat is the compilation of rt every search reads (see Freeze); nil
 	// after a structural mutation until the next search compiles it again,
 	// under compileMu.
-	flat      atomic.Pointer[rstar.FlatTree]
+	flat      atomic.Pointer[layout]
 	compileMu sync.Mutex
 
 	instr *instruments // nil unless Options.Metrics is set
@@ -398,9 +398,27 @@ func (t *Tree) checkLocation(p POI) error {
 	return nil
 }
 
+// checkRecord is the rule of every TIA record the tree admits from outside,
+// whether InsertPOI or the snapshot loader: one epoch of the tree's grid
+// (EpochOf(Ts) is [Ts, Te)) with a non-negative aggregate. The prefix rows
+// address records by epoch index, and Property 1 needs aggregates that only
+// add. Callers prefix the error.
+func (t *Tree) checkRecord(r tia.Record) error {
+	if r.Agg < 0 {
+		return fmt.Errorf("record [%d, %d) has negative aggregate %d", r.Ts, r.Te, r.Agg)
+	}
+	e := t.opts.Epochs
+	if r.Ts < e.Origin() || e.EpochOf(r.Ts) != (tia.Interval{Start: r.Ts, End: r.Te}) {
+		return fmt.Errorf("record [%d, %d) is not an epoch of the tree's grid", r.Ts, r.Te)
+	}
+	return nil
+}
+
 // InsertPOI indexes a POI together with its check-in history (aggregates
 // already bucketed into epochs; zero-aggregate epochs are omitted). The
-// POI must lie inside the world rectangle (checkLocation).
+// POI must lie inside the world rectangle (checkLocation), and every
+// non-zero record must pass checkRecord, else the error wraps ErrInvalid
+// and the tree is unchanged.
 func (t *Tree) InsertPOI(p POI, history []tia.Record) error {
 	if _, dup := t.pois[p.ID]; dup {
 		return fmt.Errorf("core: POI %d already indexed", p.ID)
@@ -408,10 +426,23 @@ func (t *Tree) InsertPOI(p POI, history []tia.Record) error {
 	if err := t.checkLocation(p); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
+	n := 0
+	for _, r := range history {
+		if r.Agg == 0 {
+			continue
+		}
+		if err := t.checkRecord(r); err != nil {
+			return fmt.Errorf("%w: POI %d: %v", ErrInvalid, p.ID, err)
+		}
+		n++
+	}
 	data, err := t.opts.TIA.New(nil)
 	if err != nil {
 		return err
 	}
+	// The history is stored at its length: appending record by record
+	// would leave the doubling's slack in every leaf.
+	data.Grow(n)
 	var total int64
 	for _, r := range history {
 		if r.Agg == 0 {

@@ -12,9 +12,9 @@ import (
 	"tartree/internal/obs"
 )
 
-// ErrInvalid is wrapped by every query-validation failure; errors.Is lets
-// callers (HTTP handlers, CLIs) map bad input to a client error without
-// matching strings.
+// ErrInvalid is wrapped by every query-validation failure, and by InsertPOI
+// refusing a record off the tree's epoch grid; errors.Is lets callers (HTTP
+// handlers, CLIs) map bad input to a client error without matching strings.
 var ErrInvalid = errors.New("core: invalid query")
 
 // ErrCanceled is wrapped by searches aborted by their context, whether
@@ -55,9 +55,38 @@ type resultKey struct {
 	alpha0 float64
 }
 
-// resultBytes estimates the budget charge of one cached Result (the struct
-// plus its share of the slice).
-const resultBytes = 72
+// cachedResult is what the result cache keeps of one Result: 32 bytes
+// where a Result takes 56. A hit rebuilds the POI from the registry, which
+// holds every cached id (any change to the tree invalidates the cache), and
+// the score with the function the search used (score), so a hit answers
+// exactly what the search did.
+type cachedResult struct {
+	id     int64
+	s0, s1 float64
+	agg    int64
+}
+
+// cachedResultBytes estimates the budget charge of one cachedResult (the
+// struct plus its share of the slice).
+const cachedResultBytes = 48
+
+// cacheResults packs res for the result cache.
+func cacheResults(res []Result) []cachedResult {
+	c := make([]cachedResult, len(res))
+	for i, r := range res {
+		c[i] = cachedResult{id: r.POI.ID, s0: r.S0, s1: r.S1, agg: r.Agg}
+	}
+	return c
+}
+
+// results unpacks a cache entry for a query with weight alpha0.
+func (t *Tree) results(c []cachedResult, alpha0 float64) []Result {
+	res := make([]Result, len(c))
+	for i, e := range c {
+		res[i] = Result{POI: t.pois[e.id].poi, Score: score(alpha0, e.s0, e.s1), S0: e.s0, S1: e.s1, Agg: e.agg}
+	}
+	return res
+}
 
 // QueryCtx answers a kNNTA query with best-first search and returns the
 // top-k results in ascending score order together with the work counters.
@@ -143,8 +172,7 @@ func (t *Tree) runQueryCtx(ctx context.Context, q Query, o *QueryOpts) ([]Result
 		if ok {
 			stats.ResultCacheHit = true
 			stats.CacheHits++
-			cached := v.([]Result)
-			return append([]Result(nil), cached...), stats, nil
+			return t.results(v.([]cachedResult), q.Alpha0), stats, nil
 		}
 		stats.CacheMisses++
 	}
@@ -156,35 +184,38 @@ func (t *Tree) runQueryCtx(ctx context.Context, q Query, o *QueryOpts) ([]Result
 	}
 	if cache != nil {
 		cs := o.Span.StartChild("cache_store")
-		cache.Put(rhash, rkey, append([]Result(nil), res...), int64(len(res)+1)*resultBytes)
+		cache.Put(rhash, rkey, cacheResults(res), int64(len(res)+1)*cachedResultBytes)
 		cs.End()
 	}
 	return res, stats, nil
 }
 
 func (t *Tree) searchTopKCtx(ctx context.Context, q Query, agg *obs.Span, o *QueryOpts, stats *QueryStats) ([]Result, error) {
+	queue := getQueue()
 	s, err := t.newSearch(q, agg, SearchOptions{
 		Stats:   stats,
 		Explain: o.Explain,
 		Ctx:     ctx,
-	})
+	}, queue)
 	if err != nil {
 		return nil, err
 	}
 	// Deferred so a canceled search still snapshots what the bound had
 	// pruned up to the abort: explain of a canceled query reports the
-	// partial frontier rather than nothing.
+	// partial frontier rather than nothing. The queue goes back to the
+	// pool after that, once nothing reads it.
+	defer s.putQueue(queue)
 	defer o.Explain.captureFrontier(s)
 	results := make([]Result, 0, min(q.K, t.Len()))
 	for len(results) < q.K {
-		r, err := s.Next()
+		r, ok, err := s.next()
 		if err != nil {
 			return nil, err
 		}
-		if r == nil {
+		if !ok {
 			break
 		}
-		results = append(results, *r)
+		results = append(results, r)
 		o.Explain.recordResult(len(results), r.Score)
 	}
 	return results, nil

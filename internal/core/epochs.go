@@ -78,13 +78,10 @@ func (e GeometricEpochs) Count(until int64) int64 {
 	}
 	n := int64(0)
 	for i := uint(0); i < 62; i++ {
-		if e.Start+e.First*((1<<i)-1) >= until {
+		if e.Start+e.First*((1<<i)-1) > until {
 			break
 		}
 		n++
-	}
-	if n == 0 {
-		n = 1
 	}
 	return n
 }

@@ -105,6 +105,36 @@ func TestEpochsProperties(t *testing.T) {
 	}
 }
 
+// TestCountAtEpochStart: Count counts the epoch that begins at until, so
+// the epoch holding t has index Count(EpochOf(t).Start) − 1 on both grids.
+// The prefix rows and epochsElapsed (λ̂) both read epoch indices this way.
+func TestCountAtEpochStart(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for _, e := range []Epochs{
+		FixedEpochs{Start: 0, Length: 7},
+		FixedEpochs{Start: -50, Length: 13},
+		GeometricEpochs{Start: 0, First: 1},
+		GeometricEpochs{Start: 10, First: 3},
+	} {
+		// Walk the grid epoch by epoch; index i's epoch starts where i−1's ends.
+		iv := e.EpochOf(e.Origin())
+		for i := int64(0); i < 30; i++ {
+			if got := e.Count(iv.Start); got != i+1 {
+				t.Fatalf("%T%+v: Count(start of epoch %d = %d) = %d, want %d", e, e, i, iv.Start, got, i+1)
+			}
+			iv = e.EpochOf(iv.End)
+		}
+		f := func() bool {
+			at := e.Origin() + int64(r.Intn(1_000_000))
+			ep := e.EpochOf(at)
+			return e.Count(ep.Start) == e.Count(at) && e.Count(ep.End) == e.Count(at)+1
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("%T: %v", e, err)
+		}
+	}
+}
+
 // TestGeometricEpochTree runs the whole pipeline on a varied-length grid:
 // live ingestion, TIA aggregation and BFS-vs-brute-force equality. This is
 // the capability the paper claims the aRB-tree lacks.

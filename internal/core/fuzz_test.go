@@ -87,18 +87,21 @@ func fuzzAlpha(in *fuzzInput) float64 {
 
 // FuzzSearchMatchesScan decodes its input into a small world — up to 200
 // POIs on a coarse grid, so that many share a location or a history and
-// their scores tie — and one query, and requires the best-first search to
+// their scores tie — and two queries, and requires the best-first search to
 // answer what the Section 3.2 scan does (checkAgainstScan), for k above the
-// POI count and for intervals shorter than an epoch too. A query Validate
-// refuses (an empty or inverted interval, α0 of 0, 1 or NaN) must fail with
-// ErrInvalid. The query's TIA page reads must be what the factory's ledger
-// gained: none on the in-memory factory.
+// POI count and for intervals shorter than an epoch too. Between the two
+// queries up to 63 check-ins are ingested and flushed, which makes the
+// second query recompile the prefix rows the first one compiled. A query
+// Validate refuses (an empty or inverted interval, α0 of 0, 1 or NaN) must
+// fail with ErrInvalid. The query's TIA page reads must be what the
+// factory's ledger gained: none on the in-memory factory.
 func FuzzSearchMatchesScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 12, 5, 5, 3, 10, 20, 30, 5, 5, 3, 10, 20, 30, 50, 50, 4, 30, 100, 5, 7, 9})
 	f.Add([]byte{13, 1, 40, 1, 2, 7, 1, 2, 3, 4, 5, 6, 7, 3, 4, 2, 9, 9, 60, 40, 250, 1, 20, 1})
 	f.Add([]byte{26, 3, 150, 9, 9, 6, 200, 100, 50, 25, 12, 6, 0, 0, 0, 10, 255, 0, 4, 0, 3, 255})
 	f.Add([]byte{31, 6, 8, 0, 10, 2, 1, 1, 10, 0, 2, 1, 1, 5, 5, 30, 10, 2, 0, 0, 0})
+	f.Add([]byte{0, 8, 6, 5, 5, 2, 10, 30, 9, 9, 1, 200, 50, 50, 10, 120, 7, 5, 4, 99, 9, 2, 7, 40, 1, 0, 200, 1, 100, 200, 5, 3, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
 		opts := fuzzWorld(&in)
@@ -110,29 +113,41 @@ func FuzzSearchMatchesScan(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		start := int64(in.intn(272)) - 8
-		q := Query{
-			X:      float64(in.intn(101)),
-			Y:      float64(in.intn(101)),
-			Iq:     tia.Interval{Start: start, End: start + int64(in.intn(300)) - 2},
-			K:      1 + in.intn(n+4),
-			Alpha0: fuzzAlpha(&in),
-		}
-		ledger := tr.Options().TIA.Ledger()
-		before := ledger.Stats()
-		got, stats, err := tr.QueryCtx(context.Background(), q, nil)
-		if q.Validate() != nil {
-			if !errors.Is(err, ErrInvalid) {
-				t.Fatalf("q=%+v: err = %v, want ErrInvalid", q, err)
+		for round := 0; round < 2; round++ {
+			if round == 1 && n > 0 {
+				for i := in.intn(64); i > 0; i-- {
+					if err := tr.AddCheckIn(1+int64(in.intn(n)), int64(in.byte())); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tr.FlushAll(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("q=%+v: %v", q, err)
-		}
-		checkAgainstScan(t, tr, q, got)
-		if reads := ledger.Stats().Sub(before).LogicalReads; stats.TIAAccesses != reads {
-			t.Fatalf("q=%+v: stats count %d TIA reads, the ledger gained %d", q, stats.TIAAccesses, reads)
+			start := int64(in.intn(272)) - 8
+			q := Query{
+				X:      float64(in.intn(101)),
+				Y:      float64(in.intn(101)),
+				Iq:     tia.Interval{Start: start, End: start + int64(in.intn(300)) - 2},
+				K:      1 + in.intn(n+4),
+				Alpha0: fuzzAlpha(&in),
+			}
+			ledger := tr.Options().TIA.Ledger()
+			before := ledger.Stats()
+			got, stats, err := tr.QueryCtx(context.Background(), q, nil)
+			if q.Validate() != nil {
+				if !errors.Is(err, ErrInvalid) {
+					t.Fatalf("q=%+v: err = %v, want ErrInvalid", q, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("q=%+v: %v", q, err)
+			}
+			checkAgainstScan(t, tr, q, got)
+			if reads := ledger.Stats().Sub(before).LogicalReads; stats.TIAAccesses != reads {
+				t.Fatalf("q=%+v: stats count %d TIA reads, the ledger gained %d", q, stats.TIAAccesses, reads)
+			}
 		}
 	})
 }

@@ -83,6 +83,7 @@ func (t *Tree) flushEpoch(iv tia.Interval, counts map[int64]int64) error {
 		return nil
 	}
 	t.invalidateCache()
+	t.dropRows()
 	max, err := t.applyEpoch(t.rt.Root(), iv, counts)
 	if err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tartree/internal/rstar"
 	"tartree/internal/tia"
 )
 
@@ -48,37 +47,41 @@ func TestProperty1Consistency(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					var walk func(n *rstar.Node) error
-					walk = func(n *rstar.Node) error {
-						for _, e := range n.Entries {
-							if e.Child == nil {
+					// Score what a search reads: the flat layout, and its
+					// prefix rows where they apply (FuncSum).
+					l := tr.compiled()
+					if (l.rows != nil) != (fn == tia.FuncSum) {
+						t.Fatalf("rows compiled: %v, for %v", l.rows != nil, fn)
+					}
+					sc.useRows(l.rows)
+					ft := l.ft
+					scoreOf := func(eid int32) float64 {
+						s0, s1, err := sc.components(ft.Rects[eid], eid, tiaOf(ft.Data[eid]))
+						if err != nil {
+							t.Fatal(err)
+						}
+						return sc.Score(s0, s1)
+					}
+					var walk func(id int32)
+					walk = func(id int32) {
+						n := ft.Nodes[id]
+						for eid := n.Start; eid < n.Start+n.Count; eid++ {
+							child := ft.Children[eid]
+							if child < 0 {
 								continue
 							}
-							s0, s1, err := sc.components(e.Rect, tiaOf(e.Data))
-							if err != nil {
-								return err
-							}
-							parent := sc.Score(s0, s1)
-							for _, c := range e.Child.Entries {
-								cs0, cs1, err := sc.components(c.Rect, tiaOf(c.Data))
-								if err != nil {
-									return err
-								}
-								child := sc.Score(cs0, cs1)
-								if parent > child+1e-9 {
+							parent := scoreOf(eid)
+							c := ft.Nodes[child]
+							for ceid := c.Start; ceid < c.Start+c.Count; ceid++ {
+								if child := scoreOf(ceid); parent > child+1e-9 {
 									t.Fatalf("Property 1 violated: f(e)=%.9f > f(ec)=%.9f (q=%+v)",
 										parent, child, q)
 								}
 							}
-							if err := walk(e.Child); err != nil {
-								return err
-							}
+							walk(child)
 						}
-						return nil
 					}
-					if err := walk(tr.Root()); err != nil {
-						t.Fatal(err)
-					}
+					walk(0)
 				}
 			})
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"tartree/internal/geo"
@@ -93,6 +94,13 @@ type Scorer struct {
 	// explain, when non-nil, receives the scorer's TIA read attribution for
 	// EXPLAIN/ANALYZE. Nil costs one pointer test per probe.
 	explain *Explain
+	// rows, when the search's layout has prefix rows (useRows), answers a
+	// probe of entry eid as rows[eid·stride + e1] − rows[eid·stride + e0],
+	// [e0, e1) the epochs that match the query interval. Nil folds the
+	// entry's records.
+	rows   []int32
+	stride int
+	e0, e1 int
 }
 
 // recall answers d's aggregate over the query interval from the caller's
@@ -188,6 +196,16 @@ func (sc *Scorer) maxAggregate() (int64, error) {
 	return a, nil
 }
 
+// useRows answers the scorer's probes from r, when r is not nil, mapping
+// the query interval to its epoch range once.
+func (sc *Scorer) useRows(r *prefixRows) {
+	if r == nil {
+		return
+	}
+	sc.rows, sc.stride = r.cells, r.stride
+	sc.e0, sc.e1 = r.span(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.Epochs)
+}
+
 // Query returns the query the scorer is bound to.
 func (sc *Scorer) Query() Query { return sc.q }
 
@@ -195,9 +213,10 @@ func (sc *Scorer) Query() Query { return sc.q }
 // inside the interval anywhere).
 func (sc *Scorer) Gmax() float64 { return sc.gmax }
 
-// aggregate reads an entry's TIA aggregate over the query interval (through
-// the caller's memo, when there is one).
-func (sc *Scorer) aggregate(d *tia.Index) (int64, error) {
+// aggregate reads the aggregate over the query interval of entry eid, whose
+// TIA is d: through the caller's memo, when there is one, then from the
+// entry's prefix row, when the layout has rows, else from d.
+func (sc *Scorer) aggregate(eid int32, d *tia.Index) (int64, error) {
 	if v, ok := sc.recall(d); ok {
 		return v, nil
 	}
@@ -206,9 +225,15 @@ func (sc *Scorer) aggregate(d *tia.Index) (int64, error) {
 		begin = time.Now()
 	}
 	sc.probes++
-	a, err := d.Aggregate(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc)
-	if err != nil {
-		return 0, err
+	var a int64
+	if sc.rows != nil {
+		base := int(eid) * sc.stride
+		a = int64(sc.rows[base+sc.e1]) - int64(sc.rows[base+sc.e0])
+	} else {
+		var err error
+		if a, err = d.Aggregate(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc); err != nil {
+			return 0, err
+		}
 	}
 	if sc.agg != nil {
 		sc.agg.Observe("tia_probe", time.Since(begin))
@@ -220,15 +245,15 @@ func (sc *Scorer) aggregate(d *tia.Index) (int64, error) {
 	return a, nil
 }
 
-// components returns the two score components of an entry with bounding
-// rectangle rect and aggregate d: the normalized spatial distance lower
+// components returns the two score components of entry eid, with bounding
+// rectangle rect and TIA d: the normalized spatial distance lower
 // bound s0 and the aggregate term lower bound s1 = 1 − g/Gmax. For leaf
 // entries both are exact. Property 1 guarantees α0·s0 + α1·s1 never exceeds
 // the score of anything in the subtree. It does not settle: the search
 // settles once for all the entries it scores before handing control back.
-func (sc *Scorer) components(rect geo.Rect, d *tia.Index) (s0, s1 float64, err error) {
+func (sc *Scorer) components(rect geo.Rect, eid int32, d *tia.Index) (s0, s1 float64, err error) {
 	s0 = geo.MinDist(sc.qv, rect, 2) / sc.t.maxDistScaled
-	a, err := sc.aggregate(d)
+	a, err := sc.aggregate(eid, d)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -241,9 +266,11 @@ func (sc *Scorer) components(rect geo.Rect, d *tia.Index) (s0, s1 float64, err e
 }
 
 // Score combines the components with the query weights.
-func (sc *Scorer) Score(s0, s1 float64) float64 {
-	return sc.q.Alpha0*s0 + (1-sc.q.Alpha0)*s1
-}
+func (sc *Scorer) Score(s0, s1 float64) float64 { return score(sc.q.Alpha0, s0, s1) }
+
+// score is f = α0·s0 + α1·s1. A result-cache hit rebuilds its scores with
+// it too, so they are bit-identical to the search's.
+func score(alpha0, s0, s1 float64) float64 { return alpha0*s0 + (1-alpha0)*s1 }
 
 // resultOf builds the Result of POI id from its exact components.
 func (sc *Scorer) resultOf(id int64, s0, s1 float64) Result {
@@ -329,21 +356,44 @@ func (t *Tree) NewSearch(q Query, stats *QueryStats, cache AggCache) (*Search, e
 
 // NewSearchWith starts a best-first search with explicit options.
 func (t *Tree) NewSearchWith(q Query, o SearchOptions) (*Search, error) {
-	return t.newSearch(q, nil, o)
+	return t.newSearch(q, nil, o, nil)
 }
 
 // newSearch is NewSearchWith under QueryCtx: a non-nil agg is a span with
-// aggregates on, and the search times its hot sites into it.
-func (t *Tree) newSearch(q Query, agg *obs.Span, o SearchOptions) (*Search, error) {
+// aggregates on, and the search times its hot sites into it; a non-nil
+// queue is a pooled one (getQueue) the search grows instead of allocating.
+func (t *Tree) newSearch(q Query, agg *obs.Span, o SearchOptions, queue *[]Elem) (*Search, error) {
 	sc, err := t.newScorer(q, agg, o)
 	if err != nil {
 		return nil, err
 	}
-	s := &Search{sc: sc, ft: t.Freeze(), stats: o.Stats, agg: agg, explain: o.Explain, ctx: o.Ctx, countAccesses: !o.SkipAccessCounting}
+	l := t.compiled()
+	sc.useRows(l.rows)
+	s := &Search{sc: sc, ft: l.ft, stats: o.Stats, agg: agg, explain: o.Explain, ctx: o.Ctx, countAccesses: !o.SkipAccessCounting}
+	if queue != nil {
+		s.queue = (*queue)[:0]
+	}
 	if err := s.pushRoot(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// queues pools the best-first queues of QueryCtx's searches (*[]Elem). A
+// query's queue grows to a few hundred entries; reusing it is most of what
+// a search would otherwise allocate. Searches handed to callers (NewSearch,
+// NewSearchWith) keep their own.
+var queues = sync.Pool{New: func() any { return new([]Elem) }}
+
+// getQueue takes a queue from the pool, for newSearch.
+func getQueue() *[]Elem { return queues.Get().(*[]Elem) }
+
+// putQueue returns s's queue to the pool through p, the pointer getQueue
+// gave: the search must not be used afterwards.
+func (s *Search) putQueue(p *[]Elem) {
+	*p = s.queue[:0]
+	s.queue = nil
+	queues.Put(p)
 }
 
 // pushRoot reads the root node (node 0) and scores its entries.
@@ -396,7 +446,7 @@ func (s *Search) Scorer() *Scorer { return s.sc }
 // push scores entry eid of the flat slabs — rectangle and aggregate handle
 // read in place — and inserts it into the queue.
 func (s *Search) push(eid int32) error {
-	s0, s1, err := s.sc.components(s.ft.Rects[eid], tiaOf(s.ft.Data[eid]))
+	s0, s1, err := s.sc.components(s.ft.Rects[eid], eid, tiaOf(s.ft.Data[eid]))
 	if err != nil {
 		return err
 	}
@@ -499,23 +549,32 @@ func (s *Search) expand(el Elem) error {
 // Next runs the search until the next POI emerges, returning nil when the
 // tree is exhausted.
 func (s *Search) Next() (*Result, error) {
+	r, ok, err := s.next()
+	if !ok || err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+// next is Next returning the result by value; ok is false when the tree is
+// exhausted.
+func (s *Search) next() (r Result, ok bool, err error) {
 	defer s.sc.settle(s.sc.pageReads())
 	for {
 		if s.ctx != nil {
 			if err := s.ctx.Err(); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCanceled, err)
+				return Result{}, false, fmt.Errorf("%w: %v", ErrCanceled, err)
 			}
 		}
 		el, ok := s.Pop()
 		if !ok {
-			return nil, nil
+			return Result{}, false, nil
 		}
 		if el.IsPOI() {
-			r := s.Result(el)
-			return &r, nil
+			return s.Result(el), true, nil
 		}
 		if err := s.expand(el); err != nil {
-			return nil, err
+			return Result{}, false, err
 		}
 	}
 }
@@ -554,7 +613,7 @@ func (t *Tree) ScorePOI(q Query, id int64) (Result, error) {
 	}
 	return Result{
 		POI:   st.poi,
-		Score: q.Alpha0*s0 + (1-q.Alpha0)*s1,
+		Score: score(q.Alpha0, s0, s1),
 		S0:    s0,
 		S1:    s1,
 		Agg:   agg,

@@ -429,6 +429,11 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot TIA %d: %w", i, err)
 		}
+		for _, r := range recs {
+			if err := t.checkRecord(r); err != nil {
+				return nil, fmt.Errorf("core: snapshot TIA %d: %v", i, err)
+			}
+		}
 		recsByRef[i], rest = recs, r2
 	}
 	if len(rest) != 0 {
@@ -646,6 +651,6 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 		return nil, err
 	}
 	t.rt = rt
-	t.flat.Store(f)
+	t.flat.Store(&layout{ft: f, stale: true}) // its rows are compiled by the first search
 	return t, nil
 }

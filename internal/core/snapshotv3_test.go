@@ -402,7 +402,8 @@ func TestSnapshotV3Deterministic(t *testing.T) {
 // FuzzLoadSnapshotV3 hammers the v3 decoder with mutated images: any input
 // must either load cleanly or error — panics and unbounded allocations are
 // the failure modes the bounds-checked cursor exists to prevent — and a
-// loaded tree's TIAs hold strictly ascending epochs of positive length.
+// loaded tree's TIAs hold strictly ascending epochs of positive length, over
+// which its prefix rows compile (or are refused) without a panic.
 // Each mutated body is re-sealed with its CRC-32C trailer, so a mutation
 // reaches the section decoders instead of failing the checksum.
 func FuzzLoadSnapshotV3(f *testing.F) {
@@ -437,15 +438,17 @@ func FuzzLoadSnapshotV3(f *testing.F) {
 		for _, st := range tr.pois {
 			ascending(st.data.Records())
 		}
+		tr.Freeze() // compiles the prefix rows over whatever the image holds
 	})
 }
 
 // overflowingV3Image returns a sealed v3 image whose one POI's epoch ends
-// past math.MaxInt64: the image of a record ten units short of the end, with
-// its packed epoch length raised to 127 in place.
+// past math.MaxInt64: the image of the grid's last whole epoch, which ends
+// at most ten units short of the end, with its packed epoch length raised
+// to 127 in place.
 func overflowingV3Image(tb testing.TB) []byte {
 	tr := mustTree(tb, defaultOpts(TAR3D))
-	rec := tia.Record{Ts: math.MaxInt64 - 20, Te: math.MaxInt64 - 10, Agg: 1}
+	rec := lastEpochRecord()
 	if err := tr.InsertPOI(POI{ID: 1, X: 5, Y: 5}, []tia.Record{rec}); err != nil {
 		tb.Fatal(err)
 	}
@@ -465,6 +468,13 @@ func overflowingV3Image(tb testing.TB) []byte {
 		tb.Fatal("an image whose epoch ends past math.MaxInt64 loaded")
 	}
 	return img
+}
+
+// lastEpochRecord is the last whole epoch of defaultOpts' grid (length 10
+// from 0) below math.MaxInt64, with one check-in.
+func lastEpochRecord() tia.Record {
+	ts := int64(math.MaxInt64-10) / 10 * 10
+	return tia.Record{Ts: ts, Te: ts + 10, Agg: 1}
 }
 
 // resealV3 rewrites an image's CRC-32C trailer over its mutated body, so the

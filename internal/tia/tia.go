@@ -255,6 +255,10 @@ func (x *Index) Put(rec Record) error {
 	return nil
 }
 
+// Grow reserves room for n more records in the in-memory slice, so that n
+// Puts store them without reallocating; the shadow is untouched.
+func (x *Index) Grow(n int) { x.recs = slices.Grow(x.recs, n) }
+
 // MaxMerge raises the index to the per-epoch maximum of itself and src
 // (sorted by strictly ascending Ts): for every epoch of src the index lacks,
 // or holds a smaller aggregate for, src's record is stored. This is how an
