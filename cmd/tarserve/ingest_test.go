@@ -284,6 +284,9 @@ func TestServeIngest(t *testing.T) {
 	for _, tc := range []struct{ name, body string }{
 		{"unknown POI", `{"poi":999999999,"ts":` + fmt.Sprint(ts) + `}`},
 		{"pre-origin ts", fmt.Sprintf(`{"poi":%d,"ts":-999999999}`, poi)},
+		// Its epoch would end past math.MaxInt64: accepted, the flush
+		// would store an epoch of negative length that no checkpoint loads.
+		{"epoch past int64", fmt.Sprintf(`{"poi":%d,"ts":9223372036854775800}`, poi)},
 		{"bad JSON", `{"poi":`},
 		{"unknown field", `{"poi":1,"ts":1,"frob":2}`},
 		{"empty", `{}`},

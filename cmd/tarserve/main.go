@@ -108,6 +108,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -396,6 +397,7 @@ func start(ctx context.Context, cfg *config, srv *server, log *slog.Logger, fail
 			return nil, err
 		}
 		tr.Freeze()
+		collectBuild()
 		enableShard(shard.TreeViewer{Tree: tr})
 		logIndex(log, tr, buildStart)
 		srv.finishStartup(tr, nil, spec.Start, spec.End)
@@ -480,6 +482,7 @@ func start(ctx context.Context, cfg *config, srv *server, log *slog.Logger, fail
 	// Pre-warm the compiled layout so the first query does not pay for it
 	// (a no-op after a checkpoint, which restores it directly).
 	store.Freeze()
+	collectBuild()
 	switch {
 	case cfg.follow != "":
 		srv.setFollower(fopts.LeaderURL, wm, rm)
@@ -619,6 +622,14 @@ func seedFromStream(store *wal.Store, path string, log *slog.Logger) error {
 	)
 	return nil
 }
+
+// collectBuild runs one collection once the index is compiled. The build's
+// last cycle set the heap goal at twice the heap it saw live — the TIA
+// records among it, which the compiled columns have since replaced — and
+// serving would otherwise grow the heap to that goal before its first
+// cycle, setting the process's peak RSS. After this cycle the goal follows
+// the serving heap.
+func collectBuild() { runtime.GC() }
 
 func logIndex(log *slog.Logger, tr *core.Tree, buildStart time.Time) {
 	leaves, internals := tr.NodeCount()

@@ -624,7 +624,8 @@ const maxIngestBody = 8 << 20
 // handleIngest durably records live check-ins: a 200 means every check-in in
 // the request survived an fsync of the write-ahead log and is visible to
 // subsequent queries. 503 while recovering or when the server runs without a
-// WAL; 400 for malformed bodies, unknown POIs and pre-origin timestamps; 413
+// WAL; 400 for malformed bodies, unknown POIs and times outside every epoch
+// of the grid (before the origin, or in an epoch past math.MaxInt64); 413
 // for a body over maxIngestBody.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {

@@ -1,0 +1,340 @@
+package core
+
+import (
+	"math"
+	"slices"
+
+	"tartree/internal/rstar"
+	"tartree/internal/tia"
+)
+
+// columns hold the per-epoch aggregates of every entry of a flat layout as
+// prefix sums over the tree's epoch grid, stored epoch-major: cell eid of
+// column k is entry eid's aggregate summed over epochs 0 … k−1, so its
+// aggregate over the epochs [e0, e1) is col(e1)[eid] − col(e0)[eid]. A
+// probe is two loads where a fold binary-searches the entry's records.
+// Columns 0 … E are int32 cells in one slab, E the epochs up to the last one
+// holding a record, each n cells long (n the flat entries) and addressed by
+// entry id like the layout's Rects.
+//
+// Where they apply (compileCols) the columns replace the records: the
+// entries' TIAs are kept as empty handles (newLayout), a record is
+// col(k)[eid] − col(k−1)[eid] wherever that is non-zero (derive), and a
+// flush patches the columns in place (patchEpoch). A structural mutation
+// hands the records back before it drops the layout (dissolve).
+type columns struct {
+	cells []int32
+	n     int
+	// spans[k] is the epoch column k adds (epoch k−1), zero for a column
+	// whose epoch holds no record — no entry's difference is non-zero
+	// there. spans[0] is unused.
+	spans []tia.Interval
+	// records counts the non-zero differences: the records the columns
+	// encode, which bound the slab's size (fits).
+	records int64
+}
+
+// recordBytes is what one tia.Record takes in memory.
+const recordBytes = 24
+
+// epochs returns E.
+func (c *columns) epochs() int { return len(c.spans) - 1 }
+
+// col returns column k.
+func (c *columns) col(k int) []int32 { return c.cells[k*c.n : (k+1)*c.n : (k+1)*c.n] }
+
+// at returns entry eid's aggregate in the epoch column k adds; 0 past E.
+func (c *columns) at(eid int32, k int64) int64 {
+	if k > int64(c.epochs()) {
+		return 0
+	}
+	i := int(k)*c.n + int(eid)
+	return int64(c.cells[i]) - int64(c.cells[i-c.n])
+}
+
+// fits reports whether columns 0 … epochs over n entries take no more
+// memory than the records they encode, as for a grid whose few records lie
+// epochs apart they would not. A negative count is a grid whose Count
+// wrapped past math.MaxInt64. It is decided before any column is allocated.
+func fits(epochs, records int64, n int) bool {
+	return epochs >= 0 && epochs+1 <= records*recordBytes/4/int64(n)
+}
+
+// int32Total reports whether the global TIA's records g sum to at most
+// math.MaxInt32 (plus extra): the total bounds every cell, since no entry's
+// per-epoch value exceeds the global maximum.
+func int32Total(g []tia.Record, extra int64) bool {
+	total := extra
+	for _, r := range g {
+		if r.Agg > math.MaxInt32-total {
+			return false
+		}
+		total += r.Agg
+	}
+	return total <= math.MaxInt32
+}
+
+// compileCols compiles the columns of ft's entries from their records, or
+// returns nil where columns do not apply and probes fold the records
+// instead: the tree's aggregate is not FuncSum (a maximum has no prefix
+// form), or its TIAs are paged (the paper's experiments count their page
+// reads), or buildCols refuses. It only reads the TIAs; newLayout releases
+// them.
+func (t *Tree) compileCols(ft *rstar.FlatTree) *columns {
+	if !t.colsApply() {
+		return nil
+	}
+	return buildCols(t.opts.Epochs, t.global.Records(), ft)
+}
+
+// colsApply reports whether the tree's aggregate and factory admit columns.
+func (t *Tree) colsApply() bool {
+	return t.opts.AggFunc == tia.FuncSum && t.global.Kind() == tia.KindMem
+}
+
+// buildCols compiles the columns of ft's entries on grid ep, g the global
+// TIA's records, or returns nil where:
+//   - the global total exceeds int32 (int32Total);
+//   - the slab would be bigger than the records it encodes (fits);
+//   - an entry holds an epoch the global TIA does not dominate (an image
+//     that breaks the invariant).
+func buildCols(ep Epochs, g []tia.Record, ft *rstar.FlatTree) *columns {
+	if len(ft.Data) == 0 || !int32Total(g, 0) {
+		return nil
+	}
+	c := &columns{n: len(ft.Data)}
+	for _, d := range ft.Data {
+		c.records += int64(len(tiaOf(d).Records()))
+	}
+	var epochs int64
+	if len(g) > 0 {
+		epochs = ep.Count(g[len(g)-1].Ts)
+	}
+	if !fits(epochs, c.records, c.n) {
+		return nil
+	}
+	// Every entry's epochs are among the global's, each at most its value:
+	// an entry's record lands in its global record's column, found by
+	// merging, and no prefix sum passes the global total.
+	key := make([]int, len(g))
+	c.spans = make([]tia.Interval, epochs+1)
+	for j, r := range g {
+		key[j] = int(ep.Count(r.Ts))
+		c.spans[key[j]] = tia.Interval{Start: r.Ts, End: r.Te}
+	}
+	c.cells = make([]int32, (epochs+1)*int64(c.n))
+	for eid, d := range ft.Data {
+		j := 0
+		for _, r := range tiaOf(d).Records() {
+			for j < len(g) && g[j].Ts < r.Ts {
+				j++
+			}
+			if j == len(g) || g[j].Ts != r.Ts || r.Agg > g[j].Agg {
+				return nil
+			}
+			c.cells[key[j]*c.n+eid] = int32(r.Agg)
+		}
+	}
+	for k := 1; k <= int(epochs); k++ {
+		prev, cur := c.col(k-1), c.col(k)
+		for i := range cur {
+			cur[i] += prev[i]
+		}
+	}
+	return c
+}
+
+// derive appends to dst the records entry eid's columns encode, in
+// ascending Ts order.
+func (c *columns) derive(dst []tia.Record, eid int32) []tia.Record {
+	for k := 1; k <= c.epochs(); k++ {
+		if v := c.at(eid, int64(k)); v != 0 {
+			dst = append(dst, tia.Record{Ts: c.spans[k].Start, Te: c.spans[k].End, Agg: v})
+		}
+	}
+	return dst
+}
+
+// newLayout returns the layout that publishes ft and, where they apply,
+// its columns. With columns, the entries' TIAs release their records and
+// every POI notes its leaf entry's id, the column cell its records live in.
+func (t *Tree) newLayout(ft *rstar.FlatTree) *layout {
+	l := &layout{ft: ft, cols: t.compileCols(ft)}
+	if l.cols != nil {
+		for eid, d := range ft.Data {
+			tiaOf(d).SetRecords(nil)
+			if ft.Children[eid] < 0 {
+				t.pois[ft.Items[eid]].eid = int32(eid)
+			}
+		}
+	}
+	return l
+}
+
+// dissolve hands every entry of l its records back from l's columns; the
+// caller then publishes a layout without them, or none. Under the tree's
+// write lock.
+func (t *Tree) dissolve(l *layout) {
+	var buf []tia.Record
+	for eid, d := range l.ft.Data {
+		var recs []tia.Record
+		if buf = l.cols.derive(buf[:0], int32(eid)); len(buf) > 0 {
+			recs = slices.Clone(buf)
+		}
+		tiaOf(d).SetRecords(recs)
+	}
+}
+
+// liveCols returns the columns that hold the entries' records, or nil when
+// the records are in the TIAs. Where columns may apply it takes the
+// compiled layout as a search would — compiling it if a structural
+// mutation dropped it — so a reader never races the compile that releases
+// the records it reads.
+func (t *Tree) liveCols() *columns {
+	if !t.colsApply() {
+		return nil
+	}
+	return t.compiled().cols
+}
+
+// patch is one entry's aggregate in a flushed epoch, before and after.
+type patch struct {
+	eid      int32
+	old, new int64
+}
+
+// patchEpoch is flushEpoch on a layout with columns. It walks the flat
+// layout as applyEpoch walks the pointer tree, reading each entry's current
+// aggregate from the columns, and collects the changes. If the columns
+// still apply once the flush lands — the global total stays within int32
+// and the slab within the records (fits), both decided before anything is
+// allocated — it appends the columns up to the epoch's (copies of the last)
+// and adds each change to the entry's cells from the epoch's column on:
+// O(changes × columns after it), one column for the newest epoch. Else the
+// tree falls back to records: dissolve, and the changes become Puts.
+func (t *Tree) patchEpoch(l *layout, iv tia.Interval, counts map[int64]int64) (int64, error) {
+	c := l.cols
+	k := t.opts.Epochs.Count(iv.Start) // the epoch's column
+	if k <= 0 {
+		// A count that wrapped past math.MaxInt64: no column holds it.
+		t.dropCols(l)
+		return t.applyEpoch(t.rt.Root(), iv, counts)
+	}
+	var patches []patch
+	top := c.walk(l.ft, 0, k, counts, &patches)
+	if top == 0 {
+		return 0, nil
+	}
+	records := c.records
+	for _, p := range patches {
+		if p.old == 0 {
+			records++
+		}
+	}
+	g := t.global.Records()
+	raise := top
+	if cur, ok := currentAgg(g, iv.Start); ok {
+		raise = max(0, top-cur)
+	}
+	epochs := max(int64(c.epochs()), k)
+	if !int32Total(g, raise) || !fits(epochs, records, c.n) {
+		t.dropCols(l)
+		for _, p := range patches {
+			if err := tiaOf(l.ft.Data[p.eid]).Put(tia.Record{Ts: iv.Start, Te: iv.End, Agg: p.new}); err != nil {
+				return 0, err
+			}
+		}
+		return top, nil
+	}
+	if E := int64(c.epochs()); epochs > E {
+		c.cells = slices.Grow(c.cells, int(epochs-E)*c.n)
+		last := c.col(int(E))
+		for e := E + 1; e <= epochs; e++ {
+			c.cells = append(c.cells, last...)
+			c.spans = append(c.spans, tia.Interval{})
+		}
+	}
+	c.spans[k] = iv
+	c.records = records
+	for _, p := range patches {
+		d := int32(p.new - p.old)
+		for i := int(k)*c.n + int(p.eid); i < len(c.cells); i += c.n {
+			c.cells[i] += d
+		}
+	}
+	return top, nil
+}
+
+// dropCols turns l's columns off: the entries get their records back, and
+// the tree publishes l's flat tree alone, whose probes fold them.
+func (t *Tree) dropCols(l *layout) {
+	t.dissolve(l)
+	t.flat.Store(&layout{ft: l.ft})
+}
+
+// walk collects into patches the changes a flush of the epoch with column
+// k makes to the entries of node id and below, and returns the largest
+// aggregate it leaves among them (0 when no indexed POI checked in): a leaf
+// entry adds its POI's count, an internal entry takes the maximum of its
+// own and its child's.
+func (c *columns) walk(ft *rstar.FlatTree, id int32, k int64, counts map[int64]int64, patches *[]patch) int64 {
+	n := ft.Nodes[id]
+	var top int64
+	for eid := n.Start; eid < n.Start+n.Count; eid++ {
+		cur := c.at(eid, k)
+		var eff int64
+		if child := ft.Children[eid]; child < 0 {
+			delta := counts[ft.Items[eid]]
+			if delta == 0 {
+				continue
+			}
+			eff = cur + delta
+		} else {
+			if eff = c.walk(ft, child, k, counts, patches); eff == 0 {
+				continue
+			}
+			eff = max(eff, cur)
+		}
+		if eff != cur {
+			*patches = append(*patches, patch{eid: eid, old: cur, new: eff})
+		}
+		top = max(top, eff)
+	}
+	return top
+}
+
+// sum returns entry eid's aggregate over iv under sem: a probe.
+func (c *columns) sum(eid int32, iv tia.Interval, sem tia.Semantics, ep Epochs) int64 {
+	e0, e1 := c.span(iv, sem, ep)
+	return int64(c.col(e1)[eid]) - int64(c.col(e0)[eid])
+}
+
+// span maps a query interval to the column range [e0, e1) whose epochs
+// match it under sem: the epochs inside iv (Contained) or overlapping it
+// (Intersecting). iv is first clamped to [origin, end], end the end of
+// epoch E−1, where every record lies; that changes no match, keeps
+// e0 ≤ e1 ≤ E, and keeps Count's argument on the grid.
+func (c *columns) span(iv tia.Interval, sem tia.Semantics, ep Epochs) (e0, e1 int) {
+	origin := ep.Origin()
+	end := origin
+	if E := c.epochs(); E > 0 {
+		end = c.spans[E].End
+	}
+	s, e := max(iv.Start, origin), min(iv.End, end)
+	if e <= s {
+		return 0, 0
+	}
+	var a, b int64
+	if sem == tia.Contained {
+		// Epochs starting at or after s, up to those ending by e.
+		if s > origin {
+			a = ep.Count(s - 1)
+		}
+		b = ep.Count(e) - 1
+	} else {
+		// Epochs ending after s, up to those starting before e.
+		a = ep.Count(s) - 1
+		b = ep.Count(e - 1)
+	}
+	return int(a), int(max(a, b))
+}

@@ -231,6 +231,9 @@ type poiState struct {
 	z      float64 // aggregate-dimension coordinate at insertion time
 	total  int64   // lifetime aggregate
 	inTree bool
+	// eid is the POI's leaf entry in the compiled layout while its columns
+	// hold the POI's records (newLayout); stale otherwise.
+	eid int32
 }
 
 // Tree is a TAR-tree.
@@ -400,18 +403,29 @@ func (t *Tree) checkLocation(p POI) error {
 
 // checkRecord is the rule of every TIA record the tree admits from outside,
 // whether InsertPOI or the snapshot loader: one epoch of the tree's grid
-// (EpochOf(Ts) is [Ts, Te)) with a non-negative aggregate. The prefix rows
-// address records by epoch index, and Property 1 needs aggregates that only
-// add. Callers prefix the error.
+// (epochOf(Ts) is [Ts, Te)) with a non-negative aggregate. The columns
+// address records by epoch index, and Property 1 needs aggregates that
+// only add. Callers prefix the error.
 func (t *Tree) checkRecord(r tia.Record) error {
 	if r.Agg < 0 {
 		return fmt.Errorf("record [%d, %d) has negative aggregate %d", r.Ts, r.Te, r.Agg)
 	}
-	e := t.opts.Epochs
-	if r.Ts < e.Origin() || e.EpochOf(r.Ts) != (tia.Interval{Start: r.Ts, End: r.Te}) {
+	if iv, ok := t.epochOf(r.Ts); !ok || iv != (tia.Interval{Start: r.Ts, End: r.Te}) {
 		return fmt.Errorf("record [%d, %d) is not an epoch of the tree's grid", r.Ts, r.Te)
 	}
 	return nil
+}
+
+// epochOf returns the epoch of the grid that holds at, and false when there
+// is none: at precedes the origin, or the epoch EpochOf computes does not
+// contain at — its end would pass math.MaxInt64, and EpochOf wrapped.
+func (t *Tree) epochOf(at int64) (tia.Interval, bool) {
+	e := t.opts.Epochs
+	if at < e.Origin() {
+		return tia.Interval{}, false
+	}
+	iv := e.EpochOf(at)
+	return iv, iv.Start <= at && at < iv.End
 }
 
 // InsertPOI indexes a POI together with its check-in history (aggregates
@@ -536,7 +550,7 @@ func (t *Tree) POIs(fn func(p POI, total int64) bool) {
 
 // raiseGlobal lifts the tree-wide per-epoch maximum to cover r.
 func (t *Tree) raiseGlobal(r tia.Record) error {
-	if cur, ok := currentAgg(t.global, r.Ts); ok && cur >= r.Agg {
+	if cur, ok := currentAgg(t.global.Records(), r.Ts); ok && cur >= r.Agg {
 		return nil
 	}
 	t.globalSeq++
@@ -594,9 +608,9 @@ func (a *treeAug) Dispose(data any) error {
 	return nil
 }
 
-// currentAgg returns the aggregate x stores for the epoch starting at ts.
-func currentAgg(x *tia.Index, ts int64) (int64, bool) {
-	recs := x.Records()
+// currentAgg returns the aggregate recs (sorted by Ts) hold for the epoch
+// starting at ts.
+func currentAgg(recs []tia.Record, ts int64) (int64, bool) {
 	lo, hi := 0, len(recs)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -697,10 +711,20 @@ func (t *Tree) refreshGlobals() error {
 
 // Check validates the R-tree invariants plus the TAR-tree augmentation
 // invariant: every internal entry's TIA dominates (per epoch) the TIAs of
-// the entries in its child node. Intended for tests.
+// the entries in its child node, and the global TIA every POI's. Records
+// are read where they live: the columns, when the layout has them. Intended
+// for tests.
 func (t *Tree) Check() error {
 	if err := t.rt.Check(); err != nil {
 		return err
+	}
+	recs := func(d *tia.Index) []tia.Record { return d.Records() }
+	if c := t.liveCols(); c != nil {
+		eids := make(map[*tia.Index]int32)
+		for eid, d := range t.compiled().ft.Data {
+			eids[tiaOf(d)] = int32(eid)
+		}
+		recs = func(d *tia.Index) []tia.Record { return c.derive(nil, eids[d]) }
 	}
 	var walk func(n *rstar.Node) error
 	walk = func(n *rstar.Node) error {
@@ -708,9 +732,9 @@ func (t *Tree) Check() error {
 			if e.Child == nil {
 				continue
 			}
-			parent := tiaOf(e.Data)
+			parent := recs(tiaOf(e.Data))
 			for _, c := range e.Child.Entries {
-				for _, r := range tiaOf(c.Data).Records() {
+				for _, r := range recs(tiaOf(c.Data)) {
 					got, ok := currentAgg(parent, r.Ts)
 					if !ok || got < r.Agg {
 						return fmt.Errorf("core: internal TIA does not dominate child at epoch %d (%d < %d)", r.Ts, got, r.Agg)
@@ -728,8 +752,8 @@ func (t *Tree) Check() error {
 	}
 	// The global maxima must dominate every POI's per-epoch aggregates.
 	for id, st := range t.pois {
-		for _, r := range st.data.Records() {
-			got, ok := currentAgg(t.global, r.Ts)
+		for _, r := range recs(st.data) {
+			got, ok := currentAgg(t.global.Records(), r.Ts)
 			if !ok || got < r.Agg {
 				return fmt.Errorf("core: global TIA does not dominate POI %d at epoch %d (%d < %d)", id, r.Ts, got, r.Agg)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -107,7 +108,7 @@ func TestEpochsProperties(t *testing.T) {
 
 // TestCountAtEpochStart: Count counts the epoch that begins at until, so
 // the epoch holding t has index Count(EpochOf(t).Start) − 1 on both grids.
-// The prefix rows and epochsElapsed (λ̂) both read epoch indices this way.
+// The columns and epochsElapsed (λ̂) both read epoch indices this way.
 func TestCountAtEpochStart(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, e := range []Epochs{
@@ -210,5 +211,61 @@ func TestEpochsValidation(t *testing.T) {
 	}
 	if err := validateEpochs(FixedEpochs{Start: 0, Length: 10}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckInOutsideEveryEpochRefused: on both grids, AddCheckIn refuses
+// with ErrInvalid, and buffers nothing, a time whose epoch would end past
+// math.MaxInt64 — FixedEpochs.EpochOf wraps there, and GeometricEpochs caps
+// its exponent at 62 — as it refuses a time before the origin; the last
+// time whose epoch fits is taken, and its flushed record is a valid epoch.
+func TestCheckInOutsideEveryEpochRefused(t *testing.T) {
+	const week = 7 * 86400
+	for name, e := range map[string]Epochs{
+		"fixed":     FixedEpochs{Start: 1_000, Length: week},
+		"geometric": GeometricEpochs{Start: 1_000, First: 3600},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr := mustTree(t, Options{World: world(0, 0, 100, 100), Epochs: e})
+			if err := tr.InsertPOI(POI{ID: 1, X: 5, Y: 5}, nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, at := range []int64{math.MaxInt64, math.MaxInt64 - 3, 999} {
+				if err := tr.AddCheckIn(1, at); !errors.Is(err, ErrInvalid) {
+					t.Errorf("AddCheckIn(%d) = %v, want ErrInvalid", at, err)
+				}
+			}
+			if err := tr.AddCheckIn(2, 5_000); !errors.Is(err, ErrInvalid) {
+				t.Errorf("a check-in for an unknown POI: %v, want ErrInvalid", err)
+			}
+			if n := tr.PendingCheckIns(); n != 0 {
+				t.Fatalf("%d refused check-ins buffered", n)
+			}
+
+			// The latest epoch that ends by math.MaxInt64 takes a check-in.
+			var last tia.Interval
+			switch e := e.(type) {
+			case FixedEpochs:
+				s := e.Start + ((math.MaxInt64-e.Start)/e.Length-1)*e.Length
+				last = tia.Interval{Start: s, End: s + e.Length}
+			case GeometricEpochs:
+				for iv := e.EpochOf(e.Start); iv.Start < iv.End; iv = e.EpochOf(iv.End) {
+					last = iv
+				}
+			}
+			if err := tr.AddCheckIn(1, last.End-1); err != nil {
+				t.Fatalf("a check-in in the last epoch %+v: %v", last, err)
+			}
+			if err := tr.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			h, err := tr.History(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(h) != 1 || h[0] != (tia.Record{Ts: last.Start, Te: last.End, Agg: 1}) {
+				t.Fatalf("history %v, want one record of %+v", h, last)
+			}
+		})
 	}
 }

@@ -3,15 +3,13 @@ package core
 import "tartree/internal/rstar"
 
 // layout is what a search reads, published as one value so that a search
-// never pairs one flat tree with another's rows: the flat tree and, where
-// they apply (compileRows), the prefix rows of its entries.
+// never pairs one flat tree with another's columns: the flat tree and,
+// where they apply (compileCols), the columns of its entries' aggregates.
+// A flush patches the columns in place, under the tree's write lock, or
+// publishes the flat tree alone when they stop applying (patchEpoch).
 type layout struct {
 	ft   *rstar.FlatTree
-	rows *prefixRows
-	// stale marks a layout whose rows are not compiled — a flush outdated
-	// them, or ft came from a snapshot: the next search compiles them over
-	// the same ft.
-	stale bool
+	cols *columns
 }
 
 // Freeze returns the flat layout every search reads (rstar.FlatTree): the
@@ -19,53 +17,45 @@ type layout struct {
 // tree is the mutable build structure; a structural mutation (InsertPOI,
 // DeletePOI, Rebuild, RebuildBulk) drops the layout through Unfreeze and
 // the next Freeze — the next search, or a server pre-warming at start-up —
-// compiles it once. Compiling only reads the pointer tree, so concurrent
-// readers may race to it: one compiles, the rest wait and share the result.
-// Check-in ingest (AddCheckIn, FlushEpochs) keeps the layout: its entries
-// share the pointer tree's aggregate handles, so flushed epochs are
-// observed without recompiling. A flush drops only the prefix rows, which
-// the next Freeze compiles again.
+// compiles it once, with its columns. Compiling only reads the pointer tree
+// and releases the records the columns replace, so concurrent readers may
+// race to it: one compiles, the rest wait and share the result. Check-in
+// ingest (AddCheckIn, FlushEpochs) keeps the layout: a flush patches its
+// columns, or the records its entries share with the pointer tree, and
+// the next search compiles nothing.
 //
 // On an instrumented tree each compile of the layout counts in
 // tartree_freezes_total.
 func (t *Tree) Freeze() *rstar.FlatTree { return t.compiled().ft }
 
-// compiled returns the published layout, compiling what is missing — the
-// flat tree, its rows, or both — under compileMu.
+// compiled returns the published layout, compiling it under compileMu when
+// there is none.
 func (t *Tree) compiled() *layout {
-	if l := t.flat.Load(); l != nil && !l.stale {
+	if l := t.flat.Load(); l != nil {
 		return l
 	}
 	t.compileMu.Lock()
 	defer t.compileMu.Unlock()
-	l := t.flat.Load()
-	if l != nil && !l.stale {
+	if l := t.flat.Load(); l != nil {
 		return l
 	}
-	var ft *rstar.FlatTree
-	if l != nil {
-		ft = l.ft
-	} else {
-		ft = t.rt.Freeze()
-		if t.instr != nil {
-			t.instr.freezes.Inc()
-		}
+	ft := t.rt.Freeze()
+	if t.instr != nil {
+		t.instr.freezes.Inc()
 	}
-	l = &layout{ft: ft, rows: t.compileRows(ft)}
+	l := t.newLayout(ft)
 	t.flat.Store(l)
 	return l
 }
 
-// Unfreeze drops the compiled layout; the next search recompiles it. Every
+// Unfreeze drops the compiled layout, handing the entries their records
+// back from its columns first; the next search recompiles both. Every
 // structural mutation goes through here, under the tree's write lock.
-func (t *Tree) Unfreeze() { t.flat.Store(nil) }
-
-// dropRows keeps the layout and drops its rows: a flush changed the
-// aggregates they sum. Under the tree's write lock, like Unfreeze.
-func (t *Tree) dropRows() {
-	if l := t.flat.Load(); l != nil && !l.stale {
-		t.flat.Store(&layout{ft: l.ft, stale: true})
+func (t *Tree) Unfreeze() {
+	if l := t.flat.Load(); l != nil && l.cols != nil {
+		t.dissolve(l)
 	}
+	t.flat.Store(nil)
 }
 
 // Frozen reports whether a compiled layout is installed, i.e. whether the

@@ -12,13 +12,10 @@ import (
 // buffered per epoch; FlushEpochs folds every completed epoch into the
 // TIAs in one batch, matching Section 4.2 ("when an epoch ends, we compute
 // the aggregate of each POI by the check-ins, and then insert the non-zero
-// aggregates in a batch fashion").
+// aggregates in a batch fashion"). It refuses what ValidateCheckIn refuses.
 func (t *Tree) AddCheckIn(id int64, at int64) error {
-	if _, ok := t.pois[id]; !ok {
-		return fmt.Errorf("core: check-in for unknown POI %d", id)
-	}
-	if at < t.opts.Epochs.Origin() {
-		return fmt.Errorf("core: check-in at %d precedes epoch origin %d", at, t.opts.Epochs.Origin())
+	if err := t.ValidateCheckIn(id, at); err != nil {
+		return err
 	}
 	ep := t.opts.Epochs.EpochOf(at)
 	m := t.pending[ep]
@@ -30,6 +27,21 @@ func (t *Tree) AddCheckIn(id int64, at int64) error {
 	// No cache invalidation: a buffered check-in changes nothing a query
 	// reads until flushEpoch folds it into the TIAs, and that invalidates.
 	t.observe(at)
+	return nil
+}
+
+// ValidateCheckIn reports whether AddCheckIn takes a check-in at POI id at
+// time at: the POI is indexed, and at lies inside the epoch EpochOf gives
+// it — which a time before the origin does not, nor one whose epoch would
+// end past math.MaxInt64 (EpochOf wraps there, and a flushed record could
+// not be stored). A refusal wraps ErrInvalid.
+func (t *Tree) ValidateCheckIn(id, at int64) error {
+	if _, ok := t.pois[id]; !ok {
+		return fmt.Errorf("%w: check-in for unknown POI %d", ErrInvalid, id)
+	}
+	if _, ok := t.epochOf(at); !ok {
+		return fmt.Errorf("%w: check-in at %d is not inside an epoch of the grid (origin %d)", ErrInvalid, at, t.opts.Epochs.Origin())
+	}
 	return nil
 }
 
@@ -63,7 +75,21 @@ func (t *Tree) FlushEpochs(now int64) error {
 		}
 		delete(t.pending, ep)
 	}
+	if len(epochs) > 0 {
+		t.retryCols()
+	}
 	return nil
+}
+
+// retryCols compiles the columns of a layout published without them — the
+// tree held too few records, or a flush turned them off — once a flush
+// has changed what they would hold: what a fresh compile would decide.
+func (t *Tree) retryCols() {
+	if l := t.flat.Load(); l != nil && l.cols == nil {
+		if nl := t.newLayout(l.ft); nl.cols != nil {
+			t.flat.Store(nl)
+		}
+	}
 }
 
 // FlushAll closes every buffered epoch regardless of the clock; callers use
@@ -83,8 +109,13 @@ func (t *Tree) flushEpoch(iv tia.Interval, counts map[int64]int64) error {
 		return nil
 	}
 	t.invalidateCache()
-	t.dropRows()
-	max, err := t.applyEpoch(t.rt.Root(), iv, counts)
+	var max int64
+	var err error
+	if l := t.flat.Load(); l != nil && l.cols != nil {
+		max, err = t.patchEpoch(l, iv, counts)
+	} else {
+		max, err = t.applyEpoch(t.rt.Root(), iv, counts)
+	}
 	if err != nil {
 		return err
 	}
@@ -127,7 +158,7 @@ func (t *Tree) applyEpoch(n *rstar.Node, iv tia.Interval, counts map[int64]int64
 			if delta == 0 {
 				continue
 			}
-			cur, _ := currentAgg(d, iv.Start)
+			cur, _ := currentAgg(d.Records(), iv.Start)
 			eff = cur + delta
 		} else {
 			childEff, err := t.applyEpoch(e.Child, iv, counts)
@@ -138,7 +169,7 @@ func (t *Tree) applyEpoch(n *rstar.Node, iv tia.Interval, counts map[int64]int64
 				continue
 			}
 			eff = childEff
-			if cur, _ := currentAgg(d, iv.Start); cur > eff {
+			if cur, _ := currentAgg(d.Records(), iv.Start); cur > eff {
 				eff = cur
 			}
 		}
@@ -153,31 +184,53 @@ func (t *Tree) applyEpoch(n *rstar.Node, iv tia.Interval, counts map[int64]int64
 }
 
 // Aggregate returns the temporal aggregate of one POI over iv, read from
-// the TIA a query probes, under the tree's semantics.
+// what a query probes — the columns, where they apply, else the POI's TIA —
+// under the tree's semantics.
 func (t *Tree) Aggregate(id int64, iv tia.Interval) (int64, error) {
 	st, ok := t.pois[id]
 	if !ok {
 		return 0, fmt.Errorf("core: unknown POI %d", id)
 	}
 	tia.AddProbes(st.data.Kind(), 1)
+	if c := t.liveCols(); c != nil {
+		return c.sum(st.eid, iv, t.opts.Semantics, t.opts.Epochs), nil
+	}
 	return st.data.Aggregate(iv, t.opts.Semantics, t.opts.AggFunc)
 }
 
-// AggregateMirror is Aggregate from the records the TIA keeps in memory (no
-// page access, whatever the backend); baselines and tests use it.
+// AggregateMirror is Aggregate without a page access, whatever the
+// backend: from the columns, where they apply, else folded from the
+// records the POI's TIA keeps in memory. Baselines and tests use it.
 func (t *Tree) AggregateMirror(id int64, iv tia.Interval) (int64, error) {
 	st, ok := t.pois[id]
 	if !ok {
 		return 0, fmt.Errorf("core: unknown POI %d", id)
 	}
-	return t.aggregateRecords(st.data, iv), nil
+	if c := t.liveCols(); c != nil {
+		tia.AddProbes(tia.KindMem, 1)
+		return c.sum(st.eid, iv, t.opts.Semantics, t.opts.Epochs), nil
+	}
+	return tia.AggregateRecords(st.data.Records(), iv, t.opts.Semantics, t.opts.AggFunc), nil
 }
 
 // History returns a copy of the POI's per-epoch aggregate records.
 func (t *Tree) History(id int64) ([]tia.Record, error) {
+	recs, err := t.records(id)
+	if err != nil {
+		return nil, err
+	}
+	return append([]tia.Record(nil), recs...), nil
+}
+
+// records returns the POI's records: derived from the columns where they
+// hold them (a fresh slice), else its TIA's own (not to be modified).
+func (t *Tree) records(id int64) ([]tia.Record, error) {
 	st, ok := t.pois[id]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown POI %d", id)
 	}
-	return append([]tia.Record(nil), st.data.Records()...), nil
+	if c := t.liveCols(); c != nil {
+		return c.derive(nil, st.eid), nil
+	}
+	return st.data.Records(), nil
 }

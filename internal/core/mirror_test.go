@@ -166,9 +166,10 @@ func testMirrorIsTheIndex(t *testing.T, g Grouping, factory func() tia.Factory) 
 }
 
 // TestSnapshotV3LoadHoldsRecordsOnce: loading a v3 image on the default
-// factory keeps each TIA's decoded record slice as the index's storage — no
-// copy for a mirror, none for the index — so the loaded tree's heap stays
-// within 1.3× the records themselves plus the R*-tree.
+// factory keeps each TIA's records once — the decoded slice as the index's
+// storage, or the columns the loader compiles from it, which release it —
+// so the loaded tree's heap stays within 1.3× what holds the records plus
+// the R*-tree.
 func TestSnapshotV3LoadHoldsRecordsOnce(t *testing.T) {
 	opts := defaultOpts(TAR3D)
 	tr := mustTree(t, opts)
@@ -219,7 +220,13 @@ func TestSnapshotV3LoadHoldsRecordsOnce(t *testing.T) {
 		}
 		return true
 	})
-	flat := loaded.Freeze()
+	// Where the columns hold the entries' records, their slab is the
+	// records' share.
+	l := loaded.compiled()
+	if c := l.cols; c != nil {
+		recBytes += int64(cap(c.cells))*4 + int64(cap(c.spans))*int64(unsafe.Sizeof(tia.Interval{}))
+	}
+	flat := l.ft
 	treeBytes += int64(unsafe.Sizeof(*flat)) +
 		int64(cap(flat.Nodes))*int64(unsafe.Sizeof(rstar.FlatNode{})) +
 		int64(cap(flat.Rects))*int64(unsafe.Sizeof(geo.Rect{})) +

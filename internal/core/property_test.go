@@ -48,12 +48,12 @@ func TestProperty1Consistency(t *testing.T) {
 						t.Fatal(err)
 					}
 					// Score what a search reads: the flat layout, and its
-					// prefix rows where they apply (FuncSum).
+					// columns where they apply (FuncSum).
 					l := tr.compiled()
-					if (l.rows != nil) != (fn == tia.FuncSum) {
-						t.Fatalf("rows compiled: %v, for %v", l.rows != nil, fn)
+					if (l.cols != nil) != (fn == tia.FuncSum) {
+						t.Fatalf("columns compiled: %v, for %v", l.cols != nil, fn)
 					}
-					sc.useRows(l.rows)
+					sc.useCols(l.cols)
 					ft := l.ft
 					scoreOf := func(eid int32) float64 {
 						s0, s1, err := sc.components(ft.Rects[eid], eid, tiaOf(ft.Data[eid]))

@@ -94,13 +94,11 @@ type Scorer struct {
 	// explain, when non-nil, receives the scorer's TIA read attribution for
 	// EXPLAIN/ANALYZE. Nil costs one pointer test per probe.
 	explain *Explain
-	// rows, when the search's layout has prefix rows (useRows), answers a
-	// probe of entry eid as rows[eid·stride + e1] − rows[eid·stride + e0],
-	// [e0, e1) the epochs that match the query interval. Nil folds the
+	// c0 and c1, when the search's layout has columns (useCols), are the
+	// columns e0 and e1 that bound the epochs [e0, e1) matching the query
+	// interval: a probe of entry eid is c1[eid] − c0[eid]. Nil folds the
 	// entry's records.
-	rows   []int32
-	stride int
-	e0, e1 int
+	c0, c1 []int32
 }
 
 // recall answers d's aggregate over the query interval from the caller's
@@ -196,14 +194,14 @@ func (sc *Scorer) maxAggregate() (int64, error) {
 	return a, nil
 }
 
-// useRows answers the scorer's probes from r, when r is not nil, mapping
-// the query interval to its epoch range once.
-func (sc *Scorer) useRows(r *prefixRows) {
-	if r == nil {
+// useCols answers the scorer's probes from c, when c is not nil, mapping
+// the query interval to its column range once.
+func (sc *Scorer) useCols(c *columns) {
+	if c == nil {
 		return
 	}
-	sc.rows, sc.stride = r.cells, r.stride
-	sc.e0, sc.e1 = r.span(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.Epochs)
+	e0, e1 := c.span(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.Epochs)
+	sc.c0, sc.c1 = c.col(e0), c.col(e1)
 }
 
 // Query returns the query the scorer is bound to.
@@ -215,7 +213,7 @@ func (sc *Scorer) Gmax() float64 { return sc.gmax }
 
 // aggregate reads the aggregate over the query interval of entry eid, whose
 // TIA is d: through the caller's memo, when there is one, then from the
-// entry's prefix row, when the layout has rows, else from d.
+// columns, when the layout has them, else from d.
 func (sc *Scorer) aggregate(eid int32, d *tia.Index) (int64, error) {
 	if v, ok := sc.recall(d); ok {
 		return v, nil
@@ -226,9 +224,8 @@ func (sc *Scorer) aggregate(eid int32, d *tia.Index) (int64, error) {
 	}
 	sc.probes++
 	var a int64
-	if sc.rows != nil {
-		base := int(eid) * sc.stride
-		a = int64(sc.rows[base+sc.e1]) - int64(sc.rows[base+sc.e0])
+	if sc.c1 != nil {
+		a = int64(sc.c1[eid]) - int64(sc.c0[eid])
 	} else {
 		var err error
 		if a, err = d.Aggregate(sc.q.Iq, sc.t.opts.Semantics, sc.t.opts.AggFunc); err != nil {
@@ -368,7 +365,7 @@ func (t *Tree) newSearch(q Query, agg *obs.Span, o SearchOptions, queue *[]Elem)
 		return nil, err
 	}
 	l := t.compiled()
-	sc.useRows(l.rows)
+	sc.useCols(l.cols)
 	s := &Search{sc: sc, ft: l.ft, stats: o.Stats, agg: agg, explain: o.Explain, ctx: o.Ctx, countAccesses: !o.SkipAccessCounting}
 	if queue != nil {
 		s.queue = (*queue)[:0]
@@ -592,9 +589,9 @@ func (s *Search) level(el Elem) int {
 	return int(s.ft.Nodes[el.child].Level)
 }
 
-// ScorePOI computes the exact ranking score of one POI for q (from the
-// records the POI's TIA keeps in memory; no page access). Tests and the
-// sequential-scan baseline use it.
+// ScorePOI computes the exact ranking score of one POI for q, folded from
+// its records (History: no page access, and no column probe) and the
+// global TIA's. Tests and the sequential-scan baseline use it.
 func (t *Tree) ScorePOI(q Query, id int64) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
@@ -603,8 +600,15 @@ func (t *Tree) ScorePOI(q Query, id int64) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("core: unknown POI %d", id)
 	}
-	gmax := float64(t.aggregateRecords(t.global, q.Iq)) // equals the Scorer's Gmax
-	agg := t.aggregateRecords(st.data, q.Iq)
+	recs, err := t.records(id)
+	if err != nil {
+		return Result{}, err
+	}
+	fold := func(recs []tia.Record) int64 {
+		return tia.AggregateRecords(recs, q.Iq, t.opts.Semantics, t.opts.AggFunc)
+	}
+	gmax := float64(fold(t.global.Records())) // equals the Scorer's Gmax
+	agg := fold(recs)
 	qv := t.scaled(q.X, q.Y)
 	s0 := geo.Dist(qv, st.loc, 2) / t.maxDistScaled
 	s1 := 1.0
@@ -618,10 +622,4 @@ func (t *Tree) ScorePOI(q Query, id int64) (Result, error) {
 		S1:    s1,
 		Agg:   agg,
 	}, nil
-}
-
-// aggregateRecords folds x's in-memory records over iv under the tree's
-// semantics: what a probe of x answers, without the probe.
-func (t *Tree) aggregateRecords(x *tia.Index, iv tia.Interval) int64 {
-	return tia.AggregateRecords(x.Records(), iv, t.opts.Semantics, t.opts.AggFunc)
 }

@@ -92,11 +92,13 @@ func (t *Tree) SaveSnapshot(w io.Writer) error {
 	default:
 		return fmt.Errorf("core: cannot snapshot custom epoch scheme %T", e)
 	}
-	f := t.Freeze()
+	l := t.compiled()
+	f := l.ft
 
 	// Assign TIA references: 0 = global, 1..P the POIs by ascending id,
 	// then internal entries in entry order. Leaf entries share their POI's
-	// TIA, so the walk below never mints a reference for them.
+	// TIA, so the walk below never mints a reference for them. eids[ref]
+	// is the TIA's entry, whose records the columns hold when l has them.
 	ids := make([]int64, 0, len(t.pois))
 	for id := range t.pois {
 		ids = append(ids, id)
@@ -104,16 +106,19 @@ func (t *Tree) SaveSnapshot(w io.Writer) error {
 	slices.Sort(ids)
 	refs := map[*tia.Index]uint32{t.global: 0}
 	tias := []*tia.Index{t.global}
+	eids := []int32{-1}
 	for _, id := range ids {
-		d := t.pois[id].data
-		refs[d] = uint32(len(tias))
-		tias = append(tias, d)
+		st := t.pois[id]
+		refs[st.data] = uint32(len(tias))
+		tias = append(tias, st.data)
+		eids = append(eids, st.eid)
 	}
-	for _, data := range f.Data {
+	for eid, data := range f.Data {
 		d := tiaOf(data)
 		if _, ok := refs[d]; !ok {
 			refs[d] = uint32(len(tias))
 			tias = append(tias, d)
+			eids = append(eids, int32(eid))
 		}
 	}
 
@@ -143,8 +148,13 @@ func (t *Tree) SaveSnapshot(w io.Writer) error {
 
 	var p []byte
 	p = binary.LittleEndian.AppendUint64(p, uint64(len(tias)))
-	for _, d := range tias {
+	var derived []tia.Record // one TIA's records at a time, from the columns
+	for ref, d := range tias {
 		recs := d.Records()
+		if ref > 0 && l.cols != nil {
+			derived = l.cols.derive(derived[:0], eids[ref])
+			recs = derived
+		}
 		p = binary.AppendUvarint(p, uint64(len(recs)))
 		p = tia.AppendPacked(p, recs)
 	}
@@ -543,6 +553,9 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 		if err != nil {
 			return nil, err
 		}
+		if err := t.checkRecord(tia.Record{Ts: start, Te: end}); err != nil {
+			return nil, fmt.Errorf("core: snapshot pending epoch: %v", err)
+		}
 		n, err := es.count(16)
 		if err != nil {
 			return nil, err
@@ -556,6 +569,9 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 			cnt, err := es.i64()
 			if err != nil {
 				return nil, err
+			}
+			if cnt <= 0 {
+				return nil, fmt.Errorf("core: snapshot pending count %d for POI %d", cnt, id)
 			}
 			m[id] = cnt
 		}
@@ -651,6 +667,6 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 		return nil, err
 	}
 	t.rt = rt
-	t.flat.Store(&layout{ft: f, stale: true}) // its rows are compiled by the first search
+	t.flat.Store(t.newLayout(f)) // with its columns: the first search compiles nothing
 	return t, nil
 }

@@ -402,8 +402,8 @@ func TestSnapshotV3Deterministic(t *testing.T) {
 // FuzzLoadSnapshotV3 hammers the v3 decoder with mutated images: any input
 // must either load cleanly or error — panics and unbounded allocations are
 // the failure modes the bounds-checked cursor exists to prevent — and a
-// loaded tree's TIAs hold strictly ascending epochs of positive length, over
-// which its prefix rows compile (or are refused) without a panic.
+// loaded tree's TIAs hold strictly ascending epochs of positive length —
+// read where they live, the columns the loader compiled or the TIAs.
 // Each mutated body is re-sealed with its CRC-32C trailer, so a mutation
 // reaches the section decoders instead of failing the checksum.
 func FuzzLoadSnapshotV3(f *testing.F) {
@@ -435,10 +435,13 @@ func FuzzLoadSnapshotV3(f *testing.F) {
 			}
 		}
 		ascending(tr.global.Records())
-		for _, st := range tr.pois {
-			ascending(st.data.Records())
+		for id := range tr.pois {
+			h, err := tr.History(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ascending(h)
 		}
-		tr.Freeze() // compiles the prefix rows over whatever the image holds
 	})
 }
 

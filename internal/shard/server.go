@@ -3,6 +3,7 @@ package shard
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 
 	"tartree/internal/core"
@@ -123,7 +124,9 @@ const maxQueryBody = 64 << 10
 // HandleQuery answers one query: the shard's top k under the supplied
 // gmax, plus the results tied with the kth score. A query whose stamp is
 // not the shard's current one gets the 409 conflict envelope with the
-// current stamp in its details, and no search runs.
+// current stamp in its details, and no search runs. A body that does not
+// decode or validate, or whose scores overflow, gets 400; one over
+// maxQueryBody 413. The reply grows with the shard's POIs, never with k.
 func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
@@ -172,6 +175,14 @@ func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		httpapi.WriteStatusError(w, http.StatusInternalServerError, err.Error())
 		return
+	}
+	for _, c := range resp.Candidates {
+		if math.IsInf(c.Score, 0) || math.IsNaN(c.Score) {
+			// A point far outside the world, or a gmax near zero: the
+			// scores have no JSON form.
+			httpapi.WriteStatusError(w, http.StatusBadRequest, "the query's scores overflow float64")
+			return
+		}
 	}
 	s.Metrics.addCandidates(len(resp.Candidates))
 	httpapi.WriteJSON(w, http.StatusOK, resp)

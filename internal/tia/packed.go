@@ -12,8 +12,10 @@ import (
 //
 //	Ts   — first record: zigzag varint of the absolute value;
 //	       later records: uvarint delta from the previous record's Ts
-//	       (records are sorted strictly ascending, so the delta is > 0)
-//	Te   — uvarint of Te − Ts (epochs have positive length)
+//	       (records are sorted strictly ascending, so the delta is > 0;
+//	       it may pass math.MaxInt64, and is taken modulo 2^64)
+//	Te   — uvarint of Te − Ts (epochs have positive length; modulo 2^64
+//	       too)
 //	Agg  — zigzag varint
 //
 // On the fixed epoch grids of the paper's datasets this packs a record into
@@ -62,23 +64,23 @@ func DecodePacked(b []byte, n int) ([]Record, []byte, error) {
 			if k <= 0 {
 				return nil, nil, fmt.Errorf("tia: truncated packed Ts delta at record %d", i)
 			}
-			if d == 0 || d > 1<<62 {
+			if d == 0 {
 				return nil, nil, fmt.Errorf("tia: non-increasing packed Ts at record %d", i)
 			}
-			if prev > math.MaxInt64-int64(d) {
+			if d > headroom(prev) {
 				return nil, nil, fmt.Errorf("tia: packed Ts overflows at record %d", i)
 			}
-			ts, b = prev+int64(d), b[k:]
+			ts, b = int64(uint64(prev)+d), b[k:]
 		}
 		prev = ts
 		du, k := binary.Uvarint(b)
 		if k <= 0 {
 			return nil, nil, fmt.Errorf("tia: truncated packed Te at record %d", i)
 		}
-		if du == 0 || du > 1<<62 {
+		if du == 0 {
 			return nil, nil, fmt.Errorf("tia: empty packed epoch at record %d", i)
 		}
-		if ts > math.MaxInt64-int64(du) {
+		if du > headroom(ts) {
 			return nil, nil, fmt.Errorf("tia: packed Te overflows at record %d", i)
 		}
 		b = b[k:]
@@ -87,7 +89,12 @@ func DecodePacked(b []byte, n int) ([]Record, []byte, error) {
 			return nil, nil, fmt.Errorf("tia: truncated packed Agg at record %d", i)
 		}
 		b = b[k:]
-		recs = append(recs, Record{Ts: ts, Te: ts + int64(du), Agg: agg})
+		recs = append(recs, Record{Ts: ts, Te: int64(uint64(ts) + du), Agg: agg})
 	}
 	return recs, b, nil
 }
+
+// headroom returns math.MaxInt64 − v, exact for every v: the largest
+// uvarint delta a timestamp v can take without passing math.MaxInt64, up
+// to 2^64 − 1 for the most negative v.
+func headroom(v int64) uint64 { return uint64(math.MaxInt64) - uint64(v) }

@@ -14,6 +14,10 @@ func TestPackedRoundTrip(t *testing.T) {
 		nil,
 		{{Ts: 0, Te: 10, Agg: 5}},
 		{{Ts: -100, Te: -90, Agg: -3}, {Ts: 0, Te: 10, Agg: 0}, {Ts: 10, Te: 20, Agg: 1 << 40}},
+		// Deltas past 2^62, and past math.MaxInt64, that land on the axis.
+		{{Ts: 300, Te: 400, Agg: 1}, {Ts: 4769364988910383100, Te: 4769364988910383200, Agg: 2}},
+		{{Ts: math.MinInt64, Te: 0, Agg: 1}, {Ts: math.MaxInt64 - 1, Te: math.MaxInt64, Agg: 1}},
+		{{Ts: math.MinInt64, Te: math.MaxInt64, Agg: 1}},
 	}
 	// Random sorted histories.
 	for trial := 0; trial < 20; trial++ {

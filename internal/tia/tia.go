@@ -358,6 +358,17 @@ func (x *Index) Kind() BackendKind {
 // page. Callers must not modify the slice.
 func (x *Index) Records() []Record { return x.recs }
 
+// SetRecords replaces the records of an index without a shadow with recs
+// (sorted by strictly ascending Ts), which become its storage; nil releases
+// them. A TAR-tree whose per-epoch aggregates live elsewhere keeps its
+// indexes as empty handles this way, and hands them their records back.
+func (x *Index) SetRecords(recs []Record) {
+	x.recs, x.maxSpan = recs, 0
+	for _, r := range recs {
+		x.note(r)
+	}
+}
+
 // Destroy releases the records and any pages the index holds. The index
 // must not be used afterwards. It is called when an internal entry's TIA is
 // rebuilt after the R-tree regroups entries, and when a POI is deleted.

@@ -232,7 +232,7 @@ func OpenStore(fs FS, base func() (*core.Tree, error), opts StoreOptions) (*Stor
 }
 
 // ErrInvalid wraps Ingest rejections that happen before anything is logged:
-// unknown POIs and pre-origin timestamps. Servers map it to a client error;
+// what core.Tree.ValidateCheckIn refuses. Servers map it to a client error;
 // anything else from Ingest is an internal durability failure.
 var ErrInvalid = errors.New("wal: invalid check-in")
 
@@ -277,21 +277,17 @@ func (s *Store) IngestCtx(ctx context.Context, cs []CheckIn) (uint64, error) {
 	}
 	parent := obs.SpanFromContext(ctx)
 	// Validate before logging so the post-durability apply cannot fail:
-	// AddCheckIn only rejects unknown POIs and pre-origin timestamps, both
-	// stable properties under concurrent ingest (the WAL path never deletes
-	// POIs).
+	// AddCheckIn refuses exactly what ValidateCheckIn refuses — an unknown
+	// POI, or a time outside every epoch of the grid (before the origin, or
+	// in an epoch that would end past math.MaxInt64) — and both are stable
+	// under concurrent ingest (the WAL path never deletes POIs).
 	vs := parent.StartChild("validate")
 	vs.SetAttr("records", len(cs))
 	s.mu.RLock()
-	origin := s.tree.Epochs().Origin()
 	var verr error
 	for _, c := range cs {
-		if _, ok := s.tree.Lookup(c.POI); !ok {
-			verr = fmt.Errorf("%w: unknown POI %d", ErrInvalid, c.POI)
-			break
-		}
-		if c.At < origin {
-			verr = fmt.Errorf("%w: timestamp %d precedes epoch origin %d", ErrInvalid, c.At, origin)
+		if err := s.tree.ValidateCheckIn(c.POI, c.At); err != nil {
+			verr = fmt.Errorf("%w: %v", ErrInvalid, err)
 			break
 		}
 	}
