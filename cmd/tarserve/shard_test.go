@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -262,6 +264,80 @@ func TestServeShardedStalledShard(t *testing.T) {
 		t.Errorf("a stalled shard held the query for %v", took)
 	}
 	checkShardError(t, code, body, 1, stalled.URL)
+}
+
+// TestShardWireMismatch: the shard hop has one format. A JSON body, or the
+// nine query fields without the TSQ1 magic or behind another one, sent to
+// a shard get 400; a shard reply that is truncated or carries another
+// magic fails the query with the 503 envelope naming that shard, never a
+// partial top-k. The same proxy passing the replies on intact serves the
+// query.
+func TestShardWireMismatch(t *testing.T) {
+	c := newShardedCluster(t, 2)
+	noMagic := make([]byte, 0, 72)
+	for _, v := range []uint64{
+		math.Float64bits(50), math.Float64bits(50), 3, math.Float64bits(0.3),
+		uint64(c.d.Spec.Start), uint64(c.d.Spec.End), math.Float64bits(40), 1, 1,
+	} {
+		noMagic = binary.LittleEndian.AppendUint64(noMagic, v)
+	}
+	for name, body := range map[string][]byte{
+		"json":        []byte(`{"x":50,"y":50,"k":3,"alpha":0.3,"start":0,"end":100,"gmax":40,"stamp":{"instance":1,"seq":1}}`),
+		"no magic":    noMagic,
+		"wrong magic": append([]byte("TSQ0"), noMagic...),
+	} {
+		rec := httptest.NewRecorder()
+		c.shards[0].ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/shard/query", bytes.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "malformed shard query body") {
+			t.Errorf("%s body: status %d, want 400 malformed: %s", name, rec.Code, rec.Body.String())
+		}
+	}
+
+	for name, mangle := range map[string]func([]byte) []byte{
+		"intact":      nil,
+		"truncated":   func(b []byte) []byte { return b[:len(b)-1] },
+		"wrong magic": func(b []byte) []byte { return append([]byte("TSR0"), b[4:]...) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			// A proxy in front of shard 1 that mangles its 200 query replies.
+			proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				req, err := http.NewRequestWithContext(r.Context(), r.Method, c.urls[1]+r.URL.Path, r.Body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				b, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if mangle != nil && r.URL.Path == "/v1/shard/query" && resp.StatusCode == http.StatusOK {
+					b = mangle(b)
+				}
+				w.WriteHeader(resp.StatusCode)
+				w.Write(b)
+			}))
+			t.Cleanup(proxy.Close)
+			log := slog.New(slog.NewTextHandler(io.Discard, nil))
+			co := newPendingServer(obs.NewRegistry(), obs.NewTraceRing(8), log, 4)
+			co.setCoordinator(&shard.Coordinator{Shards: []string{c.urls[0], proxy.URL}}, c.m)
+			co.finishStartup(nil, nil, c.d.Spec.Start, c.d.Spec.End)
+			code, body := get(t, co, "/v1/query?x=50&y=50&k=5&alpha=0.3&days=128")
+			if mangle == nil {
+				if code != http.StatusOK {
+					t.Fatalf("status %d through an intact proxy: %s", code, body)
+				}
+				return
+			}
+			checkShardError(t, code, body, 1, proxy.URL)
+		})
+	}
 }
 
 // TestServeShardedKeepsConnections: at -max-concurrent 8 the coordinator

@@ -90,8 +90,9 @@ func fuzzAlpha(in *fuzzInput) float64 {
 // their scores tie — and two queries, and requires the best-first search to
 // answer what the Section 3.2 scan does (checkAgainstScan), for k above the
 // POI count and for intervals shorter than an epoch too. Between the two
-// queries up to 63 check-ins are ingested and flushed, which makes the
-// second query recompile the prefix rows the first one compiled. A query
+// queries up to 63 check-ins are ingested and flushed, so the second query
+// reads the columns the first one compiled as the flush patched them (or
+// compiled them afresh, where a patch did not fit). A query
 // Validate refuses (an empty or inverted interval, α0 of 0, 1 or NaN) must
 // fail with ErrInvalid. The query's TIA page reads must be what the
 // factory's ledger gained: none on the in-memory factory.

@@ -149,17 +149,18 @@ func (c *Coordinator) search(ctx context.Context, q core.Query, rows []core.Expl
 		}
 		tia.AddProbes(tia.KindMem, 1)
 		gmax, _ := v.merged.Aggregate(q.Iq, v.sem, v.fn) // in memory: cannot fail
+		// One slab holds every shard's body; only the stamps differ.
+		slab := make([]byte, 0, len(c.Shards)*queryBodyLen)
 		bodies := make([][]byte, len(c.Shards))
 		for i := range bodies {
-			if bodies[i], err = json.Marshal(queryRequest{
+			slab = appendQuery(slab, &queryRequest{
 				X: q.X, Y: q.Y, K: q.K, Alpha: q.Alpha0,
 				Start: q.Iq.Start, End: q.Iq.End, Gmax: float64(gmax), Stamp: v.stamps[i],
-			}); err != nil {
-				return nil, fmt.Errorf("%w: %v", core.ErrInvalid, err)
-			}
+			})
+			bodies[i] = slab[i*queryBodyLen : (i+1)*queryBodyLen]
 		}
 		c.Metrics.addFanout(len(c.Shards))
-		replies, took, err := scatter[queryResponse](ctx, c, http.MethodPost, "/v1/shard/query", bodies)
+		replies, took, err := scatter(ctx, c, http.MethodPost, "/v1/shard/query", bodies, readReply)
 		var straggler time.Duration
 		for i := range rows {
 			rows[i].ElapsedMicros = took[i].Microseconds()
@@ -184,7 +185,7 @@ func (c *Coordinator) search(ctx context.Context, q core.Query, rows []core.Expl
 // single-node global TIA.
 func (c *Coordinator) fetchView(ctx context.Context) (*globalView, error) {
 	c.Metrics.addGmaxFetch()
-	resps, _, err := scatter[gmaxResponse](ctx, c, http.MethodGet, "/v1/shard/gmax", nil)
+	resps, _, err := scatter(ctx, c, http.MethodGet, "/v1/shard/gmax", nil, readJSON[gmaxResponse])
 	if err != nil {
 		return nil, err
 	}
@@ -207,28 +208,35 @@ func (c *Coordinator) fetchView(ctx context.Context) (*globalView, error) {
 }
 
 // scatter sends one request to every shard in parallel — bodies[i] to
-// shard i, or no body when bodies is nil — and decodes shard i's JSON
-// reply into out[i]; took[i] is how long shard i took, and is filled even
-// when the call fails. The first failing shard in shard order fails the
-// whole call as a ShardError — or as ErrCanceled once ctx has ended.
-func scatter[T any](ctx context.Context, c *Coordinator, method, path string, bodies [][]byte) ([]T, []time.Duration, error) {
+// shard i, or no body when bodies is nil — and reads shard i's 200 reply
+// into out[i] with read; took[i] is how long shard i took, and is filled
+// even when the call fails. The last shard's call runs on the calling
+// goroutine, the others on one goroutine each. The first failing shard in
+// shard order fails the whole call as a ShardError — or as ErrCanceled
+// once ctx has ended.
+func scatter[T any](ctx context.Context, c *Coordinator, method, path string, bodies [][]byte, read func(*http.Response, *T) error) ([]T, []time.Duration, error) {
 	out := make([]T, len(c.Shards))
 	took := make([]time.Duration, len(c.Shards))
 	errs := make([]error, len(c.Shards))
-	var wg sync.WaitGroup
-	for i, url := range c.Shards {
+	one := func(i int) {
 		var body []byte
 		if bodies != nil {
 			body = bodies[i]
 		}
+		t0 := time.Now()
+		errs[i] = call(ctx, c, method, c.Shards[i]+path, body, &out[i], read)
+		took[i] = time.Since(t0)
+	}
+	var wg sync.WaitGroup
+	last := len(c.Shards) - 1
+	for i := range last {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t0 := time.Now()
-			errs[i] = c.call(ctx, method, url+path, body, &out[i])
-			took[i] = time.Since(t0)
+			one(i)
 		}()
 	}
+	one(last)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -242,8 +250,9 @@ func scatter[T any](ctx context.Context, c *Coordinator, method, path string, bo
 }
 
 // call runs one shard request, propagating the caller's trace ID, and
-// decodes a 200 reply into v.
-func (c *Coordinator) call(ctx context.Context, method, url string, body []byte, v any) error {
+// reads a 200 reply into v with read; any other status is the error
+// envelope.
+func call[T any](ctx context.Context, c *Coordinator, method, url string, body []byte, v *T, read func(*http.Response, *T) error) error {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -253,7 +262,7 @@ func (c *Coordinator) call(ctx context.Context, method, url string, body []byte,
 		return err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", "application/octet-stream")
 	}
 	if sp := obs.SpanFromContext(ctx); sp != nil {
 		req.Header.Set("traceparent", sp.Context().Traceparent())
@@ -270,5 +279,20 @@ func (c *Coordinator) call(ctx context.Context, method, url string, body []byte,
 	if resp.StatusCode != http.StatusOK {
 		return httpapi.ReadError(resp)
 	}
+	return read(resp, v)
+}
+
+// readJSON decodes a JSON reply.
+func readJSON[T any](resp *http.Response, v *T) error {
 	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// readReply reads a TSR1 query reply to EOF, so that its connection goes
+// back to the pool, and decodes it.
+func readReply(resp *http.Response, v *queryResponse) error {
+	b, err := io.ReadAll(resp.Body)
+	if err == nil {
+		*v, err = decodeReply(b)
+	}
+	return err
 }

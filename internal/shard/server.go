@@ -1,10 +1,11 @@
 package shard
 
 import (
-	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
+	"strconv"
 
 	"tartree/internal/core"
 	"tartree/internal/geo"
@@ -12,9 +13,11 @@ import (
 	"tartree/internal/tia"
 )
 
-// Wire types of the coordinator⇄shard protocol. Candidates carry the full
-// result tuple so the coordinator can hand back core.Results without a
-// second lookup; stats are the shard's whole search work for the query.
+// Wire types of the coordinator⇄shard protocol. The global-TIA fetch is
+// JSON; a query and its 200 reply travel in the fixed-width bodies of
+// wire.go. Candidates carry the full result tuple so the coordinator can
+// hand back core.Results without a second lookup; stats are the shard's
+// whole search work for the query.
 
 type gmaxResponse struct {
 	Index     int              `json:"index"`
@@ -26,37 +29,29 @@ type gmaxResponse struct {
 }
 
 type queryRequest struct {
-	X     float64          `json:"x"`
-	Y     float64          `json:"y"`
-	K     int              `json:"k"`
-	Alpha float64          `json:"alpha"`
-	Start int64            `json:"start"`
-	End   int64            `json:"end"`
-	Gmax  float64          `json:"gmax"`
-	Stamp core.GlobalStamp `json:"stamp"`
+	X, Y       float64
+	K          int
+	Alpha      float64
+	Start, End int64
+	Gmax       float64
+	Stamp      core.GlobalStamp
 }
 
 type candidate struct {
-	POI   int64   `json:"poi"`
-	X     float64 `json:"x"`
-	Y     float64 `json:"y"`
-	Score float64 `json:"score"`
-	S0    float64 `json:"s0"`
-	S1    float64 `json:"s1"`
-	Agg   int64   `json:"agg"`
+	POI                 int64
+	X, Y, Score, S0, S1 float64
+	Agg                 int64
 }
 
 type searchStats struct {
-	Internal    int   `json:"internal"`
-	Leaf        int   `json:"leaf"`
-	TIAReads    int64 `json:"tia_reads"`
-	TIAPhysical int64 `json:"tia_physical"`
-	Scored      int   `json:"scored"`
+	Internal, Leaf        int
+	TIAReads, TIAPhysical int64
+	Scored                int
 }
 
 type queryResponse struct {
-	Candidates []candidate `json:"candidates"`
-	Stats      searchStats `json:"stats"`
+	Candidates []candidate
+	Stats      searchStats
 }
 
 // Viewer runs a function against the shard's tree under whatever lock
@@ -116,20 +111,25 @@ func (s *Server) HandleGmax(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
-// maxQueryBody bounds a POST /v1/shard/query body, which the coordinator
-// sends as a few hundred bytes; a larger one is refused with 413 before it
-// is all read into memory.
+// maxQueryBody bounds a POST /v1/shard/query body, which is queryBodyLen
+// bytes; a larger one than this is refused with 413 before it is all read
+// into memory.
 const maxQueryBody = 64 << 10
 
 // HandleQuery answers one query: the shard's top k under the supplied
-// gmax, plus the results tied with the kth score. A query whose stamp is
-// not the shard's current one gets the 409 conflict envelope with the
-// current stamp in its details, and no search runs. A body that does not
-// decode or validate, or whose scores overflow, gets 400; one over
-// maxQueryBody 413. The reply grows with the shard's POIs, never with k.
+// gmax, plus the results tied with the kth score, as a TSR1 body. A query
+// whose stamp is not the shard's current one gets the 409 conflict
+// envelope with the current stamp in its details, and no search runs. A
+// body that is not a TSQ1 query, or does not validate, or whose scores
+// overflow, gets 400; one over maxQueryBody 413. The reply grows with the
+// shard's POIs, never with k.
 func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
 	var req queryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+	if err == nil {
+		req, err = decodeQuery(body)
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -148,7 +148,6 @@ func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp queryResponse
 	var stamp core.GlobalStamp
-	var err error
 	s.Data.View(func(t *core.Tree) {
 		if stamp = t.GlobalStamp(); stamp != req.Stamp {
 			return
@@ -179,13 +178,18 @@ func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 	for _, c := range resp.Candidates {
 		if math.IsInf(c.Score, 0) || math.IsNaN(c.Score) {
 			// A point far outside the world, or a gmax near zero: the
-			// scores have no JSON form.
+			// scores overflow and rank nothing.
 			httpapi.WriteStatusError(w, http.StatusBadRequest, "the query's scores overflow float64")
 			return
 		}
 	}
 	s.Metrics.addCandidates(len(resp.Candidates))
-	httpapi.WriteJSON(w, http.StatusOK, resp)
+	b := encodeReply(&resp)
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b) // the status is out: a failed write has no one to tell
 }
 
 // topKWithTies pops the search's first k results and then every further

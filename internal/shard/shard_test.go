@@ -25,7 +25,7 @@ import (
 )
 
 // testDataset generates the small GS corpus all shard tests share.
-func testDataset(t *testing.T) *lbsn.Dataset {
+func testDataset(t testing.TB) *lbsn.Dataset {
 	t.Helper()
 	spec, err := lbsn.SpecByName("GS")
 	if err != nil {
@@ -150,7 +150,7 @@ func (v *lockedViewer) update(f func(t *core.Tree) *core.Tree) {
 
 // shardTree builds shard idx's tree: over the full world, keeping only the
 // POIs the map assigns to it.
-func shardTree(t *testing.T, d *lbsn.Dataset, m *Map, idx int, opts lbsn.BuildOptions) *core.Tree {
+func shardTree(t testing.TB, d *lbsn.Dataset, m *Map, idx int, opts lbsn.BuildOptions) *core.Tree {
 	t.Helper()
 	opts.Keep = func(p core.POI) bool { return m.Locate(p.X, p.Y) == idx }
 	tr, err := d.Build(opts)
@@ -162,7 +162,7 @@ func shardTree(t *testing.T, d *lbsn.Dataset, m *Map, idx int, opts lbsn.BuildOp
 
 // buildFleet builds one tree per shard and serves them over loopback HTTP;
 // views let a test change or replace a shard's tree.
-func buildFleet(t *testing.T, d *lbsn.Dataset, m *Map, opts lbsn.BuildOptions, fac func() tia.Factory) (urls []string, views []*lockedViewer) {
+func buildFleet(t testing.TB, d *lbsn.Dataset, m *Map, opts lbsn.BuildOptions, fac func() tia.Factory) (urls []string, views []*lockedViewer) {
 	t.Helper()
 	for i := 0; i < m.N; i++ {
 		o := opts
@@ -399,8 +399,8 @@ func TestCoordinatorTies(t *testing.T) {
 	}
 }
 
-// TestCoordinatorUnencodableQuery: a NaN coordinate passes validation but
-// has no JSON form; the coordinator rejects the query as invalid.
+// TestCoordinatorUnencodableQuery: the coordinator rejects a NaN
+// coordinate as invalid (Query.Validate) before it calls any shard.
 func TestCoordinatorUnencodableQuery(t *testing.T) {
 	d := testDataset(t)
 	m, err := Partition(d.EffectivePOIs(0, 0), 2, d.World)
@@ -467,15 +467,14 @@ func TestCoordinatorUnderIngest(t *testing.T) {
 	}
 }
 
-// serveShard runs one request through srv's routes, body JSON-encoded
-// unless nil.
-func serveShard(srv *Server, method, path string, body any) *httptest.ResponseRecorder {
+// serveShard runs one request through srv's routes, a query as its TSQ1
+// body and no body when req is nil.
+func serveShard(srv *Server, method, path string, req *queryRequest) *httptest.ResponseRecorder {
 	mux := http.NewServeMux()
 	srv.Register(mux)
 	var rd io.Reader
-	if body != nil {
-		b, _ := json.Marshal(body) // the test's own wire structs always encode
-		rd = bytes.NewReader(b)
+	if req != nil {
+		rd = bytes.NewReader(appendQuery(nil, req))
 	}
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest(method, path, rd))
@@ -512,15 +511,15 @@ func TestShardQueryLeavesNothingUnfolded(t *testing.T) {
 			built := be.fac.Ledger().Stats()
 			probes0 := tia.ProbeCount(be.kind)
 
-			rec := serveShard(srv, http.MethodPost, "/v1/shard/query", queryRequest{
+			rec := serveShard(srv, http.MethodPost, "/v1/shard/query", &queryRequest{
 				X: q.X, Y: q.Y, K: q.K, Alpha: q.Alpha0,
 				Start: q.Iq.Start, End: q.Iq.End, Gmax: 100, Stamp: gm.Stamp,
 			})
 			if rec.Code != http.StatusOK {
 				t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 			}
-			var rp queryResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &rp); err != nil {
+			rp, err := decodeReply(rec.Body.Bytes())
+			if err != nil {
 				t.Fatal(err)
 			}
 			if len(rp.Candidates) < q.K {
@@ -582,7 +581,7 @@ func TestShardQueryStaleStamp(t *testing.T) {
 		"other instance": {Instance: cur.Instance + 1, Seq: cur.Seq},
 	} {
 		probes0 := tia.ProbeCount(tia.KindMem)
-		rec := serveShard(srv, http.MethodPost, "/v1/shard/query", queryRequest{
+		rec := serveShard(srv, http.MethodPost, "/v1/shard/query", &queryRequest{
 			X: q.X, Y: q.Y, K: q.K, Alpha: q.Alpha0,
 			Start: q.Iq.Start, End: q.Iq.End, Gmax: 100, Stamp: stamp,
 		})
