@@ -85,9 +85,9 @@
 // -coordinator url0,url1,... and no local index. The coordinator serves
 // /v1/query by scatter-gather: one stateless query per shard, carrying the
 // gmax of its cached merge of the shards' global TIAs (refetched after a
-// shard's 409 says its own moved); each shard answers its top k plus the
-// ties at its kth score, and the coordinator merges by (score, id). Answers
-// are exactly identical to single-node execution; a failed shard turns the
+// shard's 409 says its own moved); each shard answers exactly its top k in
+// (score, id) order, and the coordinator merges in the same order. Answers
+// are exactly identical to single-node execution, ties included; a failed shard turns the
 // whole query into a 503 naming the shard, never a silently partial top-k;
 // so does a shard that has not answered one call within shardCallTimeout.
 // /healthz reports the role and the shard's key range; tartree_shard_*

@@ -11,7 +11,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -103,9 +102,9 @@ func newShardedCluster(t *testing.T, n int) *shardedCluster {
 
 // TestServeShardedQueryMatchesSingleNode runs /v1/query against the
 // coordinator and against a single-node server over the same corpus: the
-// answers must be exactly identical through the full HTTP wiring (ids,
-// bit-identical scores, aggregates), and the query must be transparent
-// (same response shape).
+// answers must be exactly identical through the full HTTP wiring (ids in
+// the same order, bit-identical scores, aggregates), and the query must be
+// transparent (same response shape).
 func TestServeShardedQueryMatchesSingleNode(t *testing.T) {
 	c := newShardedCluster(t, 3)
 	for _, url := range []string{
@@ -134,26 +133,16 @@ func TestServeShardedQueryMatchesSingleNode(t *testing.T) {
 		if len(got.Results) != len(want.Results) {
 			t.Fatalf("%s: coordinator returned %d results, single-node %d", url, len(got.Results), len(want.Results))
 		}
-		canon := func(rs []queryResult) []queryResult {
-			out := append([]queryResult(nil), rs...)
-			sort.Slice(out, func(i, j int) bool {
-				if out[i].Score != out[j].Score {
-					return out[i].Score < out[j].Score
-				}
-				return out[i].POI < out[j].POI
-			})
-			return out
-		}
-		a, b := canon(want.Results), canon(got.Results)
-		for i := range a {
-			if a[i].POI != b[i].POI {
-				t.Fatalf("%s: rank %d: POI %d, single-node has %d", url, i, b[i].POI, a[i].POI)
+		for i, w := range want.Results {
+			g := got.Results[i]
+			if g.POI != w.POI {
+				t.Fatalf("%s: rank %d: POI %d, single-node has %d", url, i, g.POI, w.POI)
 			}
-			if math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
-				t.Fatalf("%s: rank %d (POI %d): score %v, single-node %v", url, i, a[i].POI, b[i].Score, a[i].Score)
+			if math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+				t.Fatalf("%s: rank %d (POI %d): score %v, single-node %v", url, i, w.POI, g.Score, w.Score)
 			}
-			if a[i].Agg != b[i].Agg {
-				t.Fatalf("%s: rank %d (POI %d): agg %d, single-node %d", url, i, a[i].POI, b[i].Agg, a[i].Agg)
+			if g.Agg != w.Agg {
+				t.Fatalf("%s: rank %d (POI %d): agg %d, single-node %d", url, i, w.POI, g.Agg, w.Agg)
 			}
 		}
 	}

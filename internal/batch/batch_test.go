@@ -69,7 +69,7 @@ func randomQueries(r *rand.Rand, n, types int) []core.Query {
 }
 
 // TestCollectiveEqualsIndividual: both processing modes return identical
-// result sets (scores compared; ties may permute).
+// ranked lists: the same POIs in the same order, with the same score bits.
 func TestCollectiveEqualsIndividual(t *testing.T) {
 	tr, r := buildTree(t, 800, 3)
 	queries := randomQueries(r, 50, 5)
@@ -90,8 +90,9 @@ func TestCollectiveEqualsIndividual(t *testing.T) {
 			t.Fatalf("query %d: %d vs %d results", i, len(a), len(b))
 		}
 		for j := range a {
-			if math.Abs(a[j].Score-b[j].Score) > 1e-9 {
-				t.Fatalf("query %d pos %d: %.9f vs %.9f", i, j, a[j].Score, b[j].Score)
+			if a[j].POI.ID != b[j].POI.ID || math.Float64bits(a[j].Score) != math.Float64bits(b[j].Score) {
+				t.Fatalf("query %d pos %d: POI %d score %v vs POI %d score %v",
+					i, j, a[j].POI.ID, a[j].Score, b[j].POI.ID, b[j].Score)
 			}
 		}
 	}

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -183,6 +184,14 @@ type Result struct {
 	S0, S1 float64
 	// Agg is the raw (unnormalized) aggregate over the query interval.
 	Agg int64
+}
+
+// CompareResults is the one answer order: by score, then by POI id. The
+// best-first queue pops POIs in it, and every path that merges or sorts
+// results — the shard coordinator, the Section 3.2 scan — sorts by it, so
+// every path returns the same ranked list, ties included.
+func CompareResults(a, b Result) int {
+	return cmp.Or(cmp.Compare(a.Score, b.Score), cmp.Compare(a.POI.ID, b.POI.ID))
 }
 
 // Query is a kNNTA query.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -289,12 +290,7 @@ func bruteForceQuery(t testing.TB, tr *Tree, q Query) []Result {
 		}
 		all = append(all, res)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score < all[j].Score
-		}
-		return all[i].POI.ID < all[j].POI.ID
-	})
+	slices.SortFunc(all, CompareResults)
 	if len(all) > q.K {
 		all = all[:q.K]
 	}
@@ -303,8 +299,8 @@ func bruteForceQuery(t testing.TB, tr *Tree, q Query) []Result {
 
 // TestBFSEqualsBruteForce is the central correctness property: for every
 // grouping strategy and random queries, best-first search over the TAR-tree
-// returns exactly the brute-force top-k (scores compared; ties may permute
-// POIs).
+// returns exactly the brute-force top-k: the same POIs in the same order,
+// ties included, with the same score bits and aggregates.
 func TestBFSEqualsBruteForce(t *testing.T) {
 	for _, g := range []Grouping{TAR3D, IndSpa, IndAgg} {
 		t.Run(g.String(), func(t *testing.T) {
@@ -325,16 +321,7 @@ func TestBFSEqualsBruteForce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := bruteForceQuery(t, tr, q)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d: got %d results, want %d", trial, len(got), len(want))
-				}
-				for i := range got {
-					if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-						t.Fatalf("trial %d pos %d: score %.9f want %.9f (q=%+v)",
-							trial, i, got[i].Score, want[i].Score, q)
-					}
-				}
+				checkAgainstScan(t, tr, q, got)
 			}
 		})
 	}

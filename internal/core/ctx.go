@@ -190,6 +190,7 @@ func (t *Tree) runQueryCtx(ctx context.Context, q Query, o *QueryOpts) ([]Result
 	return res, stats, nil
 }
 
+// searchTopKCtx runs q's top-k search on a pooled queue.
 func (t *Tree) searchTopKCtx(ctx context.Context, q Query, agg *obs.Span, o *QueryOpts, stats *QueryStats) ([]Result, error) {
 	queue := getQueue()
 	s, err := t.newSearch(q, agg, SearchOptions{
@@ -206,19 +207,7 @@ func (t *Tree) searchTopKCtx(ctx context.Context, q Query, agg *obs.Span, o *Que
 	// pool after that, once nothing reads it.
 	defer s.putQueue(queue)
 	defer o.Explain.captureFrontier(s)
-	results := make([]Result, 0, min(q.K, t.Len()))
-	for len(results) < q.K {
-		r, ok, err := s.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		results = append(results, r)
-		o.Explain.recordResult(len(results), r.Score)
-	}
-	return results, nil
+	return s.TopK(q.K)
 }
 
 func hashResultKey(k resultKey) uint64 {

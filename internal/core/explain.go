@@ -81,7 +81,7 @@ type ExplainShard struct {
 	Shard int    `json:"shard"`
 	URL   string `json:"url"`
 	// Results counts the candidates this shard sent the coordinator: its
-	// top k plus the results tied with its kth score.
+	// top k, fewer when it holds fewer POIs.
 	Results int `json:"results"`
 	// NodeAccesses and TIAReads are the shard-local search work.
 	NodeAccesses int64 `json:"node_accesses"`

@@ -24,34 +24,19 @@ func flatTestQueries(tr *Tree) []Query {
 }
 
 // checkAgainstScan compares a search answer with the Section 3.2 sequential
-// scan over the POI registry (bruteForceQuery): the score at every rank, and
-// every returned POI carrying the score and aggregate the scan computes for
-// it — which accepts either order of POIs whose scores tie, and nothing else.
+// scan over the POI registry (bruteForceQuery) rank by rank: the same POI,
+// the same score bits and the same aggregate. Both rank in CompareResults'
+// order, so POIs whose scores tie leave nothing to choose.
 func checkAgainstScan(t *testing.T, tr *Tree, q Query, got []Result) {
 	t.Helper()
-	all := q
-	all.K = tr.Len() + 1
-	scan := bruteForceQuery(t, tr, all)
-	if want := min(q.K, len(scan)); len(got) != want {
-		t.Fatalf("%d results, scan has %d (q=%+v)", len(got), want, q)
+	scan := bruteForceQuery(t, tr, q)
+	if len(got) != len(scan) {
+		t.Fatalf("%d results, scan has %d (q=%+v)", len(got), len(scan), q)
 	}
-	byID := make(map[int64]Result, len(scan))
-	for _, r := range scan {
-		byID[r.POI.ID] = r
-	}
-	seen := make(map[int64]bool, len(got))
 	for i, r := range got {
-		if math.Abs(r.Score-scan[i].Score) > 1e-9 {
-			t.Fatalf("rank %d: score %.12f, scan has %.12f (q=%+v)", i, r.Score, scan[i].Score, q)
-		}
-		w, ok := byID[r.POI.ID]
-		if !ok || seen[r.POI.ID] {
-			t.Fatalf("rank %d: POI %d unknown to the scan or returned twice", i, r.POI.ID)
-		}
-		seen[r.POI.ID] = true
-		if math.Abs(r.Score-w.Score) > 1e-9 || r.Agg != w.Agg {
-			t.Fatalf("rank %d: POI %d has score %.12f agg %d, scan computes %.12f and %d",
-				i, r.POI.ID, r.Score, r.Agg, w.Score, w.Agg)
+		if w := scan[i]; r.POI.ID != w.POI.ID || math.Float64bits(r.Score) != math.Float64bits(w.Score) || r.Agg != w.Agg {
+			t.Fatalf("rank %d: POI %d score %v agg %d, scan has POI %d score %v agg %d (q=%+v)",
+				i, r.POI.ID, r.Score, r.Agg, w.POI.ID, w.Score, w.Agg, q)
 		}
 	}
 }

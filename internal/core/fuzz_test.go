@@ -88,7 +88,8 @@ func fuzzAlpha(in *fuzzInput) float64 {
 // FuzzSearchMatchesScan decodes its input into a small world — up to 200
 // POIs on a coarse grid, so that many share a location or a history and
 // their scores tie — and two queries, and requires the best-first search to
-// answer what the Section 3.2 scan does (checkAgainstScan), for k above the
+// answer what the Section 3.2 scan does, tie for tie in (score, id) order
+// (checkAgainstScan), for k above the
 // POI count and for intervals shorter than an epoch too. Between the two
 // queries up to 63 check-ins are ingested and flushed, so the second query
 // reads the columns the first one compiled as the flush patched them (or
@@ -103,6 +104,7 @@ func FuzzSearchMatchesScan(f *testing.F) {
 	f.Add([]byte{26, 3, 150, 9, 9, 6, 200, 100, 50, 25, 12, 6, 0, 0, 0, 10, 255, 0, 4, 0, 3, 255})
 	f.Add([]byte{31, 6, 8, 0, 10, 2, 1, 1, 10, 0, 2, 1, 1, 5, 5, 30, 10, 2, 0, 0, 0})
 	f.Add([]byte{0, 8, 6, 5, 5, 2, 10, 30, 9, 9, 1, 200, 50, 50, 10, 120, 7, 5, 4, 99, 9, 2, 7, 40, 1, 0, 200, 1, 100, 200, 5, 3, 9})
+	f.Add([]byte("00\x05000000000000000000007")) // five POIs alike on one point, k = 4: every score ties
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
 		opts := fuzzWorld(&in)

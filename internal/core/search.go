@@ -306,13 +306,15 @@ func (el Elem) Node() int32 { return el.child }
 // Search is an incremental best-first search over the TAR-tree (Section
 // 4.3, after Hjaltason & Samet). It reads the tree's compiled flat layout:
 // nodes are (level, start, count) triples, an entry is an int32 id into
-// contiguous slabs. Pop returns queue elements in ascending score order;
-// the caller decides whether to Expand internal elements, which lets the
-// weight-adjustment and skyline algorithms prune subtrees.
+// contiguous slabs. Pop returns queue elements in ascending score order,
+// POIs of equal score by id (less); the caller decides whether to Expand
+// internal elements, which lets the weight-adjustment and skyline
+// algorithms prune subtrees.
 type Search struct {
 	sc *Scorer
 	ft *rstar.FlatTree
-	// queue is a binary min-heap on Score, kept by siftUp and siftDown.
+	// queue is a binary min-heap in less's order, kept by siftUp and
+	// siftDown.
 	queue         []Elem
 	stats         *QueryStats
 	agg           *obs.Span       // as Scorer.agg
@@ -453,17 +455,31 @@ func (s *Search) push(eid int32) error {
 	return nil
 }
 
-// siftUp and siftDown keep the queue a binary min-heap on Score. They make
-// exactly the comparisons and moves of the standard library's heap.Push and
-// heap.Pop — a strict less-than against the parent, the right child
-// preferred only when strictly smaller — which fixes the order in which
-// equal scores pop (pinned by TestSearchGolden).
+// less orders the queue: by score, and at an equal score an internal entry
+// before a POI and POIs by id. Internal entries of equal score stay
+// unordered among themselves. Every POI of a score is in the queue before
+// the first of them pops — any POI still unpushed lies below an internal
+// entry of no greater bound, which pops first — so POIs leave the queue in
+// CompareResults' order whatever the heap's shape, and node accesses depend
+// only on the bounds. The tie path looks the POI ids up, so Elem stays 32
+// bytes.
+func (s *Search) less(a, b *Elem) bool {
+	if a.Score < b.Score {
+		return true
+	}
+	if a.Score != b.Score || b.child >= 0 {
+		return false
+	}
+	return a.child >= 0 || s.ft.Items[a.entry] < s.ft.Items[b.entry]
+}
+
+// siftUp and siftDown keep the queue a binary min-heap in less's order.
 func (s *Search) siftUp(j int) {
 	q := s.queue
 	el := q[j]
 	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if !(el.Score < q[i].Score) {
+		if !s.less(&el, &q[i]) {
 			break
 		}
 		q[j] = q[i]
@@ -481,10 +497,10 @@ func (s *Search) siftDown(el Elem, n int) {
 		if j >= n {
 			break
 		}
-		if r := j + 1; r < n && q[r].Score < q[j].Score {
+		if r := j + 1; r < n && s.less(&q[r], &q[j]) {
 			j = r
 		}
-		if !(q[j].Score < el.Score) {
+		if !s.less(&q[j], &el) {
 			break
 		}
 		q[i] = q[j]
@@ -574,6 +590,24 @@ func (s *Search) next() (r Result, ok bool, err error) {
 			return Result{}, false, err
 		}
 	}
+}
+
+// TopK runs the search until its first k POIs have emerged — all of them,
+// when the tree holds fewer — and returns them in CompareResults' order.
+func (s *Search) TopK(k int) ([]Result, error) {
+	results := make([]Result, 0, min(k, s.sc.t.Len()))
+	for len(results) < k {
+		r, ok, err := s.next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		results = append(results, r)
+		s.explain.recordResult(len(results), r.Score)
+	}
+	return results, nil
 }
 
 // Result converts a POI element into a Result.

@@ -8,6 +8,7 @@ package seqscan
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"tartree/internal/core"
@@ -52,8 +53,8 @@ func (s *Scanner) Add(p core.POI, history []tia.Record) {
 // Len returns the number of POIs.
 func (s *Scanner) Len() int { return len(s.pois) }
 
-// Query scans every POI and returns the top-k results in ascending score
-// order.
+// Query scans every POI and returns the top-k results in
+// core.CompareResults' order: ascending score, ties by POI id.
 func (s *Scanner) Query(q core.Query) ([]core.Result, error) {
 	res, _, err := s.QueryCtx(context.Background(), q, nil)
 	return res, err
@@ -78,8 +79,8 @@ func (s *Scanner) QueryCtx(ctx context.Context, q core.Query, _ *core.QueryOpts)
 	}
 	gmax := float64(gmaxI)
 	qv := geo.Vector{q.X, q.Y}
-	// top holds the k best so far; once full it is a max-heap on Score, so
-	// the worst of them is top[0].
+	// top holds the k best so far; once full it is a max-heap in
+	// core.CompareResults' order, so the worst of them is top[0].
 	top := make([]core.Result, 0, min(q.K, len(s.pois)))
 	for i, p := range s.pois {
 		if i%cancelPollEvery == 0 {
@@ -120,12 +121,12 @@ func (s *Scanner) QueryCtx(ctx context.Context, q core.Query, _ *core.QueryOpts)
 					siftDown(top, i)
 				}
 			}
-		case res.Score < top[0].Score:
+		case core.CompareResults(res, top[0]) < 0:
 			top[0] = res
 			siftDown(top, 0)
 		}
 	}
-	sort.Slice(top, func(i, j int) bool { return top[i].Score < top[j].Score })
+	slices.SortFunc(top, core.CompareResults)
 	return top, stats, nil
 }
 
@@ -136,10 +137,10 @@ func siftDown(h []core.Result, i int) {
 		if j >= len(h) {
 			return
 		}
-		if r := j + 1; r < len(h) && h[r].Score > h[j].Score {
+		if r := j + 1; r < len(h) && core.CompareResults(h[r], h[j]) > 0 {
 			j = r
 		}
-		if !(h[j].Score > h[i].Score) {
+		if core.CompareResults(h[j], h[i]) <= 0 {
 			return
 		}
 		h[i], h[j] = h[j], h[i]

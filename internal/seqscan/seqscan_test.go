@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"tartree/internal/core"
@@ -119,25 +120,44 @@ func TestMatchesTARTree(t *testing.T) {
 	}
 }
 
+// TestTopKOrderingAndTies: the scan ranks by score, ties by POI id, and a
+// k that cuts through a tie keeps the smallest ids.
 func TestTopKOrderingAndTies(t *testing.T) {
 	s := New(world(), tia.Contained)
-	// Four POIs at identical distance with distinct aggregates.
-	for i := int64(1); i <= 4; i++ {
-		s.Add(core.POI{ID: i, X: 50 + float64(i), Y: 50},
-			[]tia.Record{{Ts: 0, Te: 10, Agg: i}})
+	add := func(id int64, x, y float64, agg int64) {
+		s.Add(core.POI{ID: id, X: x, Y: y}, []tia.Record{{Ts: 0, Te: 10, Agg: agg}})
 	}
-	res, err := s.Query(core.Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 10}, K: 4, Alpha0: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(res); i++ {
-		if res[i].Score < res[i-1].Score {
-			t.Fatal("results out of order")
+	// POIs 8, 3, 6 and 1 lie 3 from the query point with equal aggregates,
+	// so their scores tie exactly; they are added out of id order. POI 9 is
+	// nearer with a larger aggregate, POI 2 farther with the same one.
+	add(8, 53, 50, 2)
+	add(3, 50, 47, 2)
+	add(2, 60, 50, 2)
+	add(6, 47, 50, 2)
+	add(9, 51, 50, 5)
+	add(1, 50, 53, 2)
+	for k, want := range map[int][]int64{
+		1: {9},
+		3: {9, 1, 3},
+		5: {9, 1, 3, 6, 8},
+		6: {9, 1, 3, 6, 8, 2},
+	} {
+		res, err := s.Query(core.Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 10}, K: k, Alpha0: 0.5})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// With α0 small, the biggest aggregate wins.
-	if res[0].POI.ID != 4 {
-		t.Errorf("top-1 = %d, want 4", res[0].POI.ID)
+		var got []int64
+		for _, r := range res {
+			got = append(got, r.POI.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("k=%d: ids %v, want %v", k, got, want)
+		}
+		for i := 2; i < min(len(res), 5); i++ {
+			if res[i].Score != res[1].Score {
+				t.Fatalf("k=%d rank %d: score %v does not tie rank 1's %v", k, i, res[i].Score, res[1].Score)
+			}
+		}
 	}
 }
 

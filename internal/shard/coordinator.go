@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,9 +41,9 @@ func (e *ShardError) Unwrap() error { return e.Err }
 //
 // A query costs one stateless request per shard, carrying the gmax of the
 // coordinator's merge of the shards' global TIAs and the shard's stamp. Each
-// shard answers its top k plus the results tied with its kth score; the
-// coordinator sorts the union by (score, id) and keeps k — the id tiebreak
-// makes the distributed answer deterministic where pop order is not.
+// shard answers its top k in core.CompareResults' order; the coordinator
+// sorts the union in the same order and keeps k, which is the single
+// node's answer, ties included.
 type Coordinator struct {
 	// Shards are the shard base URLs in shard-map order.
 	Shards []string
@@ -104,35 +104,16 @@ func (c *Coordinator) Query(ctx context.Context, q core.Query) ([]core.Result, c
 		return nil, stats, rows, err
 	}
 
-	var all []candidate
+	var all []core.Result
 	for i, rp := range replies {
 		all = append(all, rp.Candidates...)
 		rows[i].Results = len(rp.Candidates)
-		rows[i].NodeAccesses = int64(rp.Stats.Internal + rp.Stats.Leaf)
-		rows[i].TIAReads = rp.Stats.TIAReads
-		stats.InternalAccesses += rp.Stats.Internal
-		stats.LeafAccesses += rp.Stats.Leaf
-		stats.TIAAccesses += rp.Stats.TIAReads
-		stats.TIAPhysical += rp.Stats.TIAPhysical
-		stats.Scored += rp.Stats.Scored
+		rows[i].NodeAccesses = int64(rp.Stats.RTreeAccesses())
+		rows[i].TIAReads = rp.Stats.TIAAccesses
+		stats.Merge(&rp.Stats)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score < all[j].Score
-		}
-		return all[i].POI < all[j].POI
-	})
-	if len(all) > q.K {
-		all = all[:q.K]
-	}
-	results := make([]core.Result, len(all))
-	for i, cd := range all {
-		results[i] = core.Result{
-			POI:   core.POI{ID: cd.POI, X: cd.X, Y: cd.Y},
-			Score: cd.Score, S0: cd.S0, S1: cd.S1, Agg: cd.Agg,
-		}
-	}
-	return results, stats, rows, nil
+	slices.SortFunc(all, core.CompareResults)
+	return all[:min(len(all), q.K)], stats, rows, nil
 }
 
 // search runs the query on every shard under the view's gmax and each

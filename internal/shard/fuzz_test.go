@@ -15,7 +15,7 @@ import (
 
 // FuzzShardQueryBody drives HandleQuery with arbitrary bodies. Every body
 // gets 200, 400, 409 or 413 — never a 500, never a panic — and a 200 is a
-// TSR1 reply carrying at most the shard's POIs, every score finite. A 200
+// TSR1 reply carrying exactly min(k, POIs) candidates, every score finite. A 200
 // for a k far above the POI count allocates in proportion to the POIs, not
 // to k. A body of the query's length whose stamp.instance is even carries
 // the shard's current stamp instead of its own, so mutations of such a
@@ -92,8 +92,8 @@ func FuzzShardQueryBody(f *testing.F) {
 		if err != nil {
 			t.Fatalf("a 200 that does not decode: %v", err)
 		}
-		if len(resp.Candidates) > tr.Len() {
-			t.Fatalf("%d candidates from %d POIs", len(resp.Candidates), tr.Len())
+		if want := min(req.K, tr.Len()); len(resp.Candidates) != want {
+			t.Fatalf("%d candidates for k = %d from %d POIs, want %d", len(resp.Candidates), req.K, tr.Len(), want)
 		}
 		for _, c := range resp.Candidates {
 			if math.IsInf(c.Score, 0) || math.IsNaN(c.Score) {
@@ -116,11 +116,11 @@ func FuzzShardQueryBody(f *testing.F) {
 // from the body, never from the count it declares.
 func FuzzShardReply(f *testing.F) {
 	two := encodeReply(&queryResponse{
-		Candidates: []candidate{
-			{POI: 7, X: 1, Y: 2, Score: 0.25, S0: 0.1, S1: 0.4, Agg: 3},
-			{POI: 9, X: 3, Y: 4, Score: 0.5, S0: 0.2, S1: 0.9, Agg: 1},
+		Candidates: []core.Result{
+			{POI: core.POI{ID: 7, X: 1, Y: 2}, Score: 0.25, S0: 0.1, S1: 0.4, Agg: 3},
+			{POI: core.POI{ID: 9, X: 3, Y: 4}, Score: 0.5, S0: 0.2, S1: 0.9, Agg: 1},
 		},
-		Stats: searchStats{Internal: 3, Leaf: 2, TIAReads: 5, TIAPhysical: 1, Scored: 11},
+		Stats: core.QueryStats{InternalAccesses: 3, LeafAccesses: 2, TIAAccesses: 5, TIAPhysical: 1, Scored: 11},
 	})
 	huge := append([]byte(nil), two...)
 	binary.LittleEndian.PutUint64(huge[4:], 1<<60)

@@ -15,9 +15,9 @@ import (
 
 // Wire types of the coordinator⇄shard protocol. The global-TIA fetch is
 // JSON; a query and its 200 reply travel in the fixed-width bodies of
-// wire.go. Candidates carry the full result tuple so the coordinator can
-// hand back core.Results without a second lookup; stats are the shard's
-// whole search work for the query.
+// wire.go. Candidates are whole core.Results, so the coordinator hands them
+// back without a second lookup; stats are the shard's whole search work for
+// the query.
 
 type gmaxResponse struct {
 	Index     int              `json:"index"`
@@ -37,21 +37,9 @@ type queryRequest struct {
 	Stamp      core.GlobalStamp
 }
 
-type candidate struct {
-	POI                 int64
-	X, Y, Score, S0, S1 float64
-	Agg                 int64
-}
-
-type searchStats struct {
-	Internal, Leaf        int
-	TIAReads, TIAPhysical int64
-	Scored                int
-}
-
 type queryResponse struct {
-	Candidates []candidate
-	Stats      searchStats
+	Candidates []core.Result
+	Stats      core.QueryStats
 }
 
 // Viewer runs a function against the shard's tree under whatever lock
@@ -70,9 +58,8 @@ func (v TreeViewer) View(f func(t *core.Tree)) { f(v.Tree) }
 // POI subset (indexed over the full world) and answers each query in one
 // stateless request. The shard runs its local best-first search under the
 // coordinator's global gmax inside one Viewer.View call and returns its
-// first k results plus every further result tied with the kth score; every
-// global top-k POI is among its own shard's top k, and the ties let the
-// coordinator break them by (score, id). In the same View it refuses a
+// top k in core.CompareResults' order, which is a total order: every global
+// top-k POI is among its own shard's top k. In the same View it refuses a
 // query whose stamp is not its global TIA's: that gmax is stale.
 type Server struct {
 	// Data guards the shard's tree; Index/N/Region describe its place in
@@ -117,12 +104,11 @@ func (s *Server) HandleGmax(w http.ResponseWriter, r *http.Request) {
 const maxQueryBody = 64 << 10
 
 // HandleQuery answers one query: the shard's top k under the supplied
-// gmax, plus the results tied with the kth score, as a TSR1 body. A query
-// whose stamp is not the shard's current one gets the 409 conflict
-// envelope with the current stamp in its details, and no search runs. A
-// body that is not a TSQ1 query, or does not validate, or whose scores
-// overflow, gets 400; one over maxQueryBody 413. The reply grows with the
-// shard's POIs, never with k.
+// gmax, as a TSR1 body of at most k candidates (fewer when the shard holds
+// fewer POIs). A query whose stamp is not the shard's current one gets the
+// 409 conflict envelope with the current stamp in its details, and no
+// search runs. A body that is not a TSQ1 query, or does not validate, or
+// whose scores overflow, gets 400; one over maxQueryBody 413.
 func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
 	var req queryRequest
@@ -152,18 +138,10 @@ func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 		if stamp = t.GlobalStamp(); stamp != req.Stamp {
 			return
 		}
-		var st core.QueryStats
 		var search *core.Search
-		search, err = t.NewSearchWith(q, core.SearchOptions{Gmax: &req.Gmax, Stats: &st, Ctx: r.Context()})
+		search, err = t.NewSearchWith(q, core.SearchOptions{Gmax: &req.Gmax, Stats: &resp.Stats, Ctx: r.Context()})
 		if err == nil {
-			resp.Candidates, err = topKWithTies(search, q.K)
-		}
-		resp.Stats = searchStats{
-			Internal:    st.InternalAccesses,
-			Leaf:        st.LeafAccesses,
-			TIAReads:    st.TIAAccesses,
-			TIAPhysical: st.TIAPhysical,
-			Scored:      st.Scored,
+			resp.Candidates, err = search.TopK(q.K)
 		}
 	})
 	if stamp != req.Stamp {
@@ -190,30 +168,4 @@ func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b) // the status is out: a failed write has no one to tell
-}
-
-// topKWithTies pops the search's first k results and then every further
-// result whose score equals the kth. Past k it stops as soon as the best
-// frontier bound exceeds the kth score, so the ties cost no expansion the
-// answer does not need.
-func topKWithTies(s *core.Search, k int) ([]candidate, error) {
-	var out []candidate
-	for {
-		if len(out) >= k {
-			if el, ok := s.Peek(); !ok || el.Score > out[k-1].Score {
-				return out, nil
-			}
-		}
-		res, err := s.Next()
-		if err != nil {
-			return nil, err
-		}
-		if res == nil || (len(out) >= k && res.Score > out[k-1].Score) {
-			return out, nil
-		}
-		out = append(out, candidate{
-			POI: res.POI.ID, X: res.POI.X, Y: res.POI.Y,
-			Score: res.Score, S0: res.S0, S1: res.S1, Agg: res.Agg,
-		})
-	}
 }

@@ -11,7 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -180,9 +180,8 @@ func buildFleet(t testing.TB, d *lbsn.Dataset, m *Map, opts lbsn.BuildOptions, f
 	return urls, views
 }
 
-// identical requires exact answer identity: the same POI ids with
-// bit-identical scores and aggregates, canonicalized by (score, id) so a
-// measure-zero tie cannot order-flake the comparison.
+// identical requires exact answer identity: the same POI ids in the same
+// order, with bit-identical scores and aggregates.
 func identical(t *testing.T, tag string, want, got []core.Result) {
 	t.Helper()
 	if d := diff(want, got); d != "" {
@@ -196,26 +195,16 @@ func diff(want, got []core.Result) string {
 	if len(want) != len(got) {
 		return fmt.Sprintf("result count %d, want %d", len(got), len(want))
 	}
-	canon := func(rs []core.Result) []core.Result {
-		out := append([]core.Result(nil), rs...)
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Score != out[j].Score {
-				return out[i].Score < out[j].Score
-			}
-			return out[i].POI.ID < out[j].POI.ID
-		})
-		return out
-	}
-	a, b := canon(want), canon(got)
-	for i := range a {
-		if a[i].POI.ID != b[i].POI.ID {
-			return fmt.Sprintf("rank %d: POI %d, want %d", i, b[i].POI.ID, a[i].POI.ID)
+	for i, w := range want {
+		g := got[i]
+		if g.POI.ID != w.POI.ID {
+			return fmt.Sprintf("rank %d: POI %d, want %d", i, g.POI.ID, w.POI.ID)
 		}
-		if math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
-			return fmt.Sprintf("rank %d (POI %d): score %v, want %v", i, a[i].POI.ID, b[i].Score, a[i].Score)
+		if math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+			return fmt.Sprintf("rank %d (POI %d): score %v, want %v", i, w.POI.ID, g.Score, w.Score)
 		}
-		if a[i].Agg != b[i].Agg {
-			return fmt.Sprintf("rank %d (POI %d): agg %d, want %d", i, a[i].POI.ID, b[i].Agg, a[i].Agg)
+		if g.Agg != w.Agg {
+			return fmt.Sprintf("rank %d (POI %d): agg %d, want %d", i, w.POI.ID, g.Agg, w.Agg)
 		}
 	}
 	return ""
@@ -328,8 +317,9 @@ func TestCoordinatorKilledShard(t *testing.T) {
 // query point in a power-of-two world makes the scaled distances exact, and
 // the check-in count depends on the distance alone, so every point scores
 // bit-identically with its mirror and transposed images; ids are scattered
-// so pop order among ties is not id order. For every k the coordinator must
-// return exactly the k smallest (score, id) pairs, computed by brute force.
+// so insertion order among ties is not id order. For every k the coordinator
+// must return exactly the k smallest (score, id) pairs, computed by brute
+// force, and exactly what the single node returns, tie for tie.
 func TestCoordinatorTies(t *testing.T) {
 	const start, end = 0, 64 * 7 * lbsn.Day
 	d := &lbsn.Dataset{
@@ -367,12 +357,7 @@ func TestCoordinatorTies(t *testing.T) {
 		}
 		all = append(all, r)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score < all[j].Score
-		}
-		return all[i].POI.ID < all[j].POI.ID
-	})
+	slices.SortFunc(all, core.CompareResults)
 	ties := 0
 	for i := 1; i < len(all); i++ {
 		if all[i].Score == all[i-1].Score {
@@ -388,14 +373,12 @@ func TestCoordinatorTies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		if len(got) != k {
-			t.Fatalf("k=%d: %d results", k, len(got))
+		identical(t, fmt.Sprintf("k=%d: coordinator against brute force", k), all[:k], got)
+		one, _, err := single.QueryCtx(context.Background(), q, &core.QueryOpts{NoCache: true})
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
 		}
-		for i, r := range got {
-			if r.POI.ID != all[i].POI.ID || math.Float64bits(r.Score) != math.Float64bits(all[i].Score) {
-				t.Fatalf("k=%d rank %d: POI %d score %v, want POI %d score %v", k, i, r.POI.ID, r.Score, all[i].POI.ID, all[i].Score)
-			}
-		}
+		identical(t, fmt.Sprintf("k=%d: coordinator against the single node", k), one, got)
 	}
 }
 
@@ -522,14 +505,14 @@ func TestShardQueryLeavesNothingUnfolded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rp.Candidates) < q.K {
-				t.Fatalf("%d candidates, want at least k=%d", len(rp.Candidates), q.K)
+			if want := min(q.K, tr.Len()); len(rp.Candidates) != want {
+				t.Fatalf("%d candidates, want min(k=%d, %d POIs)", len(rp.Candidates), q.K, tr.Len())
 			}
-			if rp.Stats.TIAReads == 0 {
+			if rp.Stats.TIAAccesses == 0 {
 				t.Fatal("the query read no TIA page")
 			}
-			if got := be.fac.Ledger().Stats().Sub(built).LogicalReads; got != rp.Stats.TIAReads {
-				t.Errorf("factory saw %d page reads, the reply reports %d", got, rp.Stats.TIAReads)
+			if got := be.fac.Ledger().Stats().Sub(built).LogicalReads; got != rp.Stats.TIAAccesses {
+				t.Errorf("factory saw %d page reads, the reply reports %d", got, rp.Stats.TIAAccesses)
 			}
 			if got := tia.ProbeCount(be.kind) - probes0; got != int64(rp.Stats.Scored) {
 				t.Errorf("probe counter gained %d, the reply scored %d entries", got, rp.Stats.Scored)

@@ -15,8 +15,9 @@ import (
 //
 // Query: "TSQ1", then x, y, k, α0, start, end, gmax, stamp.instance and
 // stamp.seq, 8 bytes each. Reply (200 only): "TSR1", the candidate count,
-// the five searchStats fields, then per candidate poi, x, y, score, s0, s1
-// and agg. Every other reply is the httpapi JSON envelope.
+// the QueryStats internal and leaf accesses, TIA accesses, TIA physical
+// reads and scored entries, then per candidate core.Result poi, x, y,
+// score, s0, s1 and agg. Every other reply is the httpapi JSON envelope.
 const (
 	queryMagic     = "TSQ1"
 	replyMagic     = "TSR1"
@@ -62,15 +63,16 @@ func decodeQuery(b []byte) (queryRequest, error) {
 func encodeReply(r *queryResponse) []byte {
 	b := make([]byte, 0, replyHeaderLen+candidateLen*len(r.Candidates))
 	b = append(b, replyMagic...)
+	st := &r.Stats
 	for _, v := range [...]int64{
-		int64(len(r.Candidates)), int64(r.Stats.Internal), int64(r.Stats.Leaf),
-		r.Stats.TIAReads, r.Stats.TIAPhysical, int64(r.Stats.Scored),
+		int64(len(r.Candidates)), int64(st.InternalAccesses), int64(st.LeafAccesses),
+		st.TIAAccesses, st.TIAPhysical, int64(st.Scored),
 	} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
 	for _, c := range r.Candidates {
 		for _, v := range [...]uint64{
-			uint64(c.POI), math.Float64bits(c.X), math.Float64bits(c.Y), math.Float64bits(c.Score),
+			uint64(c.POI.ID), math.Float64bits(c.POI.X), math.Float64bits(c.POI.Y), math.Float64bits(c.Score),
 			math.Float64bits(c.S0), math.Float64bits(c.S1), uint64(c.Agg),
 		} {
 			b = binary.LittleEndian.AppendUint64(b, v)
@@ -91,14 +93,14 @@ func decodeReply(b []byte) (queryResponse, error) {
 	if f(0) != int64(n) {
 		return queryResponse{}, errReplyBody
 	}
-	r := queryResponse{Candidates: make([]candidate, n), Stats: searchStats{
-		Internal: int(f(1)), Leaf: int(f(2)), TIAReads: f(3), TIAPhysical: f(4), Scored: int(f(5)),
+	r := queryResponse{Candidates: make([]core.Result, n), Stats: core.QueryStats{
+		InternalAccesses: int(f(1)), LeafAccesses: int(f(2)), TIAAccesses: f(3), TIAPhysical: f(4), Scored: int(f(5)),
 	}}
 	for i := range r.Candidates {
 		c := b[replyHeaderLen+i*candidateLen:]
 		g := func(j int) uint64 { return binary.LittleEndian.Uint64(c[8*j:]) }
-		r.Candidates[i] = candidate{
-			POI: int64(g(0)), X: math.Float64frombits(g(1)), Y: math.Float64frombits(g(2)),
+		r.Candidates[i] = core.Result{
+			POI:   core.POI{ID: int64(g(0)), X: math.Float64frombits(g(1)), Y: math.Float64frombits(g(2))},
 			Score: math.Float64frombits(g(3)), S0: math.Float64frombits(g(4)),
 			S1: math.Float64frombits(g(5)), Agg: int64(g(6)),
 		}
