@@ -203,96 +203,106 @@ type patch struct {
 	old, new int64
 }
 
-// patchEpoch is flushEpoch on a layout with columns. It walks the flat
-// layout as applyEpoch walks the pointer tree, reading each entry's current
-// aggregate from the columns, and collects the changes. If the columns
-// still apply once the flush lands — the global total stays within int32
-// and the slab within the records (fits), both decided before anything is
-// allocated — it appends the columns up to the epoch's (copies of the last)
-// and adds each change to the entry's cells from the epoch's column on:
-// O(changes × columns after it), one column for the newest epoch. Else the
-// tree falls back to records: dissolve, and the changes become Puts.
+// patchEpoch folds the epoch's counts into layout l, walking it (walk), and
+// returns the largest aggregate it leaves: 0 when no indexed POI checked
+// in, and then nothing was written. If the columns still apply once the
+// flush lands — the global total stays within int32 and the slab within
+// the records (fits), both decided before anything is allocated — it
+// appends the columns up to the epoch's (copies of the last) and adds each
+// change to the entry's cells from the epoch's column on: O(changes ×
+// columns after it), one column for the newest epoch. Else, and on a
+// layout without columns, the changes become Puts (dropCols first).
 func (t *Tree) patchEpoch(l *layout, iv tia.Interval, counts map[int64]int64) (int64, error) {
-	c := l.cols
 	k := t.opts.Epochs.Count(iv.Start) // the epoch's column
-	if k <= 0 {
+	if l.cols != nil && k <= 0 {
 		// A count that wrapped past math.MaxInt64: no column holds it.
-		t.dropCols(l)
-		return t.applyEpoch(t.rt.Root(), iv, counts)
+		l = t.dropCols(l)
 	}
 	var patches []patch
-	top := c.walk(l.ft, 0, k, counts, &patches)
+	top := l.walk(0, iv.Start, k, counts, &patches)
 	if top == 0 {
 		return 0, nil
 	}
-	records := c.records
-	for _, p := range patches {
-		if p.old == 0 {
-			records++
-		}
-	}
-	g := t.global.Records()
-	raise := top
-	if cur, ok := currentAgg(g, iv.Start); ok {
-		raise = max(0, top-cur)
-	}
-	epochs := max(int64(c.epochs()), k)
-	if !int32Total(g, raise) || !fits(epochs, records, c.n) {
-		t.dropCols(l)
+	if c := l.cols; c != nil {
+		records := c.records
 		for _, p := range patches {
-			if err := tiaOf(l.ft.Data[p.eid]).Put(tia.Record{Ts: iv.Start, Te: iv.End, Agg: p.new}); err != nil {
-				return 0, err
+			if p.old == 0 {
+				records++
 			}
 		}
-		return top, nil
-	}
-	if E := int64(c.epochs()); epochs > E {
-		c.cells = slices.Grow(c.cells, int(epochs-E)*c.n)
-		last := c.col(int(E))
-		for e := E + 1; e <= epochs; e++ {
-			c.cells = append(c.cells, last...)
-			c.spans = append(c.spans, tia.Interval{})
+		g := t.global.Records()
+		cur, _ := currentAgg(g, iv.Start)
+		raise := max(0, top-cur)
+		epochs := max(int64(c.epochs()), k)
+		if int32Total(g, raise) && fits(epochs, records, c.n) {
+			if E := int64(c.epochs()); epochs > E {
+				c.cells = slices.Grow(c.cells, int(epochs-E)*c.n)
+				last := c.col(int(E))
+				for e := E + 1; e <= epochs; e++ {
+					c.cells = append(c.cells, last...)
+					c.spans = append(c.spans, tia.Interval{})
+				}
+			}
+			c.spans[k] = iv
+			c.records = records
+			for _, p := range patches {
+				d := int32(p.new - p.old)
+				for i := int(k)*c.n + int(p.eid); i < len(c.cells); i += c.n {
+					c.cells[i] += d
+				}
+			}
+			return top, nil
 		}
+		l = t.dropCols(l)
 	}
-	c.spans[k] = iv
-	c.records = records
 	for _, p := range patches {
-		d := int32(p.new - p.old)
-		for i := int(k)*c.n + int(p.eid); i < len(c.cells); i += c.n {
-			c.cells[i] += d
+		if err := tiaOf(l.ft.Data[p.eid]).Put(tia.Record{Ts: iv.Start, Te: iv.End, Agg: p.new}); err != nil {
+			return 0, err
 		}
 	}
 	return top, nil
 }
 
 // dropCols turns l's columns off: the entries get their records back, and
-// the tree publishes l's flat tree alone, whose probes fold them.
-func (t *Tree) dropCols(l *layout) {
+// the tree publishes, and returns, l's flat tree alone, whose probes fold
+// them.
+func (t *Tree) dropCols(l *layout) *layout {
 	t.dissolve(l)
 	t.flat.Store(&layout{ft: l.ft})
+	return t.flat.Load()
 }
 
-// walk collects into patches the changes a flush of the epoch with column
-// k makes to the entries of node id and below, and returns the largest
-// aggregate it leaves among them (0 when no indexed POI checked in): a leaf
-// entry adds its POI's count, an internal entry takes the maximum of its
-// own and its child's.
-func (c *columns) walk(ft *rstar.FlatTree, id int32, k int64, counts map[int64]int64, patches *[]patch) int64 {
+// walk collects into patches the changes a flush of the epoch starting at
+// ts, column k, makes to the entries of node id and below, reading each
+// entry's current aggregate from the columns, else from its TIA's records,
+// and returns the largest aggregate it leaves among them (0 when no
+// indexed POI checked in). An epoch may already hold data — a POI inserted
+// with history can take further check-ins in it — so a leaf entry adds its
+// POI's count and an internal entry takes the maximum of its own and its
+// child's; an entry whose value does not change gets no patch.
+func (l *layout) walk(id int32, ts, k int64, counts map[int64]int64, patches *[]patch) int64 {
+	ft := l.ft
 	n := ft.Nodes[id]
 	var top int64
 	for eid := n.Start; eid < n.Start+n.Count; eid++ {
-		cur := c.at(eid, k)
-		var eff int64
-		if child := ft.Children[eid]; child < 0 {
-			delta := counts[ft.Items[eid]]
-			if delta == 0 {
-				continue
-			}
-			eff = cur + delta
+		child := ft.Children[eid]
+		var eff, cur int64
+		if child < 0 {
+			eff = counts[ft.Items[eid]]
 		} else {
-			if eff = c.walk(ft, child, k, counts, patches); eff == 0 {
-				continue
-			}
+			eff = l.walk(child, ts, k, counts, patches)
+		}
+		if eff == 0 {
+			continue
+		}
+		if l.cols != nil {
+			cur = l.cols.at(eid, k)
+		} else {
+			cur, _ = currentAgg(tiaOf(ft.Data[eid]).Records(), ts)
+		}
+		if child < 0 {
+			eff += cur
+		} else {
 			eff = max(eff, cur)
 		}
 		if eff != cur {

@@ -221,12 +221,12 @@ func (q Query) Validate() error {
 }
 
 // tiaOf returns the TIA an entry's Data holds. The augmentation attached to
-// every TAR-tree entry (rstar.Entry.Data, and the Data slab of the compiled
-// layout) is the entry's TIA itself: the pointer the factory returned, which
-// a query probes and whose Records ingest, grouping, rebuilds and snapshots
-// read. A leaf entry's index is its POI's — the registry keeps it across
-// tree restructuring, DeletePOI destroys it; an internal entry's is made by
-// treeAug and destroyed with the entry.
+// every TAR-tree entry (the layout's Data slab, and rstar.Entry.Data of a
+// pointer tree thawed from it) is the entry's TIA itself: the pointer the
+// factory returned, whose Records ingest, grouping, rebuilds and snapshots
+// read where no columns hold them. A leaf entry's index is its POI's — the
+// registry keeps it across tree restructuring, DeletePOI destroys it; an
+// internal entry's is made by treeAug and destroyed with the entry.
 func tiaOf(data any) *tia.Index { return data.(*tia.Index) }
 
 // idSeq issues process-unique tree identities.
@@ -234,12 +234,11 @@ var idSeq atomic.Uint64
 
 // poiState is the per-POI registry record.
 type poiState struct {
-	poi    POI
-	loc    geo.Vector // scaled spatial coordinates
-	data   *tia.Index
-	z      float64 // aggregate-dimension coordinate at insertion time
-	total  int64   // lifetime aggregate
-	inTree bool
+	poi   POI
+	loc   geo.Vector // scaled spatial coordinates
+	data  *tia.Index
+	z     float64 // aggregate-dimension coordinate at insertion time
+	total int64   // lifetime aggregate
 	// eid is the POI's leaf entry in the compiled layout while its columns
 	// hold the POI's records (newLayout); stale otherwise.
 	eid int32
@@ -247,8 +246,12 @@ type poiState struct {
 
 // Tree is a TAR-tree.
 type Tree struct {
-	id            uint64 // process-unique, part of result-cache keys
-	opts          Options
+	id   uint64 // process-unique, part of result-cache keys
+	opts Options
+	// rt is the pointer R*-tree, the mutable build structure: present
+	// between a structural mutation and the next compile, nil while flat
+	// holds the layout (see Freeze). Exactly one of the two is set. Only
+	// code holding compileMu or the tree's write lock touches it.
 	rt            *rstar.Tree
 	dims          int
 	scale         float64 // world → index coordinate scale (uniform, so distances scale too)
@@ -270,9 +273,9 @@ type Tree struct {
 	clock   int64                            // latest time observed
 	pending map[tia.Interval]map[int64]int64 // epoch → poi → count
 
-	// flat is the compilation of rt every search reads (see Freeze); nil
-	// after a structural mutation until the next search compiles it again,
-	// under compileMu.
+	// flat is the layout every search reads (see Freeze); nil after a
+	// structural mutation until the next search or flush compiles it from
+	// rt, under compileMu.
 	flat      atomic.Pointer[layout]
 	compileMu sync.Mutex
 
@@ -315,8 +318,7 @@ func NewTree(opts Options) (*Tree, error) {
 }
 
 // rstarConfig builds the R-tree configuration the tree's options imply;
-// NewTree, Rebuild and the snapshot-v3 loader (which thaws a frozen layout
-// into a pointer tree) must agree on it.
+// NewTree, both rebuilds and every thaw of the compiled layout agree on it.
 func (t *Tree) rstarConfig() rstar.Config {
 	var strat rstar.Strategy
 	if t.opts.Grouping == IndAgg {
@@ -337,18 +339,20 @@ func (t *Tree) Options() Options { return t.opts }
 // Grouping returns the entry-grouping strategy in use.
 func (t *Tree) Grouping() Grouping { return t.opts.Grouping }
 
-// Len returns the number of indexed POIs.
-func (t *Tree) Len() int { return t.rt.Len() }
+// Len returns the number of indexed POIs, read from the compiled layout.
+func (t *Tree) Len() int { return t.compiled().ft.Count }
 
-// Height returns the R-tree height.
-func (t *Tree) Height() int { return t.rt.Height() }
+// Height returns the R-tree height, read from the compiled layout.
+func (t *Tree) Height() int { return t.compiled().ft.Height }
 
-// NodeCount returns the number of leaf and internal R-tree nodes.
-func (t *Tree) NodeCount() (leaves, internals int) { return t.rt.NodeCount() }
+// NodeCount returns the number of leaf and internal R-tree nodes, read
+// from the compiled layout.
+func (t *Tree) NodeCount() (leaves, internals int) { return t.compiled().ft.NodeCount() }
 
-// Root exposes the underlying R-tree root so query processors (best-first
-// search, BBS skyline, collective batches) can traverse and count accesses.
-func (t *Tree) Root() *rstar.Node { return t.rt.Root() }
+// Root returns the root of a pointer R*-tree thawed from the compiled
+// layout, for callers that walk the structure; the tree keeps none, and no
+// search reads it. Its entries share the layout's TIAs.
+func (t *Tree) Root() *rstar.Node { return t.thaw(t.compiled().ft).Root() }
 
 // Dims returns the index dimensionality (2 or 3).
 func (t *Tree) Dims() int { return t.dims }
@@ -492,7 +496,6 @@ func (t *Tree) InsertPOI(p POI, history []tia.Record) error {
 	}
 	st.z = t.zCoord(lambda)
 	t.pois[p.ID] = st
-	st.inTree = true
 	t.invalidateCache()
 	t.Unfreeze()
 	return t.rt.Insert(rstar.Entry{
@@ -686,11 +689,7 @@ func (t *Tree) RebuildBulk() error {
 	// Map iteration is randomized; sort so rebuilds (and the snapshots
 	// written from them) are deterministic for a given POI set.
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Item < entries[j].Item })
-	rt, err := rstar.BulkLoad(rstar.Config{
-		Dims:     t.dims,
-		Capacity: CapacityFor(t.opts.NodeSize, t.dims),
-		Aug:      &treeAug{t: t},
-	}, entries)
+	rt, err := rstar.BulkLoad(t.rstarConfig(), entries)
 	if err != nil {
 		return err
 	}
@@ -718,55 +717,50 @@ func (t *Tree) refreshGlobals() error {
 	return err
 }
 
-// Check validates the R-tree invariants plus the TAR-tree augmentation
+// Check validates the R-tree invariants, on a pointer tree thawed from the
+// compiled layout and then thrown away, plus the TAR-tree augmentation
 // invariant: every internal entry's TIA dominates (per epoch) the TIAs of
 // the entries in its child node, and the global TIA every POI's. Records
-// are read where they live: the columns, when the layout has them. Intended
-// for tests.
+// are read where they live: the columns, when the layout has them, else
+// the entries' TIAs. Intended for tests.
 func (t *Tree) Check() error {
-	if err := t.rt.Check(); err != nil {
+	l := t.compiled()
+	ft := l.ft
+	if err := t.thaw(ft).Check(); err != nil {
 		return err
 	}
-	recs := func(d *tia.Index) []tia.Record { return d.Records() }
-	if c := t.liveCols(); c != nil {
-		eids := make(map[*tia.Index]int32)
-		for eid, d := range t.compiled().ft.Data {
-			eids[tiaOf(d)] = int32(eid)
-		}
-		recs = func(d *tia.Index) []tia.Record { return c.derive(nil, eids[d]) }
+	recs := func(eid int32) []tia.Record { return tiaOf(ft.Data[eid]).Records() }
+	if l.cols != nil {
+		recs = func(eid int32) []tia.Record { return l.cols.derive(nil, eid) }
 	}
-	var walk func(n *rstar.Node) error
-	walk = func(n *rstar.Node) error {
-		for _, e := range n.Entries {
-			if e.Child == nil {
+	g := t.global.Records()
+	var walk func(id int32) error
+	walk = func(id int32) error {
+		n := ft.Nodes[id]
+		for eid := n.Start; eid < n.Start+n.Count; eid++ {
+			child := ft.Children[eid]
+			if child < 0 { // a POI: the global maxima must dominate it
+				for _, r := range recs(eid) {
+					if got, ok := currentAgg(g, r.Ts); !ok || got < r.Agg {
+						return fmt.Errorf("core: global TIA does not dominate POI %d at epoch %d (%d < %d)", ft.Items[eid], r.Ts, got, r.Agg)
+					}
+				}
 				continue
 			}
-			parent := recs(tiaOf(e.Data))
-			for _, c := range e.Child.Entries {
-				for _, r := range recs(tiaOf(c.Data)) {
-					got, ok := currentAgg(parent, r.Ts)
-					if !ok || got < r.Agg {
+			parent := recs(eid)
+			cn := ft.Nodes[child]
+			for ce := cn.Start; ce < cn.Start+cn.Count; ce++ {
+				for _, r := range recs(ce) {
+					if got, ok := currentAgg(parent, r.Ts); !ok || got < r.Agg {
 						return fmt.Errorf("core: internal TIA does not dominate child at epoch %d (%d < %d)", r.Ts, got, r.Agg)
 					}
 				}
 			}
-			if err := walk(e.Child); err != nil {
+			if err := walk(child); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(t.rt.Root()); err != nil {
-		return err
-	}
-	// The global maxima must dominate every POI's per-epoch aggregates.
-	for id, st := range t.pois {
-		for _, r := range recs(st.data) {
-			got, ok := currentAgg(t.global.Records(), r.Ts)
-			if !ok || got < r.Agg {
-				return fmt.Errorf("core: global TIA does not dominate POI %d at epoch %d (%d < %d)", id, r.Ts, got, r.Agg)
-			}
-		}
-	}
-	return nil
+	return walk(0)
 }

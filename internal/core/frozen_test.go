@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -183,6 +184,9 @@ func TestFreezeLifecycle(t *testing.T) {
 	if !tr.Frozen() {
 		t.Fatal("the first search did not install the layout it compiled")
 	}
+	if tr.rt != nil {
+		t.Fatal("the compile kept the pointer tree")
+	}
 	f := tr.Freeze()
 	if tr.Freeze() != f {
 		t.Fatal("Freeze recompiled a compiled tree")
@@ -221,6 +225,88 @@ func TestFreezeLifecycle(t *testing.T) {
 		if !tr.Frozen() || tr.Freeze() == f {
 			t.Fatalf("the search after %s did not compile a fresh layout", m.name)
 		}
+		if tr.rt != nil {
+			t.Fatalf("the compile after %s kept the pointer tree", m.name)
+		}
+	}
+}
+
+// TestServingTreeHoldsNoPointerTree: a serving tree holds the flat layout
+// alone — after a build and its compile, after a flush, with the columns
+// and without them (a FuncMax tree, a paged factory), and after a v3 load —
+// while a structural mutation thaws the pointer tree back from the layout,
+// and the search after it answers as the scan does.
+func TestServingTreeHoldsNoPointerTree(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts func() Options
+		cols bool
+	}{
+		{"columns", func() Options { return explainTreeOpts(TAR3D, nil) }, true},
+		{"FuncMax", func() Options {
+			o := explainTreeOpts(TAR3D, nil)
+			o.AggFunc = tia.FuncMax
+			return o
+		}, false},
+		{"btree", func() Options { return explainTreeOpts(TAR3D, tia.NewBTreeFactory(256, 10)) }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			serving := func(stage string, tr *Tree) {
+				t.Helper()
+				if tr.rt != nil {
+					t.Fatalf("%s: the serving tree holds a pointer R*-tree", stage)
+				}
+				if l := tr.flat.Load(); l == nil || (l.cols != nil) != c.cols {
+					t.Fatalf("%s: layout %v, want one with columns %v", stage, l, c.cols)
+				}
+			}
+			tr := buildAccountingTreeOpts(t, c.opts())
+			tr.Freeze()
+			serving("build + Freeze", tr)
+			for i := int64(0); i < 60; i++ {
+				if err := tr.AddCheckIn(1+i*7%400, 600+i%150); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			serving("flush", tr)
+
+			var image bytes.Buffer
+			if err := tr.SaveSnapshot(&image); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadSnapshot(&image, c.opts().TIA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serving("v3 load", loaded)
+
+			q := Query{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 800}, K: 15, Alpha0: 0.5}
+			for _, m := range []struct {
+				name   string
+				mutate func() error
+			}{
+				{"InsertPOI", func() error {
+					return loaded.InsertPOI(POI{ID: 9001, X: q.X, Y: q.Y}, []tia.Record{{Ts: 100, Te: 200, Agg: 1000}})
+				}},
+				{"DeletePOI", func() error { _, err := loaded.DeletePOI(9001); return err }},
+			} {
+				if err := m.mutate(); err != nil {
+					t.Fatal(err)
+				}
+				if loaded.rt == nil || loaded.Frozen() {
+					t.Fatalf("%s did not thaw the pointer tree and drop the layout", m.name)
+				}
+				got, _, err := loaded.QueryCtx(context.Background(), q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstScan(t, loaded, q, got)
+				serving("the search after "+m.name, loaded)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"tartree/internal/rstar"
 	"tartree/internal/tia"
 )
 
@@ -57,9 +56,10 @@ func (t *Tree) PendingCheckIns() int64 {
 }
 
 // FlushEpochs closes every epoch that ends at or before now, folding its
-// buffered check-ins into the tree: one top-down traversal per epoch that
-// appends the POI's aggregate to each leaf TIA and the running maximum to
-// each internal TIA, touching only subtrees that contain a non-zero POI.
+// buffered check-ins into the tree: one top-down traversal of the compiled
+// layout per epoch (patchEpoch) that adds the POI's aggregate to each leaf
+// entry and the running maximum to each internal entry, touching only
+// subtrees that contain a non-zero POI.
 func (t *Tree) FlushEpochs(now int64) error {
 	t.observe(now)
 	var epochs []tia.Interval
@@ -109,13 +109,7 @@ func (t *Tree) flushEpoch(iv tia.Interval, counts map[int64]int64) error {
 		return nil
 	}
 	t.invalidateCache()
-	var max int64
-	var err error
-	if l := t.flat.Load(); l != nil && l.cols != nil {
-		max, err = t.patchEpoch(l, iv, counts)
-	} else {
-		max, err = t.applyEpoch(t.rt.Root(), iv, counts)
-	}
+	max, err := t.patchEpoch(t.compiled(), iv, counts)
 	if err != nil {
 		return err
 	}
@@ -139,48 +133,6 @@ func (t *Tree) flushEpoch(iv tia.Interval, counts map[int64]int64) error {
 		}
 	}
 	return nil
-}
-
-// applyEpoch recursively folds the epoch's aggregates into the subtree and
-// returns the largest updated aggregate inside it (0 when no indexed POI
-// checked in, in which case nothing was written). An epoch may already
-// hold data — a POI inserted with history can receive further check-ins in
-// the same epoch — so leaf records accumulate and internal records take the
-// maximum with the existing value.
-func (t *Tree) applyEpoch(n *rstar.Node, iv tia.Interval, counts map[int64]int64) (int64, error) {
-	var max int64
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		d := tiaOf(e.Data)
-		var eff int64
-		if e.Child == nil {
-			delta := counts[int64(e.Item)]
-			if delta == 0 {
-				continue
-			}
-			cur, _ := currentAgg(d.Records(), iv.Start)
-			eff = cur + delta
-		} else {
-			childEff, err := t.applyEpoch(e.Child, iv, counts)
-			if err != nil {
-				return 0, err
-			}
-			if childEff == 0 {
-				continue
-			}
-			eff = childEff
-			if cur, _ := currentAgg(d.Records(), iv.Start); cur > eff {
-				eff = cur
-			}
-		}
-		if err := d.Put(tia.Record{Ts: iv.Start, Te: iv.End, Agg: eff}); err != nil {
-			return 0, err
-		}
-		if eff > max {
-			max = eff
-		}
-	}
-	return max, nil
 }
 
 // Aggregate returns the temporal aggregate of one POI over iv, read from

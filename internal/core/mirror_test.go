@@ -108,14 +108,12 @@ func testMirrorIsTheIndex(t *testing.T, g Grouping, factory func() tia.Factory) 
 			shadowed(stage, "a POI's index", tr.pois[id].data)
 		}
 		shadowed(stage, "the global index", tr.global)
-		tr.rt.VisitNodes(func(n *rstar.Node) bool {
-			for _, e := range n.Entries {
-				if e.Child != nil {
-					shadowed(stage, "an internal entry's index", tiaOf(e.Data))
-				}
+		ft := tr.Freeze()
+		for eid, child := range ft.Children {
+			if child >= 0 {
+				shadowed(stage, "an internal entry's index", tiaOf(ft.Data[eid]))
 			}
-			return true
-		})
+		}
 	}
 	check(tr, "build")
 
@@ -168,8 +166,8 @@ func testMirrorIsTheIndex(t *testing.T, g Grouping, factory func() tia.Factory) 
 // TestSnapshotV3LoadHoldsRecordsOnce: loading a v3 image on the default
 // factory keeps each TIA's records once — the decoded slice as the index's
 // storage, or the columns the loader compiles from it, which release it —
-// so the loaded tree's heap stays within 1.3× what holds the records plus
-// the R*-tree.
+// and builds no pointer R*-tree, so the loaded tree's heap stays within
+// 1.3× what holds the records plus the flat layout's slabs.
 func TestSnapshotV3LoadHoldsRecordsOnce(t *testing.T) {
 	opts := defaultOpts(TAR3D)
 	tr := mustTree(t, opts)
@@ -208,26 +206,20 @@ func TestSnapshotV3LoadHoldsRecordsOnce(t *testing.T) {
 	for _, st := range loaded.pois {
 		count(st.data)
 	}
-	// The R*-tree's own share: node structs and entry arrays, and the
-	// compiled layout's slabs.
-	var treeBytes int64
-	loaded.rt.VisitNodes(func(n *rstar.Node) bool {
-		treeBytes += int64(unsafe.Sizeof(*n)) + int64(cap(n.Entries))*int64(unsafe.Sizeof(rstar.Entry{}))
-		for _, e := range n.Entries {
-			if e.Child != nil {
-				count(tiaOf(e.Data))
-			}
+	l := loaded.compiled()
+	flat := l.ft
+	for eid, child := range flat.Children {
+		if child >= 0 {
+			count(tiaOf(flat.Data[eid]))
 		}
-		return true
-	})
+	}
 	// Where the columns hold the entries' records, their slab is the
 	// records' share.
-	l := loaded.compiled()
 	if c := l.cols; c != nil {
 		recBytes += int64(cap(c.cells))*4 + int64(cap(c.spans))*int64(unsafe.Sizeof(tia.Interval{}))
 	}
-	flat := l.ft
-	treeBytes += int64(unsafe.Sizeof(*flat)) +
+	// The tree's own share: the layout's slabs.
+	treeBytes := int64(unsafe.Sizeof(*flat)) +
 		int64(cap(flat.Nodes))*int64(unsafe.Sizeof(rstar.FlatNode{})) +
 		int64(cap(flat.Rects))*int64(unsafe.Sizeof(geo.Rect{})) +
 		int64(cap(flat.Children))*4 + int64(cap(flat.Items))*8 +
@@ -235,7 +227,7 @@ func TestSnapshotV3LoadHoldsRecordsOnce(t *testing.T) {
 	bound := recBytes*13/10 + treeBytes
 	t.Logf("heap grew %d B loading %d B of records (bound %d B)", grown, recBytes, bound)
 	if grown > bound {
-		t.Errorf("heap grew %d B, more than 1.3 × %d B of records + the R*-tree (%d B): records are held more than once",
+		t.Errorf("heap grew %d B, more than 1.3 × %d B of records + the flat layout (%d B): records or the tree are held more than once",
 			grown, recBytes, bound)
 	}
 	runtime.KeepAlive(loaded)

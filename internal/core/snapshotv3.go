@@ -324,9 +324,9 @@ func LoadSnapshotObserved(r io.Reader, factory tia.Factory, metrics *obs.Registr
 }
 
 // loadSnapshotV3 decodes a v3 image. It builds the rstar.FlatTree straight
-// from the NODE/ENTR sections, thaws it into the pointer tree, and installs
-// it as the frozen layout — no per-POI inserts, no bulk rebuild, for every
-// grouping including IND-agg.
+// from the NODE/ENTR sections, validates it, and installs it as the
+// serving layout — no per-POI inserts, no bulk rebuild and no pointer
+// tree, for every grouping including IND-agg.
 func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache *aggcache.Cache) (*Tree, error) {
 	if !bytes.HasPrefix(b, snapshotV3Magic[:]) {
 		return nil, fmt.Errorf("core: not a snapshot-v3 image")
@@ -526,12 +526,11 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 			return nil, err
 		}
 		t.pois[id] = &poiState{
-			poi:    POI{ID: id, X: x, Y: y},
-			loc:    t.scaled(x, y),
-			data:   data,
-			z:      z,
-			total:  total,
-			inTree: true,
+			poi:   POI{ID: id, X: x, Y: y},
+			loc:   t.scaled(x, y),
+			data:  data,
+			z:     z,
+			total: total,
 		}
 	}
 
@@ -659,14 +658,13 @@ func loadSnapshotV3(b []byte, factory tia.Factory, metrics *obs.Registry, cache 
 		return nil, fmt.Errorf("core: snapshot has %d trailing bytes", len(c.b)-c.off)
 	}
 
-	// Thaw validates the structure (bounds, cycles, aliasing, level skew)
-	// and restores the pointer tree; the flat form itself becomes the
-	// installed frozen layout.
-	rt, err := f.Thaw(t.rstarConfig())
-	if err != nil {
+	// The flat form itself becomes the installed layout once Validate
+	// accepts its structure (bounds, cycles, aliasing, level skew); no
+	// pointer tree is built until a structural mutation thaws one.
+	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	t.rt = rt
 	t.flat.Store(t.newLayout(f)) // with its columns: the first search compiles nothing
+	t.rt = nil
 	return t, nil
 }

@@ -76,8 +76,9 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 					t.Fatalf("trial %d: answers differ after v3 round trip", trial)
 				}
 			}
-			// The layout read from the image is the one recompiling the
-			// thawed pointer tree produces: same answers, same work.
+			// The layout read from the image is the one that recompiling
+			// it produces — Unfreeze thaws the pointer tree from it, the
+			// next search compiles that again: same answers, same work.
 			run := func() ([][]Result, []QueryStats) {
 				var res [][]Result
 				var stats []QueryStats
@@ -92,6 +93,9 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 			}
 			restored, restoredWork := run()
 			got.Unfreeze()
+			if got.rt == nil || got.Frozen() {
+				t.Fatal("Unfreeze after a v3 load did not thaw the pointer tree")
+			}
 			recompiled, recompiledWork := run()
 			for i := range queries {
 				if !reflect.DeepEqual(restored[i], recompiled[i]) {

@@ -115,17 +115,14 @@ func ParseTraceparent(s string) (SpanContext, error) {
 	if len(parts[0]) != 2 || parts[0] == "ff" {
 		return sc, fmt.Errorf("obs: traceparent version %q invalid", parts[0])
 	}
-	if _, err := hex.Decode(sc.TraceID[:], []byte(parts[1])); err != nil || len(parts[1]) != 32 {
+	if !decodeHex(sc.TraceID[:], parts[1]) {
 		return sc, fmt.Errorf("obs: traceparent trace-id %q invalid", parts[1])
 	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(parts[2])); err != nil || len(parts[2]) != 16 {
+	if !decodeHex(sc.SpanID[:], parts[2]) {
 		return sc, fmt.Errorf("obs: traceparent parent-id %q invalid", parts[2])
 	}
-	if len(parts[3]) != 2 {
-		return sc, fmt.Errorf("obs: traceparent flags %q invalid", parts[3])
-	}
 	var flags [1]byte
-	if _, err := hex.Decode(flags[:], []byte(parts[3])); err != nil {
+	if !decodeHex(flags[:], parts[3]) {
 		return sc, fmt.Errorf("obs: traceparent flags %q invalid", parts[3])
 	}
 	sc.Sampled = flags[0]&1 == 1
@@ -133,6 +130,16 @@ func ParseTraceparent(s string) (SpanContext, error) {
 		return sc, fmt.Errorf("obs: traceparent %q has zero ids", s)
 	}
 	return sc, nil
+}
+
+// decodeHex decodes the hex field s into dst, which it must fill exactly;
+// the length is checked first, since hex.Decode writes past a short dst.
+func decodeHex(dst []byte, s string) bool {
+	if len(s) != 2*len(dst) {
+		return false
+	}
+	_, err := hex.Decode(dst, []byte(s))
+	return err == nil
 }
 
 // Attr is one key/value annotation on a span. Values are kept as given and

@@ -61,6 +61,37 @@ func TestParseTraceparentRejects(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceparent: every request may carry a traceparent header, so
+// the parser must refuse any string without panicking, and a value it
+// accepts must survive Traceparent: rendering the parsed context and
+// parsing that again gives the same context.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		" 01-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-03-extra ",
+		"00-abc-def-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an invalid context %+v", s, sc)
+		}
+		hdr := sc.Traceparent()
+		back, err := ParseTraceparent(hdr)
+		if err != nil || back != sc {
+			t.Fatalf("ParseTraceparent(%q) = %+v renders %q, which parses to %+v, %v", s, sc, hdr, back, err)
+		}
+	})
+}
+
 func TestSpanTreeStructure(t *testing.T) {
 	sink := NewTraceRing(4)
 	root := StartTrace("request", SpanContext{}, sink)

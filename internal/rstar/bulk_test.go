@@ -124,8 +124,8 @@ func TestBulkLoadPacksTighter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl, bi := bulk.NodeCount()
-	il, ii := inc.NodeCount()
+	bl, bi := bulk.Freeze().NodeCount()
+	il, ii := inc.Freeze().NodeCount()
 	if bl+bi >= il+ii {
 		t.Errorf("bulk %d nodes >= incremental %d", bl+bi, il+ii)
 	}

@@ -22,11 +22,11 @@ type FlatNode struct {
 // graph proportional to the POI count, node expansion reads contiguous
 // memory, and the layout maps 1:1 onto the snapshot-v3 on-disk sections.
 //
-// A FlatTree is immutable: mutation goes through the pointer Tree it was
-// compiled from (or a Thaw of it) followed by a re-Freeze. Child node ids
-// are always greater than their parent's id (the compiler emits parents
-// first), which Thaw exploits to reject cyclic or aliased structures
-// decoded from untrusted snapshots.
+// A FlatTree is immutable: mutation goes through a pointer Tree (the one
+// it was compiled from, or a Thaw of it) followed by a re-Freeze. Child
+// node ids are always greater than their parent's id (the compiler emits
+// parents first), which Validate exploits to reject cyclic or aliased
+// structures decoded from untrusted snapshots.
 type FlatTree struct {
 	Dims   int
 	Height int // number of levels; 1 = the root is a leaf
@@ -42,11 +42,10 @@ type FlatTree struct {
 }
 
 // Freeze compiles the tree into its frozen flat form. The tree is only
-// read; the result shares the per-entry Data handles (the TAR-tree's TIAs
-// keep receiving check-in flushes through the pointer tree, and the frozen
-// entries observe the same aggregates), while rectangles are copied by
-// value. Node 0 is the root; a node's children appear in its entries'
-// order.
+// read; the result shares the per-entry Data handles (the TAR-tree's TIAs,
+// which check-in flushes then reach through the Data slab), while
+// rectangles are copied by value. Node 0 is the root; a node's children
+// appear in its entries' order.
 func (t *Tree) Freeze() *FlatTree {
 	nodes, entries := 0, 0
 	t.VisitNodes(func(n *Node) bool {
@@ -89,74 +88,105 @@ func (t *Tree) Freeze() *FlatTree {
 // Root returns the root node (node 0).
 func (f *FlatTree) Root() FlatNode { return f.Nodes[0] }
 
+// NodeCount returns the number of nodes, split into leaves and internals.
+func (f *FlatTree) NodeCount() (leaves, internals int) {
+	for _, n := range f.Nodes {
+		if n.Level == 0 {
+			leaves++
+		} else {
+			internals++
+		}
+	}
+	return leaves, internals
+}
+
+// Validate reports whether f is a structure Thaw can rebuild, walking it
+// from the root: the entry slabs agree on length, every entry range is in
+// bounds, child ids strictly increase (the Freeze compiler's parents-first
+// order, which rules out cycles), no node is referenced twice, child
+// entries sit only in internal nodes and leaf entries only in leaves,
+// child levels descend by one, and the root's level is Height−1. A
+// FlatTree decoded from a corrupted snapshot produces an error, never a
+// panic or runaway recursion.
+func (f *FlatTree) Validate() error {
+	if len(f.Nodes) == 0 {
+		return fmt.Errorf("rstar: frozen tree has no nodes")
+	}
+	ne := len(f.Rects)
+	if len(f.Children) != ne || len(f.Items) != ne || len(f.Data) != ne {
+		return fmt.Errorf("rstar: frozen entry slabs disagree on length")
+	}
+	seen := make([]bool, len(f.Nodes))
+	var walk func(id int32) error
+	walk = func(id int32) error {
+		fn := f.Nodes[id]
+		if seen[id] {
+			return fmt.Errorf("rstar: frozen node %d referenced twice", id)
+		}
+		seen[id] = true
+		if fn.Count < 0 || fn.Start < 0 || int(fn.Start)+int(fn.Count) > ne {
+			return fmt.Errorf("rstar: frozen node %d entries [%d,%d) out of bounds", id, fn.Start, fn.Start+fn.Count)
+		}
+		for ei := fn.Start; ei < fn.Start+fn.Count; ei++ {
+			cid := f.Children[ei]
+			if cid < 0 {
+				if fn.Level > 0 {
+					return fmt.Errorf("rstar: frozen internal node %d has leaf entry", id)
+				}
+				continue
+			}
+			if fn.Level == 0 {
+				return fmt.Errorf("rstar: frozen leaf node %d has child entry", id)
+			}
+			if cid <= id || int(cid) >= len(f.Nodes) {
+				return fmt.Errorf("rstar: frozen node %d child id %d out of order", id, cid)
+			}
+			if f.Nodes[cid].Level != fn.Level-1 {
+				return fmt.Errorf("rstar: frozen child level %d under level %d", f.Nodes[cid].Level, fn.Level)
+			}
+			if err := walk(cid); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(0); err != nil {
+		return err
+	}
+	if root := int(f.Nodes[0].Level); root != f.Height-1 {
+		return fmt.Errorf("rstar: frozen root level %d != height-1 %d", root, f.Height-1)
+	}
+	return nil
+}
+
 // Thaw reconstructs a mutable pointer tree from the frozen form, restoring
-// Parent pointers and slot caches. cfg must be the configuration the
-// original tree was built with (dims, capacity, strategy, augmenter).
-//
-// Thaw validates the structure as it walks — entry ranges in bounds, child
-// ids strictly increasing (the Freeze compiler's parents-first order, which
-// rules out cycles), each node referenced at most once, child levels
-// descending by one — so a FlatTree decoded from a corrupted snapshot
-// produces an error, never a panic or runaway recursion.
+// Parent pointers and slot caches, once Validate accepts it. The entries
+// share f's Data handles. cfg must be the configuration the original tree
+// was built with (dims, capacity, strategy, augmenter).
 func (f *FlatTree) Thaw(cfg Config) (*Tree, error) {
 	t := New(cfg)
 	if cfg.Dims != f.Dims {
 		return nil, fmt.Errorf("rstar: thaw dims %d != frozen dims %d", cfg.Dims, f.Dims)
 	}
-	if len(f.Nodes) == 0 {
-		return nil, fmt.Errorf("rstar: frozen tree has no nodes")
-	}
-	ne := len(f.Rects)
-	if len(f.Children) != ne || len(f.Items) != ne || len(f.Data) != ne {
-		return nil, fmt.Errorf("rstar: frozen entry slabs disagree on length")
-	}
-	seen := make([]bool, len(f.Nodes))
-	var build func(id int32) (*Node, error)
-	build = func(id int32) (*Node, error) {
-		fn := f.Nodes[id]
-		if seen[id] {
-			return nil, fmt.Errorf("rstar: frozen node %d referenced twice", id)
-		}
-		seen[id] = true
-		if fn.Count < 0 || fn.Start < 0 || int(fn.Start)+int(fn.Count) > ne {
-			return nil, fmt.Errorf("rstar: frozen node %d entries [%d,%d) out of bounds", id, fn.Start, fn.Start+fn.Count)
-		}
-		n := &Node{Level: int(fn.Level), Entries: make([]Entry, fn.Count)}
-		for i := int32(0); i < fn.Count; i++ {
-			ei := fn.Start + i
-			e := Entry{Rect: f.Rects[ei], Item: Item(f.Items[ei]), Data: f.Data[ei]}
-			if cid := f.Children[ei]; cid >= 0 {
-				if fn.Level == 0 {
-					return nil, fmt.Errorf("rstar: frozen leaf node %d has child entry", id)
-				}
-				if cid <= id || int(cid) >= len(f.Nodes) {
-					return nil, fmt.Errorf("rstar: frozen node %d child id %d out of order", id, cid)
-				}
-				if f.Nodes[cid].Level != fn.Level-1 {
-					return nil, fmt.Errorf("rstar: frozen child level %d under level %d", f.Nodes[cid].Level, fn.Level)
-				}
-				c, err := build(cid)
-				if err != nil {
-					return nil, err
-				}
-				c.Parent = n
-				c.slot = int(i)
-				e.Child = c
-			} else if fn.Level > 0 {
-				return nil, fmt.Errorf("rstar: frozen internal node %d has leaf entry", id)
-			}
-			n.Entries[i] = e
-		}
-		return n, nil
-	}
-	root, err := build(0)
-	if err != nil {
+	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	if int(root.Level) != f.Height-1 {
-		return nil, fmt.Errorf("rstar: frozen root level %d != height-1 %d", root.Level, f.Height-1)
+	var build func(id int32) *Node
+	build = func(id int32) *Node {
+		fn := f.Nodes[id]
+		n := &Node{Level: int(fn.Level), Entries: make([]Entry, fn.Count)}
+		for i := range n.Entries {
+			ei := fn.Start + int32(i)
+			n.Entries[i] = Entry{Rect: f.Rects[ei], Item: Item(f.Items[ei]), Data: f.Data[ei]}
+			if cid := f.Children[ei]; cid >= 0 {
+				c := build(cid)
+				c.Parent, c.slot = n, i
+				n.Entries[i].Child = c
+			}
+		}
+		return n
 	}
-	t.root = root
+	t.root = build(0)
 	t.height = f.Height
 	t.size = f.Count
 	return t, nil

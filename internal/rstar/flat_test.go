@@ -23,9 +23,10 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 	if f.Count != tr.Len() || f.Height != tr.Height() || f.Dims != tr.Dims() {
 		t.Fatalf("frozen header: count=%d height=%d dims=%d", f.Count, f.Height, f.Dims)
 	}
-	leaves, internals := tr.NodeCount()
-	if len(f.Nodes) != leaves+internals {
-		t.Fatalf("frozen %d nodes, pointer tree has %d", len(f.Nodes), leaves+internals)
+	nodes := 0
+	tr.VisitNodes(func(*Node) bool { nodes++; return true })
+	if len(f.Nodes) != nodes {
+		t.Fatalf("frozen %d nodes, pointer tree has %d", len(f.Nodes), nodes)
 	}
 	th, err := f.Thaw(cfg)
 	if err != nil {
@@ -78,8 +79,9 @@ func TestFreezeEmptyTree(t *testing.T) {
 	}
 }
 
-// Thaw must reject corrupt structures instead of panicking or recursing
-// forever: cycles, out-of-bounds entry runs, double references, level skew.
+// Validate, and Thaw through it, must reject corrupt structures instead of
+// panicking or recursing forever: cycles, out-of-bounds entry runs, double
+// references, level skew.
 func TestThawRejectsCorruptStructures(t *testing.T) {
 	cfg := Config{Dims: 2, Capacity: 8}
 	leaf := func() FlatNode { return FlatNode{Level: 0, Start: 0, Count: 1} }
@@ -115,10 +117,23 @@ func TestThawRejectsCorruptStructures(t *testing.T) {
 			Nodes: []FlatNode{{Level: 0, Start: 0, Count: 1}, leaf()},
 			Rects: make([]geo.Rect, 2), Children: []int32{1, -1}, Items: []int64{0, 1}, Data: make([]any, 2),
 		},
+		"leaf entry in internal node": {
+			Dims: 2, Height: 2, Count: 1,
+			Nodes: []FlatNode{{Level: 1, Start: 0, Count: 1}},
+			Rects: make([]geo.Rect, 1), Children: []int32{-1}, Items: []int64{1}, Data: make([]any, 1),
+		},
+		"root below height": {
+			Dims: 2, Height: 2, Count: 1,
+			Nodes: []FlatNode{leaf()},
+			Rects: make([]geo.Rect, 1), Children: []int32{-1}, Items: []int64{1}, Data: make([]any, 1),
+		},
 	}
 	for name, f := range cases {
+		if err := f.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted a corrupt structure", name)
+		}
 		if _, err := f.Thaw(cfg); err == nil {
-			t.Errorf("%s: corrupt structure accepted", name)
+			t.Errorf("%s: Thaw accepted a corrupt structure", name)
 		}
 	}
 }

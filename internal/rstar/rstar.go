@@ -533,19 +533,6 @@ func (t *Tree) VisitNodes(fn func(n *Node) bool) {
 	walk(t.root)
 }
 
-// NodeCount returns the number of nodes, split into leaves and internals.
-func (t *Tree) NodeCount() (leaves, internals int) {
-	t.VisitNodes(func(n *Node) bool {
-		if n.Level == 0 {
-			leaves++
-		} else {
-			internals++
-		}
-		return true
-	})
-	return
-}
-
 // Check validates structural invariants; tests call it after mutations.
 func (t *Tree) Check() error {
 	if t.root.Parent != nil {

@@ -44,7 +44,7 @@ func TestInsertCausesSplits(t *testing.T) {
 	if err := tr.Check(); err != nil {
 		t.Fatal(err)
 	}
-	leaves, internals := tr.NodeCount()
+	leaves, internals := tr.Freeze().NodeCount()
 	if leaves == 0 || internals == 0 {
 		t.Errorf("nodes = %d/%d", leaves, internals)
 	}
