@@ -147,8 +147,9 @@ func main() {
 	}
 
 	// With -trace the query runs under a root span with aggregates on: the
-	// stages (cache probe, best-first search, cache store) and the search's
-	// per-operation rows land in the span tree printed after the results.
+	// stages (cache probe, best-first search; no cache store, since one
+	// query is computed once) and the search's per-operation rows land in
+	// the span tree printed after the results.
 	opts := &tartree.QueryOpts{}
 	var spans *tartree.TraceRing
 	var root *tartree.Span

@@ -80,9 +80,10 @@ func TestServeQueryExplain(t *testing.T) {
 }
 
 // TestServeQueryExplainCacheInterplay runs explain=1 against a cached
-// tree: the warm explain reports the result-cache hit with zero search
-// work, and explain=1&nocache=1 composes — a full search with no cache
-// probes on either side of the ledger.
+// tree: the warm explain (the third query; the second stores the result)
+// reports the result-cache hit with zero search work, and
+// explain=1&nocache=1 composes — a full search with no cache probes on
+// either side of the ledger.
 func TestServeQueryExplainCacheInterplay(t *testing.T) {
 	spec, err := lbsn.SpecByName("GS")
 	if err != nil {
@@ -101,11 +102,11 @@ func TestServeQueryExplainCacheInterplay(t *testing.T) {
 	s := newServer(tr, reg, nil, log, d.Spec.Start, d.Spec.End, 4)
 
 	const url = "/v1/query?x=50&y=50&k=5&days=128&explain=1"
-	var cold, warm, bypass queryResponse
+	var cold, stored, warm, bypass queryResponse
 	for _, step := range []struct {
 		url  string
 		resp *queryResponse
-	}{{url, &cold}, {url, &warm}, {url + "&nocache=1", &bypass}} {
+	}{{url, &cold}, {url, &stored}, {url, &warm}, {url + "&nocache=1", &bypass}} {
 		code, body := get(t, s, step.url)
 		if code != 200 {
 			t.Fatalf("GET %s: status %d: %s", step.url, code, body)

@@ -18,10 +18,11 @@
 // for an execution slot or mid-search — stops promptly and answers 504.
 //
 // Queries are served through a shared epoch-versioned cache (-cache-bytes,
-// default 64 MiB, 0 disables) that memoizes whole result sets. An epoch flush
-// (when ingested check-ins become visible) invalidates it, so cached answers
-// are always identical to uncached ones, while an ingest alone leaves it warm.
-// Hit/miss/eviction/bytes gauges are exported as tartree_aggcache_* on
+// default 64 MiB, 0 disables) that memoizes whole result sets, storing a
+// result the second time it is computed. An epoch flush (when ingested
+// check-ins become visible) invalidates it, so cached answers are always
+// identical to uncached ones, while an ingest alone leaves it warm.
+// Hit/miss/refusal/eviction/bytes gauges are exported as tartree_aggcache_* on
 // /metrics, and every query response reports its own cache_hits/cache_misses.
 //
 // The index lives in memory: every entry's TIA is a sorted record slice, a

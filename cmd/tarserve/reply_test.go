@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -236,9 +238,10 @@ func TestServeNonFiniteQuery(t *testing.T) {
 	}
 }
 
-// BenchmarkServeQueryHit is a result-cache hit through ServeHTTP: what the
-// server spends on a request whose answer it already holds.
-func BenchmarkServeQueryHit(b *testing.B) {
+// newBenchServer is the server the ServeQuery benchmarks drive: GS ×0.02
+// with a 1 MiB result cache and tarserve's default slow-query threshold, so
+// a fast request writes no access line.
+func newBenchServer(b *testing.B) (*server, *lbsn.Dataset) {
 	spec, err := lbsn.SpecByName("GS")
 	if err != nil {
 		b.Fatal(err)
@@ -254,9 +257,18 @@ func BenchmarkServeQueryHit(b *testing.B) {
 	}
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
 	s := newServer(tr, reg, obs.NewTraceRing(64), log, d.Spec.Start, d.Spec.End, 4)
-	s.slowQuery = 250 * time.Millisecond // tarserve's default: a hit writes no access line
+	s.slowQuery = 250 * time.Millisecond
+	return s, d
+}
+
+// BenchmarkServeQueryHit is a result-cache hit through ServeHTTP: what the
+// server spends on a request whose answer it already holds.
+func BenchmarkServeQueryHit(b *testing.B) {
+	s, _ := newBenchServer(b)
 	req := httptest.NewRequest("GET", "/v1/query?x=50&y=50&k=10&days=128", nil)
-	s.ServeHTTP(httptest.NewRecorder(), req) // the miss that fills the cache
+	// The cache stores a result the second time it is computed.
+	s.ServeHTTP(httptest.NewRecorder(), req)
+	s.ServeHTTP(httptest.NewRecorder(), req)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -264,6 +276,27 @@ func BenchmarkServeQueryHit(b *testing.B) {
 		s.ServeHTTP(rec, req)
 		if rec.Code != 200 || !bytes.Contains(rec.Body.Bytes(), []byte(`"result_cache_hit":true`)) {
 			b.Fatalf("not a cache hit: %d %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// BenchmarkServeQueryMiss is a stream of distinct queries through
+// ServeHTTP, none of which repeats: the search, the reply and what the
+// result cache costs a query it never serves again.
+func BenchmarkServeQueryMiss(b *testing.B) {
+	s, d := newBenchServer(b)
+	reqs := make([]*http.Request, b.N)
+	for i, q := range d.Queries(b.N, 10, 0.3, 1) {
+		reqs[i] = httptest.NewRequest("GET", fmt.Sprintf("/v1/query?x=%v&y=%v&k=%d&alpha=%v&start=%d&end=%d",
+			q.X, q.Y, q.K, q.Alpha0, q.Iq.Start, q.Iq.End), nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, req := range reqs {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != 200 || bytes.Contains(rec.Body.Bytes(), []byte(`"result_cache_hit":true`)) {
+			b.Fatalf("not a cache miss: %d %s", rec.Code, rec.Body)
 		}
 	}
 }

@@ -318,7 +318,11 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 	var sp *obs.Span
 	if strings.HasPrefix(r.URL.Path, "/v1/") {
-		parent, _ := obs.ParseTraceparent(r.Header.Get("traceparent"))
+		var parent obs.SpanContext
+		if tp := r.Header.Get("traceparent"); tp != "" {
+			// A malformed header starts a fresh trace, as a missing one does.
+			parent, _ = obs.ParseTraceparent(tp)
+		}
 		sp = obs.StartTrace(r.Method+" "+r.URL.Path, parent, s.spanSink)
 		if sp != nil {
 			// The response header must be set before the handler writes the

@@ -409,8 +409,8 @@ func TestServeQueryCanceled(t *testing.T) {
 }
 
 // TestServeQueryCacheStats runs a server with the shared cache attached and
-// checks the full loop: the second identical query is a whole-result cache
-// hit with zero traversal, the response reports it, nocache=1 bypasses the
+// checks the full loop: the third identical query is a whole-result cache
+// hit with zero traversal (the second stores it), the response reports it, nocache=1 bypasses the
 // cache, and the aggcache gauges appear on /metrics.
 func TestServeQueryCacheStats(t *testing.T) {
 	spec, err := lbsn.SpecByName("GS")
@@ -431,11 +431,11 @@ func TestServeQueryCacheStats(t *testing.T) {
 	s := newServer(tr, reg, nil, log, d.Spec.Start, d.Spec.End, 4)
 
 	const url = "/v1/query?x=50&y=50&k=5&days=128"
-	var cold, warm, bypass queryResponse
+	var cold, stored, warm, bypass queryResponse
 	for _, step := range []struct {
 		url  string
 		resp *queryResponse
-	}{{url, &cold}, {url, &warm}, {url + "&nocache=1", &bypass}} {
+	}{{url, &cold}, {url, &stored}, {url, &warm}, {url + "&nocache=1", &bypass}} {
 		code, body := get(t, s, step.url)
 		if code != 200 {
 			t.Fatalf("GET %s: status %d: %s", step.url, code, body)

@@ -9,16 +9,25 @@
 // stamped with the cache version current when it was stored; Invalidate
 // bumps the version, instantly orphaning every older entry (they miss on
 // lookup and are reclaimed lazily by the LRU). The tree bumps the version on
-// every mutation that can change a query answer — epoch flushes, live ingest
-// applies (WAL replay included), POI insertion/deletion, rebuilds — so a hit
-// can never serve pre-mutation state.
+// every mutation that can change a query answer — epoch flushes, POI
+// insertion/deletion, rebuilds — so a hit can never serve pre-mutation
+// state. A check-in, live or replayed from the WAL, bumps nothing: it is
+// buffered, and no query reads it until the flush that folds it in.
 //
-// Concurrency: Get/Put/Invalidate are safe from any number of goroutines.
-// The intended discipline (which wal.Store enforces with its RWMutex) is
-// that queries — the only writers of cache entries — run under a read lock
-// while mutations and their Invalidate run under the write lock; a Put can
-// therefore never straddle an invalidation, and its stamp is always the
-// version the value was computed at.
+// Admission: a result is worth storing only if its key comes back. Each
+// shard keeps a direct-mapped table of the key hashes it has been offered
+// (Admit), TinyLFU's "doorkeeper"; a caller stores a value only when Admit
+// reports its hash seen before, so a key is stored the second time it is
+// computed and a one-hit wonder costs one table slot, not an entry. The
+// table holds one slot per KiB of budget and survives Invalidate, so a key
+// whose entry a flush orphaned is stored again on its first miss after it.
+//
+// Concurrency: Get/Put/Admit/Invalidate are safe from any number of
+// goroutines. The intended discipline (which wal.Store enforces with its
+// RWMutex) is that queries — the only writers of cache entries — run under
+// a read lock while mutations and their Invalidate run under the write
+// lock; a Put can therefore never straddle an invalidation, and its stamp
+// is always the version the value was computed at.
 //
 // The cache is value-agnostic: keys are any comparable values (the caller
 // supplies a 64-bit hash for shard routing), values are opaque with a
@@ -29,6 +38,7 @@ package aggcache
 
 import (
 	"container/list"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -44,6 +54,10 @@ const numShards = 16
 // []Result) and the entry's share of the map's buckets (≈ 40).
 const entryOverheadBytes = 240
 
+// bytesPerSeenSlot sizes the admission table: one slot (8 bytes) per KiB of
+// budget, so the table costs under 1 % of what it guards.
+const bytesPerSeenSlot = 1024
+
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
 	// Hits and Misses count Get outcomes. A lookup that finds an entry of
@@ -52,6 +66,9 @@ type Stats struct {
 	// Evictions counts entries dropped to fit the byte budget; Invalidated
 	// counts stale entries reclaimed lazily on lookup or overwrite.
 	Evictions, Invalidated int64
+	// Refused counts Admit calls that returned false: values computed for
+	// a key not seen before, and so not stored.
+	Refused int64
 	// Bytes and Entries describe the current contents (stale entries not
 	// yet reclaimed included).
 	Bytes, Entries int64
@@ -74,7 +91,15 @@ type shard struct {
 	maxBytes int64
 	bytes    int64 // what the shard's entries are charged
 
-	hits, misses, evicted, stale int64
+	hits, misses, evicted, stale, refused int64
+
+	// seen is the admission table: the last key hash offered to each of
+	// its 1<<seenBits slots, slot = the hash's top seenBits bits.
+	// Pointer-free, so the GC never scans it; allocated by the first Admit,
+	// so a cache nothing is offered to holds none, and a start-up build
+	// does not count it toward its heap goal.
+	seen     []uint64
+	seenBits uint
 
 	items map[any]*list.Element
 	lru   list.List // front = most recent
@@ -99,9 +124,14 @@ func New(maxBytes int64) *Cache {
 	if per < entryOverheadBytes {
 		per = entryOverheadBytes
 	}
+	// The table's slots: the largest power of two at most
+	// per/bytesPerSeenSlot, and at least 1.
+	seenBits := uint(max(bits.Len64(uint64(per/bytesPerSeenSlot))-1, 0))
 	for i := range c.shards {
-		c.shards[i].maxBytes = per
-		c.shards[i].items = make(map[any]*list.Element)
+		s := &c.shards[i]
+		s.maxBytes = per
+		s.items = make(map[any]*list.Element)
+		s.seenBits = seenBits
 	}
 	return c
 }
@@ -150,6 +180,30 @@ func (c *Cache) Get(h uint64, key any) (any, bool) {
 	s.lru.MoveToFront(el)
 	s.hits++
 	return e.val, true
+}
+
+// Admit reports whether h's slot in the admission table already holds h,
+// and records h there. True means the key was offered before and no other
+// hash has taken its slot since: its value is worth a Put. A colliding
+// hash takes the slot over, so a key must come back before traffic
+// overwrites it. The nil cache admits nothing.
+func (c *Cache) Admit(h uint64) bool {
+	if c == nil {
+		return false
+	}
+	s := &c.shards[h&(numShards-1)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.seen == nil {
+		s.seen = make([]uint64, 1<<s.seenBits)
+	}
+	slot := &s.seen[h>>(64-s.seenBits)]
+	if *slot == h {
+		return true
+	}
+	*slot = h
+	s.refused++
+	return false
 }
 
 // Put stores val under key, charging valBytes plus a fixed per-entry
@@ -207,6 +261,7 @@ func (c *Cache) Snapshot() Stats {
 		st.Misses += s.misses
 		st.Evictions += s.evicted
 		st.Invalidated += s.stale
+		st.Refused += s.refused
 		st.Bytes += s.bytes
 		st.Entries += int64(len(s.items))
 		s.mu.Unlock()

@@ -184,6 +184,75 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 }
 
+// TestAdmitSecondSight pins the admission rule: a hash is admitted the
+// second time it is offered, its slot outlives Invalidate, a colliding hash
+// takes the slot over, the nil cache admits nothing, and Refused counts the
+// refusals.
+func TestAdmitSecondSight(t *testing.T) {
+	c := New(1 << 20)
+	h := hash(key{1, 2})
+	if c.Admit(h) {
+		t.Fatal("first sight admitted")
+	}
+	if !c.Admit(h) {
+		t.Fatal("second sight refused")
+	}
+	c.Invalidate()
+	if !c.Admit(h) {
+		t.Fatal("Invalidate cleared the admission table")
+	}
+	// Same shard (low bits) and same slot (high bits), another hash.
+	other := h ^ 1<<20
+	if c.Admit(other) {
+		t.Fatal("colliding hash admitted on first sight")
+	}
+	if c.Admit(h) {
+		t.Fatal("a colliding hash did not take the slot over")
+	}
+	if !c.Admit(h) {
+		t.Fatal("second sight after a collision refused")
+	}
+	s := c.Snapshot()
+	if s.Refused != 3 {
+		t.Errorf("refused %d, want 3", s.Refused)
+	}
+	if s.Hits != 0 || s.Misses != 0 || s.Entries != 0 {
+		t.Errorf("Admit touched the entries or their counters: %+v", s)
+	}
+	var nilCache *Cache
+	if nilCache.Admit(h) || nilCache.Admit(h) {
+		t.Error("nil cache admitted a hash")
+	}
+}
+
+// TestAdmitConcurrent offers the same hashes from several goroutines; run
+// with -race. Every false return is one Refused count.
+func TestAdmitConcurrent(t *testing.T) {
+	c := New(1 << 20)
+	const workers, keys = 4, 256
+	var wg sync.WaitGroup
+	refused := make([]int64, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := int64(0); i < keys; i++ {
+				if !c.Admit(hash(key{i, 0})) {
+					refused[w]++
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	var sum int64
+	for _, n := range refused {
+		sum += n
+	}
+	if got := c.Snapshot().Refused; got != sum || sum < keys/2 {
+		t.Fatalf("Refused = %d, the goroutines saw %d refusals (of %d calls)", got, sum, workers*keys)
+	}
+}
+
 func TestMixSpreadsShards(t *testing.T) {
 	seen := make(map[uint64]bool)
 	for i := uint64(0); i < 1024; i++ {

@@ -177,37 +177,19 @@ func (t *Tree) runQueryCtx(ctx context.Context, q Query, o *QueryOpts) ([]Result
 		stats.CacheMisses++
 	}
 	ss := o.Span.StartChild("search")
-	res, err := t.searchTopKCtx(ctx, q, ss.Aggregating(), o, &stats)
+	res, err := t.searchTopK(q, ss.Aggregating(), SearchOptions{Stats: &stats, Explain: o.Explain, Ctx: ctx})
 	ss.End()
 	if err != nil {
 		return res, stats, err
 	}
-	if cache != nil {
+	// A result is stored the second time it is computed (aggcache.Admit):
+	// a query asked once allocates no entry.
+	if cache.Admit(rhash) {
 		cs := o.Span.StartChild("cache_store")
 		cache.Put(rhash, rkey, cacheResults(res), int64(len(res)+1)*cachedResultBytes)
 		cs.End()
 	}
 	return res, stats, nil
-}
-
-// searchTopKCtx runs q's top-k search on a pooled queue.
-func (t *Tree) searchTopKCtx(ctx context.Context, q Query, agg *obs.Span, o *QueryOpts, stats *QueryStats) ([]Result, error) {
-	queue := getQueue()
-	s, err := t.newSearch(q, agg, SearchOptions{
-		Stats:   stats,
-		Explain: o.Explain,
-		Ctx:     ctx,
-	}, queue)
-	if err != nil {
-		return nil, err
-	}
-	// Deferred so a canceled search still snapshots what the bound had
-	// pruned up to the abort: explain of a canceled query reports the
-	// partial frontier rather than nothing. The queue goes back to the
-	// pool after that, once nothing reads it.
-	defer s.putQueue(queue)
-	defer o.Explain.captureFrontier(s)
-	return s.TopK(q.K)
 }
 
 func hashResultKey(k resultKey) uint64 {

@@ -192,6 +192,10 @@ func TestCacheEquivalence(t *testing.T) {
 						t.Errorf("query %d: cold cached query did %d backend probes, uncached did %d",
 							i, coldStats.TIAAccesses, wantStats.TIAAccesses)
 					}
+					// The cache stores a result the second time it is computed.
+					if _, _, err := tr.QueryCtx(ctx, q, nil); err != nil {
+						t.Fatal(err)
+					}
 					warm, warmStats, err := tr.QueryCtx(ctx, q, nil)
 					if err != nil {
 						t.Fatal(err)
@@ -284,6 +288,38 @@ func TestCacheEquivalence(t *testing.T) {
 	}
 }
 
+// TestCacheStoresOnSecondSight pins the store rule: a result is stored the
+// second time it is computed, so a stream of distinct queries leaves the
+// cache empty, and one query asked three times is a miss, a miss and a hit.
+func TestCacheStoresOnSecondSight(t *testing.T) {
+	cache := aggcache.New(1 << 20)
+	tr := spanTestTree(t, cache)
+	ctx := context.Background()
+	const distinct = 50
+	for i := 0; i < distinct; i++ {
+		q := Query{X: float64(2 * i), Y: float64(100 - 2*i), Iq: tia.Interval{Start: 0, End: 600}, K: 5, Alpha0: 0.5}
+		if _, stats, err := tr.QueryCtx(ctx, q, nil); err != nil || stats.ResultCacheHit {
+			t.Fatalf("distinct query %d: hit %v, err %v", i, stats.ResultCacheHit, err)
+		}
+	}
+	if s := cache.Snapshot(); s.Entries != 0 || s.Refused != distinct {
+		t.Fatalf("after %d distinct queries: %d entries, %d refused; want 0 and %d",
+			distinct, s.Entries, s.Refused, distinct)
+	}
+	for i, wantHit := range []bool{false, false, true} {
+		_, stats, err := tr.QueryCtx(ctx, spanTestQuery, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.ResultCacheHit != wantHit {
+			t.Errorf("asking %d: result-cache hit = %v, want %v", i+1, stats.ResultCacheHit, wantHit)
+		}
+	}
+	if s := cache.Snapshot(); s.Entries != 1 {
+		t.Errorf("entries %d after the repeated query, want 1", s.Entries)
+	}
+}
+
 // TestCacheInvalidationOnMutation pins the invalidation rule: every change
 // to what a query reads — epoch flush, POI insert and delete, rebuilds —
 // bumps the shared cache's version, and a buffered check-in, which no query
@@ -342,6 +378,7 @@ func TestCacheConservation(t *testing.T) {
 	base := ledger.Stats()
 	queries := []Query{
 		{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: 10, Alpha0: 0.5},
+		{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: 10, Alpha0: 0.5}, // second sight: stored
 		{X: 50, Y: 50, Iq: tia.Interval{Start: 0, End: 600}, K: 10, Alpha0: 0.5}, // warm repeat
 		{X: 10, Y: 80, Iq: tia.Interval{Start: 100, End: 400}, K: 5, Alpha0: 0.3},
 	}

@@ -173,6 +173,10 @@ func TestExplainResultCache(t *testing.T) {
 	if cold.CacheMisses == 0 {
 		t.Fatal("cold query on a cached tree recorded no cache misses")
 	}
+	// The cache stores a result the second time it is computed.
+	if _, _, err := tr.QueryCtx(context.Background(), q, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	warm := NewExplain()
 	res, warmStats, err := tr.QueryCtx(context.Background(), q, &QueryOpts{Explain: warm})

@@ -64,6 +64,7 @@ func registerCacheMetrics(r *obs.Registry, c *aggcache.Cache) {
 	r.CounterFunc("tartree_aggcache_misses_total", func() int64 { return c.Snapshot().Misses })
 	r.CounterFunc("tartree_aggcache_evictions_total", func() int64 { return c.Snapshot().Evictions })
 	r.CounterFunc("tartree_aggcache_invalidated_total", func() int64 { return c.Snapshot().Invalidated })
+	r.CounterFunc("tartree_aggcache_refused_total", func() int64 { return c.Snapshot().Refused })
 	r.GaugeFunc("tartree_aggcache_bytes", func() float64 { return float64(c.Snapshot().Bytes) })
 	r.GaugeFunc("tartree_aggcache_entries", func() float64 { return float64(c.Snapshot().Entries) })
 	r.GaugeFunc("tartree_aggcache_version", func() float64 { return float64(c.Snapshot().Version) })

@@ -358,7 +358,7 @@ func (t *Tree) NewSearchWith(q Query, o SearchOptions) (*Search, error) {
 	return t.newSearch(q, nil, o, nil)
 }
 
-// newSearch is NewSearchWith under QueryCtx: a non-nil agg is a span with
+// newSearch is NewSearchWith under searchTopK: a non-nil agg is a span with
 // aggregates on, and the search times its hot sites into it; a non-nil
 // queue is a pooled one (getQueue) the search grows instead of allocating.
 func (t *Tree) newSearch(q Query, agg *obs.Span, o SearchOptions, queue *[]Elem) (*Search, error) {
@@ -378,13 +378,36 @@ func (t *Tree) newSearch(q Query, agg *obs.Span, o SearchOptions, queue *[]Elem)
 	return s, nil
 }
 
-// queues pools the best-first queues of QueryCtx's searches (*[]Elem). A
+// SearchTopK runs q's best-first search to its top k on a pooled queue:
+// what NewSearchWith(q, o) followed by TopK(q.K) returns, without the
+// queue's allocation.
+func (t *Tree) SearchTopK(q Query, o SearchOptions) ([]Result, error) {
+	return t.searchTopK(q, nil, o)
+}
+
+// searchTopK is SearchTopK timing its hot sites into agg (see newSearch).
+func (t *Tree) searchTopK(q Query, agg *obs.Span, o SearchOptions) ([]Result, error) {
+	queue := getQueue()
+	s, err := t.newSearch(q, agg, o, queue)
+	if err != nil {
+		return nil, err
+	}
+	// Deferred so a canceled search still snapshots what the bound had
+	// pruned up to the abort: explain of a canceled query reports the
+	// partial frontier rather than nothing. The queue goes back to the
+	// pool after that, once nothing reads it.
+	defer s.putQueue(queue)
+	defer o.Explain.captureFrontier(s)
+	return s.TopK(q.K)
+}
+
+// queues pools the best-first queues of SearchTopK's searches (*[]Elem). A
 // query's queue grows to a few hundred entries; reusing it is most of what
 // a search would otherwise allocate. Searches handed to callers (NewSearch,
 // NewSearchWith) keep their own.
 var queues = sync.Pool{New: func() any { return new([]Elem) }}
 
-// getQueue takes a queue from the pool, for newSearch.
+// getQueue takes a queue from the pool, for searchTopK.
 func getQueue() *[]Elem { return queues.Get().(*[]Elem) }
 
 // putQueue returns s's queue to the pool through p, the pointer getQueue

@@ -138,11 +138,7 @@ func (s *Server) HandleQuery(w http.ResponseWriter, r *http.Request) {
 		if stamp = t.GlobalStamp(); stamp != req.Stamp {
 			return
 		}
-		var search *core.Search
-		search, err = t.NewSearchWith(q, core.SearchOptions{Gmax: &req.Gmax, Stats: &resp.Stats, Ctx: r.Context()})
-		if err == nil {
-			resp.Candidates, err = search.TopK(q.K)
-		}
+		resp.Candidates, err = t.SearchTopK(q, core.SearchOptions{Gmax: &req.Gmax, Stats: &resp.Stats, Ctx: r.Context()})
 	})
 	if stamp != req.Stamp {
 		httpapi.WriteError(w, http.StatusConflict, httpapi.CodeConflict,
