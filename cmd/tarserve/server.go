@@ -339,7 +339,10 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	// Access lines for failed and slow requests only: a line for every
 	// request cost more server CPU than a result-cache hit (DESIGN §10).
-	if sw.status >= 400 || elapsed >= s.slowQuery {
+	// A /healthz 503 is the readiness answer while the index builds, which
+	// start-up probes poll for: it has not failed.
+	failed := sw.status >= 400 && !(sw.status == http.StatusServiceUnavailable && r.URL.Path == "/healthz")
+	if failed || elapsed >= s.slowQuery {
 		s.log.Info("request",
 			"method", r.Method,
 			"path", r.URL.Path,

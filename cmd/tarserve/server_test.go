@@ -509,6 +509,30 @@ func TestAccessLogErrorsAndSlowOnly(t *testing.T) {
 	}
 }
 
+// TestAccessLogSkipsRecoveringHealthz: while the index builds, /healthz
+// answers 503 "recovering" and writes no access line, since start-up probes
+// poll it, while a 503 from /v1/* still writes one.
+func TestAccessLogSkipsRecoveringHealthz(t *testing.T) {
+	var buf bytes.Buffer
+	s := newPendingServer(obs.NewRegistry(), nil, slog.New(slog.NewTextHandler(&buf, nil)), 1)
+	s.slowQuery = time.Hour
+	for _, tc := range []struct {
+		url  string
+		want int
+	}{
+		{"/healthz", 0},
+		{"/v1/query?x=50&y=50&k=5", 1},
+	} {
+		buf.Reset()
+		if code, body := get(t, s, tc.url); code != http.StatusServiceUnavailable {
+			t.Fatalf("GET %s while recovering: status %d, want 503: %s", tc.url, code, body)
+		}
+		if n := strings.Count(buf.String(), "msg=request "); n != tc.want {
+			t.Errorf("GET %s (503): %d access lines, want %d", tc.url, n, tc.want)
+		}
+	}
+}
+
 func TestServeHealthzAndPprof(t *testing.T) {
 	s, _ := newTestServer(t)
 	code, body := get(t, s, "/healthz")

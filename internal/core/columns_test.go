@@ -311,6 +311,32 @@ func TestColumnsCompileOnceTheyFit(t *testing.T) {
 	checkAgainstScan(t, tr, q, got)
 }
 
+// TestEachBlockMatchesDerive: the blocked derive that checkpoints and
+// dissolve read yields, for every entry in entry order, the records derive
+// yields one entry at a time, the short last block included.
+func TestEachBlockMatchesDerive(t *testing.T) {
+	tr, _ := denseTree(t, Options{World: world(0, 0, 100, 100), EpochLength: 10}, 400, 3)
+	c := tr.compiled().cols
+	if c == nil || c.n%blockEntries == 0 {
+		t.Fatalf("want columns over a partial last block, got %v", c)
+	}
+	next := 0
+	c.eachBlock(func(lo int, recs [][]tia.Record) {
+		if lo != next {
+			t.Fatalf("block at %d, want %d", lo, next)
+		}
+		for i, got := range recs {
+			if want := c.derive(nil, int32(lo+i)); !slices.Equal(got, want) {
+				t.Fatalf("entry %d: blocked %v, derive %v", lo+i, got, want)
+			}
+		}
+		next += len(recs)
+	})
+	if next != c.n {
+		t.Fatalf("blocks covered %d of %d entries", next, c.n)
+	}
+}
+
 // TestPrefixRowsAbsent: on a tree that compiles rows, they are not
 // compiled for the max fold, for paged TIAs, once one record lies ~10^17
 // epochs out, or once the global total passes int32; nor for an image whose

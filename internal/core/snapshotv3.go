@@ -122,7 +122,40 @@ func (t *Tree) SaveSnapshot(w io.Writer) error {
 		}
 	}
 
-	var buf []byte
+	// Where the columns hold the records, every entry's are encoded first,
+	// in entry order (packed[at[eid]:at[eid+1]]), so that the columns are
+	// read in order, and then copied out in reference order.
+	var (
+		packed []byte
+		at     []int
+	)
+	if l.cols != nil {
+		at = make([]int, 0, l.cols.n+1)
+		l.cols.eachBlock(func(_ int, recs [][]tia.Record) {
+			for _, r := range recs {
+				at = append(at, len(packed))
+				packed = binary.AppendUvarint(packed, uint64(len(r)))
+				packed = tia.AppendPacked(packed, r)
+			}
+		})
+		at = append(at, len(packed))
+	}
+
+	// The image is written into one buffer allocated at a size it cannot
+	// outgrow, each section's payload in place. Each of the five sections
+	// takes its id, its length and its count.
+	size := v3HeaderBytes + 5*(4+8+8) + len(packed) + len(ids)*v3POIBytes +
+		len(f.Nodes)*v3NodeBytes + len(f.Rects)*v3EntryBytes + 4
+	for ref, d := range tias {
+		if ref == 0 || l.cols == nil {
+			size += binary.MaxVarintLen64 * (1 + 3*len(d.Records()))
+		}
+	}
+	for _, counts := range t.pending {
+		size += 3*8 + 2*8*len(counts)
+	}
+	buf := make([]byte, 0, size)
+
 	buf = append(buf, snapshotV3Magic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, v3HeaderBytes)
 	buf = binary.LittleEndian.AppendUint32(buf, flags)
@@ -140,37 +173,41 @@ func (t *Tree) SaveSnapshot(w io.Writer) error {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.Height))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Count))
 
-	section := func(id string, payload []byte) {
+	var mark int // where the open section's payload starts
+	sectionStart := func(id string) {
 		buf = append(buf, id...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-		buf = append(buf, payload...)
+		buf = binary.LittleEndian.AppendUint64(buf, 0) // its length, once known
+		mark = len(buf)
+	}
+	sectionEnd := func() {
+		binary.LittleEndian.PutUint64(buf[mark-8:mark], uint64(len(buf)-mark))
 	}
 
-	var p []byte
-	p = binary.LittleEndian.AppendUint64(p, uint64(len(tias)))
-	var derived []tia.Record // one TIA's records at a time, from the columns
+	sectionStart("TIAS")
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(tias)))
 	for ref, d := range tias {
-		recs := d.Records()
 		if ref > 0 && l.cols != nil {
-			derived = l.cols.derive(derived[:0], eids[ref])
-			recs = derived
+			buf = append(buf, packed[at[eids[ref]]:at[eids[ref]+1]]...)
+			continue
 		}
-		p = binary.AppendUvarint(p, uint64(len(recs)))
-		p = tia.AppendPacked(p, recs)
+		recs := d.Records()
+		buf = binary.AppendUvarint(buf, uint64(len(recs)))
+		buf = tia.AppendPacked(buf, recs)
 	}
-	section("TIAS", p)
+	sectionEnd()
 
-	p = binary.LittleEndian.AppendUint64(nil, uint64(len(ids)))
+	sectionStart("POIS")
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ids)))
 	for _, id := range ids {
 		st := t.pois[id]
-		p = binary.LittleEndian.AppendUint64(p, uint64(st.poi.ID))
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(st.poi.X))
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(st.poi.Y))
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(st.z))
-		p = binary.LittleEndian.AppendUint64(p, uint64(st.total))
-		p = binary.LittleEndian.AppendUint32(p, refs[st.data])
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(st.poi.ID))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.poi.X))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.poi.Y))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.z))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(st.total))
+		buf = binary.LittleEndian.AppendUint32(buf, refs[st.data])
 	}
-	section("POIS", p)
+	sectionEnd()
 
 	// Pending epochs by start, each one's POIs by ascending id, so saves of
 	// the same tree encode identically.
@@ -179,7 +216,8 @@ func (t *Tree) SaveSnapshot(w io.Writer) error {
 		eps = append(eps, ep)
 	}
 	slices.SortFunc(eps, func(a, b tia.Interval) int { return cmp.Compare(a.Start, b.Start) })
-	p = binary.LittleEndian.AppendUint64(nil, uint64(len(eps)))
+	sectionStart("PEND")
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(eps)))
 	for _, ep := range eps {
 		counts := t.pending[ep]
 		pois := make([]int64, 0, len(counts))
@@ -187,38 +225,40 @@ func (t *Tree) SaveSnapshot(w io.Writer) error {
 			pois = append(pois, id)
 		}
 		slices.Sort(pois)
-		p = binary.LittleEndian.AppendUint64(p, uint64(ep.Start))
-		p = binary.LittleEndian.AppendUint64(p, uint64(ep.End))
-		p = binary.LittleEndian.AppendUint64(p, uint64(len(pois)))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(ep.Start))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(ep.End))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(pois)))
 		for _, id := range pois {
-			p = binary.LittleEndian.AppendUint64(p, uint64(id))
-			p = binary.LittleEndian.AppendUint64(p, uint64(counts[id]))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(counts[id]))
 		}
 	}
-	section("PEND", p)
+	sectionEnd()
 
-	p = binary.LittleEndian.AppendUint64(nil, uint64(len(f.Nodes)))
+	sectionStart("NODE")
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(f.Nodes)))
 	for _, n := range f.Nodes {
-		p = binary.LittleEndian.AppendUint32(p, uint32(n.Level))
-		p = binary.LittleEndian.AppendUint32(p, uint32(n.Start))
-		p = binary.LittleEndian.AppendUint32(p, uint32(n.Count))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(n.Level))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(n.Start))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(n.Count))
 	}
-	section("NODE", p)
+	sectionEnd()
 
-	p = binary.LittleEndian.AppendUint64(nil, uint64(len(f.Rects)))
+	sectionStart("ENTR")
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(f.Rects)))
 	for i := range f.Rects {
 		r := &f.Rects[i]
 		for d := 0; d < geo.MaxDims; d++ {
-			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(r.Min[d]))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Min[d]))
 		}
 		for d := 0; d < geo.MaxDims; d++ {
-			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(r.Max[d]))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Max[d]))
 		}
-		p = binary.LittleEndian.AppendUint32(p, uint32(f.Children[i]))
-		p = binary.LittleEndian.AppendUint64(p, uint64(f.Items[i]))
-		p = binary.LittleEndian.AppendUint32(p, refs[tiaOf(f.Data[i])])
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.Children[i]))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Items[i]))
+		buf = binary.LittleEndian.AppendUint32(buf, refs[tiaOf(f.Data[i])])
 	}
-	section("ENTR", p)
+	sectionEnd()
 
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, v3Castagnoli))
 	_, err := w.Write(buf)

@@ -17,6 +17,7 @@
 package lbsn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -397,7 +398,7 @@ type BuildOptions struct {
 	// it accepts are indexed. Shard builds pass the shard map's ownership
 	// predicate here, so each shard indexes its subset over the full
 	// world rectangle (which keeps per-POI scores identical to a
-	// single-node build).
+	// single-node build). Spec.Build calls it on its generator goroutine.
 	Keep func(p core.POI) bool
 	// Metrics instruments the built tree (see core.Options.Metrics).
 	Metrics *obs.Registry
@@ -408,13 +409,15 @@ type BuildOptions struct {
 
 // Build indexes the data set's effective POIs into a TAR-tree.
 func (d *Dataset) Build(o BuildOptions) (*core.Tree, error) {
-	tr, add, err := d.Spec.indexer(d.World, o, false)
+	tr, pick, err := d.Spec.indexer(d.World, o, false)
 	if err != nil {
 		return nil, err
 	}
 	for i := range d.POIs {
-		if err := add(&d.POIs[i]); err != nil {
-			return nil, err
+		if k, ok := pick(&d.POIs[i]); ok {
+			if err := tr.InsertPOI(k.poi, k.hist); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return tr, nil
@@ -423,25 +426,83 @@ func (d *Dataset) Build(o BuildOptions) (*core.Tree, error) {
 // Build generates the data set and indexes each effective POI as it is
 // drawn, into the same tree Generate(s).Build(o) returns: only the indexed
 // POIs are ever held, not the whole data set, and their check-in times are
-// never sorted.
+// never sorted. The generator and the selection rule (o.Keep included) run
+// on a goroutine of their own beside the inserts, which take the kept POIs
+// in the order they were drawn; that goroutine has ended when Build
+// returns.
 func (s Spec) Build(o BuildOptions) (*core.Tree, error) { return s.build(o, false) }
 
+const (
+	// keptBatch is how many kept POIs the generator hands over at a time,
+	// and keptQueue how many handed-over batches may wait to be inserted:
+	// enough to keep both sides busy, few enough to add little memory.
+	keptBatch = 64
+	keptQueue = 2
+)
+
+// errStopped stops the generator once the inserts have failed.
+var errStopped = errors.New("lbsn: build stopped")
+
 func (s Spec) build(o BuildOptions, empty bool) (*core.Tree, error) {
-	tr, add, err := s.indexer(s.World(), o, empty)
+	tr, pick, err := s.indexer(s.World(), o, empty)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.each(true, add); err != nil {
-		return nil, err
+	batches := make(chan []kept, keptQueue)
+	stop := make(chan struct{})
+	var genErr error // set before batches closes
+	go func() {
+		defer close(batches)
+		b := make([]kept, 0, keptBatch)
+		send := func() error {
+			select {
+			case batches <- b:
+				b = make([]kept, 0, keptBatch)
+				return nil
+			case <-stop:
+				return errStopped
+			}
+		}
+		genErr = s.each(true, func(p *POI) error {
+			if k, ok := pick(p); ok {
+				if b = append(b, k); len(b) == keptBatch {
+					return send()
+				}
+			}
+			return nil
+		})
+		if genErr == nil && len(b) > 0 {
+			genErr = send()
+		}
+	}()
+	for b := range batches {
+		for _, k := range b {
+			if err := tr.InsertPOI(k.poi, k.hist); err != nil {
+				close(stop)
+				for range batches { // wait for the generator to end
+				}
+				return nil, err
+			}
+		}
+	}
+	if genErr != nil {
+		return nil, genErr
 	}
 	return tr, nil
 }
 
+// kept is a POI the selection rule indexes, with the history it is
+// indexed with.
+type kept struct {
+	poi  core.POI
+	hist []tia.Record
+}
+
 // indexer returns an empty tree over world and the one selection rule of
-// every build: add indexes a POI whose check-ins (up to o.Cutoff) reach the
+// every build: pick keeps a POI whose check-ins (up to o.Cutoff) reach the
 // effectiveness threshold and that o.Keep accepts, with its history, or with
-// none when empty is set. add copies what it keeps of the POI.
-func (s Spec) indexer(world geo.Rect, o BuildOptions, empty bool) (*core.Tree, func(*POI) error, error) {
+// none when empty is set. What pick keeps is a copy: it holds nothing of p.
+func (s Spec) indexer(world geo.Rect, o BuildOptions, empty bool) (*core.Tree, func(*POI) (kept, bool), error) {
 	if o.EpochLength == 0 {
 		o.EpochLength = 7 * Day
 	}
@@ -459,18 +520,18 @@ func (s Spec) indexer(world geo.Rect, o BuildOptions, empty bool) (*core.Tree, f
 	if err != nil {
 		return nil, nil, err
 	}
-	add := func(p *POI) error {
+	pick := func(p *POI) (kept, bool) {
 		hist, ok := s.effective(p, o.EpochLength, o.Cutoff)
 		poi := core.POI{ID: p.ID, X: p.X, Y: p.Y}
 		if !ok || (o.Keep != nil && !o.Keep(poi)) {
-			return nil
+			return kept{}, false
 		}
 		if empty {
 			hist = nil
 		}
-		return tr.InsertPOI(poi, hist)
+		return kept{poi, hist}, true
 	}
-	return tr, add, nil
+	return tr, pick, nil
 }
 
 // effective buckets p's check-ins before cutoff (0: all) and reports

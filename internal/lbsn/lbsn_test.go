@@ -6,16 +6,19 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"tartree/internal/core"
 	"tartree/internal/powerlaw"
@@ -472,6 +475,61 @@ func TestSpecBuildGolden(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
 			t.Errorf("%s (%d POIs): snapshot SHA-256 %s, want %s", c.name, tr.Len(), got, c.want)
 		}
+	}
+}
+
+// failingFactory is an in-memory TIA factory whose New fails from its
+// (after+1)-th call on.
+type failingFactory struct {
+	*tia.MemFactory
+	after, calls int
+}
+
+var errFactory = errors.New("factory failed")
+
+func (f *failingFactory) New(recs []tia.Record) (*tia.Index, error) {
+	if f.calls++; f.calls > f.after {
+		return nil, errFactory
+	}
+	return f.MemFactory.New(recs)
+}
+
+// TestSpecBuildErrorStopsGenerator: an insert that fails part-way makes
+// Spec.Build return its error, as does a spec the generator refuses, and no
+// goroutine the build started outlives it, on success or on either error.
+func TestSpecBuildErrorStopsGenerator(t *testing.T) {
+	spec := GW.Scaled(0.05) // ~730 effective POIs: many batches
+	// settled waits up to a second for the goroutine count to fall to at
+	// most limit, since an ended goroutine may take a moment to be counted
+	// out, and returns it.
+	settled := func(limit int) int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 200 && n > limit; i++ {
+			time.Sleep(5 * time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+	before := runtime.NumGoroutine()
+	for _, after := range []int{0, 1, 100, 400} {
+		_, err := spec.Build(BuildOptions{TIA: &failingFactory{MemFactory: tia.NewMemFactory(), after: after}})
+		if !errors.Is(err, errFactory) {
+			t.Fatalf("factory failing after %d TIAs: err = %v, want %v", after, err, errFactory)
+		}
+		if n := settled(before); n > before {
+			t.Fatalf("factory failing after %d TIAs: %d goroutines after Build, %d before", after, n, before)
+		}
+	}
+	bad := spec
+	bad.End = bad.Start
+	if _, err := bad.Build(BuildOptions{}); err == nil || !strings.Contains(err.Error(), "invalid spec") {
+		t.Fatalf("invalid spec: err = %v", err)
+	}
+	if tr, err := spec.Build(BuildOptions{}); err != nil || tr.Len() == 0 {
+		t.Fatalf("build: err %v", err)
+	}
+	if n := settled(before); n > before {
+		t.Fatalf("%d goroutines after the builds, %d before", n, before)
 	}
 }
 

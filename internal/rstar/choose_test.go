@@ -152,6 +152,99 @@ func TestChooseSubtreeMatchesFullScan(t *testing.T) {
 			t.Fatalf("%dD: trees differ", dims)
 		}
 	}
+
+	// Nodes the draws above make rarely or never, each checked against the
+	// full scan at every size up to its capacity.
+	for _, c := range []struct {
+		name     string
+		capacity int
+		node     func(r *rand.Rand, dims, size int) (*Node, Entry)
+	}{
+		// A 4 KiB node: more children than a 64-bit set could mark.
+		{"wide", 150, func(r *rand.Rand, dims, size int) (*Node, Entry) {
+			n := gridNode(r, dims, size, gridRect)
+			return n, Entry{Rect: probeEntry(r, dims, n)}
+		}},
+		// No child holds e, so every child grows and none may stop early
+		// for lying around e.
+		{"all-grow", 40, func(r *rand.Rand, dims, size int) (*Node, Entry) {
+			n := gridNode(r, dims, size, gridRect)
+			for {
+				var v geo.Vector
+				for d := 0; d < dims; d++ {
+					v[d] = float64(r.Intn(23)) / 2
+				}
+				e := geo.PointRect(v)
+				inside := false
+				for i := range n.Entries {
+					inside = inside || n.Entries[i].Rect.Union(e) == n.Entries[i].Rect
+				}
+				if !inside {
+					return n, Entry{Rect: e}
+				}
+			}
+		}},
+		// Unit boxes on an integer grid probed at half-integer points:
+		// children at different indexes tie exactly on enlargement and
+		// area, and copies tie on the overlap growth too.
+		{"ties", 40, func(r *rand.Rand, dims, size int) (*Node, Entry) {
+			n := gridNode(r, dims, size, func(r *rand.Rand, dims int) geo.Rect {
+				var b geo.Rect
+				for d := 0; d < dims; d++ {
+					b.Min[d] = float64(r.Intn(4))
+					b.Max[d] = b.Min[d] + 1
+				}
+				return b
+			})
+			var v geo.Vector
+			for d := 0; d < dims; d++ {
+				v[d] = float64(r.Intn(5)) + 0.5
+			}
+			return n, Entry{Rect: geo.PointRect(v)}
+		}},
+		// Children flat in one dimension and a probe in their plane: the
+		// child grows (grown != c) while its area, and so its
+		// enlargement, stays 0.
+		{"zero-area", 40, func(r *rand.Rand, dims, size int) (*Node, Entry) {
+			flat := r.Intn(dims)
+			level := float64(r.Intn(3))
+			n := gridNode(r, dims, size, func(r *rand.Rand, dims int) geo.Rect {
+				b := gridRect(r, dims)
+				if r.Intn(4) != 0 {
+					b.Min[flat], b.Max[flat] = level, level
+				}
+				return b
+			})
+			e := Entry{Rect: probeEntry(r, dims, n)}
+			e.Rect.Min[flat], e.Rect.Max[flat] = level, level
+			return n, e
+		}},
+	} {
+		r := rand.New(rand.NewSource(7))
+		for _, dims := range []int{2, 3} {
+			tr := New(Config{Dims: dims, Capacity: c.capacity})
+			for trial := 0; trial < 600; trial++ {
+				n, e := c.node(r, dims, 1+trial%c.capacity)
+				if got, want := tr.strategy.ChooseSubtree(tr, n, e), fullScanChoose(dims, n, e); got != want {
+					t.Fatalf("%s %dD trial %d (%d children): chose %d, full scan %d (entry %v)", c.name, dims, trial, len(n.Entries), got, want, e.Rect)
+				}
+			}
+		}
+	}
+}
+
+// gridNode returns a level-1 node of size children drawn by rect; a third
+// of them repeat an earlier child.
+func gridNode(r *rand.Rand, dims, size int, rect func(*rand.Rand, int) geo.Rect) *Node {
+	n := &Node{Level: 1, Entries: make([]Entry, size)}
+	for i := range n.Entries {
+		if i > 0 && r.Intn(3) == 0 {
+			n.Entries[i].Rect = n.Entries[r.Intn(i)].Rect
+		} else {
+			n.Entries[i].Rect = rect(r, dims)
+		}
+	}
+	return n
 }
 
 // treeString renders every node's level, rectangles and items in order.

@@ -155,6 +155,7 @@ type Tree struct {
 	aug           Augmenter
 	minFill       int
 	reinsertCount int
+	cands         []leafCand // chooseLeaf's scratch, reused by every insert
 }
 
 // New creates an empty tree.
@@ -602,55 +603,98 @@ type SpatialStrategy struct{}
 
 // ChooseSubtree implements Strategy. Above the leaves it minimizes area
 // enlargement; at level 1 it minimizes the growth of the child's summed
-// overlap with its siblings, skipping work that cannot change that sum:
-//   - when e already lies inside child c (grown == c), the before and after
-//     sums add the same terms in the same order, so their difference is 0;
-//   - a sibling o that grown does not overlap adds 0 to the after sum, and,
-//     since c ⊆ grown, 0 to the before sum too; adding 0 changes no sum.
-//
-// Every other term is added in the old order, so whenever the overlap sums
-// are finite the choice and its tie-breaks are those of the full M² scan,
-// and the tree is the same tree.
+// overlap with its siblings (chooseLeaf).
 func (SpatialStrategy) ChooseSubtree(t *Tree, n *Node, e Entry) int {
 	dims := t.cfg.Dims
-	best := 0
 	if n.Level == 1 {
-		// Children are leaves: minimize overlap enlargement.
-		bestOverlap, bestEnl, bestArea := math.Inf(1), math.Inf(1), math.Inf(1)
-		for i := range n.Entries {
-			c := &n.Entries[i].Rect
-			grown := c.Union(e.Rect)
-			var before, after float64
-			if grown != *c {
-				for j := range n.Entries {
-					if j == i {
-						continue
-					}
-					o := &n.Entries[j].Rect
-					if a := grown.OverlapArea(*o, dims); a != 0 {
-						before += c.OverlapArea(*o, dims)
-						after += a
-					}
-				}
-			}
-			dOverlap := after - before
-			area := c.Area(dims)
-			enl := grown.Area(dims) - area // c.Enlargement(e.Rect, dims) without a second Union
-			if dOverlap < bestOverlap ||
-				(dOverlap == bestOverlap && (enl < bestEnl ||
-					(enl == bestEnl && area < bestArea))) {
-				best, bestOverlap, bestEnl, bestArea = i, dOverlap, enl, area
-			}
-		}
-		return best
+		return t.chooseLeaf(n, e)
 	}
 	// Minimize area enlargement, ties by area.
-	bestEnl, bestArea := math.Inf(1), math.Inf(1)
+	best, bestEnl, bestArea := 0, math.Inf(1), math.Inf(1)
 	for i, c := range n.Entries {
 		enl := c.Rect.Enlargement(e.Rect, dims)
 		area := c.Rect.Area(dims)
 		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
+		}
+	}
+	return best
+}
+
+// leafCand is a child of a level-1 node as chooseLeaf orders them.
+type leafCand struct {
+	enl, area float64
+	i         int
+}
+
+// less orders candidates by enlargement, then area, then index.
+func (a leafCand) less(b leafCand) bool {
+	if a.enl != b.enl {
+		return a.enl < b.enl
+	}
+	if a.area != b.area {
+		return a.area < b.area
+	}
+	return a.i < b.i
+}
+
+// chooseLeaf picks the child of level-1 node n whose summed overlap with
+// its siblings grows least when it takes e, ties by enlargement, then area,
+// then index. It visits the children in (enlargement, area, index) order
+// and keeps the first with the least growth, so it stops at the first child
+// whose growth is exactly 0: no growth is negative (below), and a later
+// child with growth 0 loses the tie. Per child it skips work that cannot
+// change the growth:
+//   - when e already lies inside child c (grown == c), the before and after
+//     sums add the same terms in the same order, so their difference is 0;
+//   - a sibling o that grown does not overlap adds 0 to the after sum, and,
+//     since c ⊆ grown, 0 to the before sum too; adding 0 changes no sum.
+//
+// Every other term is added in the old order. Since c ⊆ grown, each after
+// term is at least its before term, and floating-point multiplication and
+// addition are monotone, so after ≥ before. So whenever the areas and the
+// overlap sums are finite, the choice and its tie-breaks are those of the
+// full M² scan in index order, and the tree is the same tree.
+func (t *Tree) chooseLeaf(n *Node, e Entry) int {
+	dims := t.cfg.Dims
+	cs := t.cands[:0]
+	for i := range n.Entries {
+		c := &n.Entries[i].Rect
+		area := c.Area(dims)
+		cs = append(cs, leafCand{enl: c.Union(e.Rect).Area(dims) - area, area: area, i: i})
+	}
+	t.cands = cs
+	best, bestOverlap := 0, math.Inf(1)
+	for k := range cs {
+		// A selection step: most choices end at the first or second child.
+		m := k
+		for j := k + 1; j < len(cs); j++ {
+			if cs[j].less(cs[m]) {
+				m = j
+			}
+		}
+		cs[k], cs[m] = cs[m], cs[k]
+		i := cs[k].i
+		c := &n.Entries[i].Rect
+		grown := c.Union(e.Rect)
+		var before, after float64
+		if grown != *c {
+			for j := range n.Entries {
+				if j == i {
+					continue
+				}
+				o := &n.Entries[j].Rect
+				if a := grown.OverlapArea(*o, dims); a != 0 {
+					before += c.OverlapArea(*o, dims)
+					after += a
+				}
+			}
+		}
+		if d := after - before; d < bestOverlap {
+			best, bestOverlap = i, d
+			if d == 0 {
+				break
+			}
 		}
 	}
 	return best
