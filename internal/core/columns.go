@@ -17,8 +17,8 @@ import (
 // holding a record, each n cells long (n the flat entries) and addressed by
 // entry id like the layout's Rects.
 //
-// Where they apply (compileCols) the columns replace the records: the
-// entries' TIAs are kept as empty handles (newLayout), a record is
+// Where they apply (newLayout) the columns replace the records: the
+// entries' TIAs are kept as empty handles, a record is
 // col(k)[eid] − col(k−1)[eid] wherever that is non-zero (derive), and a
 // flush patches the columns in place (patchEpoch). A structural mutation
 // hands the records back before it drops the layout (dissolve).
@@ -74,19 +74,6 @@ func int32Total(g []tia.Record, extra int64) bool {
 	return total <= math.MaxInt32
 }
 
-// compileCols compiles the columns of ft's entries from their records, or
-// returns nil where columns do not apply and probes fold the records
-// instead: the tree's aggregate is not FuncSum (a maximum has no prefix
-// form), or its TIAs are paged (the paper's experiments count their page
-// reads), or buildCols refuses. It only reads the TIAs; newLayout releases
-// them.
-func (t *Tree) compileCols(ft *rstar.FlatTree) *columns {
-	if !t.colsApply() {
-		return nil
-	}
-	return buildCols(t.opts.Epochs, t.global.Records(), ft)
-}
-
 // colsApply reports whether the tree's aggregate and factory admit columns.
 func (t *Tree) colsApply() bool {
 	return t.opts.AggFunc == tia.FuncSum && t.global.Kind() == tia.KindMem
@@ -98,7 +85,10 @@ func (t *Tree) colsApply() bool {
 //   - the slab would be bigger than the records it encodes (fits);
 //   - an entry holds an epoch the global TIA does not dominate (an image
 //     that breaks the invariant).
-func buildCols(ep Epochs, g []tia.Record, ft *rstar.FlatTree) *columns {
+//
+// With derive, maxChildren sets the internal entries' cells, and the leaves'
+// records times the levels bound theirs until it has.
+func buildCols(ep Epochs, g []tia.Record, ft *rstar.FlatTree, derive bool) *columns {
 	if len(ft.Data) == 0 || !int32Total(g, 0) {
 		return nil
 	}
@@ -110,7 +100,11 @@ func buildCols(ep Epochs, g []tia.Record, ft *rstar.FlatTree) *columns {
 	if len(g) > 0 {
 		epochs = ep.Count(g[len(g)-1].Ts)
 	}
-	if !fits(epochs, c.records, c.n) {
+	bound := c.records
+	if derive {
+		bound *= int64(ft.Height)
+	}
+	if !fits(epochs, bound, c.n) {
 		return nil
 	}
 	// Every entry's epochs are among the global's, each at most its value:
@@ -135,6 +129,11 @@ func buildCols(ep Epochs, g []tia.Record, ft *rstar.FlatTree) *columns {
 			c.cells[key[j]*c.n+eid] = int32(r.Agg)
 		}
 	}
+	if derive {
+		if c.records += maxChildren(ft, c, 0); !fits(epochs, c.records, c.n) {
+			return nil
+		}
+	}
 	for k := 1; k <= int(epochs); k++ {
 		prev, cur := c.col(k-1), c.col(k)
 		for i := range cur {
@@ -142,6 +141,39 @@ func buildCols(ep Epochs, g []tia.Record, ft *rstar.FlatTree) *columns {
 		}
 	}
 	return c
+}
+
+// maxChildren sets each internal entry's per-epoch values under node id to
+// the maxima of its child node's entries', children first: as c's cells
+// before the prefix sums, or, c nil, as records. It returns the cells set.
+func maxChildren(ft *rstar.FlatTree, c *columns, id int32) (records int64) {
+	n := ft.Nodes[id]
+	for eid := n.Start; eid < n.Start+n.Count; eid++ {
+		child := ft.Children[eid]
+		if child < 0 {
+			continue
+		}
+		records += maxChildren(ft, c, child)
+		cn := ft.Nodes[child]
+		if c == nil {
+			var acc tia.Index
+			for ce := cn.Start; ce < cn.Start+cn.Count; ce++ {
+				acc.MaxMerge(tiaOf(ft.Data[ce]).Records()) //nolint:errcheck // in memory: cannot fail
+			}
+			tiaOf(ft.Data[eid]).SetRecords(slices.Clone(acc.Records()))
+			continue
+		}
+		for k := 1; k <= c.epochs(); k++ {
+			col := c.col(k)
+			for _, v := range col[cn.Start : cn.Start+cn.Count] {
+				col[eid] = max(col[eid], v)
+			}
+			if col[eid] != 0 {
+				records++
+			}
+		}
+	}
+	return records
 }
 
 // derive appends to dst the records entry eid's columns encode, in
@@ -184,10 +216,27 @@ func (c *columns) eachBlock(fn func(lo int, recs [][]tia.Record)) {
 }
 
 // newLayout returns the layout that publishes ft and, where they apply,
-// its columns. With columns, the entries' TIAs release their records and
-// every POI notes its leaf entry's id, the column cell its records live in.
+// its columns. They do not where the tree's aggregate is not FuncSum (a
+// maximum has no prefix form), or its TIAs are paged (the paper's
+// experiments count their page reads), or buildCols refuses; probes then
+// fold the records. With columns, the entries' TIAs release their records
+// and every POI notes its leaf entry's id, the column cell its records live
+// in. Where the tree derives its internal TIAs, each gets a fresh one, so
+// no records a thaw handed back are read, and maxChildren sets its values.
 func (t *Tree) newLayout(ft *rstar.FlatTree) *layout {
-	l := &layout{ft: ft, cols: t.compileCols(ft)}
+	derive := t.derives()
+	for eid, child := range ft.Children {
+		if derive && child >= 0 {
+			ft.Data[eid] = new(tia.Index)
+		}
+	}
+	l := &layout{ft: ft}
+	if t.colsApply() {
+		l.cols = buildCols(t.opts.Epochs, t.global.Records(), ft, derive)
+	}
+	if l.cols == nil && derive {
+		maxChildren(ft, nil, 0)
+	}
 	if l.cols != nil {
 		for eid, d := range ft.Data {
 			tiaOf(d).SetRecords(nil)

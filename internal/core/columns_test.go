@@ -115,7 +115,7 @@ func checkCols(t *testing.T, tr, twin *Tree, ivs []tia.Interval) *layout {
 			t.Fatalf("POI %d holds %v, the twin %v", id, got, want)
 		}
 	}
-	fresh := buildCols(twin.opts.Epochs, twin.global.Records(), ref)
+	fresh := buildCols(twin.opts.Epochs, twin.global.Records(), ref, false)
 	switch {
 	case l.cols == nil && fresh != nil:
 		t.Fatal("no columns where a fresh compile has them")

@@ -221,12 +221,12 @@ func (q Query) Validate() error {
 }
 
 // tiaOf returns the TIA an entry's Data holds. The augmentation attached to
-// every TAR-tree entry (the layout's Data slab, and rstar.Entry.Data of a
+// every entry of a compiled layout (its Data slab, and rstar.Entry.Data of a
 // pointer tree thawed from it) is the entry's TIA itself: the pointer the
 // factory returned, whose Records ingest, grouping, rebuilds and snapshots
 // read where no columns hold them. A leaf entry's index is its POI's — the
 // registry keeps it across tree restructuring, DeletePOI destroys it; an
-// internal entry's is made by treeAug and destroyed with the entry.
+// internal entry's is made by treeAug, or by the compile (derives).
 func tiaOf(data any) *tia.Index { return data.(*tia.Index) }
 
 // idSeq issues process-unique tree identities.
@@ -320,17 +320,25 @@ func NewTree(opts Options) (*Tree, error) {
 // rstarConfig builds the R-tree configuration the tree's options imply;
 // NewTree, both rebuilds and every thaw of the compiled layout agree on it.
 func (t *Tree) rstarConfig() rstar.Config {
-	var strat rstar.Strategy
-	if t.opts.Grouping == IndAgg {
-		strat = &aggStrategy{}
-	}
-	return rstar.Config{
+	cfg := rstar.Config{
 		Dims:            t.dims,
 		Capacity:        CapacityFor(t.opts.NodeSize, t.dims),
-		Strategy:        strat,
-		Aug:             &treeAug{t: t},
 		DisableReinsert: t.opts.DisableReinsert,
 	}
+	if t.opts.Grouping == IndAgg {
+		cfg.Strategy = &aggStrategy{}
+	}
+	if !t.derives() {
+		cfg.Aug = &treeAug{t: t}
+	}
+	return cfg
+}
+
+// derives reports whether each compile derives the internal entries' TIAs
+// (newLayout) and the pointer tree keeps none: on the spatial groupings,
+// whose choices read no TIA, over in-memory TIAs (treeAug says why not else).
+func (t *Tree) derives() bool {
+	return t.opts.Grouping != IndAgg && t.global.Kind() == tia.KindMem
 }
 
 // Options returns the (filled-in) options the tree was created with.
@@ -582,7 +590,9 @@ func (t *Tree) newMaxIndex(max *tia.Index) (*tia.Index, error) {
 
 // treeAug maintains the TIAs of internal entries across R-tree structure
 // changes (Section 4.1: an internal entry's TIA stores, per epoch, the
-// maximum aggregate of the TIAs in its child node).
+// maximum aggregate of the TIAs in its child node) where the compile does
+// not derive them: IND-agg's choices read them, and a paged TIA lays out
+// its pages in put order, which the paper's page counts measure.
 type treeAug struct {
 	t *Tree
 }
@@ -601,13 +611,7 @@ func (a *treeAug) Make(n *rstar.Node, old any) (any, error) {
 
 // Extend implements rstar.Augmenter.
 func (a *treeAug) Extend(data any, e rstar.Entry) (any, error) {
-	d, _ := data.(*tia.Index)
-	if d == nil {
-		var err error
-		if d, err = a.t.opts.TIA.New(nil); err != nil {
-			return nil, err
-		}
-	}
+	d := tiaOf(data)
 	return d, d.MaxMerge(tiaOf(e.Data).Records())
 }
 

@@ -5,7 +5,7 @@ import "tartree/internal/rstar"
 // layout is the serving tree, published as one value so that a search
 // never pairs one flat tree with another's columns: the flat tree, whose
 // Data slab holds the entries' live TIAs, and, where they apply
-// (compileCols), the columns of their aggregates. A flush patches the
+// (newLayout), the columns of their aggregates. A flush patches the
 // columns in place, or the TIAs' records, under the tree's write lock, and
 // publishes the flat tree alone when the columns stop applying
 // (patchEpoch).

@@ -15,8 +15,10 @@
 package rstar
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"tartree/internal/geo"
@@ -156,6 +158,8 @@ type Tree struct {
 	minFill       int
 	reinsertCount int
 	cands         []leafCand // chooseLeaf's scratch, reused by every insert
+	keys          []splitKey // Split's scratch, reused by every split
+	mbrs          []geo.Rect // sweep's
 }
 
 // New creates an empty tree.
@@ -700,37 +704,37 @@ func (t *Tree) chooseLeaf(n *Node, e Entry) int {
 	return best
 }
 
-// Split implements the R* topological split.
+// Split implements the R* topological split. One sweep per sort order
+// gives the MBRs of every candidate's two groups (sweep): O(M) unions an
+// order, not O(M²). A union takes minima and maxima, exact in any order,
+// and slices.SortFunc runs sort.Slice's pdqsort with the same comparisons
+// (no coordinate is NaN), so every order, MBR, sum and tie, and so the
+// split, is the quadratic scan's.
 func (SpatialStrategy) Split(t *Tree, level int, entries []Entry) ([]Entry, []Entry) {
 	dims := t.cfg.Dims
 	m := t.minFill
 	n := len(entries)
+	keys := slices.Grow(t.keys[:0], 2*dims*n)[:2*dims*n]
+	t.keys = keys
+	order := func(o int) []splitKey { return keys[o*n : (o+1)*n] }
 
 	// Choose the split axis: the one minimizing the total margin over all
 	// candidate distributions, considering both min- and max-sorted orders.
 	bestAxis, bestMargin := 0, math.Inf(1)
-	orders := make([][]Entry, dims*2)
 	for axis := 0; axis < dims; axis++ {
-		byMin := append([]Entry(nil), entries...)
-		a := axis
-		sort.Slice(byMin, func(i, j int) bool {
-			if byMin[i].Rect.Min[a] != byMin[j].Rect.Min[a] {
-				return byMin[i].Rect.Min[a] < byMin[j].Rect.Min[a]
-			}
-			return byMin[i].Rect.Max[a] < byMin[j].Rect.Max[a]
-		})
-		byMax := append([]Entry(nil), entries...)
-		sort.Slice(byMax, func(i, j int) bool {
-			if byMax[i].Rect.Max[a] != byMax[j].Rect.Max[a] {
-				return byMax[i].Rect.Max[a] < byMax[j].Rect.Max[a]
-			}
-			return byMax[i].Rect.Min[a] < byMax[j].Rect.Min[a]
-		})
-		orders[axis*2], orders[axis*2+1] = byMin, byMax
+		byMin, byMax := order(2*axis), order(2*axis+1)
+		for i := range entries {
+			r := &entries[i].Rect
+			byMin[i] = splitKey{r.Min[axis], r.Max[axis], int32(i)}
+			byMax[i] = splitKey{r.Max[axis], r.Min[axis], int32(i)}
+		}
+		slices.SortFunc(byMin, splitKey.compare)
+		slices.SortFunc(byMax, splitKey.compare)
 		margin := 0.0
-		for _, ord := range [][]Entry{byMin, byMax} {
+		for _, ord := range [2][]splitKey{byMin, byMax} {
+			pre, suf := t.sweep(entries, ord)
 			for k := m; k <= n-m; k++ {
-				margin += mbrOf(ord[:k], dims).Margin(dims) + mbrOf(ord[k:], dims).Margin(dims)
+				margin += pre[k].Margin(dims) + suf[k].Margin(dims)
 			}
 		}
 		if margin < bestMargin {
@@ -740,21 +744,50 @@ func (SpatialStrategy) Split(t *Tree, level int, entries []Entry) ([]Entry, []En
 
 	// Choose the distribution along the best axis minimizing overlap,
 	// ties by combined area.
-	var bestL, bestR []Entry
+	var best []splitKey
+	bestK := 0
 	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
-	for _, ord := range [][]Entry{orders[bestAxis*2], orders[bestAxis*2+1]} {
+	for o := 2 * bestAxis; o < 2*bestAxis+2; o++ {
+		pre, suf := t.sweep(entries, order(o))
 		for k := m; k <= n-m; k++ {
-			lm, rm := mbrOf(ord[:k], dims), mbrOf(ord[k:], dims)
-			ov := lm.OverlapArea(rm, dims)
-			area := lm.Area(dims) + rm.Area(dims)
+			ov := pre[k].OverlapArea(suf[k], dims)
+			area := pre[k].Area(dims) + suf[k].Area(dims)
 			if ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
 				bestOverlap, bestArea = ov, area
-				bestL = append([]Entry(nil), ord[:k]...)
-				bestR = append([]Entry(nil), ord[k:]...)
+				best, bestK = order(o), k
 			}
 		}
 	}
-	return bestL, bestR
+	out := make([]Entry, len(best))
+	for i, key := range best {
+		out[i] = entries[key.i]
+	}
+	return out[:bestK:bestK], out[bestK:]
+}
+
+// splitKey is entry i's place in a sort order of Split: by first, then
+// second.
+type splitKey struct {
+	first, second float64
+	i             int32
+}
+
+func (a splitKey) compare(b splitKey) int {
+	return cmp.Or(cmp.Compare(a.first, b.first), cmp.Compare(a.second, b.second))
+}
+
+// sweep returns the MBRs of the first k entries in order ord (pre[k]) and
+// of the rest (suf[k]), k = 0 … len(ord), in the tree's scratch.
+func (t *Tree) sweep(entries []Entry, ord []splitKey) (pre, suf []geo.Rect) {
+	n := len(ord)
+	t.mbrs = slices.Grow(t.mbrs[:0], 2*n+2)[:2*n+2]
+	pre, suf = t.mbrs[:n+1], t.mbrs[n+1:]
+	pre[0], suf[n] = geo.EmptyRect(t.cfg.Dims), geo.EmptyRect(t.cfg.Dims)
+	for k := range ord {
+		pre[k+1] = pre[k].Union(entries[ord[k].i].Rect)
+		suf[n-1-k] = suf[n-k].Union(entries[ord[n-1-k].i].Rect)
+	}
+	return pre, suf
 }
 
 // PickReinsert implements Reinserter: the R* forced reinsert removes the
@@ -780,12 +813,4 @@ func (SpatialStrategy) PickReinsert(t *Tree, n *Node) []int {
 		idxs[i] = ds[i].i
 	}
 	return idxs
-}
-
-func mbrOf(entries []Entry, dims int) geo.Rect {
-	r := geo.EmptyRect(dims)
-	for _, e := range entries {
-		r = r.Union(e.Rect)
-	}
-	return r
 }
